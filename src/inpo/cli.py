@@ -26,7 +26,7 @@ from .config import Config, load_config, reward_spec_from
 from .data import gen_toy_dataset, load_pairs, make_preference_pairs, save_pairs
 from .denoiser import DenoiserArch, load_params, save_params
 from .errors import ConfigError, InpoError, NumericError, PairParseError, VersionError
-from .evaluation import emit_report, inversion_roundtrip, win_rate
+from .evaluation import emit_report, roundtrip_errors, win_rate
 from .preference import DeltaStrategy
 from .sampler import SamplerConfig, ddim_invert
 from .schedule import make_schedule
@@ -140,6 +140,13 @@ def cmd_align(cfg: Config, out: str, seed: int) -> None:
     log.info("wrote %s and %s", path, log_path)
 
 
+def _std_err(values: np.ndarray) -> float:
+    """Standard error of the mean; 0.0 for a single value."""
+    if values.size < 2:
+        return 0.0
+    return float(values.std(ddof=1) / np.sqrt(values.size))
+
+
 def cmd_eval(cfg: Config, out: str, seed: int) -> None:
     model_a, schedule = _load_model(_require(cfg, "eval.model_a"))
     model_b, _ = _load_model(_require(cfg, "eval.model_b"))
@@ -159,9 +166,10 @@ def cmd_eval(cfg: Config, out: str, seed: int) -> None:
         ns = cfg["eval.ns"] or (cfg["invert.n_steps"],)
         for n in ns:
             tick = time.perf_counter()
-            table = inversion_roundtrip(model_a, schedule, X, cfg["eval.t_target"], [n],
-                                        cond, cfg["invert.guidance_w"])
-            report.roundtrip_errors.update(table)
+            errs = roundtrip_errors(model_a, schedule, X, cfg["eval.t_target"], int(n),
+                                    cond, cfg["invert.guidance_w"])
+            report.roundtrip_errors[int(n)] = float(errs.mean())
+            report.roundtrip_std[int(n)] = _std_err(errs)
             if timing:
                 report.wall_times[f"roundtrip_n{n}"] = time.perf_counter() - tick
     emit_report(report, out)

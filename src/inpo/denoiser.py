@@ -7,9 +7,12 @@ tanh hidden layers. Condition ids live in [0, num_conditions); the reserved
 id NULL_CONDITION selects a learned null embedding used for unconditional
 prediction and classifier-free guidance.
 
-The same forward routine runs on plain arrays and on autodiff Vars, so the
-differentiated path used in training is arithmetically identical to the fast
-path used in sampling.
+The same forward routine, eps_forward, runs on plain arrays and on autodiff
+Vars, so the differentiated path used in training is arithmetically identical
+to the fast path used in sampling. noise_predictor binds the conditions and
+the guidance branch of a batch once and returns the per-step noise function
+that sampling, inversion and the fixed-point solver call; predict_noise is a
+one-off call of it.
 """
 from __future__ import annotations
 
@@ -123,10 +126,10 @@ def init_denoiser(arch: DenoiserArch, seed: int) -> DenoiserParams:
 
 
 _FREQ_CACHE: dict[int, np.ndarray] = {}
+_TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
-def time_embedding(t, dim: int) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
+def _sincos(t: np.ndarray, dim: int) -> np.ndarray:
     freqs = _FREQ_CACHE.get(dim)
     if freqs is None:
         half = dim // 2
@@ -134,6 +137,24 @@ def time_embedding(t, dim: int) -> np.ndarray:
         _FREQ_CACHE[dim] = freqs
     ang = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+def time_embedding(t, dim: int) -> np.ndarray:
+    """Sinusoidal embedding of a (batch,) array of timesteps, (batch, dim).
+
+    Non-negative integer timesteps are gathered from a per-dim table of the
+    same sin/cos values, grown to the largest timestep seen; other timesteps
+    (the continuous times of the RK4 oracle) are computed directly.
+    """
+    t = np.asarray(t)
+    if t.dtype.kind in "iu" and t.size and t.min() >= 0:
+        table = _TABLE_CACHE.get(dim)
+        top = int(t.max())
+        if table is None or top >= len(table):
+            table = _sincos(np.arange(top + 1, dtype=np.float64), dim)
+            _TABLE_CACHE[dim] = table
+        return table[t]
+    return _sincos(t.astype(np.float64), dim)
 
 
 def _cond_rows(c, num_conditions: int) -> np.ndarray:
@@ -160,43 +181,63 @@ def eps_forward(model, x, t, rows):
     return h @ model.weights[last] + model.biases[last]
 
 
-def _normalize_batch(x, t, c, input_dim):
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    x = np.atleast_2d(x)
-    if x.shape[1] != input_dim:
-        raise InvalidArgument(f"sample dim {x.shape[1]} != input_dim {input_dim}")
-    n = x.shape[0]
-    t = np.broadcast_to(np.asarray(t), (n,))
-    c = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,))
-    return x, t, c, squeeze
+def _per_row(t, n: int):
+    return t if np.shape(t) == (n,) else np.broadcast_to(t, (n,))
+
+
+def noise_predictor(model, c, guidance_w: float, n: int | None):
+    """Resolve conditions and the guidance branch once for a batch of n rows.
+
+    Returns eps(x, t) for (n, input_dim) samples x at a scalar or (n,)
+    timestep t, with predict_noise's semantics. Samplers call this once per
+    call and then eps once per grid step, so condition checks and the
+    embedding-row lookup are not repeated per step; every eps call still
+    rejects non-finite samples. ``model`` may also be a plain callable
+    (x, t, c, w) -> eps, used by test probes; then ``n`` is unused.
+    """
+    if not isinstance(model, DenoiserParams):
+        if callable(model):
+            return lambda x, t: np.asarray(model(x, t, c, guidance_w), dtype=np.float64)
+        raise InvalidArgument(f"model must be DenoiserParams or a callable, got {type(model)}")
+    arch = model.arch
+    cv = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,))
+    rows = _cond_rows(cv, arch.num_conditions)
+    null_rows = np.full_like(rows, arch.num_conditions)
+    shape = (n, arch.input_dim)
+
+    def forward(x, t, at_rows):
+        if x.shape != shape:
+            raise InvalidArgument(f"sample batch shape {x.shape} != {shape}")
+        if not np.all(np.isfinite(x)):
+            raise NumericError("non-finite sample passed to the denoiser")
+        return eps_forward(model, x, _per_row(t, n), at_rows)
+
+    if guidance_w == 0.0 or np.all(cv == NULL_CONDITION):
+        return lambda x, t: forward(x, t, null_rows)
+    if guidance_w == 1.0:
+        return lambda x, t: forward(x, t, rows)
+
+    def guided(x, t):
+        eps_u = forward(x, t, null_rows)
+        eps_c = eps_forward(model, x, _per_row(t, n), rows)
+        return eps_u + guidance_w * (eps_c - eps_u)
+
+    return guided
 
 
 def predict_noise(model, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:
     """Evaluate the noise prediction with classifier-free guidance weight w.
 
     w = 0 returns the null-condition prediction; w = 1 the conditional one;
-    any other w the affine combination uncond + w * (cond - uncond). ``model``
-    may also be a plain callable (x, t, c, w) -> eps, used by test probes.
+    any other w the affine combination uncond + w * (cond - uncond). ``x_t``
+    is one sample or a (batch, dim) array. A one-off noise_predictor call.
     """
     if not isinstance(model, DenoiserParams):
-        if callable(model):
-            return np.asarray(model(x_t, t, c, guidance_w), dtype=np.float64)
-        raise InvalidArgument(f"model must be DenoiserParams or a callable, got {type(model)}")
-    arch = model.arch
-    x, tv, cv, squeeze = _normalize_batch(x_t, t, c, arch.input_dim)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("non-finite sample passed to predict_noise")
-    rows = _cond_rows(cv, arch.num_conditions)
-    null_rows = np.full_like(rows, arch.num_conditions)
-    if guidance_w == 0.0 or np.all(cv == NULL_CONDITION):
-        out = eps_forward(model, x, tv, null_rows)
-    elif guidance_w == 1.0:
-        out = eps_forward(model, x, tv, rows)
-    else:
-        eps_u = eps_forward(model, x, tv, null_rows)
-        eps_c = eps_forward(model, x, tv, rows)
-        out = eps_u + guidance_w * (eps_c - eps_u)
+        return noise_predictor(model, c, guidance_w, None)(x_t, t)
+    x = np.asarray(x_t, dtype=np.float64)
+    squeeze = x.ndim == 1
+    x = np.atleast_2d(x)
+    out = noise_predictor(model, c, guidance_w, x.shape[0])(x, t)
     return out[0] if squeeze else out
 
 

@@ -47,7 +47,8 @@ def win_rate(model_a, model_b, s: NoiseSchedule, spec: RewardSpec, conditions,
     """Fraction of shared-latent trials in which A's generation scores higher.
 
     Per trial one condition and one initial latent are drawn; both models
-    sample deterministically from that latent. Ties count 0.5.
+    sample deterministically from that latent, all trials in one sampler call
+    per model. Ties count 0.5.
     """
     if n_trials < 1:
         raise InvalidArgument("n_trials must be >= 1")
@@ -58,12 +59,8 @@ def win_rate(model_a, model_b, s: NoiseSchedule, spec: RewardSpec, conditions,
     cond = conditions[cond_idx]
     latents = rng.standard_normal((n_trials, dim))
 
-    xa = np.empty_like(latents)
-    xb = np.empty_like(latents)
-    for c in np.unique(cond):
-        m = cond == c
-        xa[m] = ddim_sample(model_a, s, latents[m], sampler_cfg, int(c))
-        xb[m] = ddim_sample(model_b, s, latents[m], sampler_cfg, int(c))
+    xa = ddim_sample(model_a, s, latents, sampler_cfg, cond)
+    xb = ddim_sample(model_b, s, latents, sampler_cfg, cond)
 
     ra = np.array([score(spec, xa[i], int(cond[i])) for i in range(n_trials)])
     rb = np.array([score(spec, xb[i], int(cond[i])) for i in range(n_trials)])

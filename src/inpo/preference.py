@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Var, softplus
-from .denoiser import DenoiserParams, TapeParams, _cond_rows, eps_forward, predict_noise
+from .denoiser import DenoiserParams, TapeParams, _cond_rows, eps_forward, noise_predictor
 from .errors import InvalidArgument, NumericError
 from .sampler import ddim_invert, reconstruct_xt
 from .schedule import NoiseSchedule, check_timestep, forward_diffuse
@@ -127,11 +127,12 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
     ab = s.alpha_bar[tt][:, None]
     sq_ab, sq_1ab = np.sqrt(ab), np.sqrt(1.0 - ab)
 
+    eps_fn = noise_predictor(model, c, 1.0, B)
     delta = rng.standard_normal(x0a.shape)
     converged = np.zeros(B, dtype=bool)
     resid = np.full(B, np.inf)
     for k in range(cfg.max_iters):
-        eps = predict_noise(model, sq_ab * x0a + sq_1ab * delta, tt, c, guidance_w=1.0)
+        eps = eps_fn(sq_ab * x0a + sq_1ab * delta, tt)
         r = np.linalg.norm(delta - eps, axis=1)
         resid = np.where(converged, resid, r)
         converged |= r <= cfg.tol
@@ -142,7 +143,7 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
         if not np.all(np.isfinite(delta)):
             raise NumericError(f"non-finite fixed-point iterate at iteration {k}")
     if not converged.all():
-        eps = predict_noise(model, sq_ab * x0a + sq_1ab * delta, tt, c, guidance_w=1.0)
+        eps = eps_fn(sq_ab * x0a + sq_1ab * delta, tt)
         r = np.linalg.norm(delta - eps, axis=1)
         resid = np.where(converged, resid, r)
     if squeeze:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import predict_noise
+from .denoiser import noise_predictor, predict_noise
 from .errors import InvalidArgument, NumericError
 from .schedule import NoiseSchedule, check_timestep
 
@@ -69,13 +69,17 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
 
 
 def ddim_sample(model, s: NoiseSchedule, x_start, cfg: SamplerConfig, c) -> np.ndarray:
-    """Integrate from t_start down to t_end on a uniform sub-grid. Deterministic."""
+    """Integrate from t_start down to t_end on a uniform sub-grid. Deterministic.
+
+    ``c`` is one condition id or one per row of ``x_start``.
+    """
     cfg = cfg.resolve(s)
     x, squeeze = _as_batch(x_start)
     grid = np.rint(np.linspace(cfg.t_start, cfg.t_end, cfg.num_steps + 1)).astype(np.int64)
+    eps_fn = noise_predictor(model, c, cfg.guidance_w, x.shape[0])
     for i in range(cfg.num_steps):
         t_cur, t_next = grid[i], grid[i + 1]
-        eps = predict_noise(model, x, t_cur, c, cfg.guidance_w)
+        eps = eps_fn(x, t_cur)
         ab_c = s.alpha_bar[t_cur]
         ab_n = s.alpha_bar[t_next]
         x0_hat = (x - np.sqrt(1.0 - ab_c) * eps) / np.sqrt(ab_c)
@@ -119,15 +123,16 @@ def ddim_invert(
     tt = np.broadcast_to(np.asarray(check_timestep(s, t_target, min_t=1)), (B,))
     grid = np.rint(np.linspace(0.0, 1.0, n + 1)[None, :] * tt[:, None]).astype(np.int64)
 
+    eps_fn = noise_predictor(model, c, guidance_w_inv, B)
     t1 = grid[:, 1]
-    delta = predict_noise(model, np.sqrt(s.alpha_bar[t1])[:, None] * x0a, t1, c, guidance_w_inv)
+    delta = eps_fn(np.sqrt(s.alpha_bar[t1])[:, None] * x0a, t1)
     x0_cur = x0a.copy()
     for i in range(2, n + 1):
         ti = grid[:, i]
         ab = s.alpha_bar[ti][:, None]
         sg = s.sigma[ti][:, None]
         lift = np.sqrt(ab) * x0_cur + np.sqrt(1.0 - ab) * delta
-        e = predict_noise(model, lift, ti, c, guidance_w_inv)
+        e = eps_fn(lift, ti)
         x0_cur = x0_cur - sg * (e - delta)
         delta = e
         if not np.all(np.isfinite(x0_cur)):

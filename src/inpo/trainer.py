@@ -9,8 +9,14 @@ The alignment loop accepts three methods sharing one optimizer path:
     inpo  latents/targets built per pair by the configured delta strategy
           (inversion by default) using the current trained parameters,
     dpo   latents from the forward process, targets equal to the drawn
-          noise (identical arithmetic to inpo with the gaussian strategy),
+          noise: it runs as inpo with the gaussian strategy,
     sft   the plain denoising objective on winners only.
+
+inpo and dpo build the targets of a window's winners and losers in one
+stacked make_targets call, so inversion costs one network forward per grid
+step for the whole window. A non-finite value in a step raises TrainingError
+naming the step and the first drawn pair whose inputs or targets are
+non-finite.
 
 Per optimizer step, gradients are averaged over batch_pairs * accum_steps
 pair evaluations, each at an independently drawn timestep in {t_min..T}.
@@ -43,6 +49,9 @@ ALIGN_METHODS = ("inpo", "dpo", "sft")
 REF_INITS = ("base", "sft_winners")
 CKPT_MAGIC = b"INPOCKPT"
 CKPT_VERSION = 1
+
+# dpo draws its latents from the forward process: inpo with gaussian deltas.
+_DPO_DELTA = DeltaStrategy("gaussian")
 
 _PRETRAIN_DOMAIN = 101
 _ALIGN_DOMAIN = 202
@@ -197,39 +206,45 @@ def config_fingerprint(cfg: AlignConfig) -> bytes:
     return hashlib.sha256(canon).digest()
 
 
-def _align_window(params, ref, schedule, winners, losers, conds, cfg, rng):
-    """Draw one accumulation window and return (loss_fn, aux dict)."""
+def _align_window(params, ref, schedule, winners, losers, conds, cfg, rng, aux):
+    """Draw one accumulation window and return its loss_fn.
+
+    Winners and losers get their latents and targets from one make_targets
+    call on the stacked (2B, dim) batch, winners first; dpo is inpo with the
+    gaussian strategy. ``aux`` receives the draws as they are made, so a
+    failure part way through can still name the pair.
+    """
     B = cfg.batch_pairs
     idx = rng.integers(0, len(winners), size=B)
     t = rng.integers(cfg.t_min, schedule.T + 1, size=B)
-    xw, xl, cc = winners[idx], losers[idx], conds[idx]
-    aux = {"idx": idx, "t": t}
+    xw, cc = winners[idx], conds[idx]
+    aux.update(idx=idx, t=t, arrays=[xw])
 
     if cfg.method == "sft":
         eps = rng.standard_normal(xw.shape)
         rows = _cond_rows(cc, params.arch.num_conditions)
         x_t = forward_diffuse(schedule, xw, t, eps)
+        aux["arrays"].append(x_t)
 
         def loss_fn(tape):
             return sft_terms(tape, schedule, x_t, t, cc, rows, eps)
 
-        return loss_fn, aux
+        return loss_fn
 
-    if cfg.method == "dpo":
-        eps_w = rng.standard_normal(xw.shape)
-        eps_l = rng.standard_normal(xl.shape)
-        x_tw, tau_w = forward_diffuse(schedule, xw, t, eps_w), eps_w
-        x_tl, tau_l = forward_diffuse(schedule, xl, t, eps_l), eps_l
-    else:
-        x_tw, tau_w = make_targets(params, schedule, xw, t, cc, cfg.delta, rng)
-        x_tl, tau_l = make_targets(params, schedule, xl, t, cc, cfg.delta, rng)
+    xl = losers[idx]
+    aux["arrays"].append(xl)
+    delta = _DPO_DELTA if cfg.method == "dpo" else cfg.delta
+    x_t, tau = make_targets(params, schedule, np.vstack([xw, xl]), np.concatenate([t, t]),
+                            np.concatenate([cc, cc]), delta, rng)
+    aux["arrays"] += [x_t, tau]
 
     def loss_fn(tape):
-        terms = pair_loss_terms(tape, ref, schedule, x_tw, tau_w, x_tl, tau_l, t, cc, cfg.beta)
+        terms = pair_loss_terms(tape, ref, schedule, x_t[:B], tau[:B], x_t[B:], tau[B:],
+                                t, cc, cfg.beta)
         aux["sigmoid_arg"] = terms["sigmoid_arg"].data
         return terms["mean_total"]
 
-    return loss_fn, aux
+    return loss_fn
 
 
 def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSchedule,
@@ -269,14 +284,14 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         loss_sum = 0.0
         arg_sum = 0.0
         for _ in range(cfg.accum_steps):
-            loss_fn, aux = _align_window(
-                params, ref, schedule, winners, losers, conds, cfg, rng
-            )
+            aux = {}
             try:
+                loss_fn = _align_window(
+                    params, ref, schedule, winners, losers, conds, cfg, rng, aux
+                )
                 val, grads = value_and_grad(params, loss_fn)
             except ArithmeticError as e:
-                pair_no, t_bad = _locate_bad_pair(aux)
-                raise TrainingError(f"{e} (pair {pair_no}, t={t_bad})", step) from e
+                raise TrainingError(f"{e}{_bad_pair(aux)}", step) from e
             _check_grads(grads, step)
             loss_sum += val
             arg = aux.get("sigmoid_arg")
@@ -309,14 +324,24 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
     return params
 
 
-def _locate_bad_pair(aux):
-    arg = aux.get("sigmoid_arg")
+def _bad_pair(aux) -> str:
+    """Name the first drawn pair whose inputs, targets or loss argument are
+    non-finite, as " (pair i, t=...)", or return "" if there is none.
+
+    Row r of a drawn array of B or 2B rows belongs to drawn pair r % B.
+    """
     idx, t = aux["idx"], aux["t"]
+    B = len(idx)
+    bad = np.zeros(B, dtype=bool)
+    for arr in aux["arrays"]:
+        bad[np.flatnonzero(~np.isfinite(arr).all(axis=1)) % B] = True
+    arg = aux.get("sigmoid_arg")
     if arg is not None:
-        bad = np.flatnonzero(~np.isfinite(arg))
-        if bad.size:
-            return int(idx[bad[0]]), int(t[bad[0]])
-    return int(idx[0]), int(t[0])
+        bad |= ~np.isfinite(arg)
+    if not bad.any():
+        return ""
+    i = int(np.argmax(bad))
+    return f" (pair {int(idx[i])}, t={int(t[i])})"
 
 
 # ----------------------------------------------------------- checkpoint file

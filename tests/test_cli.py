@@ -106,6 +106,26 @@ def test_eval_rerun_identical_report(workdir, tmp_path):
     assert (outs[0] / "win_rate.csv").read_bytes() == (outs[1] / "win_rate.csv").read_bytes()
 
 
+def test_eval_roundtrip_reports_std_err(workdir, tmp_path):
+    out = tmp_path / "rt"
+    assert run([
+        "eval", "--out", str(out), "--seed", "4",
+        "--set", f"eval.model_a={workdir}/aligned.params",
+        "--set", f"eval.model_b={workdir}/base.params",
+        "--set", "eval.roundtrip=true",
+        "--set", "eval.samples=16",
+        "--set", "eval.ns=2,4",
+        "--set", "eval.t_target=96",
+    ]) == 0
+    with open(out / "roundtrip.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["n"] for r in rows] == ["2", "4"]
+    assert all(float(r["std_err"]) > 0 for r in rows)
+    with open(out / "report.json") as fh:
+        rep = json.load(fh)
+    assert rep["roundtrip_std"] == {r["n"]: float(r["std_err"]) for r in rows}
+
+
 def test_invert_demo(workdir, tmp_path):
     out = tmp_path / "demo"
     assert run([

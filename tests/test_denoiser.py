@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import inpo.denoiser as denoiser_mod
 from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
@@ -9,11 +10,13 @@ from inpo.denoiser import (
     init_denoiser,
     load_params,
     loss_gradient,
+    noise_predictor,
     params_equal,
     params_from_bytes,
     params_to_bytes,
     predict_noise,
     save_params,
+    time_embedding,
     value_and_grad,
 )
 from inpo.errors import InvalidArgument, NumericError, VersionError
@@ -243,3 +246,58 @@ def test_params_file_rejects_bad_version():
     buf[8] = 99
     with pytest.raises(VersionError):
         params_from_bytes(bytes(buf))
+
+
+def _sincos_reference(t, dim):
+    half = dim // 2
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
+    ang = np.asarray(t, dtype=np.float64)[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_time_embedding_table_equals_sincos_bytewise(dim, monkeypatch):
+    monkeypatch.setattr(denoiser_mod, "_TABLE_CACHE", {})
+    T = 1000
+    ts = np.arange(T + 1)
+    # one timestep at a time, so the table grows one row per call
+    for k in ts:
+        one = np.array([k])
+        assert np.array_equal(time_embedding(one, dim), time_embedding(one.astype(float), dim))
+    rng = np.random.default_rng(dim)
+    batch = rng.permutation(ts)
+    assert np.array_equal(time_embedding(batch, dim), time_embedding(batch.astype(float), dim))
+    assert np.array_equal(time_embedding(ts, dim), _sincos_reference(ts, dim))
+
+
+def test_time_embedding_float_and_negative_t_use_sincos():
+    t = np.array([0.5, 17.25, 999.75])
+    assert np.array_equal(time_embedding(t, 8), _sincos_reference(t, 8))
+    neg = np.array([-3, 4])
+    assert np.array_equal(time_embedding(neg, 8), _sincos_reference(neg, 8))
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 2.5])
+def test_noise_predictor_matches_predict_noise(w):
+    p = init_denoiser(ARCH, 5)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((6, 2))
+    c = np.array([0, 1, 2, 3, NULL_CONDITION, 1])
+    eps = noise_predictor(p, c, w, 6)
+    for t in (7, np.arange(6) + 40):
+        assert np.array_equal(eps(x, t), predict_noise(p, x, t, c, guidance_w=w))
+
+
+def test_noise_predictor_errors():
+    p = init_denoiser(ARCH, 0)
+    with pytest.raises(InvalidArgument):
+        noise_predictor(p, 99, 1.0, 3)
+    with pytest.raises(InvalidArgument):
+        noise_predictor(p, np.array([0, -2, 1]), 1.0, 3)
+    eps = noise_predictor(p, 1, 1.0, 3)
+    with pytest.raises(NumericError):
+        eps(np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]]), 5)
+    with pytest.raises(InvalidArgument):
+        eps(np.zeros((3, 3)), 5)
+    with pytest.raises(InvalidArgument):
+        noise_predictor("not a model", 0, 1.0, 3)

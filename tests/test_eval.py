@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from inpo.data import RewardSpec, default_reward_spec
+from inpo.data import RewardSpec, default_reward_spec, score
+from inpo.denoiser import DenoiserArch, init_denoiser
 from inpo.errors import InvalidArgument
 from inpo.evaluation import (
     EvalReport,
@@ -13,7 +14,7 @@ from inpo.evaluation import (
     parse_report,
     win_rate,
 )
-from inpo.sampler import SamplerConfig, ddim_invert
+from inpo.sampler import SamplerConfig, ddim_invert, ddim_sample
 from inpo.schedule import make_schedule
 
 from conftest import linear_ode_solution, make_linear_model, zero_model
@@ -52,6 +53,32 @@ def test_win_rate_symmetry(s, cfg):
     r1 = win_rate(a, b, s, spec, range(8), 128, cfg, seed=3)
     r2 = win_rate(b, a, s, spec, range(8), 128, cfg, seed=3)
     assert r1.win_rate + r2.win_rate == 1.0
+
+
+@pytest.mark.parametrize("w", [1.0, 2.0])
+def test_win_rate_one_batch_matches_per_condition_sampling(s, w):
+    arch = DenoiserArch(2, (16,), 8, 8)
+    a, b = init_denoiser(arch, 1), init_denoiser(arch, 2)
+    spec = default_reward_spec("eight_gaussians")
+    gen = SamplerConfig(num_steps=12, guidance_w=w, t_start=950)
+    n, seed = 200, 5
+    rep = win_rate(a, b, s, spec, range(8), n, gen, seed)
+    # the trial draws of win_rate, sampled one condition at a time
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
+    cond = rng.integers(0, 8, size=n)
+    latents = rng.standard_normal((n, 2))
+    xa, xb = np.empty_like(latents), np.empty_like(latents)
+    for c in np.unique(cond):
+        m = cond == c
+        xa[m] = ddim_sample(a, s, latents[m], gen, int(c))
+        xb[m] = ddim_sample(b, s, latents[m], gen, int(c))
+    ra = np.array([score(spec, xa[i], int(cond[i])) for i in range(n)])
+    rb = np.array([score(spec, xb[i], int(cond[i])) for i in range(n)])
+    trials = np.array([row[1:] for row in rep.trials])
+    assert np.array_equal(trials[:, 0], cond)
+    np.testing.assert_allclose(trials[:, 1], ra, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trials[:, 2], rb, rtol=0, atol=1e-12)
+    assert np.array_equal(trials[:, 3], np.where(ra > rb, 1.0, np.where(ra < rb, 0.0, 0.5)))
 
 
 def test_win_rate_validation(s, cfg):

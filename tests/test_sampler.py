@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inpo.errors import InvalidArgument
+from inpo.denoiser import DenoiserArch, init_denoiser
+from inpo.errors import InvalidArgument, NumericError
+from inpo.preference import DeltaStrategy, solve_delta_fixed_point
 from inpo.sampler import (
     SamplerConfig,
     compute_tau,
@@ -182,6 +184,27 @@ def test_invert_validation(s):
         ddim_invert(p, s, np.zeros(2), 100, 0, c=0)
     with pytest.raises(InvalidArgument):
         ddim_invert(p, s, np.zeros(2), 0, 5, c=0)
+
+
+def test_loops_reject_bad_conditions_and_nonfinite_input(s):
+    p = init_denoiser(DenoiserArch(2, (8,), 4, 8), 0)
+    x = np.zeros((3, 2))
+    bad_c = np.array([0, 4, 1])
+    cfg = SamplerConfig(num_steps=4, guidance_w=1.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidArgument):
+        ddim_sample(p, s, x, cfg, bad_c)
+    with pytest.raises(InvalidArgument):
+        ddim_invert(p, s, x, 300, 4, bad_c)
+    with pytest.raises(InvalidArgument):
+        solve_delta_fixed_point(p, s, x, 300, bad_c, DeltaStrategy("fixed_point"), rng)
+    x[1, 0] = np.nan
+    with pytest.raises(NumericError):
+        ddim_sample(p, s, x, cfg, 1)
+    with pytest.raises(NumericError):
+        ddim_invert(p, s, x, 300, 4, 1)
+    with pytest.raises(NumericError):
+        solve_delta_fixed_point(p, s, x, 300, 1, DeltaStrategy("fixed_point"), rng)
 
 
 # ------------------------------------------------- reconstruct_xt/compute_tau

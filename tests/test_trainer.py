@@ -3,10 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+import inpo.denoiser as denoiser_mod
+import inpo.preference as preference_mod
+import inpo.trainer as trainer_mod
 from inpo.data import PreferencePair
-from inpo.denoiser import DenoiserArch, init_denoiser, params_equal
-from inpo.errors import ConfigError, InvalidArgument, VersionError
-from inpo.preference import DeltaStrategy, sft_loss
+from inpo.denoiser import DenoiserArch, init_denoiser, params_equal, params_to_bytes
+from inpo.errors import ConfigError, InvalidArgument, TrainingError, VersionError
+from inpo.preference import DeltaStrategy, make_targets, sft_loss
 from inpo.schedule import make_schedule
 from inpo.trainer import (
     AlignConfig,
@@ -140,6 +143,78 @@ def test_align_dpo_equals_inpo_gaussian_bitwise(s, tiny_pairs):
     b = align(base, base, tiny_pairs, s, small_cfg(method="dpo", delta=DeltaStrategy("gaussian")))
     for x, y in zip(a.flat(), b.flat()):
         assert x.tobytes() == y.tobytes()
+
+
+def _targets_separately(model, s, x0, t, c, strategy, rng):
+    """make_targets on the winner half, then on the loser half, of a stacked batch."""
+    B = len(x0) // 2
+    w = make_targets(model, s, x0[:B], t[:B], c[:B], strategy, rng)
+    l = make_targets(model, s, x0[B:], t[B:], c[B:], strategy, rng)
+    return np.vstack([w[0], l[0]]), np.vstack([w[1], l[1]])
+
+
+@pytest.mark.parametrize("delta", [DeltaStrategy("inversion", n=5),
+                                   DeltaStrategy("fixed_point", max_iters=6)])
+def test_stacked_targets_match_separate(s, delta):
+    p = init_denoiser(ARCH, 3)
+    rng = np.random.default_rng(6)
+    B = 64
+    x0 = rng.standard_normal((2 * B, 2))
+    t = np.tile(rng.integers(1, s.T + 1, size=B), 2)
+    c = np.tile(rng.integers(0, 4, size=B), 2)
+    stacked = make_targets(p, s, x0, t, c, delta, np.random.default_rng(9))
+    separate = _targets_separately(p, s, x0, t, c, delta, np.random.default_rng(9))
+    for a, b in zip(stacked, separate):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("method,delta", [
+    ("inpo", DeltaStrategy("inversion", n=3)),
+    ("inpo", DeltaStrategy("fixed_point", max_iters=4)),
+    ("dpo", DeltaStrategy("gaussian")),
+])
+def test_align_stacked_targets_bytewise_equal_to_separate(s, tiny_pairs, monkeypatch,
+                                                          method, delta):
+    base = init_denoiser(ARCH, 7)
+    cfg = small_cfg(method=method, delta=delta, steps=3, batch_pairs=64)
+    stacked = align(base, base, tiny_pairs, s, cfg)
+    monkeypatch.setattr(trainer_mod, "make_targets", _targets_separately)
+    separate = align(base, base, tiny_pairs, s, cfg)
+    assert params_to_bytes(stacked, "cosine", s.T) == params_to_bytes(separate, "cosine", s.T)
+
+
+def test_inversion_step_costs_one_forward_per_grid_step(s, tiny_pairs, monkeypatch):
+    rows = []
+    real = denoiser_mod.eps_forward
+
+    def counted(model, x, t, at_rows):
+        rows.append(len(x))
+        return real(model, x, t, at_rows)
+
+    monkeypatch.setattr(denoiser_mod, "eps_forward", counted)
+    monkeypatch.setattr(preference_mod, "eps_forward", counted)
+    base = init_denoiser(ARCH, 7)
+    align(base, base, tiny_pairs, s,
+          small_cfg(delta=DeltaStrategy("inversion", n=4), steps=1, batch_pairs=8))
+    # n forwards over the 16 stacked winner and loser rows, then the loss's
+    # forwards under the trained (taped) and the reference parameters
+    assert rows == [16] * 4 + [16, 16]
+
+
+@pytest.mark.parametrize("method,delta", [
+    ("inpo", DeltaStrategy("inversion", n=3)),
+    ("inpo", DeltaStrategy("fixed_point", max_iters=4)),
+    ("dpo", DeltaStrategy("gaussian")),
+    ("sft", DeltaStrategy("gaussian")),
+])
+def test_align_names_the_nonfinite_pair(s, tiny_pairs, method, delta):
+    pairs = list(tiny_pairs[:4])
+    p0 = pairs[0]
+    pairs[0] = PreferencePair(p0.condition, np.array([np.nan, 0.0]), p0.loser, 1.0, 0.0, 0)
+    base = init_denoiser(ARCH, 7)
+    with pytest.raises(TrainingError, match=r"^step 0: .*\(pair 0, t=\d+\)$") as info:
+        align(base, base, pairs, s, small_cfg(method=method, delta=delta, steps=3))
+    assert info.value.step == 0
 
 
 def test_align_methods_run(s, tiny_pairs):
