@@ -127,6 +127,9 @@ def init_denoiser(arch: DenoiserArch, seed: int) -> DenoiserParams:
 
 _FREQ_CACHE: dict[int, np.ndarray] = {}
 _TABLE_CACHE: dict[int, np.ndarray] = {}
+# Timesteps above this are embedded directly, so an outsized t cannot grow
+# the table without bound (2**16 rows are 8 MB at dim 16).
+_TABLE_MAX_T = 1 << 16
 
 
 def _sincos(t: np.ndarray, dim: int) -> np.ndarray:
@@ -142,18 +145,19 @@ def _sincos(t: np.ndarray, dim: int) -> np.ndarray:
 def time_embedding(t, dim: int) -> np.ndarray:
     """Sinusoidal embedding of a (batch,) array of timesteps, (batch, dim).
 
-    Non-negative integer timesteps are gathered from a per-dim table of the
+    Integer timesteps in [0, 2**16] are gathered from a per-dim table of the
     same sin/cos values, grown to the largest timestep seen; other timesteps
     (the continuous times of the RK4 oracle) are computed directly.
     """
     t = np.asarray(t)
-    if t.dtype.kind in "iu" and t.size and t.min() >= 0:
-        table = _TABLE_CACHE.get(dim)
-        top = int(t.max())
-        if table is None or top >= len(table):
-            table = _sincos(np.arange(top + 1, dtype=np.float64), dim)
-            _TABLE_CACHE[dim] = table
-        return table[t]
+    if t.dtype.kind in "iu" and t.size:
+        low, top = int(t.min()), int(t.max())
+        if low >= 0 and top <= _TABLE_MAX_T:
+            table = _TABLE_CACHE.get(dim)
+            if table is None or top >= len(table):
+                table = _sincos(np.arange(top + 1, dtype=np.float64), dim)
+                _TABLE_CACHE[dim] = table
+            return table[t]
     return _sincos(t.astype(np.float64), dim)
 
 

@@ -270,11 +270,15 @@ def test_time_embedding_table_equals_sincos_bytewise(dim, monkeypatch):
     assert np.array_equal(time_embedding(ts, dim), _sincos_reference(ts, dim))
 
 
-def test_time_embedding_float_and_negative_t_use_sincos():
+def test_time_embedding_float_negative_and_huge_t_use_sincos(monkeypatch):
+    monkeypatch.setattr(denoiser_mod, "_TABLE_CACHE", {})
     t = np.array([0.5, 17.25, 999.75])
     assert np.array_equal(time_embedding(t, 8), _sincos_reference(t, 8))
     neg = np.array([-3, 4])
     assert np.array_equal(time_embedding(neg, 8), _sincos_reference(neg, 8))
+    huge = np.array([5, 10**9])
+    assert np.array_equal(time_embedding(huge, 8), _sincos_reference(huge, 8))
+    assert denoiser_mod._TABLE_CACHE == {}
 
 
 @pytest.mark.parametrize("w", [0.0, 1.0, 2.5])
