@@ -59,7 +59,7 @@ def _arch_from(cfg: Config, num_conditions: int) -> DenoiserArch:
     )
 
 
-def _num_conditions_for(kind: str) -> int:
+def _condition_count(kind: str) -> int:
     return {"eight_gaussians": 8, "two_moons": 2, "ring": 8}[kind]
 
 
@@ -92,7 +92,7 @@ def cmd_pretrain(cfg: Config, out: str, seed: int) -> None:
     kind = cfg["data.kind"]
     dataset = gen_toy_dataset(kind, cfg["data.n"], seed)
     schedule = make_schedule(cfg["schedule.kind"], cfg["schedule.T"], cfg["schedule.loss_weight"])
-    arch = _arch_from(cfg, _num_conditions_for(kind))
+    arch = _arch_from(cfg, _condition_count(kind))
     params = pretrain_base(
         dataset, arch, schedule,
         steps=cfg["pretrain.steps"], lr=cfg["pretrain.lr"], seed=seed,

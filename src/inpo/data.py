@@ -11,6 +11,7 @@ per pair. Floats are serialized at full round-trip precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -180,13 +181,13 @@ def make_preference_pairs(
     """
     if pairs_per_condition < 1:
         raise InvalidArgument("pairs_per_condition must be >= 1")
-    dim = model.arch.input_dim if hasattr(model, "arch") else 2
+    dim = model.arch.input_dim
     streams = np.random.SeedSequence([int(seed), 0x9A12]).spawn(len(conditions))
     pairs: list[PreferencePair] = []
     for c, stream in zip(conditions, streams):
         rng = np.random.default_rng(stream)
         z = rng.standard_normal((2 * pairs_per_condition, dim))
-        x = ddim_sample(model, s, z, sampler_cfg, int(c))
+        x = ddim_sample(model, s, z, sampler_cfg, c)
         for k in range(pairs_per_condition):
             xa, xb = x[2 * k], x[2 * k + 1]
             ra, rb = score(spec, xa, c), score(spec, xb, c)
@@ -252,7 +253,12 @@ def save_pairs(pairs: list[PreferencePair], path, reward_spec: RewardSpec | None
 
 
 def load_pairs(path) -> list[PreferencePair]:
-    """Read a pair file; loaded pairs are marked external."""
+    """Read a pair file; loaded pairs are marked external.
+
+    A record whose samples or rewards are not finite numbers, whose winner
+    and loser are not vectors of the header's dim, or whose condition is not
+    an integer raises PairParseError naming its line.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -272,6 +278,8 @@ def load_pairs(path) -> list[PreferencePair]:
             continue
         try:
             rec = json.loads(line)
+            if not all(map(math.isfinite, [*rec["w"], *rec["l"], rec["rw"], rec["rl"]])):
+                raise ValueError("non-finite sample or reward")
             winner = np.asarray(rec["w"], dtype=np.float64)
             loser = np.asarray(rec["l"], dtype=np.float64)
             pair = PreferencePair(
@@ -284,10 +292,13 @@ def load_pairs(path) -> list[PreferencePair]:
                 source="external",
                 tie=bool(rec["tie"]),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
             raise PairParseError(str(e), i) from e
-        if dim is not None and (len(winner) != dim or len(loser) != dim):
-            raise PairParseError(f"dim mismatch: expected {dim}", i)
+        if len(loser) != len(winner) or (dim is not None and len(winner) != dim):
+            raise PairParseError(f"dim mismatch: expected {dim}, got {len(winner)} and "
+                                 f"{len(loser)}", i)
+        if type(rec["c"]) is not int:
+            raise PairParseError(f"condition {rec['c']!r} is not an integer", i)
         pairs.append(pair)
     return pairs
 

@@ -64,7 +64,6 @@ class DenoiserParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     cond_embed: np.ndarray
-    version: int = PARAMS_VERSION
 
     def flat(self) -> list[np.ndarray]:
         """All parameter arrays in declaration order."""
@@ -80,7 +79,6 @@ class DenoiserParams:
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
             cond_embed=self.cond_embed.copy(),
-            version=self.version,
         )
 
     def n_params(self) -> int:
@@ -189,22 +187,19 @@ def _per_row(t, n: int):
     return t if np.shape(t) == (n,) else np.broadcast_to(t, (n,))
 
 
-def noise_predictor(model, c, guidance_w: float, n: int | None):
+def noise_predictor(model, c, guidance_w: float, n: int):
     """Resolve conditions and the guidance branch once for a batch of n rows.
 
     Returns eps(x, t) for (n, input_dim) samples x at a scalar or (n,)
     timestep t, with predict_noise's semantics. Samplers call this once per
     call and then eps once per grid step, so condition checks and the
     embedding-row lookup are not repeated per step; every eps call still
-    rejects non-finite samples. ``model`` may also be a plain callable
-    (x, t, c, w) -> eps, used by test probes; then ``n`` is unused.
+    rejects non-finite samples.
     """
     if not isinstance(model, DenoiserParams):
-        if callable(model):
-            return lambda x, t: np.asarray(model(x, t, c, guidance_w), dtype=np.float64)
-        raise InvalidArgument(f"model must be DenoiserParams or a callable, got {type(model)}")
+        raise InvalidArgument(f"model must be DenoiserParams, got {type(model)}")
     arch = model.arch
-    cv = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,))
+    cv = np.broadcast_to(np.asarray(c), (n,))
     rows = _cond_rows(cv, arch.num_conditions)
     null_rows = np.full_like(rows, arch.num_conditions)
     shape = (n, arch.input_dim)
@@ -236,8 +231,6 @@ def predict_noise(model, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:
     any other w the affine combination uncond + w * (cond - uncond). ``x_t``
     is one sample or a (batch, dim) array. A one-off noise_predictor call.
     """
-    if not isinstance(model, DenoiserParams):
-        return noise_predictor(model, c, guidance_w, None)(x_t, t)
     x = np.asarray(x_t, dtype=np.float64)
     squeeze = x.ndim == 1
     x = np.atleast_2d(x)
@@ -245,17 +238,12 @@ def predict_noise(model, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def loss_gradient(params: DenoiserParams, loss_fn) -> list[np.ndarray]:
-    """Exact reverse-mode gradient of a scalar loss with respect to every
-    parameter array, in declaration order.
+def value_and_grad(params: DenoiserParams, loss_fn) -> tuple[float, list[np.ndarray]]:
+    """Value of a scalar loss and its exact reverse-mode gradient with respect
+    to every parameter array, in declaration order.
 
     ``loss_fn`` receives a TapeParams and must return a scalar Var.
     """
-    _, grads = value_and_grad(params, loss_fn)
-    return grads
-
-
-def value_and_grad(params: DenoiserParams, loss_fn) -> tuple[float, list[np.ndarray]]:
     tape = params_to_tape(params)
     out = loss_fn(tape)
     if not isinstance(out, Var) or out.data.shape != ():

@@ -1,15 +1,9 @@
-"""Quantitative evaluation: win rates, inversion round trips, a reference
-ODE integrator, and report emission.
+"""Quantitative evaluation: win rates, inversion round trips and report
+emission.
 
 Win rates feed both compared models the same initial latent per trial, which
 keeps the comparison semantics while cutting variance; ties count one half so
 identical models score exactly 0.5.
-
-The reference integrator is classical fourth-order Runge-Kutta on the
-reverse-process ODE in the rescaled variable, integrating over the noise
-level with the timestep recovered by monotone interpolation of the schedule.
-It shares nothing with the product sampler beyond the noise prediction and
-schedule lookups, and exists only as a test oracle.
 """
 from __future__ import annotations
 
@@ -21,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import RewardSpec, score
-from .denoiser import NULL_CONDITION, predict_noise
-from .errors import InvalidArgument, NumericError
+from .denoiser import NULL_CONDITION
+from .errors import InvalidArgument
 from .sampler import SamplerConfig, ddim_invert, ddim_sample
-from .schedule import NoiseSchedule, check_timestep
+from .schedule import NoiseSchedule
 
 
 @dataclass
@@ -52,8 +46,8 @@ def win_rate(model_a, model_b, s: NoiseSchedule, spec: RewardSpec, conditions,
     """
     if n_trials < 1:
         raise InvalidArgument("n_trials must be >= 1")
-    conditions = np.asarray(list(conditions), dtype=np.int64)
-    dim = model_a.arch.input_dim if hasattr(model_a, "arch") else 2
+    conditions = np.asarray(list(conditions))
+    dim = model_a.arch.input_dim
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xE7A1]))
     cond_idx = rng.integers(0, len(conditions), size=n_trials)
     cond = conditions[cond_idx]
@@ -102,43 +96,6 @@ def inversion_roundtrip(model, s: NoiseSchedule, samples, t_target: int, n_grid,
                                        conditions, guidance_w).mean())
         for n in n_grid
     }
-
-
-def oracle_ode_integrate(model, s: NoiseSchedule, x, t_from: int, t_to: int,
-                         steps: int, c=NULL_CONDITION, guidance_w: float = 0.0) -> np.ndarray:
-    """Reference RK4 integration of the reverse-process ODE between two grid
-    times; direction follows the endpoints. Test oracle only."""
-    if steps < 1:
-        raise InvalidArgument("steps must be >= 1")
-    t_from = int(check_timestep(s, t_from))
-    t_to = int(check_timestep(s, t_to))
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    xbar = np.atleast_2d(x) / np.sqrt(s.alpha_bar[t_from])
-
-    sig_a, sig_b = s.sigma[t_from], s.sigma[t_to]
-    t_grid = np.arange(s.T + 1, dtype=np.float64)
-
-    def t_of_sigma(sig):
-        return np.interp(sig, s.sigma, t_grid)
-
-    def f(sig, state):
-        t_cont = t_of_sigma(sig)
-        return predict_noise(model, state / np.sqrt(sig**2 + 1.0), t_cont, c, guidance_w)
-
-    h = (sig_b - sig_a) / steps
-    sig = sig_a
-    for k in range(steps):
-        k1 = f(sig, xbar)
-        k2 = f(sig + h / 2, xbar + (h / 2) * k1)
-        k3 = f(sig + h / 2, xbar + (h / 2) * k2)
-        k4 = f(sig + h, xbar + h * k3)
-        xbar = xbar + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        sig += h
-        if not np.all(np.isfinite(xbar)):
-            raise NumericError(f"non-finite oracle state at step {k}")
-    out = xbar * np.sqrt(s.alpha_bar[t_to])
-    return out[0] if squeeze else out
 
 
 def emit_report(report: EvalReport, dir_path) -> None:

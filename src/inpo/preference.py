@@ -11,8 +11,8 @@ Three losses share one pairwise core:
 All preference losses take the form -log sigmoid(-beta * w(t) * D) with D the
 difference of four squared prediction errors (winner/loser under the trained
 and the frozen reference model). The pairwise core accepts either plain
-parameters or tape parameters; reference-model terms are always computed
-outside the tape, so the reference never receives gradient.
+parameters or tape parameters for the trained model; the reference must be
+plain parameters, so it never enters the tape or receives gradient.
 
 Delta strategies decide how the noise estimate paired with a clean sample is
 produced: "inversion" runs the sampler's inversion, "gaussian" draws i.i.d.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Var, softplus
-from .denoiser import DenoiserParams, TapeParams, _cond_rows, eps_forward, noise_predictor
+from .denoiser import DenoiserParams, _cond_rows, eps_forward, noise_predictor
 from .errors import InvalidArgument, NumericError
 from .sampler import ddim_invert, reconstruct_xt
 from .schedule import NoiseSchedule, check_timestep, forward_diffuse
@@ -83,35 +83,22 @@ def sft_loss(model, s: NoiseSchedule, batch, t_draws, eps_draws) -> float:
     eps = _as_rows(eps_draws)
     if eps.shape != x0.shape:
         raise InvalidArgument("eps draws must be congruent with the batch")
-    c = np.broadcast_to(np.asarray(c, dtype=np.int64), (x0.shape[0],))
-    rows = _cond_rows(c, _num_conditions(model))
+    c = np.broadcast_to(np.asarray(c), (x0.shape[0],))
+    rows = _cond_rows(c, model.arch.num_conditions)
     x_t = forward_diffuse(s, x0, t, eps)
     out = sft_terms(model, s, x_t, t, c, rows, eps)
     return float(out.data if isinstance(out, Var) else out)
 
 
 def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps):
-    """Tape-compatible body of the denoising objective; mean over the batch."""
-    pred = _eval_eps(model, x_t, t, c, rows)
-    d = pred - eps
+    """Tape-compatible body of the denoising objective; mean over the batch.
+
+    The condition ids ``c`` are not read: ``rows`` already resolves them.
+    """
+    d = eps_forward(model, x_t, t, rows) - eps
     per = (d * d).sum(axis=1)
     w = s.loss_weight[np.asarray(t)]
     return (per * w).mean()
-
-
-def _num_conditions(model) -> int:
-    if isinstance(model, (DenoiserParams, TapeParams)):
-        return model.arch.num_conditions
-    return 1 << 30  # probe callables accept any id
-
-
-def _eval_eps(model, x, t, c, rows):
-    """Conditional prediction for params, tape params, or probe callables."""
-    if isinstance(model, (DenoiserParams, TapeParams)):
-        return eps_forward(model, x, t, rows)
-    if callable(model):
-        return np.asarray(model(x, t, c, 1.0), dtype=np.float64)
-    raise InvalidArgument(f"model must be parameters or a callable, got {type(model)}")
 
 
 def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrategy, rng):
@@ -169,24 +156,22 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     """Batched pairwise loss pieces.
 
     ``theta`` may be DenoiserParams or TapeParams; ``ref`` must be plain
-    DenoiserParams (or a probe callable) and never enters the tape. Returns a
-    dict of per-pair arrays plus the scalar mean total.
+    DenoiserParams and never enters the tape. Returns a dict of per-pair
+    arrays plus the scalar mean total.
     """
+    if not isinstance(ref, DenoiserParams):
+        raise InvalidArgument(f"reference model must be DenoiserParams, got {type(ref)}")
     x_tw, x_tl = _as_rows(x_tw), _as_rows(x_tl)
     tau_w, tau_l = _as_rows(tau_w), _as_rows(tau_l)
     B = x_tw.shape[0]
     t = np.broadcast_to(np.asarray(t), (B,))
-    c = np.broadcast_to(np.asarray(c, dtype=np.int64), (B,))
-    rows = _cond_rows(c, _num_conditions(theta))
+    rows = _cond_rows(np.broadcast_to(np.asarray(c), (B,)), theta.arch.num_conditions)
     x_stack = np.vstack([x_tw, x_tl])
     t_stack = np.concatenate([t, t])
-    c_stack = np.concatenate([c, c])
     rows_stack = np.concatenate([rows, rows])
 
-    eps_th = _eval_eps(theta, x_stack, t_stack, c_stack, rows_stack)
-    eps_rf = _eval_eps(ref, x_stack, t_stack, c_stack, rows_stack)
-    if isinstance(eps_rf, Var):
-        raise InvalidArgument("reference model must not be tape parameters")
+    eps_th = eps_forward(theta, x_stack, t_stack, rows_stack)
+    eps_rf = eps_forward(ref, x_stack, t_stack, rows_stack)
 
     dw_t = tau_w - eps_th[:B]
     dl_t = tau_l - eps_th[B:]
@@ -271,11 +256,11 @@ def implicit_reward(p, ref, s, x0, c, t_draws, strategy: DeltaStrategy, beta, rn
     t = check_timestep(s, t_draws, min_t=1)
     x0 = np.asarray(x0, dtype=np.float64)
     X0 = np.tile(x0, (t.size, 1))
-    cc = np.full(t.size, int(c), dtype=np.int64)
+    cc = np.full(t.size, c)
+    rows = _cond_rows(cc, p.arch.num_conditions)
     x_t, tau = make_targets(p, s, X0, t, cc, strategy, rng)
-    rows = _cond_rows(cc, _num_conditions(p))
-    eps_p = _eval_eps(p, x_t, t, cc, rows)
-    eps_r = _eval_eps(ref, x_t, t, cc, rows)
+    eps_p = eps_forward(p, x_t, t, rows)
+    eps_r = eps_forward(ref, x_t, t, rows)
     term_p = ((tau - eps_p) ** 2).sum(axis=1)
     term_r = ((tau - eps_r) ** 2).sum(axis=1)
     vals = -beta * s.loss_weight[t] * (term_p - term_r)

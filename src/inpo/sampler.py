@@ -56,9 +56,6 @@ class InversionResult:
     delta_t: np.ndarray
     x_t: np.ndarray
     tau_t: np.ndarray
-    t: np.ndarray | int
-    n_steps: int
-    guidance_w_inv: float
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -142,16 +139,7 @@ def ddim_invert(
     tau = compute_tau(s, x0_cur, delta, x0a, tt)
     if squeeze:
         x0_cur, delta, x_t, tau = x0_cur[0], delta[0], x_t[0], tau[0]
-        tt = int(tt[0])
-    return InversionResult(
-        x0_t=x0_cur,
-        delta_t=delta,
-        x_t=x_t,
-        tau_t=tau,
-        t=tt,
-        n_steps=n,
-        guidance_w_inv=guidance_w_inv,
-    )
+    return InversionResult(x0_t=x0_cur, delta_t=delta, x_t=x_t, tau_t=tau)
 
 
 def reconstruct_xt(s: NoiseSchedule, x0_t, delta_t, t) -> np.ndarray:

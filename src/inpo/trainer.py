@@ -135,24 +135,17 @@ def _check_grads(grads, step: int):
             raise TrainingError("non-finite gradient", step)
 
 
-def pretrain_base(dataset, arch, schedule: NoiseSchedule, steps: int, lr: float, seed: int,
-                  batch: int = 128, cond_drop: float = 0.1) -> DenoiserParams:
-    """Train a denoiser from scratch on (samples, condition) data.
+def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, steps: int,
+                  lr: float, seed: int, domain: int, batch: int, cond_drop: float):
+    """Denoising training of ``params`` in place on (samples, condition) data.
 
-    The condition is dropped with probability ``cond_drop`` per example so the
-    null-condition branch learns an unconditional prediction.
+    Each step draws rows, timesteps, noise and condition drops, in that
+    order, from its own stream; a dropped condition becomes the null one.
     """
-    X, cond = dataset
-    X = np.asarray(X, dtype=np.float64)
-    cond = np.asarray(cond, dtype=np.int64)
-    if len(X) == 0:
-        raise InvalidArgument("dataset must be nonempty")
-    params = init_denoiser(arch, seed)
-    if steps == 0:
-        return params
+    arch = params.arch
     adam = AdamState.zeros_like(params.flat())
     for step in range(steps):
-        rng = _step_rng(seed, _PRETRAIN_DOMAIN, step)
+        rng = _step_rng(seed, domain, step)
         idx = rng.integers(0, len(X), size=batch)
         t = rng.integers(1, schedule.T + 1, size=batch)
         eps = rng.standard_normal((batch, arch.input_dim))
@@ -171,6 +164,21 @@ def pretrain_base(dataset, arch, schedule: NoiseSchedule, steps: int, lr: float,
     return params
 
 
+def pretrain_base(dataset, arch, schedule: NoiseSchedule, steps: int, lr: float, seed: int,
+                  batch: int = 128, cond_drop: float = 0.1) -> DenoiserParams:
+    """Train a denoiser from scratch on (samples, condition) data.
+
+    The condition is dropped with probability ``cond_drop`` per example so the
+    null-condition branch learns an unconditional prediction.
+    """
+    X, cond = dataset
+    X = np.asarray(X, dtype=np.float64)
+    if len(X) == 0:
+        raise InvalidArgument("dataset must be nonempty")
+    return _fit_denoiser(init_denoiser(arch, seed), X, np.asarray(cond), schedule, steps, lr,
+                         seed, _PRETRAIN_DOMAIN, batch, cond_drop)
+
+
 def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: int,
                  lr: float, seed: int, batch: int = 64) -> DenoiserParams:
     """Continue denoising training on winner samples only (ties skipped)."""
@@ -178,27 +186,9 @@ def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: in
     if not usable:
         raise InvalidArgument("pairs must contain at least one non-tie")
     X = np.stack([p.winner for p in usable])
-    cond = np.asarray([p.condition for p in usable], dtype=np.int64)
-    params = base.copy()
-    arch = params.arch
-    adam = AdamState.zeros_like(params.flat())
-    for step in range(steps):
-        rng = _step_rng(seed, _SFT_REF_DOMAIN, step)
-        idx = rng.integers(0, len(X), size=batch)
-        t = rng.integers(1, schedule.T + 1, size=batch)
-        eps = rng.standard_normal((batch, arch.input_dim))
-        cc = cond[idx]
-        rows = _cond_rows(cc, arch.num_conditions)
-        x_t = forward_diffuse(schedule, X[idx], t, eps)
-        try:
-            _, grads = value_and_grad(
-                params, lambda tape: sft_terms(tape, schedule, x_t, t, cc, rows, eps)
-            )
-        except ArithmeticError as e:
-            raise TrainingError(str(e), step) from e
-        _check_grads(grads, step)
-        adam_step(params.flat(), grads, adam, lr)
-    return params
+    cond = np.asarray([p.condition for p in usable])
+    return _fit_denoiser(base.copy(), X, cond, schedule, steps, lr, seed, _SFT_REF_DOMAIN,
+                         batch, cond_drop=0.0)
 
 
 def config_fingerprint(cfg: AlignConfig) -> bytes:
@@ -262,7 +252,7 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         raise InvalidArgument("no usable (non-tie) pairs")
     winners = np.stack([p.winner for p in usable])
     losers = np.stack([p.loser for p in usable])
-    conds = np.asarray([p.condition for p in usable], dtype=np.int64)
+    conds = np.asarray([p.condition for p in usable])
 
     fp = config_fingerprint(cfg)
     if resume is not None:

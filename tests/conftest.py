@@ -1,16 +1,18 @@
-"""Shared fixtures: probe models, closed-form oracles, and the slow
-session-scoped trained models used by the end-to-end tests."""
+"""Shared fixtures: probe models, closed-form oracles, the RK4 reference
+integrator, and the slow session-scoped trained models used by the
+end-to-end tests."""
 import numpy as np
 import pytest
 
-from inpo.denoiser import DenoiserArch, init_denoiser
-from inpo.schedule import make_schedule
+from inpo.denoiser import NULL_CONDITION, DenoiserArch, init_denoiser, predict_noise
+from inpo.errors import InvalidArgument, NumericError
+from inpo.schedule import check_timestep, make_schedule
 
 
-def make_linear_model(A, num_conditions=1, time_embed_dim=4):
-    """Exact time-independent linear predictor eps(x) = A x as real params.
+def make_linear_model(A, num_conditions=1, time_embed_dim=4, b=None):
+    """Exact time-independent affine predictor eps(x) = A x + b as real params.
 
-    Uses an empty hidden stack so the network is a single linear map; the
+    Uses an empty hidden stack so the network is a single affine map; the
     time and condition blocks of the weight matrix are zeroed.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -20,7 +22,7 @@ def make_linear_model(A, num_conditions=1, time_embed_dim=4):
     W = np.zeros_like(p.weights[0])
     W[:d, :] = A.T
     p.weights[0] = W
-    p.biases[0] = np.zeros_like(p.biases[0])
+    p.biases[0] = np.zeros(d) if b is None else np.asarray(b, dtype=np.float64).copy()
     p.cond_embed = np.zeros_like(p.cond_embed)
     return p
 
@@ -30,21 +32,21 @@ def zero_model(d=2, num_conditions=1):
 
 
 def const_model(v):
-    """Probe callable returning a fixed vector for every row."""
+    """Affine model returning the fixed vector v for every row."""
     v = np.asarray(v, dtype=np.float64)
-
-    def predict(x, t, c, w):
-        x = np.asarray(x)
-        if x.ndim == 1:
-            return v.copy()
-        return np.tile(v, (x.shape[0], 1))
-
-    return predict
+    return make_linear_model(np.zeros((v.size, v.size)), b=v)
 
 
-def noise_echo_model(eps):
-    """Probe callable that always returns the generating noise."""
-    return const_model(eps)
+def make_tanh_model(W, time_embed_dim=4):
+    """Time-independent eps(x) = tanh(W x) as real params: one tanh hidden
+    layer of width d and an identity output layer."""
+    W = np.asarray(W, dtype=np.float64)
+    d = W.shape[0]
+    p = make_linear_model(W, time_embed_dim=time_embed_dim)
+    p.arch = DenoiserArch(d, (d,), 1, time_embed_dim)
+    p.weights.append(np.eye(d))
+    p.biases.append(np.zeros(d))
+    return p
 
 
 def finite_diff(params, loss_np, h=1e-4):
@@ -87,6 +89,46 @@ def linear_ode_solution(A, schedule, x0, t):
     sg = schedule.sigma[t]
     xbar = expm_sym(A, np.arcsinh(sg)) @ np.asarray(x0, dtype=np.float64)
     return np.sqrt(schedule.alpha_bar[t]) * xbar
+
+
+def oracle_ode_integrate(model, s, x, t_from: int, t_to: int, steps: int,
+                         c=NULL_CONDITION, guidance_w: float = 0.0) -> np.ndarray:
+    """Reference RK4 integration of the reverse-process ODE between two grid
+    times; direction follows the endpoints.
+
+    Classical fourth-order Runge-Kutta in the rescaled variable, integrating
+    over the noise level with the timestep recovered by monotone
+    interpolation of the schedule. It shares nothing with the product
+    sampler beyond the noise prediction and schedule lookups.
+    """
+    if steps < 1:
+        raise InvalidArgument("steps must be >= 1")
+    t_from = int(check_timestep(s, t_from))
+    t_to = int(check_timestep(s, t_to))
+    x = np.asarray(x, dtype=np.float64)
+    squeeze = x.ndim == 1
+    xbar = np.atleast_2d(x) / np.sqrt(s.alpha_bar[t_from])
+
+    sig_a, sig_b = s.sigma[t_from], s.sigma[t_to]
+    t_grid = np.arange(s.T + 1, dtype=np.float64)
+
+    def f(sig, state):
+        t_cont = np.interp(sig, s.sigma, t_grid)
+        return predict_noise(model, state / np.sqrt(sig**2 + 1.0), t_cont, c, guidance_w)
+
+    h = (sig_b - sig_a) / steps
+    sig = sig_a
+    for k in range(steps):
+        k1 = f(sig, xbar)
+        k2 = f(sig + h / 2, xbar + (h / 2) * k1)
+        k3 = f(sig + h / 2, xbar + (h / 2) * k2)
+        k4 = f(sig + h, xbar + h * k3)
+        xbar = xbar + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        sig += h
+        if not np.all(np.isfinite(xbar)):
+            raise NumericError(f"non-finite oracle state at step {k}")
+    out = xbar * np.sqrt(s.alpha_bar[t_to])
+    return out[0] if squeeze else out
 
 
 @pytest.fixture(scope="session")

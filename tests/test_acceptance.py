@@ -13,7 +13,7 @@ import pytest
 
 from inpo.data import PreferencePair
 from inpo.denoiser import DenoiserArch, init_denoiser
-from inpo.evaluation import inversion_roundtrip, oracle_ode_integrate, win_rate
+from inpo.evaluation import inversion_roundtrip, win_rate
 from inpo.preference import (
     DeltaStrategy,
     dpo_diffusion_loss,
@@ -27,7 +27,13 @@ from inpo.sampler import ddim_invert
 from inpo.schedule import forward_diffuse, make_schedule
 from inpo.trainer import AlignConfig, align
 
-from conftest import finite_diff, make_linear_model, max_rel_err
+from conftest import (
+    finite_diff,
+    make_linear_model,
+    make_tanh_model,
+    max_rel_err,
+    oracle_ode_integrate,
+)
 
 LN2 = math.log(2.0)
 
@@ -208,11 +214,7 @@ def test_criterion_5_oracle_equivalence(sched1000):
     orc = oracle_ode_integrate(lin, s, x0, 0, t, steps=1000)
     rel = float(np.linalg.norm(inv.x_t - orc) / np.linalg.norm(orc))
 
-    W = 0.6 * np.random.default_rng(42).standard_normal((2, 2))
-
-    def probe(x, tt, c, w):
-        return np.tanh(np.atleast_2d(np.asarray(x, dtype=np.float64)) @ W.T)
-
+    probe = make_tanh_model(0.6 * np.random.default_rng(42).standard_normal((2, 2)))
     x = np.random.default_rng(43).standard_normal(2)
     ref = oracle_ode_integrate(probe, s, x, 0, 800, steps=1280)
     steps_grid = [8, 16, 32, 64]

@@ -240,6 +240,24 @@ def test_pair_file_truncated_line_error(tmp_path, small_pairs):
     assert err.value.line_no == 5
 
 
+@pytest.mark.parametrize("key, value", [
+    ("w", "[NaN, 0.5]"), ("l", "[0.5, Infinity]"), ("rw", "NaN"), ("rl", "-Infinity"),
+    ("rw", "1e999"), ("rl", "1" + "0" * 400), ("c", "1.5"), ("w", "3.0"),
+    ("l", "[0.5, 1.0, 2.0]"),
+])
+def test_pair_file_rejects_bad_records(tmp_path, key, value):
+    good = {"c": "3", "w": "[0.25, 0.5]", "l": "[-0.5, 1.0]", "rw": "0.5", "rl": "-1.25",
+            "seed": "9", "tie": "false"}
+    lines = ['{"schema_version": 1, "reward_spec": null, "dim": 2}']
+    for rec in (good, {**good, key: value}):
+        lines.append("{%s}" % ", ".join(f'"{k}": {v}' for k, v in rec.items()))
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PairParseError) as err:
+        load_pairs(path)
+    assert err.value.line_no == 3
+
+
 def test_pair_file_version_mismatch(tmp_path, small_pairs):
     path = tmp_path / "pairs.jsonl"
     save_pairs(small_pairs, path)

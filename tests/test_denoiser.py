@@ -9,7 +9,6 @@ from inpo.denoiser import (
     eps_forward,
     init_denoiser,
     load_params,
-    loss_gradient,
     noise_predictor,
     params_equal,
     params_from_bytes,
@@ -21,32 +20,9 @@ from inpo.denoiser import (
 )
 from inpo.errors import InvalidArgument, NumericError, VersionError
 
+from conftest import finite_diff, make_linear_model, max_rel_err
+
 ARCH = DenoiserArch(2, (16,), 4, 8)
-
-
-def finite_diff(params, loss_np, h=1e-4):
-    """Central differences of a plain-numpy scalar loss over every parameter."""
-    grads = []
-    for arr in params.flat():
-        g = np.zeros_like(arr)
-        flat, gf = arr.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            old = flat[i]
-            flat[i] = old + h
-            hi = loss_np(params)
-            flat[i] = old - h
-            lo = loss_np(params)
-            flat[i] = old
-            gf[i] = (hi - lo) / (2 * h)
-        grads.append(g)
-    return grads
-
-
-def max_rel_err(ad, fd):
-    worst = 0.0
-    for a, f in zip(ad, fd):
-        worst = max(worst, np.max(np.abs(a - f) / (np.abs(f) + 1e-8)))
-    return worst
 
 
 def test_init_deterministic():
@@ -78,19 +54,6 @@ def test_arch_validation():
         DenoiserArch(2, (4,), 0, 8)
     with pytest.raises(InvalidArgument):
         DenoiserArch(2, (4,), 1, 7)
-
-
-def make_linear_model(A, num_conditions=1, time_embed_dim=4):
-    """Exact linear predictor eps(x) = A x realized as real DenoiserParams."""
-    d = A.shape[0]
-    arch = DenoiserArch(d, (), num_conditions, time_embed_dim)
-    p = init_denoiser(arch, 0)
-    W = np.zeros_like(p.weights[0])
-    W[:d, :] = np.asarray(A, dtype=np.float64).T
-    p.weights[0] = W
-    p.biases[0] = np.zeros_like(p.biases[0])
-    p.cond_embed = np.zeros_like(p.cond_embed)
-    return p
 
 
 def test_linear_probe_matches_matrix_multiply():
@@ -150,36 +113,51 @@ def test_predict_noise_errors():
         predict_noise(p, np.array([np.nan, 0.0]), 0, 0)
     with pytest.raises(InvalidArgument):
         predict_noise(p, np.zeros(2), 0, 99)
+    with pytest.raises(InvalidArgument, match="DenoiserParams"):
+        predict_noise(lambda x, t, c, w: x, np.zeros(2), 0, 0)
 
 
-def test_loss_gradient_constant_loss_is_zero():
+@pytest.mark.parametrize("c", [1.5, 1.0, np.array([0.0, 1.0, 2.0])])
+def test_non_integer_condition_rejected_not_truncated(c):
+    # a float id must raise, not be truncated to the integer id below it
+    p = init_denoiser(ARCH, 4)
+    x = np.random.default_rng(5).standard_normal((3, 2))
+    with pytest.raises(InvalidArgument, match="integers"):
+        predict_noise(p, x, 10, c, 1.0)
+    with pytest.raises(InvalidArgument, match="integers"):
+        noise_predictor(p, c, 2.5, 3)
+
+
+def test_value_and_grad_constant_loss_is_zero():
     p = init_denoiser(ARCH, 5)
 
     def loss(tape):
         return (tape.weights[0] * 0.0).sum()
 
-    grads = loss_gradient(p, loss)
+    val, grads = value_and_grad(p, loss)
+    assert val == 0.0
     assert all(np.all(g == 0) for g in grads)
 
 
-def test_loss_gradient_quadratic_probe():
+def test_value_and_grad_quadratic_probe():
     p = init_denoiser(ARCH, 5)
     a = 0.37
 
     def loss(tape):
         return ((tape.weights[0][0:1, 0:1] - a) ** 2).sum()
 
-    grads = loss_gradient(p, loss)
+    val, grads = value_and_grad(p, loss)
+    assert val == pytest.approx((p.weights[0][0, 0] - a) ** 2, rel=1e-12)
     expect = 2 * (p.weights[0][0, 0] - a)
     assert grads[0][0, 0] == pytest.approx(expect, rel=1e-12)
     assert np.all(grads[0].reshape(-1)[1:] == 0)
     assert all(np.all(g == 0) for g in grads[1:])
 
 
-def test_loss_gradient_nonfinite_raises():
+def test_value_and_grad_nonfinite_raises():
     p = init_denoiser(ARCH, 5)
     with pytest.raises(NumericError):
-        loss_gradient(p, lambda tape: (tape.weights[0] * np.inf).sum())
+        value_and_grad(p, lambda tape: (tape.weights[0] * np.inf).sum())
 
 
 def test_gradient_check_prediction_mse():

@@ -10,14 +10,19 @@ from inpo.evaluation import (
     EvalReport,
     emit_report,
     inversion_roundtrip,
-    oracle_ode_integrate,
     parse_report,
     win_rate,
 )
 from inpo.sampler import SamplerConfig, ddim_invert, ddim_sample
 from inpo.schedule import make_schedule
 
-from conftest import linear_ode_solution, make_linear_model, zero_model
+from conftest import (
+    linear_ode_solution,
+    make_linear_model,
+    make_tanh_model,
+    oracle_ode_integrate,
+    zero_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,12 +131,7 @@ def test_oracle_self_convergence_fourth_order(s):
     # smooth nonlinear time-independent probe; error vs a 10x reference must
     # shrink at fourth order as the step count doubles
     rng = np.random.default_rng(6)
-    W = 0.6 * rng.standard_normal((2, 2))
-
-    def probe(x, t, c, w):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.tanh(x @ W.T)
-
+    probe = make_tanh_model(0.6 * rng.standard_normal((2, 2)))
     x = rng.standard_normal(2)
     ref = oracle_ode_integrate(probe, s, x, 0, 800, steps=1280)
     errs = []

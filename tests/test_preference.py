@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from inpo.denoiser import DenoiserArch, init_denoiser, value_and_grad
+from inpo.denoiser import DenoiserArch, init_denoiser, params_to_tape, value_and_grad
 from inpo.data import PreferencePair
 from inpo.errors import InvalidArgument
 from inpo.preference import (
@@ -246,14 +246,11 @@ def test_monotonicity_in_winner_fit(s):
     base_out = rng.standard_normal(2)
 
     def theta(shift):
-        def predict(x, t, c, w):
-            x = np.atleast_2d(x)
-            out = np.tile(base_out, (x.shape[0], 1))
-            close = np.all(np.isclose(x, x_tw[None, :]), axis=1)
-            out[close] = base_out + shift * (tau_w - base_out)
-            return out
-
-        return predict
+        # rank-one affine map taking x_tl to base_out and x_tw to
+        # base_out + shift * (tau_w - base_out)
+        u = (x_tw - x_tl) / np.dot(x_tw - x_tl, x_tw - x_tl)
+        A = np.outer(shift * (tau_w - base_out), u)
+        return make_linear_model(A, b=base_out - A @ x_tl)
 
     ref = const_model(rng.standard_normal(2))
     args = []
@@ -278,6 +275,26 @@ def test_loss_finite_at_extreme_argument(s):
         arg = float(terms["sigmoid_arg"][0])
         assert abs(arg) == pytest.approx(1e4, rel=1e-12)
         assert np.isfinite(float(terms["totals"][0]))
+
+
+def test_non_integer_condition_rejected_by_losses(s):
+    # a float id must raise, not be truncated to the integer id below it
+    p = init_denoiser(DenoiserArch(2, (8,), 4, 4), 3)
+    x, t = np.zeros((2, 2)), np.full(2, 100)
+    with pytest.raises(InvalidArgument, match="integers"):
+        sft_loss(p, s, (x, np.array([0.0, 1.5])), t, x)
+    with pytest.raises(InvalidArgument, match="integers"):
+        pair_loss_terms(p, p, s, x, x, x, x, t, 1.5, beta=1.0)
+    with pytest.raises(InvalidArgument, match="integers"):
+        implicit_reward(p, p, s, x[0], 1.5, [100], DeltaStrategy("gaussian"), 1.0,
+                        np.random.default_rng(0))
+
+
+def test_pair_loss_rejects_tape_reference(s):
+    p = init_denoiser(DenoiserArch(2, (8,), 4, 4), 3)
+    x = np.zeros((2, 2))
+    with pytest.raises(InvalidArgument, match="reference"):
+        pair_loss_terms(p, params_to_tape(p), s, x, x, x, x, 100, 0, beta=1.0)
 
 
 def test_gradient_finite_at_reference(s):
