@@ -2,9 +2,11 @@
 
 Sized to what the losses in this package need: dense layers, tanh, embedding
 gathers, row slicing, broadcasting arithmetic, and scalar reductions. The
-dispatch helpers (tanh, softplus, concat, take_rows) accept either a Var or a
-plain ndarray, so a single forward implementation serves both the plain
-numpy path and the differentiated path with bit-identical arithmetic.
+dispatch helpers (tanh, softplus, concat, take_rows, tanh_affine) accept
+either a Var or a plain ndarray, so a single forward implementation serves
+both the plain numpy path and the differentiated path with bit-identical
+arithmetic. On plain arrays concat and tanh_affine can write into a caller's
+buffer (``out``); the tape always allocates, since its nodes keep their data.
 """
 from __future__ import annotations
 
@@ -180,7 +182,7 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def concat(parts, axis=0):
+def concat(parts, axis=0, out=None):
     if any(isinstance(p, Var) for p in parts):
         vs = [Var._lift(p) for p in parts]
         sizes = [v.data.shape[axis] for v in vs]
@@ -190,16 +192,32 @@ def concat(parts, axis=0):
             return tuple(np.split(g, splits, axis=axis))
 
         return Var(np.concatenate([v.data for v in vs], axis=axis), tuple(vs), vjp)
-    return np.concatenate(parts, axis=axis)
+    return np.concatenate(parts, axis=axis, out=out)
+
+
+def tanh_affine(h, w, b, out=None):
+    """One hidden layer, tanh(h @ w + b).
+
+    On plain arrays the product, the bias and the tanh share one array,
+    ``out`` when given, with the same arithmetic op for op.
+    """
+    if isinstance(h, Var) or isinstance(w, Var):
+        return tanh(h @ w + b)
+    out = np.matmul(h, w, out=out)
+    out += b
+    return np.tanh(out, out=out)
 
 
 def take_rows(table, idx):
     idx = np.asarray(idx)
     if isinstance(table, Var):
+        rows, width = table.data.shape
+
         def vjp(g):
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-            return (full,)
+            # flat (row * width + col) bins add in input order, as np.add.at does
+            flat = (idx[:, None] * width + np.arange(width)).ravel()
+            full = np.bincount(flat, weights=g.ravel(), minlength=rows * width)
+            return (full.reshape(rows, width),)
 
         return Var(table.data[idx], (table,), vjp)
     return table[idx]

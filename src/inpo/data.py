@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .denoiser import NULL_CONDITION
+from .denoiser import NULL_CONDITION, _integer_ids
 from .errors import InvalidArgument, PairParseError, VersionError
 from .sampler import SamplerConfig, ddim_sample
 
@@ -152,17 +152,40 @@ def default_reward_spec(data_kind: str) -> RewardSpec:
     raise InvalidArgument(f"unknown dataset kind {data_kind!r}")
 
 
-def score(spec: RewardSpec, x0, c) -> float:
-    """Deterministic preference score of one sample; higher is preferred."""
-    x0 = np.asarray(x0, dtype=np.float64)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # stacked (1, dim) @ (dim, 1) products: each row's value is bit-identical
+    # to the 1-D a[i] @ b[i] (norm(axis=1) and einsum differ in the last bit)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def score(spec: RewardSpec, x0, c):
+    """Deterministic preference score; higher is preferred.
+
+    ``x0`` is one sample, scored to a float, or (n, dim) rows with one
+    integer condition or one per row, scored to an (n,) array. A row's score
+    does not depend on the rows scored with it.
+    """
+    x = np.asarray(x0, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise InvalidArgument(f"samples must be one vector or (n, dim) rows, got {x.shape}")
+    rows = np.atleast_2d(x)
+    c = _integer_ids(c)
+    if c.shape not in ((), rows.shape[:1]):
+        raise InvalidArgument(f"{c.shape} conditions for {rows.shape[0]} samples")
+    c = np.broadcast_to(c, rows.shape[:1])
     if spec.kind == "mode_distance":
-        c = int(c)
-        if c == NULL_CONDITION or not (0 <= c < len(spec.targets)):
-            raise InvalidArgument(f"condition {c} has no reward target")
-        return float(-np.linalg.norm(x0 - spec.targets[c]))
-    if spec.kind == "ring_radius":
-        return float(-abs(np.linalg.norm(x0) - spec.radius))
-    return float(np.asarray(spec.direction, dtype=np.float64) @ x0)
+        targets = np.asarray(spec.targets, dtype=np.float64)
+        bad = (c < 0) | (c >= len(targets))
+        if bad.any():
+            raise InvalidArgument(f"condition {c[bad][0]} has no reward target")
+        d = rows - targets[c]
+        out = -np.sqrt(_row_dots(d, d))
+    elif spec.kind == "ring_radius":
+        out = -np.abs(np.sqrt(_row_dots(rows, rows)) - spec.radius)
+    else:
+        direction = np.asarray(spec.direction, dtype=np.float64)
+        out = (rows[:, None, :] @ direction[:, None])[:, 0, 0]
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def make_preference_pairs(
@@ -188,9 +211,10 @@ def make_preference_pairs(
         rng = np.random.default_rng(stream)
         z = rng.standard_normal((2 * pairs_per_condition, dim))
         x = ddim_sample(model, s, z, sampler_cfg, c)
+        r = score(spec, x, c).tolist()
         for k in range(pairs_per_condition):
             xa, xb = x[2 * k], x[2 * k + 1]
-            ra, rb = score(spec, xa, c), score(spec, xb, c)
+            ra, rb = r[2 * k], r[2 * k + 1]
             if rb > ra:
                 xa, xb, ra, rb = xb, xa, rb, ra
             pairs.append(
@@ -214,10 +238,11 @@ def relabel_pairs(pairs: list[PreferencePair], spec: RewardSpec) -> list[Prefere
     flagged; relabeled pairs are marked external."""
     if not pairs:
         raise InvalidArgument("pairs must be nonempty")
+    cond = [p.condition for p in pairs]
+    rws = score(spec, np.array([p.winner for p in pairs]), cond).tolist()
+    rls = score(spec, np.array([p.loser for p in pairs]), cond).tolist()
     out = []
-    for p in pairs:
-        rw = score(spec, p.winner, p.condition)
-        rl = score(spec, p.loser, p.condition)
+    for p, rw, rl in zip(pairs, rws, rls):
         if rl > rw:
             out.append(
                 replace(p, winner=p.loser, loser=p.winner, reward_w=rl, reward_l=rw,
@@ -252,12 +277,13 @@ def save_pairs(pairs: list[PreferencePair], path, reward_spec: RewardSpec | None
             fh.write(json.dumps(rec) + "\n")
 
 
-def load_pairs(path) -> list[PreferencePair]:
+def load_pairs(path, num_conditions: int | None = None) -> list[PreferencePair]:
     """Read a pair file; loaded pairs are marked external.
 
     A record whose samples or rewards are not finite numbers, whose winner
     and loser are not vectors of the header's dim, or whose condition is not
-    an integer raises PairParseError naming its line.
+    an integer, or with ``num_conditions`` given not in [-1, num_conditions),
+    raises PairParseError naming its line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -299,6 +325,8 @@ def load_pairs(path) -> list[PreferencePair]:
                                  f"{len(loser)}", i)
         if type(rec["c"]) is not int:
             raise PairParseError(f"condition {rec['c']!r} is not an integer", i)
+        if num_conditions is not None and not NULL_CONDITION <= rec["c"] < num_conditions:
+            raise PairParseError(f"condition {rec['c']} out of range [-1, {num_conditions})", i)
         pairs.append(pair)
     return pairs
 

@@ -13,6 +13,14 @@ to the fast path used in sampling. noise_predictor binds the conditions and
 the guidance branch of a batch once and returns the per-step noise function
 that sampling, inversion and the fixed-point solver call; predict_noise is a
 one-off call of it.
+
+A plain forward may run in a workspace: one preallocated (n, width) buffer
+for the concatenated input and one per hidden layer, which eps_forward
+overwrites on every call. noise_predictor allocates one per call and its
+noise function reuses it on every grid step, so a sampler's chain of
+forwards on one fixed batch does not allocate (and, at large batches, fault
+in) fresh layer activations each step. The workspace holds no parameter
+values, and the returned noise prediction is always a fresh array.
 """
 from __future__ import annotations
 
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Var, concat, take_rows, tanh
+from .autodiff import Var, concat, take_rows, tanh_affine
 from .errors import InvalidArgument, NumericError, VersionError
 
 NULL_CONDITION = -1
@@ -159,27 +167,44 @@ def time_embedding(t, dim: int) -> np.ndarray:
     return _sincos(t.astype(np.float64), dim)
 
 
-def _cond_rows(c, num_conditions: int) -> np.ndarray:
+def _integer_ids(c) -> np.ndarray:
     c = np.asarray(c)
     if not np.issubdtype(c.dtype, np.integer):
         raise InvalidArgument("condition ids must be integers")
+    return c
+
+
+def _cond_rows(c, num_conditions: int) -> np.ndarray:
+    c = _integer_ids(c)
     if np.any(c >= num_conditions) or np.any(c < NULL_CONDITION):
         raise InvalidArgument(f"condition id out of range [-1, {num_conditions})")
     return np.where(c == NULL_CONDITION, num_conditions, c)
 
 
-def eps_forward(model, x, t, rows):
+def forward_workspace(arch: DenoiserArch, n: int) -> list[np.ndarray]:
+    """Buffers for plain forwards on n rows: the concatenated input, then
+    one per hidden layer."""
+    return [np.empty((n, fan_in)) for fan_in, _ in arch.layer_dims()]
+
+
+def eps_forward(model, x, t, rows, ws=None):
     """Single forward pass at explicit embedding rows.
 
     ``model`` is DenoiserParams or TapeParams; ``x`` is (batch, dim), ``t`` a
     (batch,) array, ``rows`` a (batch,) array of embedding-table rows.
+    ``ws``, for plain DenoiserParams only, is a forward_workspace of the
+    batch's size: the input and the hidden activations are written into it
+    instead of fresh arrays, so it must not be shared with a forward still in
+    use. noise_predictor allocates one per call; one-off callers pass none.
+    The result is a fresh array either way.
     """
     temb = time_embedding(t, model.arch.time_embed_dim)
     cemb = take_rows(model.cond_embed, rows)
-    h = concat([x, temb, cemb], axis=1)
+    bufs = ws if ws is not None else [None] * len(model.weights)
+    h = concat([x, temb, cemb], axis=1, out=bufs[0])
     last = len(model.weights) - 1
     for i in range(last):
-        h = tanh(h @ model.weights[i] + model.biases[i])
+        h = tanh_affine(h, model.weights[i], model.biases[i], out=bufs[i + 1])
     return h @ model.weights[last] + model.biases[last]
 
 
@@ -192,9 +217,9 @@ def noise_predictor(model, c, guidance_w: float, n: int):
 
     Returns eps(x, t) for (n, input_dim) samples x at a scalar or (n,)
     timestep t, with predict_noise's semantics. Samplers call this once per
-    call and then eps once per grid step, so condition checks and the
-    embedding-row lookup are not repeated per step; every eps call still
-    rejects non-finite samples.
+    call and then eps once per grid step, so condition checks, the
+    embedding-row lookup and the forward workspace are not repeated per step;
+    every eps call still rejects non-finite samples and returns a fresh array.
     """
     if not isinstance(model, DenoiserParams):
         raise InvalidArgument(f"model must be DenoiserParams, got {type(model)}")
@@ -203,13 +228,14 @@ def noise_predictor(model, c, guidance_w: float, n: int):
     rows = _cond_rows(cv, arch.num_conditions)
     null_rows = np.full_like(rows, arch.num_conditions)
     shape = (n, arch.input_dim)
+    ws = forward_workspace(arch, n)
 
     def forward(x, t, at_rows):
         if x.shape != shape:
             raise InvalidArgument(f"sample batch shape {x.shape} != {shape}")
         if not np.all(np.isfinite(x)):
             raise NumericError("non-finite sample passed to the denoiser")
-        return eps_forward(model, x, _per_row(t, n), at_rows)
+        return eps_forward(model, x, _per_row(t, n), at_rows, ws=ws)
 
     if guidance_w == 0.0 or np.all(cv == NULL_CONDITION):
         return lambda x, t: forward(x, t, null_rows)
@@ -218,7 +244,7 @@ def noise_predictor(model, c, guidance_w: float, n: int):
 
     def guided(x, t):
         eps_u = forward(x, t, null_rows)
-        eps_c = eps_forward(model, x, _per_row(t, n), rows)
+        eps_c = eps_forward(model, x, _per_row(t, n), rows, ws=ws)
         return eps_u + guidance_w * (eps_c - eps_u)
 
     return guided

@@ -56,8 +56,8 @@ def win_rate(model_a, model_b, s: NoiseSchedule, spec: RewardSpec, conditions,
     xa = ddim_sample(model_a, s, latents, sampler_cfg, cond)
     xb = ddim_sample(model_b, s, latents, sampler_cfg, cond)
 
-    ra = np.array([score(spec, xa[i], int(cond[i])) for i in range(n_trials)])
-    rb = np.array([score(spec, xb[i], int(cond[i])) for i in range(n_trials)])
+    ra = score(spec, xa, cond)
+    rb = score(spec, xb, cond)
     outcome = np.where(ra > rb, 1.0, np.where(ra < rb, 0.0, 0.5))
     return EvalReport(
         win_rate=float(outcome.mean()),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inpo.autodiff import Var, concat, sigmoid, softplus, take_rows, tanh
+from inpo.autodiff import Var, concat, sigmoid, softplus, take_rows, tanh, tanh_affine
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -86,6 +86,43 @@ def test_take_rows_scatter():
     out = take_rows(table, idx).sum()
     out.backward()
     assert np.allclose(table.grad, [[1, 1, 1], [0, 0, 0], [2, 2, 2], [1, 1, 1]])
+
+
+def test_take_rows_grad_matches_add_at_bytes():
+    rng = np.random.default_rng(11)
+    table = Var(rng.standard_normal((9, 16)))
+    idx = rng.integers(0, 9, size=1024)  # every row repeats
+    g = rng.standard_normal((1024, 16))
+    (take_rows(table, idx) * g).sum().backward()
+    want = np.zeros((9, 16))
+    np.add.at(want, idx, g)
+    assert table.grad.tobytes() == want.tobytes()
+
+
+def test_tanh_affine_writes_into_out_with_the_same_bytes():
+    rng = np.random.default_rng(12)
+    h = rng.standard_normal((300, 34))
+    w = rng.standard_normal((34, 64))
+    b = rng.standard_normal(64)
+    want = np.tanh(h @ w + b)
+    out = np.empty((300, 64))
+    assert tanh_affine(h, w, b, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert tanh_affine(h, w, b).tobytes() == want.tobytes()
+
+
+def test_tanh_affine_on_the_tape():
+    rng = np.random.default_rng(13)
+    h = Var(rng.standard_normal((5, 3)))
+    w = Var(rng.standard_normal((3, 4)))
+    b = Var(rng.standard_normal(4))
+    out = tanh_affine(h, w, b)
+    assert out.data.tobytes() == np.tanh(h.data @ w.data + b.data).tobytes()
+    out.sum().backward()
+    g = 1.0 - out.data ** 2
+    assert np.allclose(b.grad, g.sum(axis=0))
+    assert np.allclose(w.grad, h.data.T @ g)
+    assert np.allclose(h.grad, g @ w.data.T)
 
 
 def test_getitem_slice_grad():

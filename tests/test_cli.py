@@ -159,6 +159,26 @@ def test_ablate_row_count(workdir, tmp_path):
     assert len(rows) == 2 * 2 * 1 * 1
 
 
+@pytest.mark.parametrize("cmd", ["align", "ablate"])
+def test_out_of_range_pair_condition_fails_before_any_step(workdir, tmp_path, capsys, cmd):
+    lines = (workdir / "pairs.jsonl").read_text().splitlines()
+    rec = json.loads(lines[4])
+    rec["c"] = 99
+    lines[4] = json.dumps(rec)
+    bad = tmp_path / "pairs.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([
+        cmd, "--out", str(out), "--seed", "3",
+        "--set", f"{cmd}.base={workdir}/base.params",
+        "--set", f"{cmd}.pairs={bad}",
+        "--set", "align.steps=5", "--set", "ablate.steps=5",
+    ]) == 4
+    assert "line 5: condition 99 out of range [-1, 8)" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_key_rejected(tmp_path):
     assert main(["pretrain", "--out", str(tmp_path), "--set", "nope.key=1"]) == 2
 

@@ -107,6 +107,49 @@ def test_score_other_kinds():
     assert score(RewardSpec("linear", direction=d), np.array([2.0, 0.5]), 0) == 1.5
 
 
+@pytest.mark.parametrize("spec", [
+    default_reward_spec("eight_gaussians"),
+    RewardSpec("ring_radius", radius=1.3),
+    RewardSpec("linear", direction=np.array([0.6, -1.7])),
+], ids=["mode_distance", "ring_radius", "linear"])
+def test_score_batch_equals_per_sample_bitwise(spec):
+    rng = np.random.default_rng(21)
+    x = 2.0 * rng.standard_normal((20000, 2))
+    c = rng.integers(0, 8, size=20000)
+
+    def one(xi, ci):  # the per-sample arithmetic
+        if spec.kind == "mode_distance":
+            return float(-np.linalg.norm(xi - spec.targets[ci]))
+        if spec.kind == "ring_radius":
+            return float(-abs(np.linalg.norm(xi) - spec.radius))
+        return float(spec.direction @ xi)
+
+    want = np.array([one(xi, ci) for xi, ci in zip(x, c)])
+    got = score(spec, x, c)
+    assert got.shape == (20000,)
+    assert got.tobytes() == want.tobytes()
+    assert all(score(spec, x[i], c[i]) == want[i] for i in range(0, 20000, 997))
+    assert score(spec, x[:5], 3).tobytes() == score(spec, x[:5], np.full(5, 3)).tobytes()
+
+
+@pytest.mark.parametrize("c", [1.5, 1.0, np.array([0.0, 1.0])])
+def test_score_rejects_non_integer_condition(c):
+    # a float id must raise, not be truncated to the integer id below it
+    spec = default_reward_spec("eight_gaussians")
+    with pytest.raises(InvalidArgument, match="integers"):
+        score(spec, np.zeros((2, 2)), c)
+
+
+def test_score_batch_shape_errors():
+    spec = default_reward_spec("eight_gaussians")
+    with pytest.raises(InvalidArgument):
+        score(spec, np.zeros((3, 2)), np.array([0, 1]))
+    with pytest.raises(InvalidArgument):
+        score(spec, np.zeros((2, 2, 2)), 0)
+    with pytest.raises(InvalidArgument, match="condition 9"):
+        score(spec, np.zeros((3, 2)), np.array([0, 9, 1]))
+
+
 def test_score_transitivity_random_triples():
     spec = default_reward_spec("eight_gaussians")
     rng = np.random.default_rng(1)
@@ -202,6 +245,13 @@ def test_relabel_orthogonal_spec_swaps_half():
     assert abs(swapped / len(pairs) - 0.5) < 0.05
 
 
+def test_relabel_rejects_a_float_condition(small_pairs):
+    p = small_pairs[0]
+    pairs = [*small_pairs[:3], PreferencePair(1.5, p.winner, p.loser, 0.0, -1.0, 0)]
+    with pytest.raises(InvalidArgument, match="integers"):
+        relabel_pairs(pairs, default_reward_spec("eight_gaussians"))
+
+
 def test_relabel_preserves_order_invariant(small_pairs):
     out = relabel_pairs(small_pairs, RewardSpec("ring_radius", radius=1.0))
     for p in out:
@@ -256,6 +306,24 @@ def test_pair_file_rejects_bad_records(tmp_path, key, value):
     with pytest.raises(PairParseError) as err:
         load_pairs(path)
     assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("c, ok", [(-1, True), (7, True), (8, False), (99, False), (-2, False)])
+def test_pair_file_condition_range_checked_against_the_model(tmp_path, small_pairs, c, ok):
+    path = tmp_path / "pairs.jsonl"
+    save_pairs(small_pairs, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[4])
+    rec["c"] = c
+    lines[4] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    assert len(load_pairs(path)) == len(small_pairs)  # no model, no range
+    if ok:
+        assert load_pairs(path, num_conditions=8)[3].condition == c
+        return
+    with pytest.raises(PairParseError, match=r"out of range \[-1, 8\)") as err:
+        load_pairs(path, num_conditions=8)
+    assert err.value.line_no == 5
 
 
 def test_pair_file_version_mismatch(tmp_path, small_pairs):

@@ -7,6 +7,7 @@ from inpo.denoiser import (
     DenoiserArch,
     DenoiserParams,
     eps_forward,
+    forward_workspace,
     init_denoiser,
     load_params,
     noise_predictor,
@@ -283,3 +284,57 @@ def test_noise_predictor_errors():
         eps(np.zeros((3, 3)), 5)
     with pytest.raises(InvalidArgument):
         noise_predictor("not a model", 0, 1.0, 3)
+
+
+BENCH_ARCH = DenoiserArch(2, (64, 64), 8, 16)
+
+
+@pytest.mark.parametrize("n", [1, 64, 512, 1024])
+@pytest.mark.parametrize("per_row_t", [False, True])
+def test_workspace_forward_is_byte_identical(n, per_row_t):
+    p = init_denoiser(BENCH_ARCH, 6)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 2))
+    t = rng.integers(1, 1000, size=n) if per_row_t else np.full(n, 420)
+    rows = rng.integers(0, 9, size=n)
+    ws = forward_workspace(BENCH_ARCH, n)
+    assert [b.shape for b in ws] == [(n, 34), (n, 64), (n, 64)]
+    fresh = eps_forward(p, x, t, rows)
+    for _ in range(2):  # a reused workspace gives the same bytes again
+        assert eps_forward(p, x, t, rows, ws=ws).tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 2.5])
+def test_noise_predictor_workspace_matches_unbound_forward(w):
+    p = init_denoiser(BENCH_ARCH, 7)
+    n = 512
+    rng = np.random.default_rng(3)
+    c = rng.integers(-1, 8, size=n)
+    cond_rows = np.where(c == NULL_CONDITION, 8, c)
+    null_rows = np.full(n, 8)
+    eps = noise_predictor(p, c, w, n)
+    for t in (7, rng.integers(1, 1000, size=n)):
+        x = rng.standard_normal((n, 2))
+        tt = np.broadcast_to(t, (n,))
+        eps_u = eps_forward(p, x, tt, null_rows)
+        if w == 0.0:
+            want = eps_u
+        elif w == 1.0:
+            want = eps_forward(p, x, tt, cond_rows)
+        else:
+            want = eps_u + w * (eps_forward(p, x, tt, cond_rows) - eps_u)
+        assert eps(x, t).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("w", [0.0, 2.5])
+def test_noise_predictor_result_survives_the_next_call(w):
+    # samplers keep delta = e across grid steps, so a returned eps must not
+    # live in the reused workspace
+    p = init_denoiser(BENCH_ARCH, 8)
+    rng = np.random.default_rng(4)
+    eps = noise_predictor(p, 3, w, 64)
+    first = eps(rng.standard_normal((64, 2)), 500)
+    kept = first.copy()
+    second = eps(rng.standard_normal((64, 2)), 300)
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, second)

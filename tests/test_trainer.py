@@ -187,9 +187,9 @@ def test_inversion_step_costs_one_forward_per_grid_step(s, tiny_pairs, monkeypat
     rows = []
     real = denoiser_mod.eps_forward
 
-    def counted(model, x, t, at_rows):
+    def counted(model, x, t, at_rows, ws=None):
         rows.append(len(x))
-        return real(model, x, t, at_rows)
+        return real(model, x, t, at_rows, ws=ws)
 
     monkeypatch.setattr(denoiser_mod, "eps_forward", counted)
     monkeypatch.setattr(preference_mod, "eps_forward", counted)
