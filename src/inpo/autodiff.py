@@ -1,12 +1,11 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
-Sized to what the losses in this package need: dense layers, tanh, embedding
-gathers, row slicing, broadcasting arithmetic, and scalar reductions. The
-dispatch helpers (tanh, softplus, concat, take_rows, tanh_affine) accept
-either a Var or a plain ndarray, so a single forward implementation serves
-both the plain numpy path and the differentiated path with bit-identical
-arithmetic. On plain arrays concat and tanh_affine can write into a caller's
-buffer (``out``); the tape always allocates, since its nodes keep their data.
+Sized to what the loss heads need on top of the network: broadcasting
+arithmetic, squaring, basic (slice) indexing, sums and means, and softplus,
+which also accepts a plain array so the loss heads run unchanged on plain
+parameters. The network itself enters the tape as one node with a
+closed-form backward (denoiser.eps_forward on TapeParams); a node is any Var
+built with its parents and a function mapping its gradient to theirs.
 """
 from __future__ import annotations
 
@@ -81,43 +80,20 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            raise TypeError("divide by a constant or multiply by a reciprocal")
-        c = np.asarray(other, dtype=np.float64)
-        return Var(self.data / c, (self,), lambda g: (_unbroadcast(g / c, self.data.shape),))
-
-    def __matmul__(self, other):
-        a, b = self, Var._lift(other)
-        return Var(
-            a.data @ b.data,
-            (a, b),
-            lambda g: (g @ b.data.T, a.data.T @ g),
-        )
-
-    def __rmatmul__(self, other):
-        return Var._lift(other).__matmul__(self)
-
     def __pow__(self, p):
         if p != 2:
             raise TypeError("only squaring is supported")
         return self * self
 
     def __getitem__(self, key):
-        out = self.data[key]
-        fancy = isinstance(key, np.ndarray) or (
-            isinstance(key, tuple) and any(isinstance(k, np.ndarray) for k in key)
-        )
-
+        # basic indexing only: an index array may repeat positions, and
+        # ``+=`` would keep just one of their gradients
         def vjp(g):
             full = np.zeros_like(self.data)
-            if fancy:  # index arrays may repeat positions
-                np.add.at(full, key, g)
-            else:
-                full[key] += g
+            full[key] += g
             return (full,)
 
-        return Var(out, (self,), vjp)
+        return Var(self.data[key], (self,), vjp)
 
     def sum(self, axis=None):
         def vjp(g):
@@ -160,64 +136,8 @@ class Var:
                 parent.grad = g if parent.grad is None else parent.grad + g
 
 
-def tanh(x):
-    if isinstance(x, Var):
-        out = np.tanh(x.data)
-        return Var(out, (x,), lambda g: (g * (1.0 - out * out),))
-    return np.tanh(x)
-
-
-def sigmoid(x):
-    # Stable logistic via tanh; used both as a value and as softplus' slope.
-    if isinstance(x, Var):
-        out = 0.5 * (1.0 + np.tanh(0.5 * x.data))
-        return Var(out, (x,), lambda g: (g * out * (1.0 - out),))
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def softplus(x):
     if isinstance(x, Var):
         slope = 0.5 * (1.0 + np.tanh(0.5 * x.data))
         return Var(np.logaddexp(0.0, x.data), (x,), lambda g: (g * slope,))
     return np.logaddexp(0.0, x)
-
-
-def concat(parts, axis=0, out=None):
-    if any(isinstance(p, Var) for p in parts):
-        vs = [Var._lift(p) for p in parts]
-        sizes = [v.data.shape[axis] for v in vs]
-        splits = np.cumsum(sizes)[:-1]
-
-        def vjp(g):
-            return tuple(np.split(g, splits, axis=axis))
-
-        return Var(np.concatenate([v.data for v in vs], axis=axis), tuple(vs), vjp)
-    return np.concatenate(parts, axis=axis, out=out)
-
-
-def tanh_affine(h, w, b, out=None):
-    """One hidden layer, tanh(h @ w + b).
-
-    On plain arrays the product, the bias and the tanh share one array,
-    ``out`` when given, with the same arithmetic op for op.
-    """
-    if isinstance(h, Var) or isinstance(w, Var):
-        return tanh(h @ w + b)
-    out = np.matmul(h, w, out=out)
-    out += b
-    return np.tanh(out, out=out)
-
-
-def take_rows(table, idx):
-    idx = np.asarray(idx)
-    if isinstance(table, Var):
-        rows, width = table.data.shape
-
-        def vjp(g):
-            # flat (row * width + col) bins add in input order, as np.add.at does
-            flat = (idx[:, None] * width + np.arange(width)).ravel()
-            full = np.bincount(flat, weights=g.ravel(), minlength=rows * width)
-            return (full.reshape(rows, width),)
-
-        return Var(table.data[idx], (table,), vjp)
-    return table[idx]

@@ -68,6 +68,16 @@ def _load_model(path: str):
     return params, make_schedule(kind, T)
 
 
+def _reward_for(cfg: Config, params):
+    """The configured reward, which must score the model's conditions."""
+    spec = reward_spec_from(cfg)
+    k = params.arch.num_conditions
+    if spec.targets is not None and len(spec.targets) != k:
+        raise ConfigError(f"reward has {len(spec.targets)} targets but the model has "
+                          f"{k} conditions; set data.kind to the model's data")
+    return spec
+
+
 def _sampler_cfg(cfg: Config, schedule) -> SamplerConfig:
     t_start = cfg["sample.t_start"]
     if t_start == 0:
@@ -105,7 +115,7 @@ def cmd_pretrain(cfg: Config, out: str, seed: int) -> None:
 
 def cmd_make_prefs(cfg: Config, out: str, seed: int) -> None:
     params, schedule = _load_model(_require(cfg, "prefs.model"))
-    spec = reward_spec_from(cfg)
+    spec = _reward_for(cfg, params)
     sampler_cfg = _sampler_cfg(cfg, schedule)
     pairs = make_preference_pairs(
         params, schedule, spec,
@@ -150,7 +160,7 @@ def _std_err(values: np.ndarray) -> float:
 def cmd_eval(cfg: Config, out: str, seed: int) -> None:
     model_a, schedule = _load_model(_require(cfg, "eval.model_a"))
     model_b, _ = _load_model(_require(cfg, "eval.model_b"))
-    spec = reward_spec_from(cfg)
+    spec = _reward_for(cfg, model_a)
     sampler_cfg = _sampler_cfg(cfg, schedule)
     timing = cfg["eval.timing"]
     tick = time.perf_counter()
@@ -201,7 +211,7 @@ def cmd_invert_demo(cfg: Config, out: str, seed: int) -> None:
 def cmd_ablate(cfg: Config, out: str, seed: int) -> None:
     base, schedule = _load_model(_require(cfg, "ablate.base"))
     pairs = load_pairs(_require(cfg, "ablate.pairs"), base.arch.num_conditions)
-    spec = reward_spec_from(cfg)
+    spec = _reward_for(cfg, base)
     sampler_cfg = _sampler_cfg(cfg, schedule)
     path = os.path.join(out, "ablate.csv")
     with open(path, "w", newline="") as fh:

@@ -7,12 +7,14 @@ tanh hidden layers. Condition ids live in [0, num_conditions); the reserved
 id NULL_CONDITION selects a learned null embedding used for unconditional
 prediction and classifier-free guidance.
 
-The same forward routine, eps_forward, runs on plain arrays and on autodiff
-Vars, so the differentiated path used in training is arithmetically identical
-to the fast path used in sampling. noise_predictor binds the conditions and
-the guidance branch of a batch once and returns the per-step noise function
-that sampling, inversion and the fixed-point solver call; predict_noise is a
-one-off call of it.
+One forward routine serves sampling and training. On DenoiserParams
+eps_forward returns an array; on TapeParams it runs the same forward on the
+tape's arrays, keeps the activations and returns one autodiff node that
+backpropagates through the network in closed form, so the differentiated
+path is arithmetically identical to the fast path. noise_predictor binds
+the conditions and the guidance branch of a batch once and returns the
+per-step noise function that sampling, inversion and the fixed-point solver
+call; predict_noise is a one-off call of it.
 
 A plain forward may run in a workspace: one preallocated (n, width) buffer
 for the concatenated input and one per hidden layer, which eps_forward
@@ -29,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Var, concat, take_rows, tanh_affine
+from .autodiff import Var
 from .errors import InvalidArgument, NumericError, VersionError
+from .schedule import SCHEDULE_KINDS
 
 NULL_CONDITION = -1
 PARAMS_MAGIC = b"INPODENZ"
@@ -95,7 +98,7 @@ class DenoiserParams:
 
 @dataclass
 class TapeParams:
-    """Autodiff counterpart of DenoiserParams; same duck shape for the forward."""
+    """DenoiserParams as tape leaves: eps_forward on it returns a tape node."""
 
     arch: DenoiserArch
     weights: list[Var]
@@ -187,25 +190,70 @@ def forward_workspace(arch: DenoiserArch, n: int) -> list[np.ndarray]:
     return [np.empty((n, fan_in)) for fan_in, _ in arch.layer_dims()]
 
 
+def _forward(weights, biases, cond_embed, x, t, rows, bufs):
+    """The network on plain arrays, writing the input of every layer into
+    ``bufs`` (entries may be None, to allocate); the output is fresh."""
+    temb = time_embedding(t, cond_embed.shape[1])
+    h = np.concatenate([x, temb, cond_embed[rows]], axis=1, out=bufs[0])
+    last = len(weights) - 1
+    for i in range(last):
+        h = np.matmul(h, weights[i], out=bufs[i + 1])
+        h += biases[i]
+        np.tanh(h, out=h)
+    return h @ weights[last] + biases[last]
+
+
+def _taped_forward(tape: TapeParams, x, t, rows) -> Var:
+    """The plain forward as one tape node whose parents are tape.flat().
+
+    The node keeps the layer inputs and backpropagates through the network in
+    closed form: per layer, from the last, the bias and weight gradients,
+    then the gradient of the layer input, times tanh' below a hidden layer;
+    the embedding rows' gradient is scattered from the last columns of the
+    input gradient. Each step is the arithmetic of the elementary VJPs
+    (matmul, bias broadcast, tanh, row gather) in the same order, so the
+    gradients equal those of the network built from tape ops byte for byte.
+    """
+    weights = [w.data for w in tape.weights]
+    cond_embed = tape.cond_embed.data
+    rows = np.asarray(rows)
+    acts = forward_workspace(tape.arch, len(x))
+    out = _forward(weights, [b.data for b in tape.biases], cond_embed, x, t, rows, acts)
+
+    def vjp(g):
+        grads = []
+        for i in range(len(weights) - 1, -1, -1):
+            a = acts[i]
+            grads += [g.sum(axis=0), a.T @ g]
+            g = g @ weights[i].T
+            if i:
+                g = g * (1.0 - a * a)
+        n_rows, width = cond_embed.shape
+        # flat (row * width + col) bins add in input order, as np.add.at does
+        flat = (rows[:, None] * width + np.arange(width)).ravel()
+        g_embed = np.bincount(flat, weights=g[:, -width:].ravel(), minlength=n_rows * width)
+        return (*reversed(grads), g_embed.reshape(n_rows, width))
+
+    return Var(out, tuple(tape.flat()), vjp)
+
+
 def eps_forward(model, x, t, rows, ws=None):
     """Single forward pass at explicit embedding rows.
 
     ``model`` is DenoiserParams or TapeParams; ``x`` is (batch, dim), ``t`` a
-    (batch,) array, ``rows`` a (batch,) array of embedding-table rows.
+    (batch,) array, ``rows`` a (batch,) array of embedding-table rows. On
+    TapeParams the result is one Var on the tape (see _taped_forward), with
+    the same forward arithmetic and a workspace of its own.
     ``ws``, for plain DenoiserParams only, is a forward_workspace of the
     batch's size: the input and the hidden activations are written into it
     instead of fresh arrays, so it must not be shared with a forward still in
     use. noise_predictor allocates one per call; one-off callers pass none.
     The result is a fresh array either way.
     """
-    temb = time_embedding(t, model.arch.time_embed_dim)
-    cemb = take_rows(model.cond_embed, rows)
+    if isinstance(model, TapeParams):
+        return _taped_forward(model, x, t, rows)
     bufs = ws if ws is not None else [None] * len(model.weights)
-    h = concat([x, temb, cemb], axis=1, out=bufs[0])
-    last = len(model.weights) - 1
-    for i in range(last):
-        h = tanh_affine(h, model.weights[i], model.biases[i], out=bufs[i + 1])
-    return h @ model.weights[last] + model.biases[last]
+    return _forward(model.weights, model.biases, model.cond_embed, x, t, rows, bufs)
 
 
 def _per_row(t, n: int):
@@ -314,26 +362,41 @@ def params_to_bytes(params: DenoiserParams, schedule_kind: str, T: int) -> bytes
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    """Little-endian fields read in order from one file's bytes; a short
+    read or bytes left over raise VersionError naming the file kind."""
+
+    def __init__(self, buf: bytes, what: str):
         self.buf = buf
+        self.what = what
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise VersionError("truncated parameter file")
+            raise VersionError(f"truncated {self.what}")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
     def u8(self) -> int:
         return struct.unpack("<B", self.take(1))[0]
 
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def u64(self) -> int:
+        return struct.unpack("<Q", self.take(8))[0]
+
+    def f8(self, shape) -> np.ndarray:
+        n = int(np.prod(shape))
+        return np.frombuffer(self.take(n * 8), dtype="<f8").astype(np.float64).reshape(shape)
+
+    def end(self) -> None:
+        if self.pos != len(self.buf):
+            raise VersionError(f"trailing bytes in {self.what}")
+
 
 def params_from_bytes(buf: bytes) -> tuple[DenoiserParams, str, int]:
-    r = _Reader(buf)
+    r = _Reader(buf, "parameter file")
     if r.take(len(PARAMS_MAGIC)) != PARAMS_MAGIC:
         raise VersionError("not a denoiser parameter file")
     version = r.u32()
@@ -344,22 +407,22 @@ def params_from_bytes(buf: bytes) -> tuple[DenoiserParams, str, int]:
     hidden = tuple(r.u32() for _ in range(n_hidden))
     num_conditions = r.u32()
     time_embed_dim = r.u32()
-    kind = r.take(r.u8()).decode()
+    kind = r.take(r.u8())
     T = r.u32()
-    arch = DenoiserArch(input_dim, hidden, num_conditions, time_embed_dim)
-
-    def read_array(shape):
-        n = int(np.prod(shape))
-        arr = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64).reshape(shape)
-        return arr
+    try:
+        kind = kind.decode()
+        arch = DenoiserArch(input_dim, hidden, num_conditions, time_embed_dim)
+    except (UnicodeDecodeError, InvalidArgument) as e:
+        raise VersionError(f"malformed parameter file header: {e}") from None
+    if kind not in SCHEDULE_KINDS or T < 2:
+        raise VersionError(f"malformed parameter file header: schedule {kind!r} with T={T}")
 
     weights, biases = [], []
     for fan_in, fan_out in arch.layer_dims():
-        weights.append(read_array((fan_in, fan_out)))
-        biases.append(read_array((fan_out,)))
-    cond_embed = read_array((num_conditions + 1, time_embed_dim))
-    if r.pos != len(buf):
-        raise VersionError("trailing bytes in parameter file")
+        weights.append(r.f8((fan_in, fan_out)))
+        biases.append(r.f8((fan_out,)))
+    cond_embed = r.f8((num_conditions + 1, time_embed_dim))
+    r.end()
     params = DenoiserParams(arch=arch, weights=weights, biases=biases, cond_embed=cond_embed)
     for arr in params.flat():
         if not np.all(np.isfinite(arr)):

@@ -11,8 +11,10 @@ Three losses share one pairwise core:
 All preference losses take the form -log sigmoid(-beta * w(t) * D) with D the
 difference of four squared prediction errors (winner/loser under the trained
 and the frozen reference model). The pairwise core accepts either plain
-parameters or tape parameters for the trained model; the reference must be
-plain parameters, so it never enters the tape or receives gradient.
+parameters or tape parameters for the trained model; on tape parameters the
+network's forward is one tape node (denoiser.eps_forward) and the loss head
+above it runs on the autodiff tape. The reference must be plain parameters,
+so it never enters the tape or receives gradient.
 
 Delta strategies decide how the noise estimate paired with a clean sample is
 produced: "inversion" runs the sampler's inversion, "gaussian" draws i.i.d.

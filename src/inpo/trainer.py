@@ -36,6 +36,7 @@ from .denoiser import (
     DenoiserParams,
     NULL_CONDITION,
     _cond_rows,
+    _Reader,
     init_denoiser,
     params_from_bytes,
     params_to_bytes,
@@ -353,35 +354,19 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(buf):
-            raise VersionError("truncated checkpoint file")
-        out = buf[pos : pos + n]
-        pos += n
-        return out
-
-    if take(8) != CKPT_MAGIC:
+        r = _Reader(fh.read(), "checkpoint file")
+    if r.take(len(CKPT_MAGIC)) != CKPT_MAGIC:
         raise VersionError("not a trainer checkpoint")
-    version = struct.unpack("<I", take(4))[0]
+    version = r.u32()
     if version != CKPT_VERSION:
         raise VersionError(f"unsupported checkpoint version {version}")
-    fingerprint = take(32)
-    step = struct.unpack("<Q", take(8))[0]
-    adam_t = struct.unpack("<Q", take(8))[0]
-    blob_len = struct.unpack("<Q", take(8))[0]
-    params, kind, T = params_from_bytes(take(blob_len))
-    flat = params.flat()
-    m, v = [], []
-    for dest in (m, v):
-        for ref_arr in flat:
-            raw = take(ref_arr.size * 8)
-            dest.append(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(ref_arr.shape))
-    if pos != len(buf):
-        raise VersionError("trailing bytes in checkpoint file")
+    fingerprint = r.take(32)
+    step = r.u64()
+    adam_t = r.u64()
+    params, kind, T = params_from_bytes(r.take(r.u64()))
+    m = [r.f8(arr.shape) for arr in params.flat()]
+    v = [r.f8(arr.shape) for arr in params.flat()]
+    r.end()
     return Checkpoint(
         params=params,
         adam=AdamState(m=m, v=v, t=adam_t),

@@ -220,3 +220,30 @@ def test_config_file_and_override_order(tmp_path, workdir):
 def test_bad_log_level_rejected(tmp_path, monkeypatch):
     monkeypatch.setenv("INPO_LOG_LEVEL", "loud")
     assert main(["pretrain", "--out", str(tmp_path)]) == 2
+
+
+def test_malformed_params_header_is_io_error(workdir, tmp_path, capsys):
+    buf = (workdir / "base.params").read_bytes()
+    for name, bad in (("utf8", buf.replace(b"cosine", b"\xffosine", 1)),
+                      ("kind", buf.replace(b"cosine", b"cosinx", 1))):
+        path = tmp_path / f"{name}.params"
+        path.write_bytes(bad)
+        capsys.readouterr()
+        assert run(["invert-demo", "--out", str(tmp_path / name),
+                    "--set", f"demo.model={path}"]) == 4
+        assert "io error: malformed parameter file header" in capsys.readouterr().err
+
+
+def test_reward_target_count_must_match_model_conditions(tmp_path, capsys):
+    out = tmp_path / "moons"
+    assert run(["pretrain", "--out", str(out), "--seed", "1",
+                "--set", "data.kind=two_moons"]) == 0
+    model = f"{out}/base.params"
+    for cmd, sets in (("make-prefs", ["--set", f"prefs.model={model}"]),
+                      ("eval", ["--set", f"eval.model_a={model}",
+                                "--set", f"eval.model_b={model}"])):
+        capsys.readouterr()
+        assert run([cmd, "--out", str(tmp_path / cmd), *sets]) == 2
+        assert "reward has 8 targets but the model has 2 conditions" in capsys.readouterr().err
+    assert run(["make-prefs", "--out", str(tmp_path / "ok"), "--set", f"prefs.model={model}",
+                "--set", "data.kind=two_moons"]) == 0

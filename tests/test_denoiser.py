@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -161,10 +163,11 @@ def test_value_and_grad_nonfinite_raises():
         value_and_grad(p, lambda tape: (tape.weights[0] * np.inf).sum())
 
 
-def test_gradient_check_prediction_mse():
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)], ids=["none", "6", "6-5"])
+def test_gradient_check_prediction_mse(hidden):
     # reverse-mode gradients of a squared-error loss through the full network
     # vs central finite differences, 20 random draws
-    arch = DenoiserArch(2, (6,), 3, 4)
+    arch = DenoiserArch(2, hidden, 3, 4)
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(100 + trial)
@@ -209,6 +212,29 @@ def test_params_file_rejects_truncation():
     buf = params_to_bytes(p, "cosine", 100)
     with pytest.raises(VersionError):
         params_from_bytes(buf[:-8])
+
+
+def test_params_file_rejects_trailing_bytes():
+    buf = params_to_bytes(init_denoiser(ARCH, 0), "cosine", 100)
+    with pytest.raises(VersionError, match="trailing bytes"):
+        params_from_bytes(buf + b"\0")
+
+
+def _zero_width_layer(buf: bytes) -> bytes:
+    # the first hidden width follows magic, version, input dim and layer count
+    return buf[:20] + struct.pack("<I", 0) + buf[24:]
+
+
+@pytest.mark.parametrize("kind,T,edit", [
+    ("cosine", 100, lambda buf: buf.replace(b"cosine", b"\xffosine", 1)),
+    ("sigmoid", 100, None),
+    ("cosine", 1, None),
+    ("cosine", 100, _zero_width_layer),
+], ids=["non_utf8_kind", "unknown_kind", "T_1", "zero_width_layer"])
+def test_params_file_rejects_malformed_header(kind, T, edit):
+    buf = params_to_bytes(init_denoiser(ARCH, 0), kind, T)
+    with pytest.raises(VersionError, match="malformed parameter file header"):
+        params_from_bytes(edit(buf) if edit else buf)
 
 
 def test_params_file_rejects_arch_mismatch(tmp_path):
@@ -302,6 +328,26 @@ def test_workspace_forward_is_byte_identical(n, per_row_t):
     fresh = eps_forward(p, x, t, rows)
     for _ in range(2):  # a reused workspace gives the same bytes again
         assert eps_forward(p, x, t, rows, ws=ws).tobytes() == fresh.tobytes()
+
+
+def test_cond_embed_grad_matches_add_at_bytes():
+    # repeated embedding rows add their gradients in input order, as np.add.at
+    p = init_denoiser(BENCH_ARCH, 11)
+    rng = np.random.default_rng(11)
+    n = 1024
+    x = rng.standard_normal((n, 2))
+    t = rng.integers(1, 1000, size=n)
+    rows = rng.integers(0, 9, size=n)  # every row repeats
+    g = rng.standard_normal((n, 2))
+
+    def grads(model, at_rows):
+        return value_and_grad(model, lambda tape: (eps_forward(tape, x, t, at_rows) * g).sum())[1]
+
+    # one embedding row per sample: the per-sample gradients, unscattered
+    per_sample = DenoiserParams(p.arch, p.weights, p.biases, p.cond_embed[rows])
+    want = np.zeros_like(p.cond_embed)
+    np.add.at(want, rows, grads(per_sample, np.arange(n))[-1])
+    assert grads(p, rows)[-1].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("w", [0.0, 1.0, 2.5])

@@ -12,7 +12,9 @@ from inpo.errors import ConfigError, InvalidArgument, TrainingError, VersionErro
 from inpo.preference import DeltaStrategy, make_targets, sft_loss
 from inpo.schedule import make_schedule
 from inpo.trainer import (
+    AdamState,
     AlignConfig,
+    Checkpoint,
     align,
     config_fingerprint,
     load_checkpoint,
@@ -291,6 +293,18 @@ def test_checkpoint_corrupt_header(tmp_path):
     path.write_bytes(b"GARBAGE!" + b"\x00" * 100)
     with pytest.raises(VersionError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_and_trailing_bytes(tmp_path):
+    p = init_denoiser(ARCH, 7)
+    ckpt = Checkpoint(p, AdamState.zeros_like(p.flat()), 3, b"f" * 32, "cosine", 200)
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, ckpt)
+    buf = path.read_bytes()
+    for bad, match in ((buf[:-8], "truncated checkpoint"), (buf + b"\0", "trailing bytes in checkpoint")):
+        path.write_bytes(bad)
+        with pytest.raises(VersionError, match=match):
+            load_checkpoint(path)
 
 
 def test_fingerprint_depends_on_config():
