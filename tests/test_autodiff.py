@@ -4,10 +4,12 @@ import pytest
 from inpo.autodiff import Var, softplus
 from inpo.denoiser import (
     DenoiserArch,
+    DenoiserParams,
     eps_forward,
     forward_workspace,
     init_denoiser,
     params_to_tape,
+    value_and_grad,
 )
 
 
@@ -101,6 +103,39 @@ def test_dispatch_matches_numpy_bitwise():
     assert taped.data.tobytes() == eps_forward(p, x, t, rows).tobytes()
     ws = forward_workspace(arch, 300)
     assert taped.data.tobytes() == eps_forward(p, x, t, rows, ws=ws).tobytes()
+
+
+def test_take_rows_scatter():
+    # the taped forward gathers condition-embedding rows; their gradient is
+    # scattered back, a repeated row collecting once per use
+    arch = DenoiserArch(2, (), 3, 4)
+    p = init_denoiser(arch, 0)
+    rows = np.array([0, 2, 2, 3])
+    x = np.zeros((4, 2))
+    t = np.ones(4, dtype=np.int64)
+    grads = value_and_grad(p, lambda tape: eps_forward(tape, x, t, rows).sum())[1]
+    per_use = p.weights[0][-4:].sum(axis=1)
+    assert np.allclose(grads[-1], np.array([[1], [0], [2], [1]]) * per_use)
+
+
+def test_take_rows_grad_matches_add_at_bytes():
+    # repeated embedding rows add their gradients in input order, as np.add.at
+    p = init_denoiser(DenoiserArch(2, (64, 64), 8, 16), 11)
+    rng = np.random.default_rng(11)
+    n = 1024
+    x = rng.standard_normal((n, 2))
+    t = rng.integers(1, 1000, size=n)
+    rows = rng.integers(0, 9, size=n)  # every row repeats
+    g = rng.standard_normal((n, 2))
+
+    def grads(model, at_rows):
+        return value_and_grad(model, lambda tape: (eps_forward(tape, x, t, at_rows) * g).sum())[1]
+
+    # one embedding row per sample: the per-sample gradients, unscattered
+    per_sample = DenoiserParams(p.arch, p.weights, p.biases, p.cond_embed[rows])
+    want = np.zeros_like(p.cond_embed)
+    np.add.at(want, rows, grads(per_sample, np.arange(n))[-1])
+    assert grads(p, rows)[-1].tobytes() == want.tobytes()
 
 
 def test_backward_requires_scalar():

@@ -330,26 +330,6 @@ def test_workspace_forward_is_byte_identical(n, per_row_t):
         assert eps_forward(p, x, t, rows, ws=ws).tobytes() == fresh.tobytes()
 
 
-def test_cond_embed_grad_matches_add_at_bytes():
-    # repeated embedding rows add their gradients in input order, as np.add.at
-    p = init_denoiser(BENCH_ARCH, 11)
-    rng = np.random.default_rng(11)
-    n = 1024
-    x = rng.standard_normal((n, 2))
-    t = rng.integers(1, 1000, size=n)
-    rows = rng.integers(0, 9, size=n)  # every row repeats
-    g = rng.standard_normal((n, 2))
-
-    def grads(model, at_rows):
-        return value_and_grad(model, lambda tape: (eps_forward(tape, x, t, at_rows) * g).sum())[1]
-
-    # one embedding row per sample: the per-sample gradients, unscattered
-    per_sample = DenoiserParams(p.arch, p.weights, p.biases, p.cond_embed[rows])
-    want = np.zeros_like(p.cond_embed)
-    np.add.at(want, rows, grads(per_sample, np.arange(n))[-1])
-    assert grads(p, rows)[-1].tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("w", [0.0, 1.0, 2.5])
 def test_noise_predictor_workspace_matches_unbound_forward(w):
     p = init_denoiser(BENCH_ARCH, 7)
