@@ -158,8 +158,17 @@ def _std_err(values: np.ndarray) -> float:
 
 
 def cmd_eval(cfg: Config, out: str, seed: int) -> None:
-    model_a, schedule = _load_model(_require(cfg, "eval.model_a"))
-    model_b, _ = _load_model(_require(cfg, "eval.model_b"))
+    path_a, path_b = _require(cfg, "eval.model_a"), _require(cfg, "eval.model_b")
+    model_a, schedule = _load_model(path_a)
+    model_b, schedule_b = _load_model(path_b)
+    # both models are sampled on model_a's grid and conditions
+    a, b = f"eval.model_a={path_a}", f"eval.model_b={path_b}"
+    if (schedule_b.kind, schedule_b.T) != (schedule.kind, schedule.T):
+        raise ConfigError(f"{b} has schedule {schedule_b.kind} with T={schedule_b.T} but "
+                          f"{a} has {schedule.kind} with T={schedule.T}")
+    if model_b.arch.num_conditions != model_a.arch.num_conditions:
+        raise ConfigError(f"{b} has {model_b.arch.num_conditions} conditions but "
+                          f"{a} has {model_a.arch.num_conditions}")
     spec = _reward_for(cfg, model_a)
     sampler_cfg = _sampler_cfg(cfg, schedule)
     timing = cfg["eval.timing"]

@@ -9,7 +9,7 @@ prediction and classifier-free guidance.
 
 One forward routine serves sampling and training. On DenoiserParams
 eps_forward returns an array; on TapeParams it runs the same forward on the
-tape's arrays, keeps the activations and returns one autodiff node that
+leaves' arrays, keeps the activations and returns one graph node that
 backpropagates through the network in closed form, so the differentiated
 path is arithmetically identical to the fast path. noise_predictor binds
 the conditions and the guidance branch of a batch once and returns the
@@ -316,7 +316,8 @@ def value_and_grad(params: DenoiserParams, loss_fn) -> tuple[float, list[np.ndar
     """Value of a scalar loss and its exact reverse-mode gradient with respect
     to every parameter array, in declaration order.
 
-    ``loss_fn`` receives a TapeParams and must return a scalar Var.
+    ``loss_fn`` receives a TapeParams and must return a scalar Var, such as a
+    loss head over eps_forward(tape, ...); unreached leaves get zero gradient.
     """
     tape = params_to_tape(params)
     out = loss_fn(tape)

@@ -10,11 +10,11 @@ Three losses share one pairwise core:
 
 All preference losses take the form -log sigmoid(-beta * w(t) * D) with D the
 difference of four squared prediction errors (winner/loser under the trained
-and the frozen reference model). The pairwise core accepts either plain
-parameters or tape parameters for the trained model; on tape parameters the
-network's forward is one tape node (denoiser.eps_forward) and the loss head
-above it runs on the autodiff tape. The reference must be plain parameters,
-so it never enters the tape or receives gradient.
+and the frozen reference model). Each loss head computes its value with
+numpy on the network's output; on tape parameters it returns one node over
+the network's node (denoiser.eps_forward) with a closed-form VJP, whose
+order of operations (d + d, not 2 * d) keeps aligned parameters byte-stable.
+The reference must be plain parameters and never receives gradient.
 
 Delta strategies decide how the noise estimate paired with a clean sample is
 produced: "inversion" runs the sampler's inversion, "gaussian" draws i.i.d.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Var, softplus
+from .autodiff import Var
 from .denoiser import DenoiserParams, _cond_rows, eps_forward, noise_predictor
 from .errors import InvalidArgument, NumericError
 from .sampler import ddim_invert, reconstruct_xt
@@ -88,19 +88,29 @@ def sft_loss(model, s: NoiseSchedule, batch, t_draws, eps_draws) -> float:
     c = np.broadcast_to(np.asarray(c), (x0.shape[0],))
     rows = _cond_rows(c, model.arch.num_conditions)
     x_t = forward_diffuse(s, x0, t, eps)
-    out = sft_terms(model, s, x_t, t, c, rows, eps)
-    return float(out.data if isinstance(out, Var) else out)
+    return float(sft_terms(model, s, x_t, t, c, rows, eps))
 
 
 def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps):
-    """Tape-compatible body of the denoising objective; mean over the batch.
+    """Body of the denoising objective; mean over the batch.
 
+    On TapeParams, one node: row gradient (g / B) * w(t) * (d + d), d = eps_hat - eps.
     The condition ids ``c`` are not read: ``rows`` already resolves them.
     """
-    d = eps_forward(model, x_t, t, rows) - eps
+    out = eps_forward(model, x_t, t, rows)
+    taped = isinstance(out, Var)
+    d = (out.data if taped else out) - eps
     per = (d * d).sum(axis=1)
     w = s.loss_weight[np.asarray(t)]
-    return (per * w).mean()
+    value = (per * w).mean()
+    if not taped:
+        return value
+
+    def vjp(g):
+        gd = np.broadcast_to((g / per.size) * w, per.shape)[:, None]
+        return (gd * d + gd * d,)
+
+    return Var(value, (out,), vjp)
 
 
 def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrategy, rng):
@@ -158,8 +168,10 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     """Batched pairwise loss pieces.
 
     ``theta`` may be DenoiserParams or TapeParams; ``ref`` must be plain
-    DenoiserParams and never enters the tape. Returns a dict of per-pair
-    arrays plus the scalar mean total.
+    DenoiserParams. Returns a dict of per-pair arrays plus the scalar mean
+    total, on TapeParams one node: for d = target - prediction and g_w =
+    (g / B) * sigmoid(-arg) * beta * w(t), winner rows get -g_w * (d + d),
+    losers g_w * (d + d).
     """
     if not isinstance(ref, DenoiserParams):
         raise InvalidArgument(f"reference model must be DenoiserParams, got {type(ref)}")
@@ -172,8 +184,10 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     t_stack = np.concatenate([t, t])
     rows_stack = np.concatenate([rows, rows])
 
-    eps_th = eps_forward(theta, x_stack, t_stack, rows_stack)
+    out = eps_forward(theta, x_stack, t_stack, rows_stack)
     eps_rf = eps_forward(ref, x_stack, t_stack, rows_stack)
+    taped = isinstance(out, Var)
+    eps_th = out.data if taped else out
 
     dw_t = tau_w - eps_th[:B]
     dl_t = tau_l - eps_th[B:]
@@ -186,13 +200,26 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
 
     names = ("term_w_theta", "term_w_ref", "term_l_theta", "term_l_ref")
     for name, term in zip(names, (term_w_theta, term_w_ref, term_l_theta, term_l_ref)):
-        vals = term.data if isinstance(term, Var) else term
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(term)):
             raise NumericError(f"{name} is non-finite")
 
     scale = -(beta * s.loss_weight[t])
     arg = (term_w_theta - term_w_ref - term_l_theta + term_l_ref) * scale
-    totals = softplus(-arg)
+    totals = np.logaddexp(0.0, -arg)
+    mean_total = totals.mean()
+    if taped:
+        # sigmoid(-arg), the slope of softplus at -arg, in tanh form
+        slope = 0.5 * (1.0 + np.tanh(0.5 * -arg))
+
+        def vjp(g):
+            gw = (-((g / B) * slope) * scale)[:, None]
+            gl = -gw
+            geps = np.zeros_like(eps_th)
+            geps[:B] += -(gw * dw_t + gw * dw_t)
+            geps[B:] += -(gl * dl_t + gl * dl_t)
+            return (geps,)
+
+        mean_total = Var(mean_total, (out,), vjp)
     return {
         "term_w_theta": term_w_theta,
         "term_w_ref": term_w_ref,
@@ -200,22 +227,18 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
         "term_l_ref": term_l_ref,
         "sigmoid_arg": arg,
         "totals": totals,
-        "mean_total": totals.mean(),
+        "mean_total": mean_total,
     }
 
 
 def _breakdown(terms, t) -> LossBreakdown:
-    def val(x):
-        arr = x.data if isinstance(x, Var) else np.asarray(x)
-        return float(arr.reshape(-1)[0])
-
     return LossBreakdown(
-        total=val(terms["totals"]),
-        sigmoid_arg=val(terms["sigmoid_arg"]),
-        term_w_theta=val(terms["term_w_theta"]),
-        term_w_ref=val(terms["term_w_ref"]),
-        term_l_theta=val(terms["term_l_theta"]),
-        term_l_ref=val(terms["term_l_ref"]),
+        total=float(terms["totals"][0]),
+        sigmoid_arg=float(terms["sigmoid_arg"][0]),
+        term_w_theta=float(terms["term_w_theta"][0]),
+        term_w_ref=float(terms["term_w_ref"][0]),
+        term_l_theta=float(terms["term_l_theta"][0]),
+        term_l_ref=float(terms["term_l_ref"][0]),
         t=int(t),
     )
 

@@ -232,7 +232,7 @@ def _align_window(params, ref, schedule, winners, losers, conds, cfg, rng, aux):
     def loss_fn(tape):
         terms = pair_loss_terms(tape, ref, schedule, x_t[:B], tau[:B], x_t[B:], tau[B:],
                                 t, cc, cfg.beta)
-        aux["sigmoid_arg"] = terms["sigmoid_arg"].data
+        aux["sigmoid_arg"] = terms["sigmoid_arg"]
         return terms["mean_total"]
 
     return loss_fn

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inpo.autodiff import Var, softplus
+from inpo.autodiff import Var
 from inpo.denoiser import (
     DenoiserArch,
     DenoiserParams,
@@ -11,6 +11,10 @@ from inpo.denoiser import (
     params_to_tape,
     value_and_grad,
 )
+from inpo.preference import pair_loss_terms, sft_terms
+from inpo.schedule import make_schedule
+
+from conftest import make_linear_model
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -28,64 +32,140 @@ def numeric_grad(f, x, h=1e-6):
     return g
 
 
-def check(f_var, f_np, shape, seed=0, tol=1e-6):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(shape)
-    v = Var(x.copy())
-    out = f_var(v)
-    out.backward()
-    num = numeric_grad(f_np, x.copy())
-    assert np.max(np.abs(out.grad is not None and v.grad - num)) < tol
+def head(node, g):
+    """A scalar node sum(node * g): backward hands ``node`` the upstream
+    gradient ``g``."""
+    return Var((node.data * g).sum(), (node,), lambda up: (up * g,))
+
+
+# The loss heads see the network only through its output. output_net(y) is
+# an affine network whose output on the identity input X is exactly y, so
+# the gradient of its first N weight rows is the head's gradient with
+# respect to the output, and a plain-numpy formula of y is an oracle of the
+# head's value. The pair heads stack N // 2 winner rows over as many loser
+# rows, each of width N.
+N = 6
+B = N // 2
+X = np.eye(N)
+T = np.arange(10, 70, 10)
+ROWS = np.zeros(N, dtype=np.int64)
+S = make_schedule("cosine", 100)
+S_SNR = make_schedule("cosine", 100, "snr")
+_draws = np.random.default_rng(7)
+EPS = _draws.standard_normal((N, N))
+TAU_W, TAU_L = _draws.standard_normal((2, B, N))
+Y_REF = _draws.standard_normal((N, N))
+
+
+def output_net(y):
+    return make_linear_model(y.T)
+
+
+REF = output_net(Y_REF)
+
+
+def sft(s):
+    return lambda m: sft_terms(m, s, X, T, ROWS, ROWS, EPS)
+
+
+def sft_np(s):
+    return lambda y: (s.loss_weight[T] * ((y - EPS) ** 2).sum(axis=1)).mean()
+
+
+def pair(s, beta, tau_w=TAU_W, tau_l=TAU_L):
+    return lambda m: pair_loss_terms(m, REF, s, X[:B], tau_w, X[B:], tau_l, T[:B], 0,
+                                     beta)["mean_total"]
+
+
+def _pair_value(y, s, beta, tau_w, tau_l):
+    def term(tau, out):
+        return ((tau - out) ** 2).sum(axis=1)
+
+    D = (term(tau_w, y[:B]) - term(tau_w, Y_REF[:B])
+         - term(tau_l, y[B:]) + term(tau_l, Y_REF[B:]))
+    return np.logaddexp(0.0, beta * s.loss_weight[T[:B]] * D).mean()
+
+
+def pair_np(s, beta, tau_w=TAU_W, tau_l=TAU_L):
+    return lambda y: _pair_value(y, s, beta, tau_w, tau_l)
+
+
+def check(f_var, f_np, seed=0, tol=1e-6):
+    y = np.random.default_rng(seed).standard_normal((N, N))
+    val, grads = value_and_grad(output_net(y), f_var)
+    assert val == pytest.approx(f_np(y), rel=1e-12)
+    num = numeric_grad(f_np, y.copy())
+    assert np.max(np.abs(grads[0][:N] - num)) < tol
 
 
 @pytest.mark.parametrize(
     "f_var,f_np",
     [
-        (lambda v: (v * v).sum(), lambda x: (x * x).sum()),
-        (lambda v: (v + 2.0 * v).mean(), lambda x: (x + 2.0 * x).mean()),
-        (lambda v: (v - 0.5).sum(), lambda x: (x - 0.5).sum()),
-        (lambda v: (-v * v).sum(), lambda x: (-x * x).sum()),
-        (lambda v: softplus(v).sum(), lambda x: np.logaddexp(0, x).sum()),
-        (lambda v: (v**2).sum(), lambda x: (x**2).sum()),
+        # the heads' elementwise arithmetic (differences, squares, row
+        # weights, means, softplus) differentiated in closed form
+        (sft(S), sft_np(S)),
+        (sft(S_SNR), sft_np(S_SNR)),
+        (pair(S, 1.0), pair_np(S, 1.0)),
+        (pair(S_SNR, 0.1), pair_np(S_SNR, 0.1)),
+        (pair(S, 1.0, TAU_L, TAU_W), pair_np(S, 1.0, TAU_L, TAU_W)),
+        (pair(S, 0.0), pair_np(S, 0.0)),
     ],
 )
 def test_elementwise_ops(f_var, f_np):
-    check(f_var, f_np, (4, 3))
+    check(f_var, f_np)
 
 
 def test_bias_broadcast_grad():
+    # the network adds each bias to every row; the bias collects every row's
+    # gradient
+    p = init_denoiser(DenoiserArch(3, (), 2, 4), 2)
     rng = np.random.default_rng(2)
-    h = rng.standard_normal((5, 3))
-    b = rng.standard_normal(3)
-    vb = Var(b.copy())
-    out = (Var(h) + vb).sum()
-    out.backward()
-    assert np.allclose(vb.grad, np.full(3, 5.0))
+    x = rng.standard_normal((5, 3))
+    t = np.arange(1, 6)
+    rows = np.array([0, 1, 2, 0, 1])
+    grads = value_and_grad(p, lambda tape: head(eps_forward(tape, x, t, rows), np.ones((5, 3))))[1]
+    assert np.allclose(grads[1], np.full(3, 5.0))
 
 
 def test_row_weight_broadcast_grad():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((4, 2))
-    w = rng.standard_normal(4)
-    v = Var(x.copy())
-    out = (v * w[:, None]).sum()
-    out.backward()
-    assert np.allclose(v.grad, np.tile(w[:, None], (1, 2)))
+    # the denoising head weights row i by w(t_i) across all its columns
+    y = np.random.default_rng(3).standard_normal((N, N))
+    grads = value_and_grad(output_net(y), sft(S_SNR))[1]
+    w = S_SNR.loss_weight[T]
+    assert np.allclose(grads[0][:N], (2.0 / N) * w[:, None] * (y - EPS), rtol=1e-12, atol=0)
 
 
 def test_getitem_slice_grad():
-    v = Var(np.arange(8, dtype=float).reshape(4, 2))
-    out = (v[:2] * 2.0).sum() + v[2:].sum()
-    out.backward()
-    assert np.allclose(v.grad, [[2, 2], [2, 2], [1, 1], [1, 1]])
+    # the pair head reads winners from the first half of the stacked output
+    # and losers from the second; each half receives its own gradient
+    y = np.random.default_rng(4).standard_normal((N, N))
+    grads = value_and_grad(output_net(y), pair(S_SNR, 0.1))[1]
+    terms = pair_loss_terms(output_net(y), REF, S_SNR, X[:B], TAU_W, X[B:], TAU_L, T[:B], 0, 0.1)
+    scale = -0.1 * S_SNR.loss_weight[T[:B]]
+    g_w = (-(1.0 / B) * scale / (1.0 + np.exp(terms["sigmoid_arg"])))[:, None]
+    assert np.allclose(grads[0][:B], -2.0 * g_w * (TAU_W - y[:B]), rtol=1e-12, atol=0)
+    assert np.allclose(grads[0][B:N], 2.0 * g_w * (TAU_L - y[B:]), rtol=1e-12, atol=0)
 
 
 def test_shared_node_accumulates():
-    v = Var(np.array(3.0))
-    out = v * v + v * 2.0
-    out.backward()
-    assert out.grad == 1.0
-    assert v.grad == 2 * 3.0 + 2.0
+    # two network nodes over the same leaves: every leaf gets the sum of
+    # the gradients each node alone gives it
+    p = init_denoiser(DenoiserArch(2, (8,), 3, 4), 6)
+    rng = np.random.default_rng(6)
+    x1, x2, g1, g2 = rng.standard_normal((4, 4, 2))
+    t = np.array([3, 30, 300, 30])
+    rows = np.array([0, 3, 1, 1])
+
+    def both(tape):
+        n1, n2 = eps_forward(tape, x1, t, rows), eps_forward(tape, x2, t, rows)
+        value = head(n1, g1).data + head(n2, g2).data
+        return Var(value, (n1, n2), lambda up: (up * g1, up * g2))
+
+    _, grads = value_and_grad(p, both)
+    _, a = value_and_grad(p, lambda tape: head(eps_forward(tape, x1, t, rows), g1))
+    _, b = value_and_grad(p, lambda tape: head(eps_forward(tape, x2, t, rows), g2))
+    for g, ga, gb in zip(grads, a, b):
+        assert g.tobytes() == (ga + gb).tobytes()
 
 
 def test_dispatch_matches_numpy_bitwise():
@@ -113,7 +193,7 @@ def test_take_rows_scatter():
     rows = np.array([0, 2, 2, 3])
     x = np.zeros((4, 2))
     t = np.ones(4, dtype=np.int64)
-    grads = value_and_grad(p, lambda tape: eps_forward(tape, x, t, rows).sum())[1]
+    grads = value_and_grad(p, lambda tape: head(eps_forward(tape, x, t, rows), np.ones((4, 2))))[1]
     per_use = p.weights[0][-4:].sum(axis=1)
     assert np.allclose(grads[-1], np.array([[1], [0], [2], [1]]) * per_use)
 
@@ -129,7 +209,7 @@ def test_take_rows_grad_matches_add_at_bytes():
     g = rng.standard_normal((n, 2))
 
     def grads(model, at_rows):
-        return value_and_grad(model, lambda tape: (eps_forward(tape, x, t, at_rows) * g).sum())[1]
+        return value_and_grad(model, lambda tape: head(eps_forward(tape, x, t, at_rows), g))[1]
 
     # one embedding row per sample: the per-sample gradients, unscattered
     per_sample = DenoiserParams(p.arch, p.weights, p.biases, p.cond_embed[rows])

@@ -1,0 +1,60 @@
+"""The benchmark's hooks into the package resolve.
+
+perfbench/spans.py wraps package functions by (module, name), wraps
+Var.backward, tells taped forwards apart by TapeParams and hands
+value_and_grad a wrapped loss_fn. A change that renames or removes any of
+them breaks traced benchmark runs; these tests make it fail here first.
+"""
+import importlib
+import importlib.util
+import inspect
+import os
+import sys
+
+import numpy as np
+import pytest
+
+import inpo.cli  # noqa: F401  (the tracer scans every loaded inpo module)
+from inpo.autodiff import Var
+from inpo.denoiser import DenoiserArch, TapeParams, init_denoiser
+from inpo.preference import sft_terms
+from inpo.schedule import make_schedule
+
+SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench", "spans.py")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_span_target_resolves(spans):
+    for mod_name, attr, *_ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(mod_name), attr)), f"{mod_name}.{attr}"
+
+
+def test_tape_hooks_resolve():
+    assert callable(Var.__dict__["backward"])
+    assert inspect.isclass(TapeParams)
+
+
+def test_traced_gradient_records_the_tape_spans(spans):
+    p = init_denoiser(DenoiserArch(2, (8,), 2, 4), 0)
+    s = make_schedule("cosine", 100)
+    x, t, c = np.zeros((4, 2)), np.array([5, 6, 7, 8]), np.zeros(4, dtype=np.int64)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sys.modules["inpo.trainer"].value_and_grad(
+            p, lambda tape: sft_terms(tape, s, x, t, c, c, x))
+    finally:
+        tracer.uninstall()
+    names = [sp[0] for sp in tracer.spans]
+    for name in ("denoiser.value_and_grad", "autodiff.tape_forward",
+                 "denoiser.eps_forward.taped", "autodiff.backward"):
+        assert names.count(name) == 1, name
+    assert spans.installed_wrappers() == []

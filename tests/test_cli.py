@@ -247,3 +247,40 @@ def test_reward_target_count_must_match_model_conditions(tmp_path, capsys):
         assert "reward has 8 targets but the model has 2 conditions" in capsys.readouterr().err
     assert run(["make-prefs", "--out", str(tmp_path / "ok"), "--set", f"prefs.model={model}",
                 "--set", "data.kind=two_moons"]) == 0
+
+
+def _pretrain(out, *sets):
+    assert main(["pretrain", "--out", str(out), "--seed", "1", *TINY,
+                 "--set", "pretrain.steps=20", *sets]) == 0
+    return f"{out}/base.params"
+
+
+def _eval(tmp_path, model_a, model_b):
+    out = tmp_path / "eval"
+    code = run(["eval", "--out", str(out), "--set", f"eval.model_a={model_a}",
+                "--set", f"eval.model_b={model_b}"])
+    return code, out
+
+
+def test_eval_rejects_models_on_different_schedules(tmp_path, capsys):
+    # model_b would be sampled on model_a's grid, which it was not trained on
+    a = _pretrain(tmp_path / "t120")
+    b = _pretrain(tmp_path / "t500", "--set", "schedule.T=500")
+    capsys.readouterr()
+    code, out = _eval(tmp_path, a, b)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"eval.model_b={b} has schedule cosine with T=500" in err
+    assert f"eval.model_a={a} has cosine with T=120" in err
+    assert not (out / "report.json").exists()
+
+
+def test_eval_rejects_models_with_different_condition_counts(tmp_path, capsys):
+    a = _pretrain(tmp_path / "gauss")
+    b = _pretrain(tmp_path / "moons", "--set", "data.kind=two_moons")
+    capsys.readouterr()
+    code, out = _eval(tmp_path, a, b)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"eval.model_b={b} has 2 conditions but eval.model_a={a} has 8" in err
+    assert not (out / "report.json").exists()

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import inpo.denoiser as denoiser_mod
+from inpo.autodiff import Var
 from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
+    _cond_rows,
     DenoiserParams,
     eps_forward,
     forward_workspace,
@@ -22,6 +24,8 @@ from inpo.denoiser import (
     value_and_grad,
 )
 from inpo.errors import InvalidArgument, NumericError, VersionError
+from inpo.preference import sft_terms
+from inpo.schedule import make_schedule
 
 from conftest import finite_diff, make_linear_model, max_rel_err
 
@@ -132,61 +136,76 @@ def test_non_integer_condition_rejected_not_truncated(c):
 
 
 def test_value_and_grad_constant_loss_is_zero():
+    # a reached leaf given a zero gradient and the leaves the loss never
+    # reaches all come back as zeros of their own shapes
     p = init_denoiser(ARCH, 5)
 
     def loss(tape):
-        return (tape.weights[0] * 0.0).sum()
+        w = tape.weights[0]
+        return Var(0.0, (w,), lambda g: (g * np.zeros_like(w.data),))
 
     val, grads = value_and_grad(p, loss)
     assert val == 0.0
+    assert [g.shape for g in grads] == [a.shape for a in p.flat()]
     assert all(np.all(g == 0) for g in grads)
 
 
 def test_value_and_grad_quadratic_probe():
+    # (w0[0, 0] - a)^2 + 3 * embed[1, 2] through one node whose parents are
+    # listed out of declaration order; gradients come back in declaration order
     p = init_denoiser(ARCH, 5)
     a = 0.37
 
     def loss(tape):
-        return ((tape.weights[0][0:1, 0:1] - a) ** 2).sum()
+        w, e = tape.weights[0], tape.cond_embed
+        r = w.data[0, 0] - a
+
+        def vjp(g):
+            ge, gw = np.zeros_like(e.data), np.zeros_like(w.data)
+            ge[1, 2] = 3.0 * g
+            gw[0, 0] = 2.0 * r * g
+            return ge, gw
+
+        return Var(r * r + 3.0 * e.data[1, 2], (e, w), vjp)
 
     val, grads = value_and_grad(p, loss)
-    assert val == pytest.approx((p.weights[0][0, 0] - a) ** 2, rel=1e-12)
-    expect = 2 * (p.weights[0][0, 0] - a)
-    assert grads[0][0, 0] == pytest.approx(expect, rel=1e-12)
+    want = (p.weights[0][0, 0] - a) ** 2 + 3.0 * p.cond_embed[1, 2]
+    assert val == pytest.approx(want, rel=1e-12)
+    assert grads[0][0, 0] == pytest.approx(2 * (p.weights[0][0, 0] - a), rel=1e-12)
     assert np.all(grads[0].reshape(-1)[1:] == 0)
-    assert all(np.all(g == 0) for g in grads[1:])
+    assert grads[-1][1, 2] == 3.0
+    assert np.count_nonzero(grads[-1]) == 1
+    assert all(np.all(g == 0) for g in grads[1:-1])
 
 
 def test_value_and_grad_nonfinite_raises():
     p = init_denoiser(ARCH, 5)
     with pytest.raises(NumericError):
-        value_and_grad(p, lambda tape: (tape.weights[0] * np.inf).sum())
+        value_and_grad(p, lambda tape: Var(np.inf, (tape.weights[0],), lambda g: (g,)))
 
 
 @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)], ids=["none", "6", "6-5"])
 def test_gradient_check_prediction_mse(hidden):
-    # reverse-mode gradients of a squared-error loss through the full network
-    # vs central finite differences, 20 random draws
+    # reverse-mode gradients of the denoising head (a squared-error loss
+    # under constant weights) through the full network vs central finite
+    # differences, 20 random draws
     arch = DenoiserArch(2, hidden, 3, 4)
+    s = make_schedule("cosine", 50)
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(100 + trial)
         p = init_denoiser(arch, trial)
         x = rng.standard_normal((5, 2))
         t = rng.integers(0, 50, size=5)
-        rows = rng.integers(0, 4, size=5)
+        c = rng.integers(-1, 3, size=5)
+        rows = _cond_rows(c, 3)
         target = rng.standard_normal((5, 2))
 
-        def loss_np(params):
-            d = eps_forward(params, x, t, rows) - target
-            return float((d * d).sum(axis=1).mean())
+        def loss(model):
+            return sft_terms(model, s, x, t, c, rows, target)
 
-        def loss_tape(tape):
-            d = eps_forward(tape, x, t, rows) - target
-            return (d * d).sum(axis=1).mean()
-
-        _, ad = value_and_grad(p, loss_tape)
-        fd = finite_diff(p, loss_np)
+        _, ad = value_and_grad(p, loss)
+        fd = finite_diff(p, lambda q: float(loss(q)))
         worst = max(worst, max_rel_err(ad, fd))
     assert worst < 1e-4
 
