@@ -7,6 +7,16 @@ tanh hidden layers. Condition ids live in [0, num_conditions); the reserved
 id NULL_CONDITION selects a learned null embedding used for unconditional
 prediction and classifier-free guidance.
 
+A model's parameters are one contiguous float64 vector, DenoiserParams.vec,
+laid out in declaration order (per layer the weight matrix, then the bias;
+the condition-embedding table last), which is also the order of the
+parameter file. ``weights``, ``biases`` and ``cond_embed`` are reshaped views
+of it, so the optimizer updates the whole model with a few whole-vector
+operations and the file is a header followed by the vector's bytes. The
+structure is frozen, with tuples of views, so no attribute can be rebound to
+an array outside ``vec``; writing through a view in place still changes
+``vec``, as finite-difference checks do.
+
 One forward routine serves sampling and training. On DenoiserParams
 eps_forward returns an array; on TapeParams it runs the same forward on the
 leaves' arrays, keeps the activations and returns one graph node that
@@ -26,8 +36,10 @@ values, and the returned noise prediction is always a fresh array.
 """
 from __future__ import annotations
 
+import functools
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,33 +79,63 @@ class DenoiserArch:
         return n + (self.num_conditions + 1) * self.time_embed_dim
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DenoiserParams:
-    """Network weights. Treated as an immutable value between update steps."""
+    """Network weights: the parameter vector ``vec`` and, derived from it,
+    the per-array views ``weights``, ``biases`` and ``cond_embed`` (see the
+    module docstring). from_arrays builds one from separate arrays."""
 
     arch: DenoiserArch
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    cond_embed: np.ndarray
+    vec: np.ndarray
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    cond_embed: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        vec = self.vec
+        if (not isinstance(vec, np.ndarray) or vec.dtype != np.float64
+                or vec.shape != (self.arch.param_count(),) or not vec.flags.c_contiguous):
+            raise InvalidArgument(
+                f"parameter vector must be a contiguous float64 array of "
+                f"{self.arch.param_count()} values")
+        views = [vec[start:stop].reshape(shape) for start, stop, shape in _layout(self.arch)]
+        object.__setattr__(self, "weights", tuple(views[0:-1:2]))
+        object.__setattr__(self, "biases", tuple(views[1:-1:2]))
+        object.__setattr__(self, "cond_embed", views[-1])
+
+    @classmethod
+    def from_arrays(cls, arch: DenoiserArch, weights, biases, cond_embed) -> "DenoiserParams":
+        """Copy per-layer weights and biases and the embedding table into one vector."""
+        arrays = [a for wb in zip(weights, biases) for a in wb] + [cond_embed]
+        if [np.shape(a) for a in arrays] != [shape for _, _, shape in _layout(arch)]:
+            raise InvalidArgument(f"parameter arrays do not match the architecture {arch}")
+        return cls(arch, np.concatenate(arrays, axis=None, dtype=np.float64))
 
     def flat(self) -> list[np.ndarray]:
-        """All parameter arrays in declaration order."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        out.append(self.cond_embed)
-        return out
+        """All parameter arrays in declaration order, as views of ``vec``."""
+        return [a for wb in zip(self.weights, self.biases) for a in wb] + [self.cond_embed]
 
     def copy(self) -> "DenoiserParams":
-        return DenoiserParams(
-            arch=self.arch,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            cond_embed=self.cond_embed.copy(),
-        )
+        return DenoiserParams(self.arch, self.vec.copy())
 
     def n_params(self) -> int:
-        return sum(a.size for a in self.flat())
+        return self.vec.size
+
+
+@functools.cache
+def _layout(arch: DenoiserArch) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) in the parameter vector of each parameter array,
+    in declaration order."""
+    shapes = []
+    for fan_in, fan_out in arch.layer_dims():
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    shapes.append((arch.num_conditions + 1, arch.time_embed_dim))
+    out, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        out.append((start, stop, shape))
+        start = stop
+    return tuple(out)
 
 
 @dataclass
@@ -131,7 +173,7 @@ def init_denoiser(arch: DenoiserArch, seed: int) -> DenoiserParams:
         weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
         biases.append(np.zeros(fan_out))
     cond_embed = 0.5 * rng.standard_normal((arch.num_conditions + 1, arch.time_embed_dim))
-    return DenoiserParams(arch=arch, weights=weights, biases=biases, cond_embed=cond_embed)
+    return DenoiserParams.from_arrays(arch, weights, biases, cond_embed)
 
 
 _FREQ_CACHE: dict[int, np.ndarray] = {}
@@ -333,8 +375,8 @@ def value_and_grad(params: DenoiserParams, loss_fn) -> tuple[float, list[np.ndar
 
 
 # ---------------------------------------------------------------------------
-# parameter file format: little-endian, versioned header, then float64 arrays
-# in declaration order
+# parameter file format: little-endian, versioned header, then the float64
+# parameter vector
 
 
 def _pack_header(params: DenoiserParams, schedule_kind: str, T: int) -> bytes:
@@ -356,10 +398,8 @@ def _pack_header(params: DenoiserParams, schedule_kind: str, T: int) -> bytes:
 
 
 def params_to_bytes(params: DenoiserParams, schedule_kind: str, T: int) -> bytes:
-    blobs = [_pack_header(params, schedule_kind, T)]
-    for arr in params.flat():
-        blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(blobs)
+    vec = np.ascontiguousarray(params.vec, dtype="<f8")
+    return _pack_header(params, schedule_kind, T) + vec.tobytes()
 
 
 class _Reader:
@@ -418,16 +458,11 @@ def params_from_bytes(buf: bytes) -> tuple[DenoiserParams, str, int]:
     if kind not in SCHEDULE_KINDS or T < 2:
         raise VersionError(f"malformed parameter file header: schedule {kind!r} with T={T}")
 
-    weights, biases = [], []
-    for fan_in, fan_out in arch.layer_dims():
-        weights.append(r.f8((fan_in, fan_out)))
-        biases.append(r.f8((fan_out,)))
-    cond_embed = r.f8((num_conditions + 1, time_embed_dim))
+    vec = r.f8((arch.param_count(),))
     r.end()
-    params = DenoiserParams(arch=arch, weights=weights, biases=biases, cond_embed=cond_embed)
-    for arr in params.flat():
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("parameter file contains non-finite values")
+    if not np.all(np.isfinite(vec)):
+        raise NumericError("parameter file contains non-finite values")
+    params = DenoiserParams(arch, vec)
     return params, kind, T
 
 
@@ -445,6 +480,4 @@ def load_params(path, expect_arch: DenoiserArch | None = None):
 
 
 def params_equal(a: DenoiserParams, b: DenoiserParams) -> bool:
-    return a.arch == b.arch and all(
-        np.array_equal(x, y) for x, y in zip(a.flat(), b.flat())
-    )
+    return a.arch == b.arch and np.array_equal(a.vec, b.vec)

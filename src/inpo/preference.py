@@ -164,6 +164,14 @@ def make_targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng
     return reconstruct_xt(s, x0, delta, t), delta
 
 
+def _check_same_arch(theta, ref) -> None:
+    """The reference is evaluated at the trained model's embedding rows, so
+    the two must share one architecture."""
+    if ref.arch != theta.arch:
+        raise InvalidArgument(
+            f"reference architecture {ref.arch} differs from the trained model's {theta.arch}")
+
+
 def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c, beta):
     """Batched pairwise loss pieces.
 
@@ -175,6 +183,7 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     """
     if not isinstance(ref, DenoiserParams):
         raise InvalidArgument(f"reference model must be DenoiserParams, got {type(ref)}")
+    _check_same_arch(theta, ref)
     x_tw, x_tl = _as_rows(x_tw), _as_rows(x_tl)
     tau_w, tau_l = _as_rows(tau_w), _as_rows(tau_l)
     B = x_tw.shape[0]
@@ -275,6 +284,7 @@ def dpo_diffusion_loss(p, ref, s, pair, t, eps_w, eps_l, beta) -> LossBreakdown:
 def implicit_reward(p, ref, s, x0, c, t_draws, strategy: DeltaStrategy, beta, rng) -> float:
     """Monte Carlo estimate of the preference reward of one sample, up to the
     per-timestep normalizer that cancels when rewards are compared."""
+    _check_same_arch(p, ref)
     t_draws = np.asarray(t_draws)
     if t_draws.size == 0:
         raise InvalidArgument("t_draws must be nonempty")

@@ -20,6 +20,13 @@ non-finite.
 
 Per optimizer step, gradients are averaged over batch_pairs * accum_steps
 pair evaluations, each at an independently drawn timestep in {t_min..T}.
+
+The optimizer runs on whole parameter vectors (DenoiserParams.vec). Each
+window's per-array gradients are copied into one gradient vector, checked
+for finiteness once and added in place into the step's sum; Adam's moments
+are vectors of the same layout and adam_step updates the parameters in place.
+The gradient vectors and Adam's scratch pair are allocated once per training
+loop and reused on every step.
 """
 from __future__ import annotations
 
@@ -88,16 +95,19 @@ class AlignConfig:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam's first and second moments, vectors laid out like the parameter
+    vector, and the number of steps taken."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @staticmethod
-    def zeros_like(flat) -> "AdamState":
-        return AdamState(m=[np.zeros_like(a) for a in flat], v=[np.zeros_like(a) for a in flat])
+    def zeros_like(vec: np.ndarray) -> "AdamState":
+        return AdamState(m=np.zeros_like(vec), v=np.zeros_like(vec))
 
     def copy(self) -> "AdamState":
-        return AdamState(m=[a.copy() for a in self.m], v=[a.copy() for a in self.v], t=self.t)
+        return AdamState(m=self.m.copy(), v=self.v.copy(), t=self.t)
 
 
 @dataclass
@@ -110,14 +120,33 @@ class Checkpoint:
     T: int
 
 
-def adam_step(flat, grads, state: AdamState, lr: float, b1=0.9, b2=0.999, eps=1e-8):
+def adam_step(vec, grad, state: AdamState, lr: float, work, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam update of the parameter vector ``vec`` in place.
+
+    ``work`` is a pair of scratch vectors of vec's size, overwritten. Each
+    element is computed as m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), one whole-vector ufunc per
+    operation.
+    """
     state.t += 1
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(flat, grads, state.m, state.v):
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.m, state.v
+    a, b = work
+    m *= b1
+    np.multiply(grad, 1.0 - b1, out=a)
+    m += a
+    v *= b2
+    np.multiply(grad, 1.0 - b2, out=a)
+    a *= grad
+    v += a
+    np.divide(m, c1, out=a)
+    a *= lr
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    vec -= a
 
 
 def warmup_lr(lr: float, step: int, warmup_steps: int) -> float:
@@ -130,10 +159,18 @@ def _step_rng(seed: int, domain: int, step: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), domain, int(step)]))
 
 
-def _check_grads(grads, step: int):
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingError("non-finite gradient", step)
+def _step_buffers(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """A gradient vector and adam_step's scratch pair, for n parameters."""
+    return np.empty(n), (np.empty(n), np.empty(n))
+
+
+def _flat_grad(grads, out: np.ndarray, step: int) -> np.ndarray:
+    """Copy value_and_grad's per-array gradients into ``out``, in declaration
+    order, and reject a non-finite one."""
+    np.concatenate(grads, axis=None, out=out)
+    if not np.isfinite(out).all():
+        raise TrainingError("non-finite gradient", step)
+    return out
 
 
 def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, steps: int,
@@ -144,7 +181,8 @@ def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, step
     order, from its own stream; a dropped condition becomes the null one.
     """
     arch = params.arch
-    adam = AdamState.zeros_like(params.flat())
+    adam = AdamState.zeros_like(params.vec)
+    grad, work = _step_buffers(params.vec.size)
     for step in range(steps):
         rng = _step_rng(seed, domain, step)
         idx = rng.integers(0, len(X), size=batch)
@@ -160,8 +198,7 @@ def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, step
             )
         except ArithmeticError as e:
             raise TrainingError(str(e), step) from e
-        _check_grads(grads, step)
-        adam_step(params.flat(), grads, adam, lr)
+        adam_step(params.vec, _flat_grad(grads, grad, step), adam, lr, work)
     return params
 
 
@@ -264,17 +301,19 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         start = resume.step
     else:
         params = base.copy()
-        adam = AdamState.zeros_like(base.flat())
+        adam = AdamState.zeros_like(params.vec)
         start = 0
+    gsum, work = _step_buffers(params.vec.size)
+    # windows after the first are copied here and added into gsum
+    grad = np.empty_like(gsum) if cfg.accum_steps > 1 else None
 
     rows_log = []
     for step in range(start, cfg.steps):
         tick = time.perf_counter()
         rng = _step_rng(cfg.seed, _ALIGN_DOMAIN, step)
-        gsum = None
         loss_sum = 0.0
         arg_sum = 0.0
-        for _ in range(cfg.accum_steps):
+        for k in range(cfg.accum_steps):
             aux = {}
             try:
                 loss_fn = _align_window(
@@ -283,14 +322,17 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
                 val, grads = value_and_grad(params, loss_fn)
             except ArithmeticError as e:
                 raise TrainingError(f"{e}{_bad_pair(aux)}", step) from e
-            _check_grads(grads, step)
+            if k:
+                gsum += _flat_grad(grads, grad, step)
+            else:
+                _flat_grad(grads, gsum, step)
             loss_sum += val
             arg = aux.get("sigmoid_arg")
             arg_sum += float(arg.mean()) if arg is not None else 0.0
-            gsum = grads if gsum is None else [a + b for a, b in zip(gsum, grads)]
-        grads = [g / cfg.accum_steps for g in gsum]
+        if cfg.accum_steps > 1:
+            gsum /= cfg.accum_steps
         lr_t = warmup_lr(cfg.lr, step, cfg.warmup_steps)
-        adam_step(params.flat(), grads, adam, lr_t)
+        adam_step(params.vec, gsum, adam, lr_t, work)
         wall_ms = (time.perf_counter() - tick) * 1e3
         rows_log.append(
             (step, lr_t, loss_sum / cfg.accum_steps, arg_sum / cfg.accum_steps, wall_ms)
@@ -348,8 +390,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(struct.pack("<Q", ckpt.adam.t))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for arr in ckpt.adam.m + ckpt.adam.v:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for vec in (ckpt.adam.m, ckpt.adam.v):
+            fh.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -364,8 +406,8 @@ def load_checkpoint(path) -> Checkpoint:
     step = r.u64()
     adam_t = r.u64()
     params, kind, T = params_from_bytes(r.take(r.u64()))
-    m = [r.f8(arr.shape) for arr in params.flat()]
-    v = [r.f8(arr.shape) for arr in params.flat()]
+    m = r.f8(params.vec.shape)
+    v = r.f8(params.vec.shape)
     r.end()
     return Checkpoint(
         params=params,

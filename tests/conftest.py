@@ -4,7 +4,12 @@ end-to-end tests."""
 import numpy as np
 import pytest
 
-from inpo.denoiser import NULL_CONDITION, DenoiserArch, init_denoiser, predict_noise
+from inpo.denoiser import (
+    NULL_CONDITION,
+    DenoiserArch,
+    DenoiserParams,
+    predict_noise,
+)
 from inpo.errors import InvalidArgument, NumericError
 from inpo.schedule import check_timestep, make_schedule
 
@@ -18,13 +23,11 @@ def make_linear_model(A, num_conditions=1, time_embed_dim=4, b=None):
     A = np.asarray(A, dtype=np.float64)
     d = A.shape[0]
     arch = DenoiserArch(d, (), num_conditions, time_embed_dim)
-    p = init_denoiser(arch, 0)
-    W = np.zeros_like(p.weights[0])
+    W = np.zeros((d + 2 * time_embed_dim, d))
     W[:d, :] = A.T
-    p.weights[0] = W
-    p.biases[0] = np.zeros(d) if b is None else np.asarray(b, dtype=np.float64).copy()
-    p.cond_embed = np.zeros_like(p.cond_embed)
-    return p
+    bias = np.zeros(d) if b is None else np.asarray(b, dtype=np.float64)
+    cond_embed = np.zeros((num_conditions + 1, time_embed_dim))
+    return DenoiserParams.from_arrays(arch, [W], [bias], cond_embed)
 
 
 def zero_model(d=2, num_conditions=1):
@@ -42,11 +45,11 @@ def make_tanh_model(W, time_embed_dim=4):
     layer of width d and an identity output layer."""
     W = np.asarray(W, dtype=np.float64)
     d = W.shape[0]
-    p = make_linear_model(W, time_embed_dim=time_embed_dim)
-    p.arch = DenoiserArch(d, (d,), 1, time_embed_dim)
-    p.weights.append(np.eye(d))
-    p.biases.append(np.zeros(d))
-    return p
+    lin = make_linear_model(W, time_embed_dim=time_embed_dim)
+    arch = DenoiserArch(d, (d,), 1, time_embed_dim)
+    return DenoiserParams.from_arrays(
+        arch, [lin.weights[0], np.eye(d)], [lin.biases[0], np.zeros(d)], lin.cond_embed
+    )
 
 
 def finite_diff(params, loss_np, h=1e-4):
@@ -65,6 +68,19 @@ def finite_diff(params, loss_np, h=1e-4):
             gf[i] = (hi - lo) / (2 * h)
         grads.append(g)
     return grads
+
+
+def oracle_adam_step(flat, grads, state, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as one update per parameter array: ``flat`` and ``grads`` are
+    lists of arrays, ``state`` has lists ``m`` and ``v`` of the same shapes
+    and a step count ``t``. Byte oracle for the whole-vector adam_step."""
+    state.t += 1
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
+    for p, g, m, v in zip(flat, grads, state.m, state.v):
+        m[...] = b1 * m + (1.0 - b1) * g
+        v[...] = b2 * v + (1.0 - b2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def max_rel_err(ad, fd):

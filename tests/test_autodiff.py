@@ -212,7 +212,9 @@ def test_take_rows_grad_matches_add_at_bytes():
         return value_and_grad(model, lambda tape: head(eps_forward(tape, x, t, at_rows), g))[1]
 
     # one embedding row per sample: the per-sample gradients, unscattered
-    per_sample = DenoiserParams(p.arch, p.weights, p.biases, p.cond_embed[rows])
+    per_sample = DenoiserParams.from_arrays(
+        DenoiserArch(2, (64, 64), n - 1, 16), p.weights, p.biases, p.cond_embed[rows]
+    )
     want = np.zeros_like(p.cond_embed)
     np.add.at(want, rows, grads(per_sample, np.arange(n))[-1])
     assert grads(p, rows)[-1].tobytes() == want.tobytes()

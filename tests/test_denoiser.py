@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
     _cond_rows,
+    _pack_header,
     DenoiserParams,
     eps_forward,
     forward_workspace,
@@ -219,6 +221,58 @@ def test_params_file_round_trip(tmp_path):
     assert params_equal(p, q)
     for a, b in zip(p.flat(), q.flat()):
         assert a.tobytes() == b.tobytes()
+
+
+def test_params_views_cannot_be_rebound():
+    p = init_denoiser(ARCH, 0)
+    with pytest.raises(TypeError):
+        p.weights[0] = np.zeros_like(p.weights[0])
+    with pytest.raises(TypeError):
+        p.biases[0] = np.zeros_like(p.biases[0])
+    for name in ("cond_embed", "arch", "vec", "weights"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, getattr(p, name))
+
+
+def test_params_arrays_are_views_of_one_vector():
+    p = init_denoiser(DenoiserArch(2, (8, 4), 3, 6), 9)
+    assert p.vec.shape == (p.arch.param_count(),)
+    assert all(np.shares_memory(a, p.vec) for a in p.flat())
+    assert np.concatenate(p.flat(), axis=None).tobytes() == p.vec.tobytes()
+    with pytest.raises(InvalidArgument):
+        DenoiserParams(p.arch, p.vec[:-1].copy())
+    with pytest.raises(InvalidArgument):
+        DenoiserParams.from_arrays(p.arch, p.weights, p.biases, p.cond_embed[1:])
+
+
+def test_write_through_view_reaches_params_bytes():
+    p = init_denoiser(ARCH, 0)
+    before = params_to_bytes(p, "cosine", 100)
+    p.weights[1][3, 1] = 5.0
+    p.biases[0][2] += 1.0
+    p.cond_embed[-1] = 0.25
+    after = params_to_bytes(p, "cosine", 100)
+    assert after != before
+    q = params_from_bytes(after)[0]
+    assert q.weights[1][3, 1] == 5.0
+    assert q.biases[0][2] == p.biases[0][2]
+    assert np.all(q.cond_embed[-1] == 0.25)
+
+
+def test_copy_shares_no_memory():
+    p = init_denoiser(ARCH, 0)
+    q = p.copy()
+    assert params_equal(p, q)
+    for a in q.flat() + [q.vec]:
+        assert not np.shares_memory(a, p.vec)
+    q.weights[0][0, 0] += 1.0
+    assert not params_equal(p, q)
+
+
+def test_params_bytes_match_per_array_writer():
+    p = init_denoiser(DenoiserArch(2, (8, 4), 3, 6), 9)
+    want = _pack_header(p, "linear_beta", 300) + b"".join(a.tobytes() for a in p.flat())
+    assert params_to_bytes(p, "linear_beta", 300) == want
 
 
 def test_params_file_rejects_bad_magic():

@@ -348,3 +348,23 @@ def test_implicit_reward_empty_draws_rejected(s):
     p = init_denoiser(DenoiserArch(2, (8,), 4, 4), 3)
     with pytest.raises(InvalidArgument):
         implicit_reward(p, p, s, np.zeros(2), 0, [], DeltaStrategy("gaussian"), 1.0, None)
+
+
+@pytest.mark.parametrize("k_theta, k_ref", [(2, 8), (8, 2)])
+def test_pair_loss_terms_rejects_ref_of_another_arch(s, k_theta, k_ref):
+    theta = init_denoiser(DenoiserArch(2, (8,), k_theta, 4), 3)
+    ref = init_denoiser(DenoiserArch(2, (8,), k_ref, 4), 4)
+    x = np.random.default_rng(17).standard_normal((4, 2))
+    c = np.array([-1, 0, 1, 1])
+    for model in (theta, params_to_tape(theta)):
+        with pytest.raises(InvalidArgument, match=f"num_conditions={k_ref}.*num_conditions={k_theta}"):
+            pair_loss_terms(model, ref, s, x, x, x, x, np.full(4, 50), c, 10.0)
+
+
+@pytest.mark.parametrize("k_theta, k_ref", [(2, 8), (8, 2)])
+def test_implicit_reward_rejects_ref_of_another_arch(s, k_theta, k_ref):
+    p = init_denoiser(DenoiserArch(2, (8,), k_theta, 4), 3)
+    ref = init_denoiser(DenoiserArch(2, (8,), k_ref, 4), 4)
+    with pytest.raises(InvalidArgument, match=f"num_conditions={k_ref}.*num_conditions={k_theta}"):
+        implicit_reward(p, ref, s, np.zeros(2), 1, [50, 300], DeltaStrategy("gaussian"), 1.0,
+                        np.random.default_rng(5))

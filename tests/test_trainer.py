@@ -1,4 +1,6 @@
 import csv
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,14 +9,24 @@ import inpo.denoiser as denoiser_mod
 import inpo.preference as preference_mod
 import inpo.trainer as trainer_mod
 from inpo.data import PreferencePair
-from inpo.denoiser import DenoiserArch, init_denoiser, params_equal, params_to_bytes
+from inpo.denoiser import (
+    DenoiserArch,
+    _pack_header,
+    init_denoiser,
+    params_equal,
+    params_to_bytes,
+    value_and_grad,
+)
 from inpo.errors import ConfigError, InvalidArgument, TrainingError, VersionError
 from inpo.preference import DeltaStrategy, make_targets, sft_loss
 from inpo.schedule import make_schedule
 from inpo.trainer import (
+    CKPT_MAGIC,
+    CKPT_VERSION,
     AdamState,
     AlignConfig,
     Checkpoint,
+    adam_step,
     align,
     config_fingerprint,
     load_checkpoint,
@@ -23,6 +35,8 @@ from inpo.trainer import (
     sft_ref_init,
     warmup_lr,
 )
+
+from conftest import oracle_adam_step
 
 ARCH = DenoiserArch(2, (12,), 4, 8)
 
@@ -265,8 +279,8 @@ def test_checkpoint_roundtrip(tmp_path, s, tiny_pairs):
     assert loaded.fingerprint == ckpt.fingerprint
     assert loaded.schedule_kind == "cosine" and loaded.T == 200
     assert params_equal(loaded.params, ckpt.params)
-    for a, b in zip(loaded.adam.m + loaded.adam.v, ckpt.adam.m + ckpt.adam.v):
-        assert a.tobytes() == b.tobytes()
+    assert loaded.adam.m.tobytes() == ckpt.adam.m.tobytes()
+    assert loaded.adam.v.tobytes() == ckpt.adam.v.tobytes()
     assert loaded.adam.t == ckpt.adam.t
 
 
@@ -297,7 +311,7 @@ def test_checkpoint_corrupt_header(tmp_path):
 
 def test_checkpoint_rejects_truncated_and_trailing_bytes(tmp_path):
     p = init_denoiser(ARCH, 7)
-    ckpt = Checkpoint(p, AdamState.zeros_like(p.flat()), 3, b"f" * 32, "cosine", 200)
+    ckpt = Checkpoint(p, AdamState.zeros_like(p.vec), 3, b"f" * 32, "cosine", 200)
     path = tmp_path / "run.ckpt"
     save_checkpoint(path, ckpt)
     buf = path.read_bytes()
@@ -333,3 +347,86 @@ def test_loss_trend_and_progress(s, tiny_pairs, tmp_path):
     at_warmup = losses[10:30].mean()
     assert tail < at_warmup
     assert np.all(np.isfinite(losses))
+
+
+def _list_state(arrays):
+    return SimpleNamespace(m=[np.zeros_like(a) for a in arrays],
+                           v=[np.zeros_like(a) for a in arrays], t=0)
+
+
+def test_adam_step_matches_per_array_oracle_bytes():
+    p = init_denoiser(ARCH, 3)
+    arrays = [a.copy() for a in p.flat()]
+    oracle = _list_state(arrays)
+    state = AdamState.zeros_like(p.vec)
+    work = (np.empty_like(p.vec), np.empty_like(p.vec))
+    rng = np.random.default_rng(4)
+    for k in range(30):
+        scale = 10.0 ** rng.uniform(-6, 2)
+        grads = [scale * rng.standard_normal(a.shape) for a in arrays]
+        if k == 7:
+            grads = [np.zeros_like(a) for a in arrays]
+        lr = warmup_lr(1e-2, k, 10)
+        oracle_adam_step(arrays, grads, oracle, lr)
+        adam_step(p.vec, np.concatenate(grads, axis=None), state, lr, work)
+        assert state.t == oracle.t
+        assert p.vec.tobytes() == np.concatenate(arrays, axis=None).tobytes()
+        assert state.m.tobytes() == np.concatenate(oracle.m, axis=None).tobytes()
+        assert state.v.tobytes() == np.concatenate(oracle.v, axis=None).tobytes()
+
+
+def _oracle_align(base, ref, pairs, s, cfg):
+    """align's loop with per-array gradient lists and the per-array Adam."""
+    usable = [p for p in pairs if not p.tie]
+    winners = np.stack([p.winner for p in usable])
+    losers = np.stack([p.loser for p in usable])
+    conds = np.asarray([p.condition for p in usable])
+    params = base.copy()
+    arrays = params.flat()
+    state = _list_state(arrays)
+    for step in range(cfg.steps):
+        rng = trainer_mod._step_rng(cfg.seed, trainer_mod._ALIGN_DOMAIN, step)
+        gsum = None
+        for _ in range(cfg.accum_steps):
+            loss_fn = trainer_mod._align_window(params, ref, s, winners, losers, conds, cfg,
+                                                rng, {})
+            _, grads = value_and_grad(params, loss_fn)
+            gsum = grads if gsum is None else [a + b for a, b in zip(gsum, grads)]
+        grads = [g / cfg.accum_steps for g in gsum]
+        oracle_adam_step(arrays, grads, state, warmup_lr(cfg.lr, step, cfg.warmup_steps))
+    return params
+
+
+@pytest.mark.parametrize("method", ["inpo", "dpo", "sft"])
+def test_align_accumulation_matches_per_array_oracle_bytes(s, tiny_pairs, method):
+    base = init_denoiser(ARCH, 7)
+    ref = init_denoiser(ARCH, 8)
+    cfg = small_cfg(method=method, steps=6, accum_steps=3, warmup_steps=4, lr=3e-3,
+                    delta=DeltaStrategy("inversion", n=3))
+    out = align(base, ref, tiny_pairs, s, cfg)
+    assert out.vec.tobytes() == _oracle_align(base, ref, tiny_pairs, s, cfg).vec.tobytes()
+    assert not params_equal(out, base)
+
+
+def test_checkpoint_bytes_match_per_array_writer(tmp_path):
+    p = init_denoiser(ARCH, 7)
+    rng = np.random.default_rng(6)
+    m = [rng.standard_normal(a.shape) for a in p.flat()]
+    v = [rng.random(a.shape) for a in p.flat()]
+    adam = AdamState(np.concatenate(m, axis=None), np.concatenate(v, axis=None), t=5)
+    ckpt = Checkpoint(p, adam, 5, b"f" * 32, "cosine", 200)
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, ckpt)
+    # the file as written one parameter array, then one moment array, at a time
+    blob = _pack_header(p, "cosine", 200) + b"".join(a.tobytes() for a in p.flat())
+    want = b"".join([
+        CKPT_MAGIC, struct.pack("<I", CKPT_VERSION), b"f" * 32, struct.pack("<Q", 5),
+        struct.pack("<Q", 5), struct.pack("<Q", len(blob)), blob,
+        *(a.tobytes() for a in m + v),
+    ])
+    assert path.read_bytes() == want
+    loaded = load_checkpoint(path)
+    assert loaded.params.vec.tobytes() == p.vec.tobytes()
+    assert loaded.adam.m.tobytes() == adam.m.tobytes()
+    assert loaded.adam.v.tobytes() == adam.v.tobytes()
+    assert loaded.adam.t == 5 and loaded.step == 5
