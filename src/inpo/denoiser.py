@@ -22,17 +22,20 @@ eps_forward returns an array; on TapeParams it runs the same forward on the
 leaves' arrays, keeps the activations and returns one graph node that
 backpropagates through the network in closed form, so the differentiated
 path is arithmetically identical to the fast path. noise_predictor binds
-the conditions and the guidance branch of a batch once and returns the
+a batch's conditions, guidance branch and timestep grid once and returns the
 per-step noise function that sampling, inversion and the fixed-point solver
-call; predict_noise is a one-off call of it.
+call; predict_noise is a one-off call of it on a grid of one step.
 
 A plain forward may run in a workspace: one preallocated (n, width) buffer
-for the concatenated input and one per hidden layer, which eps_forward
-overwrites on every call. noise_predictor allocates one per call and its
-noise function reuses it on every grid step, so a sampler's chain of
-forwards on one fixed batch does not allocate (and, at large batches, fault
-in) fresh layer activations each step. The workspace holds no parameter
-values, and the returned noise prediction is always a fresh array.
+for the concatenated input [x | time embedding | condition embedding] and
+one per hidden layer, which eps_forward overwrites on every call. A
+noise_predictor call binds once what its grid steps share: the condition
+rows, one input buffer per guidance branch (the hidden buffers are shared)
+and the time embeddings of the whole grid, from one time_embedding call. A
+BoundWorkspace records which rows' condition block and which step's
+embedding its input holds, so a step's forward copies x, and the step's
+embedding when the step changes, then runs the layers. The returned noise
+prediction is always a fresh array.
 """
 from __future__ import annotations
 
@@ -232,11 +235,36 @@ def forward_workspace(arch: DenoiserArch, n: int) -> list[np.ndarray]:
     return [np.empty((n, fan_in)) for fan_in, _ in arch.layer_dims()]
 
 
+class BoundWorkspace:
+    """forward_workspace buffers bound to the time embeddings ``temb`` of a
+    timestep grid, (steps, 1 or n, dim); eps_forward then takes a step index
+    for t. ``rows`` and ``step`` record what the input buffer's condition and
+    time blocks hold. It serves one model, unchanged while bound."""
+
+    def __init__(self, bufs: list[np.ndarray], temb: np.ndarray):
+        self.bufs, self.temb, self.rows, self.step = bufs, temb, None, None
+
+    def load(self, x, step, rows, cond_embed) -> np.ndarray:
+        h = self.bufs[0]
+        d, width = x.shape[1], cond_embed.shape[1]
+        if rows is not self.rows:
+            h[:, d + width:] = cond_embed[rows]
+            self.rows = rows
+        if step != self.step:
+            h[:, d:d + width] = self.temb[step]
+            self.step = step
+        h[:, :d] = x
+        return h
+
+
 def _forward(weights, biases, cond_embed, x, t, rows, bufs):
     """The network on plain arrays, writing the input of every layer into
-    ``bufs`` (entries may be None, to allocate); the output is fresh."""
-    temb = time_embedding(t, cond_embed.shape[1])
-    h = np.concatenate([x, temb, cond_embed[rows]], axis=1, out=bufs[0])
+    ``bufs`` (entries may be None, to allocate) or a BoundWorkspace."""
+    if isinstance(bufs, BoundWorkspace):
+        h, bufs = bufs.load(x, t, rows, cond_embed), bufs.bufs
+    else:
+        temb = time_embedding(t, cond_embed.shape[1])
+        h = np.concatenate([x, temb, cond_embed[rows]], axis=1, out=bufs[0])
     last = len(weights) - 1
     for i in range(last):
         h = np.matmul(h, weights[i], out=bufs[i + 1])
@@ -289,7 +317,9 @@ def eps_forward(model, x, t, rows, ws=None):
     ``ws``, for plain DenoiserParams only, is a forward_workspace of the
     batch's size: the input and the hidden activations are written into it
     instead of fresh arrays, so it must not be shared with a forward still in
-    use. noise_predictor allocates one per call; one-off callers pass none.
+    use. With a BoundWorkspace, ``t`` is a step of its grid, and only the
+    input blocks that differ from what it holds are written.
+    noise_predictor binds them; one-off callers pass none.
     The result is a fresh array either way.
     """
     if isinstance(model, TapeParams):
@@ -298,43 +328,46 @@ def eps_forward(model, x, t, rows, ws=None):
     return _forward(model.weights, model.biases, model.cond_embed, x, t, rows, bufs)
 
 
-def _per_row(t, n: int):
-    return t if np.shape(t) == (n,) else np.broadcast_to(t, (n,))
+def noise_predictor(model, c, guidance_w: float, n: int, grid):
+    """Bind a batch of n rows to its conditions, guidance branch and grid.
 
-
-def noise_predictor(model, c, guidance_w: float, n: int):
-    """Resolve conditions and the guidance branch once for a batch of n rows.
-
-    Returns eps(x, t) for (n, input_dim) samples x at a scalar or (n,)
-    timestep t, with predict_noise's semantics. Samplers call this once per
-    call and then eps once per grid step, so condition checks, the
-    embedding-row lookup and the forward workspace are not repeated per step;
-    every eps call still rejects non-finite samples and returns a fresh array.
+    ``grid`` holds the timesteps of every step to be evaluated, (steps, 1)
+    or (steps, n) for one per row. Returns eps(x, i) for (n, input_dim)
+    samples x at grid step i, with predict_noise's semantics. Conditions,
+    the grid's time embeddings and one BoundWorkspace per guidance branch
+    are resolved here once; every eps call still checks the sample's shape
+    and finiteness and returns a fresh array.
     """
     if not isinstance(model, DenoiserParams):
         raise InvalidArgument(f"model must be DenoiserParams, got {type(model)}")
     arch = model.arch
+    grid = np.asarray(grid)
+    if grid.ndim != 2 or grid.shape[1] not in (1, n):
+        raise InvalidArgument(
+            f"per-row timesteps of length {grid.shape[-1]} for a batch of {n} rows")
     cv = np.broadcast_to(np.asarray(c), (n,))
     rows = _cond_rows(cv, arch.num_conditions)
     null_rows = np.full_like(rows, arch.num_conditions)
     shape = (n, arch.input_dim)
-    ws = forward_workspace(arch, n)
+    temb = time_embedding(grid.ravel(), arch.time_embed_dim).reshape(*grid.shape, -1)
+    ws = BoundWorkspace(forward_workspace(arch, n), temb)
 
-    def forward(x, t, at_rows):
+    def forward(x, i, at_rows):
         if x.shape != shape:
             raise InvalidArgument(f"sample batch shape {x.shape} != {shape}")
         if not np.all(np.isfinite(x)):
             raise NumericError("non-finite sample passed to the denoiser")
-        return eps_forward(model, x, _per_row(t, n), at_rows, ws=ws)
+        return eps_forward(model, x, i, at_rows, ws=ws)
 
     if guidance_w == 0.0 or np.all(cv == NULL_CONDITION):
-        return lambda x, t: forward(x, t, null_rows)
+        return lambda x, i: forward(x, i, null_rows)
     if guidance_w == 1.0:
-        return lambda x, t: forward(x, t, rows)
+        return lambda x, i: forward(x, i, rows)
+    ws_c = BoundWorkspace([np.empty_like(ws.bufs[0]), *ws.bufs[1:]], temb)
 
-    def guided(x, t):
-        eps_u = forward(x, t, null_rows)
-        eps_c = eps_forward(model, x, _per_row(t, n), rows, ws=ws)
+    def guided(x, i):
+        eps_u = forward(x, i, null_rows)
+        eps_c = eps_forward(model, x, i, rows, ws=ws_c)
         return eps_u + guidance_w * (eps_c - eps_u)
 
     return guided
@@ -345,12 +378,13 @@ def predict_noise(model, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:
 
     w = 0 returns the null-condition prediction; w = 1 the conditional one;
     any other w the affine combination uncond + w * (cond - uncond). ``x_t``
-    is one sample or a (batch, dim) array. A one-off noise_predictor call.
+    is one sample or a (batch, dim) array, ``t`` a scalar or one timestep
+    per row. A one-off noise_predictor call on a grid of one step.
     """
     x = np.asarray(x_t, dtype=np.float64)
     squeeze = x.ndim == 1
     x = np.atleast_2d(x)
-    out = noise_predictor(model, c, guidance_w, x.shape[0])(x, t)
+    out = noise_predictor(model, c, guidance_w, x.shape[0], np.atleast_1d(t)[None])(x, 0)
     return out[0] if squeeze else out
 
 

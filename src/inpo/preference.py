@@ -119,19 +119,22 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
     Iterates delta <- (1 - damping) * delta + damping * eps_hat(lift(delta))
     from a standard-normal start, per row, freezing rows whose residual
     ||delta - eps_hat|| drops to tol. Returns (delta, converged, residual).
+    Every iteration evaluates at the same timesteps, so the noise predictor
+    is bound to a grid of one step and sqrt(ab_t) * x0_t is computed once.
     """
-    x0a, squeeze = (x0_t[None, :], True) if np.ndim(x0_t) == 1 else (np.asarray(x0_t, float), False)
+    x0a, squeeze = _as_rows(x0_t), np.ndim(x0_t) == 1
     B = x0a.shape[0]
-    tt = np.broadcast_to(np.asarray(check_timestep(s, t, min_t=1)), (B,))
-    ab = s.alpha_bar[tt][:, None]
-    sq_ab, sq_1ab = np.sqrt(ab), np.sqrt(1.0 - ab)
+    tt = np.atleast_1d(check_timestep(s, t, min_t=1))[None]
+    eps_fn = noise_predictor(model, c, 1.0, B, tt)
+    ab = s.alpha_bar[tt.T]
+    sq_1ab = np.sqrt(1.0 - ab)
+    lift0 = np.sqrt(ab) * x0a
 
-    eps_fn = noise_predictor(model, c, 1.0, B)
     delta = rng.standard_normal(x0a.shape)
     converged = np.zeros(B, dtype=bool)
     resid = np.full(B, np.inf)
     for k in range(cfg.max_iters):
-        eps = eps_fn(sq_ab * x0a + sq_1ab * delta, tt)
+        eps = eps_fn(lift0 + sq_1ab * delta, 0)
         r = np.linalg.norm(delta - eps, axis=1)
         resid = np.where(converged, resid, r)
         converged |= r <= cfg.tol
@@ -142,7 +145,7 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
         if not np.all(np.isfinite(delta)):
             raise NumericError(f"non-finite fixed-point iterate at iteration {k}")
     if not converged.all():
-        eps = eps_fn(sq_ab * x0a + sq_1ab * delta, tt)
+        eps = eps_fn(lift0 + sq_1ab * delta, 0)
         r = np.linalg.norm(delta - eps, axis=1)
         resid = np.where(converged, resid, r)
     if squeeze:

@@ -68,21 +68,22 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
 def ddim_sample(model, s: NoiseSchedule, x_start, cfg: SamplerConfig, c) -> np.ndarray:
     """Integrate from t_start down to t_end on a uniform sub-grid. Deterministic.
 
-    ``c`` is one condition id or one per row of ``x_start``.
+    ``c`` is one condition id or one per row of ``x_start``. A call binds the
+    noise predictor to its grid and gathers the grid's sqrt(ab) and
+    sqrt(1 - ab) once, so a step is its forward(s) and the update.
     """
     cfg = cfg.resolve(s)
     x, squeeze = _as_batch(x_start)
     grid = np.rint(np.linspace(cfg.t_start, cfg.t_end, cfg.num_steps + 1)).astype(np.int64)
-    eps_fn = noise_predictor(model, c, cfg.guidance_w, x.shape[0])
+    eps_fn = noise_predictor(model, c, cfg.guidance_w, x.shape[0], grid[:-1, None])
+    ab = s.alpha_bar[grid]
+    sq_ab, sq_1ab = np.sqrt(ab).tolist(), np.sqrt(1.0 - ab).tolist()
     for i in range(cfg.num_steps):
-        t_cur, t_next = grid[i], grid[i + 1]
-        eps = eps_fn(x, t_cur)
-        ab_c = s.alpha_bar[t_cur]
-        ab_n = s.alpha_bar[t_next]
-        x0_hat = (x - np.sqrt(1.0 - ab_c) * eps) / np.sqrt(ab_c)
-        x = np.sqrt(ab_n) * x0_hat + np.sqrt(1.0 - ab_n) * eps
+        eps = eps_fn(x, i)
+        x0_hat = (x - sq_1ab[i] * eps) / sq_ab[i]
+        x = sq_ab[i + 1] * x0_hat + sq_1ab[i + 1] * eps
         if not np.all(np.isfinite(x)):
-            raise NumericError(f"non-finite sample at step {i} (t={t_cur} -> {t_next})")
+            raise NumericError(f"non-finite sample at step {i} (t={grid[i]} -> {grid[i + 1]})")
     return x[0] if squeeze else x
 
 
@@ -111,26 +112,27 @@ def ddim_invert(
     """Run inversion from a clean sample up to t_target over n uniform steps.
 
     ``x0`` may be one vector or a (batch, dim) array; ``t_target`` may be a
-    scalar or a per-row array. Rows are independent.
+    scalar or a per-row array of the batch's length. Rows are independent.
+    A call binds the noise predictor to its grid and gathers the grid's
+    sqrt(ab), sqrt(1 - ab) and sigma once, so a step is one forward and the
+    update.
     """
     if n < 1:
         raise InvalidArgument("inversion step count must be >= 1")
     x0a, squeeze = _as_batch(x0)
-    B = x0a.shape[0]
-    tt = np.broadcast_to(np.asarray(check_timestep(s, t_target, min_t=1)), (B,))
-    grid = np.rint(np.linspace(0.0, 1.0, n + 1)[None, :] * tt[:, None]).astype(np.int64)
+    tt = check_timestep(s, t_target, min_t=1)
+    tcol = tt[..., None]  # one grid row per target: 1 or per row
+    grid = np.rint(np.linspace(0.0, 1.0, n + 1)[None, :] * tcol).astype(np.int64)
+    eps_fn = noise_predictor(model, c, guidance_w_inv, x0a.shape[0], grid[:, 1:].T)
+    ab = s.alpha_bar[grid.T][..., None]
+    sq_ab, sq_1ab = np.sqrt(ab), np.sqrt(1.0 - ab)
+    sg = s.sigma[grid.T][..., None]
 
-    eps_fn = noise_predictor(model, c, guidance_w_inv, B)
-    t1 = grid[:, 1]
-    delta = eps_fn(np.sqrt(s.alpha_bar[t1])[:, None] * x0a, t1)
+    delta = eps_fn(sq_ab[1] * x0a, 0)
     x0_cur = x0a.copy()
     for i in range(2, n + 1):
-        ti = grid[:, i]
-        ab = s.alpha_bar[ti][:, None]
-        sg = s.sigma[ti][:, None]
-        lift = np.sqrt(ab) * x0_cur + np.sqrt(1.0 - ab) * delta
-        e = eps_fn(lift, ti)
-        x0_cur = x0_cur - sg * (e - delta)
+        e = eps_fn(sq_ab[i] * x0_cur + sq_1ab[i] * delta, i - 1)
+        x0_cur = x0_cur - sg[i] * (e - delta)
         delta = e
         if not np.all(np.isfinite(x0_cur)):
             raise NumericError(f"non-finite inversion state at step {i} of {n}")

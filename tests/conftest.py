@@ -1,6 +1,6 @@
 """Shared fixtures: probe models, closed-form oracles, the RK4 reference
-integrator, and the slow session-scoped trained models used by the
-end-to-end tests."""
+integrator, the per-step sampler loops as byte oracles, and the slow
+session-scoped trained models used by the end-to-end tests."""
 import numpy as np
 import pytest
 
@@ -8,9 +8,11 @@ from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
     DenoiserParams,
+    eps_forward,
     predict_noise,
 )
 from inpo.errors import InvalidArgument, NumericError
+from inpo.sampler import InversionResult, compute_tau, reconstruct_xt
 from inpo.schedule import check_timestep, make_schedule
 
 
@@ -145,6 +147,109 @@ def oracle_ode_integrate(model, s, x, t_from: int, t_to: int, steps: int,
             raise NumericError(f"non-finite oracle state at step {k}")
     out = xbar * np.sqrt(s.alpha_bar[t_to])
     return out[0] if squeeze else out
+
+
+def oracle_noise_fn(model, c, guidance_w, n):
+    """Per-step noise function eps(x, t) with nothing bound across steps:
+    every call broadcasts t to the rows and runs unbound forwards, which
+    embed t afresh. The guidance arithmetic is predict_noise's."""
+    cv = np.broadcast_to(np.asarray(c), (n,))
+    K = model.arch.num_conditions
+    rows = np.where(cv == NULL_CONDITION, K, cv)
+    null_rows = np.full(n, K)
+
+    def fwd(x, t, at_rows):
+        return eps_forward(model, x, np.broadcast_to(t, (n,)), at_rows)
+
+    if guidance_w == 0.0 or np.all(cv == NULL_CONDITION):
+        return lambda x, t: fwd(x, t, null_rows)
+    if guidance_w == 1.0:
+        return lambda x, t: fwd(x, t, rows)
+
+    def guided(x, t):
+        eps_u = fwd(x, t, null_rows)
+        eps_c = fwd(x, t, rows)
+        return eps_u + guidance_w * (eps_c - eps_u)
+
+    return guided
+
+
+def _oracle_rows(x):
+    x = np.asarray(x, dtype=np.float64)
+    return (x[None, :], True) if x.ndim == 1 else (x, False)
+
+
+def oracle_ddim_sample(model, s, x_start, cfg, c):
+    """ddim_sample's loop with every coefficient looked up per step; byte
+    oracle for the bound sampler."""
+    cfg = cfg.resolve(s)
+    x, squeeze = _oracle_rows(x_start)
+    grid = np.rint(np.linspace(cfg.t_start, cfg.t_end, cfg.num_steps + 1)).astype(np.int64)
+    eps_fn = oracle_noise_fn(model, c, cfg.guidance_w, x.shape[0])
+    for i in range(cfg.num_steps):
+        t_cur, t_next = grid[i], grid[i + 1]
+        eps = eps_fn(x, t_cur)
+        ab_c = s.alpha_bar[t_cur]
+        ab_n = s.alpha_bar[t_next]
+        x0_hat = (x - np.sqrt(1.0 - ab_c) * eps) / np.sqrt(ab_c)
+        x = np.sqrt(ab_n) * x0_hat + np.sqrt(1.0 - ab_n) * eps
+    return x[0] if squeeze else x
+
+
+def oracle_ddim_invert(model, s, x0, t_target, n, c, guidance_w_inv=0.0):
+    """ddim_invert's loop on a per-row grid with every coefficient looked up
+    per step; byte oracle for the bound inversion."""
+    x0a, squeeze = _oracle_rows(x0)
+    B = x0a.shape[0]
+    tt = np.broadcast_to(np.asarray(check_timestep(s, t_target, min_t=1)), (B,))
+    grid = np.rint(np.linspace(0.0, 1.0, n + 1)[None, :] * tt[:, None]).astype(np.int64)
+    eps_fn = oracle_noise_fn(model, c, guidance_w_inv, B)
+    t1 = grid[:, 1]
+    delta = eps_fn(np.sqrt(s.alpha_bar[t1])[:, None] * x0a, t1)
+    x0_cur = x0a.copy()
+    for i in range(2, n + 1):
+        ti = grid[:, i]
+        ab = s.alpha_bar[ti][:, None]
+        sg = s.sigma[ti][:, None]
+        lift = np.sqrt(ab) * x0_cur + np.sqrt(1.0 - ab) * delta
+        e = eps_fn(lift, ti)
+        x0_cur = x0_cur - sg * (e - delta)
+        delta = e
+    x_t = reconstruct_xt(s, x0_cur, delta, tt)
+    tau = compute_tau(s, x0_cur, delta, x0a, tt)
+    if squeeze:
+        x0_cur, delta, x_t, tau = x0_cur[0], delta[0], x_t[0], tau[0]
+    return InversionResult(x0_t=x0_cur, delta_t=delta, x_t=x_t, tau_t=tau)
+
+
+def oracle_fixed_point(model, s, x0_t, t, c, cfg, rng):
+    """solve_delta_fixed_point's loop with the lift recomputed in full every
+    iteration; byte oracle for the bound solver."""
+    x0a, squeeze = _oracle_rows(x0_t)
+    B = x0a.shape[0]
+    tt = np.broadcast_to(np.asarray(check_timestep(s, t, min_t=1)), (B,))
+    ab = s.alpha_bar[tt][:, None]
+    sq_ab, sq_1ab = np.sqrt(ab), np.sqrt(1.0 - ab)
+    eps_fn = oracle_noise_fn(model, c, 1.0, B)
+    delta = rng.standard_normal(x0a.shape)
+    converged = np.zeros(B, dtype=bool)
+    resid = np.full(B, np.inf)
+    for _ in range(cfg.max_iters):
+        eps = eps_fn(sq_ab * x0a + sq_1ab * delta, tt)
+        r = np.linalg.norm(delta - eps, axis=1)
+        resid = np.where(converged, resid, r)
+        converged |= r <= cfg.tol
+        if converged.all():
+            break
+        upd = (1.0 - cfg.damping) * delta + cfg.damping * eps
+        delta = np.where(converged[:, None], delta, upd)
+    if not converged.all():
+        eps = eps_fn(sq_ab * x0a + sq_1ab * delta, tt)
+        r = np.linalg.norm(delta - eps, axis=1)
+        resid = np.where(converged, resid, r)
+    if squeeze:
+        return delta[0], bool(converged[0]), float(resid[0])
+    return delta, converged, resid
 
 
 @pytest.fixture(scope="session")

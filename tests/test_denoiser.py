@@ -134,7 +134,7 @@ def test_non_integer_condition_rejected_not_truncated(c):
     with pytest.raises(InvalidArgument, match="integers"):
         predict_noise(p, x, 10, c, 1.0)
     with pytest.raises(InvalidArgument, match="integers"):
-        noise_predictor(p, c, 2.5, 3)
+        noise_predictor(p, c, 2.5, 3, [[10]])
 
 
 def test_value_and_grad_constant_loss_is_zero():
@@ -365,24 +365,25 @@ def test_noise_predictor_matches_predict_noise(w):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((6, 2))
     c = np.array([0, 1, 2, 3, NULL_CONDITION, 1])
-    eps = noise_predictor(p, c, w, 6)
-    for t in (7, np.arange(6) + 40):
-        assert np.array_equal(eps(x, t), predict_noise(p, x, t, c, guidance_w=w))
+    ts = (7, np.arange(6) + 40)
+    eps = noise_predictor(p, c, w, 6, np.stack(np.broadcast_arrays(*ts)))
+    for i, t in enumerate(ts):
+        assert np.array_equal(eps(x, i), predict_noise(p, x, t, c, guidance_w=w))
 
 
 def test_noise_predictor_errors():
     p = init_denoiser(ARCH, 0)
     with pytest.raises(InvalidArgument):
-        noise_predictor(p, 99, 1.0, 3)
+        noise_predictor(p, 99, 1.0, 3, [[5]])
     with pytest.raises(InvalidArgument):
-        noise_predictor(p, np.array([0, -2, 1]), 1.0, 3)
-    eps = noise_predictor(p, 1, 1.0, 3)
+        noise_predictor(p, np.array([0, -2, 1]), 1.0, 3, [[5]])
+    eps = noise_predictor(p, 1, 1.0, 3, [[5]])
     with pytest.raises(NumericError):
-        eps(np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]]), 5)
+        eps(np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]]), 0)
     with pytest.raises(InvalidArgument):
-        eps(np.zeros((3, 3)), 5)
+        eps(np.zeros((3, 3)), 0)
     with pytest.raises(InvalidArgument):
-        noise_predictor("not a model", 0, 1.0, 3)
+        noise_predictor("not a model", 0, 1.0, 3, [[5]])
 
 
 BENCH_ARCH = DenoiserArch(2, (64, 64), 8, 16)
@@ -411,8 +412,9 @@ def test_noise_predictor_workspace_matches_unbound_forward(w):
     c = rng.integers(-1, 8, size=n)
     cond_rows = np.where(c == NULL_CONDITION, 8, c)
     null_rows = np.full(n, 8)
-    eps = noise_predictor(p, c, w, n)
-    for t in (7, rng.integers(1, 1000, size=n)):
+    ts = (7, rng.integers(1, 1000, size=n))
+    eps = noise_predictor(p, c, w, n, np.stack(np.broadcast_arrays(*ts)))
+    for i, t in enumerate(ts):
         x = rng.standard_normal((n, 2))
         tt = np.broadcast_to(t, (n,))
         eps_u = eps_forward(p, x, tt, null_rows)
@@ -422,7 +424,7 @@ def test_noise_predictor_workspace_matches_unbound_forward(w):
             want = eps_forward(p, x, tt, cond_rows)
         else:
             want = eps_u + w * (eps_forward(p, x, tt, cond_rows) - eps_u)
-        assert eps(x, t).tobytes() == want.tobytes()
+        assert eps(x, i).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("w", [0.0, 2.5])
@@ -431,9 +433,9 @@ def test_noise_predictor_result_survives_the_next_call(w):
     # live in the reused workspace
     p = init_denoiser(BENCH_ARCH, 8)
     rng = np.random.default_rng(4)
-    eps = noise_predictor(p, 3, w, 64)
-    first = eps(rng.standard_normal((64, 2)), 500)
+    eps = noise_predictor(p, 3, w, 64, [[500], [300]])
+    first = eps(rng.standard_normal((64, 2)), 0)
     kept = first.copy()
-    second = eps(rng.standard_normal((64, 2)), 300)
+    second = eps(rng.standard_normal((64, 2)), 1)
     assert first.tobytes() == kept.tobytes()
     assert not np.shares_memory(first, second)
