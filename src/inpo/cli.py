@@ -130,7 +130,8 @@ def cmd_make_prefs(cfg: Config, out: str, seed: int) -> None:
 
 def cmd_align(cfg: Config, out: str, seed: int) -> None:
     base, schedule = _load_model(_require(cfg, "align.base"))
-    pairs = load_pairs(_require(cfg, "align.pairs"), base.arch.num_conditions)
+    pairs = load_pairs(_require(cfg, "align.pairs"), base.arch.num_conditions,
+                       base.arch.input_dim)
     acfg = AlignConfig(
         method=cfg["align.method"], beta=cfg["align.beta"], delta=_delta_from(cfg),
         steps=cfg["align.steps"], batch_pairs=cfg["align.batch_pairs"],
@@ -219,7 +220,8 @@ def cmd_invert_demo(cfg: Config, out: str, seed: int) -> None:
 
 def cmd_ablate(cfg: Config, out: str, seed: int) -> None:
     base, schedule = _load_model(_require(cfg, "ablate.base"))
-    pairs = load_pairs(_require(cfg, "ablate.pairs"), base.arch.num_conditions)
+    pairs = load_pairs(_require(cfg, "ablate.pairs"), base.arch.num_conditions,
+                       base.arch.input_dim)
     spec = _reward_for(cfg, base)
     sampler_cfg = _sampler_cfg(cfg, schedule)
     path = os.path.join(out, "ablate.csv")

@@ -277,13 +277,15 @@ def save_pairs(pairs: list[PreferencePair], path, reward_spec: RewardSpec | None
             fh.write(json.dumps(rec) + "\n")
 
 
-def load_pairs(path, num_conditions: int | None = None) -> list[PreferencePair]:
+def load_pairs(path, num_conditions: int | None = None,
+               input_dim: int | None = None) -> list[PreferencePair]:
     """Read a pair file; loaded pairs are marked external.
 
     A record whose samples or rewards are not finite numbers, whose winner
     and loser are not vectors of the header's dim, or whose condition is not
     an integer, or with ``num_conditions`` given not in [-1, num_conditions),
-    raises PairParseError naming its line.
+    raises PairParseError naming its line. With ``input_dim`` given, pairs of
+    another dim, declared in the header or not, are rejected too.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -293,11 +295,15 @@ def load_pairs(path, num_conditions: int | None = None) -> list[PreferencePair]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise PairParseError(f"bad header: {e.msg}", 1) from e
+    if not isinstance(header, dict):
+        raise PairParseError(f"header is not a JSON object: {lines[0][:40]!r}", 1)
     if header.get("schema_version") != PAIR_SCHEMA_VERSION:
         raise VersionError(
             f"unsupported pair schema version {header.get('schema_version')!r}"
         )
-    dim = header.get("dim")
+    dim = header.get("dim", input_dim)
+    if input_dim is not None and dim != input_dim:
+        raise PairParseError(f"pairs have dim {dim!r} but the model's input_dim is {input_dim}", 1)
     pairs = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():

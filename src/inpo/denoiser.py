@@ -18,13 +18,14 @@ an array outside ``vec``; writing through a view in place still changes
 ``vec``, as finite-difference checks do.
 
 One forward routine serves sampling and training. On DenoiserParams
-eps_forward returns an array; on TapeParams it runs the same forward on the
-leaves' arrays, keeps the activations and returns one graph node that
-backpropagates through the network in closed form, so the differentiated
-path is arithmetically identical to the fast path. noise_predictor binds
-a batch's conditions, guidance branch and timestep grid once and returns the
-per-step noise function that sampling, inversion and the fixed-point solver
-call; predict_noise is a one-off call of it on a grid of one step.
+eps_forward returns an array; on TapeParams it runs the same forward, keeps
+the activations and returns one node over the parameter-vector leaf that
+backpropagates in closed form into a gradient vector laid out like ``vec``,
+so the differentiated path is arithmetically identical to the fast path.
+noise_predictor binds a batch's conditions, guidance branch and timestep
+grid once and returns the per-step noise function that sampling, inversion
+and the fixed-point solver call; predict_noise is a one-off call of it on a
+grid of one step.
 
 A plain forward may run in a workspace: one preallocated (n, width) buffer
 for the concatenated input [x | time embedding | condition embedding] and
@@ -141,30 +142,12 @@ def _layout(arch: DenoiserArch) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-@dataclass
 class TapeParams:
-    """DenoiserParams as tape leaves: eps_forward on it returns a tape node."""
+    """DenoiserParams on the tape: ``leaf`` is one Var over ``params.vec``,
+    and eps_forward on it returns a node whose parent is that leaf."""
 
-    arch: DenoiserArch
-    weights: list[Var]
-    biases: list[Var]
-    cond_embed: Var
-
-    def flat(self) -> list[Var]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        out.append(self.cond_embed)
-        return out
-
-
-def params_to_tape(params: DenoiserParams) -> TapeParams:
-    return TapeParams(
-        arch=params.arch,
-        weights=[Var(w) for w in params.weights],
-        biases=[Var(b) for b in params.biases],
-        cond_embed=Var(params.cond_embed),
-    )
+    def __init__(self, params: DenoiserParams):
+        self.params, self.arch, self.leaf = params, params.arch, Var(params.vec)
 
 
 def init_denoiser(arch: DenoiserArch, seed: int) -> DenoiserParams:
@@ -222,6 +205,14 @@ def _integer_ids(c) -> np.ndarray:
     return c
 
 
+def _per_row(v, n: int, what: str) -> np.ndarray:
+    """``v``, one value or one per row, broadcast to a batch of n rows."""
+    v = np.asarray(v)
+    if v.shape not in ((), (1,), (n,)):
+        raise InvalidArgument(f"{what} of shape {v.shape} for a batch of {n} rows")
+    return np.broadcast_to(v, (n,))
+
+
 def _cond_rows(c, num_conditions: int) -> np.ndarray:
     c = _integer_ids(c)
     if np.any(c >= num_conditions) or np.any(c < NULL_CONDITION):
@@ -274,37 +265,38 @@ def _forward(weights, biases, cond_embed, x, t, rows, bufs):
 
 
 def _taped_forward(tape: TapeParams, x, t, rows) -> Var:
-    """The plain forward as one tape node whose parents are tape.flat().
+    """The plain forward as one tape node over the parameter leaf.
 
     The node keeps the layer inputs and backpropagates through the network in
-    closed form: per layer, from the last, the bias and weight gradients,
-    then the gradient of the layer input, times tanh' below a hidden layer;
-    the embedding rows' gradient is scattered from the last columns of the
-    input gradient. Each step is the arithmetic of the elementary VJPs
-    (matmul, bias broadcast, tanh, row gather) in the same order, so the
-    gradients equal those of the network built from tape ops byte for byte.
+    closed form into the views of one new vector: per layer, from the last,
+    the bias and weight gradients, then the gradient of the layer input,
+    times tanh' below a hidden layer; the embedding rows' gradient is
+    scattered from the last columns of the input gradient. Each step is the
+    elementary VJPs' arithmetic (matmul, bias broadcast, tanh, row gather) in
+    the same order, so the gradients equal the per-op network's byte for byte.
     """
-    weights = [w.data for w in tape.weights]
-    cond_embed = tape.cond_embed.data
+    p = tape.params
     rows = np.asarray(rows)
     acts = forward_workspace(tape.arch, len(x))
-    out = _forward(weights, [b.data for b in tape.biases], cond_embed, x, t, rows, acts)
+    out = _forward(p.weights, p.biases, p.cond_embed, x, t, rows, acts)
 
     def vjp(g):
-        grads = []
-        for i in range(len(weights) - 1, -1, -1):
+        grad = DenoiserParams(tape.arch, np.empty_like(p.vec))
+        for i in range(len(p.weights) - 1, -1, -1):
             a = acts[i]
-            grads += [g.sum(axis=0), a.T @ g]
-            g = g @ weights[i].T
+            np.sum(g, axis=0, out=grad.biases[i])
+            np.matmul(a.T, g, out=grad.weights[i])
+            g = g @ p.weights[i].T
             if i:
                 g = g * (1.0 - a * a)
-        n_rows, width = cond_embed.shape
+        n_rows, width = p.cond_embed.shape
         # flat (row * width + col) bins add in input order, as np.add.at does
         flat = (rows[:, None] * width + np.arange(width)).ravel()
         g_embed = np.bincount(flat, weights=g[:, -width:].ravel(), minlength=n_rows * width)
-        return (*reversed(grads), g_embed.reshape(n_rows, width))
+        grad.cond_embed[...] = g_embed.reshape(n_rows, width)
+        return grad.vec
 
-    return Var(out, tuple(tape.flat()), vjp)
+    return Var(out, tape.leaf, vjp)
 
 
 def eps_forward(model, x, t, rows, ws=None):
@@ -312,7 +304,7 @@ def eps_forward(model, x, t, rows, ws=None):
 
     ``model`` is DenoiserParams or TapeParams; ``x`` is (batch, dim), ``t`` a
     (batch,) array, ``rows`` a (batch,) array of embedding-table rows. On
-    TapeParams the result is one Var on the tape (see _taped_forward), with
+    TapeParams the result is one Var over its leaf (see _taped_forward), with
     the same forward arithmetic and a workspace of its own.
     ``ws``, for plain DenoiserParams only, is a forward_workspace of the
     batch's size: the input and the hidden activations are written into it
@@ -345,7 +337,7 @@ def noise_predictor(model, c, guidance_w: float, n: int, grid):
     if grid.ndim != 2 or grid.shape[1] not in (1, n):
         raise InvalidArgument(
             f"per-row timesteps of length {grid.shape[-1]} for a batch of {n} rows")
-    cv = np.broadcast_to(np.asarray(c), (n,))
+    cv = _per_row(c, n, "condition ids")
     rows = _cond_rows(cv, arch.num_conditions)
     null_rows = np.full_like(rows, arch.num_conditions)
     shape = (n, arch.input_dim)
@@ -388,24 +380,24 @@ def predict_noise(model, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def value_and_grad(params: DenoiserParams, loss_fn) -> tuple[float, list[np.ndarray]]:
-    """Value of a scalar loss and its exact reverse-mode gradient with respect
-    to every parameter array, in declaration order.
+def value_and_grad(params: DenoiserParams, loss_fn) -> tuple[float, DenoiserParams]:
+    """Value of a scalar loss and its exact reverse-mode gradient, as
+    DenoiserParams over one new vector laid out like ``params.vec``.
 
-    ``loss_fn`` receives a TapeParams and must return a scalar Var, such as a
-    loss head over eps_forward(tape, ...); unreached leaves get zero gradient.
+    ``loss_fn`` receives TapeParams(params) and must return a scalar Var, such
+    as a loss head over eps_forward(tape, ...); one not reaching the leaf has
+    zero gradient.
     """
-    tape = params_to_tape(params)
+    tape = TapeParams(params)
     out = loss_fn(tape)
     if not isinstance(out, Var) or out.data.shape != ():
         raise InvalidArgument("loss_fn must return a scalar Var")
     if not np.isfinite(out.data):
         raise NumericError(f"loss is non-finite: {out.data!r}")
     out.backward()
-    grads = [
-        v.grad if v.grad is not None else np.zeros_like(v.data) for v in tape.flat()
-    ]
-    return float(out.data), grads
+    grad = tape.leaf.grad
+    return float(out.data), DenoiserParams(
+        params.arch, np.zeros_like(params.vec) if grad is None else grad)
 
 
 # ---------------------------------------------------------------------------

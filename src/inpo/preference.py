@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Var
-from .denoiser import DenoiserParams, _cond_rows, eps_forward, noise_predictor
+from .denoiser import DenoiserParams, _cond_rows, _per_row, eps_forward, noise_predictor
 from .errors import InvalidArgument, NumericError
 from .sampler import ddim_invert, reconstruct_xt
 from .schedule import NoiseSchedule, check_timestep, forward_diffuse
@@ -81,11 +81,11 @@ def sft_loss(model, s: NoiseSchedule, batch, t_draws, eps_draws) -> float:
     x0 = _as_rows(x0)
     if x0.shape[0] == 0:
         raise InvalidArgument("empty batch")
-    t = np.broadcast_to(np.asarray(t_draws), (x0.shape[0],))
+    t = _per_row(t_draws, x0.shape[0], "timesteps")
     eps = _as_rows(eps_draws)
     if eps.shape != x0.shape:
         raise InvalidArgument("eps draws must be congruent with the batch")
-    c = np.broadcast_to(np.asarray(c), (x0.shape[0],))
+    c = _per_row(c, x0.shape[0], "condition ids")
     rows = _cond_rows(c, model.arch.num_conditions)
     x_t = forward_diffuse(s, x0, t, eps)
     return float(sft_terms(model, s, x_t, t, c, rows, eps))
@@ -108,9 +108,9 @@ def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps):
 
     def vjp(g):
         gd = np.broadcast_to((g / per.size) * w, per.shape)[:, None]
-        return (gd * d + gd * d,)
+        return gd * d + gd * d
 
-    return Var(value, (out,), vjp)
+    return Var(value, out, vjp)
 
 
 def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrategy, rng):
@@ -190,8 +190,8 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     x_tw, x_tl = _as_rows(x_tw), _as_rows(x_tl)
     tau_w, tau_l = _as_rows(tau_w), _as_rows(tau_l)
     B = x_tw.shape[0]
-    t = np.broadcast_to(np.asarray(t), (B,))
-    rows = _cond_rows(np.broadcast_to(np.asarray(c), (B,)), theta.arch.num_conditions)
+    t = _per_row(t, B, "timesteps")
+    rows = _cond_rows(_per_row(c, B, "condition ids"), theta.arch.num_conditions)
     x_stack = np.vstack([x_tw, x_tl])
     t_stack = np.concatenate([t, t])
     rows_stack = np.concatenate([rows, rows])
@@ -229,9 +229,9 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
             geps = np.zeros_like(eps_th)
             geps[:B] += -(gw * dw_t + gw * dw_t)
             geps[B:] += -(gl * dl_t + gl * dl_t)
-            return (geps,)
+            return geps
 
-        mean_total = Var(mean_total, (out,), vjp)
+        mean_total = Var(mean_total, out, vjp)
     return {
         "term_w_theta": term_w_theta,
         "term_w_ref": term_w_ref,

@@ -22,11 +22,11 @@ Per optimizer step, gradients are averaged over batch_pairs * accum_steps
 pair evaluations, each at an independently drawn timestep in {t_min..T}.
 
 The optimizer runs on whole parameter vectors (DenoiserParams.vec). Each
-window's per-array gradients are copied into one gradient vector, checked
-for finiteness once and added in place into the step's sum; Adam's moments
-are vectors of the same layout and adam_step updates the parameters in place.
-The gradient vectors and Adam's scratch pair are allocated once per training
-loop and reused on every step.
+window's gradient is one new vector from value_and_grad, checked for
+finiteness once; the first window's becomes the step's sum and later ones
+are added into it in place. Adam's moments are vectors of the same layout,
+adam_step updates the parameters in place, and its scratch pair is allocated
+once per training loop and reused on every step.
 """
 from __future__ import annotations
 
@@ -159,18 +159,11 @@ def _step_rng(seed: int, domain: int, step: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), domain, int(step)]))
 
 
-def _step_buffers(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """A gradient vector and adam_step's scratch pair, for n parameters."""
-    return np.empty(n), (np.empty(n), np.empty(n))
-
-
-def _flat_grad(grads, out: np.ndarray, step: int) -> np.ndarray:
-    """Copy value_and_grad's per-array gradients into ``out``, in declaration
-    order, and reject a non-finite one."""
-    np.concatenate(grads, axis=None, out=out)
-    if not np.isfinite(out).all():
+def _finite_grad(grad: DenoiserParams, step: int) -> np.ndarray:
+    """value_and_grad's gradient vector, rejected if any entry is non-finite."""
+    if not np.isfinite(grad.vec).all():
         raise TrainingError("non-finite gradient", step)
-    return out
+    return grad.vec
 
 
 def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, steps: int,
@@ -182,7 +175,7 @@ def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, step
     """
     arch = params.arch
     adam = AdamState.zeros_like(params.vec)
-    grad, work = _step_buffers(params.vec.size)
+    work = (np.empty_like(params.vec), np.empty_like(params.vec))
     for step in range(steps):
         rng = _step_rng(seed, domain, step)
         idx = rng.integers(0, len(X), size=batch)
@@ -193,12 +186,12 @@ def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, step
         rows = _cond_rows(cc, arch.num_conditions)
         x_t = forward_diffuse(schedule, X[idx], t, eps)
         try:
-            _, grads = value_and_grad(
+            _, grad = value_and_grad(
                 params, lambda tape: sft_terms(tape, schedule, x_t, t, cc, rows, eps)
             )
         except ArithmeticError as e:
             raise TrainingError(str(e), step) from e
-        adam_step(params.vec, _flat_grad(grads, grad, step), adam, lr, work)
+        adam_step(params.vec, _finite_grad(grad, step), adam, lr, work)
     return params
 
 
@@ -303,9 +296,7 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         params = base.copy()
         adam = AdamState.zeros_like(params.vec)
         start = 0
-    gsum, work = _step_buffers(params.vec.size)
-    # windows after the first are copied here and added into gsum
-    grad = np.empty_like(gsum) if cfg.accum_steps > 1 else None
+    work = (np.empty_like(params.vec), np.empty_like(params.vec))
 
     rows_log = []
     for step in range(start, cfg.steps):
@@ -319,13 +310,14 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
                 loss_fn = _align_window(
                     params, ref, schedule, winners, losers, conds, cfg, rng, aux
                 )
-                val, grads = value_and_grad(params, loss_fn)
+                val, grad = value_and_grad(params, loss_fn)
             except ArithmeticError as e:
                 raise TrainingError(f"{e}{_bad_pair(aux)}", step) from e
+            g = _finite_grad(grad, step)
             if k:
-                gsum += _flat_grad(grads, grad, step)
+                gsum += g
             else:
-                _flat_grad(grads, gsum, step)
+                gsum = g
             loss_sum += val
             arg = aux.get("sigmoid_arg")
             arg_sum += float(arg.mean()) if arg is not None else 0.0

@@ -55,21 +55,19 @@ def make_tanh_model(W, time_embed_dim=4):
 
 
 def finite_diff(params, loss_np, h=1e-4):
-    """Central differences of a plain-numpy scalar loss over every parameter."""
-    grads = []
-    for arr in params.flat():
-        g = np.zeros_like(arr)
-        flat, gf = arr.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            old = flat[i]
-            flat[i] = old + h
-            hi = loss_np(params)
-            flat[i] = old - h
-            lo = loss_np(params)
-            flat[i] = old
-            gf[i] = (hi - lo) / (2 * h)
-        grads.append(g)
-    return grads
+    """Central differences of a plain-numpy scalar loss over every parameter,
+    as DenoiserParams laid out like value_and_grad's gradient."""
+    vec = params.vec
+    g = np.zeros_like(vec)
+    for i in range(vec.size):
+        old = vec[i]
+        vec[i] = old + h
+        hi = loss_np(params)
+        vec[i] = old - h
+        lo = loss_np(params)
+        vec[i] = old
+        g[i] = (hi - lo) / (2 * h)
+    return DenoiserParams(params.arch, g)
 
 
 def oracle_adam_step(flat, grads, state, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -86,10 +84,8 @@ def oracle_adam_step(flat, grads, state, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def max_rel_err(ad, fd):
-    worst = 0.0
-    for a, f in zip(ad, fd):
-        worst = max(worst, float(np.max(np.abs(a - f) / (np.abs(f) + 1e-8))))
-    return worst
+    """Largest elementwise |ad - fd| / (|fd| + 1e-8) over two gradients."""
+    return float(np.max(np.abs(ad.vec - fd.vec) / (np.abs(fd.vec) + 1e-8)))
 
 
 def expm_sym(A, s):

@@ -7,8 +7,8 @@ from inpo.denoiser import (
     DenoiserParams,
     eps_forward,
     forward_workspace,
+    TapeParams,
     init_denoiser,
-    params_to_tape,
     value_and_grad,
 )
 from inpo.preference import pair_loss_terms, sft_terms
@@ -35,7 +35,7 @@ def numeric_grad(f, x, h=1e-6):
 def head(node, g):
     """A scalar node sum(node * g): backward hands ``node`` the upstream
     gradient ``g``."""
-    return Var((node.data * g).sum(), (node,), lambda up: (up * g,))
+    return Var((node.data * g).sum(), node, lambda up: up * g)
 
 
 # The loss heads see the network only through its output. output_net(y) is
@@ -92,10 +92,10 @@ def pair_np(s, beta, tau_w=TAU_W, tau_l=TAU_L):
 
 def check(f_var, f_np, seed=0, tol=1e-6):
     y = np.random.default_rng(seed).standard_normal((N, N))
-    val, grads = value_and_grad(output_net(y), f_var)
+    val, grad = value_and_grad(output_net(y), f_var)
     assert val == pytest.approx(f_np(y), rel=1e-12)
     num = numeric_grad(f_np, y.copy())
-    assert np.max(np.abs(grads[0][:N] - num)) < tol
+    assert np.max(np.abs(grad.weights[0][:N] - num)) < tol
 
 
 @pytest.mark.parametrize(
@@ -123,49 +123,28 @@ def test_bias_broadcast_grad():
     x = rng.standard_normal((5, 3))
     t = np.arange(1, 6)
     rows = np.array([0, 1, 2, 0, 1])
-    grads = value_and_grad(p, lambda tape: head(eps_forward(tape, x, t, rows), np.ones((5, 3))))[1]
-    assert np.allclose(grads[1], np.full(3, 5.0))
+    grad = value_and_grad(p, lambda tape: head(eps_forward(tape, x, t, rows), np.ones((5, 3))))[1]
+    assert np.allclose(grad.biases[0], np.full(3, 5.0))
 
 
 def test_row_weight_broadcast_grad():
     # the denoising head weights row i by w(t_i) across all its columns
     y = np.random.default_rng(3).standard_normal((N, N))
-    grads = value_and_grad(output_net(y), sft(S_SNR))[1]
+    grad = value_and_grad(output_net(y), sft(S_SNR))[1]
     w = S_SNR.loss_weight[T]
-    assert np.allclose(grads[0][:N], (2.0 / N) * w[:, None] * (y - EPS), rtol=1e-12, atol=0)
+    assert np.allclose(grad.weights[0][:N], (2.0 / N) * w[:, None] * (y - EPS), rtol=1e-12, atol=0)
 
 
 def test_getitem_slice_grad():
     # the pair head reads winners from the first half of the stacked output
     # and losers from the second; each half receives its own gradient
     y = np.random.default_rng(4).standard_normal((N, N))
-    grads = value_and_grad(output_net(y), pair(S_SNR, 0.1))[1]
+    grad = value_and_grad(output_net(y), pair(S_SNR, 0.1))[1]
     terms = pair_loss_terms(output_net(y), REF, S_SNR, X[:B], TAU_W, X[B:], TAU_L, T[:B], 0, 0.1)
     scale = -0.1 * S_SNR.loss_weight[T[:B]]
     g_w = (-(1.0 / B) * scale / (1.0 + np.exp(terms["sigmoid_arg"])))[:, None]
-    assert np.allclose(grads[0][:B], -2.0 * g_w * (TAU_W - y[:B]), rtol=1e-12, atol=0)
-    assert np.allclose(grads[0][B:N], 2.0 * g_w * (TAU_L - y[B:]), rtol=1e-12, atol=0)
-
-
-def test_shared_node_accumulates():
-    # two network nodes over the same leaves: every leaf gets the sum of
-    # the gradients each node alone gives it
-    p = init_denoiser(DenoiserArch(2, (8,), 3, 4), 6)
-    rng = np.random.default_rng(6)
-    x1, x2, g1, g2 = rng.standard_normal((4, 4, 2))
-    t = np.array([3, 30, 300, 30])
-    rows = np.array([0, 3, 1, 1])
-
-    def both(tape):
-        n1, n2 = eps_forward(tape, x1, t, rows), eps_forward(tape, x2, t, rows)
-        value = head(n1, g1).data + head(n2, g2).data
-        return Var(value, (n1, n2), lambda up: (up * g1, up * g2))
-
-    _, grads = value_and_grad(p, both)
-    _, a = value_and_grad(p, lambda tape: head(eps_forward(tape, x1, t, rows), g1))
-    _, b = value_and_grad(p, lambda tape: head(eps_forward(tape, x2, t, rows), g2))
-    for g, ga, gb in zip(grads, a, b):
-        assert g.tobytes() == (ga + gb).tobytes()
+    assert np.allclose(grad.weights[0][:B], -2.0 * g_w * (TAU_W - y[:B]), rtol=1e-12, atol=0)
+    assert np.allclose(grad.weights[0][B:N], 2.0 * g_w * (TAU_L - y[B:]), rtol=1e-12, atol=0)
 
 
 def test_dispatch_matches_numpy_bitwise():
@@ -178,7 +157,7 @@ def test_dispatch_matches_numpy_bitwise():
     x = rng.standard_normal((300, 2))
     t = rng.integers(1, 1000, size=300)
     rows = rng.integers(0, 9, size=300)
-    taped = eps_forward(params_to_tape(p), x, t, rows)
+    taped = eps_forward(TapeParams(p), x, t, rows)
     assert isinstance(taped, Var)
     assert taped.data.tobytes() == eps_forward(p, x, t, rows).tobytes()
     ws = forward_workspace(arch, 300)
@@ -193,9 +172,9 @@ def test_take_rows_scatter():
     rows = np.array([0, 2, 2, 3])
     x = np.zeros((4, 2))
     t = np.ones(4, dtype=np.int64)
-    grads = value_and_grad(p, lambda tape: head(eps_forward(tape, x, t, rows), np.ones((4, 2))))[1]
+    grad = value_and_grad(p, lambda tape: head(eps_forward(tape, x, t, rows), np.ones((4, 2))))[1]
     per_use = p.weights[0][-4:].sum(axis=1)
-    assert np.allclose(grads[-1], np.array([[1], [0], [2], [1]]) * per_use)
+    assert np.allclose(grad.cond_embed, np.array([[1], [0], [2], [1]]) * per_use)
 
 
 def test_take_rows_grad_matches_add_at_bytes():
@@ -208,16 +187,17 @@ def test_take_rows_grad_matches_add_at_bytes():
     rows = rng.integers(0, 9, size=n)  # every row repeats
     g = rng.standard_normal((n, 2))
 
-    def grads(model, at_rows):
-        return value_and_grad(model, lambda tape: head(eps_forward(tape, x, t, at_rows), g))[1]
+    def embed_grad(model, at_rows):
+        grad = value_and_grad(model, lambda tape: head(eps_forward(tape, x, t, at_rows), g))[1]
+        return grad.cond_embed
 
     # one embedding row per sample: the per-sample gradients, unscattered
     per_sample = DenoiserParams.from_arrays(
         DenoiserArch(2, (64, 64), n - 1, 16), p.weights, p.biases, p.cond_embed[rows]
     )
     want = np.zeros_like(p.cond_embed)
-    np.add.at(want, rows, grads(per_sample, np.arange(n))[-1])
-    assert grads(p, rows)[-1].tobytes() == want.tobytes()
+    np.add.at(want, rows, embed_grad(per_sample, np.arange(n)))
+    assert embed_grad(p, rows).tobytes() == want.tobytes()
 
 
 def test_backward_requires_scalar():

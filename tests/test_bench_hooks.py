@@ -16,7 +16,7 @@ import pytest
 
 import inpo.cli  # noqa: F401  (the tracer scans every loaded inpo module)
 from inpo.autodiff import Var
-from inpo.denoiser import DenoiserArch, TapeParams, init_denoiser
+from inpo.denoiser import DenoiserArch, TapeParams, init_denoiser, value_and_grad
 from inpo.preference import sft_terms
 from inpo.schedule import make_schedule
 
@@ -46,11 +46,13 @@ def test_traced_gradient_records_the_tape_spans(spans):
     p = init_denoiser(DenoiserArch(2, (8,), 2, 4), 0)
     s = make_schedule("cosine", 100)
     x, t, c = np.zeros((4, 2)), np.array([5, 6, 7, 8]), np.zeros(4, dtype=np.int64)
+    def loss_fn(tape):
+        return sft_terms(tape, s, x, t, c, c, x)
+
     tracer = spans.Tracer()
     tracer.install()
     try:
-        sys.modules["inpo.trainer"].value_and_grad(
-            p, lambda tape: sft_terms(tape, s, x, t, c, c, x))
+        traced = sys.modules["inpo.trainer"].value_and_grad(p, loss_fn)
     finally:
         tracer.uninstall()
     names = [sp[0] for sp in tracer.spans]
@@ -58,3 +60,7 @@ def test_traced_gradient_records_the_tape_spans(spans):
                  "denoiser.eps_forward.taped", "autodiff.backward"):
         assert names.count(name) == 1, name
     assert spans.installed_wrappers() == []
+    # tracing only observes: the value and gradient are the untraced ones
+    value, grad = value_and_grad(p, loss_fn)
+    assert traced[0] == value
+    assert traced[1].vec.tobytes() == grad.vec.tobytes()

@@ -179,6 +179,31 @@ def test_out_of_range_pair_condition_fails_before_any_step(workdir, tmp_path, ca
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("cmd, method", [
+    ("align", "inpo"), ("align", "dpo"), ("align", "sft"), ("ablate", "inpo"),
+])
+def test_pairs_of_another_dim_fail_at_load(workdir, tmp_path, capsys, cmd, method):
+    lines = (workdir / "pairs.jsonl").read_text().splitlines()
+    head = json.loads(lines[0])
+    head["dim"] = 3
+    recs = [json.loads(line) for line in lines[1:]]
+    for rec in recs:
+        rec["w"].append(0.5)
+        rec["l"].append(-0.5)
+    bad = tmp_path / "pairs.jsonl"
+    bad.write_text("\n".join(json.dumps(r) for r in [head, *recs]) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([
+        cmd, "--out", str(out), "--seed", "3",
+        "--set", f"{cmd}.base={workdir}/base.params",
+        "--set", f"{cmd}.pairs={bad}",
+        "--set", f"align.method={method}",
+    ]) == 4
+    assert "line 1: pairs have dim 3 but the model's input_dim is 2" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_key_rejected(tmp_path):
     assert main(["pretrain", "--out", str(tmp_path), "--set", "nope.key=1"]) == 2
 

@@ -326,6 +326,34 @@ def test_pair_file_condition_range_checked_against_the_model(tmp_path, small_pai
     assert err.value.line_no == 5
 
 
+@pytest.mark.parametrize("header", ["[1]", '"x"', "3", "null"])
+def test_pair_file_header_must_be_an_object(tmp_path, header):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(PairParseError, match="header is not a JSON object") as err:
+        load_pairs(path)
+    assert err.value.line_no == 1
+
+
+def test_pair_file_dim_checked_against_the_model(tmp_path, small_pairs):
+    path = tmp_path / "pairs.jsonl"
+    save_pairs(small_pairs, path)
+    assert len(load_pairs(path, input_dim=2)) == len(small_pairs)
+    with pytest.raises(PairParseError, match="pairs have dim 2 but the model's input_dim is 3") as err:
+        load_pairs(path, input_dim=3)
+    assert err.value.line_no == 1
+    # with no dim in the header, every record is held to the model's
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    del head["dim"]
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    assert len(load_pairs(path)) == len(small_pairs)
+    with pytest.raises(PairParseError, match="expected 3, got 2") as err:
+        load_pairs(path, input_dim=3)
+    assert err.value.line_no == 2
+
+
 def test_pair_file_version_mismatch(tmp_path, small_pairs):
     path = tmp_path / "pairs.jsonl"
     save_pairs(small_pairs, path)

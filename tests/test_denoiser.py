@@ -138,52 +138,68 @@ def test_non_integer_condition_rejected_not_truncated(c):
 
 
 def test_value_and_grad_constant_loss_is_zero():
-    # a reached leaf given a zero gradient and the leaves the loss never
-    # reaches all come back as zeros of their own shapes
+    # a leaf given a zero gradient and a loss that never reaches the leaf
+    # both come back as zeros laid out like the parameters
     p = init_denoiser(ARCH, 5)
-
-    def loss(tape):
-        w = tape.weights[0]
-        return Var(0.0, (w,), lambda g: (g * np.zeros_like(w.data),))
-
-    val, grads = value_and_grad(p, loss)
-    assert val == 0.0
-    assert [g.shape for g in grads] == [a.shape for a in p.flat()]
-    assert all(np.all(g == 0) for g in grads)
+    for loss in (lambda tape: Var(0.0, tape.leaf, lambda g: g * np.zeros_like(tape.leaf.data)),
+                 lambda tape: Var(0.0)):
+        val, grad = value_and_grad(p, loss)
+        assert val == 0.0
+        assert [g.shape for g in grad.flat()] == [a.shape for a in p.flat()]
+        assert np.all(grad.vec == 0)
 
 
 def test_value_and_grad_quadratic_probe():
-    # (w0[0, 0] - a)^2 + 3 * embed[1, 2] through one node whose parents are
-    # listed out of declaration order; gradients come back in declaration order
+    # (w0[0, 0] - a)^2 + 3 * embed[1, 2] through one node over the leaf whose
+    # VJP writes the embedding's gradient before the weight's; each lands in
+    # its own view of the gradient vector
     p = init_denoiser(ARCH, 5)
     a = 0.37
 
     def loss(tape):
-        w, e = tape.weights[0], tape.cond_embed
-        r = w.data[0, 0] - a
+        w, e = tape.params.weights[0], tape.params.cond_embed
+        r = w[0, 0] - a
 
         def vjp(g):
-            ge, gw = np.zeros_like(e.data), np.zeros_like(w.data)
-            ge[1, 2] = 3.0 * g
-            gw[0, 0] = 2.0 * r * g
-            return ge, gw
+            grad = DenoiserParams(tape.arch, np.zeros_like(tape.leaf.data))
+            grad.cond_embed[1, 2] = 3.0 * g
+            grad.weights[0][0, 0] = 2.0 * r * g
+            return grad.vec
 
-        return Var(r * r + 3.0 * e.data[1, 2], (e, w), vjp)
+        return Var(r * r + 3.0 * e[1, 2], tape.leaf, vjp)
 
-    val, grads = value_and_grad(p, loss)
+    val, grad = value_and_grad(p, loss)
     want = (p.weights[0][0, 0] - a) ** 2 + 3.0 * p.cond_embed[1, 2]
     assert val == pytest.approx(want, rel=1e-12)
-    assert grads[0][0, 0] == pytest.approx(2 * (p.weights[0][0, 0] - a), rel=1e-12)
-    assert np.all(grads[0].reshape(-1)[1:] == 0)
-    assert grads[-1][1, 2] == 3.0
-    assert np.count_nonzero(grads[-1]) == 1
-    assert all(np.all(g == 0) for g in grads[1:-1])
+    assert grad.weights[0][0, 0] == pytest.approx(2 * (p.weights[0][0, 0] - a), rel=1e-12)
+    assert np.all(grad.weights[0].reshape(-1)[1:] == 0)
+    assert grad.cond_embed[1, 2] == 3.0
+    assert np.count_nonzero(grad.cond_embed) == 1
+    assert all(np.all(g == 0) for g in grad.flat()[1:-1])
 
 
 def test_value_and_grad_nonfinite_raises():
     p = init_denoiser(ARCH, 5)
     with pytest.raises(NumericError):
-        value_and_grad(p, lambda tape: Var(np.inf, (tape.weights[0],), lambda g: (g,)))
+        value_and_grad(p, lambda tape: Var(np.inf, tape.leaf, lambda g: g))
+
+
+def test_value_and_grad_returns_a_new_vector_per_call():
+    # the trainer adds later windows' gradients into the first one in place,
+    # so no gradient may share memory with the parameters or another call's
+    p = init_denoiser(ARCH, 5)
+    s = make_schedule("cosine", 50)
+    x, t, c = np.ones((3, 2)), np.array([4, 9, 30]), np.array([0, 1, 3])
+
+    def loss(tape):
+        return sft_terms(tape, s, x, t, c, c, np.zeros((3, 2)))
+
+    before = p.vec.copy()
+    _, a = value_and_grad(p, loss)
+    _, b = value_and_grad(p, loss)
+    assert a.vec.tobytes() == b.vec.tobytes()
+    assert not np.shares_memory(a.vec, b.vec)
+    assert not np.shares_memory(a.vec, p.vec) and p.vec.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)], ids=["none", "6", "6-5"])

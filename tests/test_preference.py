@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from inpo.denoiser import DenoiserArch, init_denoiser, params_to_tape, value_and_grad
+from inpo.denoiser import DenoiserArch, TapeParams, init_denoiser, value_and_grad
 from inpo.data import PreferencePair
 from inpo.errors import InvalidArgument
 from inpo.preference import (
@@ -294,7 +294,22 @@ def test_pair_loss_rejects_tape_reference(s):
     p = init_denoiser(DenoiserArch(2, (8,), 4, 4), 3)
     x = np.zeros((2, 2))
     with pytest.raises(InvalidArgument, match="reference"):
-        pair_loss_terms(p, params_to_tape(p), s, x, x, x, x, 100, 0, beta=1.0)
+        pair_loss_terms(p, TapeParams(p), s, x, x, x, x, 100, 0, beta=1.0)
+
+
+@pytest.mark.parametrize("t, c, what", [
+    (np.full(3, 50), 0, "timesteps"),
+    (50, np.array([0, 1, 2]), "condition ids"),
+])
+def test_losses_reject_per_row_values_of_another_length(s, t, c, what):
+    p = init_denoiser(DenoiserArch(2, (8,), 4, 4), 3)
+    x = np.zeros((4, 2))
+    msg = rf"{what} of shape \(3,\) for a batch of 4 rows"
+    for model in (p, TapeParams(p)):
+        with pytest.raises(InvalidArgument, match=msg):
+            pair_loss_terms(model, p, s, x, x, x, x, t, c, beta=1.0)
+    with pytest.raises(InvalidArgument, match=msg):
+        sft_loss(p, s, (x, c), t, x)
 
 
 def test_gradient_finite_at_reference(s):
@@ -309,10 +324,10 @@ def test_gradient_finite_at_reference(s):
     def loss(tape):
         return pair_loss_terms(tape, p, s, x_tw, tau_w, x_tl, tau_l, t, 1, 2000.0)["mean_total"]
 
-    val, grads = value_and_grad(p, loss)
+    val, grad = value_and_grad(p, loss)
     assert val == pytest.approx(LN2, abs=1e-12)
-    assert all(np.all(np.isfinite(g)) for g in grads)
-    assert any(np.any(g != 0) for g in grads)
+    assert np.all(np.isfinite(grad.vec))
+    assert np.any(grad.vec != 0)
 
 
 # ---------------------------------------------------------- implicit reward
@@ -356,7 +371,7 @@ def test_pair_loss_terms_rejects_ref_of_another_arch(s, k_theta, k_ref):
     ref = init_denoiser(DenoiserArch(2, (8,), k_ref, 4), 4)
     x = np.random.default_rng(17).standard_normal((4, 2))
     c = np.array([-1, 0, 1, 1])
-    for model in (theta, params_to_tape(theta)):
+    for model in (theta, TapeParams(theta)):
         with pytest.raises(InvalidArgument, match=f"num_conditions={k_ref}.*num_conditions={k_theta}"):
             pair_loss_terms(model, ref, s, x, x, x, x, np.full(4, 50), c, 10.0)
 

@@ -207,6 +207,22 @@ def test_loops_reject_bad_conditions_and_nonfinite_input(s):
         solve_delta_fixed_point(p, s, x, 300, 1, DeltaStrategy("fixed_point"), rng)
 
 
+def test_loops_reject_condition_ids_of_another_length(s):
+    # 3 ids for 4 rows name both lengths instead of failing inside numpy's
+    # broadcasting
+    p = init_denoiser(DenoiserArch(2, (8,), 4, 8), 0)
+    x, c = np.zeros((4, 2)), np.array([0, 1, 2])
+    msg = r"condition ids of shape \(3,\) for a batch of 4 rows"
+    for w in (1.0, 3.5):
+        with pytest.raises(InvalidArgument, match=msg):
+            ddim_sample(p, s, x, SamplerConfig(num_steps=4, guidance_w=w), c)
+        with pytest.raises(InvalidArgument, match=msg):
+            ddim_invert(p, s, x, 300, 4, c, w)
+    with pytest.raises(InvalidArgument, match=msg):
+        solve_delta_fixed_point(p, s, x, 300, c, DeltaStrategy("fixed_point"),
+                                np.random.default_rng(0))
+
+
 # ------------------------------------------------- reconstruct_xt/compute_tau
 
 

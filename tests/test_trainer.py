@@ -390,7 +390,7 @@ def _oracle_align(base, ref, pairs, s, cfg):
         for _ in range(cfg.accum_steps):
             loss_fn = trainer_mod._align_window(params, ref, s, winners, losers, conds, cfg,
                                                 rng, {})
-            _, grads = value_and_grad(params, loss_fn)
+            grads = value_and_grad(params, loss_fn)[1].flat()
             gsum = grads if gsum is None else [a + b for a, b in zip(gsum, grads)]
         grads = [g / cfg.accum_steps for g in gsum]
         oracle_adam_step(arrays, grads, state, warmup_lr(cfg.lr, step, cfg.warmup_steps))
