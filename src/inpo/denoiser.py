@@ -22,6 +22,11 @@ eps_forward returns an array; on TapeParams it runs the same forward, keeps
 the activations and returns one node over the parameter-vector leaf that
 backpropagates in closed form into a gradient vector laid out like ``vec``,
 so the differentiated path is arithmetically identical to the fast path.
+A training loop allocates one StepWorkspace and passes it to every step's
+differentiated forward: the kept layer inputs, the backward's temporaries,
+the gradient vector and a plain forward's buffers (the frozen reference's)
+are then written in place, and value_and_grad returns that vector; a
+forward given no workspace allocates its own, so its gradient is new.
 noise_predictor binds a batch's conditions, guidance branch and timestep
 grid once and returns the per-step noise function that sampling, inversion
 and the fixed-point solver call; predict_noise is a one-off call of it on a
@@ -96,13 +101,13 @@ class DenoiserParams:
     cond_embed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        vec = self.vec
+        vec, layout = self.vec, _layout(self.arch)
         if (not isinstance(vec, np.ndarray) or vec.dtype != np.float64
-                or vec.shape != (self.arch.param_count(),) or not vec.flags.c_contiguous):
+                or vec.shape != (layout[-1][1],) or not vec.flags.c_contiguous):
             raise InvalidArgument(
                 f"parameter vector must be a contiguous float64 array of "
                 f"{self.arch.param_count()} values")
-        views = [vec[start:stop].reshape(shape) for start, stop, shape in _layout(self.arch)]
+        views = [vec[start:stop].reshape(shape) for start, stop, shape in layout]
         object.__setattr__(self, "weights", tuple(views[0:-1:2]))
         object.__setattr__(self, "biases", tuple(views[1:-1:2]))
         object.__setattr__(self, "cond_embed", views[-1])
@@ -208,14 +213,16 @@ def _integer_ids(c) -> np.ndarray:
 def _per_row(v, n: int, what: str) -> np.ndarray:
     """``v``, one value or one per row, broadcast to a batch of n rows."""
     v = np.asarray(v)
-    if v.shape not in ((), (1,), (n,)):
+    if v.shape == (n,):
+        return v
+    if v.shape not in ((), (1,)):
         raise InvalidArgument(f"{what} of shape {v.shape} for a batch of {n} rows")
     return np.broadcast_to(v, (n,))
 
 
 def _cond_rows(c, num_conditions: int) -> np.ndarray:
     c = _integer_ids(c)
-    if np.any(c >= num_conditions) or np.any(c < NULL_CONDITION):
+    if c.size and (c.max() >= num_conditions or c.min() < NULL_CONDITION):
         raise InvalidArgument(f"condition id out of range [-1, {num_conditions})")
     return np.where(c == NULL_CONDITION, num_conditions, c)
 
@@ -264,35 +271,67 @@ def _forward(weights, biases, cond_embed, x, t, rows, bufs):
     return h @ weights[last] + biases[last]
 
 
-def _taped_forward(tape: TapeParams, x, t, rows) -> Var:
+class StepWorkspace:
+    """Buffers one training loop reuses on every step for a differentiated
+    forward on n rows: the layer inputs it keeps (``acts``), its backward's
+    temporaries and gradient (``grad``, DenoiserParams over one vector), and
+    a forward_workspace (``ref``) for a plain forward of n rows, such as the
+    frozen reference's, which the backward reuses as scratch. A step's
+    forward overwrites them, so each step's backward must run before the
+    next step's forward."""
+
+    def __init__(self, arch: DenoiserArch, n: int):
+        self.n = n
+        self.acts = forward_workspace(arch, n)
+        self.ref = forward_workspace(arch, n)
+        self.back = [np.empty_like(a) for a in self.acts]
+        self.grad = DenoiserParams(arch, np.empty(arch.param_count()))
+        width = arch.time_embed_dim
+        self.embed_cols = np.arange(width)
+        self.embed_bins = np.empty((n, width), dtype=np.int64)
+        self.embed_grad = np.empty((n, width))
+
+
+def _taped_forward(tape: TapeParams, x, t, rows, ws: StepWorkspace | None) -> Var:
     """The plain forward as one tape node over the parameter leaf.
 
     The node keeps the layer inputs and backpropagates through the network in
-    closed form into the views of one new vector: per layer, from the last,
-    the bias and weight gradients, then the gradient of the layer input,
-    times tanh' below a hidden layer; the embedding rows' gradient is
-    scattered from the last columns of the input gradient. Each step is the
-    elementary VJPs' arithmetic (matmul, bias broadcast, tanh, row gather) in
-    the same order, so the gradients equal the per-op network's byte for byte.
+    closed form into the views of the workspace's gradient vector: per layer,
+    from the last, the bias and weight gradients, then the gradient of the
+    layer input, times tanh' below a hidden layer; the embedding rows'
+    gradient is scattered from the last columns of the input gradient. Each
+    step is the elementary VJPs' arithmetic (matmul, bias broadcast, tanh,
+    row gather) in the same order, so the gradients equal the per-op
+    network's byte for byte. Without ``ws`` the call gets a workspace, and so
+    a gradient vector, of its own.
     """
     p = tape.params
     rows = np.asarray(rows)
-    acts = forward_workspace(tape.arch, len(x))
+    if ws is None:
+        ws = StepWorkspace(tape.arch, len(x))
+    elif ws.n != len(x):
+        raise InvalidArgument(f"workspace of {ws.n} rows for a batch of {len(x)}")
+    acts = ws.acts
     out = _forward(p.weights, p.biases, p.cond_embed, x, t, rows, acts)
 
     def vjp(g):
-        grad = DenoiserParams(tape.arch, np.empty_like(p.vec))
+        grad = ws.grad
         for i in range(len(p.weights) - 1, -1, -1):
             a = acts[i]
-            np.sum(g, axis=0, out=grad.biases[i])
+            np.add.reduce(g, axis=0, out=grad.biases[i])
             np.matmul(a.T, g, out=grad.weights[i])
-            g = g @ p.weights[i].T
+            g = np.matmul(g, p.weights[i].T, out=ws.back[i])
             if i:
-                g = g * (1.0 - a * a)
+                da = np.multiply(a, a, out=ws.ref[i])
+                np.subtract(1.0, da, out=da)
+                g *= da
         n_rows, width = p.cond_embed.shape
         # flat (row * width + col) bins add in input order, as np.add.at does
-        flat = (rows[:, None] * width + np.arange(width)).ravel()
-        g_embed = np.bincount(flat, weights=g[:, -width:].ravel(), minlength=n_rows * width)
+        bins, weights = ws.embed_bins, ws.embed_grad
+        np.multiply(rows[:, None], width, out=bins)
+        bins += ws.embed_cols
+        weights[...] = g[:, -width:]
+        g_embed = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=n_rows * width)
         grad.cond_embed[...] = g_embed.reshape(n_rows, width)
         return grad.vec
 
@@ -305,8 +344,9 @@ def eps_forward(model, x, t, rows, ws=None):
     ``model`` is DenoiserParams or TapeParams; ``x`` is (batch, dim), ``t`` a
     (batch,) array, ``rows`` a (batch,) array of embedding-table rows. On
     TapeParams the result is one Var over its leaf (see _taped_forward), with
-    the same forward arithmetic and a workspace of its own.
-    ``ws``, for plain DenoiserParams only, is a forward_workspace of the
+    the same forward arithmetic, run in ``ws``, a StepWorkspace of the
+    batch's size, or in a workspace of its own.
+    ``ws``, for plain DenoiserParams, is a forward_workspace of the
     batch's size: the input and the hidden activations are written into it
     instead of fresh arrays, so it must not be shared with a forward still in
     use. With a BoundWorkspace, ``t`` is a step of its grid, and only the
@@ -315,7 +355,7 @@ def eps_forward(model, x, t, rows, ws=None):
     The result is a fresh array either way.
     """
     if isinstance(model, TapeParams):
-        return _taped_forward(model, x, t, rows)
+        return _taped_forward(model, x, t, rows, ws)
     bufs = ws if ws is not None else [None] * len(model.weights)
     return _forward(model.weights, model.biases, model.cond_embed, x, t, rows, bufs)
 
@@ -382,11 +422,12 @@ def predict_noise(model, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:
 
 def value_and_grad(params: DenoiserParams, loss_fn) -> tuple[float, DenoiserParams]:
     """Value of a scalar loss and its exact reverse-mode gradient, as
-    DenoiserParams over one new vector laid out like ``params.vec``.
+    DenoiserParams over a vector laid out like ``params.vec``.
 
     ``loss_fn`` receives TapeParams(params) and must return a scalar Var, such
     as a loss head over eps_forward(tape, ...); one not reaching the leaf has
-    zero gradient.
+    zero gradient. The vector is the one the network's backward filled: a new
+    one per call, or the StepWorkspace's when the loss ran its forward in one.
     """
     tape = TapeParams(params)
     out = loss_fn(tape)

@@ -10,11 +10,15 @@ Three losses share one pairwise core:
 
 All preference losses take the form -log sigmoid(-beta * w(t) * D) with D the
 difference of four squared prediction errors (winner/loser under the trained
-and the frozen reference model). Each loss head computes its value with
-numpy on the network's output; on tape parameters it returns one node over
-the network's node (denoiser.eps_forward) with a closed-form VJP, whose
-order of operations (d + d, not 2 * d) keeps aligned parameters byte-stable.
-The reference must be plain parameters and never receives gradient.
+and the frozen reference model). The pair head stacks winners over losers,
+so each model's two errors come from one forward, one difference and one
+row sum, with one finiteness check per model that names the offending term
+only on failure. Each loss head computes its value with numpy on the
+network's output; on tape parameters it returns one node over the network's
+node (denoiser.eps_forward) with a closed-form VJP, whose order of
+operations (d + d, not 2 * d) keeps aligned parameters byte-stable. Given a
+StepWorkspace, a head runs its forwards in it. The reference must be plain
+parameters and never receives gradient.
 
 Delta strategies decide how the noise estimate paired with a clean sample is
 produced: "inversion" runs the sampler's inversion, "gaussian" draws i.i.d.
@@ -91,13 +95,14 @@ def sft_loss(model, s: NoiseSchedule, batch, t_draws, eps_draws) -> float:
     return float(sft_terms(model, s, x_t, t, c, rows, eps))
 
 
-def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps):
+def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps, ws=None):
     """Body of the denoising objective; mean over the batch.
 
     On TapeParams, one node: row gradient (g / B) * w(t) * (d + d), d = eps_hat - eps.
     The condition ids ``c`` are not read: ``rows`` already resolves them.
+    ``ws`` is the forward's StepWorkspace on TapeParams (see eps_forward).
     """
-    out = eps_forward(model, x_t, t, rows)
+    out = eps_forward(model, x_t, t, rows, ws=ws)
     taped = isinstance(out, Var)
     d = (out.data if taped else out) - eps
     per = (d * d).sum(axis=1)
@@ -154,8 +159,14 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
 
 
 def make_targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng):
-    """Produce the (latent, regression target) pair for one clean sample batch."""
+    """Produce the (latent, regression target) pair for one clean sample batch.
+
+    ``t`` and ``c`` are one value or one per row, whichever the strategy reads.
+    """
     t = check_timestep(s, t, min_t=1)
+    n = _as_rows(x0).shape[0]
+    _per_row(t, n, "timesteps")
+    _per_row(c, n, "condition ids")
     if strategy.kind == "inversion":
         res = ddim_invert(model, s, x0, t, strategy.n, c, strategy.guidance_w_inv)
         return res.x_t, res.tau_t
@@ -175,48 +186,51 @@ def _check_same_arch(theta, ref) -> None:
             f"reference architecture {ref.arch} differs from the trained model's {theta.arch}")
 
 
-def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c, beta):
+_TERM_NAMES = ("term_w_theta", "term_w_ref", "term_l_theta", "term_l_ref")
+
+
+def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c, beta,
+                    rows=None, ws=None):
     """Batched pairwise loss pieces.
 
     ``theta`` may be DenoiserParams or TapeParams; ``ref`` must be plain
-    DenoiserParams. Returns a dict of per-pair arrays plus the scalar mean
-    total, on TapeParams one node: for d = target - prediction and g_w =
-    (g / B) * sigmoid(-arg) * beta * w(t), winner rows get -g_w * (d + d),
-    losers g_w * (d + d).
+    DenoiserParams. Winners and losers are stacked into one (2B, dim) batch,
+    winners first, so each model runs one forward, one difference from the
+    targets and one squared-error sum. Returns a dict of per-pair arrays plus
+    the scalar mean total, on TapeParams one node: for d = target -
+    prediction and g_w = (g / B) * sigmoid(-arg) * beta * w(t), winner rows
+    get -g_w * (d + d), losers g_w * (d + d).
+
+    ``rows``, when given, are the embedding rows of ``c`` already resolved
+    by the caller (align resolves its whole pair set's once), and ``c`` is
+    not read. ``ws`` is a StepWorkspace of 2B rows for a TapeParams theta:
+    its forward and the reference's run in its buffers.
     """
     if not isinstance(ref, DenoiserParams):
         raise InvalidArgument(f"reference model must be DenoiserParams, got {type(ref)}")
     _check_same_arch(theta, ref)
     x_tw, x_tl = _as_rows(x_tw), _as_rows(x_tl)
-    tau_w, tau_l = _as_rows(tau_w), _as_rows(tau_l)
     B = x_tw.shape[0]
     t = _per_row(t, B, "timesteps")
-    rows = _cond_rows(_per_row(c, B, "condition ids"), theta.arch.num_conditions)
-    x_stack = np.vstack([x_tw, x_tl])
+    if rows is None:
+        rows = _cond_rows(_per_row(c, B, "condition ids"), theta.arch.num_conditions)
+    x_t = np.vstack([x_tw, x_tl])
+    tau = np.vstack([_as_rows(tau_w), _as_rows(tau_l)])
     t_stack = np.concatenate([t, t])
     rows_stack = np.concatenate([rows, rows])
 
-    out = eps_forward(theta, x_stack, t_stack, rows_stack)
-    eps_rf = eps_forward(ref, x_stack, t_stack, rows_stack)
+    out = eps_forward(theta, x_t, t_stack, rows_stack, ws=ws)
+    eps_rf = eps_forward(ref, x_t, t_stack, rows_stack, ws=None if ws is None else ws.ref)
     taped = isinstance(out, Var)
-    eps_th = out.data if taped else out
-
-    dw_t = tau_w - eps_th[:B]
-    dl_t = tau_l - eps_th[B:]
-    term_w_theta = (dw_t * dw_t).sum(axis=1)
-    term_l_theta = (dl_t * dl_t).sum(axis=1)
-    dw_r = tau_w - eps_rf[:B]
-    dl_r = tau_l - eps_rf[B:]
-    term_w_ref = (dw_r * dw_r).sum(axis=1)
-    term_l_ref = (dl_r * dl_r).sum(axis=1)
-
-    names = ("term_w_theta", "term_w_ref", "term_l_theta", "term_l_ref")
-    for name, term in zip(names, (term_w_theta, term_w_ref, term_l_theta, term_l_ref)):
-        if not np.all(np.isfinite(term)):
-            raise NumericError(f"{name} is non-finite")
+    d_th = tau - (out.data if taped else out)
+    d_rf = tau - eps_rf
+    term_th = (d_th * d_th).sum(axis=1)
+    term_rf = (d_rf * d_rf).sum(axis=1)
+    if not (np.isfinite(term_th).all() and np.isfinite(term_rf).all()):
+        _raise_nonfinite_term(term_th, term_rf, B)
 
     scale = -(beta * s.loss_weight[t])
-    arg = (term_w_theta - term_w_ref - term_l_theta + term_l_ref) * scale
+    arg = (term_th[:B] - term_rf[:B] - term_th[B:] + term_rf[B:]) * scale
     totals = np.logaddexp(0.0, -arg)
     mean_total = totals.mean()
     if taped:
@@ -225,22 +239,32 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
 
         def vjp(g):
             gw = (-((g / B) * slope) * scale)[:, None]
-            gl = -gw
-            geps = np.zeros_like(eps_th)
-            geps[:B] += -(gw * dw_t + gw * dw_t)
-            geps[B:] += -(gl * dl_t + gl * dl_t)
+            prod = np.concatenate([gw, -gw]) * d_th
+            geps = prod + prod
+            np.negative(geps, out=geps)
+            # + 0.0 turns -0.0 into 0.0, as accumulating into zeros did
+            geps += 0.0
             return geps
 
         mean_total = Var(mean_total, out, vjp)
     return {
-        "term_w_theta": term_w_theta,
-        "term_w_ref": term_w_ref,
-        "term_l_theta": term_l_theta,
-        "term_l_ref": term_l_ref,
+        "term_w_theta": term_th[:B],
+        "term_w_ref": term_rf[:B],
+        "term_l_theta": term_th[B:],
+        "term_l_ref": term_rf[B:],
         "sigmoid_arg": arg,
         "totals": totals,
         "mean_total": mean_total,
     }
+
+
+def _raise_nonfinite_term(term_th, term_rf, B):
+    """Name the first non-finite term of winners then losers, trained model
+    before reference."""
+    halves = (term_th[:B], term_rf[:B], term_th[B:], term_rf[B:])
+    for name, term in zip(_TERM_NAMES, halves):
+        if not np.all(np.isfinite(term)):
+            raise NumericError(f"{name} is non-finite")
 
 
 def _breakdown(terms, t) -> LossBreakdown:
@@ -288,6 +312,9 @@ def implicit_reward(p, ref, s, x0, c, t_draws, strategy: DeltaStrategy, beta, rn
     """Monte Carlo estimate of the preference reward of one sample, up to the
     per-timestep normalizer that cancels when rewards are compared."""
     _check_same_arch(p, ref)
+    if np.ndim(c) != 0:
+        raise InvalidArgument(
+            f"implicit_reward takes one condition id, got an array of shape {np.shape(c)}")
     t_draws = np.asarray(t_draws)
     if t_draws.size == 0:
         raise InvalidArgument("t_draws must be nonempty")

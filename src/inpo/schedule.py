@@ -6,6 +6,10 @@ A schedule stores three tables over the integer grid t in {0..T}:
     sigma[t]       reparameterized noise level sqrt(1 - alpha_bar) / sqrt(alpha_bar)
     loss_weight[t] per-timestep weight for the denoising objective
 
+and, for forward_diffuse to gather, sqrt_alpha_bar[t] and
+sqrt_one_minus_alpha_bar[t], the square roots of alpha_bar[t] and
+1 - alpha_bar[t].
+
 The identity sigma[t]^2 + 1 = 1/alpha_bar[t] holds at every grid point, which
 is what lets the deterministic sampler treat the reverse process as an ODE in
 the rescaled variable x_t / sqrt(alpha_bar[t]).
@@ -38,6 +42,8 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
     sigma: np.ndarray
     loss_weight: np.ndarray
+    sqrt_alpha_bar: np.ndarray
+    sqrt_one_minus_alpha_bar: np.ndarray
 
 
 def _cosine_alpha_bar(T: int) -> np.ndarray:
@@ -102,9 +108,12 @@ def make_schedule(kind: str, T: int, loss_weight: str = "constant") -> NoiseSche
         w = sigma**2
         w[0] = 1.0
 
-    for arr in (ab, sigma, w):
+    sqrt_ab = np.sqrt(ab)
+    sqrt_1mab = np.sqrt(1.0 - ab)
+    for arr in (ab, sigma, w, sqrt_ab, sqrt_1mab):
         arr.flags.writeable = False
-    return NoiseSchedule(kind=kind, T=T, alpha_bar=ab, sigma=sigma, loss_weight=w)
+    return NoiseSchedule(kind=kind, T=T, alpha_bar=ab, sigma=sigma, loss_weight=w,
+                         sqrt_alpha_bar=sqrt_ab, sqrt_one_minus_alpha_bar=sqrt_1mab)
 
 
 def check_timestep(s: NoiseSchedule, t, min_t: int = 0):
@@ -114,7 +123,7 @@ def check_timestep(s: NoiseSchedule, t, min_t: int = 0):
         if not np.all(t == np.floor(t)):
             raise InvalidArgument("timestep must be an integer")
         t = t.astype(np.int64)
-    if np.any(t < min_t) or np.any(t > s.T):
+    if t.size and (t.min() < min_t or t.max() > s.T):
         raise InvalidArgument(f"timestep out of range [{min_t}, {s.T}]")
     return t
 
@@ -136,7 +145,7 @@ def forward_diffuse(s: NoiseSchedule, x0, t, eps) -> np.ndarray:
     if x0.shape != eps.shape:
         raise InvalidArgument(f"x0 shape {x0.shape} != eps shape {eps.shape}")
     t = check_timestep(s, t)
-    ab = s.alpha_bar[t]
-    if x0.ndim == 2 and np.ndim(ab) == 1:
-        ab = ab[:, None]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    a, b = s.sqrt_alpha_bar[t], s.sqrt_one_minus_alpha_bar[t]
+    if x0.ndim == 2 and t.ndim == 1:
+        a, b = a[:, None], b[:, None]
+    return a * x0 + b * eps

@@ -21,12 +21,17 @@ non-finite.
 Per optimizer step, gradients are averaged over batch_pairs * accum_steps
 pair evaluations, each at an independently drawn timestep in {t_min..T}.
 
+Each training call (align, and pretrain_base and sft_ref_init through
+_fit_denoiser) binds once what its steps share: the pair set's or dataset's
+conditions, validated and resolved to embedding rows that a step gathers by
+index; one StepWorkspace, in which every step's taped forward, reference
+forward and backward run; the step-sum vector; and Adam's scratch pair.
+
 The optimizer runs on whole parameter vectors (DenoiserParams.vec). Each
-window's gradient is one new vector from value_and_grad, checked for
-finiteness once; the first window's becomes the step's sum and later ones
-are added into it in place. Adam's moments are vectors of the same layout,
-adam_step updates the parameters in place, and its scratch pair is allocated
-once per training loop and reused on every step.
+window's gradient lands in the workspace's vector and is checked for
+finiteness once; the first window's is copied into the step sum and later
+ones are added to it in place. Adam's moments are vectors of the same
+layout, and adam_step updates the parameters in place.
 """
 from __future__ import annotations
 
@@ -36,12 +41,13 @@ import json
 import struct
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .denoiser import (
     DenoiserParams,
-    NULL_CONDITION,
+    StepWorkspace,
     _cond_rows,
     _Reader,
     init_denoiser,
@@ -172,8 +178,13 @@ def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, step
 
     Each step draws rows, timesteps, noise and condition drops, in that
     order, from its own stream; a dropped condition becomes the null one.
+    The conditions are validated and resolved to embedding rows once, and a
+    step gathers its rows from them.
     """
     arch = params.arch
+    cond_rows = _cond_rows(cond, arch.num_conditions)
+    null_row = arch.num_conditions
+    ws = StepWorkspace(arch, batch)
     adam = AdamState.zeros_like(params.vec)
     work = (np.empty_like(params.vec), np.empty_like(params.vec))
     for step in range(steps):
@@ -182,12 +193,11 @@ def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, step
         t = rng.integers(1, schedule.T + 1, size=batch)
         eps = rng.standard_normal((batch, arch.input_dim))
         drop = rng.random(batch) < cond_drop
-        cc = np.where(drop, NULL_CONDITION, cond[idx])
-        rows = _cond_rows(cc, arch.num_conditions)
+        rows = np.where(drop, null_row, cond_rows[idx])
         x_t = forward_diffuse(schedule, X[idx], t, eps)
         try:
             _, grad = value_and_grad(
-                params, lambda tape: sft_terms(tape, schedule, x_t, t, cc, rows, eps)
+                params, lambda tape: sft_terms(tape, schedule, x_t, t, None, rows, eps, ws)
             )
         except ArithmeticError as e:
             raise TrainingError(str(e), step) from e
@@ -227,32 +237,42 @@ def config_fingerprint(cfg: AlignConfig) -> bytes:
     return hashlib.sha256(canon).digest()
 
 
-def _align_window(params, ref, schedule, winners, losers, conds, cfg, rng, aux):
+class _PairSet(NamedTuple):
+    """An align call's non-tie pairs as arrays, with every pair's condition
+    validated and resolved to embedding rows once."""
+
+    winners: np.ndarray
+    losers: np.ndarray
+    conds: np.ndarray
+    rows: np.ndarray
+
+
+def _align_window(params, ref, schedule, pairs: _PairSet, cfg, rng, aux, ws):
     """Draw one accumulation window and return its loss_fn.
 
     Winners and losers get their latents and targets from one make_targets
     call on the stacked (2B, dim) batch, winners first; dpo is inpo with the
-    gaussian strategy. ``aux`` receives the draws as they are made, so a
-    failure part way through can still name the pair.
+    gaussian strategy. The loss runs its forwards and backward in ``ws``.
+    ``aux`` receives the draws as they are made, so a failure part way
+    through can still name the pair.
     """
     B = cfg.batch_pairs
-    idx = rng.integers(0, len(winners), size=B)
+    idx = rng.integers(0, len(pairs.winners), size=B)
     t = rng.integers(cfg.t_min, schedule.T + 1, size=B)
-    xw, cc = winners[idx], conds[idx]
+    xw, cc, rows = pairs.winners[idx], pairs.conds[idx], pairs.rows[idx]
     aux.update(idx=idx, t=t, arrays=[xw])
 
     if cfg.method == "sft":
         eps = rng.standard_normal(xw.shape)
-        rows = _cond_rows(cc, params.arch.num_conditions)
         x_t = forward_diffuse(schedule, xw, t, eps)
         aux["arrays"].append(x_t)
 
         def loss_fn(tape):
-            return sft_terms(tape, schedule, x_t, t, cc, rows, eps)
+            return sft_terms(tape, schedule, x_t, t, cc, rows, eps, ws)
 
         return loss_fn
 
-    xl = losers[idx]
+    xl = pairs.losers[idx]
     aux["arrays"].append(xl)
     delta = _DPO_DELTA if cfg.method == "dpo" else cfg.delta
     x_t, tau = make_targets(params, schedule, np.vstack([xw, xl]), np.concatenate([t, t]),
@@ -261,7 +281,7 @@ def _align_window(params, ref, schedule, winners, losers, conds, cfg, rng, aux):
 
     def loss_fn(tape):
         terms = pair_loss_terms(tape, ref, schedule, x_t[:B], tau[:B], x_t[B:], tau[B:],
-                                t, cc, cfg.beta)
+                                t, cc, cfg.beta, rows=rows, ws=ws)
         aux["sigmoid_arg"] = terms["sigmoid_arg"]
         return terms["mean_total"]
 
@@ -277,13 +297,18 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
     with columns step, lr, loss, sigmoid_arg_mean, wall_ms is written. When
     ``checkpoint_at`` is reached, ``on_checkpoint`` receives a Checkpoint that
     ``resume`` accepts to reproduce the rest of the run exactly.
+
+    Every pair's condition is validated once, before the first step. Each
+    step's forwards and backward run in one StepWorkspace, and its windows'
+    gradients are summed in one vector; both are allocated once per call.
     """
     usable = [p for p in pairs if not p.tie]
     if not usable:
         raise InvalidArgument("no usable (non-tie) pairs")
-    winners = np.stack([p.winner for p in usable])
-    losers = np.stack([p.loser for p in usable])
     conds = np.asarray([p.condition for p in usable])
+    pair_set = _PairSet(np.stack([p.winner for p in usable]),
+                        np.stack([p.loser for p in usable]), conds,
+                        _cond_rows(conds, base.arch.num_conditions))
 
     fp = config_fingerprint(cfg)
     if resume is not None:
@@ -297,6 +322,9 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         adam = AdamState.zeros_like(params.vec)
         start = 0
     work = (np.empty_like(params.vec), np.empty_like(params.vec))
+    gsum = np.empty_like(params.vec)
+    rows_per_window = cfg.batch_pairs * (1 if cfg.method == "sft" else 2)
+    ws = StepWorkspace(params.arch, rows_per_window)
 
     rows_log = []
     for step in range(start, cfg.steps):
@@ -307,9 +335,7 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         for k in range(cfg.accum_steps):
             aux = {}
             try:
-                loss_fn = _align_window(
-                    params, ref, schedule, winners, losers, conds, cfg, rng, aux
-                )
+                loss_fn = _align_window(params, ref, schedule, pair_set, cfg, rng, aux, ws)
                 val, grad = value_and_grad(params, loss_fn)
             except ArithmeticError as e:
                 raise TrainingError(f"{e}{_bad_pair(aux)}", step) from e
@@ -317,7 +343,7 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
             if k:
                 gsum += g
             else:
-                gsum = g
+                np.copyto(gsum, g)
             loss_sum += val
             arg = aux.get("sigmoid_arg")
             arg_sum += float(arg.mean()) if arg is not None else 0.0

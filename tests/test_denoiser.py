@@ -22,6 +22,8 @@ from inpo.denoiser import (
     params_to_bytes,
     predict_noise,
     save_params,
+    StepWorkspace,
+    TapeParams,
     time_embedding,
     value_and_grad,
 )
@@ -200,6 +202,31 @@ def test_value_and_grad_returns_a_new_vector_per_call():
     assert a.vec.tobytes() == b.vec.tobytes()
     assert not np.shares_memory(a.vec, b.vec)
     assert not np.shares_memory(a.vec, p.vec) and p.vec.tobytes() == before.tobytes()
+
+
+def test_value_and_grad_fills_the_workspace_gradient():
+    # a loss whose forward runs in a StepWorkspace gets the workspace's
+    # vector back, overwritten in place with the bytes a fresh call returns
+    p = init_denoiser(ARCH, 5)
+    s = make_schedule("cosine", 50)
+    c = np.array([0, 1, 3])
+    ws = StepWorkspace(ARCH, 3)
+    ws.grad.vec[:] = np.nan
+    for x, t in ((np.ones((3, 2)), np.array([4, 9, 30])), (np.zeros((3, 2)), np.array([7, 2, 5]))):
+        def loss(tape, ws=None):
+            return sft_terms(tape, s, x, t, c, c, np.ones((3, 2)), ws)
+
+        _, fresh = value_and_grad(p, loss)
+        _, filled = value_and_grad(p, lambda tape: loss(tape, ws))
+        assert filled.vec is ws.grad.vec
+        assert filled.vec.tobytes() == fresh.vec.tobytes()
+
+
+def test_step_workspace_must_match_the_batch():
+    p = init_denoiser(ARCH, 5)
+    with pytest.raises(InvalidArgument, match="workspace of 4 rows for a batch of 3"):
+        eps_forward(TapeParams(p), np.ones((3, 2)), np.array([4, 9, 30]), np.zeros(3, int),
+                    ws=StepWorkspace(ARCH, 4))
 
 
 @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)], ids=["none", "6", "6-5"])

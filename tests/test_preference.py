@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from inpo.autodiff import Var
 from inpo.denoiser import DenoiserArch, TapeParams, init_denoiser, value_and_grad
 from inpo.data import PreferencePair
-from inpo.errors import InvalidArgument
+import inpo.preference as preference_mod
+from inpo.errors import InvalidArgument, NumericError
 from inpo.preference import (
+    DELTA_KINDS,
     DeltaStrategy,
     dpo_diffusion_loss,
     implicit_reward,
@@ -310,6 +313,37 @@ def test_losses_reject_per_row_values_of_another_length(s, t, c, what):
             pair_loss_terms(model, p, s, x, x, x, x, t, c, beta=1.0)
     with pytest.raises(InvalidArgument, match=msg):
         sft_loss(p, s, (x, c), t, x)
+    # gaussian targets read neither c nor the per-row t's length on their own
+    for kind in DELTA_KINDS:
+        with pytest.raises(InvalidArgument, match=msg):
+            make_targets(p, s, x, t, c, DeltaStrategy(kind, n=2, max_iters=2),
+                         np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name, half, model", [
+    ("term_w_theta", 0, "theta"), ("term_w_ref", 0, "ref"),
+    ("term_l_theta", 1, "theta"), ("term_l_ref", 1, "ref"),
+])
+def test_pair_loss_names_the_first_nonfinite_term(s, monkeypatch, name, half, model):
+    # one model's prediction is non-finite on one half of the stacked batch;
+    # the error names that term, winners before losers, trained before reference
+    arch = DenoiserArch(2, (8,), 4, 4)
+    theta, ref = init_denoiser(arch, 3), init_denoiser(arch, 4)
+    real = preference_mod.eps_forward
+    B = 3
+
+    def poisoned(m, x, t, rows, ws=None):
+        out = real(m, x, t, rows, ws=ws)
+        hit = m is ref if model == "ref" else m is not ref
+        if hit:
+            (out.data if isinstance(out, Var) else out)[half * B] = np.inf
+        return out
+
+    monkeypatch.setattr(preference_mod, "eps_forward", poisoned)
+    x = np.random.default_rng(18).standard_normal((B, 2))
+    for th in (theta, TapeParams(theta)):
+        with pytest.raises(NumericError, match=rf"^{name} is non-finite$"):
+            pair_loss_terms(th, ref, s, x, x, x, x, np.full(B, 50), 1, beta=1.0)
 
 
 def test_gradient_finite_at_reference(s):
@@ -363,6 +397,13 @@ def test_implicit_reward_empty_draws_rejected(s):
     p = init_denoiser(DenoiserArch(2, (8,), 4, 4), 3)
     with pytest.raises(InvalidArgument):
         implicit_reward(p, p, s, np.zeros(2), 0, [], DeltaStrategy("gaussian"), 1.0, None)
+
+
+def test_implicit_reward_takes_one_condition_id(s):
+    p = init_denoiser(DenoiserArch(2, (8,), 4, 4), 3)
+    with pytest.raises(InvalidArgument, match=r"one condition id, got an array of shape \(2,\)"):
+        implicit_reward(p, p, s, np.zeros(2), np.array([0, 1]), [50, 300, 800],
+                        DeltaStrategy("gaussian"), 1.0, np.random.default_rng(5))
 
 
 @pytest.mark.parametrize("k_theta, k_ref", [(2, 8), (8, 2)])

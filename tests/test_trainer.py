@@ -11,6 +11,7 @@ import inpo.trainer as trainer_mod
 from inpo.data import PreferencePair
 from inpo.denoiser import (
     DenoiserArch,
+    _cond_rows,
     _pack_header,
     init_denoiser,
     params_equal,
@@ -18,9 +19,10 @@ from inpo.denoiser import (
     value_and_grad,
 )
 from inpo.errors import ConfigError, InvalidArgument, TrainingError, VersionError
-from inpo.preference import DeltaStrategy, make_targets, sft_loss
-from inpo.schedule import make_schedule
+from inpo.preference import DeltaStrategy, make_targets, pair_loss_terms, sft_loss, sft_terms
+from inpo.schedule import forward_diffuse, make_schedule
 from inpo.trainer import (
+    ALIGN_METHODS,
     CKPT_MAGIC,
     CKPT_VERSION,
     AdamState,
@@ -286,12 +288,41 @@ def test_checkpoint_roundtrip(tmp_path, s, tiny_pairs):
 
 def test_resume_matches_uninterrupted(s, tiny_pairs):
     base = init_denoiser(ARCH, 7)
-    cfg = small_cfg(steps=10)
-    grabbed = []
-    full = align(base, base, tiny_pairs, s, cfg, checkpoint_at=4, on_checkpoint=grabbed.append)
-    resumed = align(base, base, tiny_pairs, s, cfg, resume=grabbed[0])
-    for x, y in zip(full.flat(), resumed.flat()):
-        assert x.tobytes() == y.tobytes()
+    for cfg in (small_cfg(steps=10),
+                small_cfg(steps=10, delta=DeltaStrategy("inversion", n=3), accum_steps=2),
+                small_cfg(steps=10, method="sft", accum_steps=3)):
+        grabbed = []
+        full = align(base, base, tiny_pairs, s, cfg, checkpoint_at=4,
+                     on_checkpoint=grabbed.append)
+        resumed = align(base, base, tiny_pairs, s, cfg, resume=grabbed[0])
+        for x, y in zip(full.flat(), resumed.flat()):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_back_to_back_calls_leave_no_state(s, tiny_pairs, tiny_data):
+    # each call binds its own workspace, so a call in between, of another
+    # method and batch size, changes nothing in the next one
+    base = init_denoiser(ARCH, 7)
+    ref = init_denoiser(ARCH, 8)
+    cfg = small_cfg(delta=DeltaStrategy("inversion", n=3), steps=4, accum_steps=2)
+    first = align(base, ref, tiny_pairs, s, cfg)
+    first_base = pretrain_base(tiny_data, ARCH, s, steps=4, lr=1e-3, seed=5, batch=16)
+    align(base, ref, tiny_pairs, s, small_cfg(method="sft", steps=3, batch_pairs=5))
+    align(base, ref, tiny_pairs, s, small_cfg(method="dpo", steps=3, batch_pairs=11))
+    pretrain_base(tiny_data, ARCH, s, steps=3, lr=1e-3, seed=6, batch=9)
+    assert align(base, ref, tiny_pairs, s, cfg).vec.tobytes() == first.vec.tobytes()
+    again = pretrain_base(tiny_data, ARCH, s, steps=4, lr=1e-3, seed=5, batch=16)
+    assert again.vec.tobytes() == first_base.vec.tobytes()
+
+
+def test_align_validates_every_pair_condition_up_front(s, tiny_pairs):
+    # the pair set's conditions are resolved once, so one no step would draw
+    # still fails before the first step
+    bad = PreferencePair(4, np.zeros(2), np.ones(2), 1.0, 0.0, 0)
+    base = init_denoiser(ARCH, 7)
+    for method in ALIGN_METHODS:
+        with pytest.raises(InvalidArgument, match=r"condition id out of range \[-1, 4\)"):
+            align(base, base, [*tiny_pairs, bad], s, small_cfg(method=method, steps=0))
 
 
 def test_resume_rejects_fingerprint_mismatch(s, tiny_pairs):
@@ -376,11 +407,16 @@ def test_adam_step_matches_per_array_oracle_bytes():
 
 
 def _oracle_align(base, ref, pairs, s, cfg):
-    """align's loop with per-array gradient lists and the per-array Adam."""
+    """align's loop through the public, unbound loss heads: every window
+    draws what _align_window draws, in the same order, and the heads
+    validate the drawn conditions and allocate their own buffers; gradients
+    are per-array lists and Adam is the per-array oracle."""
     usable = [p for p in pairs if not p.tie]
     winners = np.stack([p.winner for p in usable])
     losers = np.stack([p.loser for p in usable])
     conds = np.asarray([p.condition for p in usable])
+    B = cfg.batch_pairs
+    delta = DeltaStrategy("gaussian") if cfg.method == "dpo" else cfg.delta
     params = base.copy()
     arrays = params.flat()
     state = _list_state(arrays)
@@ -388,8 +424,24 @@ def _oracle_align(base, ref, pairs, s, cfg):
         rng = trainer_mod._step_rng(cfg.seed, trainer_mod._ALIGN_DOMAIN, step)
         gsum = None
         for _ in range(cfg.accum_steps):
-            loss_fn = trainer_mod._align_window(params, ref, s, winners, losers, conds, cfg,
-                                                rng, {})
+            idx = rng.integers(0, len(winners), size=B)
+            t = rng.integers(cfg.t_min, s.T + 1, size=B)
+            xw, cc = winners[idx], conds[idx]
+            if cfg.method == "sft":
+                eps = rng.standard_normal(xw.shape)
+                x_t = forward_diffuse(s, xw, t, eps)
+                rows = _cond_rows(cc, base.arch.num_conditions)
+
+                def loss_fn(tape):
+                    return sft_terms(tape, s, x_t, t, cc, rows, eps)
+            else:
+                x_t, tau = make_targets(params, s, np.vstack([xw, losers[idx]]),
+                                        np.concatenate([t, t]), np.concatenate([cc, cc]),
+                                        delta, rng)
+
+                def loss_fn(tape):
+                    return pair_loss_terms(tape, ref, s, x_t[:B], tau[:B], x_t[B:], tau[B:],
+                                           t, cc, cfg.beta)["mean_total"]
             grads = value_and_grad(params, loss_fn)[1].flat()
             gsum = grads if gsum is None else [a + b for a, b in zip(gsum, grads)]
         grads = [g / cfg.accum_steps for g in gsum]
@@ -397,12 +449,23 @@ def _oracle_align(base, ref, pairs, s, cfg):
     return params
 
 
-@pytest.mark.parametrize("method", ["inpo", "dpo", "sft"])
-def test_align_accumulation_matches_per_array_oracle_bytes(s, tiny_pairs, method):
+_INVERSION = DeltaStrategy("inversion", n=3)
+_FIXED_POINT = DeltaStrategy("fixed_point", max_iters=4)
+
+
+@pytest.mark.parametrize("method,delta,accum", [
+    ("inpo", _INVERSION, 3), ("dpo", _INVERSION, 3), ("sft", _INVERSION, 3),
+    ("inpo", _INVERSION, 1), ("inpo", _FIXED_POINT, 1), ("inpo", _FIXED_POINT, 3),
+    ("dpo", _INVERSION, 1), ("sft", _INVERSION, 1),
+], ids=["inpo", "dpo", "sft", "inpo-accum1", "fixed_point-accum1", "fixed_point",
+        "dpo-accum1", "sft-accum1"])
+def test_align_accumulation_matches_per_array_oracle_bytes(s, tiny_pairs, method, delta, accum):
+    # align's bound step (pair set resolved once, one workspace, one step-sum
+    # vector) against the unbound public path, byte for byte
     base = init_denoiser(ARCH, 7)
     ref = init_denoiser(ARCH, 8)
-    cfg = small_cfg(method=method, steps=6, accum_steps=3, warmup_steps=4, lr=3e-3,
-                    delta=DeltaStrategy("inversion", n=3))
+    cfg = small_cfg(method=method, steps=6, accum_steps=accum, warmup_steps=4, lr=3e-3,
+                    delta=delta)
     out = align(base, ref, tiny_pairs, s, cfg)
     assert out.vec.tobytes() == _oracle_align(base, ref, tiny_pairs, s, cfg).vec.tobytes()
     assert not params_equal(out, base)
