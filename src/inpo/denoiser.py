@@ -27,21 +27,25 @@ differentiated forward: the kept layer inputs, the backward's temporaries,
 the gradient vector and a plain forward's buffers (the frozen reference's)
 are then written in place, and value_and_grad returns that vector; a
 forward given no workspace allocates its own, so its gradient is new.
-noise_predictor binds a batch's conditions, guidance branch and timestep
-grid once and returns the per-step noise function that sampling, inversion
-and the fixed-point solver call; predict_noise is a one-off call of it on a
-grid of one step.
+A NoisePredictor is the per-step noise function that sampling, inversion
+and the fixed-point solver call. It owns its workspace, and bind(c, grid)
+binds a batch's conditions, guidance branch and timestep grid; the
+inverter rebinds one per window, ddim_sample and the solver bind one per
+call through noise_predictor, and predict_noise is a one-off call of it on
+a grid of one step.
 
 A plain forward may run in a workspace: one preallocated (n, width) buffer
 for the concatenated input [x | time embedding | condition embedding] and
-one per hidden layer, which eps_forward overwrites on every call. A
-noise_predictor call binds once what its grid steps share: the condition
-rows, one input buffer per guidance branch (the hidden buffers are shared)
-and the time embeddings of the whole grid, from one time_embedding call. A
-BoundWorkspace records which rows' condition block and which step's
-embedding its input holds, so a step's forward copies x, and the step's
-embedding when the step changes, then runs the layers. The returned noise
-prediction is always a fresh array.
+one per hidden layer, which eps_forward overwrites on every call. A bind
+sets up once what its grid steps share: the condition rows, one input
+buffer per guidance branch (the hidden buffers are shared) and the time
+embeddings of the whole grid, gathered from time_embedding's table (by one
+time_embedding call when the grid's shape is new, into the last bind's
+buffer otherwise). A BoundWorkspace records which rows' condition block and
+which step's embedding its input holds, so a step's forward copies x, and
+the step's embedding when the step changes, then runs the layers; a bind
+makes it forget both, since the model may have changed in place. The
+returned noise prediction is always a fresh array.
 """
 from __future__ import annotations
 
@@ -192,15 +196,23 @@ def time_embedding(t, dim: int) -> np.ndarray:
     (the continuous times of the RK4 oracle) are computed directly.
     """
     t = np.asarray(t)
-    if t.dtype.kind in "iu" and t.size:
-        low, top = int(t.min()), int(t.max())
-        if low >= 0 and top <= _TABLE_MAX_T:
-            table = _TABLE_CACHE.get(dim)
-            if table is None or top >= len(table):
-                table = _sincos(np.arange(top + 1, dtype=np.float64), dim)
-                _TABLE_CACHE[dim] = table
-            return table[t]
-    return _sincos(t.astype(np.float64), dim)
+    table = _time_table(t, dim)
+    return _sincos(t.astype(np.float64), dim) if table is None else table[t]
+
+
+def _time_table(t: np.ndarray, dim: int) -> np.ndarray | None:
+    """time_embedding's table, grown to cover the timesteps ``t``, or None
+    if they are not integers in [0, 2**16]."""
+    if t.dtype.kind not in "iu" or not t.size:
+        return None
+    low, top = int(t.min()), int(t.max())
+    if low < 0 or top > _TABLE_MAX_T:
+        return None
+    table = _TABLE_CACHE.get(dim)
+    if table is None or top >= len(table):
+        table = _sincos(np.arange(top + 1, dtype=np.float64), dim)
+        _TABLE_CACHE[dim] = table
+    return table
 
 
 def _integer_ids(c) -> np.ndarray:
@@ -237,10 +249,16 @@ class BoundWorkspace:
     """forward_workspace buffers bound to the time embeddings ``temb`` of a
     timestep grid, (steps, 1 or n, dim); eps_forward then takes a step index
     for t. ``rows`` and ``step`` record what the input buffer's condition and
-    time blocks hold. It serves one model, unchanged while bound."""
+    time blocks hold. It serves one model, unchanged while bound; bind
+    rebinds it to a new grid and forgets both blocks, so a model changed in
+    place since has its condition block rewritten."""
 
     def __init__(self, bufs: list[np.ndarray], temb: np.ndarray):
-        self.bufs, self.temb, self.rows, self.step = bufs, temb, None, None
+        self.bufs = bufs
+        self.bind(temb)
+
+    def bind(self, temb: np.ndarray) -> None:
+        self.temb, self.rows, self.step = temb, None, None
 
     def load(self, x, step, rows, cond_embed) -> np.ndarray:
         h = self.bufs[0]
@@ -360,49 +378,85 @@ def eps_forward(model, x, t, rows, ws=None):
     return _forward(model.weights, model.biases, model.cond_embed, x, t, rows, bufs)
 
 
-def noise_predictor(model, c, guidance_w: float, n: int, grid):
-    """Bind a batch of n rows to its conditions, guidance branch and grid.
+class NoisePredictor:
+    """The noise prediction of one model on batches of n rows, with
+    predict_noise's semantics, bound to a guidance weight.
 
-    ``grid`` holds the timesteps of every step to be evaluated, (steps, 1)
-    or (steps, n) for one per row. Returns eps(x, i) for (n, input_dim)
-    samples x at grid step i, with predict_noise's semantics. Conditions,
-    the grid's time embeddings and one BoundWorkspace per guidance branch
-    are resolved here once; every eps call still checks the sample's shape
-    and finiteness and returns a fresh array.
+    bind(c, grid) binds the batch's conditions and the timesteps of every
+    step to be evaluated, ``grid`` of (steps, 1) or (steps, n) for one per
+    row; the predictor is then eps(x, i) for (n, input_dim) samples x at grid
+    step i. The workspace of n rows (one input buffer per guidance branch,
+    the hidden buffers shared) and the time-embedding buffer outlive binds;
+    a bind resolves the conditions, gathers the grid's time embeddings (see
+    _embed) and makes the next forward rewrite every input block, so the
+    condition block reads the model's embedding table as it is at the bind.
+    Every eps call checks the sample's shape and finiteness and returns a
+    fresh array.
     """
-    if not isinstance(model, DenoiserParams):
-        raise InvalidArgument(f"model must be DenoiserParams, got {type(model)}")
-    arch = model.arch
-    grid = np.asarray(grid)
-    if grid.ndim != 2 or grid.shape[1] not in (1, n):
-        raise InvalidArgument(
-            f"per-row timesteps of length {grid.shape[-1]} for a batch of {n} rows")
-    cv = _per_row(c, n, "condition ids")
-    rows = _cond_rows(cv, arch.num_conditions)
-    null_rows = np.full_like(rows, arch.num_conditions)
-    shape = (n, arch.input_dim)
-    temb = time_embedding(grid.ravel(), arch.time_embed_dim).reshape(*grid.shape, -1)
-    ws = BoundWorkspace(forward_workspace(arch, n), temb)
 
-    def forward(x, i, at_rows):
-        if x.shape != shape:
-            raise InvalidArgument(f"sample batch shape {x.shape} != {shape}")
-        if not np.all(np.isfinite(x)):
+    def __init__(self, model, guidance_w: float, n: int):
+        if not isinstance(model, DenoiserParams):
+            raise InvalidArgument(f"model must be DenoiserParams, got {type(model)}")
+        arch = model.arch
+        self.model, self.guidance_w, self.n = model, guidance_w, n
+        self.shape = (n, arch.input_dim)
+        self.null_rows = np.full(n, arch.num_conditions)
+        self.ws = BoundWorkspace(forward_workspace(arch, n), None)
+        self.ws_c = None
+        self.rows = self.null_rows
+        self.guided = False
+
+    def bind(self, c, grid) -> "NoisePredictor":
+        arch, n = self.model.arch, self.n
+        grid = np.asarray(grid)
+        if grid.ndim != 2 or grid.shape[1] not in (1, n):
+            raise InvalidArgument(
+                f"per-row timesteps of length {grid.shape[-1]} for a batch of {n} rows")
+        cv = _per_row(c, n, "condition ids")
+        rows = _cond_rows(cv, arch.num_conditions)
+        temb = self._embed(grid)
+        self.ws.bind(temb)
+        w = self.guidance_w
+        if w == 0.0 or (cv == NULL_CONDITION).all():
+            self.rows, self.guided = self.null_rows, False
+        elif w == 1.0:
+            self.rows, self.guided = rows, False
+        else:
+            self.rows, self.guided = rows, True
+            if self.ws_c is None:
+                bufs = self.ws.bufs
+                self.ws_c = BoundWorkspace([np.empty_like(bufs[0]), *bufs[1:]], None)
+            self.ws_c.bind(temb)
+        return self
+
+    def _embed(self, grid: np.ndarray) -> np.ndarray:
+        """The grid's time embeddings, (steps, 1 or n, dim). A grid of the
+        last bind's shape is gathered from time_embedding's table into the
+        last bind's buffer; any other is embedded by one time_embedding call
+        into a new one."""
+        dim = self.model.arch.time_embed_dim
+        temb = self.ws.temb
+        if temb is not None and temb.shape[:2] == grid.shape:
+            table = _time_table(grid, dim)
+            if table is not None:
+                return table.take(grid, axis=0, out=temb, mode="clip")
+        return time_embedding(grid.ravel(), dim).reshape(*grid.shape, -1)
+
+    def __call__(self, x, i):
+        if x.shape != self.shape:
+            raise InvalidArgument(f"sample batch shape {x.shape} != {self.shape}")
+        if not np.isfinite(x).all():
             raise NumericError("non-finite sample passed to the denoiser")
-        return eps_forward(model, x, i, at_rows, ws=ws)
+        if not self.guided:
+            return eps_forward(self.model, x, i, self.rows, ws=self.ws)
+        eps_u = eps_forward(self.model, x, i, self.null_rows, ws=self.ws)
+        eps_c = eps_forward(self.model, x, i, self.rows, ws=self.ws_c)
+        return eps_u + self.guidance_w * (eps_c - eps_u)
 
-    if guidance_w == 0.0 or np.all(cv == NULL_CONDITION):
-        return lambda x, i: forward(x, i, null_rows)
-    if guidance_w == 1.0:
-        return lambda x, i: forward(x, i, rows)
-    ws_c = BoundWorkspace([np.empty_like(ws.bufs[0]), *ws.bufs[1:]], temb)
 
-    def guided(x, i):
-        eps_u = forward(x, i, null_rows)
-        eps_c = eps_forward(model, x, i, rows, ws=ws_c)
-        return eps_u + guidance_w * (eps_c - eps_u)
-
-    return guided
+def noise_predictor(model, c, guidance_w: float, n: int, grid) -> NoisePredictor:
+    """A NoisePredictor of n rows bound once to conditions ``c`` and ``grid``."""
+    return NoisePredictor(model, guidance_w, n).bind(c, grid)
 
 
 def predict_noise(model, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:
@@ -527,7 +581,7 @@ def params_from_bytes(buf: bytes) -> tuple[DenoiserParams, str, int]:
 
     vec = r.f8((arch.param_count(),))
     r.end()
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise NumericError("parameter file contains non-finite values")
     params = DenoiserParams(arch, vec)
     return params, kind, T

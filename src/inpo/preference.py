@@ -35,7 +35,7 @@ import numpy as np
 from .autodiff import Var
 from .denoiser import DenoiserParams, _cond_rows, _per_row, eps_forward, noise_predictor
 from .errors import InvalidArgument, NumericError
-from .sampler import ddim_invert, reconstruct_xt
+from .sampler import Inverter, ddim_invert, reconstruct_xt
 from .schedule import NoiseSchedule, check_timestep, forward_diffuse
 
 DELTA_KINDS = ("inversion", "gaussian", "fixed_point")
@@ -99,14 +99,16 @@ def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps, ws=None):
     """Body of the denoising objective; mean over the batch.
 
     On TapeParams, one node: row gradient (g / B) * w(t) * (d + d), d = eps_hat - eps.
+    ``t``, one timestep or one per row, must lie in [0, T], as for sft_loss.
     The condition ids ``c`` are not read: ``rows`` already resolves them.
     ``ws`` is the forward's StepWorkspace on TapeParams (see eps_forward).
     """
+    t = _per_row(check_timestep(s, t), len(x_t), "timesteps")
     out = eps_forward(model, x_t, t, rows, ws=ws)
     taped = isinstance(out, Var)
     d = (out.data if taped else out) - eps
     per = (d * d).sum(axis=1)
-    w = s.loss_weight[np.asarray(t)]
+    w = s.loss_weight[t]
     value = (per * w).mean()
     if not taped:
         return value
@@ -147,7 +149,7 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
             break
         upd = (1.0 - cfg.damping) * delta + cfg.damping * eps
         delta = np.where(converged[:, None], delta, upd)
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             raise NumericError(f"non-finite fixed-point iterate at iteration {k}")
     if not converged.all():
         eps = eps_fn(lift0 + sq_1ab * delta, 0)
@@ -158,17 +160,28 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
     return delta, converged, resid
 
 
-def make_targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng):
+def make_targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng,
+                 inverter: Inverter | None = None):
     """Produce the (latent, regression target) pair for one clean sample batch.
 
     ``t`` and ``c`` are one value or one per row, whichever the strategy reads.
+    ``inverter``, for the inversion strategy, is an Inverter bound to
+    ``model`` and the strategy's n and guidance weight, sized to the batch;
+    align binds one per call and hands it to every window. Without it the
+    inversion is a one-off ddim_invert call.
     """
     t = check_timestep(s, t, min_t=1)
     n = _as_rows(x0).shape[0]
     _per_row(t, n, "timesteps")
     _per_row(c, n, "condition ids")
     if strategy.kind == "inversion":
-        res = ddim_invert(model, s, x0, t, strategy.n, c, strategy.guidance_w_inv)
+        if inverter is None:
+            res = ddim_invert(model, s, x0, t, strategy.n, c, strategy.guidance_w_inv)
+        elif (inverter.model is not model or inverter.s is not s or inverter.n != strategy.n
+              or inverter.guidance_w != strategy.guidance_w_inv):
+            raise InvalidArgument("inverter is bound to another model, schedule or strategy")
+        else:
+            res = inverter(_as_rows(x0), t, c)
         return res.x_t, res.tau_t
     if strategy.kind == "gaussian":
         x0 = np.asarray(x0, dtype=np.float64)
@@ -199,7 +212,7 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     targets and one squared-error sum. Returns a dict of per-pair arrays plus
     the scalar mean total, on TapeParams one node: for d = target -
     prediction and g_w = (g / B) * sigmoid(-arg) * beta * w(t), winner rows
-    get -g_w * (d + d), losers g_w * (d + d).
+    get -g_w * (d + d), losers g_w * (d + d). ``t`` must lie in [1, T].
 
     ``rows``, when given, are the embedding rows of ``c`` already resolved
     by the caller (align resolves its whole pair set's once), and ``c`` is
@@ -211,7 +224,7 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     _check_same_arch(theta, ref)
     x_tw, x_tl = _as_rows(x_tw), _as_rows(x_tl)
     B = x_tw.shape[0]
-    t = _per_row(t, B, "timesteps")
+    t = _per_row(check_timestep(s, t, min_t=1), B, "timesteps")
     if rows is None:
         rows = _cond_rows(_per_row(c, B, "condition ids"), theta.arch.num_conditions)
     x_t = np.vstack([x_tw, x_tl])
@@ -263,7 +276,7 @@ def _raise_nonfinite_term(term_th, term_rf, B):
     before reference."""
     halves = (term_th[:B], term_rf[:B], term_th[B:], term_rf[B:])
     for name, term in zip(_TERM_NAMES, halves):
-        if not np.all(np.isfinite(term)):
+        if not np.isfinite(term).all():
             raise NumericError(f"{name} is non-finite")
 
 

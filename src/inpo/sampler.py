@@ -18,6 +18,15 @@ The first step has no prior noise estimate, so delta is initialized as the
 prediction at the clean sample lifted to the first positive grid time. The
 returned latent always reconstructs exactly as
 sqrt(ab_t) * x0_t + sqrt(1 - ab_t) * delta_t.
+
+Inversion has one code path, the Inverter: bound to (model, schedule, n,
+rows, guidance weight), it holds its grid, the grid's coefficients, a
+NoisePredictor and the update's buffers, and each call rebinds them to its
+timesteps and conditions. align builds one per call and hands it to every
+window's make_targets; ddim_invert is a one-off Inverter call. ddim_sample
+binds a noise predictor once per call. Every step checks the forward's
+input and the new state for finiteness with ndarray methods, not numpy's
+Python-level wrappers.
 """
 from __future__ import annotations
 
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import noise_predictor, predict_noise
+from .denoiser import NoisePredictor, noise_predictor, predict_noise
 from .errors import InvalidArgument, NumericError
 from .schedule import NoiseSchedule, check_timestep
 
@@ -82,7 +91,7 @@ def ddim_sample(model, s: NoiseSchedule, x_start, cfg: SamplerConfig, c) -> np.n
         eps = eps_fn(x, i)
         x0_hat = (x - sq_1ab[i] * eps) / sq_ab[i]
         x = sq_ab[i + 1] * x0_hat + sq_1ab[i + 1] * eps
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericError(f"non-finite sample at step {i} (t={grid[i]} -> {grid[i + 1]})")
     return x[0] if squeeze else x
 
@@ -100,6 +109,78 @@ def initial_variable(model, s: NoiseSchedule, x_t, t, c, guidance_w: float = 0.0
     return out[0] if squeeze else out
 
 
+class Inverter:
+    """DDIM inversion bound to (model, schedule, n, rows, guidance weight).
+
+    It holds what its calls share: the grid fractions linspace(0, 1, n + 1),
+    the (n + 1, rows) grid, its sqrt(ab), sqrt(1 - ab) and sigma (gathered
+    from the schedule's tables, the same bits as the square roots of the
+    gathered alpha_bar), a NoisePredictor of ``rows`` rows, and the running
+    estimate, lift and update buffers, which each step writes in place. A
+    call binds the grid of its ``t`` and its conditions, so only buffers and
+    shapes outlive a call; the model may change in place between calls, as
+    Adam changes it between an align call's windows. Each step still checks
+    the forward's input and the state's finiteness, and ``t`` is
+    range-checked once per call.
+    """
+
+    def __init__(self, model, s: NoiseSchedule, n: int, rows: int, guidance_w: float = 0.0):
+        if n < 1:
+            raise InvalidArgument("inversion step count must be >= 1")
+        self.model, self.s, self.n, self.rows, self.guidance_w = model, s, n, rows, guidance_w
+        self.eps_fn = NoisePredictor(model, guidance_w, rows)
+        self.frac = np.linspace(0.0, 1.0, n + 1)[:, None]
+        self.tgrid = np.empty((n + 1, rows))
+        self.grid = np.empty((n + 1, rows), dtype=np.int64)
+        self.sq_ab, self.sq_1ab, self.sg = (np.empty((n + 1, rows)) for _ in range(3))
+        shape = self.eps_fn.shape
+        self.x0_cur, self.lift, self.upd = (np.empty(shape) for _ in range(3))
+
+    def __call__(self, x0: np.ndarray, t, c) -> InversionResult:
+        """Invert the (rows, dim) batch ``x0`` up to ``t``, one timestep or
+        one per row, at conditions ``c``. Only x_t and tau_t are fresh
+        arrays; x0_t is the inverter's buffer until its next call."""
+        if x0.shape != self.x0_cur.shape:
+            raise InvalidArgument(f"sample batch shape {x0.shape} != {self.x0_cur.shape}")
+        s, n = self.s, self.n
+        tt = check_timestep(s, t, min_t=1)
+        if tt.ndim > 1 or tt.size not in (1, self.rows):
+            raise InvalidArgument(f"per-row timesteps of length {tt.shape[-1]} "
+                                  f"for a batch of {self.rows} rows")
+        k = tt.size  # one grid column per target: 1 or per row
+        tgrid, grid = self.tgrid[:, :k], self.grid[:, :k]
+        np.multiply(self.frac, tt, out=tgrid)
+        np.rint(tgrid, out=tgrid)
+        np.copyto(grid, tgrid, casting="unsafe")
+        eps_fn = self.eps_fn.bind(c, grid[1:])
+        # the grid lies in [0, T], so mode="clip" never clips; unlike the
+        # default mode it writes straight into ``out``
+        sq_ab, sq_1ab, sg = (
+            table.take(grid, out=buf[:, :k], mode="clip")[..., None]
+            for table, buf in ((s.sqrt_alpha_bar, self.sq_ab),
+                               (s.sqrt_one_minus_alpha_bar, self.sq_1ab), (s.sigma, self.sg)))
+        x0_cur, lift, upd = self.x0_cur, self.lift, self.upd
+
+        delta = eps_fn(np.multiply(x0, sq_ab[1], out=lift), 0)
+        np.copyto(x0_cur, x0)
+        for i in range(2, n + 1):
+            np.multiply(x0_cur, sq_ab[i], out=lift)
+            lift += np.multiply(delta, sq_1ab[i], out=upd)
+            e = eps_fn(lift, i - 1)
+            np.subtract(e, delta, out=upd)
+            upd *= sg[i]
+            x0_cur -= upd
+            delta = e
+            if not np.isfinite(x0_cur).all():
+                raise NumericError(f"non-finite inversion state at step {i} of {n}")
+
+        # grid[n] is t, so these are reconstruct_xt's and compute_tau's
+        # arithmetic on coefficients already gathered and checked
+        x_t = sq_ab[n] * x0_cur + sq_1ab[n] * delta
+        tau = (x0_cur - x0) / sg[n] + delta
+        return InversionResult(x0_t=x0_cur, delta_t=delta, x_t=x_t, tau_t=tau)
+
+
 def ddim_invert(
     model,
     s: NoiseSchedule,
@@ -113,35 +194,14 @@ def ddim_invert(
 
     ``x0`` may be one vector or a (batch, dim) array; ``t_target`` may be a
     scalar or a per-row array of the batch's length. Rows are independent.
-    A call binds the noise predictor to its grid and gathers the grid's
-    sqrt(ab), sqrt(1 - ab) and sigma once, so a step is one forward and the
-    update.
+    A one-off call of an Inverter sized to the batch, so a step is one
+    forward and the update.
     """
-    if n < 1:
-        raise InvalidArgument("inversion step count must be >= 1")
     x0a, squeeze = _as_batch(x0)
-    tt = check_timestep(s, t_target, min_t=1)
-    tcol = tt[..., None]  # one grid row per target: 1 or per row
-    grid = np.rint(np.linspace(0.0, 1.0, n + 1)[None, :] * tcol).astype(np.int64)
-    eps_fn = noise_predictor(model, c, guidance_w_inv, x0a.shape[0], grid[:, 1:].T)
-    ab = s.alpha_bar[grid.T][..., None]
-    sq_ab, sq_1ab = np.sqrt(ab), np.sqrt(1.0 - ab)
-    sg = s.sigma[grid.T][..., None]
-
-    delta = eps_fn(sq_ab[1] * x0a, 0)
-    x0_cur = x0a.copy()
-    for i in range(2, n + 1):
-        e = eps_fn(sq_ab[i] * x0_cur + sq_1ab[i] * delta, i - 1)
-        x0_cur = x0_cur - sg[i] * (e - delta)
-        delta = e
-        if not np.all(np.isfinite(x0_cur)):
-            raise NumericError(f"non-finite inversion state at step {i} of {n}")
-
-    x_t = reconstruct_xt(s, x0_cur, delta, tt)
-    tau = compute_tau(s, x0_cur, delta, x0a, tt)
+    res = Inverter(model, s, n, x0a.shape[0], guidance_w_inv)(x0a, t_target, c)
     if squeeze:
-        x0_cur, delta, x_t, tau = x0_cur[0], delta[0], x_t[0], tau[0]
-    return InversionResult(x0_t=x0_cur, delta_t=delta, x_t=x_t, tau_t=tau)
+        return InversionResult(*(a[0] for a in (res.x0_t, res.delta_t, res.x_t, res.tau_t)))
+    return res
 
 
 def reconstruct_xt(s: NoiseSchedule, x0_t, delta_t, t) -> np.ndarray:

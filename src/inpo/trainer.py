@@ -25,7 +25,10 @@ Each training call (align, and pretrain_base and sft_ref_init through
 _fit_denoiser) binds once what its steps share: the pair set's or dataset's
 conditions, validated and resolved to embedding rows that a step gathers by
 index; one StepWorkspace, in which every step's taped forward, reference
-forward and backward run; the step-sum vector; and Adam's scratch pair.
+forward and backward run; the step-sum vector; and Adam's scratch pair. An
+inpo align with the inversion strategy also builds one Inverter of 2B rows,
+which every window's make_targets rebinds to its timesteps and conditions
+and to the parameters as Adam left them.
 
 The optimizer runs on whole parameter vectors (DenoiserParams.vec). Each
 window's gradient lands in the workspace's vector and is checked for
@@ -57,6 +60,7 @@ from .denoiser import (
 )
 from .errors import ConfigError, InvalidArgument, TrainingError, VersionError
 from .preference import DeltaStrategy, make_targets, pair_loss_terms, sft_terms
+from .sampler import Inverter
 from .schedule import NoiseSchedule, forward_diffuse
 
 ALIGN_METHODS = ("inpo", "dpo", "sft")
@@ -247,12 +251,13 @@ class _PairSet(NamedTuple):
     rows: np.ndarray
 
 
-def _align_window(params, ref, schedule, pairs: _PairSet, cfg, rng, aux, ws):
+def _align_window(params, ref, schedule, pairs: _PairSet, cfg, rng, aux, ws, inverter):
     """Draw one accumulation window and return its loss_fn.
 
     Winners and losers get their latents and targets from one make_targets
     call on the stacked (2B, dim) batch, winners first; dpo is inpo with the
-    gaussian strategy. The loss runs its forwards and backward in ``ws``.
+    gaussian strategy, and inversion runs in ``inverter``. The loss runs its
+    forwards and backward in ``ws``.
     ``aux`` receives the draws as they are made, so a failure part way
     through can still name the pair.
     """
@@ -276,7 +281,7 @@ def _align_window(params, ref, schedule, pairs: _PairSet, cfg, rng, aux, ws):
     aux["arrays"].append(xl)
     delta = _DPO_DELTA if cfg.method == "dpo" else cfg.delta
     x_t, tau = make_targets(params, schedule, np.vstack([xw, xl]), np.concatenate([t, t]),
-                            np.concatenate([cc, cc]), delta, rng)
+                            np.concatenate([cc, cc]), delta, rng, inverter=inverter)
     aux["arrays"] += [x_t, tau]
 
     def loss_fn(tape):
@@ -325,6 +330,10 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
     gsum = np.empty_like(params.vec)
     rows_per_window = cfg.batch_pairs * (1 if cfg.method == "sft" else 2)
     ws = StepWorkspace(params.arch, rows_per_window)
+    inverter = None
+    if cfg.method == "inpo" and cfg.delta.kind == "inversion":
+        inverter = Inverter(params, schedule, cfg.delta.n, rows_per_window,
+                            cfg.delta.guidance_w_inv)
 
     rows_log = []
     for step in range(start, cfg.steps):
@@ -335,7 +344,8 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         for k in range(cfg.accum_steps):
             aux = {}
             try:
-                loss_fn = _align_window(params, ref, schedule, pair_set, cfg, rng, aux, ws)
+                loss_fn = _align_window(params, ref, schedule, pair_set, cfg, rng, aux, ws,
+                                        inverter)
                 val, grad = value_and_grad(params, loss_fn)
             except ArithmeticError as e:
                 raise TrainingError(f"{e}{_bad_pair(aux)}", step) from e

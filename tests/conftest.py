@@ -11,8 +11,9 @@ from inpo.denoiser import (
     eps_forward,
     predict_noise,
 )
+from inpo.data import PreferencePair, score
 from inpo.errors import InvalidArgument, NumericError
-from inpo.sampler import InversionResult, compute_tau, reconstruct_xt
+from inpo.sampler import InversionResult, compute_tau, ddim_sample, reconstruct_xt
 from inpo.schedule import check_timestep, make_schedule
 
 
@@ -247,6 +248,25 @@ def oracle_fixed_point(model, s, x0_t, t, c, cfg, rng):
         return delta[0], bool(converged[0]), float(resid[0])
     return delta, converged, resid
 
+
+
+def oracle_make_preference_pairs(model, s, spec, conditions, pairs_per_condition, cfg, seed):
+    """make_preference_pairs with one ddim_sample and one score call per
+    condition; byte oracle for its single call over every condition."""
+    streams = np.random.SeedSequence([int(seed), 0x9A12]).spawn(len(conditions))
+    pairs = []
+    for c, stream in zip(conditions, streams):
+        z = np.random.default_rng(stream).standard_normal((2 * pairs_per_condition,
+                                                           model.arch.input_dim))
+        x = ddim_sample(model, s, z, cfg, c)
+        r = score(spec, x, c).tolist()
+        for k in range(0, len(x), 2):
+            (xa, ra), (xb, rb) = (x[k], r[k]), (x[k + 1], r[k + 1])
+            if rb > ra:
+                xa, xb, ra, rb = xb, xa, rb, ra
+            pairs.append(PreferencePair(int(c), xa, xb, ra, rb, int(seed), "model_sampled",
+                                        ra == rb))
+    return pairs
 
 @pytest.fixture(scope="session")
 def sched1000():

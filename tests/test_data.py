@@ -19,7 +19,9 @@ from inpo.errors import InvalidArgument, PairParseError, VersionError
 from inpo.sampler import SamplerConfig
 from inpo.schedule import make_schedule
 
-from conftest import make_linear_model
+from inpo.denoiser import DenoiserArch, init_denoiser
+
+from conftest import make_linear_model, oracle_make_preference_pairs
 
 
 def test_dataset_deterministic():
@@ -189,6 +191,46 @@ def test_pairs_deterministic(small_pairs):
     for a, b in zip(small_pairs, again):
         assert a.winner.tobytes() == b.winner.tobytes()
         assert a.reward_w == b.reward_w
+
+
+def _pairs_and_oracle(w, pairs_per_condition):
+    s = make_schedule("cosine", 200)
+    model = init_denoiser(DenoiserArch(2, (16, 16), 8, 8), 4)
+    spec = default_reward_spec("eight_gaussians")
+    cfg = SamplerConfig(num_steps=6, guidance_w=w)
+    conditions = [3, 0, 7, 5, 1]
+    args = (model, s, spec, conditions, pairs_per_condition, cfg)
+    got = make_preference_pairs(*args, seed=9)
+    assert len(got) == 5 * pairs_per_condition
+    return got, make_preference_pairs(*args, seed=9), oracle_make_preference_pairs(*args, seed=9)
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 0.5])
+def test_pairs_match_per_condition_oracle_bytes(w):
+    # with each condition's rows filling whole BLAS row blocks, one sampler
+    # call over every condition gives each pair the bytes of sampling its
+    # condition alone
+    got, _, want = _pairs_and_oracle(w, 4)
+    for a, b in zip(got, want, strict=True):
+        assert a.winner.tobytes() == b.winner.tobytes()
+        assert a.loser.tobytes() == b.loser.tobytes()
+        assert (a.condition, a.reward_w, a.reward_l, a.seed, a.source, a.tie) == \
+            (b.condition, b.reward_w, b.reward_l, b.seed, b.source, b.tie)
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 0.5])
+def test_pairs_of_odd_block_rows_rerun_bitwise_and_match_oracle_closely(w):
+    # 10 rows per condition leave tail rows in another BLAS block than when
+    # the condition is sampled alone, so the last bit may differ from the
+    # per-condition oracle; reruns stay byte-identical
+    got, again, want = _pairs_and_oracle(w, 5)
+    for a, b, o in zip(got, again, want, strict=True):
+        assert a.winner.tobytes() + a.loser.tobytes() == b.winner.tobytes() + b.loser.tobytes()
+        assert (a.condition, a.tie) == (o.condition, o.tie)
+        np.testing.assert_allclose(np.r_[a.winner, a.loser], np.r_[o.winner, o.loser],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose([a.reward_w, a.reward_l], [o.reward_w, o.reward_l],
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_pairs_positive_margin(small_pairs):

@@ -17,6 +17,7 @@ from inpo.preference import (
     make_targets,
     pair_loss_terms,
     sft_loss,
+    sft_terms,
     solve_delta_fixed_point,
 )
 from inpo.schedule import forward_diffuse, make_schedule
@@ -424,3 +425,34 @@ def test_implicit_reward_rejects_ref_of_another_arch(s, k_theta, k_ref):
     with pytest.raises(InvalidArgument, match=f"num_conditions={k_ref}.*num_conditions={k_theta}"):
         implicit_reward(p, ref, s, np.zeros(2), 1, [50, 300], DeltaStrategy("gaussian"), 1.0,
                         np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_loss_heads_range_check_t(per_row):
+    # the pair head takes t in [1, T], as inpo_loss and make_targets do, and
+    # the denoising head t in [0, T], as sft_loss does; neither may read
+    # loss_weight[-1] or index past T
+    s = make_schedule("cosine", 100, loss_weight="snr")
+    p = make_linear_model(0.3 * np.eye(2))
+    tape = TapeParams(p)
+    x = np.array([[0.2, -0.4], [1.0, 0.5]])
+    rows = np.zeros(2, dtype=np.int64)
+
+    def at(t):
+        return np.array([50, t]) if per_row else t
+
+    for t in (-1, 0, 101):
+        for model in (p, tape):
+            with pytest.raises(InvalidArgument, match=r"timestep out of range \[1, 100\]"):
+                pair_loss_terms(model, p, s, x, x, x, x, at(t), 0, 1.0)
+    for t in (-1, 101):
+        for model in (p, tape):
+            with pytest.raises(InvalidArgument, match=r"timestep out of range \[0, 100\]"):
+                sft_terms(model, s, x, at(t), None, rows, x)
+    pair_loss_terms(p, p, s, x, x, x, x, at(1), 0, 1.0)
+    pair_loss_terms(p, p, s, x, x, x, x, at(100), 0, 1.0)
+    assert np.isfinite(sft_terms(p, s, x, at(0), None, rows, x))
+    assert np.isfinite(sft_terms(p, s, x, at(100), None, rows, x))
+    # one timestep is broadcast to the rows, as in the pair head
+    assert sft_terms(p, s, x, 7, None, rows, x) == sft_terms(p, s, x, np.array([7, 7]), None,
+                                                            rows, x)

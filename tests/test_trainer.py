@@ -163,8 +163,9 @@ def test_align_dpo_equals_inpo_gaussian_bitwise(s, tiny_pairs):
         assert x.tobytes() == y.tobytes()
 
 
-def _targets_separately(model, s, x0, t, c, strategy, rng):
-    """make_targets on the winner half, then on the loser half, of a stacked batch."""
+def _targets_separately(model, s, x0, t, c, strategy, rng, inverter=None):
+    """make_targets on the winner half, then on the loser half, of a stacked
+    batch; each half inverts in a one-off call, not in align's inverter."""
     B = len(x0) // 2
     w = make_targets(model, s, x0[:B], t[:B], c[:B], strategy, rng)
     l = make_targets(model, s, x0[B:], t[B:], c[B:], strategy, rng)
