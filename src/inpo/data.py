@@ -5,14 +5,23 @@ per-coordinate scale for the mixture as a whole) so tests can compare
 empirical statistics against closed forms. Rewards are deterministic scalar
 functions standing in for a human or learned evaluator; higher is preferred.
 
-Pair files are line-delimited JSON: a header object followed by one record
-per pair. Floats are serialized at full round-trip precision.
+A pair set is a PairTable, columns from make_preference_pairs through the
+pair file to align; it is also a sequence of PreferencePair, and
+PairTable.of stacks such a sequence into columns. Pair files are
+line-delimited JSON: a header object followed by one record per pair.
+Floats are serialized at full round-trip precision. save_pairs encodes each
+record with json from the columns' Python values and refuses pairs the
+loader would reject; load_pairs decodes each line with json and checks the
+fields column by column, naming the first bad line.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,6 +49,119 @@ class PreferencePair:
     seed: int
     source: str = "model_sampled"
     tie: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable(Sequence):
+    """A pair set as columns: one row per pair.
+
+    ``condition`` (n,) int64, ``winner`` and ``loser`` (n, dim) float64,
+    ``reward_w`` and ``reward_l`` (n,) float64, ``seed`` (n,) int64 and
+    ``tie`` (n,) bool, with one ``source`` for every pair. It is a sequence
+    of PreferencePair: an int index gives a pair whose winner and loser are
+    row views, a slice gives a PairTable. Tables are equal when their
+    sources and columns are.
+    """
+
+    condition: np.ndarray
+    winner: np.ndarray
+    loser: np.ndarray
+    reward_w: np.ndarray
+    reward_l: np.ndarray
+    seed: np.ndarray
+    tie: np.ndarray
+    source: str = "model_sampled"
+
+    def __post_init__(self):
+        n = len(self.condition)
+        for name, dtype, ndim in _COLUMNS:
+            col = getattr(self, name)
+            if (not isinstance(col, np.ndarray) or col.dtype != dtype or col.ndim != ndim
+                    or len(col) != n):
+                raise InvalidArgument(f"column {name} must be {ndim}-D {np.dtype(dtype)} "
+                                      f"with {n} rows")
+        if self.loser.shape != self.winner.shape:
+            raise InvalidArgument(f"winners {self.winner.shape} and losers "
+                                  f"{self.loser.shape} differ in shape")
+
+    @classmethod
+    def of(cls, pairs) -> "PairTable":
+        """``pairs`` as a table: a PairTable unchanged, a sequence of
+        PreferencePair stacked into columns. Conditions must be integers,
+        winners and losers vectors of one dim, seeds must fit in int64 and
+        the pairs must share one source; samples and rewards are not
+        checked for finiteness."""
+        if isinstance(pairs, PairTable):
+            return pairs
+        pairs = list(pairs)
+        if not pairs:
+            return cls(np.empty(0, np.int64), np.empty((0, 0)), np.empty((0, 0)),
+                       np.empty(0), np.empty(0), np.empty(0, np.int64), np.empty(0, bool))
+        condition = _integer_ids([p.condition for p in pairs]).astype(np.int64)
+        try:
+            winner = np.stack([p.winner for p in pairs], dtype=np.float64)
+            loser = np.stack([p.loser for p in pairs], dtype=np.float64)
+        except ValueError as e:
+            raise InvalidArgument(f"pair samples differ in shape: {e}") from None
+        sources = {p.source for p in pairs}
+        if len(sources) != 1:
+            raise InvalidArgument(f"pairs mix sources {sorted(sources)}")
+        return cls(
+            condition=condition,
+            winner=winner,
+            loser=loser,
+            reward_w=np.array([p.reward_w for p in pairs], dtype=np.float64),
+            reward_l=np.array([p.reward_l for p in pairs], dtype=np.float64),
+            seed=_seed_column([p.seed for p in pairs]),
+            tie=np.array([p.tie for p in pairs], dtype=bool),
+            source=sources.pop(),
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.winner.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.condition)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PairTable(*(getattr(self, name)[i] for name, _, _ in _COLUMNS), self.source)
+        return PreferencePair(int(self.condition[i]), self.winner[i], self.loser[i],
+                              float(self.reward_w[i]), float(self.reward_l[i]),
+                              int(self.seed[i]), self.source, bool(self.tie[i]))
+
+    def __iter__(self):
+        return map(PreferencePair, self.condition.tolist(), self.winner, self.loser,
+                   self.reward_w.tolist(), self.reward_l.tolist(), self.seed.tolist(),
+                   repeat(self.source), self.tie.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, PairTable):
+            return NotImplemented
+        return self.source == other.source and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name, _, _ in _COLUMNS)
+
+    __hash__ = None
+
+
+# (name, dtype, ndim) of every PairTable column, in field order
+_COLUMNS = (
+    ("condition", np.int64, 1),
+    ("winner", np.float64, 2),
+    ("loser", np.float64, 2),
+    ("reward_w", np.float64, 1),
+    ("reward_l", np.float64, 1),
+    ("seed", np.int64, 1),
+    ("tie", np.bool_, 1),
+)
+
+
+def _seed_column(seeds: list) -> np.ndarray:
+    try:
+        return np.array(seeds, dtype=np.int64)
+    except OverflowError:
+        raise InvalidArgument("seeds must fit in int64") from None
 
 
 @dataclass(frozen=True)
@@ -196,7 +318,7 @@ def make_preference_pairs(
     pairs_per_condition: int,
     sampler_cfg: SamplerConfig,
     seed: int,
-) -> list[PreferencePair]:
+) -> PairTable:
     """Sample two generations per (condition, slot) and label them by score.
 
     Per-condition RNG streams derive from the master seed, so the latents do
@@ -208,96 +330,108 @@ def make_preference_pairs(
     whole blocks (2 * pairs_per_condition a multiple of 4 on OpenBLAS's
     Haswell kernels, as at the default 64); otherwise tail rows may differ in
     the last bit. Either way a run is a pure function of its inputs.
+
+    Consecutive samples (2k, 2k+1) form pair k; the higher-scored one is the
+    winner, the first on a tie.
     """
     if pairs_per_condition < 1:
         raise InvalidArgument("pairs_per_condition must be >= 1")
     conditions = list(conditions)
     if not conditions:
-        return []
+        return PairTable.of([])
     dim = model.arch.input_dim
     per = 2 * pairs_per_condition
     streams = np.random.SeedSequence([int(seed), 0x9A12]).spawn(len(conditions))
     z = np.concatenate([np.random.default_rng(stream).standard_normal((per, dim))
                         for stream in streams])
-    cond = np.repeat(np.asarray(conditions), per)
+    conditions = np.asarray(conditions)
+    cond = np.repeat(conditions, per)
     x = ddim_sample(model, s, z, sampler_cfg, cond)
-    r = score(spec, x, cond).tolist()
-    pairs: list[PreferencePair] = []
-    for j, c in enumerate(conditions):
-        for k in range(j * per, (j + 1) * per, 2):
-            xa, xb = x[k], x[k + 1]
-            ra, rb = r[k], r[k + 1]
-            if rb > ra:
-                xa, xb, ra, rb = xb, xa, rb, ra
-            pairs.append(
-                PreferencePair(
-                    condition=int(c),
-                    winner=xa,
-                    loser=xb,
-                    reward_w=ra,
-                    reward_l=rb,
-                    seed=int(seed),
-                    source="model_sampled",
-                    tie=ra == rb,
-                )
-            )
-    return pairs
+    r = score(spec, x, cond)
+    xa, xb, ra, rb = x[0::2], x[1::2], r[0::2], r[1::2]
+    swap = rb > ra
+    reward_w, reward_l = np.where(swap, rb, ra), np.where(swap, ra, rb)
+    return PairTable(
+        condition=np.repeat(conditions.astype(np.int64), pairs_per_condition),
+        winner=np.where(swap[:, None], xb, xa),
+        loser=np.where(swap[:, None], xa, xb),
+        reward_w=reward_w,
+        reward_l=reward_l,
+        seed=_seed_column([int(seed)]).repeat(len(swap)),
+        tie=reward_w == reward_l,
+        source="model_sampled",
+    )
 
 
-def relabel_pairs(pairs: list[PreferencePair], spec: RewardSpec) -> list[PreferencePair]:
+def relabel_pairs(pairs, spec: RewardSpec) -> PairTable:
     """Recompute both rewards under a new evaluator, swapping winner and loser
     where the preference order flips. Ties keep insertion order and are
     flagged; relabeled pairs are marked external."""
-    if not pairs:
+    t = PairTable.of(pairs)
+    if not len(t):
         raise InvalidArgument("pairs must be nonempty")
-    cond = [p.condition for p in pairs]
-    rws = score(spec, np.array([p.winner for p in pairs]), cond).tolist()
-    rls = score(spec, np.array([p.loser for p in pairs]), cond).tolist()
-    out = []
-    for p, rw, rl in zip(pairs, rws, rls):
-        if rl > rw:
-            out.append(
-                replace(p, winner=p.loser, loser=p.winner, reward_w=rl, reward_l=rw,
-                        tie=False, source="external")
-            )
-        else:
-            out.append(replace(p, reward_w=rw, reward_l=rl, tie=rw == rl, source="external"))
-    return out
+    rw = score(spec, t.winner, t.condition)
+    rl = score(spec, t.loser, t.condition)
+    swap = rl > rw
+    return PairTable(
+        condition=t.condition,
+        winner=np.where(swap[:, None], t.loser, t.winner),
+        loser=np.where(swap[:, None], t.winner, t.loser),
+        reward_w=np.where(swap, rl, rw),
+        reward_l=np.where(swap, rw, rl),
+        seed=t.seed,
+        tie=~swap & (rw == rl),
+        source="external",
+    )
 
 
-def save_pairs(pairs: list[PreferencePair], path, reward_spec: RewardSpec | None = None) -> None:
-    if not pairs:
+def save_pairs(pairs, path, reward_spec: RewardSpec | None = None) -> None:
+    """Write a pair file: the header line, then one JSON record per pair.
+
+    Pairs that the loader would reject (non-finite samples or rewards, mixed
+    dims, non-integer conditions) raise InvalidArgument before the file is
+    opened.
+    """
+    t = PairTable.of(pairs)
+    if not len(t):
         raise InvalidArgument("pairs must be nonempty")
-    dim = len(np.asarray(pairs[0].winner))
+    finite = (np.isfinite(t.winner).all(axis=1) & np.isfinite(t.loser).all(axis=1)
+              & np.isfinite(t.reward_w) & np.isfinite(t.reward_l))
+    if not finite.all():
+        raise InvalidArgument(f"pair {int(np.argmin(finite))} has a non-finite sample or reward")
     header = {
         "schema_version": PAIR_SCHEMA_VERSION,
         "reward_spec": reward_spec.to_dict() if reward_spec is not None else None,
-        "dim": dim,
+        "dim": t.dim,
     }
+    lines = [json.dumps(header)]
+    lines += [
+        json.dumps({"c": c, "w": w, "l": l, "rw": rw, "rl": rl, "seed": seed, "tie": tie})
+        for c, w, l, rw, rl, seed, tie in zip(
+            t.condition.tolist(), t.winner.tolist(), t.loser.tolist(), t.reward_w.tolist(),
+            t.reward_l.tolist(), t.seed.tolist(), t.tie.tolist())
+    ]
+    lines.append("")
     with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for p in pairs:
-            rec = {
-                "c": int(p.condition),
-                "w": np.asarray(p.winner, dtype=np.float64).tolist(),
-                "l": np.asarray(p.loser, dtype=np.float64).tolist(),
-                "rw": float(p.reward_w),
-                "rl": float(p.reward_l),
-                "seed": int(p.seed),
-                "tie": bool(p.tie),
-            }
-            fh.write(json.dumps(rec) + "\n")
+        fh.write("\n".join(lines))
 
 
 def load_pairs(path, num_conditions: int | None = None,
-               input_dim: int | None = None) -> list[PreferencePair]:
-    """Read a pair file; loaded pairs are marked external.
+               input_dim: int | None = None) -> PairTable:
+    """Read a pair file into a PairTable; loaded pairs are marked external.
 
     A record whose samples or rewards are not finite numbers, whose winner
-    and loser are not vectors of the header's dim, or whose condition is not
-    an integer, or with ``num_conditions`` given not in [-1, num_conditions),
-    raises PairParseError naming its line. With ``input_dim`` given, pairs of
-    another dim, declared in the header or not, are rejected too.
+    and loser are not vectors of the header's dim (of the first record's,
+    if the header declares none), whose condition is not an integer, or
+    with ``num_conditions`` given not in [-1, num_conditions), or whose
+    condition or seed does not fit in int64, raises PairParseError naming
+    its line. With ``input_dim`` given, pairs of another dim, declared in the
+    header or not, are rejected too.
+
+    Each line is decoded on its own. The fields are then read and checked
+    column by column, in the order a record's fields are read: a check that
+    fails at some record leaves only the records before it to the later
+    checks, so the error raised is the first bad line's first fault.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -316,37 +450,121 @@ def load_pairs(path, num_conditions: int | None = None,
     dim = header.get("dim", input_dim)
     if input_dim is not None and dim != input_dim:
         raise PairParseError(f"pairs have dim {dim!r} but the model's input_dim is {input_dim}", 1)
-    pairs = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+
+    body = [line for line in lines[1:] if line.strip()]
+    ff = _FirstFault(len(body))
+    recs = ff.map(json.loads, body)
+    values = ff.map(_sample_values, recs)  # per record: w..., l..., rw, rl
+    ff.finite(values)
+    w_raw = [rec["w"] for rec in recs[:ff.n]]
+    l_raw = [rec["l"] for rec in recs[:ff.n]]
+    if {*map(type, w_raw), *map(type, l_raw)} - {list}:
+        # "" and {} pass the finiteness check with no values; np.asarray rejects them
+        for i, (w, l) in enumerate(zip(w_raw, l_raw)):
+            try:
+                np.asarray(w, dtype=np.float64), np.asarray(l, dtype=np.float64)
+            except _RECORD_ERRORS as e:
+                ff.at(i, str(e))
+                break
+    c_raw = ff.map(itemgetter("c"), recs)
+    conds = ff.map(int, c_raw)
+    seeds = ff.map(int, ff.map(itemgetter("seed"), recs))
+    ties = list(map(bool, ff.map(itemgetter("tie"), recs)))
+    n = ff.n
+    if dim is None and n:
+        dim = len(w_raw[0])
+    w_len, l_len = list(map(len, w_raw[:n])), list(map(len, l_raw[:n]))
+    ff.where([a != dim or b != dim for a, b in zip(w_len, l_len)],
+             lambda i: f"dim mismatch: expected {dim}, got {w_len[i]} and {l_len[i]}")
+    ff.where([type(c) is not int for c in c_raw[:ff.n]],
+             lambda i: f"condition {c_raw[i]!r} is not an integer")
+    if num_conditions is not None:
+        ff.where([not NULL_CONDITION <= c < num_conditions for c in c_raw[:ff.n]],
+                 lambda i: f"condition {c_raw[i]} out of range [-1, {num_conditions})")
+    ff.where([not (_INT64_MIN <= c <= _INT64_MAX and _INT64_MIN <= s <= _INT64_MAX)
+              for c, s in zip(conds, seeds)],
+             lambda i: _int64_fault(conds[i], seeds[i]))
+    if ff.fault is not None:
+        i, message = ff.fault
+        line_nos = [k for k, line in enumerate(lines[1:], start=2) if line.strip()]
+        raise PairParseError(message, line_nos[i])
+    d = w_len[0] if n else 0
+    cols = np.fromiter(chain.from_iterable(values), np.float64, n * (2 * d + 2))
+    cols = cols.reshape(n, 2 * d + 2)
+    return PairTable(
+        condition=np.array(conds, dtype=np.int64),
+        winner=cols[:, :d].copy(),
+        loser=cols[:, d:2 * d].copy(),
+        reward_w=cols[:, 2 * d].copy(),
+        reward_l=cols[:, 2 * d + 1].copy(),
+        seed=np.array(seeds, dtype=np.int64),
+        tie=np.array(ties, dtype=bool),
+        source="external",
+    )
+
+
+# A pair record's fields, read as load_pairs reads them; a failing read names
+# the record's line.
+_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _sample_values(rec) -> list:
+    return [*rec["w"], *rec["l"], rec["rw"], rec["rl"]]
+
+
+def _int64_fault(c: int, seed: int) -> str:
+    if not _INT64_MIN <= c <= _INT64_MAX:
+        return f"condition {c} does not fit in int64"
+    return f"seed {seed} does not fit in int64"
+
+
+class _FirstFault:
+    """The first bad record of a pair file, found one column check at a time.
+
+    Checks run in the order a record's fields are read, each over the
+    records still in play, the first ``n``. A check failing at record i
+    leaves only the i records before it in play, so every later check sees
+    records that passed all earlier ones, and the fault kept at the end is
+    the first bad record's first.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.fault = n, None
+
+    def at(self, i: int, message: str) -> None:
+        """A fault at record i, one of the records in play."""
+        self.n, self.fault = i, (i, message)
+
+    def map(self, fn, items) -> list:
+        """fn over the records in play, up to the first one it raises for."""
+        out = []
         try:
-            rec = json.loads(line)
-            if not all(map(math.isfinite, [*rec["w"], *rec["l"], rec["rw"], rec["rl"]])):
-                raise ValueError("non-finite sample or reward")
-            winner = np.asarray(rec["w"], dtype=np.float64)
-            loser = np.asarray(rec["l"], dtype=np.float64)
-            pair = PreferencePair(
-                condition=int(rec["c"]),
-                winner=winner,
-                loser=loser,
-                reward_w=float(rec["rw"]),
-                reward_l=float(rec["rl"]),
-                seed=int(rec["seed"]),
-                source="external",
-                tie=bool(rec["tie"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
-            raise PairParseError(str(e), i) from e
-        if len(loser) != len(winner) or (dim is not None and len(winner) != dim):
-            raise PairParseError(f"dim mismatch: expected {dim}, got {len(winner)} and "
-                                 f"{len(loser)}", i)
-        if type(rec["c"]) is not int:
-            raise PairParseError(f"condition {rec['c']!r} is not an integer", i)
-        if num_conditions is not None and not NULL_CONDITION <= rec["c"] < num_conditions:
-            raise PairParseError(f"condition {rec['c']} out of range [-1, {num_conditions})", i)
-        pairs.append(pair)
-    return pairs
+            out.extend(map(fn, items[: self.n]))
+        except _RECORD_ERRORS as e:
+            self.at(len(out), str(e))
+        return out
+
+    def where(self, bad: list, message) -> None:
+        """A fault, ``message(i)``, at the first record in play where ``bad`` holds."""
+        if True in bad[: self.n]:
+            i = bad.index(True)
+            self.at(i, message(i))
+
+    def finite(self, values: list) -> None:
+        """math.isfinite over the records' values in reading order: a record
+        faults at its first non-finite value, or with the error of its first
+        value that is not a real number."""
+        flags, error = [], None
+        try:
+            flags.extend(map(math.isfinite, chain.from_iterable(values[: self.n])))
+        except (TypeError, OverflowError) as e:
+            error = str(e)
+        k = flags.index(False) if False in flags else len(flags)
+        if k < len(flags) or error is not None:
+            ends = np.cumsum(list(map(len, values[: self.n])))
+            i = int(np.searchsorted(ends, k, side="right"))
+            self.at(i, "non-finite sample or reward" if k < len(flags) else error)
 
 
 def load_pairs_header(path) -> dict:

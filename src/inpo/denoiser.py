@@ -36,7 +36,10 @@ a grid of one step.
 
 A plain forward may run in a workspace: one preallocated (n, width) buffer
 for the concatenated input [x | time embedding | condition embedding] and
-one per hidden layer, which eps_forward overwrites on every call. A bind
+one per hidden layer, which eps_forward overwrites on every call. x, the
+time embedding (time_embedding writing into its block) and the condition
+rows are written into the input's three column blocks; a forward with no
+workspace allocates its input buffer first and takes the same path. A bind
 sets up once what its grid steps share: the condition rows, one input
 buffer per guidance branch (the hidden buffers are shared) and the time
 embeddings of the whole grid, gathered from time_embedding's table (by one
@@ -188,16 +191,24 @@ def _sincos(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def time_embedding(t, dim: int) -> np.ndarray:
+def time_embedding(t, dim: int, out=None) -> np.ndarray:
     """Sinusoidal embedding of a (batch,) array of timesteps, (batch, dim).
 
     Integer timesteps in [0, 2**16] are gathered from a per-dim table of the
     same sin/cos values, grown to the largest timestep seen; other timesteps
-    (the continuous times of the RK4 oracle) are computed directly.
+    (the continuous times of the RK4 oracle) are computed directly. With
+    ``out``, a (batch, dim) array, the embedding is written into it and it
+    is returned.
     """
     t = np.asarray(t)
     table = _time_table(t, dim)
-    return _sincos(t.astype(np.float64), dim) if table is None else table[t]
+    if table is not None:
+        return table.take(t, axis=0, out=out, mode="clip")
+    emb = _sincos(t.astype(np.float64), dim)
+    if out is None:
+        return emb
+    out[...] = emb
+    return out
 
 
 def _time_table(t: np.ndarray, dim: int) -> np.ndarray | None:
@@ -275,12 +286,17 @@ class BoundWorkspace:
 
 def _forward(weights, biases, cond_embed, x, t, rows, bufs):
     """The network on plain arrays, writing the input of every layer into
-    ``bufs`` (entries may be None, to allocate) or a BoundWorkspace."""
+    ``bufs`` (entries may be None, to allocate) or a BoundWorkspace. Without
+    a BoundWorkspace, x, the time embedding and the condition rows are
+    written into the input buffer's three column blocks."""
     if isinstance(bufs, BoundWorkspace):
         h, bufs = bufs.load(x, t, rows, cond_embed), bufs.bufs
     else:
-        temb = time_embedding(t, cond_embed.shape[1])
-        h = np.concatenate([x, temb, cond_embed[rows]], axis=1, out=bufs[0])
+        d, width = x.shape[1], cond_embed.shape[1]
+        h = bufs[0] if bufs[0] is not None else np.empty((len(x), d + 2 * width))
+        h[:, :d] = x
+        time_embedding(t, width, out=h[:, d:d + width])
+        cond_embed.take(rows, axis=0, out=h[:, d + width:])
     last = len(weights) - 1
     for i in range(last):
         h = np.matmul(h, weights[i], out=bufs[i + 1])

@@ -21,11 +21,14 @@ non-finite.
 Per optimizer step, gradients are averaged over batch_pairs * accum_steps
 pair evaluations, each at an independently drawn timestep in {t_min..T}.
 
-Each training call (align, and pretrain_base and sft_ref_init through
-_fit_denoiser) binds once what its steps share: the pair set's or dataset's
-conditions, validated and resolved to embedding rows that a step gathers by
-index; one StepWorkspace, in which every step's taped forward, reference
-forward and backward run; the step-sum vector; and Adam's scratch pair. An
+align and sft_ref_init take a pair set as a PairTable, or a sequence of
+PreferencePair that PairTable.of stacks once, and keep its non-tie rows by
+a boolean mask. Each training call (align, and pretrain_base and
+sft_ref_init through _fit_denoiser) binds once what its steps share: the
+pair set's or dataset's conditions, validated and resolved to embedding
+rows that a step gathers by index; one StepWorkspace, in which every step's
+taped forward, reference forward and backward run; the step-sum vector;
+and Adam's scratch pair. An
 inpo align with the inversion strategy also builds one Inverter of 2B rows,
 which every window's make_targets rebinds to its timesteps and conditions
 and to the parameters as Adam left them.
@@ -48,6 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import PairTable
 from .denoiser import (
     DenoiserParams,
     StepWorkspace,
@@ -226,14 +230,15 @@ def pretrain_base(dataset, arch, schedule: NoiseSchedule, steps: int, lr: float,
 
 def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: int,
                  lr: float, seed: int, batch: int = 64) -> DenoiserParams:
-    """Continue denoising training on winner samples only (ties skipped)."""
-    usable = [p for p in pairs if not p.tie]
-    if not usable:
+    """Continue denoising training on winner samples only (ties skipped).
+
+    ``pairs`` is a PairTable or a sequence of PreferencePair."""
+    table = PairTable.of(pairs)
+    usable = ~table.tie
+    if not usable.any():
         raise InvalidArgument("pairs must contain at least one non-tie")
-    X = np.stack([p.winner for p in usable])
-    cond = np.asarray([p.condition for p in usable])
-    return _fit_denoiser(base.copy(), X, cond, schedule, steps, lr, seed, _SFT_REF_DOMAIN,
-                         batch, cond_drop=0.0)
+    return _fit_denoiser(base.copy(), table.winner[usable], table.condition[usable], schedule,
+                         steps, lr, seed, _SFT_REF_DOMAIN, batch, cond_drop=0.0)
 
 
 def config_fingerprint(cfg: AlignConfig) -> bytes:
@@ -296,7 +301,8 @@ def _align_window(params, ref, schedule, pairs: _PairSet, cfg, rng, aux, ws, inv
 def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSchedule,
           cfg: AlignConfig, log_path=None, resume: Checkpoint | None = None,
           checkpoint_at: int | None = None, on_checkpoint=None) -> DenoiserParams:
-    """Run the alignment loop and return the final parameters.
+    """Run the alignment loop on ``pairs``, a PairTable or a sequence of
+    PreferencePair, and return the final parameters.
 
     ``ref`` is frozen: it is only ever read. When ``log_path`` is given a CSV
     with columns step, lr, loss, sigmoid_arg_mean, wall_ms is written. When
@@ -307,12 +313,12 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
     step's forwards and backward run in one StepWorkspace, and its windows'
     gradients are summed in one vector; both are allocated once per call.
     """
-    usable = [p for p in pairs if not p.tie]
-    if not usable:
+    table = PairTable.of(pairs)
+    usable = ~table.tie
+    if not usable.any():
         raise InvalidArgument("no usable (non-tie) pairs")
-    conds = np.asarray([p.condition for p in usable])
-    pair_set = _PairSet(np.stack([p.winner for p in usable]),
-                        np.stack([p.loser for p in usable]), conds,
+    conds = table.condition[usable]
+    pair_set = _PairSet(table.winner[usable], table.loser[usable], conds,
                         _cond_rows(conds, base.arch.num_conditions))
 
     fp = config_fingerprint(cfg)

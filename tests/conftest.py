@@ -1,6 +1,7 @@
 """Shared fixtures: probe models, closed-form oracles, the RK4 reference
-integrator, the per-step sampler loops as byte oracles, and the slow
-session-scoped trained models used by the end-to-end tests."""
+integrator, the per-step sampler loops and the per-record pair-file reader
+and writer as byte oracles, and the slow session-scoped trained models used
+by the end-to-end tests."""
 import numpy as np
 import pytest
 
@@ -11,8 +12,11 @@ from inpo.denoiser import (
     eps_forward,
     predict_noise,
 )
-from inpo.data import PreferencePair, score
-from inpo.errors import InvalidArgument, NumericError
+import json
+import math
+
+from inpo.data import PAIR_SCHEMA_VERSION, PreferencePair, score
+from inpo.errors import InvalidArgument, NumericError, PairParseError, VersionError
 from inpo.sampler import InversionResult, compute_tau, ddim_sample, reconstruct_xt
 from inpo.schedule import check_timestep, make_schedule
 
@@ -267,6 +271,97 @@ def oracle_make_preference_pairs(model, s, spec, conditions, pairs_per_condition
             pairs.append(PreferencePair(int(c), xa, xb, ra, rb, int(seed), "model_sampled",
                                         ra == rb))
     return pairs
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def oracle_load_pairs(path, num_conditions=None, input_dim=None):
+    """load_pairs as one loop over the lines, each record decoded, converted
+    and checked on its own before the next, returning a list of
+    PreferencePair; byte and error oracle for the column loader.
+
+    Besides the per-record checks it holds two rules that columns need: a
+    header without a dim takes the first record's, and a condition or seed
+    must fit in int64.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise PairParseError("empty pair file", 1)
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as e:
+        raise PairParseError(f"bad header: {e.msg}", 1) from e
+    if not isinstance(header, dict):
+        raise PairParseError(f"header is not a JSON object: {lines[0][:40]!r}", 1)
+    if header.get("schema_version") != PAIR_SCHEMA_VERSION:
+        raise VersionError(
+            f"unsupported pair schema version {header.get('schema_version')!r}"
+        )
+    dim = header.get("dim", input_dim)
+    if input_dim is not None and dim != input_dim:
+        raise PairParseError(f"pairs have dim {dim!r} but the model's input_dim is {input_dim}", 1)
+    pairs = []
+    for i, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not all(map(math.isfinite, [*rec["w"], *rec["l"], rec["rw"], rec["rl"]])):
+                raise ValueError("non-finite sample or reward")
+            winner = np.asarray(rec["w"], dtype=np.float64)
+            loser = np.asarray(rec["l"], dtype=np.float64)
+            pair = PreferencePair(
+                condition=int(rec["c"]),
+                winner=winner,
+                loser=loser,
+                reward_w=float(rec["rw"]),
+                reward_l=float(rec["rl"]),
+                seed=int(rec["seed"]),
+                source="external",
+                tie=bool(rec["tie"]),
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
+            raise PairParseError(str(e), i) from e
+        if dim is None:
+            dim = len(winner)
+        if len(loser) != len(winner) or len(winner) != dim:
+            raise PairParseError(f"dim mismatch: expected {dim}, got {len(winner)} and "
+                                 f"{len(loser)}", i)
+        if type(rec["c"]) is not int:
+            raise PairParseError(f"condition {rec['c']!r} is not an integer", i)
+        if num_conditions is not None and not -1 <= rec["c"] < num_conditions:
+            raise PairParseError(f"condition {rec['c']} out of range [-1, {num_conditions})", i)
+        if not _INT64_MIN <= pair.condition <= _INT64_MAX:
+            raise PairParseError(f"condition {pair.condition} does not fit in int64", i)
+        if not _INT64_MIN <= pair.seed <= _INT64_MAX:
+            raise PairParseError(f"seed {pair.seed} does not fit in int64", i)
+        pairs.append(pair)
+    return pairs
+
+
+def oracle_save_pairs(pairs, path, reward_spec=None):
+    """save_pairs as one json.dumps and one write per pair; byte oracle for
+    the column writer."""
+    header = {
+        "schema_version": PAIR_SCHEMA_VERSION,
+        "reward_spec": reward_spec.to_dict() if reward_spec is not None else None,
+        "dim": len(np.asarray(pairs[0].winner)),
+    }
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for p in pairs:
+            rec = {
+                "c": int(p.condition),
+                "w": np.asarray(p.winner, dtype=np.float64).tolist(),
+                "l": np.asarray(p.loser, dtype=np.float64).tolist(),
+                "rw": float(p.reward_w),
+                "rl": float(p.reward_l),
+                "seed": int(p.seed),
+                "tie": bool(p.tie),
+            }
+            fh.write(json.dumps(rec) + "\n")
+
 
 @pytest.fixture(scope="session")
 def sched1000():
