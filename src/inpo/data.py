@@ -142,8 +142,6 @@ class PairTable(Sequence):
         return self.source == other.source and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name, _, _ in _COLUMNS)
 
-    __hash__ = None
-
 
 # (name, dtype, ndim) of every PairTable column, in field order
 _COLUMNS = (

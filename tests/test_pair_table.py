@@ -17,6 +17,7 @@ from inpo.data import (
     make_preference_pairs,
     relabel_pairs,
     save_pairs,
+    score,
 )
 from inpo.denoiser import DenoiserArch, init_denoiser, params_to_bytes
 from inpo.errors import InvalidArgument
@@ -138,7 +139,7 @@ def test_relabel_matches_the_per_pair_rule(table):
     out = relabel_pairs(list(table), spec)
     assert isinstance(out, PairTable) and out.source == "external"
     for p, q in zip(table, out, strict=True):
-        rw, rl = spec_score(spec, p.winner, p.condition), spec_score(spec, p.loser, p.condition)
+        rw, rl = (score(spec, x[None], p.condition)[0] for x in (p.winner, p.loser))
         if rl > rw:
             want = (p.loser, p.winner, rl, rw, False)
         else:
@@ -146,12 +147,6 @@ def test_relabel_matches_the_per_pair_rule(table):
         assert q.winner.tobytes() == want[0].tobytes()
         assert q.loser.tobytes() == want[1].tobytes()
         assert (q.reward_w, q.reward_l, q.tie) == want[2:]
-
-
-def spec_score(spec, x, c):
-    from inpo.data import score
-
-    return score(spec, x[None], c)[0]
 
 
 # ------------------------------------------------------------- the writer
@@ -334,9 +329,7 @@ def test_load_matches_the_per_record_oracle(fuzz_path, case):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
-def test_the_fuzz_reaches_both_outcomes_and_every_check(tmp_path):
-    # the mutations above are not vacuous: each named fault is produced by the
-    # loader with the oracle's message
+def test_named_faults_raise_the_oracle_error_at_their_line(tmp_path):
     head = '{"schema_version": 1, "reward_spec": null, "dim": 2}'
     good = '{"c": 1, "w": [0.5, 1.0], "l": [1.0, 2.0], "rw": 0.5, "rl": 0.25, "seed": 3, "tie": false}'
     cases = {
