@@ -3,6 +3,10 @@
 A differentiated loss is a chain: a loss head (preference.sft_terms or
 pair_loss_terms), the network (denoiser.eps_forward on TapeParams) and the
 parameter-vector leaf; backward walks it root to leaf through each VJP.
+Each VJP calls the same helpers as the heads' closed-form functions
+(preference.pair_value_and_grad, sft_value_and_grad, and
+denoiser.eps_backward), which training runs; the tape is kept as their
+reference in the tests and for the benchmark's tracing hooks.
 """
 from __future__ import annotations
 

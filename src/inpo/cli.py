@@ -63,9 +63,11 @@ def _condition_count(kind: str) -> int:
     return {"eight_gaussians": 8, "two_moons": 2, "ring": 8}[kind]
 
 
-def _load_model(path: str):
+def _load_model(path: str, loss_weight: str = "constant"):
+    """The model at ``path`` and its schedule: the kind and T from its
+    header, the loss weight as given (a training command's configured one)."""
     params, kind, T = load_params(path)
-    return params, make_schedule(kind, T)
+    return params, make_schedule(kind, T, loss_weight)
 
 
 def _reward_for(cfg: Config, params):
@@ -129,7 +131,7 @@ def cmd_make_prefs(cfg: Config, out: str, seed: int) -> None:
 
 
 def cmd_align(cfg: Config, out: str, seed: int) -> None:
-    base, schedule = _load_model(_require(cfg, "align.base"))
+    base, schedule = _load_model(_require(cfg, "align.base"), cfg["schedule.loss_weight"])
     pairs = load_pairs(_require(cfg, "align.pairs"), base.arch.num_conditions,
                        base.arch.input_dim)
     acfg = AlignConfig(
@@ -219,7 +221,7 @@ def cmd_invert_demo(cfg: Config, out: str, seed: int) -> None:
 
 
 def cmd_ablate(cfg: Config, out: str, seed: int) -> None:
-    base, schedule = _load_model(_require(cfg, "ablate.base"))
+    base, schedule = _load_model(_require(cfg, "ablate.base"), cfg["schedule.loss_weight"])
     pairs = load_pairs(_require(cfg, "ablate.pairs"), base.arch.num_conditions,
                        base.arch.input_dim)
     spec = _reward_for(cfg, base)

@@ -423,7 +423,8 @@ def load_pairs(path, num_conditions: int | None = None,
     if the header declares none), whose condition is not an integer, or
     with ``num_conditions`` given not in [-1, num_conditions), or whose
     condition or seed does not fit in int64, raises PairParseError naming
-    its line. With ``input_dim`` given, pairs of another dim, declared in the
+    its line; so does, at line 1, a header dim that is not a positive
+    integer. With ``input_dim`` given, pairs of another dim, declared in the
     header or not, are rejected too.
 
     Each line is decoded on its own. The fields are then read and checked
@@ -445,6 +446,8 @@ def load_pairs(path, num_conditions: int | None = None,
         raise VersionError(
             f"unsupported pair schema version {header.get('schema_version')!r}"
         )
+    if "dim" in header and (type(header["dim"]) is not int or header["dim"] < 1):
+        raise PairParseError(f"header dim {header['dim']!r} is not a positive integer", 1)
     dim = header.get("dim", input_dim)
     if input_dim is not None and dim != input_dim:
         raise PairParseError(f"pairs have dim {dim!r} but the model's input_dim is {input_dim}", 1)

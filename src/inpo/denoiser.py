@@ -17,16 +17,20 @@ structure is frozen, with tuples of views, so no attribute can be rebound to
 an array outside ``vec``; writing through a view in place still changes
 ``vec``, as finite-difference checks do.
 
-One forward routine serves sampling and training. On DenoiserParams
-eps_forward returns an array; on TapeParams it runs the same forward, keeps
-the activations and returns one node over the parameter-vector leaf that
-backpropagates in closed form into a gradient vector laid out like ``vec``,
-so the differentiated path is arithmetically identical to the fast path.
-A training loop allocates one StepWorkspace and passes it to every step's
-differentiated forward: the kept layer inputs, the backward's temporaries,
-the gradient vector and a plain forward's buffers (the frozen reference's)
-are then written in place, and value_and_grad returns that vector; a
-forward given no workspace allocates its own, so its gradient is new.
+One forward routine serves sampling and training, and one backward,
+eps_backward, the gradient. A training loop allocates one StepWorkspace and
+hands it to the loss heads' closed-form functions
+(preference.pair_value_and_grad and sft_value_and_grad): a step embeds its
+timesteps once (StepWorkspace.bind_step), runs the trained forward into the
+kept layer inputs and the frozen reference's forward into a second set of
+buffers, and eps_backward backpropagates the loss's output gradient into
+the workspace's gradient vector, laid out like ``vec``; nothing is
+allocated per step beyond small per-row arrays. On TapeParams eps_forward
+runs the same forward and returns one node over the parameter-vector leaf
+whose VJP is eps_backward, and value_and_grad runs such a chain: the tape
+is the reference the tests hold the closed-form functions to, arithmetic
+for arithmetic.
+
 A NoisePredictor is the per-step noise function that sampling, inversion
 and the fixed-point solver call. It owns its workspace, and bind(c, grid)
 binds a batch's conditions, guidance branch and timestep grid; the
@@ -262,10 +266,13 @@ class BoundWorkspace:
     for t. ``rows`` and ``step`` record what the input buffer's condition and
     time blocks hold. It serves one model, unchanged while bound; bind
     rebinds it to a new grid and forgets both blocks, so a model changed in
-    place since has its condition block rewritten."""
+    place since has its condition block rewritten. The condition rows are
+    gathered into a contiguous (n, dim) buffer of its own, then copied into
+    their block: numpy's take would buffer a copy for a strided ``out``."""
 
     def __init__(self, bufs: list[np.ndarray], temb: np.ndarray):
         self.bufs = bufs
+        self.cond = None
         self.bind(temb)
 
     def bind(self, temb: np.ndarray) -> None:
@@ -275,7 +282,11 @@ class BoundWorkspace:
         h = self.bufs[0]
         d, width = x.shape[1], cond_embed.shape[1]
         if rows is not self.rows:
-            h[:, d + width:] = cond_embed[rows]
+            if self.cond is None:
+                self.cond = np.empty((len(h), width))
+            # every caller passes validated rows, so mode="clip" never
+            # clips; unlike the default mode it writes straight into ``out``
+            h[:, d + width:] = cond_embed.take(rows, axis=0, out=self.cond, mode="clip")
             self.rows = rows
         if step != self.step:
             h[:, d:d + width] = self.temb[step]
@@ -307,37 +318,82 @@ def _forward(weights, biases, cond_embed, x, t, rows, bufs):
 
 class StepWorkspace:
     """Buffers one training loop reuses on every step for a differentiated
-    forward on n rows: the layer inputs it keeps (``acts``), its backward's
-    temporaries and gradient (``grad``, DenoiserParams over one vector), and
-    a forward_workspace (``ref``) for a plain forward of n rows, such as the
-    frozen reference's, which the backward reuses as scratch. A step's
-    forward overwrites them, so each step's backward must run before the
-    next step's forward."""
+    forward on n rows: the layer inputs it keeps (``acts``), the gradient
+    (``grad``, DenoiserParams over one vector) and the embedding scatter's
+    scratch, and a forward_workspace (``ref``) for a plain forward of n
+    rows, such as the frozen reference's, into which the backward writes its
+    input gradients (see eps_backward). ``bound`` and ``bound_ref`` are
+    BoundWorkspaces over ``acts`` and ``ref`` that share one one-step grid
+    of time embeddings, (1, n, dim), which bind_step fills. A step's forward
+    overwrites them, so each step's backward must run before the next
+    step's forward."""
 
     def __init__(self, arch: DenoiserArch, n: int):
         self.n = n
         self.acts = forward_workspace(arch, n)
         self.ref = forward_workspace(arch, n)
-        self.back = [np.empty_like(a) for a in self.acts]
         self.grad = DenoiserParams(arch, np.empty(arch.param_count()))
         width = arch.time_embed_dim
+        self.temb = np.empty((1, n, width))
+        self.bound = BoundWorkspace(self.acts, self.temb)
+        self.bound_ref = BoundWorkspace(self.ref, self.temb)
         self.embed_cols = np.arange(width)
         self.embed_bins = np.empty((n, width), dtype=np.int64)
         self.embed_grad = np.empty((n, width))
+
+    def bind_step(self, t: np.ndarray) -> None:
+        """Embed the per-row timesteps ``t`` once into the grid that both
+        bound workspaces read at step 0, and make their next forwards
+        rewrite every input block."""
+        time_embedding(t, self.temb.shape[2], out=self.temb[0])
+        self.bound.bind(self.temb)
+        self.bound_ref.bind(self.temb)
+
+
+def eps_backward(params: DenoiserParams, g, rows, ws: StepWorkspace) -> DenoiserParams:
+    """Backpropagate ``g``, the gradient of a loss with respect to the output
+    of the last forward of ``params`` run in ``ws.acts`` at embedding rows
+    ``rows``, through the network in closed form; fills ``ws.grad`` and
+    returns it.
+
+    Per layer, from the last: the bias and weight gradients, then the
+    gradient of the layer input, times tanh' below a hidden layer; the
+    embedding rows' gradient is scattered from the last columns of the
+    input gradient. Each step is the elementary VJPs' arithmetic (matmul,
+    bias broadcast, tanh, row gather) in the same order, so the gradients
+    equal the per-op network's byte for byte. The input gradients are
+    written into ``ws.ref`` and tanh' over the hidden layers' inputs in
+    ``ws.acts``, so both are spent until the next forward.
+    """
+    grad = ws.grad
+    for i in range(len(params.weights) - 1, -1, -1):
+        a = ws.acts[i]
+        np.add.reduce(g, axis=0, out=grad.biases[i])
+        np.matmul(a.T, g, out=grad.weights[i])
+        g = np.matmul(g, params.weights[i].T, out=ws.ref[i])
+        if i:
+            # tanh' = 1 - a * a, in place: the layer input is not read again
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            g *= a
+    n_rows, width = params.cond_embed.shape
+    # flat (row * width + col) bins add in input order, as np.add.at does
+    bins, weights = ws.embed_bins, ws.embed_grad
+    np.multiply(rows[:, None], width, out=bins)
+    bins += ws.embed_cols
+    weights[...] = g[:, -width:]
+    g_embed = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=n_rows * width)
+    grad.cond_embed[...] = g_embed.reshape(n_rows, width)
+    return grad
 
 
 def _taped_forward(tape: TapeParams, x, t, rows, ws: StepWorkspace | None) -> Var:
     """The plain forward as one tape node over the parameter leaf.
 
-    The node keeps the layer inputs and backpropagates through the network in
-    closed form into the views of the workspace's gradient vector: per layer,
-    from the last, the bias and weight gradients, then the gradient of the
-    layer input, times tanh' below a hidden layer; the embedding rows'
-    gradient is scattered from the last columns of the input gradient. Each
-    step is the elementary VJPs' arithmetic (matmul, bias broadcast, tanh,
-    row gather) in the same order, so the gradients equal the per-op
-    network's byte for byte. Without ``ws`` the call gets a workspace, and so
-    a gradient vector, of its own.
+    The node keeps the layer inputs in the workspace's ``acts`` and
+    backpropagates through eps_backward into the views of the workspace's
+    gradient vector. Without ``ws`` the call gets a workspace, and so a
+    gradient vector, of its own.
     """
     p = tape.params
     rows = np.asarray(rows)
@@ -345,31 +401,8 @@ def _taped_forward(tape: TapeParams, x, t, rows, ws: StepWorkspace | None) -> Va
         ws = StepWorkspace(tape.arch, len(x))
     elif ws.n != len(x):
         raise InvalidArgument(f"workspace of {ws.n} rows for a batch of {len(x)}")
-    acts = ws.acts
-    out = _forward(p.weights, p.biases, p.cond_embed, x, t, rows, acts)
-
-    def vjp(g):
-        grad = ws.grad
-        for i in range(len(p.weights) - 1, -1, -1):
-            a = acts[i]
-            np.add.reduce(g, axis=0, out=grad.biases[i])
-            np.matmul(a.T, g, out=grad.weights[i])
-            g = np.matmul(g, p.weights[i].T, out=ws.back[i])
-            if i:
-                da = np.multiply(a, a, out=ws.ref[i])
-                np.subtract(1.0, da, out=da)
-                g *= da
-        n_rows, width = p.cond_embed.shape
-        # flat (row * width + col) bins add in input order, as np.add.at does
-        bins, weights = ws.embed_bins, ws.embed_grad
-        np.multiply(rows[:, None], width, out=bins)
-        bins += ws.embed_cols
-        weights[...] = g[:, -width:]
-        g_embed = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=n_rows * width)
-        grad.cond_embed[...] = g_embed.reshape(n_rows, width)
-        return grad.vec
-
-    return Var(out, tape.leaf, vjp)
+    out = _forward(p.weights, p.biases, p.cond_embed, x, t, rows, ws.acts)
+    return Var(out, tape.leaf, lambda g: eps_backward(p, g, rows, ws).vec)
 
 
 def eps_forward(model, x, t, rows, ws=None):
@@ -385,7 +418,8 @@ def eps_forward(model, x, t, rows, ws=None):
     instead of fresh arrays, so it must not be shared with a forward still in
     use. With a BoundWorkspace, ``t`` is a step of its grid, and only the
     input blocks that differ from what it holds are written.
-    noise_predictor binds them; one-off callers pass none.
+    noise_predictor and StepWorkspace.bind_step bind them; one-off callers
+    pass none.
     The result is a fresh array either way.
     """
     if isinstance(model, TapeParams):
@@ -492,7 +526,9 @@ def predict_noise(model, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:
 
 def value_and_grad(params: DenoiserParams, loss_fn) -> tuple[float, DenoiserParams]:
     """Value of a scalar loss and its exact reverse-mode gradient, as
-    DenoiserParams over a vector laid out like ``params.vec``.
+    DenoiserParams over a vector laid out like ``params.vec``: the tape,
+    which the tests use as the reference for the heads' closed-form
+    functions; no training step runs it.
 
     ``loss_fn`` receives TapeParams(params) and must return a scalar Var, such
     as a loss head over eps_forward(tape, ...); one not reaching the leaf has

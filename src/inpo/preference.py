@@ -13,12 +13,21 @@ difference of four squared prediction errors (winner/loser under the trained
 and the frozen reference model). The pair head stacks winners over losers,
 so each model's two errors come from one forward, one difference and one
 row sum, with one finiteness check per model that names the offending term
-only on failure. Each loss head computes its value with numpy on the
-network's output; on tape parameters it returns one node over the network's
-node (denoiser.eps_forward) with a closed-form VJP, whose order of
-operations (d + d, not 2 * d) keeps aligned parameters byte-stable. Given a
-StepWorkspace, a head runs its forwards in it. The reference must be plain
-parameters and never receives gradient.
+only on failure. The reference must be plain parameters and never receives
+gradient.
+
+Training runs each head's closed-form value-and-gradient function:
+pair_value_and_grad on a stacked (2B, dim) batch, sft_value_and_grad for the
+denoising head. Each embeds the batch's timesteps once into a StepWorkspace
+(StepWorkspace.bind_step), runs the trained forward, and for the pair head
+the reference forward, in its kept buffers, computes the value and the
+gradient with respect to the network's output, and calls
+denoiser.eps_backward, which fills and returns the workspace's gradient.
+The order of operations (d + d, not 2 * d) keeps aligned parameters
+byte-stable. pair_loss_terms and sft_terms are the same heads on plain
+numpy values, or, on tape parameters, one tape node each whose VJP is the
+same output-gradient helper; the tape (denoiser.value_and_grad) is the
+reference the tests hold the closed-form functions to.
 
 Delta strategies decide how the noise estimate paired with a clean sample is
 produced: "inversion" runs the sampler's inversion, "gaussian" draws i.i.d.
@@ -33,7 +42,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Var
-from .denoiser import DenoiserParams, _cond_rows, _per_row, eps_forward, noise_predictor
+from .denoiser import (
+    DenoiserParams,
+    StepWorkspace,
+    _cond_rows,
+    _per_row,
+    eps_backward,
+    eps_forward,
+    noise_predictor,
+)
 from .errors import InvalidArgument, NumericError
 from .sampler import Inverter, ddim_invert, reconstruct_xt
 from .schedule import NoiseSchedule, check_timestep, forward_diffuse
@@ -107,17 +124,71 @@ def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps, ws=None):
     out = eps_forward(model, x_t, t, rows, ws=ws)
     taped = isinstance(out, Var)
     d = (out.data if taped else out) - eps
-    per = (d * d).sum(axis=1)
     w = s.loss_weight[t]
-    value = (per * w).mean()
+    value = _sft_value(d, w)
     if not taped:
         return value
+    return Var(value, out, lambda g: _sft_output_grad(g, w, d))
 
-    def vjp(g):
-        gd = np.broadcast_to((g / per.size) * w, per.shape)[:, None]
-        return gd * d + gd * d
 
-    return Var(value, out, vjp)
+def _sft_value(d, w):
+    """The weighted mean squared error of the prediction errors ``d``."""
+    per = (d * d).sum(axis=1)
+    return (per * w).mean()
+
+
+def _sft_output_grad(g, w, d):
+    """The denoising head's gradient with respect to the prediction, for an
+    upstream gradient ``g``: (g / B) * w(t) * (d + d) per row."""
+    gd = np.broadcast_to((g / len(d)) * w, (len(d),))[:, None]
+    return gd * d + gd * d
+
+
+def _bind_batch(model, s: NoiseSchedule, n: int, t, rows, ws: StepWorkspace | None,
+                min_t: int):
+    """Check a closed-form head's batch of n rows and embed its timesteps.
+
+    ``ws`` (a new StepWorkspace if None) must have n rows, ``t`` (one or one
+    per row) lie in [min_t, T] and ``rows`` (one or one per row) be integers
+    in [0, num_conditions]. Returns (ws, t, rows) with ``t`` embedded once
+    into the workspace's grid (StepWorkspace.bind_step).
+    """
+    if not isinstance(model, DenoiserParams):
+        raise InvalidArgument(f"model must be DenoiserParams, got {type(model)}")
+    if ws is None:
+        ws = StepWorkspace(model.arch, n)
+    elif ws.n != n:
+        raise InvalidArgument(f"workspace of {ws.n} rows for a batch of {n}")
+    t = _per_row(check_timestep(s, t, min_t=min_t), n, "timesteps")
+    rows = _per_row(rows, n, "condition rows")
+    k = model.arch.num_conditions
+    if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() > k:
+        raise InvalidArgument(f"condition rows must be integers in [0, {k}]")
+    ws.bind_step(t)
+    return ws, t, rows
+
+
+def _check_loss(value) -> None:
+    if not np.isfinite(value):
+        raise NumericError(f"loss is non-finite: {float(value)!r}")
+
+
+def sft_value_and_grad(model: DenoiserParams, s: NoiseSchedule, x_t, t, rows, eps,
+                       ws: StepWorkspace | None = None):
+    """The denoising objective of sft_terms and its gradient, in closed form.
+
+    ``t``, one timestep or one per row, must lie in [0, T]; ``rows``, one or
+    one per row, are the batch's embedding rows. The forward runs in ``ws``,
+    a StepWorkspace of the batch's size (a new one if None), and
+    eps_backward fills its gradient. Returns (value, ws.grad); a non-finite
+    value raises NumericError before the backward.
+    """
+    ws, t, rows = _bind_batch(model, s, len(x_t), t, rows, ws, min_t=0)
+    d = eps_forward(model, x_t, 0, rows, ws=ws.bound) - eps
+    w = s.loss_weight[t]
+    value = _sft_value(d, w)
+    _check_loss(value)
+    return float(value), eps_backward(model, _sft_output_grad(1.0, w, d), rows, ws)
 
 
 def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrategy, rng):
@@ -202,8 +273,7 @@ def _check_same_arch(theta, ref) -> None:
 _TERM_NAMES = ("term_w_theta", "term_w_ref", "term_l_theta", "term_l_ref")
 
 
-def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c, beta,
-                    rows=None, ws=None):
+def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c, beta):
     """Batched pairwise loss pieces.
 
     ``theta`` may be DenoiserParams or TapeParams; ``ref`` must be plain
@@ -213,11 +283,6 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     the scalar mean total, on TapeParams one node: for d = target -
     prediction and g_w = (g / B) * sigmoid(-arg) * beta * w(t), winner rows
     get -g_w * (d + d), losers g_w * (d + d). ``t`` must lie in [1, T].
-
-    ``rows``, when given, are the embedding rows of ``c`` already resolved
-    by the caller (align resolves its whole pair set's once), and ``c`` is
-    not read. ``ws`` is a StepWorkspace of 2B rows for a TapeParams theta:
-    its forward and the reference's run in its buffers.
     """
     if not isinstance(ref, DenoiserParams):
         raise InvalidArgument(f"reference model must be DenoiserParams, got {type(ref)}")
@@ -225,41 +290,21 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     x_tw, x_tl = _as_rows(x_tw), _as_rows(x_tl)
     B = x_tw.shape[0]
     t = _per_row(check_timestep(s, t, min_t=1), B, "timesteps")
-    if rows is None:
-        rows = _cond_rows(_per_row(c, B, "condition ids"), theta.arch.num_conditions)
+    rows = _cond_rows(_per_row(c, B, "condition ids"), theta.arch.num_conditions)
     x_t = np.vstack([x_tw, x_tl])
     tau = np.vstack([_as_rows(tau_w), _as_rows(tau_l)])
     t_stack = np.concatenate([t, t])
     rows_stack = np.concatenate([rows, rows])
 
-    out = eps_forward(theta, x_t, t_stack, rows_stack, ws=ws)
-    eps_rf = eps_forward(ref, x_t, t_stack, rows_stack, ws=None if ws is None else ws.ref)
+    out = eps_forward(theta, x_t, t_stack, rows_stack)
+    eps_rf = eps_forward(ref, x_t, t_stack, rows_stack)
     taped = isinstance(out, Var)
-    d_th = tau - (out.data if taped else out)
-    d_rf = tau - eps_rf
-    term_th = (d_th * d_th).sum(axis=1)
-    term_rf = (d_rf * d_rf).sum(axis=1)
-    if not (np.isfinite(term_th).all() and np.isfinite(term_rf).all()):
-        _raise_nonfinite_term(term_th, term_rf, B)
-
     scale = -(beta * s.loss_weight[t])
-    arg = (term_th[:B] - term_rf[:B] - term_th[B:] + term_rf[B:]) * scale
+    d_th, term_th, term_rf, arg = _pair_terms(tau, out.data if taped else out, eps_rf, scale)
     totals = np.logaddexp(0.0, -arg)
     mean_total = totals.mean()
     if taped:
-        # sigmoid(-arg), the slope of softplus at -arg, in tanh form
-        slope = 0.5 * (1.0 + np.tanh(0.5 * -arg))
-
-        def vjp(g):
-            gw = (-((g / B) * slope) * scale)[:, None]
-            prod = np.concatenate([gw, -gw]) * d_th
-            geps = prod + prod
-            np.negative(geps, out=geps)
-            # + 0.0 turns -0.0 into 0.0, as accumulating into zeros did
-            geps += 0.0
-            return geps
-
-        mean_total = Var(mean_total, out, vjp)
+        mean_total = Var(mean_total, out, lambda g: _pair_output_grad(g, arg, scale, d_th))
     return {
         "term_w_theta": term_th[:B],
         "term_w_ref": term_rf[:B],
@@ -269,6 +314,71 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
         "totals": totals,
         "mean_total": mean_total,
     }
+
+
+def pair_value_and_grad(theta: DenoiserParams, ref: DenoiserParams, s: NoiseSchedule, x_t,
+                        tau, t, rows, beta, ws: StepWorkspace | None = None, aux=None):
+    """The mean pairwise loss of pair_loss_terms and its gradient, in closed
+    form, on a stacked (2B, dim) batch of latents ``x_t`` and targets
+    ``tau``, winners first: rows i and B + i are one pair's winner and
+    loser. ``t`` and ``rows`` are the stacked batch's timesteps, in [1, T],
+    and embedding rows; the loss weight is read at the winners' timesteps.
+
+    The time embeddings are gathered once for both models (bind_step), the
+    trained forward runs in ``ws.acts`` and the reference's in ``ws.ref``,
+    ``ws`` being a StepWorkspace of 2B rows (a new one if None), and
+    eps_backward fills its gradient. ``aux``, a dict if given, receives the
+    per-pair "sigmoid_arg" before the loss is checked, so a caller can name
+    the pair behind a non-finite loss. Returns (value, ws.grad); a
+    non-finite term or value raises NumericError before the backward.
+    """
+    if not isinstance(ref, DenoiserParams):
+        raise InvalidArgument(f"reference model must be DenoiserParams, got {type(ref)}")
+    _check_same_arch(theta, ref)
+    n = len(x_t)
+    if n % 2:
+        raise InvalidArgument(f"a stacked pair batch has an even number of rows, got {n}")
+    ws, t, rows = _bind_batch(theta, s, n, t, rows, ws, min_t=1)
+    out = eps_forward(theta, x_t, 0, rows, ws=ws.bound)
+    eps_rf = eps_forward(ref, x_t, 0, rows, ws=ws.bound_ref)
+    scale = -(beta * s.loss_weight[t[:n // 2]])
+    d_th, _, _, arg = _pair_terms(tau, out, eps_rf, scale)
+    if aux is not None:
+        aux["sigmoid_arg"] = arg
+    value = np.logaddexp(0.0, -arg).mean()
+    _check_loss(value)
+    return float(value), eps_backward(theta, _pair_output_grad(1.0, arg, scale, d_th), rows, ws)
+
+
+def _pair_terms(tau, eps_th, eps_rf, scale):
+    """The stacked batch's trained-model errors d = tau - prediction, both
+    models' squared errors per row and the per-pair loss argument, for the
+    per-pair ``scale`` -(beta * w(t)); a non-finite squared error raises
+    NumericError naming its term."""
+    B = len(scale)
+    d_th = tau - eps_th
+    d_rf = tau - eps_rf
+    term_th = (d_th * d_th).sum(axis=1)
+    term_rf = (d_rf * d_rf).sum(axis=1)
+    if not (np.isfinite(term_th).all() and np.isfinite(term_rf).all()):
+        _raise_nonfinite_term(term_th, term_rf, B)
+    arg = (term_th[:B] - term_rf[:B] - term_th[B:] + term_rf[B:]) * scale
+    return d_th, term_th, term_rf, arg
+
+
+def _pair_output_grad(g, arg, scale, d_th):
+    """The pair head's gradient with respect to the stacked prediction, for
+    an upstream gradient ``g``: -(p + p) + 0.0 with p = [g_w; -g_w] * d."""
+    B = len(arg)
+    # sigmoid(-arg), the slope of softplus at -arg, in tanh form
+    slope = 0.5 * (1.0 + np.tanh(0.5 * -arg))
+    gw = (-((g / B) * slope) * scale)[:, None]
+    prod = np.concatenate([gw, -gw]) * d_th
+    geps = prod + prod
+    np.negative(geps, out=geps)
+    # + 0.0 turns -0.0 into 0.0, as accumulating into zeros did
+    geps += 0.0
+    return geps
 
 
 def _raise_nonfinite_term(term_th, term_rf, B):

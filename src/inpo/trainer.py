@@ -15,8 +15,8 @@ The alignment loop accepts three methods sharing one optimizer path:
 inpo and dpo build the targets of a window's winners and losers in one
 stacked make_targets call, so inversion costs one network forward per grid
 step for the whole window. A non-finite value in a step raises TrainingError
-naming the step and the first drawn pair whose inputs or targets are
-non-finite.
+naming the step and the first drawn pair whose inputs, targets or loss
+argument are non-finite.
 
 Per optimizer step, gradients are averaged over batch_pairs * accum_steps
 pair evaluations, each at an independently drawn timestep in {t_min..T}.
@@ -27,11 +27,19 @@ a boolean mask. Each training call (align, and pretrain_base and
 sft_ref_init through _fit_denoiser) binds once what its steps share: the
 pair set's or dataset's conditions, validated and resolved to embedding
 rows that a step gathers by index; one StepWorkspace, in which every step's
-taped forward, reference forward and backward run; the step-sum vector;
-and Adam's scratch pair. An
-inpo align with the inversion strategy also builds one Inverter of 2B rows,
-which every window's make_targets rebinds to its timesteps and conditions
-and to the parameters as Adam left them.
+forwards and backward run; the step-sum vector; and Adam's scratch pair.
+align also keeps one (2B, dim) buffer into which a window gathers its
+winners, then its losers. An inpo align with the inversion strategy also
+builds one Inverter of 2B rows, which every window's make_targets rebinds to
+its timesteps and conditions and to the parameters as Adam left them.
+
+A step's loss and gradient come from the heads' closed-form functions,
+preference.pair_value_and_grad on the stacked batch and
+preference.sft_value_and_grad for the denoising objective: one trained
+forward (and one reference forward) into the workspace, the output gradient,
+and one network backward into the workspace's gradient vector. No step runs
+the tape (denoiser.value_and_grad); it is the reference the tests hold these
+functions to.
 
 The optimizer runs on whole parameter vectors (DenoiserParams.vec). Each
 window's gradient lands in the workspace's vector and is checked for
@@ -60,10 +68,10 @@ from .denoiser import (
     init_denoiser,
     params_from_bytes,
     params_to_bytes,
-    value_and_grad,
+    value_and_grad,  # noqa: F401  (perfbench's hook tests reach it through this module)
 )
 from .errors import ConfigError, InvalidArgument, TrainingError, VersionError
-from .preference import DeltaStrategy, make_targets, pair_loss_terms, sft_terms
+from .preference import DeltaStrategy, make_targets, pair_value_and_grad, sft_value_and_grad
 from .sampler import Inverter
 from .schedule import NoiseSchedule, forward_diffuse
 
@@ -169,12 +177,31 @@ def warmup_lr(lr: float, step: int, warmup_steps: int) -> float:
     return lr
 
 
+_WORD = 0xFFFFFFFF
+
+
 def _step_rng(seed: int, domain: int, step: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), domain, int(step)]))
+    """The stream of SeedSequence([seed, domain, step]).
+
+    numpy turns that list into the little-endian 32-bit words of each int,
+    at least one word per int, concatenated; the sequence is built from
+    that word array directly. A negative int takes the list path, so numpy
+    still rejects it.
+    """
+    ints = (int(seed), domain, int(step))
+    if min(ints) < 0:
+        return np.random.default_rng(np.random.SeedSequence(list(ints)))
+    words = []
+    for v in ints:
+        words.append(v & _WORD)
+        while v > _WORD:
+            v >>= 32
+            words.append(v & _WORD)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def _finite_grad(grad: DenoiserParams, step: int) -> np.ndarray:
-    """value_and_grad's gradient vector, rejected if any entry is non-finite."""
+    """A head's gradient vector, rejected if any entry is non-finite."""
     if not np.isfinite(grad.vec).all():
         raise TrainingError("non-finite gradient", step)
     return grad.vec
@@ -204,9 +231,7 @@ def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, step
         rows = np.where(drop, null_row, cond_rows[idx])
         x_t = forward_diffuse(schedule, X[idx], t, eps)
         try:
-            _, grad = value_and_grad(
-                params, lambda tape: sft_terms(tape, schedule, x_t, t, None, rows, eps, ws)
-            )
+            _, grad = sft_value_and_grad(params, schedule, x_t, t, rows, eps, ws)
         except ArithmeticError as e:
             raise TrainingError(str(e), step) from e
         adam_step(params.vec, _finite_grad(grad, step), adam, lr, work)
@@ -256,46 +281,40 @@ class _PairSet(NamedTuple):
     rows: np.ndarray
 
 
-def _align_window(params, ref, schedule, pairs: _PairSet, cfg, rng, aux, ws, inverter):
-    """Draw one accumulation window and return its loss_fn.
+def _align_window(params, ref, schedule, pairs: _PairSet, cfg, rng, aux, ws, inverter, x0):
+    """Draw one accumulation window and return its loss and gradient.
 
-    Winners and losers get their latents and targets from one make_targets
-    call on the stacked (2B, dim) batch, winners first; dpo is inpo with the
-    gaussian strategy, and inversion runs in ``inverter``. The loss runs its
-    forwards and backward in ``ws``.
+    The window's winners, then for inpo and dpo its losers, are gathered
+    into ``x0``, (B or 2B, dim); the timesteps and embedding rows are
+    doubled once for the stacked batch. Its latents and targets come from
+    one make_targets call, winners first; dpo is inpo with the gaussian
+    strategy, and inversion runs in ``inverter``. The head's closed-form
+    function runs the forwards and the backward in ``ws``, whose gradient
+    it returns.
     ``aux`` receives the draws as they are made, so a failure part way
     through can still name the pair.
     """
     B = cfg.batch_pairs
     idx = rng.integers(0, len(pairs.winners), size=B)
     t = rng.integers(cfg.t_min, schedule.T + 1, size=B)
-    xw, cc, rows = pairs.winners[idx], pairs.conds[idx], pairs.rows[idx]
-    aux.update(idx=idx, t=t, arrays=[xw])
+    np.take(pairs.winners, idx, axis=0, out=x0[:B])
+    aux.update(idx=idx, t=t, arrays=[x0])
 
     if cfg.method == "sft":
-        eps = rng.standard_normal(xw.shape)
-        x_t = forward_diffuse(schedule, xw, t, eps)
+        eps = rng.standard_normal(x0.shape)
+        x_t = forward_diffuse(schedule, x0, t, eps)
         aux["arrays"].append(x_t)
+        return sft_value_and_grad(params, schedule, x_t, t, pairs.rows[idx], eps, ws)
 
-        def loss_fn(tape):
-            return sft_terms(tape, schedule, x_t, t, cc, rows, eps, ws)
-
-        return loss_fn
-
-    xl = pairs.losers[idx]
-    aux["arrays"].append(xl)
+    np.take(pairs.losers, idx, axis=0, out=x0[B:])
+    idx2 = np.concatenate([idx, idx])
+    t2 = np.concatenate([t, t])
     delta = _DPO_DELTA if cfg.method == "dpo" else cfg.delta
-    x_t, tau = make_targets(params, schedule, np.vstack([xw, xl]), np.concatenate([t, t]),
-                            np.concatenate([cc, cc]), delta, rng, inverter=inverter)
+    x_t, tau = make_targets(params, schedule, x0, t2, pairs.conds[idx2], delta, rng,
+                            inverter=inverter)
     aux["arrays"] += [x_t, tau]
-
-    def loss_fn(tape):
-        terms = pair_loss_terms(tape, ref, schedule, x_t[:B], tau[:B], x_t[B:], tau[B:],
-                                t, cc, cfg.beta, rows=rows, ws=ws)
-        aux["sigmoid_arg"] = terms["sigmoid_arg"]
-        return terms["mean_total"]
-
-    return loss_fn
+    return pair_value_and_grad(params, ref, schedule, x_t, tau, t2, pairs.rows[idx2],
+                               cfg.beta, ws, aux=aux)
 
 
 def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSchedule,
@@ -336,6 +355,7 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
     gsum = np.empty_like(params.vec)
     rows_per_window = cfg.batch_pairs * (1 if cfg.method == "sft" else 2)
     ws = StepWorkspace(params.arch, rows_per_window)
+    x0 = np.empty((rows_per_window, params.arch.input_dim))
     inverter = None
     if cfg.method == "inpo" and cfg.delta.kind == "inversion":
         inverter = Inverter(params, schedule, cfg.delta.n, rows_per_window,
@@ -350,9 +370,8 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         for k in range(cfg.accum_steps):
             aux = {}
             try:
-                loss_fn = _align_window(params, ref, schedule, pair_set, cfg, rng, aux, ws,
-                                        inverter)
-                val, grad = value_and_grad(params, loss_fn)
+                val, grad = _align_window(params, ref, schedule, pair_set, cfg, rng, aux, ws,
+                                          inverter, x0)
             except ArithmeticError as e:
                 raise TrainingError(f"{e}{_bad_pair(aux)}", step) from e
             g = _finite_grad(grad, step)

@@ -282,7 +282,7 @@ def oracle_load_pairs(path, num_conditions=None, input_dim=None):
 
     Besides the per-record checks it holds two rules that columns need: a
     header without a dim takes the first record's, and a condition or seed
-    must fit in int64.
+    must fit in int64. A header dim must be a positive integer.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -298,6 +298,8 @@ def oracle_load_pairs(path, num_conditions=None, input_dim=None):
         raise VersionError(
             f"unsupported pair schema version {header.get('schema_version')!r}"
         )
+    if "dim" in header and (type(header["dim"]) is not int or header["dim"] < 1):
+        raise PairParseError(f"header dim {header['dim']!r} is not a positive integer", 1)
     dim = header.get("dim", input_dim)
     if input_dim is not None and dim != input_dim:
         raise PairParseError(f"pairs have dim {dim!r} but the model's input_dim is {input_dim}", 1)

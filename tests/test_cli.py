@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from inpo.cli import main
@@ -73,6 +74,51 @@ def test_dpo_and_inpo_gaussian_checkpoints_identical(workdir, tmp_path):
     a = (out_a / "aligned.params").read_bytes()
     b = (out_b / "aligned.params").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("method", ["inpo", "dpo", "sft"])
+def test_align_honours_the_configured_loss_weight(workdir, tmp_path, method):
+    # the schedule comes from the model's header, the loss weight from the
+    # config: snr changes the aligned parameters, and constant, the
+    # default, gives the bytes of an align that does not set it
+    shared = [
+        "--set", f"align.base={workdir}/base.params",
+        "--set", f"align.pairs={workdir}/pairs.jsonl",
+        "--set", f"align.method={method}",
+    ]
+    blobs = {}
+    for weight in (None, "constant", "snr"):
+        out = tmp_path / str(weight)
+        extra = [] if weight is None else ["--set", f"schedule.loss_weight={weight}"]
+        assert run(["align", "--out", str(out), "--seed", "3", *shared, *extra]) == 0
+        blobs[weight] = (out / "aligned.params").read_bytes()
+    assert blobs[None] == blobs["constant"]
+    assert blobs["snr"] != blobs["constant"]
+
+
+def test_ablate_honours_the_configured_loss_weight(workdir, tmp_path, monkeypatch):
+    import inpo.cli as cli_mod
+
+    weights = []
+    real = cli_mod.align
+
+    def spy(base, ref, pairs, schedule, cfg, **kw):
+        weights.append(schedule.loss_weight.copy())
+        return real(base, ref, pairs, schedule, cfg, **kw)
+
+    monkeypatch.setattr(cli_mod, "align", spy)
+    for weight in ("constant", "snr"):
+        assert run([
+            "ablate", "--out", str(tmp_path / weight), "--seed", "6",
+            "--set", f"ablate.base={workdir}/base.params",
+            "--set", f"ablate.pairs={workdir}/pairs.jsonl",
+            "--set", "ablate.betas=100", "--set", "ablate.ns=2", "--set", "ablate.w_invs=0",
+            "--set", "ablate.t_mins=1", "--set", "ablate.steps=1", "--set", "ablate.trials=8",
+            "--set", f"schedule.loss_weight={weight}",
+        ]) == 0
+    constant, snr = weights
+    assert (constant == 1.0).all()
+    assert not np.array_equal(snr, constant)
 
 
 def test_rerun_is_byte_identical(workdir, tmp_path):

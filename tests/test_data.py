@@ -21,7 +21,7 @@ from inpo.schedule import make_schedule
 
 from inpo.denoiser import DenoiserArch, init_denoiser
 
-from conftest import make_linear_model, oracle_make_preference_pairs
+from conftest import make_linear_model, oracle_load_pairs, oracle_make_preference_pairs
 
 
 def test_dataset_deterministic():
@@ -394,6 +394,23 @@ def test_pair_file_dim_checked_against_the_model(tmp_path, small_pairs):
     with pytest.raises(PairParseError, match="expected 3, got 2") as err:
         load_pairs(path, input_dim=3)
     assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("dim", [True, False, 2.0, "2", 0, -2, None, [2]])
+@pytest.mark.parametrize("input_dim", [None, 2])
+def test_pair_file_header_dim_must_be_a_positive_integer(tmp_path, small_pairs, dim, input_dim):
+    # "dim": true once loaded 1-D pairs and "dim": 2.0 passed input_dim=2
+    path = tmp_path / "pairs.jsonl"
+    save_pairs(small_pairs, path)
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    head["dim"] = dim
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    for load in (load_pairs, oracle_load_pairs):
+        with pytest.raises(PairParseError, match=r"header dim .* is not a positive integer") as err:
+            load(path, None, input_dim)
+        assert err.value.line_no == 1
 
 
 def test_pair_file_version_mismatch(tmp_path, small_pairs):

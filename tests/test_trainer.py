@@ -10,6 +10,7 @@ import inpo.preference as preference_mod
 import inpo.trainer as trainer_mod
 from inpo.data import PreferencePair
 from inpo.denoiser import (
+    NULL_CONDITION,
     DenoiserArch,
     _cond_rows,
     _pack_header,
@@ -470,6 +471,86 @@ def test_align_accumulation_matches_per_array_oracle_bytes(s, tiny_pairs, method
     out = align(base, ref, tiny_pairs, s, cfg)
     assert out.vec.tobytes() == _oracle_align(base, ref, tiny_pairs, s, cfg).vec.tobytes()
     assert not params_equal(out, base)
+
+
+def _oracle_fit(params, X, cond, s, steps, lr, seed, domain, batch, cond_drop):
+    """_fit_denoiser's loop through the public, unbound tape head: every
+    step draws what _fit_denoiser draws, in the same order, from
+    SeedSequence([seed, domain, step]); a dropped condition becomes the null
+    id before its row is resolved; sft_terms allocates its own buffers,
+    gradients are per-array lists and Adam is the per-array oracle."""
+    arch = params.arch
+    arrays = params.flat()
+    state = _list_state(arrays)
+    for step in range(steps):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, domain, step]))
+        idx = rng.integers(0, len(X), size=batch)
+        t = rng.integers(1, s.T + 1, size=batch)
+        eps = rng.standard_normal((batch, arch.input_dim))
+        drop = rng.random(batch) < cond_drop
+        c = np.where(drop, NULL_CONDITION, cond[idx])
+        rows = _cond_rows(c, arch.num_conditions)
+        x_t = forward_diffuse(s, X[idx], t, eps)
+        grads = value_and_grad(params, lambda tape: sft_terms(tape, s, x_t, t, c, rows, eps))[1]
+        oracle_adam_step(arrays, grads.flat(), state, lr)
+    return params
+
+
+@pytest.mark.parametrize("cond_drop", [0.0, 0.3])
+def test_pretrain_matches_per_array_oracle_bytes(s, tiny_data, cond_drop):
+    X, cond = tiny_data
+    out = pretrain_base(tiny_data, ARCH, s, steps=8, lr=3e-3, seed=5, batch=24,
+                        cond_drop=cond_drop)
+    want = _oracle_fit(init_denoiser(ARCH, 5), X, cond, s, 8, 3e-3, 5,
+                       trainer_mod._PRETRAIN_DOMAIN, 24, cond_drop)
+    assert out.vec.tobytes() == want.vec.tobytes()
+    assert not params_equal(out, init_denoiser(ARCH, 5))
+
+
+def test_sft_ref_init_matches_per_array_oracle_bytes(s, tiny_pairs):
+    # a tie is skipped, so the oracle sees only the other pairs' winners
+    tie = PreferencePair(1, np.ones(2), np.ones(2), 0.5, 0.5, 0, tie=True)
+    pairs = [tie, *tiny_pairs]
+    base = init_denoiser(ARCH, 2)
+    out = sft_ref_init(base, pairs, s, steps=8, lr=3e-3, seed=4, batch=16)
+    X = np.stack([p.winner for p in tiny_pairs])
+    cond = np.asarray([p.condition for p in tiny_pairs])
+    want = _oracle_fit(base.copy(), X, cond, s, 8, 3e-3, 4, trainer_mod._SFT_REF_DOMAIN, 16, 0.0)
+    assert out.vec.tobytes() == want.vec.tobytes()
+    assert not params_equal(out, base)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 5, 2**63 - 1,
+                                  2**64 + 7])
+def test_step_rng_is_the_stream_of_the_seed_list(seed):
+    for domain in (trainer_mod._PRETRAIN_DOMAIN, trainer_mod._ALIGN_DOMAIN, 0):
+        for step in (0, 1, 499, 2**32 - 1, 2**32, 2**33):
+            want = np.random.default_rng(np.random.SeedSequence([seed, domain, step]))
+            got = trainer_mod._step_rng(seed, domain, step)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+    # numpy ints are taken as the ints they hold
+    got = trainer_mod._step_rng(np.int64(min(seed, 2**63 - 1)), 202, np.int64(3))
+    want = np.random.default_rng(np.random.SeedSequence([min(seed, 2**63 - 1), 202, 3]))
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_step_rng_rejects_a_negative_int_as_numpy_does():
+    for ints in ((-1, 202, 0), (1, 202, -3)):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence(list(ints))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            trainer_mod._step_rng(*ints)
+
+
+def test_align_names_the_pair_behind_a_nonfinite_loss(s, tiny_pairs):
+    # beta = inf sends every loss argument to +-inf: the loss is non-finite
+    # while every input and target is finite, so the pair is named from the
+    # loss argument the pair head hands out
+    base = init_denoiser(ARCH, 7)
+    with pytest.raises(TrainingError,
+                       match=r"^step 0: loss is non-finite: .*\(pair \d+, t=\d+\)$"):
+        align(base, init_denoiser(ARCH, 8), tiny_pairs, s, small_cfg(beta=np.inf, steps=2))
 
 
 def test_checkpoint_bytes_match_per_array_writer(tmp_path):
