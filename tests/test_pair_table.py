@@ -267,6 +267,8 @@ def _pair_files(draw):
         elif m[0] == "retype":
             rec[m[1]] = m[2]
         elif m[0] == "entry":
+            if m[1] not in rec:  # an earlier mutation dropped the field
+                continue
             vals = json.loads(rec[m[1]]) if rec[m[1]].startswith("[") else [0.0, 0.0]
             toks = [json.dumps(v) for v in vals] or ["0.0"]
             toks[min(m[2], len(toks) - 1)] = m[3]
