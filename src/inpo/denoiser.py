@@ -650,7 +650,3 @@ def load_params(path, expect_arch: DenoiserArch | None = None):
     if expect_arch is not None and params.arch != expect_arch:
         raise VersionError(f"architecture mismatch: {params.arch} != {expect_arch}")
     return params, kind, T
-
-
-def params_equal(a: DenoiserParams, b: DenoiserParams) -> bool:
-    return a.arch == b.arch and np.array_equal(a.vec, b.vec)

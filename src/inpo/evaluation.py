@@ -132,8 +132,3 @@ def emit_report(report: EvalReport, dir_path) -> None:
         w.writerow(["config_id", "seconds"])
         for k in sorted(report.wall_times):
             w.writerow([k, repr(report.wall_times[k])])
-
-
-def parse_report(dir_path) -> dict:
-    with open(os.path.join(dir_path, "report.json")) as fh:
-        return json.load(fh)

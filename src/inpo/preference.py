@@ -80,43 +80,16 @@ class DeltaStrategy:
             raise InvalidArgument("damping must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    total: float
-    sigmoid_arg: float
-    term_w_theta: float
-    term_w_ref: float
-    term_l_theta: float
-    term_l_ref: float
-    t: int
-
-
 def _as_rows(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x[None, :] if x.ndim == 1 else x
-
-
-def sft_loss(model, s: NoiseSchedule, batch, t_draws, eps_draws) -> float:
-    """Mean over the batch of w(t) * ||eps_hat(noised x0, t, c) - eps||^2."""
-    x0, c = batch
-    x0 = _as_rows(x0)
-    if x0.shape[0] == 0:
-        raise InvalidArgument("empty batch")
-    t = _per_row(t_draws, x0.shape[0], "timesteps")
-    eps = _as_rows(eps_draws)
-    if eps.shape != x0.shape:
-        raise InvalidArgument("eps draws must be congruent with the batch")
-    c = _per_row(c, x0.shape[0], "condition ids")
-    rows = _cond_rows(c, model.arch.num_conditions)
-    x_t = forward_diffuse(s, x0, t, eps)
-    return float(sft_terms(model, s, x_t, t, c, rows, eps))
 
 
 def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps, ws=None):
     """Body of the denoising objective; mean over the batch.
 
     On TapeParams, one node: row gradient (g / B) * w(t) * (d + d), d = eps_hat - eps.
-    ``t``, one timestep or one per row, must lie in [0, T], as for sft_loss.
+    ``t``, one timestep or one per row, must lie in [0, T].
     The condition ids ``c`` are not read: ``rows`` already resolves them.
     ``ws`` is the forward's StepWorkspace on TapeParams (see eps_forward).
     """
@@ -388,47 +361,6 @@ def _raise_nonfinite_term(term_th, term_rf, B):
     for name, term in zip(_TERM_NAMES, halves):
         if not np.isfinite(term).all():
             raise NumericError(f"{name} is non-finite")
-
-
-def _breakdown(terms, t) -> LossBreakdown:
-    return LossBreakdown(
-        total=float(terms["totals"][0]),
-        sigmoid_arg=float(terms["sigmoid_arg"][0]),
-        term_w_theta=float(terms["term_w_theta"][0]),
-        term_w_ref=float(terms["term_w_ref"][0]),
-        term_l_theta=float(terms["term_l_theta"][0]),
-        term_l_ref=float(terms["term_l_ref"][0]),
-        t=int(t),
-    )
-
-
-def inpo_loss(p, ref, s, pair, t, strategy: DeltaStrategy, beta, rng) -> LossBreakdown:
-    """Inversion preference loss for one pair at one timestep.
-
-    Latent/target construction uses the trained parameters and is treated as
-    a sampled constant: no gradient flows through it.
-    """
-    if beta < 0:
-        raise InvalidArgument("beta must be >= 0")
-    t = int(check_timestep(s, t, min_t=1))
-    c = pair.condition
-    x_tw, tau_w = make_targets(p, s, pair.winner, t, c, strategy, rng)
-    x_tl, tau_l = make_targets(p, s, pair.loser, t, c, strategy, rng)
-    terms = pair_loss_terms(p, ref, s, x_tw, tau_w, x_tl, tau_l, t, c, beta)
-    return _breakdown(terms, t)
-
-
-def dpo_diffusion_loss(p, ref, s, pair, t, eps_w, eps_l, beta) -> LossBreakdown:
-    """Forward-noising preference loss: latents from the forward process and
-    targets equal to the drawn noise. Baseline and reduction oracle."""
-    if beta < 0:
-        raise InvalidArgument("beta must be >= 0")
-    t = int(check_timestep(s, t, min_t=1))
-    c = pair.condition
-    x_tw = forward_diffuse(s, np.asarray(pair.winner, float), t, np.asarray(eps_w, float))
-    x_tl = forward_diffuse(s, np.asarray(pair.loser, float), t, np.asarray(eps_l, float))
-    terms = pair_loss_terms(p, ref, s, x_tw, eps_w, x_tl, eps_l, t, c, beta)
-    return _breakdown(terms, t)
 
 
 def implicit_reward(p, ref, s, x0, c, t_draws, strategy: DeltaStrategy, beta, rng) -> float:

@@ -4,52 +4,47 @@ Every step draws its randomness from a stream derived from (seed, domain,
 step index), so a run is a pure function of (config, seed) and resuming from
 a checkpoint reproduces the uninterrupted trajectory bit for bit.
 
-The alignment loop accepts three methods sharing one optimizer path:
+pretrain_base, sft_ref_init and align run one loop, _train. Per step it
+draws the step's stream, runs accum_steps windows on it, checks each
+window's gradient for finiteness once and sums it into one step-sum vector,
+then takes one Adam step, in place on the whole parameter vector
+(DenoiserParams.vec), at the warmup learning rate. Each _train call
+allocates one StepWorkspace, in which every window's forwards and backward
+run, the step-sum vector and Adam's scratch pair. A window comes from one
+of two builders, each bound once per training call to its samples
+(_Samples: their conditions validated and resolved to embedding rows, which
+a window gathers by index):
 
-    inpo  latents/targets built per pair by the configured delta strategy
-          (inversion by default) using the current trained parameters,
-    dpo   latents from the forward process, targets equal to the drawn
-          noise: it runs as inpo with the gaussian strategy,
-    sft   the plain denoising objective on winners only.
+    denoising  the plain denoising objective, for pretrain_base,
+               sft_ref_init and align's sft method: rows, timesteps in
+               [t_min, T], noise, and condition drops only when the drop
+               probability is positive,
+    pair       the pair loss for inpo, whose latents and targets come from
+               the configured delta strategy (inversion by default) under
+               the current trained parameters, and dpo, which runs as inpo
+               with the gaussian strategy.
 
-inpo and dpo build the targets of a window's winners and losers in one
-stacked make_targets call, so inversion costs one network forward per grid
-step for the whole window. A non-finite value in a step raises TrainingError
-naming the step and the first drawn pair whose inputs, targets or loss
-argument are non-finite.
-
-Per optimizer step, gradients are averaged over batch_pairs * accum_steps
-pair evaluations, each at an independently drawn timestep in {t_min..T}.
+The pair window gathers its winners, then its losers, into one (2B, dim)
+buffer and builds their targets in one stacked make_targets call; an
+inversion align binds one Inverter of 2B rows per call, so inversion costs
+one network forward per grid step for the whole window. The heads'
+closed-form functions, preference.sft_value_and_grad and
+preference.pair_value_and_grad, give each window's loss and gradient; no
+step runs the tape (denoiser.value_and_grad), which is the reference the
+tests hold them to.
 
 align and sft_ref_init take a pair set as a PairTable, or a sequence of
-PreferencePair that PairTable.of stacks once, and keep its non-tie rows by
-a boolean mask. Each training call (align, and pretrain_base and
-sft_ref_init through _fit_denoiser) binds once what its steps share: the
-pair set's or dataset's conditions, validated and resolved to embedding
-rows that a step gathers by index; one StepWorkspace, in which every step's
-forwards and backward run; the step-sum vector; and Adam's scratch pair.
-align also keeps one (2B, dim) buffer into which a window gathers its
-winners, then its losers. An inpo align with the inversion strategy also
-builds one Inverter of 2B rows, which every window's make_targets rebinds to
-its timesteps and conditions and to the parameters as Adam left them.
-
-A step's loss and gradient come from the heads' closed-form functions,
-preference.pair_value_and_grad on the stacked batch and
-preference.sft_value_and_grad for the denoising objective: one trained
-forward (and one reference forward) into the workspace, the output gradient,
-and one network backward into the workspace's gradient vector. No step runs
-the tape (denoiser.value_and_grad); it is the reference the tests hold these
-functions to.
-
-The optimizer runs on whole parameter vectors (DenoiserParams.vec). Each
-window's gradient lands in the workspace's vector and is checked for
-finiteness once; the first window's is copied into the step sum and later
-ones are added to it in place. Adam's moments are vectors of the same
-layout, and adam_step updates the parameters in place.
+PreferencePair that PairTable.of stacks once, and keep its non-tie rows. A
+non-finite value raises TrainingError naming the step and, for a pair set,
+the input index of the first drawn pair whose inputs, targets or loss
+argument are non-finite. align averages gradients over batch_pairs *
+accum_steps pairs per step, and runs the loop in two segments when asked
+for a checkpoint between them.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import struct
@@ -200,42 +195,156 @@ def _step_rng(seed: int, domain: int, step: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
-def _finite_grad(grad: DenoiserParams, step: int) -> np.ndarray:
-    """A head's gradient vector, rejected if any entry is non-finite."""
-    if not np.isfinite(grad.vec).all():
-        raise TrainingError("non-finite gradient", step)
-    return grad.vec
+class _Samples(NamedTuple):
+    """A training call's samples, (n, dim), and their condition ids,
+    validated and resolved to embedding rows once; a window gathers all
+    three by drawn index."""
+
+    x: np.ndarray
+    cond: np.ndarray
+    rows: np.ndarray
 
 
-def _fit_denoiser(params: DenoiserParams, X, cond, schedule: NoiseSchedule, steps: int,
-                  lr: float, seed: int, domain: int, batch: int, cond_drop: float):
-    """Denoising training of ``params`` in place on (samples, condition) data.
+def _train(params: DenoiserParams, adam: AdamState, window, window_rows: int, *, seed: int,
+           domain: int, start: int, stop: int, lr: float, warmup_steps: int = 0,
+           accum_steps: int = 1, log: list | None = None, pair_ids=None) -> None:
+    """Steps start..stop-1 of a training run, updating ``params`` in place.
 
-    Each step draws rows, timesteps, noise and condition drops, in that
-    order, from its own stream; a dropped condition becomes the null one.
-    The conditions are validated and resolved to embedding rows once, and a
-    step gathers its rows from them.
+    Step k draws from _step_rng(seed, domain, k) and runs ``accum_steps``
+    windows on that one stream. ``window(rng, aux, ws)`` draws one window,
+    runs its head in ``ws``, a StepWorkspace of ``window_rows`` rows, and
+    returns the loss and ws.grad; it records its drawn indices and arrays in
+    ``aux`` as it goes. Each window's gradient is checked for finiteness
+    once and summed into one vector, averaged over the windows, and Adam
+    steps at the warmup learning rate. A failure raises TrainingError
+    naming the step and, when ``pair_ids`` maps drawn indices to input
+    pairs, the first drawn pair with a non-finite input, target or loss
+    argument. ``log``, if given, receives one CSV row per step: step, lr,
+    mean loss, mean sigmoid argument (0 for the denoising head) and wall ms.
     """
-    arch = params.arch
-    cond_rows = _cond_rows(cond, arch.num_conditions)
-    null_row = arch.num_conditions
-    ws = StepWorkspace(arch, batch)
-    adam = AdamState.zeros_like(params.vec)
+    ws = StepWorkspace(params.arch, window_rows)
+    gsum = np.empty_like(params.vec)
     work = (np.empty_like(params.vec), np.empty_like(params.vec))
-    for step in range(steps):
+    for step in range(start, stop):
+        tick = time.perf_counter()
         rng = _step_rng(seed, domain, step)
-        idx = rng.integers(0, len(X), size=batch)
-        t = rng.integers(1, schedule.T + 1, size=batch)
-        eps = rng.standard_normal((batch, arch.input_dim))
-        drop = rng.random(batch) < cond_drop
-        rows = np.where(drop, null_row, cond_rows[idx])
-        x_t = forward_diffuse(schedule, X[idx], t, eps)
-        try:
-            _, grad = sft_value_and_grad(params, schedule, x_t, t, rows, eps, ws)
-        except ArithmeticError as e:
-            raise TrainingError(str(e), step) from e
-        adam_step(params.vec, _finite_grad(grad, step), adam, lr, work)
-    return params
+        loss_sum = arg_sum = 0.0
+        for k in range(accum_steps):
+            aux = {}
+            try:
+                val, grad = window(rng, aux, ws)
+            except ArithmeticError as e:
+                raise TrainingError(f"{e}{_bad_pair(aux, pair_ids)}", step) from e
+            if not np.isfinite(grad.vec).all():
+                raise TrainingError("non-finite gradient", step)
+            if k:
+                gsum += grad.vec
+            else:
+                np.copyto(gsum, grad.vec)
+            loss_sum += val
+            arg = aux.get("sigmoid_arg")
+            arg_sum += float(arg.mean()) if arg is not None else 0.0
+        if accum_steps > 1:
+            gsum /= accum_steps
+        lr_t = warmup_lr(lr, step, warmup_steps)
+        adam_step(params.vec, gsum, adam, lr_t, work)
+        if log is not None:
+            ms = (time.perf_counter() - tick) * 1e3
+            log.append([step, repr(lr_t), repr(loss_sum / accum_steps),
+                        repr(arg_sum / accum_steps), f"{ms:.3f}"])
+
+
+def _bad_pair(aux, pair_ids) -> str:
+    """Name the first drawn pair whose inputs, targets or loss argument are
+    non-finite, as " (pair i, t=...)" with i its input index, or return ""
+    if there is none or ``pair_ids`` is None.
+
+    Row r of a drawn array of B or 2B rows belongs to drawn pair r % B.
+    """
+    if pair_ids is None:
+        return ""
+    idx, t = aux["idx"], aux["t"]
+    B = len(idx)
+    bad = np.zeros(B, dtype=bool)
+    for arr in aux["arrays"]:
+        bad[np.flatnonzero(~np.isfinite(arr).all(axis=1)) % B] = True
+    arg = aux.get("sigmoid_arg")
+    if arg is not None:
+        bad |= ~np.isfinite(arg)
+    if not bad.any():
+        return ""
+    i = int(np.argmax(bad))
+    return f" (pair {int(pair_ids[idx[i]])}, t={int(t[i])})"
+
+
+def _denoising_window(params, schedule: NoiseSchedule, data: _Samples, batch: int,
+                      t_min: int, cond_drop: float = 0.0):
+    """The denoising objective's window on ``data``: it draws rows, then
+    timesteps in [t_min, T], then noise, and, only when ``cond_drop`` > 0,
+    condition drops last; a dropped condition takes the null embedding row.
+    """
+    null_row = params.arch.num_conditions
+    shape = (batch, params.arch.input_dim)
+
+    def window(rng, aux, ws):
+        idx = rng.integers(0, len(data.x), size=batch)
+        t = rng.integers(t_min, schedule.T + 1, size=batch)
+        x0 = data.x[idx]
+        aux.update(idx=idx, t=t, arrays=[x0])
+        eps = rng.standard_normal(shape)
+        rows = data.rows[idx]
+        if cond_drop > 0:
+            rows[rng.random(batch) < cond_drop] = null_row
+        x_t = forward_diffuse(schedule, x0, t, eps)
+        aux["arrays"].append(x_t)
+        return sft_value_and_grad(params, schedule, x_t, t, rows, eps, ws)
+
+    return window
+
+
+def _pair_window(params, ref, schedule: NoiseSchedule, data: _Samples, losers, cfg: AlignConfig):
+    """The pair loss's window for inpo and dpo: B drawn pairs' winners, then
+    their losers, are gathered into one (2B, dim) buffer; the timesteps and
+    embedding rows are doubled once for the stacked batch. Its latents and
+    targets come from one make_targets call, winners first; dpo is inpo with
+    the gaussian strategy, and inversion runs in one Inverter of 2B rows
+    bound here, which every window rebinds to its draws and to the
+    parameters as Adam left them.
+    """
+    B = cfg.batch_pairs
+    x0 = np.empty((2 * B, params.arch.input_dim))
+    delta = _DPO_DELTA if cfg.method == "dpo" else cfg.delta
+    inverter = None
+    if delta.kind == "inversion":
+        inverter = Inverter(params, schedule, delta.n, 2 * B, delta.guidance_w_inv)
+
+    def window(rng, aux, ws):
+        idx = rng.integers(0, len(data.x), size=B)
+        t = rng.integers(cfg.t_min, schedule.T + 1, size=B)
+        np.take(data.x, idx, axis=0, out=x0[:B])
+        np.take(losers, idx, axis=0, out=x0[B:])
+        aux.update(idx=idx, t=t, arrays=[x0])
+        idx2 = np.concatenate([idx, idx])
+        t2 = np.concatenate([t, t])
+        x_t, tau = make_targets(params, schedule, x0, t2, data.cond[idx2], delta, rng,
+                                inverter=inverter)
+        aux["arrays"] += [x_t, tau]
+        return pair_value_and_grad(params, ref, schedule, x_t, tau, t2, data.rows[idx2],
+                                   cfg.beta, ws, aux=aux)
+
+    return window
+
+
+def _non_ties(pairs, arch):
+    """``pairs`` as a table, the input indices of its non-tie rows, and
+    those rows' winners as _Samples."""
+    table = PairTable.of(pairs)
+    usable = ~table.tie
+    if not usable.any():
+        raise InvalidArgument("no usable (non-tie) pairs")
+    cond = table.condition[usable]
+    samples = _Samples(table.winner[usable], cond, _cond_rows(cond, arch.num_conditions))
+    return table, np.flatnonzero(usable), samples
 
 
 def pretrain_base(dataset, arch, schedule: NoiseSchedule, steps: int, lr: float, seed: int,
@@ -249,8 +358,13 @@ def pretrain_base(dataset, arch, schedule: NoiseSchedule, steps: int, lr: float,
     X = np.asarray(X, dtype=np.float64)
     if len(X) == 0:
         raise InvalidArgument("dataset must be nonempty")
-    return _fit_denoiser(init_denoiser(arch, seed), X, np.asarray(cond), schedule, steps, lr,
-                         seed, _PRETRAIN_DOMAIN, batch, cond_drop)
+    cond = np.asarray(cond)
+    data = _Samples(X, cond, _cond_rows(cond, arch.num_conditions))
+    params = init_denoiser(arch, seed)
+    _train(params, AdamState.zeros_like(params.vec),
+           _denoising_window(params, schedule, data, batch, 1, cond_drop), batch,
+           seed=seed, domain=_PRETRAIN_DOMAIN, start=0, stop=steps, lr=lr)
+    return params
 
 
 def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: int,
@@ -258,63 +372,17 @@ def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: in
     """Continue denoising training on winner samples only (ties skipped).
 
     ``pairs`` is a PairTable or a sequence of PreferencePair."""
-    table = PairTable.of(pairs)
-    usable = ~table.tie
-    if not usable.any():
-        raise InvalidArgument("pairs must contain at least one non-tie")
-    return _fit_denoiser(base.copy(), table.winner[usable], table.condition[usable], schedule,
-                         steps, lr, seed, _SFT_REF_DOMAIN, batch, cond_drop=0.0)
+    _, pair_ids, data = _non_ties(pairs, base.arch)
+    params = base.copy()
+    _train(params, AdamState.zeros_like(params.vec),
+           _denoising_window(params, schedule, data, batch, 1), batch,
+           seed=seed, domain=_SFT_REF_DOMAIN, start=0, stop=steps, lr=lr, pair_ids=pair_ids)
+    return params
 
 
 def config_fingerprint(cfg: AlignConfig) -> bytes:
     canon = json.dumps(asdict(cfg), sort_keys=True).encode()
     return hashlib.sha256(canon).digest()
-
-
-class _PairSet(NamedTuple):
-    """An align call's non-tie pairs as arrays, with every pair's condition
-    validated and resolved to embedding rows once."""
-
-    winners: np.ndarray
-    losers: np.ndarray
-    conds: np.ndarray
-    rows: np.ndarray
-
-
-def _align_window(params, ref, schedule, pairs: _PairSet, cfg, rng, aux, ws, inverter, x0):
-    """Draw one accumulation window and return its loss and gradient.
-
-    The window's winners, then for inpo and dpo its losers, are gathered
-    into ``x0``, (B or 2B, dim); the timesteps and embedding rows are
-    doubled once for the stacked batch. Its latents and targets come from
-    one make_targets call, winners first; dpo is inpo with the gaussian
-    strategy, and inversion runs in ``inverter``. The head's closed-form
-    function runs the forwards and the backward in ``ws``, whose gradient
-    it returns.
-    ``aux`` receives the draws as they are made, so a failure part way
-    through can still name the pair.
-    """
-    B = cfg.batch_pairs
-    idx = rng.integers(0, len(pairs.winners), size=B)
-    t = rng.integers(cfg.t_min, schedule.T + 1, size=B)
-    np.take(pairs.winners, idx, axis=0, out=x0[:B])
-    aux.update(idx=idx, t=t, arrays=[x0])
-
-    if cfg.method == "sft":
-        eps = rng.standard_normal(x0.shape)
-        x_t = forward_diffuse(schedule, x0, t, eps)
-        aux["arrays"].append(x_t)
-        return sft_value_and_grad(params, schedule, x_t, t, pairs.rows[idx], eps, ws)
-
-    np.take(pairs.losers, idx, axis=0, out=x0[B:])
-    idx2 = np.concatenate([idx, idx])
-    t2 = np.concatenate([t, t])
-    delta = _DPO_DELTA if cfg.method == "dpo" else cfg.delta
-    x_t, tau = make_targets(params, schedule, x0, t2, pairs.conds[idx2], delta, rng,
-                            inverter=inverter)
-    aux["arrays"] += [x_t, tau]
-    return pair_value_and_grad(params, ref, schedule, x_t, tau, t2, pairs.rows[idx2],
-                               cfg.beta, ws, aux=aux)
 
 
 def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSchedule,
@@ -325,21 +393,14 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
 
     ``ref`` is frozen: it is only ever read. When ``log_path`` is given a CSV
     with columns step, lr, loss, sigmoid_arg_mean, wall_ms is written. When
-    ``checkpoint_at`` is reached, ``on_checkpoint`` receives a Checkpoint that
-    ``resume`` accepts to reproduce the rest of the run exactly.
+    ``on_checkpoint`` is given and resume's step (0 without one) <
+    ``checkpoint_at`` <= steps, the loop runs to ``checkpoint_at`` and
+    ``on_checkpoint`` receives a Checkpoint that ``resume`` accepts to
+    reproduce the rest of the run exactly; the loop then runs on.
 
-    Every pair's condition is validated once, before the first step. Each
-    step's forwards and backward run in one StepWorkspace, and its windows'
-    gradients are summed in one vector; both are allocated once per call.
+    Every pair's condition is validated once, before the first step.
     """
-    table = PairTable.of(pairs)
-    usable = ~table.tie
-    if not usable.any():
-        raise InvalidArgument("no usable (non-tie) pairs")
-    conds = table.condition[usable]
-    pair_set = _PairSet(table.winner[usable], table.loser[usable], conds,
-                        _cond_rows(conds, base.arch.num_conditions))
-
+    table, pair_ids, data = _non_ties(pairs, base.arch)
     fp = config_fingerprint(cfg)
     if resume is not None:
         if resume.fingerprint != fp:
@@ -351,83 +412,28 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         params = base.copy()
         adam = AdamState.zeros_like(params.vec)
         start = 0
-    work = (np.empty_like(params.vec), np.empty_like(params.vec))
-    gsum = np.empty_like(params.vec)
-    rows_per_window = cfg.batch_pairs * (1 if cfg.method == "sft" else 2)
-    ws = StepWorkspace(params.arch, rows_per_window)
-    x0 = np.empty((rows_per_window, params.arch.input_dim))
-    inverter = None
-    if cfg.method == "inpo" and cfg.delta.kind == "inversion":
-        inverter = Inverter(params, schedule, cfg.delta.n, rows_per_window,
-                            cfg.delta.guidance_w_inv)
+    if cfg.method == "sft":
+        window = _denoising_window(params, schedule, data, cfg.batch_pairs, cfg.t_min)
+    else:
+        window = _pair_window(params, ref, schedule, data, table.loser[pair_ids], cfg)
+    window_rows = cfg.batch_pairs * (1 if cfg.method == "sft" else 2)
+    log = [] if log_path is not None else None
 
-    rows_log = []
-    for step in range(start, cfg.steps):
-        tick = time.perf_counter()
-        rng = _step_rng(cfg.seed, _ALIGN_DOMAIN, step)
-        loss_sum = 0.0
-        arg_sum = 0.0
-        for k in range(cfg.accum_steps):
-            aux = {}
-            try:
-                val, grad = _align_window(params, ref, schedule, pair_set, cfg, rng, aux, ws,
-                                          inverter, x0)
-            except ArithmeticError as e:
-                raise TrainingError(f"{e}{_bad_pair(aux)}", step) from e
-            g = _finite_grad(grad, step)
-            if k:
-                gsum += g
-            else:
-                np.copyto(gsum, g)
-            loss_sum += val
-            arg = aux.get("sigmoid_arg")
-            arg_sum += float(arg.mean()) if arg is not None else 0.0
-        if cfg.accum_steps > 1:
-            gsum /= cfg.accum_steps
-        lr_t = warmup_lr(cfg.lr, step, cfg.warmup_steps)
-        adam_step(params.vec, gsum, adam, lr_t, work)
-        wall_ms = (time.perf_counter() - tick) * 1e3
-        rows_log.append(
-            (step, lr_t, loss_sum / cfg.accum_steps, arg_sum / cfg.accum_steps, wall_ms)
-        )
-        if checkpoint_at is not None and step + 1 == checkpoint_at and on_checkpoint:
-            on_checkpoint(
-                Checkpoint(
-                    params=params.copy(),
-                    adam=adam.copy(),
-                    step=step + 1,
-                    fingerprint=fp,
-                    schedule_kind=schedule.kind,
-                    T=schedule.T,
-                )
-            )
-    if log_path is not None:
+    run = functools.partial(_train, params, adam, window, window_rows, seed=cfg.seed,
+                            domain=_ALIGN_DOMAIN, lr=cfg.lr, warmup_steps=cfg.warmup_steps,
+                            accum_steps=cfg.accum_steps, log=log, pair_ids=pair_ids)
+    if on_checkpoint and checkpoint_at is not None and start < checkpoint_at <= cfg.steps:
+        run(start=start, stop=checkpoint_at)
+        on_checkpoint(Checkpoint(params=params.copy(), adam=adam.copy(), step=checkpoint_at,
+                                 fingerprint=fp, schedule_kind=schedule.kind, T=schedule.T))
+        start = checkpoint_at
+    run(start=start, stop=cfg.steps)
+    if log is not None:
         with open(log_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["step", "lr", "loss", "sigmoid_arg_mean", "wall_ms"])
-            for row in rows_log:
-                w.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3]), f"{row[4]:.3f}"])
+            w.writerows(log)
     return params
-
-
-def _bad_pair(aux) -> str:
-    """Name the first drawn pair whose inputs, targets or loss argument are
-    non-finite, as " (pair i, t=...)", or return "" if there is none.
-
-    Row r of a drawn array of B or 2B rows belongs to drawn pair r % B.
-    """
-    idx, t = aux["idx"], aux["t"]
-    B = len(idx)
-    bad = np.zeros(B, dtype=bool)
-    for arr in aux["arrays"]:
-        bad[np.flatnonzero(~np.isfinite(arr).all(axis=1)) % B] = True
-    arg = aux.get("sigmoid_arg")
-    if arg is not None:
-        bad |= ~np.isfinite(arg)
-    if not bad.any():
-        return ""
-    i = int(np.argmax(bad))
-    return f" (pair {int(idx[i])}, t={int(t[i])})"
 
 
 # ----------------------------------------------------------- checkpoint file

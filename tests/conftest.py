@@ -1,7 +1,9 @@
-"""Shared fixtures: probe models, closed-form oracles, the RK4 reference
-integrator, the per-step sampler loops and the per-record pair-file reader
-and writer as byte oracles, and the slow session-scoped trained models used
-by the end-to-end tests."""
+"""Shared fixtures: probe models, closed-form oracles, the per-pair and
+per-batch loss helpers, the RK4 reference integrator, the per-step sampler
+loops and the per-record pair-file reader and writer as byte oracles, and
+the slow session-scoped trained models used by the end-to-end tests."""
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
     DenoiserParams,
+    _cond_rows,
+    _per_row,
     eps_forward,
     predict_noise,
 )
@@ -17,8 +21,9 @@ import math
 
 from inpo.data import PAIR_SCHEMA_VERSION, PreferencePair, score
 from inpo.errors import InvalidArgument, NumericError, PairParseError, VersionError
+from inpo.preference import DeltaStrategy, _as_rows, make_targets, pair_loss_terms, sft_terms
 from inpo.sampler import InversionResult, compute_tau, ddim_sample, reconstruct_xt
-from inpo.schedule import check_timestep, make_schedule
+from inpo.schedule import check_timestep, forward_diffuse, make_schedule
 
 
 def make_linear_model(A, num_conditions=1, time_embed_dim=4, b=None):
@@ -86,6 +91,78 @@ def oracle_adam_step(flat, grads, state, lr, b1=0.9, b2=0.999, eps=1e-8):
         m[...] = b1 * m + (1.0 - b1) * g
         v[...] = b2 * v + (1.0 - b2) * g * g
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def sft_loss(model, s, batch, t_draws, eps_draws) -> float:
+    """Mean over the batch of w(t) * ||eps_hat(noised x0, t, c) - eps||^2,
+    through the public denoising head."""
+    x0, c = batch
+    x0 = _as_rows(x0)
+    if x0.shape[0] == 0:
+        raise InvalidArgument("empty batch")
+    t = _per_row(t_draws, x0.shape[0], "timesteps")
+    eps = _as_rows(eps_draws)
+    if eps.shape != x0.shape:
+        raise InvalidArgument("eps draws must be congruent with the batch")
+    c = _per_row(c, x0.shape[0], "condition ids")
+    rows = _cond_rows(c, model.arch.num_conditions)
+    x_t = forward_diffuse(s, x0, t, eps)
+    return float(sft_terms(model, s, x_t, t, c, rows, eps))
+
+
+@dataclass(frozen=True)
+class LossBreakdown:
+    """One pair's pair-loss pieces at one timestep."""
+
+    total: float
+    sigmoid_arg: float
+    term_w_theta: float
+    term_w_ref: float
+    term_l_theta: float
+    term_l_ref: float
+    t: int
+
+
+def _breakdown(terms, t) -> LossBreakdown:
+    return LossBreakdown(
+        total=float(terms["totals"][0]),
+        sigmoid_arg=float(terms["sigmoid_arg"][0]),
+        term_w_theta=float(terms["term_w_theta"][0]),
+        term_w_ref=float(terms["term_w_ref"][0]),
+        term_l_theta=float(terms["term_l_theta"][0]),
+        term_l_ref=float(terms["term_l_ref"][0]),
+        t=int(t),
+    )
+
+
+def inpo_loss(p, ref, s, pair, t, strategy: DeltaStrategy, beta, rng) -> LossBreakdown:
+    """Inversion preference loss for one pair at one timestep.
+
+    Latent/target construction uses the trained parameters and is treated as
+    a sampled constant: no gradient flows through it.
+    """
+    if beta < 0:
+        raise InvalidArgument("beta must be >= 0")
+    t = int(check_timestep(s, t, min_t=1))
+    c = pair.condition
+    x_tw, tau_w = make_targets(p, s, pair.winner, t, c, strategy, rng)
+    x_tl, tau_l = make_targets(p, s, pair.loser, t, c, strategy, rng)
+    terms = pair_loss_terms(p, ref, s, x_tw, tau_w, x_tl, tau_l, t, c, beta)
+    return _breakdown(terms, t)
+
+
+def dpo_diffusion_loss(p, ref, s, pair, t, eps_w, eps_l, beta) -> LossBreakdown:
+    """Forward-noising preference loss: latents from the forward process and
+    targets equal to the drawn noise. Baseline and reduction oracle: it
+    builds its latents itself, not through make_targets."""
+    if beta < 0:
+        raise InvalidArgument("beta must be >= 0")
+    t = int(check_timestep(s, t, min_t=1))
+    c = pair.condition
+    x_tw = forward_diffuse(s, np.asarray(pair.winner, float), t, np.asarray(eps_w, float))
+    x_tl = forward_diffuse(s, np.asarray(pair.loser, float), t, np.asarray(eps_l, float))
+    terms = pair_loss_terms(p, ref, s, x_tw, eps_w, x_tl, eps_l, t, c, beta)
+    return _breakdown(terms, t)
 
 
 def max_rel_err(ad, fd):

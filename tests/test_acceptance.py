@@ -16,8 +16,6 @@ from inpo.denoiser import DenoiserArch, init_denoiser
 from inpo.evaluation import inversion_roundtrip, win_rate
 from inpo.preference import (
     DeltaStrategy,
-    dpo_diffusion_loss,
-    inpo_loss,
     make_targets,
     pair_loss_terms,
     sft_terms,
@@ -28,7 +26,9 @@ from inpo.schedule import forward_diffuse, make_schedule
 from inpo.trainer import AlignConfig, align
 
 from conftest import (
+    dpo_diffusion_loss,
     finite_diff,
+    inpo_loss,
     make_linear_model,
     make_tanh_model,
     max_rel_err,

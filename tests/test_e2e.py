@@ -2,9 +2,11 @@
 import numpy as np
 
 from inpo.data import PreferencePair, make_preference_pairs
-from inpo.preference import DeltaStrategy, implicit_reward, sft_loss
+from inpo.preference import DeltaStrategy, implicit_reward
 from inpo.sampler import ddim_invert, ddim_sample, initial_variable
 from inpo.trainer import sft_ref_init
+
+from conftest import sft_loss
 
 
 def test_conditional_sampling_mode_frequencies(toy_setup, base_model, gen_cfg):

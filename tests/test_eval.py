@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from inpo.evaluation import (
     EvalReport,
     emit_report,
     inversion_roundtrip,
-    parse_report,
     win_rate,
 )
 from inpo.sampler import SamplerConfig, ddim_invert, ddim_sample
@@ -184,7 +184,8 @@ def test_emit_and_parse_report(tmp_path):
         trials=[(0, 1, -0.5, -0.75, 1.0)],
     )
     emit_report(rep, tmp_path)
-    back = parse_report(tmp_path)
+    with open(tmp_path / "report.json") as fh:
+        back = json.load(fh)
     assert back["win_rate"] == rep.win_rate
     assert back["roundtrip_errors"]["5"] == 0.125
     assert back["seeds"]["seed"] == 7

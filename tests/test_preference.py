@@ -11,18 +11,22 @@ from inpo.errors import InvalidArgument, NumericError
 from inpo.preference import (
     DELTA_KINDS,
     DeltaStrategy,
-    dpo_diffusion_loss,
     implicit_reward,
-    inpo_loss,
     make_targets,
     pair_loss_terms,
-    sft_loss,
     sft_terms,
     solve_delta_fixed_point,
 )
 from inpo.schedule import forward_diffuse, make_schedule
 
-from conftest import const_model, make_linear_model, zero_model
+from conftest import (
+    const_model,
+    dpo_diffusion_loss,
+    inpo_loss,
+    make_linear_model,
+    sft_loss,
+    zero_model,
+)
 
 LN2 = math.log(2.0)
 

@@ -15,12 +15,11 @@ from inpo.denoiser import (
     _cond_rows,
     _pack_header,
     init_denoiser,
-    params_equal,
     params_to_bytes,
     value_and_grad,
 )
 from inpo.errors import ConfigError, InvalidArgument, TrainingError, VersionError
-from inpo.preference import DeltaStrategy, make_targets, pair_loss_terms, sft_loss, sft_terms
+from inpo.preference import DeltaStrategy, make_targets, pair_loss_terms, sft_terms
 from inpo.schedule import forward_diffuse, make_schedule
 from inpo.trainer import (
     ALIGN_METHODS,
@@ -39,7 +38,7 @@ from inpo.trainer import (
     warmup_lr,
 )
 
-from conftest import oracle_adam_step
+from conftest import oracle_adam_step, sft_loss
 
 ARCH = DenoiserArch(2, (12,), 4, 8)
 
@@ -94,7 +93,7 @@ def small_cfg(**kw):
 
 def test_pretrain_zero_steps_returns_init(s, tiny_data):
     out = pretrain_base(tiny_data, ARCH, s, steps=0, lr=1e-3, seed=5)
-    assert params_equal(out, init_denoiser(ARCH, 5))
+    assert out.vec.tobytes() == init_denoiser(ARCH, 5).vec.tobytes()
 
 
 def test_pretrain_deterministic(s, tiny_data):
@@ -122,7 +121,7 @@ def test_pretrain_reduces_heldout_loss(s):
 def test_sft_ref_init_zero_steps(s, tiny_pairs):
     base = init_denoiser(ARCH, 2)
     out = sft_ref_init(base, tiny_pairs, s, steps=0, lr=1e-3, seed=1)
-    assert params_equal(out, base)
+    assert out.vec.tobytes() == base.vec.tobytes()
     assert out is not base
 
 
@@ -140,7 +139,7 @@ def test_sft_ref_init_fits_winners(s, tiny_pairs):
 def test_align_zero_steps(s, tiny_pairs):
     base = init_denoiser(ARCH, 7)
     out = align(base, base, tiny_pairs, s, small_cfg(steps=0))
-    assert params_equal(out, base)
+    assert out.vec.tobytes() == base.vec.tobytes()
 
 
 def test_align_deterministic_and_ref_frozen(s, tiny_pairs):
@@ -153,7 +152,7 @@ def test_align_deterministic_and_ref_frozen(s, tiny_pairs):
         assert x.tobytes() == y.tobytes()
     for x, y in zip(ref.flat(), ref_before):
         assert np.array_equal(x, y)
-    assert not params_equal(a, base)
+    assert a.vec.tobytes() != base.vec.tobytes()
 
 
 def test_align_dpo_equals_inpo_gaussian_bitwise(s, tiny_pairs):
@@ -245,7 +244,7 @@ def test_align_methods_run(s, tiny_pairs):
         ("sft", DeltaStrategy("gaussian")),
     ):
         out = align(base, base, tiny_pairs, s, small_cfg(method=method, delta=delta, steps=3))
-        assert not params_equal(out, base)
+        assert out.vec.tobytes() != base.vec.tobytes()
 
 
 def test_align_skips_ties(s):
@@ -282,7 +281,7 @@ def test_checkpoint_roundtrip(tmp_path, s, tiny_pairs):
     assert loaded.step == 3
     assert loaded.fingerprint == ckpt.fingerprint
     assert loaded.schedule_kind == "cosine" and loaded.T == 200
-    assert params_equal(loaded.params, ckpt.params)
+    assert loaded.params.vec.tobytes() == ckpt.params.vec.tobytes()
     assert loaded.adam.m.tobytes() == ckpt.adam.m.tobytes()
     assert loaded.adam.v.tobytes() == ckpt.adam.v.tobytes()
     assert loaded.adam.t == ckpt.adam.t
@@ -470,7 +469,7 @@ def test_align_accumulation_matches_per_array_oracle_bytes(s, tiny_pairs, method
                     delta=delta)
     out = align(base, ref, tiny_pairs, s, cfg)
     assert out.vec.tobytes() == _oracle_align(base, ref, tiny_pairs, s, cfg).vec.tobytes()
-    assert not params_equal(out, base)
+    assert out.vec.tobytes() != base.vec.tobytes()
 
 
 def _oracle_fit(params, X, cond, s, steps, lr, seed, domain, batch, cond_drop):
@@ -504,7 +503,7 @@ def test_pretrain_matches_per_array_oracle_bytes(s, tiny_data, cond_drop):
     want = _oracle_fit(init_denoiser(ARCH, 5), X, cond, s, 8, 3e-3, 5,
                        trainer_mod._PRETRAIN_DOMAIN, 24, cond_drop)
     assert out.vec.tobytes() == want.vec.tobytes()
-    assert not params_equal(out, init_denoiser(ARCH, 5))
+    assert out.vec.tobytes() != init_denoiser(ARCH, 5).vec.tobytes()
 
 
 def test_sft_ref_init_matches_per_array_oracle_bytes(s, tiny_pairs):
@@ -517,7 +516,7 @@ def test_sft_ref_init_matches_per_array_oracle_bytes(s, tiny_pairs):
     cond = np.asarray([p.condition for p in tiny_pairs])
     want = _oracle_fit(base.copy(), X, cond, s, 8, 3e-3, 4, trainer_mod._SFT_REF_DOMAIN, 16, 0.0)
     assert out.vec.tobytes() == want.vec.tobytes()
-    assert not params_equal(out, base)
+    assert out.vec.tobytes() != base.vec.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 5, 2**63 - 1,
@@ -575,3 +574,109 @@ def test_checkpoint_bytes_match_per_array_writer(tmp_path):
     assert loaded.adam.m.tobytes() == adam.m.tobytes()
     assert loaded.adam.v.tobytes() == adam.v.tobytes()
     assert loaded.adam.t == 5 and loaded.step == 5
+
+
+def _nan_winner_after_two_ties(tiny_pairs):
+    """Two ties, then a pair whose winner is NaN at input index 2, then
+    finite pairs: the NaN pair is row 0 of the non-tie rows."""
+    x = np.zeros(2)
+    ties = [PreferencePair(0, x, x.copy(), 0.5, 0.5, 0, tie=True) for _ in range(2)]
+    p = tiny_pairs[0]
+    bad = PreferencePair(p.condition, np.array([np.nan, 0.0]), p.loser, 1.0, 0.0, 0)
+    return [*ties, bad, *tiny_pairs[1:4]]
+
+
+@pytest.mark.parametrize("method,delta", [
+    ("dpo", DeltaStrategy("gaussian")),
+    ("inpo", DeltaStrategy("inversion", n=3)),
+    ("sft", DeltaStrategy("gaussian")),
+])
+def test_align_names_the_input_index_of_the_pair_after_ties(s, tiny_pairs, method, delta):
+    # the failing pair is named by its index in the input, ties included
+    base = init_denoiser(ARCH, 7)
+    with pytest.raises(TrainingError, match=r"^step 0: .*\(pair 2, t=\d+\)$"):
+        align(base, base, _nan_winner_after_two_ties(tiny_pairs), s,
+              small_cfg(method=method, delta=delta, steps=3))
+
+
+def test_pretrain_names_no_pair_for_a_nonfinite_row(s, tiny_data):
+    X, cond = tiny_data
+    X = X[:4].copy()
+    X[1] = np.nan
+    with pytest.raises(TrainingError) as info:
+        pretrain_base((X, cond[:4]), ARCH, s, steps=3, lr=1e-3, seed=5, batch=16)
+    assert str(info.value) == "step 0: loss is non-finite: nan"
+    assert info.value.step == 0
+
+
+def test_sft_ref_init_names_the_input_pair_of_a_nonfinite_winner(s, tiny_pairs):
+    base = init_denoiser(ARCH, 2)
+    with pytest.raises(TrainingError,
+                       match=r"^step 0: loss is non-finite: nan \(pair 2, t=\d+\)$") as info:
+        sft_ref_init(base, _nan_winner_after_two_ties(tiny_pairs), s, steps=3, lr=1e-3,
+                     seed=1, batch=16)
+    assert info.value.step == 0
+
+
+@pytest.mark.parametrize("checkpoint_at,fires", [(0, False), (3, True), (6, True),
+                                                  (7, False), (None, False)])
+def test_checkpoint_fires_once_inside_the_run(s, tiny_pairs, checkpoint_at, fires):
+    # on_checkpoint fires once when 0 < checkpoint_at <= steps, with the
+    # state after checkpoint_at steps, and never changes the final bytes
+    base = init_denoiser(ARCH, 7)
+    cfg = small_cfg(steps=6, accum_steps=2)
+    want = align(base, base, tiny_pairs, s, cfg)
+    grabbed = []
+    out = align(base, base, tiny_pairs, s, cfg, checkpoint_at=checkpoint_at,
+                on_checkpoint=grabbed.append)
+    assert out.vec.tobytes() == want.vec.tobytes()
+    assert len(grabbed) == (1 if fires else 0)
+    if fires:
+        ckpt = grabbed[0]
+        assert ckpt.step == checkpoint_at and ckpt.adam.t == checkpoint_at
+        at = align(base, base, tiny_pairs, s, small_cfg(steps=checkpoint_at, accum_steps=2))
+        assert ckpt.params.vec.tobytes() == at.vec.tobytes()
+        resumed = align(base, base, tiny_pairs, s, cfg, resume=ckpt)
+        assert resumed.vec.tobytes() == want.vec.tobytes()
+
+
+def test_checkpoint_without_a_callback_is_ignored(s, tiny_pairs):
+    base = init_denoiser(ARCH, 7)
+    cfg = small_cfg(steps=5)
+    out = align(base, base, tiny_pairs, s, cfg, checkpoint_at=2)
+    assert out.vec.tobytes() == align(base, base, tiny_pairs, s, cfg).vec.tobytes()
+
+
+@pytest.mark.parametrize("checkpoint_at,fires", [(2, False), (4, False), (5, True),
+                                                  (8, True), (9, False)])
+def test_checkpoint_after_resume_fires_only_past_the_resumed_step(s, tiny_pairs, tmp_path,
+                                                                  checkpoint_at, fires):
+    base = init_denoiser(ARCH, 7)
+    cfg = small_cfg(steps=8, method="sft", accum_steps=3)
+    first = []
+    want = align(base, base, tiny_pairs, s, cfg, checkpoint_at=4, on_checkpoint=first.append)
+    log = tmp_path / "log.csv"
+    grabbed = []
+    out = align(base, base, tiny_pairs, s, cfg, resume=first[0], log_path=log,
+                checkpoint_at=checkpoint_at, on_checkpoint=grabbed.append)
+    assert out.vec.tobytes() == want.vec.tobytes()
+    assert len(grabbed) == (1 if fires else 0)
+    if fires:
+        assert grabbed[0].step == checkpoint_at
+    with open(log) as fh:
+        assert [int(r["step"]) for r in csv.DictReader(fh)] == [4, 5, 6, 7]
+
+
+def test_samples_of_another_dim_are_rejected(s, tiny_data, tiny_pairs):
+    # the noise is drawn at the model's input dim, so forward_diffuse
+    # rejects samples of any other dim before the network runs
+    X, cond = tiny_data
+    base = init_denoiser(ARCH, 7)
+    wide = [PreferencePair(p.condition, np.append(p.winner, 0.0), np.append(p.loser, 0.0),
+                           1.0, 0.0, 0) for p in tiny_pairs]
+    for run in (lambda: pretrain_base((X[:, :1], cond), ARCH, s, steps=2, lr=1e-3, seed=5,
+                                      batch=8),
+                lambda: sft_ref_init(base, wide, s, steps=2, lr=1e-3, seed=1, batch=8),
+                lambda: align(base, base, wide, s, small_cfg(method="sft", steps=2))):
+        with pytest.raises(InvalidArgument, match=r"x0 shape \(8, [13]\) != eps shape \(8, 2\)"):
+            run()
