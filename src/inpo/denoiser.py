@@ -18,9 +18,9 @@ an array outside ``vec``; writing through a view in place still changes
 ``vec``, as finite-difference checks do.
 
 One forward routine serves sampling and training, and one backward,
-eps_backward, the gradient. A training loop allocates one StepWorkspace and
-hands it to the loss heads' closed-form functions
-(preference.pair_value_and_grad and sft_value_and_grad): a step embeds its
+eps_backward, the gradient. A training window allocates one StepWorkspace and
+hands it to the loss heads' closed-form arithmetic (the cores of
+preference.pair_value_and_grad and sft_value_and_grad): a step embeds its
 timesteps once (StepWorkspace.bind_step), runs the trained forward into the
 kept layer inputs and the frozen reference's forward into a second set of
 buffers, and eps_backward backpropagates the loss's output gradient into
@@ -195,17 +195,19 @@ def _sincos(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def time_embedding(t, dim: int, out=None) -> np.ndarray:
+def time_embedding(t, dim: int, out=None, table=None) -> np.ndarray:
     """Sinusoidal embedding of a (batch,) array of timesteps, (batch, dim).
 
     Integer timesteps in [0, 2**16] are gathered from a per-dim table of the
     same sin/cos values, grown to the largest timestep seen; other timesteps
     (the continuous times of the RK4 oracle) are computed directly. With
     ``out``, a (batch, dim) array, the embedding is written into it and it
-    is returned.
+    is returned. ``table``, the table for ``dim`` grown to cover ``t`` (see
+    _time_table), skips the look-up and its range check, for a caller whose
+    timesteps are in range by construction.
     """
     t = np.asarray(t)
-    table = _time_table(t, dim)
+    table = _time_table(t, dim) if table is None else table
     if table is not None:
         return table.take(t, axis=0, out=out, mode="clip")
     emb = _sincos(t.astype(np.float64), dim)
@@ -337,15 +339,16 @@ class StepWorkspace:
         self.temb = np.empty((1, n, width))
         self.bound = BoundWorkspace(self.acts, self.temb)
         self.bound_ref = BoundWorkspace(self.ref, self.temb)
-        self.embed_cols = np.arange(width)
+        # every row's column indices, so the scatter's bins need no broadcast
+        self.embed_cols = np.tile(np.arange(width), (n, 1))
         self.embed_bins = np.empty((n, width), dtype=np.int64)
         self.embed_grad = np.empty((n, width))
 
-    def bind_step(self, t: np.ndarray) -> None:
+    def bind_step(self, t: np.ndarray, table: np.ndarray | None = None) -> None:
         """Embed the per-row timesteps ``t`` once into the grid that both
         bound workspaces read at step 0, and make their next forwards
-        rewrite every input block."""
-        time_embedding(t, self.temb.shape[2], out=self.temb[0])
+        rewrite every input block. ``table`` is time_embedding's."""
+        time_embedding(t, self.temb.shape[2], out=self.temb[0], table=table)
         self.bound.bind(self.temb)
         self.bound_ref.bind(self.temb)
 
@@ -379,7 +382,8 @@ def eps_backward(params: DenoiserParams, g, rows, ws: StepWorkspace) -> Denoiser
     n_rows, width = params.cond_embed.shape
     # flat (row * width + col) bins add in input order, as np.add.at does
     bins, weights = ws.embed_bins, ws.embed_grad
-    np.multiply(rows[:, None], width, out=bins)
+    np.copyto(bins, rows[:, None])
+    bins *= width
     bins += ws.embed_cols
     weights[...] = g[:, -width:]
     g_embed = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=n_rows * width)

@@ -16,17 +16,22 @@ row sum, with one finiteness check per model that names the offending term
 only on failure. The reference must be plain parameters and never receives
 gradient.
 
-Training runs each head's closed-form value-and-gradient function:
-pair_value_and_grad on a stacked (2B, dim) batch, sft_value_and_grad for the
-denoising head. Each embeds the batch's timesteps once into a StepWorkspace
-(StepWorkspace.bind_step), runs the trained forward, and for the pair head
-the reference forward, in its kept buffers, computes the value and the
-gradient with respect to the network's output, and calls
-denoiser.eps_backward, which fills and returns the workspace's gradient.
-The order of operations (d + d, not 2 * d) keeps aligned parameters
-byte-stable. pair_loss_terms and sft_terms are the same heads on plain
-numpy values, or, on tape parameters, one tape node each whose VJP is the
-same output-gradient helper; the tape (denoiser.value_and_grad) is the
+Each head has one closed-form value-and-gradient function,
+pair_value_and_grad on a stacked (2B, dim) batch and sft_value_and_grad for
+the denoising head. Each checks its arguments and then runs its arithmetic
+core (_pair_step, _sft_step), which training windows call directly on
+their own draws, so there is one copy of each loss: it embeds the batch's
+timesteps once into a StepWorkspace (StepWorkspace.bind_step), runs the
+trained forward, and for the pair head the reference forward, in its kept
+buffers, computes the value and the gradient with respect to the network's
+output into _HeadBuffers (the errors, their squares and row sums, and the
+output gradient), and calls denoiser.eps_backward, which fills and returns
+the workspace's gradient. The order of operations (d + d, not 2 * d) keeps
+aligned parameters byte-stable. make_targets likewise checks, then runs
+_targets, which the pair window calls with its inverter and its buffers.
+pair_loss_terms and sft_terms are the same heads on plain numpy values,
+or, on tape parameters, one tape node each whose VJP is the same
+output-gradient helper; the tape (denoiser.value_and_grad) is the
 reference the tests hold the closed-form functions to.
 
 Delta strategies decide how the noise estimate paired with a clean sample is
@@ -98,34 +103,53 @@ def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps, ws=None):
     taped = isinstance(out, Var)
     d = (out.data if taped else out) - eps
     w = s.loss_weight[t]
-    value = _sft_value(d, w)
+    bufs = _HeadBuffers(*d.shape)
+    value = _sft_value(d, w, bufs)
     if not taped:
         return value
-    return Var(value, out, lambda g: _sft_output_grad(g, w, d))
+    return Var(value, out, lambda g: _sft_output_grad(g, w, d, bufs))
 
 
-def _sft_value(d, w):
-    """The weighted mean squared error of the prediction errors ``d``."""
-    per = (d * d).sum(axis=1)
-    return (per * w).mean()
+class _HeadBuffers:
+    """A loss head's per-step buffers for a batch of n rows of dim d, which
+    its closed-form and tape functions overwrite on every call: both
+    models' errors (``err``, trained then reference), their squares
+    (``sq``), their row sums (``terms``, (2, n)), the per-row coefficient
+    of the output gradient (``coef``, (n, 1)) and the output gradient
+    (``out_grad``, (n, d)). A training window allocates one per call."""
+
+    def __init__(self, n: int, d: int):
+        self.err, self.sq, self.terms = np.empty((2, n, d)), np.empty((2, n, d)), np.empty((2, n))
+        self.coef, self.out_grad = np.empty((n, 1)), np.empty((n, d))
 
 
-def _sft_output_grad(g, w, d):
+def _sft_value(d, w, bufs: _HeadBuffers):
+    """The weighted mean squared error of the prediction errors ``d``: the
+    row sums of d * d times w(t), summed and divided by the row count (the
+    bits of their mean)."""
+    per = np.multiply(d, d, out=bufs.sq[0]).sum(axis=1, out=bufs.terms[0])
+    per *= w
+    return per.sum() / len(per)
+
+
+def _sft_output_grad(g, w, d, bufs: _HeadBuffers):
     """The denoising head's gradient with respect to the prediction, for an
     upstream gradient ``g``: (g / B) * w(t) * (d + d) per row."""
-    gd = np.broadcast_to((g / len(d)) * w, (len(d),))[:, None]
-    return gd * d + gd * d
+    gd = np.multiply(w[:, None], g / len(d), out=bufs.coef)
+    geps = np.multiply(gd, d, out=bufs.out_grad)
+    geps += geps
+    return geps
 
 
-def _bind_batch(model, s: NoiseSchedule, n: int, t, rows, ws: StepWorkspace | None,
-                min_t: int):
-    """Check a closed-form head's batch of n rows and embed its timesteps.
+def _check_batch(model, s: NoiseSchedule, x_t, t, rows, ws: StepWorkspace | None, min_t: int):
+    """Check a closed-form head's batch ``x_t`` of n rows.
 
     ``ws`` (a new StepWorkspace if None) must have n rows, ``t`` (one or one
     per row) lie in [min_t, T] and ``rows`` (one or one per row) be integers
-    in [0, num_conditions]. Returns (ws, t, rows) with ``t`` embedded once
-    into the workspace's grid (StepWorkspace.bind_step).
+    in [0, num_conditions]. Returns (ws, t, rows, bufs), ``t`` and ``rows``
+    broadcast per row and ``bufs`` new _HeadBuffers for the batch.
     """
+    n = len(x_t)
     if not isinstance(model, DenoiserParams):
         raise InvalidArgument(f"model must be DenoiserParams, got {type(model)}")
     if ws is None:
@@ -137,8 +161,7 @@ def _bind_batch(model, s: NoiseSchedule, n: int, t, rows, ws: StepWorkspace | No
     k = model.arch.num_conditions
     if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() > k:
         raise InvalidArgument(f"condition rows must be integers in [0, {k}]")
-    ws.bind_step(t)
-    return ws, t, rows
+    return ws, t, rows, _HeadBuffers(*np.shape(x_t))
 
 
 def _check_loss(value) -> None:
@@ -156,12 +179,21 @@ def sft_value_and_grad(model: DenoiserParams, s: NoiseSchedule, x_t, t, rows, ep
     eps_backward fills its gradient. Returns (value, ws.grad); a non-finite
     value raises NumericError before the backward.
     """
-    ws, t, rows = _bind_batch(model, s, len(x_t), t, rows, ws, min_t=0)
-    d = eps_forward(model, x_t, 0, rows, ws=ws.bound) - eps
-    w = s.loss_weight[t]
-    value = _sft_value(d, w)
+    ws, t, rows, bufs = _check_batch(model, s, x_t, t, rows, ws, min_t=0)
+    return _sft_step(model, s, x_t, t, rows, eps, ws, bufs)
+
+
+def _sft_step(model, s: NoiseSchedule, x_t, t, rows, eps, ws: StepWorkspace,
+              bufs: _HeadBuffers, table=None):
+    """sft_value_and_grad's arithmetic on a checked batch of per-row ``t``
+    and ``rows``, in ``ws`` and ``bufs``; ``table`` is bind_step's.
+    The denoising window calls it directly on its draws."""
+    ws.bind_step(t, table)
+    d = np.subtract(eps_forward(model, x_t, 0, rows, ws=ws.bound), eps, out=bufs.err[0])
+    w = s.loss_weight.take(t, out=bufs.terms[1], mode="clip")
+    value = _sft_value(d, w, bufs)
     _check_loss(value)
-    return float(value), eps_backward(model, _sft_output_grad(1.0, w, d), rows, ws)
+    return float(value), eps_backward(model, _sft_output_grad(1.0, w, d, bufs), rows, ws)
 
 
 def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrategy, rng):
@@ -210,34 +242,48 @@ def make_targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng
 
     ``t`` and ``c`` are one value or one per row, whichever the strategy reads.
     ``inverter``, for the inversion strategy, is an Inverter bound to
-    ``model`` and the strategy's n and guidance weight, sized to the batch;
-    align binds one per call and hands it to every window. Without it the
-    inversion is a one-off ddim_invert call.
+    ``model`` and the strategy's n and guidance weight, sized to the batch
+    (align's pair window binds one per call and hands it to _targets).
+    Without it the inversion is a one-off ddim_invert call.
     """
     t = check_timestep(s, t, min_t=1)
+    x0 = np.asarray(x0, dtype=np.float64)
     n = _as_rows(x0).shape[0]
     _per_row(t, n, "timesteps")
     _per_row(c, n, "condition ids")
-    if strategy.kind == "inversion":
-        if inverter is None:
-            res = ddim_invert(model, s, x0, t, strategy.n, c, strategy.guidance_w_inv)
-        elif (inverter.model is not model or inverter.s is not s or inverter.n != strategy.n
-              or inverter.guidance_w != strategy.guidance_w_inv):
+    if strategy.kind == "inversion" and inverter is not None:
+        if (inverter.model is not model or inverter.s is not s or inverter.n != strategy.n
+                or inverter.guidance_w != strategy.guidance_w_inv):
             raise InvalidArgument("inverter is bound to another model, schedule or strategy")
-        else:
-            res = inverter(_as_rows(x0), t, c)
+        x0 = _as_rows(x0)
+    return _targets(model, s, x0, t, c, strategy, rng, inverter)
+
+
+def _targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng, inverter=None,
+             noise=None, diffuse=None):
+    """make_targets' arithmetic on checked arguments; the pair window calls
+    it directly on its draws, with its Inverter. For the gaussian strategy,
+    ``noise``, a buffer of x0's shape, receives the draws, and
+    ``diffuse(x0, t, eps)`` noises x0 (forward_diffuse if None)."""
+    if strategy.kind == "inversion":
+        res = inverter(x0, t, c) if inverter else ddim_invert(model, s, x0, t, strategy.n, c,
+                                                              strategy.guidance_w_inv)
         return res.x_t, res.tau_t
     if strategy.kind == "gaussian":
-        x0 = np.asarray(x0, dtype=np.float64)
-        eps = rng.standard_normal(x0.shape)
-        return forward_diffuse(s, x0, t, eps), eps
+        eps = rng.standard_normal(x0.shape) if noise is None else rng.standard_normal(out=noise)
+        if diffuse is None:
+            return forward_diffuse(s, x0, t, eps), eps
+        return diffuse(x0, t, eps), eps
     delta, _, _ = solve_delta_fixed_point(model, s, x0, t, c, strategy, rng)
     return reconstruct_xt(s, x0, delta, t), delta
 
 
-def _check_same_arch(theta, ref) -> None:
-    """The reference is evaluated at the trained model's embedding rows, so
-    the two must share one architecture."""
+def _check_ref(theta, ref) -> None:
+    """The reference must be plain DenoiserParams, and, since it is
+    evaluated at the trained model's embedding rows, share the trained
+    model's architecture."""
+    if not isinstance(ref, DenoiserParams):
+        raise InvalidArgument(f"reference model must be DenoiserParams, got {type(ref)}")
     if ref.arch != theta.arch:
         raise InvalidArgument(
             f"reference architecture {ref.arch} differs from the trained model's {theta.arch}")
@@ -257,9 +303,7 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     prediction and g_w = (g / B) * sigmoid(-arg) * beta * w(t), winner rows
     get -g_w * (d + d), losers g_w * (d + d). ``t`` must lie in [1, T].
     """
-    if not isinstance(ref, DenoiserParams):
-        raise InvalidArgument(f"reference model must be DenoiserParams, got {type(ref)}")
-    _check_same_arch(theta, ref)
+    _check_ref(theta, ref)
     x_tw, x_tl = _as_rows(x_tw), _as_rows(x_tl)
     B = x_tw.shape[0]
     t = _per_row(check_timestep(s, t, min_t=1), B, "timesteps")
@@ -273,11 +317,13 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     eps_rf = eps_forward(ref, x_t, t_stack, rows_stack)
     taped = isinstance(out, Var)
     scale = -(beta * s.loss_weight[t])
-    d_th, term_th, term_rf, arg = _pair_terms(tau, out.data if taped else out, eps_rf, scale)
+    bufs = _HeadBuffers(*x_t.shape)
+    d_th, term_th, term_rf, arg = _pair_terms(tau, out.data if taped else out, eps_rf, scale,
+                                              bufs)
     totals = np.logaddexp(0.0, -arg)
     mean_total = totals.mean()
     if taped:
-        mean_total = Var(mean_total, out, lambda g: _pair_output_grad(g, arg, scale, d_th))
+        mean_total = Var(mean_total, out, lambda g: _pair_output_grad(g, arg, scale, d_th, bufs))
     return {
         "term_w_theta": term_th[:B],
         "term_w_ref": term_rf[:B],
@@ -305,49 +351,61 @@ def pair_value_and_grad(theta: DenoiserParams, ref: DenoiserParams, s: NoiseSche
     the pair behind a non-finite loss. Returns (value, ws.grad); a
     non-finite term or value raises NumericError before the backward.
     """
-    if not isinstance(ref, DenoiserParams):
-        raise InvalidArgument(f"reference model must be DenoiserParams, got {type(ref)}")
-    _check_same_arch(theta, ref)
+    _check_ref(theta, ref)
     n = len(x_t)
     if n % 2:
         raise InvalidArgument(f"a stacked pair batch has an even number of rows, got {n}")
-    ws, t, rows = _bind_batch(theta, s, n, t, rows, ws, min_t=1)
+    ws, t, rows, bufs = _check_batch(theta, s, x_t, t, rows, ws, min_t=1)
+    return _pair_step(theta, ref, s, x_t, tau, t, rows, beta, ws, bufs, aux)
+
+
+def _pair_step(theta, ref, s: NoiseSchedule, x_t, tau, t, rows, beta, ws: StepWorkspace,
+               bufs: _HeadBuffers, aux=None, table=None):
+    """pair_value_and_grad's arithmetic on a checked stacked batch of
+    per-row ``t`` and ``rows``, in ``ws`` and ``bufs``; ``table`` is
+    bind_step's. The pair window calls it directly on its draws."""
+    B = len(x_t) // 2
+    ws.bind_step(t, table)
     out = eps_forward(theta, x_t, 0, rows, ws=ws.bound)
     eps_rf = eps_forward(ref, x_t, 0, rows, ws=ws.bound_ref)
-    scale = -(beta * s.loss_weight[t[:n // 2]])
-    d_th, _, _, arg = _pair_terms(tau, out, eps_rf, scale)
+    scale = -(beta * s.loss_weight[t[:B]])
+    d_th, _, _, arg = _pair_terms(tau, out, eps_rf, scale, bufs)
     if aux is not None:
         aux["sigmoid_arg"] = arg
-    value = np.logaddexp(0.0, -arg).mean()
+    # the sum over B has the bits of the mean, without its Python wrapper
+    value = np.logaddexp(0.0, -arg).sum() / B
     _check_loss(value)
-    return float(value), eps_backward(theta, _pair_output_grad(1.0, arg, scale, d_th), rows, ws)
+    return float(value), eps_backward(theta, _pair_output_grad(1.0, arg, scale, d_th, bufs),
+                                      rows, ws)
 
 
-def _pair_terms(tau, eps_th, eps_rf, scale):
+def _pair_terms(tau, eps_th, eps_rf, scale, bufs: _HeadBuffers):
     """The stacked batch's trained-model errors d = tau - prediction, both
     models' squared errors per row and the per-pair loss argument, for the
-    per-pair ``scale`` -(beta * w(t)); a non-finite squared error raises
-    NumericError naming its term."""
+    per-pair ``scale`` -(beta * w(t)), written into ``bufs``; a non-finite
+    squared error raises NumericError naming its term."""
     B = len(scale)
-    d_th = tau - eps_th
-    d_rf = tau - eps_rf
-    term_th = (d_th * d_th).sum(axis=1)
-    term_rf = (d_rf * d_rf).sum(axis=1)
-    if not (np.isfinite(term_th).all() and np.isfinite(term_rf).all()):
+    d_th = np.subtract(tau, eps_th, out=bufs.err[0])
+    np.subtract(tau, eps_rf, out=bufs.err[1])
+    terms = np.multiply(bufs.err, bufs.err, out=bufs.sq).sum(axis=2, out=bufs.terms)
+    term_th, term_rf = terms
+    if not np.isfinite(terms).all():
         _raise_nonfinite_term(term_th, term_rf, B)
     arg = (term_th[:B] - term_rf[:B] - term_th[B:] + term_rf[B:]) * scale
     return d_th, term_th, term_rf, arg
 
 
-def _pair_output_grad(g, arg, scale, d_th):
+def _pair_output_grad(g, arg, scale, d_th, bufs: _HeadBuffers):
     """The pair head's gradient with respect to the stacked prediction, for
-    an upstream gradient ``g``: -(p + p) + 0.0 with p = [g_w; -g_w] * d."""
+    an upstream gradient ``g``: -(p + p) + 0.0 with p = [g_w; -g_w] * d,
+    the column [g_w; -g_w] and the result written into ``bufs``."""
     B = len(arg)
     # sigmoid(-arg), the slope of softplus at -arg, in tanh form
     slope = 0.5 * (1.0 + np.tanh(0.5 * -arg))
-    gw = (-((g / B) * slope) * scale)[:, None]
-    prod = np.concatenate([gw, -gw]) * d_th
-    geps = prod + prod
+    gw = np.multiply(-((g / B) * slope), scale, out=bufs.coef[:B, 0])
+    np.negative(gw, out=bufs.coef[B:, 0])
+    geps = np.multiply(bufs.coef, d_th, out=bufs.out_grad)
+    geps += geps
     np.negative(geps, out=geps)
     # + 0.0 turns -0.0 into 0.0, as accumulating into zeros did
     geps += 0.0
@@ -366,7 +424,7 @@ def _raise_nonfinite_term(term_th, term_rf, B):
 def implicit_reward(p, ref, s, x0, c, t_draws, strategy: DeltaStrategy, beta, rng) -> float:
     """Monte Carlo estimate of the preference reward of one sample, up to the
     per-timestep normalizer that cancels when rewards are compared."""
-    _check_same_arch(p, ref)
+    _check_ref(p, ref)
     if np.ndim(c) != 0:
         raise InvalidArgument(
             f"implicit_reward takes one condition id, got an array of shape {np.shape(c)}")

@@ -22,8 +22,9 @@ sqrt(ab_t) * x0_t + sqrt(1 - ab_t) * delta_t.
 Inversion has one code path, the Inverter: bound to (model, schedule, n,
 rows, guidance weight), it holds its grid, the grid's coefficients, a
 NoisePredictor and the update's buffers, and each call rebinds them to its
-timesteps and conditions. align builds one per call and hands it to every
-window's make_targets; ddim_invert is a one-off Inverter call. ddim_sample
+timesteps and conditions. align's pair window builds one per call and
+hands it to the targets of every window (preference._targets);
+ddim_invert is a one-off Inverter call. ddim_sample
 binds a noise predictor once per call. Every step checks the forward's
 input and the new state for finiteness with ndarray methods, not numpy's
 Python-level wrappers.
@@ -113,6 +114,7 @@ class Inverter:
     """DDIM inversion bound to (model, schedule, n, rows, guidance weight).
 
     It holds what its calls share: the grid fractions linspace(0, 1, n + 1),
+    a float row for the timesteps,
     the (n + 1, rows) grid, its sqrt(ab), sqrt(1 - ab) and sigma (gathered
     from the schedule's tables, the same bits as the square roots of the
     gathered alpha_bar), a NoisePredictor of ``rows`` rows, and the running
@@ -129,7 +131,8 @@ class Inverter:
             raise InvalidArgument("inversion step count must be >= 1")
         self.model, self.s, self.n, self.rows, self.guidance_w = model, s, n, rows, guidance_w
         self.eps_fn = NoisePredictor(model, guidance_w, rows)
-        self.frac = np.linspace(0.0, 1.0, n + 1)[:, None]
+        self.frac = np.linspace(0.0, 1.0, n + 1).tolist()
+        self.tt = np.empty(rows)
         self.tgrid = np.empty((n + 1, rows))
         self.grid = np.empty((n + 1, rows), dtype=np.int64)
         self.sq_ab, self.sq_1ab, self.sg = (np.empty((n + 1, rows)) for _ in range(3))
@@ -148,8 +151,12 @@ class Inverter:
             raise InvalidArgument(f"per-row timesteps of length {tt.shape[-1]} "
                                   f"for a batch of {self.rows} rows")
         k = tt.size  # one grid column per target: 1 or per row
-        tgrid, grid = self.tgrid[:, :k], self.grid[:, :k]
-        np.multiply(self.frac, tt, out=tgrid)
+        tgrid, grid, tf = self.tgrid[:, :k], self.grid[:, :k], self.tt[:k]
+        # frac * t, one grid row at a time: a broadcast product would buffer
+        # its operands, and an int64 operand a cast copy too
+        np.copyto(tf, tt)
+        for f, row in zip(self.frac, tgrid):
+            np.multiply(tf, f, out=row)
         np.rint(tgrid, out=tgrid)
         np.copyto(grid, tgrid, casting="unsafe")
         eps_fn = self.eps_fn.bind(c, grid[1:])

@@ -148,4 +148,14 @@ def forward_diffuse(s: NoiseSchedule, x0, t, eps) -> np.ndarray:
     a, b = s.sqrt_alpha_bar[t], s.sqrt_one_minus_alpha_bar[t]
     if x0.ndim == 2 and t.ndim == 1:
         a, b = a[:, None], b[:, None]
-    return a * x0 + b * eps
+    return _diffuse(a, x0, b, eps)
+
+
+def _diffuse(a, x0, b, eps, out=None, tmp=None) -> np.ndarray:
+    """forward_diffuse's arithmetic, a * x0 + b * eps, on coefficients
+    already gathered; ``out`` and ``tmp``, buffers of the result's shape,
+    receive the sum and the second product (new arrays if None). A training
+    window calls it on its own buffers."""
+    out = np.multiply(a, x0, out=out)
+    out += np.multiply(b, eps, out=tmp)
+    return out

@@ -5,12 +5,11 @@ step index), so a run is a pure function of (config, seed) and resuming from
 a checkpoint reproduces the uninterrupted trajectory bit for bit.
 
 pretrain_base, sft_ref_init and align run one loop, _train. Per step it
-draws the step's stream, runs accum_steps windows on it, checks each
-window's gradient for finiteness once and sums it into one step-sum vector,
-then takes one Adam step, in place on the whole parameter vector
-(DenoiserParams.vec), at the warmup learning rate. Each _train call
-allocates one StepWorkspace, in which every window's forwards and backward
-run, the step-sum vector and Adam's scratch pair. A window comes from one
+draws the step's stream, runs accum_steps windows on it and checks each
+window's gradient for finiteness once; with one window its gradient goes to
+Adam as it is, with more they are summed into one step-sum vector and
+averaged. Adam steps in place on the whole parameter vector
+(DenoiserParams.vec) at the warmup learning rate. A window comes from one
 of two builders, each bound once per training call to its samples
 (_Samples: their conditions validated and resolved to embedding rows, which
 a window gathers by index):
@@ -24,14 +23,27 @@ a window gathers by index):
                the current trained parameters, and dpo, which runs as inpo
                with the gaussian strategy.
 
-The pair window gathers its winners, then its losers, into one (2B, dim)
-buffer and builds their targets in one stacked make_targets call; an
-inversion align binds one Inverter of 2B rows per call, so inversion costs
-one network forward per grid step for the whole window. The heads'
-closed-form functions, preference.sft_value_and_grad and
-preference.pair_value_and_grad, give each window's loss and gradient; no
-step runs the tape (denoiser.value_and_grad), which is the reference the
-tests hold them to.
+A builder binds everything its steps share: a StepWorkspace, the head's
+buffers (preference._HeadBuffers), the time embedding table grown to T,
+and a buffer for every array a step writes: the gathered samples, the noise
+or targets, the latents and the (n, 1) sqrt(ab) and sqrt(1 - ab) columns
+they are noised with, and for the pair window the stacked timesteps,
+embedding rows and condition ids. It checks once what the public heads
+check on every call: the reference's type and architecture, and for align
+t_min <= T; the workspace and the inverter are its own. Drawn indices and
+timesteps are in range by construction, so a step is its stream's draws
+followed by arithmetic in those buffers: the heads' arithmetic cores
+(preference._sft_step, _pair_step and _targets), which the public
+sft_value_and_grad, pair_value_and_grad and make_targets call after their
+checks, so each loss has one copy. The pair window gathers its winners,
+then its losers, into one (2B, dim) buffer and makes their targets in one
+stacked call; an inversion align binds one Inverter of 2B rows per call,
+so inversion costs one network forward per grid step for the whole window.
+No step runs the tape (denoiser.value_and_grad), which is the reference
+the tests hold the heads to.
+
+pretrain_base and sft_ref_init check their step arguments as AlignConfig
+checks align's, before any work.
 
 align and sft_ref_init take a pair set as a PairTable, or a sequence of
 PreferencePair that PairTable.of stacks once, and keep its non-tie rows. A
@@ -60,15 +72,16 @@ from .denoiser import (
     StepWorkspace,
     _cond_rows,
     _Reader,
+    _time_table,
     init_denoiser,
     params_from_bytes,
     params_to_bytes,
     value_and_grad,  # noqa: F401  (perfbench's hook tests reach it through this module)
 )
 from .errors import ConfigError, InvalidArgument, TrainingError, VersionError
-from .preference import DeltaStrategy, make_targets, pair_value_and_grad, sft_value_and_grad
+from .preference import DeltaStrategy, _check_ref, _HeadBuffers, _pair_step, _sft_step, _targets
 from .sampler import Inverter
-from .schedule import NoiseSchedule, forward_diffuse
+from .schedule import NoiseSchedule, _diffuse
 
 ALIGN_METHODS = ("inpo", "dpo", "sft")
 REF_INITS = ("base", "sft_winners")
@@ -205,25 +218,25 @@ class _Samples(NamedTuple):
     rows: np.ndarray
 
 
-def _train(params: DenoiserParams, adam: AdamState, window, window_rows: int, *, seed: int,
-           domain: int, start: int, stop: int, lr: float, warmup_steps: int = 0,
-           accum_steps: int = 1, log: list | None = None, pair_ids=None) -> None:
+def _train(params: DenoiserParams, adam: AdamState, window, *, seed: int, domain: int,
+           start: int, stop: int, lr: float, warmup_steps: int = 0, accum_steps: int = 1,
+           log: list | None = None, pair_ids=None) -> None:
     """Steps start..stop-1 of a training run, updating ``params`` in place.
 
     Step k draws from _step_rng(seed, domain, k) and runs ``accum_steps``
-    windows on that one stream. ``window(rng, aux, ws)`` draws one window,
-    runs its head in ``ws``, a StepWorkspace of ``window_rows`` rows, and
-    returns the loss and ws.grad; it records its drawn indices and arrays in
-    ``aux`` as it goes. Each window's gradient is checked for finiteness
-    once and summed into one vector, averaged over the windows, and Adam
-    steps at the warmup learning rate. A failure raises TrainingError
+    windows on that one stream. ``window(rng, aux)`` draws one window, runs
+    its head in its own buffers and returns the loss and the gradient, a
+    buffer it overwrites on its next call; it records its drawn
+    indices and arrays in ``aux`` as it goes. Each window's gradient is
+    checked for finiteness once and, with more than one window, summed into
+    one vector and averaged; Adam steps on it at the warmup learning
+    rate. A failure raises TrainingError
     naming the step and, when ``pair_ids`` maps drawn indices to input
     pairs, the first drawn pair with a non-finite input, target or loss
     argument. ``log``, if given, receives one CSV row per step: step, lr,
     mean loss, mean sigmoid argument (0 for the denoising head) and wall ms.
     """
-    ws = StepWorkspace(params.arch, window_rows)
-    gsum = np.empty_like(params.vec)
+    gsum = np.empty_like(params.vec) if accum_steps > 1 else None
     work = (np.empty_like(params.vec), np.empty_like(params.vec))
     for step in range(start, stop):
         tick = time.perf_counter()
@@ -232,22 +245,23 @@ def _train(params: DenoiserParams, adam: AdamState, window, window_rows: int, *,
         for k in range(accum_steps):
             aux = {}
             try:
-                val, grad = window(rng, aux, ws)
+                val, grad = window(rng, aux)
             except ArithmeticError as e:
                 raise TrainingError(f"{e}{_bad_pair(aux, pair_ids)}", step) from e
             if not np.isfinite(grad.vec).all():
                 raise TrainingError("non-finite gradient", step)
             if k:
                 gsum += grad.vec
-            else:
+            elif gsum is not None:
                 np.copyto(gsum, grad.vec)
             loss_sum += val
             arg = aux.get("sigmoid_arg")
             arg_sum += float(arg.mean()) if arg is not None else 0.0
-        if accum_steps > 1:
+        if gsum is not None:
             gsum /= accum_steps
         lr_t = warmup_lr(lr, step, warmup_steps)
-        adam_step(params.vec, gsum, adam, lr_t, work)
+        # one window's gradient goes to Adam as it is, a buffer of the window's
+        adam_step(params.vec, grad.vec if gsum is None else gsum, adam, lr_t, work)
         if log is not None:
             ms = (time.perf_counter() - tick) * 1e3
             log.append([step, repr(lr_t), repr(loss_sum / accum_steps),
@@ -282,57 +296,91 @@ def _denoising_window(params, schedule: NoiseSchedule, data: _Samples, batch: in
     """The denoising objective's window on ``data``: it draws rows, then
     timesteps in [t_min, T], then noise, and, only when ``cond_drop`` > 0,
     condition drops last; a dropped condition takes the null embedding row.
+    Everything a step writes is a buffer bound here, and the draws are in
+    range by construction, so a step runs preference._sft_step unchecked.
     """
-    null_row = params.arch.num_conditions
-    shape = (batch, params.arch.input_dim)
+    arch = params.arch
+    null_row, shape = arch.num_conditions, (batch, arch.input_dim)
+    if data.x.shape[1:] != shape[1:]:
+        raise InvalidArgument(f"x0 shape {(batch, *data.x.shape[1:])} != eps shape {shape}")
+    ws, bufs, table, diffuse = _step_buffers(arch, batch, schedule)
+    x0, eps = np.empty(shape), np.empty(shape)
+    rows = np.empty(batch, dtype=data.rows.dtype)
 
-    def window(rng, aux, ws):
+    def window(rng, aux):
         idx = rng.integers(0, len(data.x), size=batch)
         t = rng.integers(t_min, schedule.T + 1, size=batch)
-        x0 = data.x[idx]
+        data.x.take(idx, axis=0, out=x0, mode="clip")
         aux.update(idx=idx, t=t, arrays=[x0])
-        eps = rng.standard_normal(shape)
-        rows = data.rows[idx]
+        rng.standard_normal(out=eps)
+        data.rows.take(idx, out=rows, mode="clip")
         if cond_drop > 0:
             rows[rng.random(batch) < cond_drop] = null_row
-        x_t = forward_diffuse(schedule, x0, t, eps)
+        x_t = diffuse(x0, t, eps)
         aux["arrays"].append(x_t)
-        return sft_value_and_grad(params, schedule, x_t, t, rows, eps, ws)
+        return _sft_step(params, schedule, x_t, t, rows, eps, ws, bufs, table)
 
     return window
 
 
 def _pair_window(params, ref, schedule: NoiseSchedule, data: _Samples, losers, cfg: AlignConfig):
     """The pair loss's window for inpo and dpo: B drawn pairs' winners, then
-    their losers, are gathered into one (2B, dim) buffer; the timesteps and
-    embedding rows are doubled once for the stacked batch. Its latents and
-    targets come from one make_targets call, winners first; dpo is inpo with
-    the gaussian strategy, and inversion runs in one Inverter of 2B rows
-    bound here, which every window rebinds to its draws and to the
-    parameters as Adam left them.
+    their losers, are gathered into one (2B, dim) buffer; the timesteps,
+    embedding rows and condition ids are doubled once for the stacked
+    batch. Its latents and targets come from one preference._targets call,
+    winners first; dpo is inpo with the gaussian strategy, and inversion
+    runs in one Inverter of 2B rows bound here, which every window rebinds
+    to its draws and to the parameters as Adam left them. The reference is
+    checked once here; every buffer a step writes is bound here, and the
+    draws are in range by construction, so a step runs
+    preference._pair_step unchecked.
     """
+    _check_ref(params, ref)
     B = cfg.batch_pairs
-    x0 = np.empty((2 * B, params.arch.input_dim))
+    shape = (2 * B, params.arch.input_dim)
+    ws, bufs, table, diffuse = _step_buffers(params.arch, 2 * B, schedule)
+    x0, noise = np.empty(shape), np.empty(shape)
+    idx2, t2 = np.empty(2 * B, dtype=np.int64), np.empty(2 * B, dtype=np.int64)
+    rows2, c2 = np.empty(2 * B, dtype=data.rows.dtype), np.empty(2 * B, dtype=data.cond.dtype)
     delta = _DPO_DELTA if cfg.method == "dpo" else cfg.delta
     inverter = None
     if delta.kind == "inversion":
         inverter = Inverter(params, schedule, delta.n, 2 * B, delta.guidance_w_inv)
 
-    def window(rng, aux, ws):
+    def window(rng, aux):
         idx = rng.integers(0, len(data.x), size=B)
         t = rng.integers(cfg.t_min, schedule.T + 1, size=B)
-        np.take(data.x, idx, axis=0, out=x0[:B])
-        np.take(losers, idx, axis=0, out=x0[B:])
+        data.x.take(idx, axis=0, out=x0[:B], mode="clip")
+        losers.take(idx, axis=0, out=x0[B:], mode="clip")
         aux.update(idx=idx, t=t, arrays=[x0])
-        idx2 = np.concatenate([idx, idx])
-        t2 = np.concatenate([t, t])
-        x_t, tau = make_targets(params, schedule, x0, t2, data.cond[idx2], delta, rng,
-                                inverter=inverter)
+        np.concatenate([idx, idx], out=idx2)
+        np.concatenate([t, t], out=t2)
+        data.cond.take(idx2, out=c2, mode="clip")
+        x_t, tau = _targets(params, schedule, x0, t2, c2, delta, rng, inverter, noise, diffuse)
         aux["arrays"] += [x_t, tau]
-        return pair_value_and_grad(params, ref, schedule, x_t, tau, t2, data.rows[idx2],
-                                   cfg.beta, ws, aux=aux)
+        data.rows.take(idx2, out=rows2, mode="clip")
+        return _pair_step(params, ref, schedule, x_t, tau, t2, rows2, cfg.beta, ws, bufs, aux,
+                          table)
 
     return window
+
+
+def _step_buffers(arch, n: int, schedule: NoiseSchedule):
+    """What a window of n rows binds once: its StepWorkspace and head
+    buffers, the time embedding table grown to cover [0, T] (None past its
+    range, which makes StepWorkspace.bind_step embed checked), and
+    ``diffuse(x0, t, eps)``, forward_diffuse for timesteps drawn in [0, T],
+    which gathers the (n, 1) sqrt(ab) and sqrt(1 - ab) columns at ``t`` and
+    the latents into buffers of its own."""
+    a, b, x_t, tmp = (np.empty((n, k)) for k in (1, 1, arch.input_dim, arch.input_dim))
+
+    def diffuse(x0, t, eps):
+        schedule.sqrt_alpha_bar.take(t[:, None], out=a, mode="clip")
+        schedule.sqrt_one_minus_alpha_bar.take(t[:, None], out=b, mode="clip")
+        return _diffuse(a, x0, b, eps, x_t, tmp)
+
+    table = _time_table(np.array([schedule.T]), arch.time_embed_dim)
+    return StepWorkspace(arch, n), _HeadBuffers(n, arch.input_dim), table, diffuse
 
 
 def _non_ties(pairs, arch):
@@ -354,6 +402,7 @@ def pretrain_base(dataset, arch, schedule: NoiseSchedule, steps: int, lr: float,
     The condition is dropped with probability ``cond_drop`` per example so the
     null-condition branch learns an unconditional prediction.
     """
+    _check_fit_args(steps, batch, lr, cond_drop)
     X, cond = dataset
     X = np.asarray(X, dtype=np.float64)
     if len(X) == 0:
@@ -362,9 +411,16 @@ def pretrain_base(dataset, arch, schedule: NoiseSchedule, steps: int, lr: float,
     data = _Samples(X, cond, _cond_rows(cond, arch.num_conditions))
     params = init_denoiser(arch, seed)
     _train(params, AdamState.zeros_like(params.vec),
-           _denoising_window(params, schedule, data, batch, 1, cond_drop), batch,
+           _denoising_window(params, schedule, data, batch, 1, cond_drop),
            seed=seed, domain=_PRETRAIN_DOMAIN, start=0, stop=steps, lr=lr)
     return params
+
+
+def _check_fit_args(steps: int, batch: int, lr: float, cond_drop: float = 0.0) -> None:
+    """pretrain_base's and sft_ref_init's step arguments, as AlignConfig
+    checks align's."""
+    if steps < 0 or batch < 1 or not lr > 0 or not 0 <= cond_drop <= 1:
+        raise InvalidArgument("steps >= 0, batch >= 1, lr > 0, 0 <= cond_drop <= 1 required")
 
 
 def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: int,
@@ -372,10 +428,11 @@ def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: in
     """Continue denoising training on winner samples only (ties skipped).
 
     ``pairs`` is a PairTable or a sequence of PreferencePair."""
+    _check_fit_args(steps, batch, lr)
     _, pair_ids, data = _non_ties(pairs, base.arch)
     params = base.copy()
     _train(params, AdamState.zeros_like(params.vec),
-           _denoising_window(params, schedule, data, batch, 1), batch,
+           _denoising_window(params, schedule, data, batch, 1),
            seed=seed, domain=_SFT_REF_DOMAIN, start=0, stop=steps, lr=lr, pair_ids=pair_ids)
     return params
 
@@ -398,8 +455,11 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
     ``on_checkpoint`` receives a Checkpoint that ``resume`` accepts to
     reproduce the rest of the run exactly; the loop then runs on.
 
-    Every pair's condition is validated once, before the first step.
+    Every pair's condition, and t_min against the schedule's T, is
+    validated once, before the first step.
     """
+    if cfg.t_min > schedule.T:
+        raise InvalidArgument(f"t_min={cfg.t_min} exceeds the schedule's T={schedule.T}")
     table, pair_ids, data = _non_ties(pairs, base.arch)
     fp = config_fingerprint(cfg)
     if resume is not None:
@@ -416,10 +476,9 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         window = _denoising_window(params, schedule, data, cfg.batch_pairs, cfg.t_min)
     else:
         window = _pair_window(params, ref, schedule, data, table.loser[pair_ids], cfg)
-    window_rows = cfg.batch_pairs * (1 if cfg.method == "sft" else 2)
     log = [] if log_path is not None else None
 
-    run = functools.partial(_train, params, adam, window, window_rows, seed=cfg.seed,
+    run = functools.partial(_train, params, adam, window, seed=cfg.seed,
                             domain=_ALIGN_DOMAIN, lr=cfg.lr, warmup_steps=cfg.warmup_steps,
                             accum_steps=cfg.accum_steps, log=log, pair_ids=pair_ids)
     if on_checkpoint and checkpoint_at is not None and start < checkpoint_at <= cfg.steps:

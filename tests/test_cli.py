@@ -225,6 +225,20 @@ def test_out_of_range_pair_condition_fails_before_any_step(workdir, tmp_path, ca
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("method", ["inpo", "sft"])
+def test_align_t_min_past_T_is_an_error_before_any_step(workdir, tmp_path, capsys, method):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([
+        "align", "--out", str(out), "--seed", "3",
+        "--set", f"align.base={workdir}/base.params",
+        "--set", f"align.pairs={workdir}/pairs.jsonl",
+        "--set", f"align.method={method}", "--set", "align.t_min=121",
+    ]) == 2
+    assert "error: t_min=121 exceeds the schedule's T=120" in capsys.readouterr().err
+    assert not (out / "train_log.csv").exists()
+
+
 @pytest.mark.parametrize("cmd, method", [
     ("align", "inpo"), ("align", "dpo"), ("align", "sft"), ("ablate", "inpo"),
 ])

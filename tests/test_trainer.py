@@ -1,14 +1,18 @@
 import csv
+import os
 import struct
+import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import inpo
 import inpo.denoiser as denoiser_mod
 import inpo.preference as preference_mod
 import inpo.trainer as trainer_mod
-from inpo.data import PreferencePair
+from inpo.data import PairTable, PreferencePair
 from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
@@ -19,7 +23,15 @@ from inpo.denoiser import (
     value_and_grad,
 )
 from inpo.errors import ConfigError, InvalidArgument, TrainingError, VersionError
-from inpo.preference import DeltaStrategy, make_targets, pair_loss_terms, sft_terms
+from inpo.preference import (
+    DeltaStrategy,
+    make_targets,
+    pair_loss_terms,
+    pair_value_and_grad,
+    sft_terms,
+    sft_value_and_grad,
+)
+from inpo.sampler import Inverter
 from inpo.schedule import forward_diffuse, make_schedule
 from inpo.trainer import (
     ALIGN_METHODS,
@@ -163,9 +175,10 @@ def test_align_dpo_equals_inpo_gaussian_bitwise(s, tiny_pairs):
         assert x.tobytes() == y.tobytes()
 
 
-def _targets_separately(model, s, x0, t, c, strategy, rng, inverter=None):
+def _targets_separately(model, s, x0, t, c, strategy, rng, *bound):
     """make_targets on the winner half, then on the loser half, of a stacked
-    batch; each half inverts in a one-off call, not in align's inverter."""
+    batch; each half inverts in a one-off call, not in align's inverter, and
+    draws fresh arrays, not into the window's buffers (``bound``)."""
     B = len(x0) // 2
     w = make_targets(model, s, x0[:B], t[:B], c[:B], strategy, rng)
     l = make_targets(model, s, x0[B:], t[B:], c[B:], strategy, rng)
@@ -194,12 +207,35 @@ def test_stacked_targets_match_separate(s, delta):
 ])
 def test_align_stacked_targets_bytewise_equal_to_separate(s, tiny_pairs, monkeypatch,
                                                           method, delta):
+    # the pair window makes its targets in one preference._targets call on
+    # the stacked batch; the spies hold every window to its full batch,
+    # each winner over its own loser, and to handing the head the targets
+    # made for it, both halves
     base = init_denoiser(ARCH, 7)
     cfg = small_cfg(method=method, delta=delta, steps=3, batch_pairs=64)
+    B = cfg.batch_pairs
     stacked = align(base, base, tiny_pairs, s, cfg)
-    monkeypatch.setattr(trainer_mod, "make_targets", _targets_separately)
+    loser_of = {p.winner.tobytes(): p.loser.tobytes() for p in tiny_pairs}
+    made, headed = [], []
+    pair_step = trainer_mod._pair_step
+
+    def targets(model, s, x0, t, c, strategy, rng, *bound):
+        assert x0.shape == (2 * B, 2)
+        assert [loser_of[w.tobytes()] for w in x0[:B]] == [l.tobytes() for l in x0[B:]]
+        made.append(_targets_separately(model, s, x0, t, c, strategy, rng))
+        return made[-1]
+
+    def step(theta, ref, s, x_t, tau, *rest):
+        headed.append((x_t.copy(), tau.copy()))
+        return pair_step(theta, ref, s, x_t, tau, *rest)
+
+    monkeypatch.setattr(trainer_mod, "_targets", targets)
+    monkeypatch.setattr(trainer_mod, "_pair_step", step)
     separate = align(base, base, tiny_pairs, s, cfg)
     assert params_to_bytes(stacked, "cosine", s.T) == params_to_bytes(separate, "cosine", s.T)
+    assert len(made) == len(headed) == cfg.steps
+    for (x_t, tau), (head_x, head_tau) in zip(made, headed):
+        assert x_t.tobytes() == head_x.tobytes() and tau.tobytes() == head_tau.tobytes()
 
 
 def test_inversion_step_costs_one_forward_per_grid_step(s, tiny_pairs, monkeypatch):
@@ -680,3 +716,130 @@ def test_samples_of_another_dim_are_rejected(s, tiny_data, tiny_pairs):
                 lambda: align(base, base, wide, s, small_cfg(method="sft", steps=2))):
         with pytest.raises(InvalidArgument, match=r"x0 shape \(8, [13]\) != eps shape \(8, 2\)"):
             run()
+
+
+@pytest.mark.parametrize("method,delta", [("dpo", DeltaStrategy("gaussian")),
+                                          ("inpo", DeltaStrategy("inversion", n=3)),
+                                          ("sft", DeltaStrategy("gaussian"))])
+def test_window_step_is_the_public_head_on_its_draws(s, tiny_pairs, method, delta):
+    # one arithmetic path: a bound window's value and gradient are the bytes
+    # of the public, checked head called on the arrays the window drew, and
+    # a pair window's targets those of make_targets on a replay of its stream
+    cfg = small_cfg(method=method, delta=delta)
+    B = cfg.batch_pairs
+    params, ref = init_denoiser(ARCH, 7), init_denoiser(ARCH, 8)
+    table, pair_ids, data = trainer_mod._non_ties(tiny_pairs, ARCH)
+    if method == "sft":
+        window = trainer_mod._denoising_window(params, s, data, B, cfg.t_min)
+    else:
+        window = trainer_mod._pair_window(params, ref, s, data, table.loser[pair_ids], cfg)
+    for step in range(3):
+        aux = {}
+        value, grad = window(trainer_mod._step_rng(cfg.seed, trainer_mod._ALIGN_DOMAIN, step), aux)
+        grad = grad.vec.copy()
+        replay = trainer_mod._step_rng(cfg.seed, trainer_mod._ALIGN_DOMAIN, step)
+        idx = replay.integers(0, len(data.x), size=B)
+        t = replay.integers(cfg.t_min, s.T + 1, size=B)
+        assert idx.tobytes() == aux["idx"].tobytes() and t.tobytes() == aux["t"].tobytes()
+        if method == "sft":
+            eps = replay.standard_normal((B, 2))
+            x_t = forward_diffuse(s, data.x[idx], t, eps)
+            assert x_t.tobytes() == aux["arrays"][1].tobytes()
+            want = sft_value_and_grad(params, s, x_t, t, data.rows[idx], eps)
+        else:
+            idx2, t2 = np.concatenate([idx, idx]), np.concatenate([t, t])
+            x0 = np.vstack([data.x[idx], table.loser[pair_ids][idx]])
+            x_t, tau = make_targets(params, s, x0, t2, data.cond[idx2], delta, replay)
+            assert x_t.tobytes() == aux["arrays"][1].tobytes()
+            assert tau.tobytes() == aux["arrays"][2].tobytes()
+            want = pair_value_and_grad(params, ref, s, x_t, tau, t2, data.rows[idx2], cfg.beta)
+        assert value == want[0]
+        assert grad.tobytes() == want[1].vec.tobytes()
+        params.vec[:] -= 1e-2 * grad  # the next window binds moved parameters
+
+
+@pytest.mark.parametrize("kw", [dict(lr=-1.0), dict(cond_drop=2.0), dict(steps=-3),
+                                dict(batch=0), dict(lr=float("nan")), dict(cond_drop=-0.1)])
+def test_pretrain_rejects_bad_step_arguments(s, tiny_data, kw):
+    args = dict(steps=2, lr=1e-3, seed=5, batch=8, cond_drop=0.1) | kw
+    with pytest.raises(InvalidArgument, match="required"):
+        pretrain_base(tiny_data, ARCH, s, **args)
+
+
+@pytest.mark.parametrize("kw", [dict(lr=-1.0), dict(steps=-3), dict(batch=0)])
+def test_sft_ref_init_rejects_bad_step_arguments(s, tiny_pairs, kw):
+    args = dict(steps=2, lr=1e-3, seed=1, batch=8) | kw
+    with pytest.raises(InvalidArgument, match="required"):
+        sft_ref_init(init_denoiser(ARCH, 2), tiny_pairs, s, **args)
+
+
+@pytest.mark.parametrize("method", ["dpo", "sft"])
+def test_align_rejects_t_min_past_T_before_the_first_step(s, tiny_pairs, method):
+    base = init_denoiser(ARCH, 7)
+    with pytest.raises(InvalidArgument, match=f"t_min={s.T + 1} exceeds the schedule's T={s.T}"):
+        align(base, base, tiny_pairs, s, small_cfg(method=method, t_min=s.T + 1))
+    out = align(base, base, tiny_pairs, s, small_cfg(method=method, t_min=s.T, steps=2))
+    assert out.vec.tobytes() != base.vec.tobytes()
+
+
+def _largest_line_allocation(fn) -> int:
+    """The most memory, in bytes, that any one line of the inpo package,
+    with everything it calls outside the package, holds above what was held
+    when the line began, while ``fn()`` runs: no block it allocates is
+    larger."""
+    root = os.path.dirname(inpo.__file__)
+    worst = start = 0
+
+    def mark(frame=None, event=None, arg=None):
+        nonlocal worst, start
+        current, peak = tracemalloc.get_traced_memory()
+        worst = max(worst, peak - start)
+        tracemalloc.reset_peak()
+        start = current
+        return mark
+
+    def on_call(frame, event, arg):
+        return mark() if frame.f_code.co_filename.startswith(root) else None
+
+    outer = sys.gettrace()
+    tracemalloc.start()
+    try:
+        sys.settrace(on_call)
+        mark()
+        fn()
+    finally:
+        sys.settrace(outer)
+        mark()
+        tracemalloc.stop()
+    return worst
+
+
+def test_bound_steps_allocate_no_block_of_100_kb():
+    # B = 512 at the README architecture: once warm, an Inverter call of 2B
+    # rows, a dpo step (its window and Adam) and a pretrain step write into
+    # buffers bound before them and allocate no block of 100 KB or more
+    arch, s1000 = DenoiserArch(2, (64, 64), 8, 16), make_schedule("cosine", 1000)
+    rng = np.random.default_rng(0)
+    B, n = 512, 1024
+    params = init_denoiser(arch, 0)
+    pairs = PairTable.of([PreferencePair(int(c), rng.standard_normal(2), rng.standard_normal(2),
+                                         1.0, 0.0, 0) for c in rng.integers(0, 8, B)])
+    table, pair_ids, data = trainer_mod._non_ties(pairs, arch)
+    dpo = trainer_mod._pair_window(params, params, s1000, data, table.loser[pair_ids],
+                                   AlignConfig(method="dpo", batch_pairs=B))
+    pretrain = trainer_mod._denoising_window(params, s1000, data, B, 1, 0.1)
+    inverter = Inverter(params, s1000, 10, n)
+    x0, t, c = rng.standard_normal((n, 2)), rng.integers(1, 1001, n), rng.integers(0, 8, n)
+    state = AdamState.zeros_like(params.vec)
+    work = (np.empty_like(params.vec), np.empty_like(params.vec))
+
+    def step(window):
+        def run():
+            grad = window(np.random.default_rng(1), {})[1]
+            adam_step(params.vec, grad.vec, state, 1e-3, work)
+        return run
+
+    for name, fn in (("inverter", lambda: inverter(x0, t, c)), ("dpo", step(dpo)),
+                     ("pretrain", step(pretrain))):
+        fn()
+        assert _largest_line_allocation(fn) < 100 * 1024, name
