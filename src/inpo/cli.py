@@ -141,6 +141,8 @@ def cmd_align(cfg: Config, out: str, seed: int) -> None:
         warmup_steps=cfg["align.warmup_steps"], seed=seed,
         ref_init=cfg["align.ref_init"], t_min=cfg["align.t_min"],
     )
+    # before an SFT reference is trained, not after
+    acfg.check_schedule(schedule)
     if acfg.ref_init == "sft_winners":
         ref = sft_ref_init(base, pairs, schedule, steps=cfg["align.ref_sft_steps"],
                            lr=cfg["align.ref_sft_lr"], seed=seed)

@@ -27,8 +27,12 @@ buffers, computes the value and the gradient with respect to the network's
 output into _HeadBuffers (the errors, their squares and row sums, and the
 output gradient), and calls denoiser.eps_backward, which fills and returns
 the workspace's gradient. The order of operations (d + d, not 2 * d) keeps
-aligned parameters byte-stable. make_targets likewise checks, then runs
-_targets, which the pair window calls with its inverter and its buffers.
+aligned parameters byte-stable. A step's sums and checks call the ufuncs'
+reductions (np.add.reduce, np.logical_and.reduce) directly, not the ndarray
+methods, which first run a Python function in numpy._core._methods; a sum
+divided by its count has the bits of the mean. make_targets likewise
+checks, then runs _targets, which the pair window calls with its inverter
+and its buffers.
 pair_loss_terms and sft_terms are the same heads on plain numpy values,
 or, on tape parameters, one tape node each whose VJP is the same
 output-gradient helper; the tape (denoiser.value_and_grad) is the
@@ -42,6 +46,7 @@ damped iteration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +132,9 @@ def _sft_value(d, w, bufs: _HeadBuffers):
     """The weighted mean squared error of the prediction errors ``d``: the
     row sums of d * d times w(t), summed and divided by the row count (the
     bits of their mean)."""
-    per = np.multiply(d, d, out=bufs.sq[0]).sum(axis=1, out=bufs.terms[0])
+    per = np.add.reduce(np.multiply(d, d, out=bufs.sq[0]), axis=1, out=bufs.terms[0])
     per *= w
-    return per.sum() / len(per)
+    return np.add.reduce(per) / len(per)
 
 
 def _sft_output_grad(g, w, d, bufs: _HeadBuffers):
@@ -165,7 +170,7 @@ def _check_batch(model, s: NoiseSchedule, x_t, t, rows, ws: StepWorkspace | None
 
 
 def _check_loss(value) -> None:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericError(f"loss is non-finite: {float(value)!r}")
 
 
@@ -368,12 +373,13 @@ def _pair_step(theta, ref, s: NoiseSchedule, x_t, tau, t, rows, beta, ws: StepWo
     ws.bind_step(t, table)
     out = eps_forward(theta, x_t, 0, rows, ws=ws.bound)
     eps_rf = eps_forward(ref, x_t, 0, rows, ws=ws.bound_ref)
-    scale = -(beta * s.loss_weight[t[:B]])
+    # -(beta * w(t)) in one ufunc; negation is exact
+    scale = s.loss_weight[t[:B]] * -beta
     d_th, _, _, arg = _pair_terms(tau, out, eps_rf, scale, bufs)
     if aux is not None:
         aux["sigmoid_arg"] = arg
-    # the sum over B has the bits of the mean, without its Python wrapper
-    value = np.logaddexp(0.0, -arg).sum() / B
+    # the sum over B has the bits of the mean
+    value = np.add.reduce(np.logaddexp(0.0, -arg)) / B
     _check_loss(value)
     return float(value), eps_backward(theta, _pair_output_grad(1.0, arg, scale, d_th, bufs),
                                       rows, ws)
@@ -387,9 +393,9 @@ def _pair_terms(tau, eps_th, eps_rf, scale, bufs: _HeadBuffers):
     B = len(scale)
     d_th = np.subtract(tau, eps_th, out=bufs.err[0])
     np.subtract(tau, eps_rf, out=bufs.err[1])
-    terms = np.multiply(bufs.err, bufs.err, out=bufs.sq).sum(axis=2, out=bufs.terms)
+    terms = np.add.reduce(np.multiply(bufs.err, bufs.err, out=bufs.sq), axis=2, out=bufs.terms)
     term_th, term_rf = terms
-    if not np.isfinite(terms).all():
+    if not np.logical_and.reduce(np.isfinite(terms), axis=None):
         _raise_nonfinite_term(term_th, term_rf, B)
     arg = (term_th[:B] - term_rf[:B] - term_th[B:] + term_rf[B:]) * scale
     return d_th, term_th, term_rf, arg
@@ -397,16 +403,24 @@ def _pair_terms(tau, eps_th, eps_rf, scale, bufs: _HeadBuffers):
 
 def _pair_output_grad(g, arg, scale, d_th, bufs: _HeadBuffers):
     """The pair head's gradient with respect to the stacked prediction, for
-    an upstream gradient ``g``: -(p + p) + 0.0 with p = [g_w; -g_w] * d,
-    the column [g_w; -g_w] and the result written into ``bufs``."""
+    an upstream gradient ``g``: with g_w = (g / B) * sigmoid(-arg) * beta *
+    w(t), winner rows get -g_w * (d + d) and losers g_w * (d + d), plus 0.0.
+    ``scale`` is -(beta * w(t)), so the column [-g_w; g_w] is
+    (g / B) * sigmoid(-arg) * scale over its negation; the column and the
+    result are written into ``bufs`` in place, one ufunc per operation.
+    Negation is exact, so the bits are those of -(p + p) + 0.0 with
+    p = [g_w; -g_w] * d."""
     B = len(arg)
-    # sigmoid(-arg), the slope of softplus at -arg, in tanh form
-    slope = 0.5 * (1.0 + np.tanh(0.5 * -arg))
-    gw = np.multiply(-((g / B) * slope), scale, out=bufs.coef[:B, 0])
-    np.negative(gw, out=bufs.coef[B:, 0])
+    # -g_w: sigmoid(-arg), the slope of softplus at -arg, in tanh form
+    neg_gw = np.multiply(arg, -0.5, out=bufs.coef[:B, 0])
+    np.tanh(neg_gw, out=neg_gw)
+    neg_gw += 1.0
+    neg_gw *= 0.5
+    neg_gw *= g / B
+    neg_gw *= scale
+    np.negative(neg_gw, out=bufs.coef[B:, 0])
     geps = np.multiply(bufs.coef, d_th, out=bufs.out_grad)
     geps += geps
-    np.negative(geps, out=geps)
     # + 0.0 turns -0.0 into 0.0, as accumulating into zeros did
     geps += 0.0
     return geps

@@ -26,8 +26,9 @@ timesteps and conditions. align's pair window builds one per call and
 hands it to the targets of every window (preference._targets);
 ddim_invert is a one-off Inverter call. ddim_sample
 binds a noise predictor once per call. Every step checks the forward's
-input and the new state for finiteness with ndarray methods, not numpy's
-Python-level wrappers.
+input and the new state for finiteness with ndarray.all, which runs the
+Python function numpy._core._methods._all before its reduction; at these
+sizes, calling np.logical_and.reduce instead made no measurable difference.
 """
 from __future__ import annotations
 

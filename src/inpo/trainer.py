@@ -4,12 +4,16 @@ Every step draws its randomness from a stream derived from (seed, domain,
 step index), so a run is a pure function of (config, seed) and resuming from
 a checkpoint reproduces the uninterrupted trajectory bit for bit.
 
-pretrain_base, sft_ref_init and align run one loop, _train. Per step it
-draws the step's stream, runs accum_steps windows on it and checks each
-window's gradient for finiteness once; with one window its gradient goes to
-Adam as it is, with more they are summed into one step-sum vector and
-averaged. Adam steps in place on the whole parameter vector
-(DenoiserParams.vec) at the warmup learning rate. A window comes from one
+pretrain_base, sft_ref_init and align run one loop, _train. It builds the
+steps' streams in batches of _STREAM_BATCH steps of the call, each batch in
+one pass ahead of its steps, which costs less than building each between
+two steps' arithmetic. Per step it runs accum_steps windows on the step's
+stream and checks each window's gradient for finiteness once; with one
+window its gradient goes to Adam as it is, with more they are summed into
+one step-sum vector and averaged. Adam steps in place on the whole
+parameter vector (DenoiserParams.vec) at the warmup learning rate. A step's
+log row keeps its values; align formats the rows once, when it writes
+train_log.csv. A window comes from one
 of two builders, each bound once per training call to its samples
 (_Samples: their conditions validated and resolved to embedding rows, which
 a window gathers by index):
@@ -122,6 +126,11 @@ class AlignConfig:
         if self.beta < 0:
             raise InvalidArgument("beta must be >= 0")
 
+    def check_schedule(self, schedule: NoiseSchedule) -> None:
+        """Reject a t_min past the schedule's T, before any training."""
+        if self.t_min > schedule.T:
+            raise InvalidArgument(f"t_min={self.t_min} exceeds the schedule's T={schedule.T}")
+
 
 @dataclass
 class AdamState:
@@ -186,6 +195,9 @@ def warmup_lr(lr: float, step: int, warmup_steps: int) -> float:
 
 
 _WORD = 0xFFFFFFFF
+# Steps whose streams _train builds in one pass, ahead of those steps: about
+# 1 KB of generator state each, and only one batch is held at a time.
+_STREAM_BATCH = 64
 
 
 def _step_rng(seed: int, domain: int, step: int) -> np.random.Generator:
@@ -224,23 +236,32 @@ def _train(params: DenoiserParams, adam: AdamState, window, *, seed: int, domain
     """Steps start..stop-1 of a training run, updating ``params`` in place.
 
     Step k draws from _step_rng(seed, domain, k) and runs ``accum_steps``
-    windows on that one stream. ``window(rng, aux)`` draws one window, runs
+    windows on that one stream. The streams are built _STREAM_BATCH steps
+    at a time, in one pass before the first step of each batch, which counts
+    the build in its wall time; a batch never reaches past ``stop``, and
+    only one is held at a time. ``window(rng, aux)`` draws one window, runs
     its head in its own buffers and returns the loss and the gradient, a
-    buffer it overwrites on its next call; it records its drawn
-    indices and arrays in ``aux`` as it goes. Each window's gradient is
-    checked for finiteness once and, with more than one window, summed into
-    one vector and averaged; Adam steps on it at the warmup learning
-    rate. A failure raises TrainingError
-    naming the step and, when ``pair_ids`` maps drawn indices to input
-    pairs, the first drawn pair with a non-finite input, target or loss
-    argument. ``log``, if given, receives one CSV row per step: step, lr,
-    mean loss, mean sigmoid argument (0 for the denoising head) and wall ms.
+    buffer it overwrites on its next call; it records its drawn indices and
+    arrays in ``aux`` as it goes. Each window's gradient is checked for
+    finiteness once and, with more than one window, summed into one vector
+    and averaged; Adam steps on it at the warmup learning rate. A failure
+    raises TrainingError naming the step and, when ``pair_ids`` maps drawn
+    indices to input pairs, the first drawn pair with a non-finite input,
+    target or loss argument. ``log``, if given, receives one row per step,
+    unformatted: step, lr, mean loss, mean sigmoid argument (0 for the
+    denoising head) and wall ms.
     """
     gsum = np.empty_like(params.vec) if accum_steps > 1 else None
     work = (np.empty_like(params.vec), np.empty_like(params.vec))
+    finite = np.empty(params.vec.shape, dtype=bool)
+    streams = []
     for step in range(start, stop):
         tick = time.perf_counter()
-        rng = _step_rng(seed, domain, step)
+        if not streams:
+            # the next batch's streams, last step first, so each step pops its own
+            last = min(stop, step + _STREAM_BATCH) - 1
+            streams = [_step_rng(seed, domain, k) for k in range(last, step - 1, -1)]
+        rng = streams.pop()
         loss_sum = arg_sum = 0.0
         for k in range(accum_steps):
             aux = {}
@@ -248,7 +269,7 @@ def _train(params: DenoiserParams, adam: AdamState, window, *, seed: int, domain
                 val, grad = window(rng, aux)
             except ArithmeticError as e:
                 raise TrainingError(f"{e}{_bad_pair(aux, pair_ids)}", step) from e
-            if not np.isfinite(grad.vec).all():
+            if not np.logical_and.reduce(np.isfinite(grad.vec, out=finite)):
                 raise TrainingError("non-finite gradient", step)
             if k:
                 gsum += grad.vec
@@ -256,16 +277,16 @@ def _train(params: DenoiserParams, adam: AdamState, window, *, seed: int, domain
                 np.copyto(gsum, grad.vec)
             loss_sum += val
             arg = aux.get("sigmoid_arg")
-            arg_sum += float(arg.mean()) if arg is not None else 0.0
+            # the sum over the pairs divided by their count has the bits of the mean
+            arg_sum += float(np.add.reduce(arg)) / len(arg) if arg is not None else 0.0
         if gsum is not None:
             gsum /= accum_steps
         lr_t = warmup_lr(lr, step, warmup_steps)
         # one window's gradient goes to Adam as it is, a buffer of the window's
         adam_step(params.vec, grad.vec if gsum is None else gsum, adam, lr_t, work)
         if log is not None:
-            ms = (time.perf_counter() - tick) * 1e3
-            log.append([step, repr(lr_t), repr(loss_sum / accum_steps),
-                        repr(arg_sum / accum_steps), f"{ms:.3f}"])
+            log.append((step, lr_t, loss_sum / accum_steps, arg_sum / accum_steps,
+                        (time.perf_counter() - tick) * 1e3))
 
 
 def _bad_pair(aux, pair_ids) -> str:
@@ -458,8 +479,7 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
     Every pair's condition, and t_min against the schedule's T, is
     validated once, before the first step.
     """
-    if cfg.t_min > schedule.T:
-        raise InvalidArgument(f"t_min={cfg.t_min} exceeds the schedule's T={schedule.T}")
+    cfg.check_schedule(schedule)
     table, pair_ids, data = _non_ties(pairs, base.arch)
     fp = config_fingerprint(cfg)
     if resume is not None:
@@ -491,7 +511,8 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
         with open(log_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["step", "lr", "loss", "sigmoid_arg_mean", "wall_ms"])
-            w.writerows(log)
+            w.writerows([step, repr(lr_t), repr(loss), repr(arg), f"{ms:.3f}"]
+                        for step, lr_t, loss, arg, ms in log)
     return params
 
 

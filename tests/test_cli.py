@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import inpo.cli as cli_mod
 from inpo.cli import main
 
 TINY = [
@@ -225,8 +226,15 @@ def test_out_of_range_pair_condition_fails_before_any_step(workdir, tmp_path, ca
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("method", ["inpo", "sft"])
-def test_align_t_min_past_T_is_an_error_before_any_step(workdir, tmp_path, capsys, method):
+@pytest.mark.parametrize("method, ref_init", [
+    pytest.param("inpo", "base", id="inpo"), pytest.param("sft", "base", id="sft"),
+    pytest.param("inpo", "sft_winners", id="inpo-sft_winners"),
+])
+def test_align_t_min_past_T_is_an_error_before_any_step(workdir, tmp_path, capsys, monkeypatch,
+                                                        method, ref_init):
+    # an SFT reference is a training call of its own, so it must not run either
+    monkeypatch.setattr(cli_mod, "sft_ref_init",
+                        lambda *a, **k: pytest.fail("sft_ref_init ran before the t_min check"))
     out = tmp_path / "out"
     capsys.readouterr()
     assert run([
@@ -234,6 +242,7 @@ def test_align_t_min_past_T_is_an_error_before_any_step(workdir, tmp_path, capsy
         "--set", f"align.base={workdir}/base.params",
         "--set", f"align.pairs={workdir}/pairs.jsonl",
         "--set", f"align.method={method}", "--set", "align.t_min=121",
+        "--set", f"align.ref_init={ref_init}",
     ]) == 2
     assert "error: t_min=121 exceeds the schedule's T=120" in capsys.readouterr().err
     assert not (out / "train_log.csv").exists()

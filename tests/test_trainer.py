@@ -324,16 +324,21 @@ def test_checkpoint_roundtrip(tmp_path, s, tiny_pairs):
 
 
 def test_resume_matches_uninterrupted(s, tiny_pairs):
+    # a checkpoint inside the second batch of step streams makes the resumed
+    # segment build streams that the first segment's batch had not reached
     base = init_denoiser(ARCH, 7)
-    for cfg in (small_cfg(steps=10),
-                small_cfg(steps=10, delta=DeltaStrategy("inversion", n=3), accum_steps=2),
-                small_cfg(steps=10, method="sft", accum_steps=3)):
+    late, at = trainer_mod._STREAM_BATCH + 10, trainer_mod._STREAM_BATCH + 3
+    for cfg, checkpoint_at in (
+            (small_cfg(steps=10), 4),
+            (small_cfg(steps=10, delta=DeltaStrategy("inversion", n=3), accum_steps=2), 4),
+            (small_cfg(steps=10, method="sft", accum_steps=3), 4),
+            (small_cfg(steps=late), at), (small_cfg(steps=late, method="sft", accum_steps=3), at)):
         grabbed = []
-        full = align(base, base, tiny_pairs, s, cfg, checkpoint_at=4,
+        full = align(base, base, tiny_pairs, s, cfg, checkpoint_at=checkpoint_at,
                      on_checkpoint=grabbed.append)
         resumed = align(base, base, tiny_pairs, s, cfg, resume=grabbed[0])
-        for x, y in zip(full.flat(), resumed.flat()):
-            assert x.tobytes() == y.tobytes()
+        uninterrupted = align(base, base, tiny_pairs, s, cfg)
+        assert resumed.vec.tobytes() == uninterrupted.vec.tobytes() == full.vec.tobytes()
 
 
 def test_back_to_back_calls_leave_no_state(s, tiny_pairs, tiny_data):
@@ -488,20 +493,26 @@ def _oracle_align(base, ref, pairs, s, cfg):
 
 _INVERSION = DeltaStrategy("inversion", n=3)
 _FIXED_POINT = DeltaStrategy("fixed_point", max_iters=4)
+# one batch of step streams and five steps into the next
+_PAST_ONE_BATCH = trainer_mod._STREAM_BATCH + 5
 
 
-@pytest.mark.parametrize("method,delta,accum", [
-    ("inpo", _INVERSION, 3), ("dpo", _INVERSION, 3), ("sft", _INVERSION, 3),
-    ("inpo", _INVERSION, 1), ("inpo", _FIXED_POINT, 1), ("inpo", _FIXED_POINT, 3),
-    ("dpo", _INVERSION, 1), ("sft", _INVERSION, 1),
+@pytest.mark.parametrize("method,delta,accum,steps", [
+    ("inpo", _INVERSION, 3, 6), ("dpo", _INVERSION, 3, 6), ("sft", _INVERSION, 3, 6),
+    ("inpo", _INVERSION, 1, 6), ("inpo", _FIXED_POINT, 1, 6), ("inpo", _FIXED_POINT, 3, 6),
+    ("dpo", _INVERSION, 1, 6), ("sft", _INVERSION, 1, 6),
+    *((m, _INVERSION, a, _PAST_ONE_BATCH) for m in ("inpo", "dpo", "sft") for a in (1, 3)),
 ], ids=["inpo", "dpo", "sft", "inpo-accum1", "fixed_point-accum1", "fixed_point",
-        "dpo-accum1", "sft-accum1"])
-def test_align_accumulation_matches_per_array_oracle_bytes(s, tiny_pairs, method, delta, accum):
+        "dpo-accum1", "sft-accum1",
+        *(f"{m}-accum{a}-past-one-batch" for m in ("inpo", "dpo", "sft") for a in (1, 3))])
+def test_align_accumulation_matches_per_array_oracle_bytes(s, tiny_pairs, method, delta, accum,
+                                                           steps):
     # align's bound step (pair set resolved once, one workspace, one step-sum
-    # vector) against the unbound public path, byte for byte
+    # vector, streams built a batch ahead) against the unbound public path,
+    # byte for byte
     base = init_denoiser(ARCH, 7)
     ref = init_denoiser(ARCH, 8)
-    cfg = small_cfg(method=method, steps=6, accum_steps=accum, warmup_steps=4, lr=3e-3,
+    cfg = small_cfg(method=method, steps=steps, accum_steps=accum, warmup_steps=4, lr=3e-3,
                     delta=delta)
     out = align(base, ref, tiny_pairs, s, cfg)
     assert out.vec.tobytes() == _oracle_align(base, ref, tiny_pairs, s, cfg).vec.tobytes()
@@ -531,12 +542,15 @@ def _oracle_fit(params, X, cond, s, steps, lr, seed, domain, batch, cond_drop):
     return params
 
 
-@pytest.mark.parametrize("cond_drop", [0.0, 0.3])
-def test_pretrain_matches_per_array_oracle_bytes(s, tiny_data, cond_drop):
+@pytest.mark.parametrize("cond_drop, steps", [
+    pytest.param(0.0, 8, id="0.0"), pytest.param(0.3, 8, id="0.3"),
+    pytest.param(0.3, _PAST_ONE_BATCH, id="0.3-past-one-batch"),
+])
+def test_pretrain_matches_per_array_oracle_bytes(s, tiny_data, cond_drop, steps):
     X, cond = tiny_data
-    out = pretrain_base(tiny_data, ARCH, s, steps=8, lr=3e-3, seed=5, batch=24,
+    out = pretrain_base(tiny_data, ARCH, s, steps=steps, lr=3e-3, seed=5, batch=24,
                         cond_drop=cond_drop)
-    want = _oracle_fit(init_denoiser(ARCH, 5), X, cond, s, 8, 3e-3, 5,
+    want = _oracle_fit(init_denoiser(ARCH, 5), X, cond, s, steps, 3e-3, 5,
                        trainer_mod._PRETRAIN_DOMAIN, 24, cond_drop)
     assert out.vec.tobytes() == want.vec.tobytes()
     assert out.vec.tobytes() != init_denoiser(ARCH, 5).vec.tobytes()
@@ -553,6 +567,56 @@ def test_sft_ref_init_matches_per_array_oracle_bytes(s, tiny_pairs):
     want = _oracle_fit(base.copy(), X, cond, s, 8, 3e-3, 4, trainer_mod._SFT_REF_DOMAIN, 16, 0.0)
     assert out.vec.tobytes() == want.vec.tobytes()
     assert out.vec.tobytes() != base.vec.tobytes()
+
+
+def test_streams_are_built_a_batch_ahead_of_their_steps(monkeypatch):
+    # every stream of a batch is built before the batch's first window, and
+    # each window gets a fresh stream of its own step
+    events = []
+    real = trainer_mod._step_rng
+
+    def spy(seed, domain, step):
+        events.append(("build", step))
+        return real(seed, domain, step)
+
+    params = init_denoiser(ARCH, 0)
+    grad = SimpleNamespace(vec=np.zeros_like(params.vec))
+
+    def window(rng, aux):
+        events.append(("window", rng.bit_generator.state))
+        return 0.0, grad
+
+    monkeypatch.setattr(trainer_mod, "_step_rng", spy)
+    n, start = trainer_mod._STREAM_BATCH, 3
+    stop = start + 2 * n + 5
+    trainer_mod._train(params, AdamState.zeros_like(params.vec), window, seed=9,
+                       domain=trainer_mod._ALIGN_DOMAIN, start=start, stop=stop, lr=1e-3)
+    assert sorted(e[1] for e in events if e[0] == "build") == list(range(start, stop))
+    at = [i for i, e in enumerate(events) if e[0] == "window"]
+    assert len(at) == stop - start
+    for k, step in enumerate(range(start, stop)):
+        assert events.index(("build", step)) < at[k]
+        want = real(9, trainer_mod._ALIGN_DOMAIN, step).bit_generator.state
+        assert events[at[k]][1] == want, step
+        if k + 1 < len(at) and (k + 1) % n:
+            assert at[k + 1] == at[k] + 1, f"a stream was built between steps {step} and {step + 1}"
+
+
+def test_train_holds_one_batch_of_streams_at_a_time():
+    # a generator holds about 1 KB, so building all 1,000 steps' streams up
+    # front would peak near 1 MB
+    params = init_denoiser(ARCH, 0)
+    grad = SimpleNamespace(vec=np.zeros_like(params.vec))
+    adam = AdamState.zeros_like(params.vec)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        trainer_mod._train(params, adam, lambda rng, aux: (0.0, grad), seed=1,
+                           domain=trainer_mod._PRETRAIN_DOMAIN, start=0, stop=1000, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 1024
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 5, 2**63 - 1,
