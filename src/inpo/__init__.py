@@ -8,7 +8,6 @@ from .data import (
     gen_toy_dataset,
     load_pairs,
     make_preference_pairs,
-    relabel_pairs,
     save_pairs,
     score,
 )
@@ -36,13 +35,10 @@ from .preference import (
 from .sampler import (
     InversionResult,
     SamplerConfig,
-    compute_tau,
     ddim_invert,
     ddim_sample,
-    initial_variable,
-    reconstruct_xt,
 )
-from .schedule import NoiseSchedule, forward_diffuse, make_schedule, schedule_at
+from .schedule import NoiseSchedule, forward_diffuse, make_schedule
 from .trainer import (
     AlignConfig,
     Checkpoint,
@@ -68,7 +64,6 @@ __all__ = [
     "RewardSpec",
     "SamplerConfig",
     "align",
-    "compute_tau",
     "ddim_invert",
     "ddim_sample",
     "default_reward_spec",
@@ -77,7 +72,6 @@ __all__ = [
     "gen_toy_dataset",
     "implicit_reward",
     "init_denoiser",
-    "initial_variable",
     "inversion_roundtrip",
     "load_checkpoint",
     "load_pairs",
@@ -87,12 +81,9 @@ __all__ = [
     "make_targets",
     "predict_noise",
     "pretrain_base",
-    "reconstruct_xt",
-    "relabel_pairs",
     "save_checkpoint",
     "save_pairs",
     "save_params",
-    "schedule_at",
     "score",
     "sft_ref_init",
     "solve_delta_fixed_point",

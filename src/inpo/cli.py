@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import logging
 import os
 import sys
@@ -228,33 +229,35 @@ def cmd_ablate(cfg: Config, out: str, seed: int) -> None:
                        base.arch.input_dim)
     spec = _reward_for(cfg, base)
     sampler_cfg = _sampler_cfg(cfg, schedule)
+    cells = [
+        (beta, n, w_inv, t_min, AlignConfig(
+            method="inpo", beta=float(beta),
+            delta=DeltaStrategy("inversion", n=int(n), guidance_w_inv=float(w_inv)),
+            steps=cfg["ablate.steps"], batch_pairs=cfg["align.batch_pairs"],
+            accum_steps=cfg["align.accum_steps"], lr=cfg["align.lr"],
+            warmup_steps=cfg["align.warmup_steps"], seed=seed, t_min=int(t_min),
+        ))
+        for beta, n, w_inv, t_min in itertools.product(
+            cfg["ablate.betas"], cfg["ablate.ns"], cfg["ablate.w_invs"], cfg["ablate.t_mins"])
+    ]
+    # every cell is checked before the first trains, so a bad one leaves no table
+    for *_, acfg in cells:
+        acfg.check_schedule(schedule)
     path = os.path.join(out, "ablate.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["beta", "n", "w_inv", "t_min", "win_rate", "seconds"])
-        for beta in cfg["ablate.betas"]:
-            for n in cfg["ablate.ns"]:
-                for w_inv in cfg["ablate.w_invs"]:
-                    for t_min in cfg["ablate.t_mins"]:
-                        tick = time.perf_counter()
-                        acfg = AlignConfig(
-                            method="inpo", beta=float(beta),
-                            delta=DeltaStrategy("inversion", n=int(n), guidance_w_inv=float(w_inv)),
-                            steps=cfg["ablate.steps"], batch_pairs=cfg["align.batch_pairs"],
-                            accum_steps=cfg["align.accum_steps"], lr=cfg["align.lr"],
-                            warmup_steps=cfg["align.warmup_steps"], seed=seed,
-                            t_min=int(t_min),
-                        )
-                        tuned = align(base, base, pairs, schedule, acfg)
-                        rep = win_rate(
-                            tuned, base, schedule, spec,
-                            conditions=range(base.arch.num_conditions),
-                            n_trials=cfg["ablate.trials"], sampler_cfg=sampler_cfg, seed=seed,
-                        )
-                        secs = time.perf_counter() - tick
-                        w.writerow([beta, n, w_inv, t_min, repr(rep.win_rate), f"{secs:.3f}"])
-                        log.info("ablate beta=%s n=%s w_inv=%s t_min=%s -> %.4f",
-                                 beta, n, w_inv, t_min, rep.win_rate)
+        for beta, n, w_inv, t_min, acfg in cells:
+            tick = time.perf_counter()
+            tuned = align(base, base, pairs, schedule, acfg)
+            rep = win_rate(
+                tuned, base, schedule, spec, conditions=range(base.arch.num_conditions),
+                n_trials=cfg["ablate.trials"], sampler_cfg=sampler_cfg, seed=seed,
+            )
+            secs = time.perf_counter() - tick
+            w.writerow([beta, n, w_inv, t_min, repr(rep.win_rate), f"{secs:.3f}"])
+            log.info("ablate beta=%s n=%s w_inv=%s t_min=%s -> %.4f",
+                     beta, n, w_inv, t_min, rep.win_rate)
     log.info("wrote %s", path)
 
 

@@ -361,28 +361,6 @@ def make_preference_pairs(
     )
 
 
-def relabel_pairs(pairs, spec: RewardSpec) -> PairTable:
-    """Recompute both rewards under a new evaluator, swapping winner and loser
-    where the preference order flips. Ties keep insertion order and are
-    flagged; relabeled pairs are marked external."""
-    t = PairTable.of(pairs)
-    if not len(t):
-        raise InvalidArgument("pairs must be nonempty")
-    rw = score(spec, t.winner, t.condition)
-    rl = score(spec, t.loser, t.condition)
-    swap = rl > rw
-    return PairTable(
-        condition=t.condition,
-        winner=np.where(swap[:, None], t.loser, t.winner),
-        loser=np.where(swap[:, None], t.winner, t.loser),
-        reward_w=np.where(swap, rl, rw),
-        reward_l=np.where(swap, rw, rl),
-        seed=t.seed,
-        tie=~swap & (rw == rl),
-        source="external",
-    )
-
-
 def save_pairs(pairs, path, reward_spec: RewardSpec | None = None) -> None:
     """Write a pair file: the header line, then one JSON record per pair.
 

@@ -34,9 +34,9 @@ for arithmetic.
 A NoisePredictor is the per-step noise function that sampling, inversion
 and the fixed-point solver call. It owns its workspace, and bind(c, grid)
 binds a batch's conditions, guidance branch and timestep grid; the
-inverter rebinds one per window, ddim_sample and the solver bind one per
-call through noise_predictor, and predict_noise is a one-off call of it on
-a grid of one step.
+inverter rebinds one per window, ddim_sample and the solver bind a new one
+per call, and predict_noise is a one-off call of one on a grid of one
+step.
 
 A plain forward may run in a workspace: one preallocated (n, width) buffer
 for the concatenated input [x | time embedding | condition embedding] and
@@ -239,6 +239,11 @@ def _integer_ids(c) -> np.ndarray:
     return c
 
 
+def _as_rows(x) -> np.ndarray:
+    """``x`` as a float64 batch: one vector becomes a batch of one row."""
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
 def _per_row(v, n: int, what: str) -> np.ndarray:
     """``v``, one value or one per row, broadcast to a batch of n rows."""
     v = np.asarray(v)
@@ -422,8 +427,8 @@ def eps_forward(model, x, t, rows, ws=None):
     instead of fresh arrays, so it must not be shared with a forward still in
     use. With a BoundWorkspace, ``t`` is a step of its grid, and only the
     input blocks that differ from what it holds are written.
-    noise_predictor and StepWorkspace.bind_step bind them; one-off callers
-    pass none.
+    NoisePredictor.bind and StepWorkspace.bind_step bind them; one-off
+    callers pass none.
     The result is a fresh array either way.
     """
     if isinstance(model, TapeParams):
@@ -508,24 +513,17 @@ class NoisePredictor:
         return eps_u + self.guidance_w * (eps_c - eps_u)
 
 
-def noise_predictor(model, c, guidance_w: float, n: int, grid) -> NoisePredictor:
-    """A NoisePredictor of n rows bound once to conditions ``c`` and ``grid``."""
-    return NoisePredictor(model, guidance_w, n).bind(c, grid)
-
-
 def predict_noise(model, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:
     """Evaluate the noise prediction with classifier-free guidance weight w.
 
     w = 0 returns the null-condition prediction; w = 1 the conditional one;
     any other w the affine combination uncond + w * (cond - uncond). ``x_t``
     is one sample or a (batch, dim) array, ``t`` a scalar or one timestep
-    per row. A one-off noise_predictor call on a grid of one step.
+    per row. A one-off NoisePredictor call on a grid of one step.
     """
-    x = np.asarray(x_t, dtype=np.float64)
-    squeeze = x.ndim == 1
-    x = np.atleast_2d(x)
-    out = noise_predictor(model, c, guidance_w, x.shape[0], np.atleast_1d(t)[None])(x, 0)
-    return out[0] if squeeze else out
+    x = _as_rows(x_t)
+    out = NoisePredictor(model, guidance_w, len(x)).bind(c, np.atleast_1d(t)[None])(x, 0)
+    return out[0] if np.ndim(x_t) == 1 else out
 
 
 def value_and_grad(params: DenoiserParams, loss_fn) -> tuple[float, DenoiserParams]:

@@ -42,7 +42,8 @@ Delta strategies decide how the noise estimate paired with a clean sample is
 produced: "inversion" runs the sampler's inversion, "gaussian" draws i.i.d.
 noise (which reduces the loss exactly to the DPO baseline), and
 "fixed_point" solves the self-consistency equation for the noise directly by
-damped iteration.
+damped iteration. The last two noise the clean sample forward with their
+estimate, as forward_diffuse does, and regress onto the estimate itself.
 """
 from __future__ import annotations
 
@@ -54,15 +55,16 @@ import numpy as np
 from .autodiff import Var
 from .denoiser import (
     DenoiserParams,
+    NoisePredictor,
     StepWorkspace,
+    _as_rows,
     _cond_rows,
     _per_row,
     eps_backward,
     eps_forward,
-    noise_predictor,
 )
 from .errors import InvalidArgument, NumericError
-from .sampler import Inverter, ddim_invert, reconstruct_xt
+from .sampler import Inverter, ddim_invert
 from .schedule import NoiseSchedule, check_timestep, forward_diffuse
 
 DELTA_KINDS = ("inversion", "gaussian", "fixed_point")
@@ -88,11 +90,6 @@ class DeltaStrategy:
             raise InvalidArgument("tol must be positive")
         if not (0 < self.damping <= 1):
             raise InvalidArgument("damping must be in (0, 1]")
-
-
-def _as_rows(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x[None, :] if x.ndim == 1 else x
 
 
 def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps, ws=None):
@@ -213,7 +210,7 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
     x0a, squeeze = _as_rows(x0_t), np.ndim(x0_t) == 1
     B = x0a.shape[0]
     tt = np.atleast_1d(check_timestep(s, t, min_t=1))[None]
-    eps_fn = noise_predictor(model, c, 1.0, B, tt)
+    eps_fn = NoisePredictor(model, 1.0, B).bind(c, tt)
     ab = s.alpha_bar[tt.T]
     sq_1ab = np.sqrt(1.0 - ab)
     lift0 = np.sqrt(ab) * x0a
@@ -267,20 +264,21 @@ def make_targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng
 def _targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng, inverter=None,
              noise=None, diffuse=None):
     """make_targets' arithmetic on checked arguments; the pair window calls
-    it directly on its draws, with its Inverter. For the gaussian strategy,
-    ``noise``, a buffer of x0's shape, receives the draws, and
-    ``diffuse(x0, t, eps)`` noises x0 (forward_diffuse if None)."""
+    it directly on its draws, with its Inverter. The gaussian and fixed_point
+    strategies noise x0 with their noise estimate, which is also the target:
+    ``diffuse(x0, t, eps)`` noises (forward_diffuse if None), and for the
+    gaussian strategy ``noise``, a buffer of x0's shape, receives the draws."""
     if strategy.kind == "inversion":
         res = inverter(x0, t, c) if inverter else ddim_invert(model, s, x0, t, strategy.n, c,
                                                               strategy.guidance_w_inv)
         return res.x_t, res.tau_t
     if strategy.kind == "gaussian":
         eps = rng.standard_normal(x0.shape) if noise is None else rng.standard_normal(out=noise)
-        if diffuse is None:
-            return forward_diffuse(s, x0, t, eps), eps
-        return diffuse(x0, t, eps), eps
-    delta, _, _ = solve_delta_fixed_point(model, s, x0, t, c, strategy, rng)
-    return reconstruct_xt(s, x0, delta, t), delta
+    else:
+        eps, _, _ = solve_delta_fixed_point(model, s, x0, t, c, strategy, rng)
+    if diffuse is None:
+        return forward_diffuse(s, x0, t, eps), eps
+    return diffuse(x0, t, eps), eps
 
 
 def _check_ref(theta, ref) -> None:

@@ -25,7 +25,7 @@ NoisePredictor and the update's buffers, and each call rebinds them to its
 timesteps and conditions. align's pair window builds one per call and
 hands it to the targets of every window (preference._targets);
 ddim_invert is a one-off Inverter call. ddim_sample
-binds a noise predictor once per call. Every step checks the forward's
+binds a NoisePredictor once per call. Every step checks the forward's
 input and the new state for finiteness with ndarray.all, which runs the
 Python function numpy._core._methods._all before its reduction; at these
 sizes, calling np.logical_and.reduce instead made no measurable difference.
@@ -36,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import NoisePredictor, noise_predictor, predict_noise
+# predict_noise is not called here; perfbench's span tests read it as
+# inpo.sampler.predict_noise, so it stays imported until they change
+from .denoiser import NoisePredictor, _as_rows, predict_noise  # noqa: F401
 from .errors import InvalidArgument, NumericError
 from .schedule import NoiseSchedule, check_timestep
 
@@ -69,13 +71,6 @@ class InversionResult:
     tau_t: np.ndarray
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
 def ddim_sample(model, s: NoiseSchedule, x_start, cfg: SamplerConfig, c) -> np.ndarray:
     """Integrate from t_start down to t_end on a uniform sub-grid. Deterministic.
 
@@ -84,9 +79,9 @@ def ddim_sample(model, s: NoiseSchedule, x_start, cfg: SamplerConfig, c) -> np.n
     sqrt(1 - ab) once, so a step is its forward(s) and the update.
     """
     cfg = cfg.resolve(s)
-    x, squeeze = _as_batch(x_start)
+    x = _as_rows(x_start)
     grid = np.rint(np.linspace(cfg.t_start, cfg.t_end, cfg.num_steps + 1)).astype(np.int64)
-    eps_fn = noise_predictor(model, c, cfg.guidance_w, x.shape[0], grid[:-1, None])
+    eps_fn = NoisePredictor(model, cfg.guidance_w, len(x)).bind(c, grid[:-1, None])
     ab = s.alpha_bar[grid]
     sq_ab, sq_1ab = np.sqrt(ab).tolist(), np.sqrt(1.0 - ab).tolist()
     for i in range(cfg.num_steps):
@@ -95,20 +90,7 @@ def ddim_sample(model, s: NoiseSchedule, x_start, cfg: SamplerConfig, c) -> np.n
         x = sq_ab[i + 1] * x0_hat + sq_1ab[i + 1] * eps
         if not np.isfinite(x).all():
             raise NumericError(f"non-finite sample at step {i} (t={grid[i]} -> {grid[i + 1]})")
-    return x[0] if squeeze else x
-
-
-def initial_variable(model, s: NoiseSchedule, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:
-    """Single-step denoised estimate x_t / sqrt(ab_t) - sigma_t * eps_hat."""
-    t = check_timestep(s, t, min_t=1)
-    x, squeeze = _as_batch(x_t)
-    ab = s.alpha_bar[t]
-    sg = s.sigma[t]
-    if np.ndim(t) == 1:
-        ab, sg = ab[:, None], sg[:, None]
-    eps = predict_noise(model, x, t, c, guidance_w)
-    out = x / np.sqrt(ab) - sg * eps
-    return out[0] if squeeze else out
+    return x[0] if np.ndim(x_start) == 1 else x
 
 
 class Inverter:
@@ -182,8 +164,8 @@ class Inverter:
             if not np.isfinite(x0_cur).all():
                 raise NumericError(f"non-finite inversion state at step {i} of {n}")
 
-        # grid[n] is t, so these are reconstruct_xt's and compute_tau's
-        # arithmetic on coefficients already gathered and checked
+        # grid[n] is t: the latent sqrt(ab_t) * x0_t + sqrt(1 - ab_t) * delta_t
+        # and the target (x0_t - x0) / sigma_t + delta_t
         x_t = sq_ab[n] * x0_cur + sq_1ab[n] * delta
         tau = (x0_cur - x0) / sg[n] + delta
         return InversionResult(x0_t=x0_cur, delta_t=delta, x_t=x_t, tau_t=tau)
@@ -205,39 +187,9 @@ def ddim_invert(
     A one-off call of an Inverter sized to the batch, so a step is one
     forward and the update.
     """
-    x0a, squeeze = _as_batch(x0)
-    res = Inverter(model, s, n, x0a.shape[0], guidance_w_inv)(x0a, t_target, c)
-    if squeeze:
+    x0a = _as_rows(x0)
+    res = Inverter(model, s, n, len(x0a), guidance_w_inv)(x0a, t_target, c)
+    if np.ndim(x0) == 1:
         return InversionResult(*(a[0] for a in (res.x0_t, res.delta_t, res.x_t, res.tau_t)))
     return res
 
-
-def reconstruct_xt(s: NoiseSchedule, x0_t, delta_t, t) -> np.ndarray:
-    """Latent at time t implied by a (denoised estimate, noise estimate) pair."""
-    t = check_timestep(s, t, min_t=1)
-    x0_t = np.asarray(x0_t, dtype=np.float64)
-    delta_t = np.asarray(delta_t, dtype=np.float64)
-    if x0_t.shape != delta_t.shape:
-        raise InvalidArgument(f"x0_t shape {x0_t.shape} != delta_t shape {delta_t.shape}")
-    ab = s.alpha_bar[t]
-    if x0_t.ndim == 2 and np.ndim(ab) == 1:
-        ab = ab[:, None]
-    return np.sqrt(ab) * x0_t + np.sqrt(1.0 - ab) * delta_t
-
-
-def compute_tau(s: NoiseSchedule, x0_t, delta_t, x0, t) -> np.ndarray:
-    """Regression target (x0_t - x0) / sigma_t + delta_t.
-
-    Algebraically equal to (x_t - sqrt(ab_t) * x0) / sqrt(1 - ab_t) for the
-    latent reconstructed from (x0_t, delta_t).
-    """
-    t = check_timestep(s, t, min_t=1)
-    x0_t = np.asarray(x0_t, dtype=np.float64)
-    x0 = np.asarray(x0, dtype=np.float64)
-    delta_t = np.asarray(delta_t, dtype=np.float64)
-    if not (x0_t.shape == x0.shape == delta_t.shape):
-        raise InvalidArgument("x0_t, delta_t, x0 must share a shape")
-    sg = s.sigma[t]
-    if x0_t.ndim == 2 and np.ndim(sg) == 1:
-        sg = sg[:, None]
-    return (x0_t - x0) / sg + delta_t

@@ -128,12 +128,6 @@ def check_timestep(s: NoiseSchedule, t, min_t: int = 0):
     return t
 
 
-def schedule_at(s: NoiseSchedule, t: int) -> tuple[float, float, float]:
-    """Look up (alpha_bar, sigma, loss_weight) at grid index t. No interpolation."""
-    t = int(check_timestep(s, t))
-    return float(s.alpha_bar[t]), float(s.sigma[t]), float(s.loss_weight[t])
-
-
 def forward_diffuse(s: NoiseSchedule, x0, t, eps) -> np.ndarray:
     """Noise a clean sample: sqrt(alpha_bar[t]) * x0 + sqrt(1 - alpha_bar[t]) * eps.
 

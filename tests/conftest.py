@@ -1,7 +1,8 @@
-"""Shared fixtures: probe models, closed-form oracles, the per-pair and
-per-batch loss helpers, the RK4 reference integrator, the per-step sampler
-loops and the per-record pair-file reader and writer as byte oracles, and
-the slow session-scoped trained models used by the end-to-end tests."""
+"""Shared fixtures: probe models, closed-form oracles (the single-step
+denoised estimate among them), the per-pair and per-batch loss helpers, the
+RK4 reference integrator, the per-step sampler loops and the per-record
+pair-file reader and writer as byte oracles, and the slow session-scoped
+trained models used by the end-to-end tests."""
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
     DenoiserParams,
+    _as_rows,
     _cond_rows,
     _per_row,
     eps_forward,
@@ -21,8 +23,8 @@ import math
 
 from inpo.data import PAIR_SCHEMA_VERSION, PreferencePair, score
 from inpo.errors import InvalidArgument, NumericError, PairParseError, VersionError
-from inpo.preference import DeltaStrategy, _as_rows, make_targets, pair_loss_terms, sft_terms
-from inpo.sampler import InversionResult, compute_tau, ddim_sample, reconstruct_xt
+from inpo.preference import DeltaStrategy, make_targets, pair_loss_terms, sft_terms
+from inpo.sampler import InversionResult, ddim_sample
 from inpo.schedule import check_timestep, forward_diffuse, make_schedule
 
 
@@ -293,11 +295,24 @@ def oracle_ddim_invert(model, s, x0, t_target, n, c, guidance_w_inv=0.0):
         e = eps_fn(lift, ti)
         x0_cur = x0_cur - sg * (e - delta)
         delta = e
-    x_t = reconstruct_xt(s, x0_cur, delta, tt)
-    tau = compute_tau(s, x0_cur, delta, x0a, tt)
+    ab, sg = s.alpha_bar[tt][:, None], s.sigma[tt][:, None]
+    x_t = np.sqrt(ab) * x0_cur + np.sqrt(1.0 - ab) * delta
+    tau = (x0_cur - x0a) / sg + delta
     if squeeze:
         x0_cur, delta, x_t, tau = x0_cur[0], delta[0], x_t[0], tau[0]
     return InversionResult(x0_t=x0_cur, delta_t=delta, x_t=x_t, tau_t=tau)
+
+
+def oracle_initial_variable(model, s, x_t, t, c, guidance_w=0.0):
+    """The single-step denoised estimate x_t / sqrt(ab_t) - sigma_t * eps_hat,
+    ``t`` one timestep in [1, T] or one per row."""
+    x, squeeze = _oracle_rows(x_t)
+    tt = check_timestep(s, t, min_t=1)
+    ab, sg = s.alpha_bar[tt], s.sigma[tt]
+    if tt.ndim == 1:
+        ab, sg = ab[:, None], sg[:, None]
+    out = x / np.sqrt(ab) - sg * predict_noise(model, x, tt, c, guidance_w)
+    return out[0] if squeeze else out
 
 
 def oracle_fixed_point(model, s, x0_t, t, c, cfg, rng):

@@ -248,6 +248,22 @@ def test_align_t_min_past_T_is_an_error_before_any_step(workdir, tmp_path, capsy
     assert not (out / "train_log.csv").exists()
 
 
+def test_ablate_checks_every_cell_before_the_first(workdir, tmp_path, capsys, monkeypatch):
+    # a bad later cell must not leave a partial table behind a trained first cell
+    monkeypatch.setattr(cli_mod, "align", lambda *a, **k: pytest.fail("a cell trained"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([
+        "ablate", "--out", str(out), "--seed", "6",
+        "--set", f"ablate.base={workdir}/base.params",
+        "--set", f"ablate.pairs={workdir}/pairs.jsonl",
+        "--set", "ablate.betas=100", "--set", "ablate.ns=2", "--set", "ablate.w_invs=0",
+        "--set", "ablate.t_mins=1,121", "--set", "ablate.steps=1", "--set", "ablate.trials=8",
+    ]) == 2
+    assert "error: t_min=121 exceeds the schedule's T=120" in capsys.readouterr().err
+    assert not (out / "ablate.csv").exists()
+
+
 @pytest.mark.parametrize("cmd, method", [
     ("align", "inpo"), ("align", "dpo"), ("align", "sft"), ("ablate", "inpo"),
 ])

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from inpo.data import (
-    PreferencePair,
     RewardSpec,
     default_reward_spec,
     gen_toy_dataset,
     load_pairs,
     load_pairs_header,
     make_preference_pairs,
-    relabel_pairs,
     save_pairs,
     score,
 )
@@ -236,68 +234,6 @@ def test_pairs_of_odd_block_rows_rerun_bitwise_and_match_oracle_closely(w):
 def test_pairs_positive_margin(small_pairs):
     margins = [p.reward_w - p.reward_l for p in small_pairs]
     assert np.mean(margins) > 0
-
-
-def test_relabel_original_spec_is_stable(small_pairs):
-    spec = default_reward_spec("eight_gaussians")
-    out = relabel_pairs(small_pairs, spec)
-    for a, b in zip(small_pairs, out):
-        assert np.array_equal(a.winner, b.winner)
-        assert np.array_equal(a.loser, b.loser)
-        assert a.reward_w == b.reward_w
-        assert a.reward_l == b.reward_l
-        assert a.tie == b.tie
-    twice = relabel_pairs(out, spec)
-    assert twice == out
-
-
-def test_relabel_negated_linear_swaps_every_strict_pair():
-    rng = np.random.default_rng(6)
-    d = np.array([1.0, 0.5])
-    spec = RewardSpec("linear", direction=d)
-    pairs = []
-    for i in range(100):
-        a, b = rng.standard_normal((2, 2))
-        ra, rb = score(spec, a, 0), score(spec, b, 0)
-        if rb > ra:
-            a, b, ra, rb = b, a, rb, ra
-        pairs.append(PreferencePair(0, a, b, ra, rb, seed=0))
-    flipped = relabel_pairs(pairs, RewardSpec("linear", direction=-d))
-    for orig, new in zip(pairs, flipped):
-        if orig.reward_w != orig.reward_l:
-            assert np.array_equal(new.winner, orig.loser)
-            assert np.array_equal(new.loser, orig.winner)
-
-
-def test_relabel_orthogonal_spec_swaps_half():
-    rng = np.random.default_rng(7)
-    d = np.array([1.0, 0.0])
-    spec = RewardSpec("linear", direction=d)
-    pairs = []
-    for i in range(2000):
-        a, b = rng.standard_normal((2, 2))
-        ra, rb = score(spec, a, 0), score(spec, b, 0)
-        if rb > ra:
-            a, b, ra, rb = b, a, rb, ra
-        pairs.append(PreferencePair(0, a, b, ra, rb, seed=0))
-    ortho = relabel_pairs(pairs, RewardSpec("linear", direction=np.array([0.0, 1.0])))
-    swapped = sum(
-        not np.array_equal(n.winner, o.winner) for n, o in zip(ortho, pairs)
-    )
-    assert abs(swapped / len(pairs) - 0.5) < 0.05
-
-
-def test_relabel_rejects_a_float_condition(small_pairs):
-    p = small_pairs[0]
-    pairs = [*small_pairs[:3], PreferencePair(1.5, p.winner, p.loser, 0.0, -1.0, 0)]
-    with pytest.raises(InvalidArgument, match="integers"):
-        relabel_pairs(pairs, default_reward_spec("eight_gaussians"))
-
-
-def test_relabel_preserves_order_invariant(small_pairs):
-    out = relabel_pairs(small_pairs, RewardSpec("ring_radius", radius=1.0))
-    for p in out:
-        assert p.reward_w >= p.reward_l
 
 
 # --------------------------------------------------------------- pair files

@@ -12,11 +12,11 @@ from inpo.denoiser import (
     _cond_rows,
     _pack_header,
     DenoiserParams,
+    NoisePredictor,
     eps_forward,
     forward_workspace,
     init_denoiser,
     load_params,
-    noise_predictor,
     params_from_bytes,
     params_to_bytes,
     predict_noise,
@@ -135,7 +135,7 @@ def test_non_integer_condition_rejected_not_truncated(c):
     with pytest.raises(InvalidArgument, match="integers"):
         predict_noise(p, x, 10, c, 1.0)
     with pytest.raises(InvalidArgument, match="integers"):
-        noise_predictor(p, c, 2.5, 3, [[10]])
+        NoisePredictor(p, 2.5, 3).bind(c, [[10]])
 
 
 def test_value_and_grad_constant_loss_is_zero():
@@ -408,7 +408,7 @@ def test_noise_predictor_matches_predict_noise(w):
     x = rng.standard_normal((6, 2))
     c = np.array([0, 1, 2, 3, NULL_CONDITION, 1])
     ts = (7, np.arange(6) + 40)
-    eps = noise_predictor(p, c, w, 6, np.stack(np.broadcast_arrays(*ts)))
+    eps = NoisePredictor(p, w, 6).bind(c, np.stack(np.broadcast_arrays(*ts)))
     for i, t in enumerate(ts):
         assert np.array_equal(eps(x, i), predict_noise(p, x, t, c, guidance_w=w))
 
@@ -416,16 +416,16 @@ def test_noise_predictor_matches_predict_noise(w):
 def test_noise_predictor_errors():
     p = init_denoiser(ARCH, 0)
     with pytest.raises(InvalidArgument):
-        noise_predictor(p, 99, 1.0, 3, [[5]])
+        NoisePredictor(p, 1.0, 3).bind(99, [[5]])
     with pytest.raises(InvalidArgument):
-        noise_predictor(p, np.array([0, -2, 1]), 1.0, 3, [[5]])
-    eps = noise_predictor(p, 1, 1.0, 3, [[5]])
+        NoisePredictor(p, 1.0, 3).bind(np.array([0, -2, 1]), [[5]])
+    eps = NoisePredictor(p, 1.0, 3).bind(1, [[5]])
     with pytest.raises(NumericError):
         eps(np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]]), 0)
     with pytest.raises(InvalidArgument):
         eps(np.zeros((3, 3)), 0)
     with pytest.raises(InvalidArgument):
-        noise_predictor("not a model", 0, 1.0, 3, [[5]])
+        NoisePredictor("not a model", 1.0, 3).bind(0, [[5]])
 
 
 BENCH_ARCH = DenoiserArch(2, (64, 64), 8, 16)
@@ -455,7 +455,7 @@ def test_noise_predictor_workspace_matches_unbound_forward(w):
     cond_rows = np.where(c == NULL_CONDITION, 8, c)
     null_rows = np.full(n, 8)
     ts = (7, rng.integers(1, 1000, size=n))
-    eps = noise_predictor(p, c, w, n, np.stack(np.broadcast_arrays(*ts)))
+    eps = NoisePredictor(p, w, n).bind(c, np.stack(np.broadcast_arrays(*ts)))
     for i, t in enumerate(ts):
         x = rng.standard_normal((n, 2))
         tt = np.broadcast_to(t, (n,))
@@ -475,7 +475,7 @@ def test_noise_predictor_result_survives_the_next_call(w):
     # live in the reused workspace
     p = init_denoiser(BENCH_ARCH, 8)
     rng = np.random.default_rng(4)
-    eps = noise_predictor(p, 3, w, 64, [[500], [300]])
+    eps = NoisePredictor(p, w, 64).bind(3, [[500], [300]])
     first = eps(rng.standard_normal((64, 2)), 0)
     kept = first.copy()
     second = eps(rng.standard_normal((64, 2)), 1)

@@ -3,10 +3,10 @@ import numpy as np
 
 from inpo.data import PreferencePair, make_preference_pairs
 from inpo.preference import DeltaStrategy, implicit_reward
-from inpo.sampler import ddim_invert, ddim_sample, initial_variable
+from inpo.sampler import ddim_invert, ddim_sample
 from inpo.trainer import sft_ref_init
 
-from conftest import sft_loss
+from conftest import oracle_initial_variable, sft_loss
 
 
 def test_conditional_sampling_mode_frequencies(toy_setup, base_model, gen_cfg):
@@ -30,7 +30,7 @@ def test_self_consistency_residual_is_exact(toy_setup, base_model):
     # the last inversion step evaluates the noise estimate at the final
     # latent itself, so the returned triple satisfies the single-step
     # fixed-point equation exactly at any step count: the residual
-    # ||x0_t - initial_variable(x_t)|| sits at float precision for all n,
+    # ||x0_t - oracle_initial_variable(x_t)|| sits at float precision for all n,
     # which subsumes the residual-shrinks-with-n property
     s = toy_setup["sched"]
     X = toy_setup["X"][100:164]
@@ -38,7 +38,7 @@ def test_self_consistency_residual_is_exact(toy_setup, base_model):
     t = int(0.8 * s.T)
     for n in (5, 50):
         res = ddim_invert(base_model, s, X, t, n, cond, 0.0)
-        est = initial_variable(base_model, s, res.x_t, t, cond, 0.0)
+        est = oracle_initial_variable(base_model, s, res.x_t, t, cond, 0.0)
         r = np.linalg.norm(res.x0_t - est, axis=1)
         assert np.max(r) < 1e-10
 

@@ -1,4 +1,5 @@
-"""The package depends on numpy and the standard library only.
+"""The package depends on numpy and the standard library only, and exports
+only names it defines.
 
 Every import statement in src/inpo is read with ast, so a module that
 imports anything else fails here even when the import is never executed.
@@ -33,3 +34,15 @@ def test_the_guard_sees_every_kind_of_import():
 def test_module_imports_only_numpy_and_the_standard_library(path):
     extra = imported_roots(path.read_text()) - ALLOWED
     assert not extra, f"{path.name} imports {sorted(extra)}"
+
+
+def test_star_import_resolves_every_export():
+    # a name left in __all__ after its definition is deleted fails here
+    import inpo
+
+    namespace = {}
+    exec("from inpo import *", namespace)
+    assert len(inpo.__all__) == len(set(inpo.__all__))
+    for name in inpo.__all__:
+        assert hasattr(inpo, name), name
+        assert namespace[name] is getattr(inpo, name)

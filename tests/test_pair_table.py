@@ -15,9 +15,7 @@ from inpo.data import (
     default_reward_spec,
     load_pairs,
     make_preference_pairs,
-    relabel_pairs,
     save_pairs,
-    score,
 )
 from inpo.denoiser import DenoiserArch, init_denoiser, params_to_bytes
 from inpo.errors import InvalidArgument
@@ -129,27 +127,10 @@ def test_columns_are_checked(table):
 def test_tables_compare_by_columns_and_source(table):
     assert table == table[:]
     assert table != table[1:]
-    assert table != relabel_pairs(table, default_reward_spec("eight_gaussians"))  # source
+    cols = {name: getattr(table, name) for name in COLUMNS}
+    assert table != PairTable(**cols, source="external")
     with pytest.raises(TypeError):
         hash(table)
-
-
-def test_relabel_matches_the_per_pair_rule(table):
-    spec = default_reward_spec("ring")
-    out = relabel_pairs(list(table), spec)
-    assert isinstance(out, PairTable) and out.source == "external"
-    for p, q in zip(table, out, strict=True):
-        rw, rl = (score(spec, x[None], p.condition)[0] for x in (p.winner, p.loser))
-        if rl > rw:
-            want = (p.loser, p.winner, rl, rw, False)
-        else:
-            want = (p.winner, p.loser, rw, rl, rw == rl)
-        assert q.winner.tobytes() == want[0].tobytes()
-        assert q.loser.tobytes() == want[1].tobytes()
-        assert (q.reward_w, q.reward_l, q.tie) == want[2:]
-
-
-# ------------------------------------------------------------- the writer
 
 
 def test_save_writes_the_per_pair_bytes(tmp_path, table):

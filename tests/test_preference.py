@@ -177,6 +177,21 @@ def test_targets_fixed_point_tau_equals_delta(s):
     assert np.allclose(x_t, np.sqrt(ab) * x0 + np.sqrt(1 - ab) * delta, rtol=1e-15)
 
 
+@pytest.mark.parametrize("per_row", [False, True])
+def test_targets_fixed_point_latent_is_the_forward_noising_of_delta(s, per_row):
+    # the latent is sqrt(ab_t) * x0 + sqrt(1 - ab_t) * delta, bit for bit,
+    # with the coefficients taken from alpha_bar here
+    p = init_denoiser(DenoiserArch(2, (8,), 3, 4), 2)
+    x0 = np.random.default_rng(7).standard_normal((5, 2))
+    t = np.array([1, 77, 400, 901, 1000]) if per_row else 640
+    c, strat = np.array([0, 1, 2, 0, 1]), DeltaStrategy("fixed_point", max_iters=7)
+    x_t, tau = make_targets(p, s, x0, t, c, strat, np.random.default_rng(3))
+    delta, _, _ = solve_delta_fixed_point(p, s, x0, t, c, strat, np.random.default_rng(3))
+    ab = s.alpha_bar[t][:, None] if per_row else s.alpha_bar[t]
+    assert tau.tobytes() == delta.tobytes()
+    assert x_t.tobytes() == (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * delta).tobytes()
+
+
 # ------------------------------------------------------------------ losses
 
 

@@ -5,21 +5,15 @@ from hypothesis import strategies as st
 
 from inpo.denoiser import DenoiserArch, init_denoiser
 from inpo.errors import InvalidArgument, NumericError
-from inpo.preference import DeltaStrategy, solve_delta_fixed_point
-from inpo.sampler import (
-    SamplerConfig,
-    compute_tau,
-    ddim_invert,
-    ddim_sample,
-    initial_variable,
-    reconstruct_xt,
-)
+from inpo.preference import DELTA_KINDS, DeltaStrategy, make_targets, solve_delta_fixed_point
+from inpo.sampler import SamplerConfig, ddim_invert, ddim_sample
 from inpo.schedule import forward_diffuse, make_schedule
 
 from conftest import (
     const_model,
     linear_ode_solution,
     make_linear_model,
+    oracle_initial_variable,
     zero_model,
 )
 
@@ -48,7 +42,7 @@ def test_sample_single_step_equals_initial_variable(s):
     x = rng.standard_normal(2)
     t0 = 700
     one = ddim_sample(p, s, x, SamplerConfig(num_steps=1, t_start=t0, t_end=0), c=0)
-    est = initial_variable(p, s, x, t0, c=0)
+    est = oracle_initial_variable(p, s, x, t0, c=0)
     assert np.allclose(one, est, rtol=1e-12)
 
 
@@ -77,13 +71,13 @@ def test_sample_grid_validation(s):
         ddim_sample(p, s, np.zeros(2), SamplerConfig(num_steps=5, t_start=50, t_end=60), c=0)
 
 
-# ----------------------------------------------------------- initial_variable
+# ------------------------------- the single-step estimate (conftest's oracle)
 
 
 def test_initial_variable_zero_net(s):
     p = zero_model(2)
     x = np.array([1.0, -3.0])
-    out = initial_variable(p, s, x, 400, c=0)
+    out = oracle_initial_variable(p, s, x, 400, c=0)
     assert np.allclose(out, x / np.sqrt(s.alpha_bar[400]), rtol=1e-14)
 
 
@@ -94,7 +88,7 @@ def test_initial_variable_inverts_forward_map(s):
     t = 350
     x_t = forward_diffuse(s, x0, t, eps)
     probe = const_model(eps)
-    out = initial_variable(probe, s, x_t, t, c=0)
+    out = oracle_initial_variable(probe, s, x_t, t, c=0)
     assert np.allclose(out, x0, atol=1e-9)
 
 
@@ -108,12 +102,12 @@ def test_initial_variable_matches_manual_recomputation(s):
 
     eps = predict_noise(p, x, t, 0, guidance_w=0.0)
     manual = (x - np.sqrt(1 - s.alpha_bar[t]) * eps) / np.sqrt(s.alpha_bar[t])
-    assert np.allclose(initial_variable(p, s, x, t, c=0), manual, rtol=1e-12)
+    assert np.allclose(oracle_initial_variable(p, s, x, t, c=0), manual, rtol=1e-12)
 
 
 def test_initial_variable_rejects_t0(s):
     with pytest.raises(InvalidArgument):
-        initial_variable(zero_model(2), s, np.zeros(2), 0, c=0)
+        oracle_initial_variable(zero_model(2), s, np.zeros(2), 0, c=0)
 
 
 # ---------------------------------------------------------------- ddim_invert
@@ -149,7 +143,7 @@ def test_invert_latent_reconstructs_exactly(s):
     p = make_linear_model(A)
     x0 = rng.standard_normal(2)
     res = ddim_invert(p, s, x0, t_target=750, n=12, c=0)
-    rebuilt = reconstruct_xt(s, res.x0_t, res.delta_t, 750)
+    rebuilt = forward_diffuse(s, res.x0_t, 750, res.delta_t)
     denom = np.linalg.norm(res.x_t)
     assert np.linalg.norm(rebuilt - res.x_t) / denom < 1e-12
 
@@ -223,12 +217,12 @@ def test_loops_reject_condition_ids_of_another_length(s):
                                 np.random.default_rng(0))
 
 
-# ------------------------------------------------- reconstruct_xt/compute_tau
+# ------------------------- the latent and the target held to their closed forms
 
 
 def test_reconstruct_zero_delta(s):
     x0t = np.array([2.0, 3.0])
-    out = reconstruct_xt(s, x0t, np.zeros(2), 321)
+    out = forward_diffuse(s, x0t, 321, np.zeros(2))
     assert np.array_equal(out, np.sqrt(s.alpha_bar[321]) * x0t)
 
 
@@ -237,9 +231,9 @@ def test_reconstruct_fixed_point_with_echo_probe(s):
     delta = rng.standard_normal(2)
     x0t = rng.standard_normal(2)
     t = 444
-    x_t = reconstruct_xt(s, x0t, delta, t)
-    est = initial_variable(const_model(delta), s, x_t, t, c=0)
-    again = reconstruct_xt(s, est, delta, t)
+    x_t = forward_diffuse(s, x0t, t, delta)
+    est = oracle_initial_variable(const_model(delta), s, x_t, t, c=0)
+    again = forward_diffuse(s, est, t, delta)
     assert np.allclose(again, x_t, rtol=1e-12)
 
 
@@ -248,39 +242,48 @@ def test_reconstruct_linearity_superposition(s):
     a1, a2 = rng.standard_normal((2, 3))
     b1, b2 = rng.standard_normal((2, 3))
     t = 222
-    lhs = reconstruct_xt(s, a1 + a2, b1 + b2, t)
-    rhs = reconstruct_xt(s, a1, b1, t) + reconstruct_xt(s, a2, b2, t)
+    lhs = forward_diffuse(s, a1 + a2, t, b1 + b2)
+    rhs = forward_diffuse(s, a1, t, b1) + forward_diffuse(s, a2, t, b2)
     assert np.allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_tau_collapses_to_delta_when_estimate_exact(s):
+    # a constant predictor leaves the inversion's estimate at x0 exactly
     rng = np.random.default_rng(11)
     x0 = rng.standard_normal(2)
     delta = rng.standard_normal(2)
-    out = compute_tau(s, x0, delta, x0, 333)
-    assert np.array_equal(out, delta)
+    res = ddim_invert(const_model(delta), s, x0, 333, 6, c=0)
+    assert np.array_equal(res.x0_t, x0)
+    assert np.array_equal(res.tau_t, delta)
 
 
 def test_tau_reduces_to_forward_noise_target(s):
     rng = np.random.default_rng(12)
-    x0 = rng.standard_normal(2)
+    x0 = rng.standard_normal((3, 2))
     eps = rng.standard_normal(2)
-    assert np.array_equal(compute_tau(s, x0, eps, x0, 555), eps)
+    t = np.array([1, 555, 1000])
+    res = ddim_invert(const_model(eps), s, x0, t, 4, c=0)
+    assert np.array_equal(res.x_t, forward_diffuse(s, x0, t, np.tile(eps, (3, 1))))
+    assert np.array_equal(res.tau_t, np.tile(eps, (3, 1)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10_000), t=st.integers(1, 1000))
 def test_tau_two_closed_forms_agree(seed, t):
+    # (x0_t - x0) / sigma_t + delta_t, the inversion's target, equals
+    # (x_t - sqrt(ab_t) x0) / sqrt(1 - ab_t) for its latent
     s = make_schedule("cosine", 1000)
-    rng = np.random.default_rng(seed)
-    x0t, delta, x0 = rng.standard_normal((3, 2))
-    tau = compute_tau(s, x0t, delta, x0, t)
-    x_t = reconstruct_xt(s, x0t, delta, t)
-    other = (x_t - np.sqrt(s.alpha_bar[t]) * x0) / np.sqrt(1 - s.alpha_bar[t])
-    scale = max(np.max(np.abs(tau)), 1.0)
-    assert np.max(np.abs(tau - other)) / scale < 1e-10
+    p = init_denoiser(DenoiserArch(2, (8,), 1, 4), seed)
+    x0 = np.random.default_rng(seed).standard_normal((3, 2))
+    res = ddim_invert(p, s, x0, t, 4, c=0)
+    other = (res.x_t - np.sqrt(s.alpha_bar[t]) * x0) / np.sqrt(1 - s.alpha_bar[t])
+    scale = max(np.max(np.abs(res.tau_t)), 1.0)
+    assert np.max(np.abs(res.tau_t - other)) / scale < 1e-10
 
 
 def test_tau_rejects_t0(s):
-    with pytest.raises(InvalidArgument):
-        compute_tau(s, np.zeros(2), np.zeros(2), np.zeros(2), 0)
+    # sigma_0 = 0: no strategy makes a target at t = 0
+    for kind in DELTA_KINDS:
+        with pytest.raises(InvalidArgument, match=r"timestep out of range \[1, 1000\]"):
+            make_targets(zero_model(2), s, np.zeros(2), 0, 0, DeltaStrategy(kind),
+                         np.random.default_rng(0))

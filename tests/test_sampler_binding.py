@@ -11,10 +11,10 @@ from inpo.denoiser import (
     NULL_CONDITION,
     BoundWorkspace,
     DenoiserArch,
+    NoisePredictor,
     eps_forward,
     forward_workspace,
     init_denoiser,
-    noise_predictor,
     predict_noise,
     time_embedding,
 )
@@ -126,7 +126,7 @@ def test_bound_workspace_rewrites_the_blocks_that_change(p):
 @pytest.mark.parametrize("w,c", [(0.0, 1), (1.0, 1), (3.5, 1), (3.5, NULL_CONDITION)])
 def test_every_guidance_branch_checks_each_sample(w, c):
     p = init_denoiser(ARCH, 0)
-    eps = noise_predictor(p, c, w, 3, [[5], [9]])
+    eps = NoisePredictor(p, w, 3).bind(c, [[5], [9]])
     good = np.zeros((3, 2))
     eps(good, 0)
     bad = good.copy()

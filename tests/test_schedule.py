@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inpo.errors import InvalidArgument
-from inpo.schedule import NoiseSchedule, forward_diffuse, make_schedule, schedule_at
+from inpo.schedule import NoiseSchedule, forward_diffuse, make_schedule
 
 KINDS = ("cosine", "linear_beta")
 
@@ -73,20 +73,9 @@ def test_cosine_midpoint_matches_closed_form():
     off = 0.008
     f = lambda u: math.cos(((u / T + off) / (1 + off)) * math.pi / 2.0) ** 2
     expect = f(t) / f(0)
-    ab, sg, _ = schedule_at(s, t)
+    ab, sg = s.alpha_bar[t], s.sigma[t]
     assert ab == pytest.approx(expect, rel=1e-12)
     assert sg == pytest.approx(math.sqrt(1 - expect) / math.sqrt(expect), rel=1e-12)
-
-
-def test_schedule_at_lookup_and_errors():
-    s = make_schedule("cosine", 1000)
-    assert schedule_at(s, 0) == (1.0, 0.0, 1.0)
-    ab, sg, _ = schedule_at(s, s.T)
-    assert sg == pytest.approx(math.sqrt(1 - ab) / math.sqrt(ab), rel=1e-12)
-    with pytest.raises(InvalidArgument):
-        schedule_at(s, -1)
-    with pytest.raises(InvalidArgument):
-        schedule_at(s, s.T + 1)
 
 
 def test_make_schedule_errors():
