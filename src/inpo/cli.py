@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from .config import Config, load_config, reward_spec_from
-from .data import gen_toy_dataset, load_pairs, make_preference_pairs, save_pairs
+from .data import _row_dots, gen_toy_dataset, load_pairs, make_preference_pairs, save_pairs
 from .denoiser import DenoiserArch, load_params, save_params
 from .errors import ConfigError, InpoError, NumericError, PairParseError, VersionError
 from .evaluation import emit_report, roundtrip_errors, win_rate
@@ -88,6 +88,23 @@ def _sampler_cfg(cfg: Config, schedule) -> SamplerConfig:
     return SamplerConfig(
         num_steps=cfg["sample.n_steps"], guidance_w=cfg["sample.guidance_w"], t_start=t_start
     )
+
+
+def _inversion_grid(cfg: Config, schedule, prefix: str) -> tuple[int, tuple[int, ...]]:
+    """``<prefix>.t_target`` and the inversion step counts ``<prefix>.ns``
+    (invert.n_steps if empty), checked before any inversion runs, so that a
+    bad value fails without a partial artifact."""
+    t_key, ns_key = f"{prefix}.t_target", f"{prefix}.ns"
+    t_target = cfg[t_key]
+    if not 1 <= t_target <= schedule.T:
+        raise ConfigError(f"{t_key}={t_target} is outside [1, T={schedule.T}]")
+    ns = cfg[ns_key]
+    if not ns:
+        ns_key, ns = "invert.n_steps", (cfg["invert.n_steps"],)
+    for n in ns:
+        if n < 1:
+            raise ConfigError(f"{ns_key} has the step count {n}; each must be >= 1")
+    return t_target, ns
 
 
 def _delta_from(cfg: Config) -> DeltaStrategy:
@@ -177,6 +194,8 @@ def cmd_eval(cfg: Config, out: str, seed: int) -> None:
                           f"{a} has {model_a.arch.num_conditions}")
     spec = _reward_for(cfg, model_a)
     sampler_cfg = _sampler_cfg(cfg, schedule)
+    if cfg["eval.roundtrip"]:
+        t_target, ns = _inversion_grid(cfg, schedule, "eval")
     timing = cfg["eval.timing"]
     tick = time.perf_counter()
     report = win_rate(
@@ -188,13 +207,12 @@ def cmd_eval(cfg: Config, out: str, seed: int) -> None:
         report.wall_times["win_rate"] = time.perf_counter() - tick
     if cfg["eval.roundtrip"]:
         X, cond = gen_toy_dataset(cfg["data.kind"], cfg["eval.samples"], seed)
-        ns = cfg["eval.ns"] or (cfg["invert.n_steps"],)
         for n in ns:
             tick = time.perf_counter()
-            errs = roundtrip_errors(model_a, schedule, X, cfg["eval.t_target"], int(n),
+            errs = roundtrip_errors(model_a, schedule, X, t_target, n,
                                     cond, cfg["invert.guidance_w"])
-            report.roundtrip_errors[int(n)] = float(errs.mean())
-            report.roundtrip_std[int(n)] = _std_err(errs)
+            report.roundtrip_errors[n] = float(errs.mean())
+            report.roundtrip_std[n] = _std_err(errs)
             if timing:
                 report.wall_times[f"roundtrip_n{n}"] = time.perf_counter() - tick
     emit_report(report, out)
@@ -203,23 +221,20 @@ def cmd_eval(cfg: Config, out: str, seed: int) -> None:
 
 def cmd_invert_demo(cfg: Config, out: str, seed: int) -> None:
     params, schedule = _load_model(_require(cfg, "demo.model"))
+    t_target, ns = _inversion_grid(cfg, schedule, "demo")
     X, cond = gen_toy_dataset(cfg["data.kind"], cfg["demo.samples"], seed)
-    t_target = cfg["demo.t_target"]
+    # each row's norm, with the bits of np.linalg.norm on that row alone
+    norm_x0 = np.sqrt(_row_dots(X, X)).tolist()
+    rows = []
+    for n in ns:
+        res = ddim_invert(params, schedule, X, t_target, n, cond, cfg["invert.guidance_w"])
+        norms = (np.sqrt(_row_dots(a, a)).tolist() for a in (res.x0_t, res.delta_t, res.tau_t))
+        rows += [[i, n, t_target, *map(repr, r)] for i, r in enumerate(zip(norm_x0, *norms))]
     path = os.path.join(out, "invert_demo.csv")
-    demo_ns = cfg["demo.ns"] or (cfg["invert.n_steps"],)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sample", "n", "t_target", "norm_x0", "norm_x0_t", "norm_delta_t", "norm_tau_t"])
-        for n in demo_ns:
-            res = ddim_invert(params, schedule, X, t_target, int(n), cond, cfg["invert.guidance_w"])
-            for i in range(len(X)):
-                w.writerow([
-                    i, n, t_target,
-                    repr(float(np.linalg.norm(X[i]))),
-                    repr(float(np.linalg.norm(res.x0_t[i]))),
-                    repr(float(np.linalg.norm(res.delta_t[i]))),
-                    repr(float(np.linalg.norm(res.tau_t[i]))),
-                ])
+        w.writerows(rows)
     log.info("wrote %s", path)
 
 

@@ -362,7 +362,9 @@ def make_preference_pairs(
 
 
 def save_pairs(pairs, path, reward_spec: RewardSpec | None = None) -> None:
-    """Write a pair file: the header line, then one JSON record per pair.
+    """Write a pair file: the header line, then one JSON record per pair,
+    formatted by one template from the columns with the bytes json.dumps
+    would write.
 
     Pairs that the loader would reject (non-finite samples or rewards, mixed
     dims, non-integer conditions) raise InvalidArgument before the file is
@@ -380,13 +382,15 @@ def save_pairs(pairs, path, reward_spec: RewardSpec | None = None) -> None:
         "reward_spec": reward_spec.to_dict() if reward_spec is not None else None,
         "dim": t.dim,
     }
+    # json.dumps's bytes for a record: floats and ints print as their repr
+    vec = "[" + ", ".join(["%r"] * t.dim) + "]"
+    record = ('{"c": %d, "w": ' + vec + ', "l": ' + vec
+              + ', "rw": %r, "rl": %r, "seed": %d, "tie": %s}')
+    columns = [t.condition.tolist(), *t.winner.T.tolist(), *t.loser.T.tolist(),
+               t.reward_w.tolist(), t.reward_l.tolist(), t.seed.tolist(),
+               np.where(t.tie, "true", "false").tolist()]
     lines = [json.dumps(header)]
-    lines += [
-        json.dumps({"c": c, "w": w, "l": l, "rw": rw, "rl": rl, "seed": seed, "tie": tie})
-        for c, w, l, rw, rl, seed, tie in zip(
-            t.condition.tolist(), t.winner.tolist(), t.loser.tolist(), t.reward_w.tolist(),
-            t.reward_l.tolist(), t.seed.tolist(), t.tie.tolist())
-    ]
+    lines += [record % fields for fields in zip(*columns)]
     lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

@@ -51,8 +51,14 @@ time_embedding call when the grid's shape is new, into the last bind's
 buffer otherwise). A BoundWorkspace records which rows' condition block and
 which step's embedding its input holds, so a step's forward copies x, and
 the step's embedding when the step changes, then runs the layers; a bind
-makes it forget both, since the model may have changed in place. The
-returned noise prediction is always a fresh array.
+makes it forget both, since the model may have changed in place. A
+NoisePredictor's bind also copies each bias into an (n, width) row tile,
+one set for both guidance branches, so a layer adds its bias with a
+same-shape add instead of a broadcast one, which numpy buffers (twice
+the cost or more at these sizes); the sum is the same IEEE addition, bit
+for bit. A training step's forwards keep the bias vectors: a step binds
+once per forward, so re-tiling would cost what the add saves. The returned
+noise prediction is always a fresh array.
 """
 from __future__ import annotations
 
@@ -275,15 +281,27 @@ class BoundWorkspace:
     rebinds it to a new grid and forgets both blocks, so a model changed in
     place since has its condition block rewritten. The condition rows are
     gathered into a contiguous (n, dim) buffer of its own, then copied into
-    their block: numpy's take would buffer a copy for a strided ``out``."""
+    their block: numpy's take would buffer a copy for a strided ``out``.
 
-    def __init__(self, bufs: list[np.ndarray], temb: np.ndarray):
+    ``tiles``, when set, are the layers' biases as (n, width) row tiles,
+    which the forward adds in place of the model's bias vectors; a bind
+    given ``biases`` copies them into the tiles (allocated at the first
+    such bind), and one without leaves the tiles as they are, so two
+    workspaces built over one list share what either's bind copies."""
+
+    def __init__(self, bufs: list[np.ndarray], temb: np.ndarray, tiles=None):
         self.bufs = bufs
         self.cond = None
+        self.tiles = tiles
         self.bind(temb)
 
-    def bind(self, temb: np.ndarray) -> None:
+    def bind(self, temb: np.ndarray, biases=None) -> None:
         self.temb, self.rows, self.step = temb, None, None
+        if biases is not None:
+            if self.tiles is None:
+                self.tiles = [np.empty((len(self.bufs[0]), len(b))) for b in biases]
+            for tile, b in zip(self.tiles, biases):
+                np.copyto(tile, b)
 
     def load(self, x, step, rows, cond_embed) -> np.ndarray:
         h = self.bufs[0]
@@ -304,10 +322,13 @@ class BoundWorkspace:
 
 def _forward(weights, biases, cond_embed, x, t, rows, bufs):
     """The network on plain arrays, writing the input of every layer into
-    ``bufs`` (entries may be None, to allocate) or a BoundWorkspace. Without
-    a BoundWorkspace, x, the time embedding and the condition rows are
+    ``bufs`` (entries may be None, to allocate) or a BoundWorkspace, whose
+    bias tiles, if it has them, stand in for ``biases``. Without a
+    BoundWorkspace, x, the time embedding and the condition rows are
     written into the input buffer's three column blocks."""
     if isinstance(bufs, BoundWorkspace):
+        if bufs.tiles is not None:
+            biases = bufs.tiles
         h, bufs = bufs.load(x, t, rows, cond_embed), bufs.bufs
     else:
         d, width = x.shape[1], cond_embed.shape[1]
@@ -320,7 +341,9 @@ def _forward(weights, biases, cond_embed, x, t, rows, bufs):
         h = np.matmul(h, weights[i], out=bufs[i + 1])
         h += biases[i]
         np.tanh(h, out=h)
-    return h @ weights[last] + biases[last]
+    out = h @ weights[last]
+    out += biases[last]
+    return out
 
 
 class StepWorkspace:
@@ -445,12 +468,13 @@ class NoisePredictor:
     step to be evaluated, ``grid`` of (steps, 1) or (steps, n) for one per
     row; the predictor is then eps(x, i) for (n, input_dim) samples x at grid
     step i. The workspace of n rows (one input buffer per guidance branch,
-    the hidden buffers shared) and the time-embedding buffer outlive binds;
-    a bind resolves the conditions, gathers the grid's time embeddings (see
-    _embed) and makes the next forward rewrite every input block, so the
-    condition block reads the model's embedding table as it is at the bind.
-    Every eps call checks the sample's shape and finiteness and returns a
-    fresh array.
+    the hidden buffers and bias tiles shared) and the time-embedding buffer
+    outlive binds; a bind resolves the conditions, gathers the grid's time
+    embeddings (see _embed), copies the model's biases into the row tiles
+    and makes the next forward rewrite every input block, so the condition
+    block and the biases are the model's as they are at the bind. Every eps
+    call checks the sample's shape and finiteness and returns a fresh
+    array.
     """
 
     def __init__(self, model, guidance_w: float, n: int):
@@ -474,7 +498,7 @@ class NoisePredictor:
         cv = _per_row(c, n, "condition ids")
         rows = _cond_rows(cv, arch.num_conditions)
         temb = self._embed(grid)
-        self.ws.bind(temb)
+        self.ws.bind(temb, self.model.biases)
         w = self.guidance_w
         if w == 0.0 or (cv == NULL_CONDITION).all():
             self.rows, self.guided = self.null_rows, False
@@ -484,7 +508,8 @@ class NoisePredictor:
             self.rows, self.guided = rows, True
             if self.ws_c is None:
                 bufs = self.ws.bufs
-                self.ws_c = BoundWorkspace([np.empty_like(bufs[0]), *bufs[1:]], None)
+                self.ws_c = BoundWorkspace([np.empty_like(bufs[0]), *bufs[1:]], None,
+                                           self.ws.tiles)
             self.ws_c.bind(temb)
         return self
 
@@ -510,7 +535,11 @@ class NoisePredictor:
             return eps_forward(self.model, x, i, self.rows, ws=self.ws)
         eps_u = eps_forward(self.model, x, i, self.null_rows, ws=self.ws)
         eps_c = eps_forward(self.model, x, i, self.rows, ws=self.ws_c)
-        return eps_u + self.guidance_w * (eps_c - eps_u)
+        # uncond + w * (cond - uncond), in place in the fresh eps_c
+        eps_c -= eps_u
+        eps_c *= self.guidance_w
+        eps_c += eps_u
+        return eps_c
 
 
 def predict_noise(model, x_t, t, c, guidance_w: float = 0.0) -> np.ndarray:

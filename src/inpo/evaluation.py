@@ -67,10 +67,8 @@ def win_rate(model_a, model_b, s: NoiseSchedule, spec: RewardSpec, conditions,
         median_reward_a=float(np.median(ra)),
         median_reward_b=float(np.median(rb)),
         seeds={"seed": int(seed)},
-        trials=[
-            (i, int(cond[i]), float(ra[i]), float(rb[i]), float(outcome[i]))
-            for i in range(n_trials)
-        ],
+        trials=list(zip(range(n_trials), cond.tolist(), ra.tolist(), rb.tolist(),
+                        outcome.tolist())),
     )
 
 
@@ -116,11 +114,10 @@ def emit_report(report: EvalReport, dir_path) -> None:
     with open(os.path.join(dir_path, "report.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    # csv.writer's bytes: no field needs quoting; the rewards print as their repr
     with open(os.path.join(dir_path, "win_rate.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "condition", "reward_a", "reward_b", "outcome"])
-        for row in report.trials:
-            w.writerow([row[0], row[1], repr(row[2]), repr(row[3]), row[4]])
+        fh.write("trial,condition,reward_a,reward_b,outcome\r\n")
+        fh.write("".join(["%d,%d,%r,%r,%s\r\n" % row for row in report.trials]))
     with open(os.path.join(dir_path, "roundtrip.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "mean_err", "std_err"])

@@ -1,8 +1,11 @@
 """Shared fixtures: probe models, closed-form oracles (the single-step
 denoised estimate among them), the per-pair and per-batch loss helpers, the
-RK4 reference integrator, the per-step sampler loops and the per-record
-pair-file reader and writer as byte oracles, and the slow session-scoped
-trained models used by the end-to-end tests."""
+RK4 reference integrator, the per-step sampler loops, the per-record
+pair-file reader and writer and the csv.writer win-rate table as byte
+oracles, and the slow session-scoped trained models used by the end-to-end
+tests."""
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -436,7 +439,7 @@ def oracle_load_pairs(path, num_conditions=None, input_dim=None):
 
 def oracle_save_pairs(pairs, path, reward_spec=None):
     """save_pairs as one json.dumps and one write per pair; byte oracle for
-    the column writer."""
+    the template writer."""
     header = {
         "schema_version": PAIR_SCHEMA_VERSION,
         "reward_spec": reward_spec.to_dict() if reward_spec is not None else None,
@@ -455,6 +458,17 @@ def oracle_save_pairs(pairs, path, reward_spec=None):
                 "tie": bool(p.tie),
             }
             fh.write(json.dumps(rec) + "\n")
+
+
+def oracle_win_rate_csv(trials) -> bytes:
+    """win_rate.csv as csv.writer writes it, one row per trial; byte oracle
+    for emit_report's template."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["trial", "condition", "reward_a", "reward_b", "outcome"])
+    for row in trials:
+        w.writerow([row[0], row[1], repr(row[2]), repr(row[3]), row[4]])
+    return buf.getvalue().encode()
 
 
 @pytest.fixture(scope="session")

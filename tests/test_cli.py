@@ -188,6 +188,33 @@ def test_invert_demo(workdir, tmp_path):
     assert set(r["n"] for r in rows) == {"2", "4"}
 
 
+@pytest.mark.parametrize("cmd, key, value, message", [
+    ("invert-demo", "demo.t_target", "121", "demo.t_target=121 is outside [1, T=120]"),
+    ("invert-demo", "demo.t_target", "0", "demo.t_target=0 is outside [1, T=120]"),
+    ("invert-demo", "demo.ns", "5,0", "demo.ns has the step count 0"),
+    ("eval", "eval.t_target", "121", "eval.t_target=121 is outside [1, T=120]"),
+    ("eval", "eval.ns", "5,0", "eval.ns has the step count 0"),
+], ids=["demo.t_target=121", "demo.t_target=0", "demo.ns=5,0", "eval.t_target=121",
+        "eval.ns=5,0"])
+def test_inversion_settings_are_checked_before_any_sampling(workdir, tmp_path, capsys,
+                                                            monkeypatch, cmd, key, value,
+                                                            message):
+    # a bad t_target or step count must fail before a partial table is written
+    for name in ("ddim_invert", "win_rate"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([
+        cmd, "--out", str(out), "--seed", "5",
+        "--set", f"demo.model={workdir}/base.params", "--set", "demo.samples=4",
+        "--set", f"eval.model_a={workdir}/aligned.params",
+        "--set", f"eval.model_b={workdir}/base.params", "--set", "eval.roundtrip=true",
+        "--set", "demo.t_target=96", "--set", "eval.t_target=96", "--set", f"{key}={value}",
+    ]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "invert_demo.csv").exists() and not (out / "report.json").exists()
+
+
 def test_ablate_row_count(workdir, tmp_path):
     out = tmp_path / "ablate"
     assert run([

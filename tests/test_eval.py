@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from inpo.data import RewardSpec, default_reward_spec, score
 from inpo.denoiser import DenoiserArch, init_denoiser
@@ -21,6 +23,7 @@ from conftest import (
     make_linear_model,
     make_tanh_model,
     oracle_ode_integrate,
+    oracle_win_rate_csv,
     zero_model,
 )
 
@@ -195,6 +198,32 @@ def test_emit_and_parse_report(tmp_path):
     with open(tmp_path / "roundtrip.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["mean_err"]) == 0.125
+
+
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, -1.7976931348623157e308]))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trials=st.lists(st.tuples(st.integers(0, 2**31), st.integers(-1, 7), _EDGE_FLOATS,
+                                 _EDGE_FLOATS, st.sampled_from([0.0, 0.5, 1.0])),
+                       max_size=6))
+def test_win_rate_csv_is_the_csv_writer_bytes(tmp_path, trials):
+    emit_report(EvalReport(trials=trials, n_trials=len(trials)), tmp_path)
+    assert (tmp_path / "win_rate.csv").read_bytes() == oracle_win_rate_csv(trials)
+
+
+def test_win_rate_trials_are_python_scalars(s, tmp_path):
+    arch = DenoiserArch(2, (16,), 8, 8)
+    rep = win_rate(init_denoiser(arch, 1), init_denoiser(arch, 2), s,
+                   default_reward_spec("eight_gaussians"), range(8), 40,
+                   SamplerConfig(num_steps=6, guidance_w=2.0), seed=3)
+    assert [i for i, *_ in rep.trials] == list(range(40))
+    assert all(list(map(type, row)) == [int, int, float, float, float] for row in rep.trials)
+    emit_report(rep, tmp_path)
+    assert (tmp_path / "win_rate.csv").read_bytes() == oracle_win_rate_csv(rep.trials)
 
 
 def test_emit_empty_maps(tmp_path):

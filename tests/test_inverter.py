@@ -12,7 +12,7 @@ from inpo.sampler import Inverter, ddim_invert
 from inpo.schedule import make_schedule
 from inpo.trainer import AdamState, adam_step
 
-from conftest import make_linear_model
+from conftest import make_linear_model, oracle_ddim_invert
 
 ARCH = DenoiserArch(2, (16, 16), 4, 8)
 GUIDANCE = [0.0, 1.0, 0.5]
@@ -68,6 +68,27 @@ def test_rebound_inverter_reads_the_model_as_updated_in_place(s, w):
         assert not np.array_equal(p.cond_embed, before[-p.cond_embed.size:].reshape(5, 8))
     x0, t, c = _window(rng, 10)
     _assert_same(inv(x0, t, c), ddim_invert(p, s, x0, t, 4, c, w))
+
+
+@pytest.mark.parametrize("w", [0.0, 2.5])
+def test_rebound_inverter_retiles_the_biases_an_adam_step_moved(s, w):
+    # the bias tiles bound with the inverter's predictor are copied again at
+    # every call: on either side of an Adam step the inversion has the bytes
+    # of the per-step oracle's unbound forwards on the model as it is
+    p = init_denoiser(ARCH, 4)
+    rng = np.random.default_rng(5)
+    for b in p.biases:
+        b += rng.standard_normal(b.shape)
+    inv = Inverter(p, s, 4, 10, w)
+    adam = AdamState.zeros_like(p.vec)
+    work = (np.empty_like(p.vec), np.empty_like(p.vec))
+    x0, t, c = _window(rng, 10)
+    for _ in range(2):
+        _assert_same(inv(x0, t, c), oracle_ddim_invert(p, s, x0, t, 4, c, w))
+        before = [b.copy() for b in p.biases]
+        adam_step(p.vec, rng.standard_normal(p.vec.size), adam, 0.05, work)
+        assert not any(np.array_equal(b, old) for b, old in zip(p.biases, before))
+    _assert_same(inv(x0, t, c), oracle_ddim_invert(p, s, x0, t, 4, c, w))
 
 
 def test_inverter_names_the_nonfinite_step_as_ddim_invert_does(s):

@@ -156,6 +156,34 @@ def test_save_format_is_pinned(tmp_path):
         '"tie": true}\n')
 
 
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 123456789012345.6,
+                     1.7976931348623157e308, -1.7976931348623157e308]))
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def _edge_pairs(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    vec = st.lists(_EDGE_FLOATS, min_size=dim, max_size=dim).map(np.array)
+    pair = st.builds(PreferencePair, st.one_of(st.just(-1), _INT64), vec, vec, _EDGE_FLOATS,
+                     _EDGE_FLOATS, _INT64, tie=st.booleans())
+    return draw(st.lists(pair, min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=_edge_pairs())
+def test_save_writes_the_json_dumps_bytes(tmp_path, pairs):
+    # the template writer against one json.dumps per record: signed zeros,
+    # subnormals, exponent forms, the largest finite floats, condition -1,
+    # int64-extreme conditions and seeds, ties either way, dims 1 to 3
+    save_pairs(pairs, tmp_path / "template.jsonl")
+    oracle_save_pairs(pairs, tmp_path / "oracle.jsonl")
+    assert (tmp_path / "template.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize("bad, match", [
     (_pair(w=(np.nan, 0.0)), "pair 1 has a non-finite sample or reward"),
     (_pair(l=(0.0, -np.inf)), "pair 1 has a non-finite sample or reward"),

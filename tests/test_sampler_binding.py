@@ -123,6 +123,24 @@ def test_bound_workspace_rewrites_the_blocks_that_change(p):
         assert not np.shares_memory(got, ws.bufs[0])
 
 
+@pytest.mark.parametrize("w", [0.0, 1.0, 2.5])
+def test_a_rebind_retiles_biases_changed_in_place(p, w):
+    # a bind copies the biases into row tiles that both guidance branches
+    # read; biases changed in place since the last bind are re-tiled, so
+    # each call has the bytes of unbound forwards on the changed model
+    q = p.copy()
+    x, c, _ = _batch((7, 2), 8)
+    rng = np.random.default_rng(8)
+    eps = NoisePredictor(q, w, 7)
+    for _ in range(3):
+        for b in q.biases:
+            b += rng.standard_normal(b.shape)
+        eps.bind(c, [[640], [17]])
+        for i, t in enumerate((640, 17)):
+            assert eps(x, i).tobytes() == oracle_noise_fn(q, c, w, 7)(x, t).tobytes()
+    assert eps.ws_c is None or eps.ws_c.tiles is eps.ws.tiles
+
+
 @pytest.mark.parametrize("w,c", [(0.0, 1), (1.0, 1), (3.5, 1), (3.5, NULL_CONDITION)])
 def test_every_guidance_branch_checks_each_sample(w, c):
     p = init_denoiser(ARCH, 0)

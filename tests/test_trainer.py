@@ -16,6 +16,7 @@ from inpo.data import PairTable, PreferencePair
 from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
+    NoisePredictor,
     _cond_rows,
     _pack_header,
     init_denoiser,
@@ -907,3 +908,17 @@ def test_bound_steps_allocate_no_block_of_100_kb():
                      ("pretrain", step(pretrain))):
         fn()
         assert _largest_line_allocation(fn) < 100 * 1024, name
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 2.5])
+def test_warm_noise_predictor_call_allocates_no_block_of_32_kb(w):
+    # 1024 rows at the README architecture: the bias rows are tiled at bind,
+    # so no layer's bias add buffers a broadcast (numpy's 8192-element,
+    # 64 KB buffer), and the largest block is the (1024, 2) output, 16 KB
+    arch, n = DenoiserArch(2, (64, 64), 8, 16), 1024
+    rng = np.random.default_rng(0)
+    eps = NoisePredictor(init_denoiser(arch, 0), w, n).bind(rng.integers(0, 8, n),
+                                                            [[500], [400]])
+    x = rng.standard_normal((n, 2))
+    eps(x, 0)
+    assert _largest_line_allocation(lambda: eps(x, 1)) < 32 * 1024
