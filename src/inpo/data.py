@@ -11,8 +11,8 @@ PairTable.of stacks such a sequence into columns. Pair files are
 line-delimited JSON: a header object followed by one record per pair.
 Floats are serialized at full round-trip precision. save_pairs encodes each
 record with json from the columns' Python values and refuses pairs the
-loader would reject; load_pairs decodes each line with json and checks the
-fields column by column, naming the first bad line.
+loader would reject; load_pairs decodes and checks one record at a time,
+raising at the first bad line, and builds the columns once at the end.
 """
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import repeat
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .sampler import SamplerConfig, ddim_sample
 DATASET_KINDS = ("eight_gaussians", "two_moons", "ring")
 REWARD_KINDS = ("mode_distance", "ring_radius", "linear")
 PAIR_SCHEMA_VERSION = 1
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 _EG_RADIUS = 2.0
 _EG_STD = 0.25
@@ -409,10 +409,12 @@ def load_pairs(path, num_conditions: int | None = None,
     integer. With ``input_dim`` given, pairs of another dim, declared in the
     header or not, are rejected too.
 
-    Each line is decoded on its own. The fields are then read and checked
-    column by column, in the order a record's fields are read: a check that
-    fails at some record leaves only the records before it to the later
-    checks, so the error raised is the first bad line's first fault.
+    One loop runs over the non-blank lines: each is decoded on its own and
+    its fields are read and checked in a fixed order (samples and rewards
+    finite, condition, seed and tie converted, then dims, the condition's
+    type and range, and the int64 fit), so the error raised is the first bad
+    line's first fault. A good record keeps only Python values; the columns
+    are built from all of them at the end.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -434,46 +436,41 @@ def load_pairs(path, num_conditions: int | None = None,
     if input_dim is not None and dim != input_dim:
         raise PairParseError(f"pairs have dim {dim!r} but the model's input_dim is {input_dim}", 1)
 
-    body = [line for line in lines[1:] if line.strip()]
-    ff = _FirstFault(len(body))
-    recs = ff.map(json.loads, body)
-    values = ff.map(_sample_values, recs)  # per record: w..., l..., rw, rl
-    ff.finite(values)
-    w_raw = [rec["w"] for rec in recs[:ff.n]]
-    l_raw = [rec["l"] for rec in recs[:ff.n]]
-    if {*map(type, w_raw), *map(type, l_raw)} - {list}:
-        # "" and {} pass the finiteness check with no values; np.asarray rejects them
-        for i, (w, l) in enumerate(zip(w_raw, l_raw)):
-            try:
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            values = [*rec["w"], *rec["l"], rec["rw"], rec["rl"]]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite sample or reward")
+            w, l = rec["w"], rec["l"]
+            if type(w) is not list or type(l) is not list:
+                # "" and {} pass the finiteness check with no values; np.asarray rejects them
                 np.asarray(w, dtype=np.float64), np.asarray(l, dtype=np.float64)
-            except _RECORD_ERRORS as e:
-                ff.at(i, str(e))
-                break
-    c_raw = ff.map(itemgetter("c"), recs)
-    conds = ff.map(int, c_raw)
-    seeds = ff.map(int, ff.map(itemgetter("seed"), recs))
-    ties = list(map(bool, ff.map(itemgetter("tie"), recs)))
-    n = ff.n
-    if dim is None and n:
-        dim = len(w_raw[0])
-    w_len, l_len = list(map(len, w_raw[:n])), list(map(len, l_raw[:n]))
-    ff.where([a != dim or b != dim for a, b in zip(w_len, l_len)],
-             lambda i: f"dim mismatch: expected {dim}, got {w_len[i]} and {l_len[i]}")
-    ff.where([type(c) is not int for c in c_raw[:ff.n]],
-             lambda i: f"condition {c_raw[i]!r} is not an integer")
-    if num_conditions is not None:
-        ff.where([not NULL_CONDITION <= c < num_conditions for c in c_raw[:ff.n]],
-                 lambda i: f"condition {c_raw[i]} out of range [-1, {num_conditions})")
-    ff.where([not (_INT64_MIN <= c <= _INT64_MAX and _INT64_MIN <= s <= _INT64_MAX)
-              for c, s in zip(conds, seeds)],
-             lambda i: _int64_fault(conds[i], seeds[i]))
-    if ff.fault is not None:
-        i, message = ff.fault
-        line_nos = [k for k, line in enumerate(lines[1:], start=2) if line.strip()]
-        raise PairParseError(message, line_nos[i])
-    d = w_len[0] if n else 0
-    cols = np.fromiter(chain.from_iterable(values), np.float64, n * (2 * d + 2))
-    cols = cols.reshape(n, 2 * d + 2)
+            c, seed, tie = int(rec["c"]), int(rec["seed"]), bool(rec["tie"])
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise PairParseError(str(e), line_no) from e
+        if dim is None:
+            dim = len(w)
+        if len(w) != dim or len(l) != dim:
+            raise PairParseError(f"dim mismatch: expected {dim}, got {len(w)} and {len(l)}",
+                                 line_no)
+        if type(rec["c"]) is not int:
+            raise PairParseError(f"condition {rec['c']!r} is not an integer", line_no)
+        if num_conditions is not None and not NULL_CONDITION <= c < num_conditions:
+            raise PairParseError(f"condition {c} out of range [-1, {num_conditions})", line_no)
+        if not _INT64_MIN <= c <= _INT64_MAX:
+            raise PairParseError(f"condition {c} does not fit in int64", line_no)
+        if not _INT64_MIN <= seed <= _INT64_MAX:
+            raise PairParseError(f"seed {seed} does not fit in int64", line_no)
+        rows.append((c, seed, tie, values))
+    n = len(rows)
+    d = dim if n else 0
+    conds, seeds, ties, values = zip(*rows) if n else [()] * 4
+    # per record: w..., l..., rw, rl
+    cols = np.array(values, dtype=np.float64).reshape(n, 2 * d + 2)
     return PairTable(
         condition=np.array(conds, dtype=np.int64),
         winner=cols[:, :d].copy(),
@@ -484,70 +481,6 @@ def load_pairs(path, num_conditions: int | None = None,
         tie=np.array(ties, dtype=bool),
         source="external",
     )
-
-
-# A pair record's fields, read as load_pairs reads them; a failing read names
-# the record's line.
-_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-
-
-def _sample_values(rec) -> list:
-    return [*rec["w"], *rec["l"], rec["rw"], rec["rl"]]
-
-
-def _int64_fault(c: int, seed: int) -> str:
-    if not _INT64_MIN <= c <= _INT64_MAX:
-        return f"condition {c} does not fit in int64"
-    return f"seed {seed} does not fit in int64"
-
-
-class _FirstFault:
-    """The first bad record of a pair file, found one column check at a time.
-
-    Checks run in the order a record's fields are read, each over the
-    records still in play, the first ``n``. A check failing at record i
-    leaves only the i records before it in play, so every later check sees
-    records that passed all earlier ones, and the fault kept at the end is
-    the first bad record's first.
-    """
-
-    def __init__(self, n: int):
-        self.n, self.fault = n, None
-
-    def at(self, i: int, message: str) -> None:
-        """A fault at record i, one of the records in play."""
-        self.n, self.fault = i, (i, message)
-
-    def map(self, fn, items) -> list:
-        """fn over the records in play, up to the first one it raises for."""
-        out = []
-        try:
-            out.extend(map(fn, items[: self.n]))
-        except _RECORD_ERRORS as e:
-            self.at(len(out), str(e))
-        return out
-
-    def where(self, bad: list, message) -> None:
-        """A fault, ``message(i)``, at the first record in play where ``bad`` holds."""
-        if True in bad[: self.n]:
-            i = bad.index(True)
-            self.at(i, message(i))
-
-    def finite(self, values: list) -> None:
-        """math.isfinite over the records' values in reading order: a record
-        faults at its first non-finite value, or with the error of its first
-        value that is not a real number."""
-        flags, error = [], None
-        try:
-            flags.extend(map(math.isfinite, chain.from_iterable(values[: self.n])))
-        except (TypeError, OverflowError) as e:
-            error = str(e)
-        k = flags.index(False) if False in flags else len(flags)
-        if k < len(flags) or error is not None:
-            ends = np.cumsum(list(map(len, values[: self.n])))
-            i = int(np.searchsorted(ends, k, side="right"))
-            self.at(i, "non-finite sample or reward" if k < len(flags) else error)
 
 
 def load_pairs_header(path) -> dict:

@@ -56,9 +56,12 @@ NoisePredictor's bind also copies each bias into an (n, width) row tile,
 one set for both guidance branches, so a layer adds its bias with a
 same-shape add instead of a broadcast one, which numpy buffers (twice
 the cost or more at these sizes); the sum is the same IEEE addition, bit
-for bit. A training step's forwards keep the bias vectors: a step binds
-once per forward, so re-tiling would cost what the add saves. The returned
-noise prediction is always a fresh array.
+for bit. A training step's forward of the trained model keeps the bias
+vectors: Adam changes them every step, so re-tiling would cost what the
+add saves. The frozen reference's biases are tiled once per pair window
+(the window binds StepWorkspace.bound_ref with them, and bind_step's
+rebinds keep the tiles). The returned noise prediction is always a fresh
+array.
 """
 from __future__ import annotations
 

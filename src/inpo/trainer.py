@@ -352,14 +352,17 @@ def _pair_window(params, ref, schedule: NoiseSchedule, data: _Samples, losers, c
     winners first; dpo is inpo with the gaussian strategy, and inversion
     runs in one Inverter of 2B rows bound here, which every window rebinds
     to its draws and to the parameters as Adam left them. The reference is
-    checked once here; every buffer a step writes is bound here, and the
-    draws are in range by construction, so a step runs
-    preference._pair_step unchecked.
+    checked once here, and its biases are copied into the row tiles of the
+    step workspace's reference forward once here, so ``ref`` must not
+    change during the call (align trains a copy of ``base``); every buffer a
+    step writes is bound here, and the draws are in range by construction,
+    so a step runs preference._pair_step unchecked.
     """
     _check_ref(params, ref)
     B = cfg.batch_pairs
     shape = (2 * B, params.arch.input_dim)
     ws, bufs, table, diffuse = _step_buffers(params.arch, 2 * B, schedule)
+    ws.bound_ref.bind(ws.temb, ref.biases)
     x0, noise = np.empty(shape), np.empty(shape)
     idx2, t2 = np.empty(2 * B, dtype=np.int64), np.empty(2 * B, dtype=np.int64)
     rows2, c2 = np.empty(2 * B, dtype=data.rows.dtype), np.empty(2 * B, dtype=data.cond.dtype)
@@ -481,9 +484,8 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
     """
     cfg.check_schedule(schedule)
     table, pair_ids, data = _non_ties(pairs, base.arch)
-    fp = config_fingerprint(cfg)
     if resume is not None:
-        if resume.fingerprint != fp:
+        if resume.fingerprint != config_fingerprint(cfg):
             raise ConfigError("checkpoint fingerprint does not match this config")
         params = resume.params.copy()
         adam = resume.adam.copy()
@@ -504,7 +506,8 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
     if on_checkpoint and checkpoint_at is not None and start < checkpoint_at <= cfg.steps:
         run(start=start, stop=checkpoint_at)
         on_checkpoint(Checkpoint(params=params.copy(), adam=adam.copy(), step=checkpoint_at,
-                                 fingerprint=fp, schedule_kind=schedule.kind, T=schedule.T))
+                                 fingerprint=config_fingerprint(cfg),
+                                 schedule_kind=schedule.kind, T=schedule.T))
         start = checkpoint_at
     run(start=start, stop=cfg.steps)
     if log is not None:

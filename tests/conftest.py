@@ -372,12 +372,13 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 def oracle_load_pairs(path, num_conditions=None, input_dim=None):
     """load_pairs as one loop over the lines, each record decoded, converted
-    and checked on its own before the next, returning a list of
-    PreferencePair; byte and error oracle for the column loader.
+    into a PreferencePair (numpy winner and loser, float rewards) and checked
+    on its own before the next, returning a list of PreferencePair; byte and
+    error oracle for the loader, which keeps Python values per record and
+    builds its columns at the end.
 
-    Besides the per-record checks it holds two rules that columns need: a
-    header without a dim takes the first record's, and a condition or seed
-    must fit in int64. A header dim must be a positive integer.
+    A header without a dim takes the first record's, a header dim must be a
+    positive integer, and a condition or seed must fit in int64.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()

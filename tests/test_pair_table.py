@@ -235,6 +235,9 @@ _RECORDS = st.tuples(st.integers(-1, 3), _FLOATS, _FLOATS, _FLOATS, _FLOATS, _FL
                      st.integers(0, 2**31), st.booleans()).map(_record)
 _BAD_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400, "true", "null", '"1.5"',
                 "[1.0]", "{}"]
+# valid but unusual entries, which the loaded columns must hold as float() of
+# their JSON values: an int, a signed zero, a subnormal, ints past int64
+_ODD_NUMBERS = ["2", "-0.0", "1e-320", str(10**30), str(2**63)]
 _RETYPES = ['"x"', '""', "null", "3.5", "[1]", "[]", "{}", '{"a": 1}', "true", "[[1, 2]]",
             "-7", '"3"', "1e999", "NaN"]
 _RECORD_MUTATIONS = st.one_of(
@@ -242,7 +245,7 @@ _RECORD_MUTATIONS = st.one_of(
     st.tuples(st.just("retype"), st.sampled_from(["c", "w", "l", "rw", "rl", "seed", "tie"]),
               st.sampled_from(_RETYPES)),
     st.tuples(st.just("entry"), st.sampled_from(["w", "l"]), st.integers(0, 1),
-              st.sampled_from(_BAD_NUMBERS)),
+              st.sampled_from(_BAD_NUMBERS + _ODD_NUMBERS)),
     st.tuples(st.just("retype"), st.sampled_from(["rw", "rl"]), st.sampled_from(_BAD_NUMBERS)),
     st.tuples(st.just("retype"), st.sampled_from(["w", "l"]),
               st.sampled_from(["[0.5]", "[0.5, 1.0, 2.0]", "[true, 1]", "[2, -3]"])),
@@ -389,7 +392,7 @@ def _faulty_record(*faults):
 
 def test_every_two_faults_of_a_record_raise_as_the_oracle_does(tmp_path):
     # which of a record's faults is reported depends on the order in which
-    # its fields are read and checked; the column checks keep the oracle's
+    # its fields are read and checked; the loader keeps the oracle's
     head = '{"schema_version": 1, "reward_spec": null, "dim": 2}'
     good = _faulty_record()
     path = tmp_path / "pairs.jsonl"

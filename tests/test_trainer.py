@@ -257,6 +257,36 @@ def test_inversion_step_costs_one_forward_per_grid_step(s, tiny_pairs, monkeypat
     assert rows == [16] * 4 + [16, 16]
 
 
+@pytest.mark.parametrize("method,delta", [("dpo", DeltaStrategy("gaussian")),
+                                          ("inpo", DeltaStrategy("inversion", n=3))])
+def test_window_reference_forward_equals_the_unbound_forward(s, tiny_pairs, monkeypatch,
+                                                             method, delta):
+    # the pair window tiles the frozen reference's biases once; every step's
+    # bound reference forward must still equal a one-off eps_forward of ref
+    rng = np.random.default_rng(4)
+    base, ref = init_denoiser(ARCH, 7), init_denoiser(ARCH, 8)
+    base.vec[:] += 0.1 * rng.standard_normal(base.vec.shape)
+    ref.vec[:] += 0.1 * rng.standard_normal(ref.vec.shape)
+    seen = []
+    real = trainer_mod._pair_step
+
+    def checked(theta, ref_, s_, x_t, tau, t, rows, beta, ws, *rest):
+        ws.bind_step(t)
+        bound = preference_mod.eps_forward(ref_, x_t, 0, rows, ws=ws.bound_ref)
+        seen.append((ws.bound_ref.tiles, bound.tobytes(),
+                     preference_mod.eps_forward(ref_, x_t, t, rows).tobytes()))
+        return real(theta, ref_, s_, x_t, tau, t, rows, beta, ws, *rest)
+
+    monkeypatch.setattr(trainer_mod, "_pair_step", checked)
+    align(base, ref, tiny_pairs, s, small_cfg(method=method, delta=delta, steps=5, lr=3e-2))
+    tiles = seen[0][0]
+    assert len(seen) == 5 and tiles is not None
+    assert all(t.tobytes() == np.broadcast_to(b, t.shape).tobytes()
+               for t, b in zip(tiles, ref.biases))
+    for step_tiles, bound, unbound in seen:
+        assert step_tiles is tiles and bound == unbound
+
+
 @pytest.mark.parametrize("method,delta", [
     ("inpo", DeltaStrategy("inversion", n=3)),
     ("inpo", DeltaStrategy("fixed_point", max_iters=4)),
