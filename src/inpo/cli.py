@@ -23,8 +23,9 @@ import time
 
 import numpy as np
 
-from .config import Config, load_config, reward_spec_from
-from .data import _row_dots, gen_toy_dataset, load_pairs, make_preference_pairs, save_pairs
+from .config import load_config, reward_spec_from
+from .data import (CONDITION_COUNTS, _row_dots, gen_toy_dataset, load_pairs,
+                   make_preference_pairs, save_pairs)
 from .denoiser import DenoiserArch, load_params, save_params
 from .errors import ConfigError, InpoError, NumericError, PairParseError, VersionError
 from .evaluation import emit_report, roundtrip_errors, win_rate
@@ -44,24 +45,20 @@ def _setup_logging():
     logging.basicConfig(level=levels[level], format="%(levelname)s %(name)s: %(message)s")
 
 
-def _require(cfg: Config, key: str) -> str:
+def _require(cfg: dict, key: str) -> str:
     val = cfg[key]
     if not val:
         raise ConfigError(f"config key {key!r} is required for this subcommand")
     return val
 
 
-def _arch_from(cfg: Config, num_conditions: int) -> DenoiserArch:
+def _arch_from(cfg: dict, num_conditions: int) -> DenoiserArch:
     return DenoiserArch(
         input_dim=2,
         hidden_dims=tuple(cfg["model.hidden"]),
         num_conditions=num_conditions,
         time_embed_dim=cfg["model.time_embed_dim"],
     )
-
-
-def _condition_count(kind: str) -> int:
-    return {"eight_gaussians": 8, "two_moons": 2, "ring": 8}[kind]
 
 
 def _load_model(path: str, loss_weight: str = "constant"):
@@ -71,7 +68,7 @@ def _load_model(path: str, loss_weight: str = "constant"):
     return params, make_schedule(kind, T, loss_weight)
 
 
-def _reward_for(cfg: Config, params):
+def _reward_for(cfg: dict, params):
     """The configured reward, which must score the model's conditions."""
     spec = reward_spec_from(cfg)
     k = params.arch.num_conditions
@@ -81,7 +78,7 @@ def _reward_for(cfg: Config, params):
     return spec
 
 
-def _sampler_cfg(cfg: Config, schedule) -> SamplerConfig:
+def _sampler_cfg(cfg: dict, schedule) -> SamplerConfig:
     t_start = cfg["sample.t_start"]
     if t_start == 0:
         t_start = max(1, round(0.95 * schedule.T))
@@ -90,7 +87,7 @@ def _sampler_cfg(cfg: Config, schedule) -> SamplerConfig:
     )
 
 
-def _inversion_grid(cfg: Config, schedule, prefix: str) -> tuple[int, tuple[int, ...]]:
+def _inversion_grid(cfg: dict, schedule, prefix: str) -> tuple[int, tuple[int, ...]]:
     """``<prefix>.t_target`` and the inversion step counts ``<prefix>.ns``
     (invert.n_steps if empty), checked before any inversion runs, so that a
     bad value fails without a partial artifact."""
@@ -107,7 +104,7 @@ def _inversion_grid(cfg: Config, schedule, prefix: str) -> tuple[int, tuple[int,
     return t_target, ns
 
 
-def _delta_from(cfg: Config) -> DeltaStrategy:
+def _delta_from(cfg: dict) -> DeltaStrategy:
     return DeltaStrategy(
         kind=cfg["align.delta"],
         n=cfg["align.delta.n"],
@@ -118,11 +115,21 @@ def _delta_from(cfg: Config) -> DeltaStrategy:
     )
 
 
-def cmd_pretrain(cfg: Config, out: str, seed: int) -> None:
+def _align_config(cfg: dict, seed: int, **fields) -> AlignConfig:
+    """An AlignConfig with the optimizer keys align and ablate share
+    (align.batch_pairs, align.accum_steps, align.lr, align.warmup_steps),
+    the run's seed, and ``fields``."""
+    return AlignConfig(
+        batch_pairs=cfg["align.batch_pairs"], accum_steps=cfg["align.accum_steps"],
+        lr=cfg["align.lr"], warmup_steps=cfg["align.warmup_steps"], seed=seed, **fields,
+    )
+
+
+def cmd_pretrain(cfg: dict, out: str, seed: int) -> None:
     kind = cfg["data.kind"]
     dataset = gen_toy_dataset(kind, cfg["data.n"], seed)
     schedule = make_schedule(cfg["schedule.kind"], cfg["schedule.T"], cfg["schedule.loss_weight"])
-    arch = _arch_from(cfg, _condition_count(kind))
+    arch = _arch_from(cfg, CONDITION_COUNTS[kind])
     params = pretrain_base(
         dataset, arch, schedule,
         steps=cfg["pretrain.steps"], lr=cfg["pretrain.lr"], seed=seed,
@@ -133,7 +140,7 @@ def cmd_pretrain(cfg: Config, out: str, seed: int) -> None:
     log.info("wrote %s", path)
 
 
-def cmd_make_prefs(cfg: Config, out: str, seed: int) -> None:
+def cmd_make_prefs(cfg: dict, out: str, seed: int) -> None:
     params, schedule = _load_model(_require(cfg, "prefs.model"))
     spec = _reward_for(cfg, params)
     sampler_cfg = _sampler_cfg(cfg, schedule)
@@ -148,20 +155,18 @@ def cmd_make_prefs(cfg: Config, out: str, seed: int) -> None:
     log.info("wrote %s (%d pairs)", path, len(pairs))
 
 
-def cmd_align(cfg: Config, out: str, seed: int) -> None:
+def cmd_align(cfg: dict, out: str, seed: int) -> None:
     base, schedule = _load_model(_require(cfg, "align.base"), cfg["schedule.loss_weight"])
     pairs = load_pairs(_require(cfg, "align.pairs"), base.arch.num_conditions,
                        base.arch.input_dim)
-    acfg = AlignConfig(
-        method=cfg["align.method"], beta=cfg["align.beta"], delta=_delta_from(cfg),
-        steps=cfg["align.steps"], batch_pairs=cfg["align.batch_pairs"],
-        accum_steps=cfg["align.accum_steps"], lr=cfg["align.lr"],
-        warmup_steps=cfg["align.warmup_steps"], seed=seed,
-        ref_init=cfg["align.ref_init"], t_min=cfg["align.t_min"],
+    acfg = _align_config(
+        cfg, seed, method=cfg["align.method"], beta=cfg["align.beta"], delta=_delta_from(cfg),
+        steps=cfg["align.steps"], ref_init=cfg["align.ref_init"], t_min=cfg["align.t_min"],
     )
     # before an SFT reference is trained, not after
     acfg.check_schedule(schedule)
-    if acfg.ref_init == "sft_winners":
+    # the sft method's denoising window reads no reference
+    if acfg.ref_init == "sft_winners" and acfg.method != "sft":
         ref = sft_ref_init(base, pairs, schedule, steps=cfg["align.ref_sft_steps"],
                            lr=cfg["align.ref_sft_lr"], seed=seed)
     else:
@@ -180,7 +185,7 @@ def _std_err(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def cmd_eval(cfg: Config, out: str, seed: int) -> None:
+def cmd_eval(cfg: dict, out: str, seed: int) -> None:
     path_a, path_b = _require(cfg, "eval.model_a"), _require(cfg, "eval.model_b")
     model_a, schedule = _load_model(path_a)
     model_b, schedule_b = _load_model(path_b)
@@ -219,7 +224,7 @@ def cmd_eval(cfg: Config, out: str, seed: int) -> None:
     log.info("wrote report to %s (win_rate=%.4f)", out, report.win_rate)
 
 
-def cmd_invert_demo(cfg: Config, out: str, seed: int) -> None:
+def cmd_invert_demo(cfg: dict, out: str, seed: int) -> None:
     params, schedule = _load_model(_require(cfg, "demo.model"))
     t_target, ns = _inversion_grid(cfg, schedule, "demo")
     X, cond = gen_toy_dataset(cfg["data.kind"], cfg["demo.samples"], seed)
@@ -238,19 +243,17 @@ def cmd_invert_demo(cfg: Config, out: str, seed: int) -> None:
     log.info("wrote %s", path)
 
 
-def cmd_ablate(cfg: Config, out: str, seed: int) -> None:
+def cmd_ablate(cfg: dict, out: str, seed: int) -> None:
     base, schedule = _load_model(_require(cfg, "ablate.base"), cfg["schedule.loss_weight"])
     pairs = load_pairs(_require(cfg, "ablate.pairs"), base.arch.num_conditions,
                        base.arch.input_dim)
     spec = _reward_for(cfg, base)
     sampler_cfg = _sampler_cfg(cfg, schedule)
     cells = [
-        (beta, n, w_inv, t_min, AlignConfig(
-            method="inpo", beta=float(beta),
+        (beta, n, w_inv, t_min, _align_config(
+            cfg, seed, method="inpo", beta=float(beta),
             delta=DeltaStrategy("inversion", n=int(n), guidance_w_inv=float(w_inv)),
-            steps=cfg["ablate.steps"], batch_pairs=cfg["align.batch_pairs"],
-            accum_steps=cfg["align.accum_steps"], lr=cfg["align.lr"],
-            warmup_steps=cfg["align.warmup_steps"], seed=seed, t_min=int(t_min),
+            steps=cfg["ablate.steps"], t_min=int(t_min),
         ))
         for beta, n, w_inv, t_min in itertools.product(
             cfg["ablate.betas"], cfg["ablate.ns"], cfg["ablate.w_invs"], cfg["ablate.t_mins"])

@@ -2,13 +2,19 @@
 
 Files hold one ``key = value`` per line ('#' starts a comment). Overrides
 from the command line are applied after the file. Unknown keys are rejected
-with the offending key path.
+with the offending key path. A key with a fixed set of values takes its
+choices from the module that checks them (``DATASET_KINDS`` from
+``inpo.data``, ``DELTA_KINDS`` from ``inpo.preference``, ...).
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .data import DATASET_KINDS, REWARD_KINDS, RewardSpec, default_reward_spec
 from .errors import ConfigError
+from .preference import DELTA_KINDS
+from .schedule import LOSS_WEIGHT_KINDS, SCHEDULE_KINDS
+from .trainer import ALIGN_METHODS, REF_INITS
 
 
 def _parse_bool(v: str) -> bool:
@@ -39,18 +45,18 @@ def _choice(*options):
 
 # key -> (parser, default)
 REGISTRY: dict[str, tuple] = {
-    "schedule.kind": (_choice("cosine", "linear_beta"), "cosine"),
+    "schedule.kind": (_choice(*SCHEDULE_KINDS), "cosine"),
     "schedule.T": (int, 1000),
-    "schedule.loss_weight": (_choice("constant", "snr"), "constant"),
+    "schedule.loss_weight": (_choice(*LOSS_WEIGHT_KINDS), "constant"),
     "model.hidden": (_parse_intlist, (64, 64)),
     "model.time_embed_dim": (int, 16),
-    "data.kind": (_choice("eight_gaussians", "two_moons", "ring"), "eight_gaussians"),
+    "data.kind": (_choice(*DATASET_KINDS), "eight_gaussians"),
     "data.n": (int, 8000),
     "pretrain.steps": (int, 4000),
     "pretrain.lr": (float, 1e-3),
     "pretrain.batch": (int, 128),
     "pretrain.cond_drop": (float, 0.1),
-    "reward.kind": (_choice("mode_distance", "ring_radius", "linear"), "mode_distance"),
+    "reward.kind": (_choice(*REWARD_KINDS), "mode_distance"),
     "reward.radius": (float, 1.0),
     "reward.direction": (_parse_floatlist, (1.0, 0.0)),
     "prefs.model": (str, ""),
@@ -60,9 +66,9 @@ REGISTRY: dict[str, tuple] = {
     "sample.t_start": (int, 0),  # 0 = auto: round(0.95 T), clear of the high-sigma tail
     "invert.n_steps": (int, 10),
     "invert.guidance_w": (float, 0.0),
-    "align.method": (_choice("inpo", "dpo", "sft"), "inpo"),
+    "align.method": (_choice(*ALIGN_METHODS), "inpo"),
     "align.beta": (float, 2000.0),
-    "align.delta": (_choice("inversion", "gaussian", "fixed_point"), "inversion"),
+    "align.delta": (_choice(*DELTA_KINDS), "inversion"),
     "align.delta.n": (int, 10),
     "align.delta.w_inv": (float, 0.0),
     "align.delta.max_iters": (int, 50),
@@ -74,7 +80,7 @@ REGISTRY: dict[str, tuple] = {
     "align.lr": (float, 1e-3),
     "align.warmup_steps": (int, 50),
     "align.t_min": (int, 1),
-    "align.ref_init": (_choice("base", "sft_winners"), "base"),
+    "align.ref_init": (_choice(*REF_INITS), "base"),
     "align.ref_sft_steps": (int, 500),
     "align.ref_sft_lr": (float, 1e-3),
     "align.base": (str, ""),
@@ -102,17 +108,6 @@ REGISTRY: dict[str, tuple] = {
 }
 
 
-class Config:
-    def __init__(self, values: dict):
-        self._values = values
-
-    def __getitem__(self, key: str):
-        return self._values[key]
-
-    def as_dict(self) -> dict:
-        return dict(self._values)
-
-
 def _set(values: dict, key: str, raw: str):
     if key not in REGISTRY:
         raise ConfigError(f"unknown config key {key!r}")
@@ -123,8 +118,9 @@ def _set(values: dict, key: str, raw: str):
         raise ConfigError(f"bad value for {key!r}: {e}") from e
 
 
-def load_config(path: str | None = None, overrides=()) -> Config:
-    """Defaults, then the file (if any), then overrides, in that order."""
+def load_config(path: str | None = None, overrides=()) -> dict:
+    """Every registered key's value: the defaults, then the file (if any),
+    then the overrides, in that order."""
     values = {k: d for k, (_, d) in REGISTRY.items()}
     if path:
         try:
@@ -145,12 +141,10 @@ def load_config(path: str | None = None, overrides=()) -> Config:
             raise ConfigError(f"override must be KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         _set(values, key.strip(), raw)
-    return Config(values)
+    return values
 
 
-def reward_spec_from(cfg: Config):
-    from .data import RewardSpec, default_reward_spec
-
+def reward_spec_from(cfg: dict) -> RewardSpec:
     kind = cfg["reward.kind"]
     if kind == "mode_distance":
         return default_reward_spec(cfg["data.kind"])

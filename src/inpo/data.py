@@ -20,7 +20,6 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -28,7 +27,9 @@ from .denoiser import NULL_CONDITION, _integer_ids
 from .errors import InvalidArgument, PairParseError, VersionError
 from .sampler import SamplerConfig, ddim_sample
 
-DATASET_KINDS = ("eight_gaussians", "two_moons", "ring")
+# dataset kind -> its number of conditions (the mode or cluster labels)
+CONDITION_COUNTS = {"eight_gaussians": 8, "two_moons": 2, "ring": 8}
+DATASET_KINDS = tuple(CONDITION_COUNTS)
 REWARD_KINDS = ("mode_distance", "ring_radius", "linear")
 PAIR_SCHEMA_VERSION = 1
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -131,11 +132,6 @@ class PairTable(Sequence):
                               float(self.reward_w[i]), float(self.reward_l[i]),
                               int(self.seed[i]), self.source, bool(self.tie[i]))
 
-    def __iter__(self):
-        return map(PreferencePair, self.condition.tolist(), self.winner, self.loser,
-                   self.reward_w.tolist(), self.reward_l.tolist(), self.seed.tolist(),
-                   repeat(self.source), self.tie.tolist())
-
     def __eq__(self, other):
         if not isinstance(other, PairTable):
             return NotImplemented
@@ -222,21 +218,22 @@ def _moon_means() -> tuple[np.ndarray, np.ndarray, float]:
 def gen_toy_dataset(kind: str, n: int, seed: int):
     """Deterministic 2-D dataset; returns (samples (n, 2), condition ids (n,)).
 
-    Conditions are mode/cluster labels assigned round-robin.
+    Conditions are mode/cluster labels assigned round-robin, one per
+    CONDITION_COUNTS[kind].
     """
     if kind not in DATASET_KINDS:
         raise InvalidArgument(f"unknown dataset kind {kind!r}")
     if n < 1:
         raise InvalidArgument("n must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
+    k = CONDITION_COUNTS[kind]
+    cond = np.arange(n, dtype=np.int64) % k
     if kind == "eight_gaussians":
         centers, scale = _eg_centers()
-        cond = np.arange(n, dtype=np.int64) % 8
         x = centers[cond] + _EG_STD * rng.standard_normal((n, 2))
         return x / scale, cond
     if kind == "two_moons":
         mean, _, scale = _moon_means()
-        cond = np.arange(n, dtype=np.int64) % 2
         a = np.pi * rng.random(n)
         base = np.where(
             (cond == 0)[:, None],
@@ -246,10 +243,9 @@ def gen_toy_dataset(kind: str, n: int, seed: int):
         x = base + _MOON_STD * rng.standard_normal((n, 2))
         return (x - mean) / scale, cond
     # ring: uniform radius in an annulus, angle within the condition's sector
-    cond = np.arange(n, dtype=np.int64) % 8
     u = rng.random(n)
     r = _RING_R0 + (_RING_R1 - _RING_R0) * rng.random(n)
-    ang = (cond + u) * (2 * np.pi / 8)
+    ang = (cond + u) * (2 * np.pi / k)
     scale = np.sqrt((_RING_R0**2 + _RING_R0 * _RING_R1 + _RING_R1**2) / 3 / 2)
     x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
     return x / scale, cond

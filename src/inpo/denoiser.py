@@ -147,9 +147,6 @@ class DenoiserParams:
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(self.arch, self.vec.copy())
 
-    def n_params(self) -> int:
-        return self.vec.size
-
 
 @functools.cache
 def _layout(arch: DenoiserArch) -> tuple[tuple[int, int, tuple[int, ...]], ...]:

@@ -275,6 +275,23 @@ def test_align_t_min_past_T_is_an_error_before_any_step(workdir, tmp_path, capsy
     assert not (out / "train_log.csv").exists()
 
 
+def test_sft_method_trains_no_sft_reference(workdir, tmp_path, monkeypatch):
+    # the sft method's denoising window reads no reference, so ref_init=sft_winners
+    # must not train one, and it writes what ref_init=base writes
+    shared = [
+        "--set", f"align.base={workdir}/base.params",
+        "--set", f"align.pairs={workdir}/pairs.jsonl",
+        "--set", "align.method=sft",
+    ]
+    assert run(["align", "--out", str(tmp_path / "base"), "--seed", "3", *shared]) == 0
+    monkeypatch.setattr(cli_mod, "sft_ref_init",
+                        lambda *a, **k: pytest.fail("sft_ref_init ran for the sft method"))
+    assert run(["align", "--out", str(tmp_path / "sft_winners"), "--seed", "3", *shared,
+                "--set", "align.ref_init=sft_winners"]) == 0
+    assert ((tmp_path / "sft_winners" / "aligned.params").read_bytes()
+            == (tmp_path / "base" / "aligned.params").read_bytes())
+
+
 def test_ablate_checks_every_cell_before_the_first(workdir, tmp_path, capsys, monkeypatch):
     # a bad later cell must not leave a partial table behind a trained first cell
     monkeypatch.setattr(cli_mod, "align", lambda *a, **k: pytest.fail("a cell trained"))

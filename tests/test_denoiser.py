@@ -54,7 +54,7 @@ def test_param_count_closed_form():
     p = init_denoiser(arch, 0)
     d_in = 2 + 16 + 16
     expect = (d_in * 64 + 64) + (64 * 64 + 64) + (64 * 2 + 2) + (8 + 1) * 16
-    assert p.n_params() == expect == arch.param_count()
+    assert p.vec.size == expect == arch.param_count()
 
 
 def test_arch_validation():
