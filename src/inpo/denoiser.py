@@ -628,9 +628,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
     def f8(self, shape) -> np.ndarray:
         n = int(np.prod(shape))
         return np.frombuffer(self.take(n * 8), dtype="<f8").astype(np.float64).reshape(shape)
@@ -671,6 +668,10 @@ def params_from_bytes(buf: bytes) -> tuple[DenoiserParams, str, int]:
 
 
 def save_params(path, params: DenoiserParams, schedule_kind: str, T: int) -> None:
+    """Write the parameter file; a vector that params_from_bytes would
+    reject as non-finite raises NumericError before the file is opened."""
+    if not np.isfinite(params.vec).all():
+        raise NumericError("refusing to write non-finite parameters")
     with open(path, "wb") as fh:
         fh.write(params_to_bytes(params, schedule_kind, T))
 

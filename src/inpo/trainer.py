@@ -1,8 +1,8 @@
 """Training loops: pretraining, reference initialization, and alignment.
 
 Every step draws its randomness from a stream derived from (seed, domain,
-step index), so a run is a pure function of (config, seed) and resuming from
-a checkpoint reproduces the uninterrupted trajectory bit for bit.
+step index), so a run is a pure function of (config, seed), and a step's
+draws and state do not depend on how many steps the run has.
 
 pretrain_base, sft_ref_init and align run one loop, _train. It builds the
 steps' streams in batches of _STREAM_BATCH steps of the call, each batch in
@@ -54,18 +54,13 @@ PreferencePair that PairTable.of stacks once, and keep its non-tie rows. A
 non-finite value raises TrainingError naming the step and, for a pair set,
 the input index of the first drawn pair whose inputs, targets or loss
 argument are non-finite. align averages gradients over batch_pairs *
-accum_steps pairs per step, and runs the loop in two segments when asked
-for a checkpoint between them.
+accum_steps pairs per step.
 """
 from __future__ import annotations
 
 import csv
-import functools
-import hashlib
-import json
-import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -75,22 +70,17 @@ from .denoiser import (
     DenoiserParams,
     StepWorkspace,
     _cond_rows,
-    _Reader,
     _time_table,
     init_denoiser,
-    params_from_bytes,
-    params_to_bytes,
     value_and_grad,  # noqa: F401  (perfbench's hook tests reach it through this module)
 )
-from .errors import ConfigError, InvalidArgument, TrainingError, VersionError
+from .errors import InvalidArgument, TrainingError
 from .preference import DeltaStrategy, _check_ref, _HeadBuffers, _pair_step, _sft_step, _targets
 from .sampler import Inverter
 from .schedule import NoiseSchedule, _diffuse
 
 ALIGN_METHODS = ("inpo", "dpo", "sft")
 REF_INITS = ("base", "sft_winners")
-CKPT_MAGIC = b"INPOCKPT"
-CKPT_VERSION = 1
 
 # dpo draws its latents from the forward process: inpo with gaussian deltas.
 _DPO_DELTA = DeltaStrategy("gaussian")
@@ -121,8 +111,8 @@ class AlignConfig:
             raise InvalidArgument(f"unknown ref_init {self.ref_init!r}")
         if self.steps < 0 or self.batch_pairs < 1 or self.accum_steps < 1:
             raise InvalidArgument("steps >= 0, batch_pairs >= 1, accum_steps >= 1 required")
-        if self.lr <= 0 or self.warmup_steps < 0 or self.t_min < 1:
-            raise InvalidArgument("lr > 0, warmup_steps >= 0, t_min >= 1 required")
+        if not 0 < self.lr < np.inf or self.warmup_steps < 0 or self.t_min < 1:
+            raise InvalidArgument("finite lr > 0, warmup_steps >= 0, t_min >= 1 required")
         if self.beta < 0:
             raise InvalidArgument("beta must be >= 0")
 
@@ -144,19 +134,6 @@ class AdamState:
     @staticmethod
     def zeros_like(vec: np.ndarray) -> "AdamState":
         return AdamState(m=np.zeros_like(vec), v=np.zeros_like(vec))
-
-    def copy(self) -> "AdamState":
-        return AdamState(m=self.m.copy(), v=self.v.copy(), t=self.t)
-
-
-@dataclass
-class Checkpoint:
-    params: DenoiserParams
-    adam: AdamState
-    step: int
-    fingerprint: bytes
-    schedule_kind: str
-    T: int
 
 
 def adam_step(vec, grad, state: AdamState, lr: float, work, b1=0.9, b2=0.999, eps=1e-8):
@@ -231,15 +208,15 @@ class _Samples(NamedTuple):
 
 
 def _train(params: DenoiserParams, adam: AdamState, window, *, seed: int, domain: int,
-           start: int, stop: int, lr: float, warmup_steps: int = 0, accum_steps: int = 1,
+           steps: int, lr: float, warmup_steps: int = 0, accum_steps: int = 1,
            log: list | None = None, pair_ids=None) -> None:
-    """Steps start..stop-1 of a training run, updating ``params`` in place.
+    """Steps 0..steps-1 of a training run, updating ``params`` in place.
 
     Step k draws from _step_rng(seed, domain, k) and runs ``accum_steps``
     windows on that one stream. The streams are built _STREAM_BATCH steps
     at a time, in one pass before the first step of each batch, which counts
-    the build in its wall time; a batch never reaches past ``stop``, and
-    only one is held at a time. ``window(rng, aux)`` draws one window, runs
+    the build in its wall time; a batch never reaches past the last step,
+    and only one is held at a time. ``window(rng, aux)`` draws one window, runs
     its head in its own buffers and returns the loss and the gradient, a
     buffer it overwrites on its next call; it records its drawn indices and
     arrays in ``aux`` as it goes. Each window's gradient is checked for
@@ -255,11 +232,11 @@ def _train(params: DenoiserParams, adam: AdamState, window, *, seed: int, domain
     work = (np.empty_like(params.vec), np.empty_like(params.vec))
     finite = np.empty(params.vec.shape, dtype=bool)
     streams = []
-    for step in range(start, stop):
+    for step in range(steps):
         tick = time.perf_counter()
         if not streams:
             # the next batch's streams, last step first, so each step pops its own
-            last = min(stop, step + _STREAM_BATCH) - 1
+            last = min(steps, step + _STREAM_BATCH) - 1
             streams = [_step_rng(seed, domain, k) for k in range(last, step - 1, -1)]
         rng = streams.pop()
         loss_sum = arg_sum = 0.0
@@ -436,15 +413,16 @@ def pretrain_base(dataset, arch, schedule: NoiseSchedule, steps: int, lr: float,
     params = init_denoiser(arch, seed)
     _train(params, AdamState.zeros_like(params.vec),
            _denoising_window(params, schedule, data, batch, 1, cond_drop),
-           seed=seed, domain=_PRETRAIN_DOMAIN, start=0, stop=steps, lr=lr)
+           seed=seed, domain=_PRETRAIN_DOMAIN, steps=steps, lr=lr)
     return params
 
 
 def _check_fit_args(steps: int, batch: int, lr: float, cond_drop: float = 0.0) -> None:
     """pretrain_base's and sft_ref_init's step arguments, as AlignConfig
     checks align's."""
-    if steps < 0 or batch < 1 or not lr > 0 or not 0 <= cond_drop <= 1:
-        raise InvalidArgument("steps >= 0, batch >= 1, lr > 0, 0 <= cond_drop <= 1 required")
+    if steps < 0 or batch < 1 or not 0 < lr < np.inf or not 0 <= cond_drop <= 1:
+        raise InvalidArgument("steps >= 0, batch >= 1, finite lr > 0, 0 <= cond_drop <= 1 "
+                              "required")
 
 
 def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: int,
@@ -457,59 +435,32 @@ def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: in
     params = base.copy()
     _train(params, AdamState.zeros_like(params.vec),
            _denoising_window(params, schedule, data, batch, 1),
-           seed=seed, domain=_SFT_REF_DOMAIN, start=0, stop=steps, lr=lr, pair_ids=pair_ids)
+           seed=seed, domain=_SFT_REF_DOMAIN, steps=steps, lr=lr, pair_ids=pair_ids)
     return params
 
 
-def config_fingerprint(cfg: AlignConfig) -> bytes:
-    canon = json.dumps(asdict(cfg), sort_keys=True).encode()
-    return hashlib.sha256(canon).digest()
-
-
 def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSchedule,
-          cfg: AlignConfig, log_path=None, resume: Checkpoint | None = None,
-          checkpoint_at: int | None = None, on_checkpoint=None) -> DenoiserParams:
+          cfg: AlignConfig, log_path=None) -> DenoiserParams:
     """Run the alignment loop on ``pairs``, a PairTable or a sequence of
     PreferencePair, and return the final parameters.
 
     ``ref`` is frozen: it is only ever read. When ``log_path`` is given a CSV
-    with columns step, lr, loss, sigmoid_arg_mean, wall_ms is written. When
-    ``on_checkpoint`` is given and resume's step (0 without one) <
-    ``checkpoint_at`` <= steps, the loop runs to ``checkpoint_at`` and
-    ``on_checkpoint`` receives a Checkpoint that ``resume`` accepts to
-    reproduce the rest of the run exactly; the loop then runs on.
+    with columns step, lr, loss, sigmoid_arg_mean, wall_ms is written.
 
     Every pair's condition, and t_min against the schedule's T, is
     validated once, before the first step.
     """
     cfg.check_schedule(schedule)
     table, pair_ids, data = _non_ties(pairs, base.arch)
-    if resume is not None:
-        if resume.fingerprint != config_fingerprint(cfg):
-            raise ConfigError("checkpoint fingerprint does not match this config")
-        params = resume.params.copy()
-        adam = resume.adam.copy()
-        start = resume.step
-    else:
-        params = base.copy()
-        adam = AdamState.zeros_like(params.vec)
-        start = 0
+    params = base.copy()
     if cfg.method == "sft":
         window = _denoising_window(params, schedule, data, cfg.batch_pairs, cfg.t_min)
     else:
         window = _pair_window(params, ref, schedule, data, table.loser[pair_ids], cfg)
     log = [] if log_path is not None else None
-
-    run = functools.partial(_train, params, adam, window, seed=cfg.seed,
-                            domain=_ALIGN_DOMAIN, lr=cfg.lr, warmup_steps=cfg.warmup_steps,
-                            accum_steps=cfg.accum_steps, log=log, pair_ids=pair_ids)
-    if on_checkpoint and checkpoint_at is not None and start < checkpoint_at <= cfg.steps:
-        run(start=start, stop=checkpoint_at)
-        on_checkpoint(Checkpoint(params=params.copy(), adam=adam.copy(), step=checkpoint_at,
-                                 fingerprint=config_fingerprint(cfg),
-                                 schedule_kind=schedule.kind, T=schedule.T))
-        start = checkpoint_at
-    run(start=start, stop=cfg.steps)
+    _train(params, AdamState.zeros_like(params.vec), window, seed=cfg.seed, domain=_ALIGN_DOMAIN,
+           steps=cfg.steps, lr=cfg.lr, warmup_steps=cfg.warmup_steps,
+           accum_steps=cfg.accum_steps, log=log, pair_ids=pair_ids)
     if log is not None:
         with open(log_path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -517,45 +468,3 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSched
             w.writerows([step, repr(lr_t), repr(loss), repr(arg), f"{ms:.3f}"]
                         for step, lr_t, loss, arg, ms in log)
     return params
-
-
-# ----------------------------------------------------------- checkpoint file
-
-
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    blob = params_to_bytes(ckpt.params, ckpt.schedule_kind, ckpt.T)
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(ckpt.fingerprint)
-        fh.write(struct.pack("<Q", ckpt.step))
-        fh.write(struct.pack("<Q", ckpt.adam.t))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for vec in (ckpt.adam.m, ckpt.adam.v):
-            fh.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), "checkpoint file")
-    if r.take(len(CKPT_MAGIC)) != CKPT_MAGIC:
-        raise VersionError("not a trainer checkpoint")
-    version = r.u32()
-    if version != CKPT_VERSION:
-        raise VersionError(f"unsupported checkpoint version {version}")
-    fingerprint = r.take(32)
-    step = r.u64()
-    adam_t = r.u64()
-    params, kind, T = params_from_bytes(r.take(r.u64()))
-    m = r.f8(params.vec.shape)
-    v = r.f8(params.vec.shape)
-    r.end()
-    return Checkpoint(
-        params=params,
-        adam=AdamState(m=m, v=v, t=adam_t),
-        step=step,
-        fingerprint=fingerprint,
-        schedule_kind=kind,
-        T=T,
-    )

@@ -292,6 +292,25 @@ def test_sft_method_trains_no_sft_reference(workdir, tmp_path, monkeypatch):
             == (tmp_path / "base" / "aligned.params").read_bytes())
 
 
+@pytest.mark.parametrize("cmd, key, value", [
+    ("align", "align.lr", "nan"), ("align", "align.lr", "inf"),
+    ("pretrain", "pretrain.lr", "inf"), ("align", "align.ref_sft_lr", "inf"),
+])
+def test_a_non_finite_learning_rate_is_a_config_error(workdir, tmp_path, capsys, cmd, key, value):
+    # Adam at a non-finite rate writes a model that nothing can load; with
+    # ref_init=sft_winners align reads align.ref_sft_lr too
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([
+        cmd, "--out", str(out), "--seed", "3",
+        "--set", f"align.base={workdir}/base.params",
+        "--set", f"align.pairs={workdir}/pairs.jsonl",
+        "--set", "align.ref_init=sft_winners", "--set", f"{key}={value}",
+    ]) == 2
+    assert "finite lr > 0" in capsys.readouterr().err
+    assert not list(out.glob("*.params"))
+
+
 def test_ablate_checks_every_cell_before_the_first(workdir, tmp_path, capsys, monkeypatch):
     # a bad later cell must not leave a partial table behind a trained first cell
     monkeypatch.setattr(cli_mod, "align", lambda *a, **k: pytest.fail("a cell trained"))

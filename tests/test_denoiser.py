@@ -265,6 +265,17 @@ def test_params_file_round_trip(tmp_path):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_save_params_refuses_what_load_params_rejects(tmp_path, bad):
+    # a non-finite vector would write a file that no command can load
+    p = init_denoiser(ARCH, 0)
+    p.biases[0][1] = bad
+    path = tmp_path / "model.params"
+    with pytest.raises(NumericError, match="non-finite"):
+        save_params(path, p, "cosine", 100)
+    assert not path.exists()
+
+
 def test_params_views_cannot_be_rebound():
     p = init_denoiser(ARCH, 0)
     with pytest.raises(TypeError):

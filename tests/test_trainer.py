@@ -1,6 +1,5 @@
 import csv
 import os
-import struct
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -18,12 +17,11 @@ from inpo.denoiser import (
     DenoiserArch,
     NoisePredictor,
     _cond_rows,
-    _pack_header,
     init_denoiser,
     params_to_bytes,
     value_and_grad,
 )
-from inpo.errors import ConfigError, InvalidArgument, TrainingError, VersionError
+from inpo.errors import InvalidArgument, TrainingError
 from inpo.preference import (
     DeltaStrategy,
     make_targets,
@@ -36,17 +34,11 @@ from inpo.sampler import Inverter
 from inpo.schedule import forward_diffuse, make_schedule
 from inpo.trainer import (
     ALIGN_METHODS,
-    CKPT_MAGIC,
-    CKPT_VERSION,
     AdamState,
     AlignConfig,
-    Checkpoint,
     adam_step,
     align,
-    config_fingerprint,
-    load_checkpoint,
     pretrain_base,
-    save_checkpoint,
     sft_ref_init,
     warmup_lr,
 )
@@ -336,40 +328,24 @@ def test_warmup_schedule_logged(s, tiny_pairs, tmp_path):
     assert float(rows[4]["lr"]) == pytest.approx(2e-3, rel=1e-15)
 
 
-def test_checkpoint_roundtrip(tmp_path, s, tiny_pairs):
+@pytest.mark.parametrize("kw", [dict(delta=DeltaStrategy("inversion", n=3), accum_steps=2),
+                                dict(method="sft", accum_steps=3), dict(method="dpo")],
+                         ids=["inpo-inversion", "sft", "dpo"])
+def test_a_steps_log_row_does_not_depend_on_the_run_length(s, tiny_pairs, tmp_path, kw):
+    # a step's stream and the state it trains from are the same in a short
+    # run and a long one, past a _STREAM_BATCH boundary too
+    short, long = 66, 140
+    assert trainer_mod._STREAM_BATCH < short < 2 * trainer_mod._STREAM_BATCH < long
     base = init_denoiser(ARCH, 7)
-    cfg = small_cfg(steps=6)
-    grabbed = []
-    align(base, base, tiny_pairs, s, cfg, checkpoint_at=3, on_checkpoint=grabbed.append)
-    ckpt = grabbed[0]
-    path = tmp_path / "run.ckpt"
-    save_checkpoint(path, ckpt)
-    loaded = load_checkpoint(path)
-    assert loaded.step == 3
-    assert loaded.fingerprint == ckpt.fingerprint
-    assert loaded.schedule_kind == "cosine" and loaded.T == 200
-    assert loaded.params.vec.tobytes() == ckpt.params.vec.tobytes()
-    assert loaded.adam.m.tobytes() == ckpt.adam.m.tobytes()
-    assert loaded.adam.v.tobytes() == ckpt.adam.v.tobytes()
-    assert loaded.adam.t == ckpt.adam.t
-
-
-def test_resume_matches_uninterrupted(s, tiny_pairs):
-    # a checkpoint inside the second batch of step streams makes the resumed
-    # segment build streams that the first segment's batch had not reached
-    base = init_denoiser(ARCH, 7)
-    late, at = trainer_mod._STREAM_BATCH + 10, trainer_mod._STREAM_BATCH + 3
-    for cfg, checkpoint_at in (
-            (small_cfg(steps=10), 4),
-            (small_cfg(steps=10, delta=DeltaStrategy("inversion", n=3), accum_steps=2), 4),
-            (small_cfg(steps=10, method="sft", accum_steps=3), 4),
-            (small_cfg(steps=late), at), (small_cfg(steps=late, method="sft", accum_steps=3), at)):
-        grabbed = []
-        full = align(base, base, tiny_pairs, s, cfg, checkpoint_at=checkpoint_at,
-                     on_checkpoint=grabbed.append)
-        resumed = align(base, base, tiny_pairs, s, cfg, resume=grabbed[0])
-        uninterrupted = align(base, base, tiny_pairs, s, cfg)
-        assert resumed.vec.tobytes() == uninterrupted.vec.tobytes() == full.vec.tobytes()
+    rows = {}
+    for steps in (short, long):
+        log = tmp_path / f"log{steps}.csv"
+        align(base, base, tiny_pairs, s, small_cfg(steps=steps, **kw), log_path=log)
+        with open(log) as fh:
+            rows[steps] = [{k: v for k, v in r.items() if k != "wall_ms"}
+                           for r in csv.DictReader(fh)]
+    assert len(rows[long]) == long
+    assert rows[short] == rows[long][:short]
 
 
 def test_back_to_back_calls_leave_no_state(s, tiny_pairs, tiny_data):
@@ -396,40 +372,6 @@ def test_align_validates_every_pair_condition_up_front(s, tiny_pairs):
     for method in ALIGN_METHODS:
         with pytest.raises(InvalidArgument, match=r"condition id out of range \[-1, 4\)"):
             align(base, base, [*tiny_pairs, bad], s, small_cfg(method=method, steps=0))
-
-
-def test_resume_rejects_fingerprint_mismatch(s, tiny_pairs):
-    base = init_denoiser(ARCH, 7)
-    grabbed = []
-    align(base, base, tiny_pairs, s, small_cfg(steps=6), checkpoint_at=2, on_checkpoint=grabbed.append)
-    with pytest.raises(ConfigError):
-        align(base, base, tiny_pairs, s, small_cfg(steps=6, beta=51.0), resume=grabbed[0])
-
-
-def test_checkpoint_corrupt_header(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"GARBAGE!" + b"\x00" * 100)
-    with pytest.raises(VersionError):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_truncated_and_trailing_bytes(tmp_path):
-    p = init_denoiser(ARCH, 7)
-    ckpt = Checkpoint(p, AdamState.zeros_like(p.vec), 3, b"f" * 32, "cosine", 200)
-    path = tmp_path / "run.ckpt"
-    save_checkpoint(path, ckpt)
-    buf = path.read_bytes()
-    for bad, match in ((buf[:-8], "truncated checkpoint"), (buf + b"\0", "trailing bytes in checkpoint")):
-        path.write_bytes(bad)
-        with pytest.raises(VersionError, match=match):
-            load_checkpoint(path)
-
-
-def test_fingerprint_depends_on_config():
-    a = config_fingerprint(small_cfg())
-    b = config_fingerprint(small_cfg(seed=4))
-    c = config_fingerprint(small_cfg(delta=DeltaStrategy("inversion", n=5)))
-    assert a != b and a != c and len(a) == 32
 
 
 def test_loss_trend_and_progress(s, tiny_pairs, tmp_path):
@@ -618,14 +560,14 @@ def test_streams_are_built_a_batch_ahead_of_their_steps(monkeypatch):
         return 0.0, grad
 
     monkeypatch.setattr(trainer_mod, "_step_rng", spy)
-    n, start = trainer_mod._STREAM_BATCH, 3
-    stop = start + 2 * n + 5
+    n = trainer_mod._STREAM_BATCH
+    steps = 2 * n + 5
     trainer_mod._train(params, AdamState.zeros_like(params.vec), window, seed=9,
-                       domain=trainer_mod._ALIGN_DOMAIN, start=start, stop=stop, lr=1e-3)
-    assert sorted(e[1] for e in events if e[0] == "build") == list(range(start, stop))
+                       domain=trainer_mod._ALIGN_DOMAIN, steps=steps, lr=1e-3)
+    assert sorted(e[1] for e in events if e[0] == "build") == list(range(steps))
     at = [i for i, e in enumerate(events) if e[0] == "window"]
-    assert len(at) == stop - start
-    for k, step in enumerate(range(start, stop)):
+    assert len(at) == steps
+    for k, step in enumerate(range(steps)):
         assert events.index(("build", step)) < at[k]
         want = real(9, trainer_mod._ALIGN_DOMAIN, step).bit_generator.state
         assert events[at[k]][1] == want, step
@@ -643,7 +585,7 @@ def test_train_holds_one_batch_of_streams_at_a_time():
     try:
         held = tracemalloc.get_traced_memory()[0]
         trainer_mod._train(params, adam, lambda rng, aux: (0.0, grad), seed=1,
-                           domain=trainer_mod._PRETRAIN_DOMAIN, start=0, stop=1000, lr=1e-3)
+                           domain=trainer_mod._PRETRAIN_DOMAIN, steps=1000, lr=1e-3)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -681,30 +623,6 @@ def test_align_names_the_pair_behind_a_nonfinite_loss(s, tiny_pairs):
     with pytest.raises(TrainingError,
                        match=r"^step 0: loss is non-finite: .*\(pair \d+, t=\d+\)$"):
         align(base, init_denoiser(ARCH, 8), tiny_pairs, s, small_cfg(beta=np.inf, steps=2))
-
-
-def test_checkpoint_bytes_match_per_array_writer(tmp_path):
-    p = init_denoiser(ARCH, 7)
-    rng = np.random.default_rng(6)
-    m = [rng.standard_normal(a.shape) for a in p.flat()]
-    v = [rng.random(a.shape) for a in p.flat()]
-    adam = AdamState(np.concatenate(m, axis=None), np.concatenate(v, axis=None), t=5)
-    ckpt = Checkpoint(p, adam, 5, b"f" * 32, "cosine", 200)
-    path = tmp_path / "run.ckpt"
-    save_checkpoint(path, ckpt)
-    # the file as written one parameter array, then one moment array, at a time
-    blob = _pack_header(p, "cosine", 200) + b"".join(a.tobytes() for a in p.flat())
-    want = b"".join([
-        CKPT_MAGIC, struct.pack("<I", CKPT_VERSION), b"f" * 32, struct.pack("<Q", 5),
-        struct.pack("<Q", 5), struct.pack("<Q", len(blob)), blob,
-        *(a.tobytes() for a in m + v),
-    ])
-    assert path.read_bytes() == want
-    loaded = load_checkpoint(path)
-    assert loaded.params.vec.tobytes() == p.vec.tobytes()
-    assert loaded.adam.m.tobytes() == adam.m.tobytes()
-    assert loaded.adam.v.tobytes() == adam.v.tobytes()
-    assert loaded.adam.t == 5 and loaded.step == 5
 
 
 def _nan_winner_after_two_ties(tiny_pairs):
@@ -747,55 +665,6 @@ def test_sft_ref_init_names_the_input_pair_of_a_nonfinite_winner(s, tiny_pairs):
         sft_ref_init(base, _nan_winner_after_two_ties(tiny_pairs), s, steps=3, lr=1e-3,
                      seed=1, batch=16)
     assert info.value.step == 0
-
-
-@pytest.mark.parametrize("checkpoint_at,fires", [(0, False), (3, True), (6, True),
-                                                  (7, False), (None, False)])
-def test_checkpoint_fires_once_inside_the_run(s, tiny_pairs, checkpoint_at, fires):
-    # on_checkpoint fires once when 0 < checkpoint_at <= steps, with the
-    # state after checkpoint_at steps, and never changes the final bytes
-    base = init_denoiser(ARCH, 7)
-    cfg = small_cfg(steps=6, accum_steps=2)
-    want = align(base, base, tiny_pairs, s, cfg)
-    grabbed = []
-    out = align(base, base, tiny_pairs, s, cfg, checkpoint_at=checkpoint_at,
-                on_checkpoint=grabbed.append)
-    assert out.vec.tobytes() == want.vec.tobytes()
-    assert len(grabbed) == (1 if fires else 0)
-    if fires:
-        ckpt = grabbed[0]
-        assert ckpt.step == checkpoint_at and ckpt.adam.t == checkpoint_at
-        at = align(base, base, tiny_pairs, s, small_cfg(steps=checkpoint_at, accum_steps=2))
-        assert ckpt.params.vec.tobytes() == at.vec.tobytes()
-        resumed = align(base, base, tiny_pairs, s, cfg, resume=ckpt)
-        assert resumed.vec.tobytes() == want.vec.tobytes()
-
-
-def test_checkpoint_without_a_callback_is_ignored(s, tiny_pairs):
-    base = init_denoiser(ARCH, 7)
-    cfg = small_cfg(steps=5)
-    out = align(base, base, tiny_pairs, s, cfg, checkpoint_at=2)
-    assert out.vec.tobytes() == align(base, base, tiny_pairs, s, cfg).vec.tobytes()
-
-
-@pytest.mark.parametrize("checkpoint_at,fires", [(2, False), (4, False), (5, True),
-                                                  (8, True), (9, False)])
-def test_checkpoint_after_resume_fires_only_past_the_resumed_step(s, tiny_pairs, tmp_path,
-                                                                  checkpoint_at, fires):
-    base = init_denoiser(ARCH, 7)
-    cfg = small_cfg(steps=8, method="sft", accum_steps=3)
-    first = []
-    want = align(base, base, tiny_pairs, s, cfg, checkpoint_at=4, on_checkpoint=first.append)
-    log = tmp_path / "log.csv"
-    grabbed = []
-    out = align(base, base, tiny_pairs, s, cfg, resume=first[0], log_path=log,
-                checkpoint_at=checkpoint_at, on_checkpoint=grabbed.append)
-    assert out.vec.tobytes() == want.vec.tobytes()
-    assert len(grabbed) == (1 if fires else 0)
-    if fires:
-        assert grabbed[0].step == checkpoint_at
-    with open(log) as fh:
-        assert [int(r["step"]) for r in csv.DictReader(fh)] == [4, 5, 6, 7]
 
 
 def test_samples_of_another_dim_are_rejected(s, tiny_data, tiny_pairs):
