@@ -69,12 +69,16 @@ def _load_model(path: str, loss_weight: str = "constant"):
 
 
 def _reward_for(cfg: dict, params):
-    """The configured reward, which must score the model's conditions."""
+    """The configured reward, which must score the model's conditions and
+    samples."""
     spec = reward_spec_from(cfg)
-    k = params.arch.num_conditions
+    k, dim = params.arch.num_conditions, params.arch.input_dim
     if spec.targets is not None and len(spec.targets) != k:
         raise ConfigError(f"reward has {len(spec.targets)} targets but the model has "
                           f"{k} conditions; set data.kind to the model's data")
+    if spec.direction is not None and len(spec.direction) != dim:
+        raise ConfigError(f"reward.direction has {len(spec.direction)} entries but the model's "
+                          f"samples have {dim}")
     return spec
 
 
@@ -89,8 +93,8 @@ def _sampler_cfg(cfg: dict, schedule) -> SamplerConfig:
 
 def _inversion_grid(cfg: dict, schedule, prefix: str) -> tuple[int, tuple[int, ...]]:
     """``<prefix>.t_target`` and the inversion step counts ``<prefix>.ns``
-    (invert.n_steps if empty), checked before any inversion runs, so that a
-    bad value fails without a partial artifact."""
+    (invert.n_steps if empty), checked with invert.guidance_w before any
+    inversion runs, so that a bad value fails without a partial artifact."""
     t_key, ns_key = f"{prefix}.t_target", f"{prefix}.ns"
     t_target = cfg[t_key]
     if not 1 <= t_target <= schedule.T:
@@ -101,6 +105,8 @@ def _inversion_grid(cfg: dict, schedule, prefix: str) -> tuple[int, tuple[int, .
     for n in ns:
         if n < 1:
             raise ConfigError(f"{ns_key} has the step count {n}; each must be >= 1")
+    if not np.isfinite(cfg["invert.guidance_w"]):
+        raise ConfigError(f"invert.guidance_w={cfg['invert.guidance_w']} must be finite")
     return t_target, ns
 
 
@@ -118,7 +124,9 @@ def _delta_from(cfg: dict) -> DeltaStrategy:
 def _align_config(cfg: dict, seed: int, **fields) -> AlignConfig:
     """An AlignConfig with the optimizer keys align and ablate share
     (align.batch_pairs, align.accum_steps, align.lr, align.warmup_steps),
-    the run's seed, and ``fields``."""
+    the run's seed, and ``fields``, whose beta must be finite."""
+    if not np.isfinite(fields["beta"]):
+        raise ConfigError(f"beta={fields['beta']} must be finite")
     return AlignConfig(
         batch_pairs=cfg["align.batch_pairs"], accum_steps=cfg["align.accum_steps"],
         lr=cfg["align.lr"], warmup_steps=cfg["align.warmup_steps"], seed=seed, **fields,
@@ -303,6 +311,8 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         cfg = load_config(args.config, args.overrides)
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.subcommand](cfg, args.out, args.seed)
     except ConfigError as e:

@@ -172,8 +172,9 @@ class RewardSpec:
             raise InvalidArgument("mode_distance needs per-condition targets")
         if self.kind == "ring_radius" and (self.radius is None or not np.isfinite(self.radius)):
             raise InvalidArgument("ring_radius needs a finite radius")
-        if self.kind == "linear" and self.direction is None:
-            raise InvalidArgument("linear needs a direction vector")
+        if self.kind == "linear" and (self.direction is None or np.ndim(self.direction) != 1
+                                      or not np.isfinite(self.direction).all()):
+            raise InvalidArgument("linear needs a finite 1-D direction vector")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}

@@ -22,17 +22,16 @@ the denoising head. Each checks its arguments and then runs its arithmetic
 core (_pair_step, _sft_step), which training windows call directly on
 their own draws, so there is one copy of each loss: it embeds the batch's
 timesteps once into a StepWorkspace (StepWorkspace.bind_step), runs the
-trained forward, and for the pair head the reference forward, in its kept
-buffers, computes the value and the gradient with respect to the network's
-output into _HeadBuffers (the errors, their squares and row sums, and the
-output gradient), and calls denoiser.eps_backward, which fills and returns
-the workspace's gradient. The order of operations (d + d, not 2 * d) keeps
-aligned parameters byte-stable. A step's sums and checks call the ufuncs'
-reductions (np.add.reduce, np.logical_and.reduce) directly, not the ndarray
-methods, which first run a Python function in numpy._core._methods; a sum
-divided by its count has the bits of the mean. make_targets likewise
-checks, then runs _targets, which the pair window calls with its inverter
-and its buffers.
+trained forward, and for the pair head the reference forward, in the
+workspace's kept buffers, computes the value and the gradient with respect
+to the network's output as plain numpy expressions, and calls
+denoiser.eps_backward, which fills and returns the workspace's gradient.
+The order of operations (d + d, not 2 * d) keeps aligned parameters
+byte-stable. A step's sums and checks call the ufuncs' reductions
+(np.add.reduce, np.logical_and.reduce) directly, not the ndarray methods,
+which first run a Python function in numpy._core._methods; a sum divided by
+its count has the bits of the mean. make_targets likewise checks, then runs
+_targets, which the pair window calls with its inverter and its buffers.
 pair_loss_terms and sft_terms are the same heads on plain numpy values,
 or, on tape parameters, one tape node each whose VJP is the same
 output-gradient helper; the tape (denoiser.value_and_grad) is the
@@ -86,8 +85,10 @@ class DeltaStrategy:
             raise InvalidArgument("inversion step count must be >= 1")
         if self.max_iters < 1:
             raise InvalidArgument("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise InvalidArgument("tol must be positive")
+        if not np.isfinite(self.guidance_w_inv):
+            raise InvalidArgument(f"guidance_w_inv must be finite, got {self.guidance_w_inv}")
+        if not self.tol > 0:
+            raise InvalidArgument(f"tol must be positive, got {self.tol}")
         if not (0 < self.damping <= 1):
             raise InvalidArgument("damping must be in (0, 1]")
 
@@ -105,40 +106,24 @@ def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps, ws=None):
     taped = isinstance(out, Var)
     d = (out.data if taped else out) - eps
     w = s.loss_weight[t]
-    bufs = _HeadBuffers(*d.shape)
-    value = _sft_value(d, w, bufs)
+    value = _sft_value(d, w)
     if not taped:
         return value
-    return Var(value, out, lambda g: _sft_output_grad(g, w, d, bufs))
+    return Var(value, out, lambda g: _sft_output_grad(g, w, d))
 
 
-class _HeadBuffers:
-    """A loss head's per-step buffers for a batch of n rows of dim d, which
-    its closed-form and tape functions overwrite on every call: both
-    models' errors (``err``, trained then reference), their squares
-    (``sq``), their row sums (``terms``, (2, n)), the per-row coefficient
-    of the output gradient (``coef``, (n, 1)) and the output gradient
-    (``out_grad``, (n, d)). A training window allocates one per call."""
-
-    def __init__(self, n: int, d: int):
-        self.err, self.sq, self.terms = np.empty((2, n, d)), np.empty((2, n, d)), np.empty((2, n))
-        self.coef, self.out_grad = np.empty((n, 1)), np.empty((n, d))
-
-
-def _sft_value(d, w, bufs: _HeadBuffers):
+def _sft_value(d, w):
     """The weighted mean squared error of the prediction errors ``d``: the
     row sums of d * d times w(t), summed and divided by the row count (the
     bits of their mean)."""
-    per = np.add.reduce(np.multiply(d, d, out=bufs.sq[0]), axis=1, out=bufs.terms[0])
-    per *= w
+    per = np.add.reduce(d * d, axis=1) * w
     return np.add.reduce(per) / len(per)
 
 
-def _sft_output_grad(g, w, d, bufs: _HeadBuffers):
+def _sft_output_grad(g, w, d):
     """The denoising head's gradient with respect to the prediction, for an
     upstream gradient ``g``: (g / B) * w(t) * (d + d) per row."""
-    gd = np.multiply(w[:, None], g / len(d), out=bufs.coef)
-    geps = np.multiply(gd, d, out=bufs.out_grad)
+    geps = w[:, None] * (g / len(d)) * d
     geps += geps
     return geps
 
@@ -148,8 +133,8 @@ def _check_batch(model, s: NoiseSchedule, x_t, t, rows, ws: StepWorkspace | None
 
     ``ws`` (a new StepWorkspace if None) must have n rows, ``t`` (one or one
     per row) lie in [min_t, T] and ``rows`` (one or one per row) be integers
-    in [0, num_conditions]. Returns (ws, t, rows, bufs), ``t`` and ``rows``
-    broadcast per row and ``bufs`` new _HeadBuffers for the batch.
+    in [0, num_conditions]. Returns (ws, t, rows), ``t`` and ``rows``
+    broadcast per row.
     """
     n = len(x_t)
     if not isinstance(model, DenoiserParams):
@@ -163,7 +148,7 @@ def _check_batch(model, s: NoiseSchedule, x_t, t, rows, ws: StepWorkspace | None
     k = model.arch.num_conditions
     if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() > k:
         raise InvalidArgument(f"condition rows must be integers in [0, {k}]")
-    return ws, t, rows, _HeadBuffers(*np.shape(x_t))
+    return ws, t, rows
 
 
 def _check_loss(value) -> None:
@@ -181,21 +166,20 @@ def sft_value_and_grad(model: DenoiserParams, s: NoiseSchedule, x_t, t, rows, ep
     eps_backward fills its gradient. Returns (value, ws.grad); a non-finite
     value raises NumericError before the backward.
     """
-    ws, t, rows, bufs = _check_batch(model, s, x_t, t, rows, ws, min_t=0)
-    return _sft_step(model, s, x_t, t, rows, eps, ws, bufs)
+    ws, t, rows = _check_batch(model, s, x_t, t, rows, ws, min_t=0)
+    return _sft_step(model, s, x_t, t, rows, eps, ws)
 
 
-def _sft_step(model, s: NoiseSchedule, x_t, t, rows, eps, ws: StepWorkspace,
-              bufs: _HeadBuffers, table=None):
+def _sft_step(model, s: NoiseSchedule, x_t, t, rows, eps, ws: StepWorkspace, table=None):
     """sft_value_and_grad's arithmetic on a checked batch of per-row ``t``
-    and ``rows``, in ``ws`` and ``bufs``; ``table`` is bind_step's.
-    The denoising window calls it directly on its draws."""
+    and ``rows``, in ``ws``; ``table`` is bind_step's. The denoising window
+    calls it directly on its draws."""
     ws.bind_step(t, table)
-    d = np.subtract(eps_forward(model, x_t, 0, rows, ws=ws.bound), eps, out=bufs.err[0])
-    w = s.loss_weight.take(t, out=bufs.terms[1], mode="clip")
-    value = _sft_value(d, w, bufs)
+    d = eps_forward(model, x_t, 0, rows, ws=ws.bound) - eps
+    w = s.loss_weight[t]
+    value = _sft_value(d, w)
     _check_loss(value)
-    return float(value), eps_backward(model, _sft_output_grad(1.0, w, d, bufs), rows, ws)
+    return float(value), eps_backward(model, _sft_output_grad(1.0, w, d), rows, ws)
 
 
 def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrategy, rng):
@@ -320,13 +304,11 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     eps_rf = eps_forward(ref, x_t, t_stack, rows_stack)
     taped = isinstance(out, Var)
     scale = -(beta * s.loss_weight[t])
-    bufs = _HeadBuffers(*x_t.shape)
-    d_th, term_th, term_rf, arg = _pair_terms(tau, out.data if taped else out, eps_rf, scale,
-                                              bufs)
+    d_th, term_th, term_rf, arg = _pair_terms(tau, out.data if taped else out, eps_rf, scale)
     totals = np.logaddexp(0.0, -arg)
     mean_total = totals.mean()
     if taped:
-        mean_total = Var(mean_total, out, lambda g: _pair_output_grad(g, arg, scale, d_th, bufs))
+        mean_total = Var(mean_total, out, lambda g: _pair_output_grad(g, arg, scale, d_th))
     return {
         "term_w_theta": term_th[:B],
         "term_w_ref": term_rf[:B],
@@ -358,66 +340,55 @@ def pair_value_and_grad(theta: DenoiserParams, ref: DenoiserParams, s: NoiseSche
     n = len(x_t)
     if n % 2:
         raise InvalidArgument(f"a stacked pair batch has an even number of rows, got {n}")
-    ws, t, rows, bufs = _check_batch(theta, s, x_t, t, rows, ws, min_t=1)
-    return _pair_step(theta, ref, s, x_t, tau, t, rows, beta, ws, bufs, aux)
+    ws, t, rows = _check_batch(theta, s, x_t, t, rows, ws, min_t=1)
+    return _pair_step(theta, ref, s, x_t, tau, t, rows, beta, ws, aux)
 
 
 def _pair_step(theta, ref, s: NoiseSchedule, x_t, tau, t, rows, beta, ws: StepWorkspace,
-               bufs: _HeadBuffers, aux=None, table=None):
+               aux=None, table=None):
     """pair_value_and_grad's arithmetic on a checked stacked batch of
-    per-row ``t`` and ``rows``, in ``ws`` and ``bufs``; ``table`` is
-    bind_step's. The pair window calls it directly on its draws."""
+    per-row ``t`` and ``rows``, in ``ws``; ``table`` is bind_step's. The
+    pair window calls it directly on its draws."""
     B = len(x_t) // 2
     ws.bind_step(t, table)
     out = eps_forward(theta, x_t, 0, rows, ws=ws.bound)
     eps_rf = eps_forward(ref, x_t, 0, rows, ws=ws.bound_ref)
     # -(beta * w(t)) in one ufunc; negation is exact
     scale = s.loss_weight[t[:B]] * -beta
-    d_th, _, _, arg = _pair_terms(tau, out, eps_rf, scale, bufs)
+    d_th, _, _, arg = _pair_terms(tau, out, eps_rf, scale)
     if aux is not None:
         aux["sigmoid_arg"] = arg
     # the sum over B has the bits of the mean
     value = np.add.reduce(np.logaddexp(0.0, -arg)) / B
     _check_loss(value)
-    return float(value), eps_backward(theta, _pair_output_grad(1.0, arg, scale, d_th, bufs),
-                                      rows, ws)
+    return float(value), eps_backward(theta, _pair_output_grad(1.0, arg, scale, d_th), rows, ws)
 
 
-def _pair_terms(tau, eps_th, eps_rf, scale, bufs: _HeadBuffers):
+def _pair_terms(tau, eps_th, eps_rf, scale):
     """The stacked batch's trained-model errors d = tau - prediction, both
     models' squared errors per row and the per-pair loss argument, for the
-    per-pair ``scale`` -(beta * w(t)), written into ``bufs``; a non-finite
-    squared error raises NumericError naming its term."""
+    per-pair ``scale`` -(beta * w(t)); a non-finite squared error raises
+    NumericError naming its term."""
     B = len(scale)
-    d_th = np.subtract(tau, eps_th, out=bufs.err[0])
-    np.subtract(tau, eps_rf, out=bufs.err[1])
-    terms = np.add.reduce(np.multiply(bufs.err, bufs.err, out=bufs.sq), axis=2, out=bufs.terms)
-    term_th, term_rf = terms
-    if not np.logical_and.reduce(np.isfinite(terms), axis=None):
+    d_th, d_rf = tau - eps_th, tau - eps_rf
+    term_th, term_rf = np.add.reduce(d_th * d_th, axis=1), np.add.reduce(d_rf * d_rf, axis=1)
+    if not (np.logical_and.reduce(np.isfinite(term_th))
+            and np.logical_and.reduce(np.isfinite(term_rf))):
         _raise_nonfinite_term(term_th, term_rf, B)
     arg = (term_th[:B] - term_rf[:B] - term_th[B:] + term_rf[B:]) * scale
     return d_th, term_th, term_rf, arg
 
 
-def _pair_output_grad(g, arg, scale, d_th, bufs: _HeadBuffers):
+def _pair_output_grad(g, arg, scale, d_th):
     """The pair head's gradient with respect to the stacked prediction, for
     an upstream gradient ``g``: with g_w = (g / B) * sigmoid(-arg) * beta *
     w(t), winner rows get -g_w * (d + d) and losers g_w * (d + d), plus 0.0.
     ``scale`` is -(beta * w(t)), so the column [-g_w; g_w] is
-    (g / B) * sigmoid(-arg) * scale over its negation; the column and the
-    result are written into ``bufs`` in place, one ufunc per operation.
-    Negation is exact, so the bits are those of -(p + p) + 0.0 with
-    p = [g_w; -g_w] * d."""
-    B = len(arg)
+    (g / B) * sigmoid(-arg) * scale over its negation. Negation is exact, so
+    the bits are those of -(p + p) + 0.0 with p = [g_w; -g_w] * d."""
     # -g_w: sigmoid(-arg), the slope of softplus at -arg, in tanh form
-    neg_gw = np.multiply(arg, -0.5, out=bufs.coef[:B, 0])
-    np.tanh(neg_gw, out=neg_gw)
-    neg_gw += 1.0
-    neg_gw *= 0.5
-    neg_gw *= g / B
-    neg_gw *= scale
-    np.negative(neg_gw, out=bufs.coef[B:, 0])
-    geps = np.multiply(bufs.coef, d_th, out=bufs.out_grad)
+    neg_gw = (np.tanh(arg * -0.5) + 1.0) * 0.5 * (g / len(arg)) * scale
+    geps = np.concatenate([neg_gw, -neg_gw])[:, None] * d_th
     geps += geps
     # + 0.0 turns -0.0 into 0.0, as accumulating into zeros did
     geps += 0.0

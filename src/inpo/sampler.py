@@ -50,6 +50,10 @@ class SamplerConfig:
     t_start: int | None = None  # None means the schedule's T
     t_end: int = 0
 
+    def __post_init__(self):
+        if not np.isfinite(self.guidance_w):
+            raise InvalidArgument(f"guidance_w must be finite, got {self.guidance_w}")
+
     def resolve(self, s: NoiseSchedule) -> "SamplerConfig":
         t_start = s.T if self.t_start is None else self.t_start
         if self.num_steps < 1:
@@ -112,6 +116,8 @@ class Inverter:
     def __init__(self, model, s: NoiseSchedule, n: int, rows: int, guidance_w: float = 0.0):
         if n < 1:
             raise InvalidArgument("inversion step count must be >= 1")
+        if not np.isfinite(guidance_w):
+            raise InvalidArgument(f"inversion guidance_w must be finite, got {guidance_w}")
         self.model, self.s, self.n, self.rows, self.guidance_w = model, s, n, rows, guidance_w
         self.eps_fn = NoisePredictor(model, guidance_w, rows)
         self.frac = np.linspace(0.0, 1.0, n + 1).tolist()

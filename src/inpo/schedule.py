@@ -145,11 +145,7 @@ def forward_diffuse(s: NoiseSchedule, x0, t, eps) -> np.ndarray:
     return _diffuse(a, x0, b, eps)
 
 
-def _diffuse(a, x0, b, eps, out=None, tmp=None) -> np.ndarray:
+def _diffuse(a, x0, b, eps) -> np.ndarray:
     """forward_diffuse's arithmetic, a * x0 + b * eps, on coefficients
-    already gathered; ``out`` and ``tmp``, buffers of the result's shape,
-    receive the sum and the second product (new arrays if None). A training
-    window calls it on its own buffers."""
-    out = np.multiply(a, x0, out=out)
-    out += np.multiply(b, eps, out=tmp)
-    return out
+    already gathered; a training window calls it on its own draws."""
+    return a * x0 + b * eps

@@ -27,24 +27,21 @@ a window gathers by index):
                the current trained parameters, and dpo, which runs as inpo
                with the gaussian strategy.
 
-A builder binds everything its steps share: a StepWorkspace, the head's
-buffers (preference._HeadBuffers), the time embedding table grown to T,
-and a buffer for every array a step writes: the gathered samples, the noise
-or targets, the latents and the (n, 1) sqrt(ab) and sqrt(1 - ab) columns
-they are noised with, and for the pair window the stacked timesteps,
-embedding rows and condition ids. It checks once what the public heads
-check on every call: the reference's type and architecture, and for align
-t_min <= T; the workspace and the inverter are its own. Drawn indices and
-timesteps are in range by construction, so a step is its stream's draws
-followed by arithmetic in those buffers: the heads' arithmetic cores
-(preference._sft_step, _pair_step and _targets), which the public
-sft_value_and_grad, pair_value_and_grad and make_targets call after their
-checks, so each loss has one copy. The pair window gathers its winners,
-then its losers, into one (2B, dim) buffer and makes their targets in one
-stacked call; an inversion align binds one Inverter of 2B rows per call,
-so inversion costs one network forward per grid step for the whole window.
-No step runs the tape (denoiser.value_and_grad), which is the reference
-the tests hold the heads to.
+A builder binds what its steps share: a StepWorkspace, the time embedding
+table grown to T, a buffer for the gathered samples and the noise, and for
+the pair window the stacked timesteps, embedding rows and condition ids. It
+checks once what the public heads check on every call: the reference's
+type and architecture, and for align t_min <= T; the workspace and the
+inverter are its own. Drawn indices and timesteps are in range by
+construction, so a step is its stream's draws followed by the heads'
+arithmetic cores (preference._sft_step, _pair_step and _targets), which
+the public sft_value_and_grad, pair_value_and_grad and make_targets call
+after their checks, so each loss has one copy. The pair window gathers
+its winners, then its losers, into one (2B, dim) buffer and makes their
+targets in one stacked call; an inversion align binds one Inverter of 2B
+rows per call, so inversion costs one network forward per grid step for
+the whole window. No step runs the tape (denoiser.value_and_grad), which
+is the reference the tests hold the heads to.
 
 pretrain_base and sft_ref_init check their step arguments as AlignConfig
 checks align's, before any work.
@@ -75,7 +72,7 @@ from .denoiser import (
     value_and_grad,  # noqa: F401  (perfbench's hook tests reach it through this module)
 )
 from .errors import InvalidArgument, TrainingError
-from .preference import DeltaStrategy, _check_ref, _HeadBuffers, _pair_step, _sft_step, _targets
+from .preference import DeltaStrategy, _check_ref, _pair_step, _sft_step, _targets
 from .sampler import Inverter
 from .schedule import NoiseSchedule, _diffuse
 
@@ -113,8 +110,10 @@ class AlignConfig:
             raise InvalidArgument("steps >= 0, batch_pairs >= 1, accum_steps >= 1 required")
         if not 0 < self.lr < np.inf or self.warmup_steps < 0 or self.t_min < 1:
             raise InvalidArgument("finite lr > 0, warmup_steps >= 0, t_min >= 1 required")
-        if self.beta < 0:
-            raise InvalidArgument("beta must be >= 0")
+        # beta = inf passes: align then fails at step 0 naming the pair behind
+        # the non-finite loss; the CLI rejects it (cli._align_config)
+        if not self.beta >= 0:
+            raise InvalidArgument(f"beta must be >= 0, got {self.beta}")
 
     def check_schedule(self, schedule: NoiseSchedule) -> None:
         """Reject a t_min past the schedule's T, before any training."""
@@ -171,30 +170,15 @@ def warmup_lr(lr: float, step: int, warmup_steps: int) -> float:
     return lr
 
 
-_WORD = 0xFFFFFFFF
 # Steps whose streams _train builds in one pass, ahead of those steps: about
 # 1 KB of generator state each, and only one batch is held at a time.
 _STREAM_BATCH = 64
 
 
 def _step_rng(seed: int, domain: int, step: int) -> np.random.Generator:
-    """The stream of SeedSequence([seed, domain, step]).
-
-    numpy turns that list into the little-endian 32-bit words of each int,
-    at least one word per int, concatenated; the sequence is built from
-    that word array directly. A negative int takes the list path, so numpy
-    still rejects it.
-    """
-    ints = (int(seed), domain, int(step))
-    if min(ints) < 0:
-        return np.random.default_rng(np.random.SeedSequence(list(ints)))
-    words = []
-    for v in ints:
-        words.append(v & _WORD)
-        while v > _WORD:
-            v >>= 32
-            words.append(v & _WORD)
-    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+    """The stream of SeedSequence([seed, domain, step]); numpy rejects a
+    negative int with ValueError."""
+    return np.random.default_rng([int(seed), domain, int(step)])
 
 
 class _Samples(NamedTuple):
@@ -216,12 +200,12 @@ def _train(params: DenoiserParams, adam: AdamState, window, *, seed: int, domain
     windows on that one stream. The streams are built _STREAM_BATCH steps
     at a time, in one pass before the first step of each batch, which counts
     the build in its wall time; a batch never reaches past the last step,
-    and only one is held at a time. ``window(rng, aux)`` draws one window, runs
-    its head in its own buffers and returns the loss and the gradient, a
-    buffer it overwrites on its next call; it records its drawn indices and
-    arrays in ``aux`` as it goes. Each window's gradient is checked for
-    finiteness once and, with more than one window, summed into one vector
-    and averaged; Adam steps on it at the warmup learning rate. A failure
+    and only one is held at a time. ``window(rng, aux)`` draws one window,
+    runs its head and returns the loss and the gradient, a buffer it
+    overwrites on its next call; it records its drawn indices and arrays in
+    ``aux`` as it goes. Each window's gradient is checked for finiteness
+    once and, with more than one window, summed into one vector and
+    averaged; Adam steps on it at the warmup learning rate. A failure
     raises TrainingError naming the step and, when ``pair_ids`` maps drawn
     indices to input pairs, the first drawn pair with a non-finite input,
     target or loss argument. ``log``, if given, receives one row per step,
@@ -294,14 +278,14 @@ def _denoising_window(params, schedule: NoiseSchedule, data: _Samples, batch: in
     """The denoising objective's window on ``data``: it draws rows, then
     timesteps in [t_min, T], then noise, and, only when ``cond_drop`` > 0,
     condition drops last; a dropped condition takes the null embedding row.
-    Everything a step writes is a buffer bound here, and the draws are in
-    range by construction, so a step runs preference._sft_step unchecked.
+    The draws are in range by construction, so a step runs
+    preference._sft_step unchecked.
     """
     arch = params.arch
     null_row, shape = arch.num_conditions, (batch, arch.input_dim)
     if data.x.shape[1:] != shape[1:]:
         raise InvalidArgument(f"x0 shape {(batch, *data.x.shape[1:])} != eps shape {shape}")
-    ws, bufs, table, diffuse = _step_buffers(arch, batch, schedule)
+    ws, table, diffuse = _step_buffers(arch, batch, schedule)
     x0, eps = np.empty(shape), np.empty(shape)
     rows = np.empty(batch, dtype=data.rows.dtype)
 
@@ -316,7 +300,7 @@ def _denoising_window(params, schedule: NoiseSchedule, data: _Samples, batch: in
             rows[rng.random(batch) < cond_drop] = null_row
         x_t = diffuse(x0, t, eps)
         aux["arrays"].append(x_t)
-        return _sft_step(params, schedule, x_t, t, rows, eps, ws, bufs, table)
+        return _sft_step(params, schedule, x_t, t, rows, eps, ws, table)
 
     return window
 
@@ -331,14 +315,14 @@ def _pair_window(params, ref, schedule: NoiseSchedule, data: _Samples, losers, c
     to its draws and to the parameters as Adam left them. The reference is
     checked once here, and its biases are copied into the row tiles of the
     step workspace's reference forward once here, so ``ref`` must not
-    change during the call (align trains a copy of ``base``); every buffer a
-    step writes is bound here, and the draws are in range by construction,
-    so a step runs preference._pair_step unchecked.
+    change during the call (align trains a copy of ``base``). The draws are
+    in range by construction, so a step runs preference._pair_step
+    unchecked.
     """
     _check_ref(params, ref)
     B = cfg.batch_pairs
     shape = (2 * B, params.arch.input_dim)
-    ws, bufs, table, diffuse = _step_buffers(params.arch, 2 * B, schedule)
+    ws, table, diffuse = _step_buffers(params.arch, 2 * B, schedule)
     ws.bound_ref.bind(ws.temb, ref.biases)
     x0, noise = np.empty(shape), np.empty(shape)
     idx2, t2 = np.empty(2 * B, dtype=np.int64), np.empty(2 * B, dtype=np.int64)
@@ -360,28 +344,23 @@ def _pair_window(params, ref, schedule: NoiseSchedule, data: _Samples, losers, c
         x_t, tau = _targets(params, schedule, x0, t2, c2, delta, rng, inverter, noise, diffuse)
         aux["arrays"] += [x_t, tau]
         data.rows.take(idx2, out=rows2, mode="clip")
-        return _pair_step(params, ref, schedule, x_t, tau, t2, rows2, cfg.beta, ws, bufs, aux,
-                          table)
+        return _pair_step(params, ref, schedule, x_t, tau, t2, rows2, cfg.beta, ws, aux, table)
 
     return window
 
 
 def _step_buffers(arch, n: int, schedule: NoiseSchedule):
-    """What a window of n rows binds once: its StepWorkspace and head
-    buffers, the time embedding table grown to cover [0, T] (None past its
-    range, which makes StepWorkspace.bind_step embed checked), and
-    ``diffuse(x0, t, eps)``, forward_diffuse for timesteps drawn in [0, T],
-    which gathers the (n, 1) sqrt(ab) and sqrt(1 - ab) columns at ``t`` and
-    the latents into buffers of its own."""
-    a, b, x_t, tmp = (np.empty((n, k)) for k in (1, 1, arch.input_dim, arch.input_dim))
+    """What a window of n rows binds once: its StepWorkspace, the time
+    embedding table grown to cover [0, T] (None past its range, which makes
+    StepWorkspace.bind_step embed checked), and ``diffuse(x0, t, eps)``,
+    forward_diffuse unchecked, for per-row timesteps drawn in [0, T]."""
 
     def diffuse(x0, t, eps):
-        schedule.sqrt_alpha_bar.take(t[:, None], out=a, mode="clip")
-        schedule.sqrt_one_minus_alpha_bar.take(t[:, None], out=b, mode="clip")
-        return _diffuse(a, x0, b, eps, x_t, tmp)
+        return _diffuse(schedule.sqrt_alpha_bar[t][:, None], x0,
+                        schedule.sqrt_one_minus_alpha_bar[t][:, None], eps)
 
     table = _time_table(np.array([schedule.T]), arch.time_embed_dim)
-    return StepWorkspace(arch, n), _HeadBuffers(n, arch.input_dim), table, diffuse
+    return StepWorkspace(arch, n), table, diffuse
 
 
 def _non_ties(pairs, arch):

@@ -457,3 +457,76 @@ def test_eval_rejects_models_with_different_condition_counts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"eval.model_b={b} has 2 conditions but eval.model_a={a} has 8" in err
     assert not (out / "report.json").exists()
+
+
+def _every_input(workdir):
+    """Every subcommand's input keys, set to the chain's artifacts, at
+    settings small enough to run."""
+    base, pairs, aligned = (f"{workdir}/{n}" for n in ("base.params", "pairs.jsonl",
+                                                        "aligned.params"))
+    sets = [f"prefs.model={base}", f"align.base={base}", f"align.pairs={pairs}",
+            f"eval.model_a={aligned}", f"eval.model_b={base}", "eval.roundtrip=true",
+            "eval.t_target=96", "eval.ns=2", "eval.samples=4", f"demo.model={base}",
+            "demo.t_target=96", "demo.ns=2", "demo.samples=4", f"ablate.base={base}",
+            f"ablate.pairs={pairs}", "ablate.betas=100", "ablate.ns=2", "ablate.w_invs=0",
+            "ablate.steps=2", "ablate.trials=8"]
+    return [arg for s in sets for arg in ("--set", s)]
+
+
+def _files_under(out):
+    return [p for p in out.rglob("*") if p.is_file()] if out.exists() else []
+
+
+_NON_FINITE_WEIGHTS = [
+    ("align", "align.beta", "nan", "config error: beta=nan must be finite"),
+    ("align", "align.beta", "inf", "config error: beta=inf must be finite"),
+    ("ablate", "ablate.betas", "100,inf", "config error: beta=inf must be finite"),
+    ("align", "align.delta.w_inv", "nan", "error: guidance_w_inv must be finite"),
+    ("ablate", "ablate.w_invs", "0,nan", "error: guidance_w_inv must be finite"),
+    ("align", "align.delta.tol", "nan", "error: tol must be positive"),
+    ("make-prefs", "sample.guidance_w", "nan", "error: guidance_w must be finite"),
+    ("eval", "sample.guidance_w", "inf", "error: guidance_w must be finite"),
+    ("eval", "invert.guidance_w", "nan", "config error: invert.guidance_w=nan must be finite"),
+    ("invert-demo", "invert.guidance_w", "inf",
+     "config error: invert.guidance_w=inf must be finite"),
+]
+
+
+@pytest.mark.parametrize("cmd, key, value, message", _NON_FINITE_WEIGHTS,
+                         ids=[f"{c}:{k}={v}" for c, k, v, _ in _NON_FINITE_WEIGHTS])
+def test_a_non_finite_weight_is_an_error_before_any_work(workdir, tmp_path, capsys, cmd, key,
+                                                         value, message):
+    # a NaN tol never satisfies the solver's r <= tol, so every solve would
+    # run to max_iters; the other weights would fail at step 0 or at the
+    # first sample, after the work before them, as a numeric error
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([cmd, "--out", str(out), "--seed", "3", *_every_input(workdir),
+                "--set", "align.delta=fixed_point", "--set", f"{key}={value}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not _files_under(out)
+
+
+@pytest.mark.parametrize("direction, message", [
+    ("nan,0", "error: linear needs a finite 1-D direction vector"),
+    ("1,2,3", "config error: reward.direction has 3 entries but the model's samples have 2"),
+], ids=["nan,0", "1,2,3"])
+def test_a_bad_linear_reward_direction_fails_before_sampling(workdir, tmp_path, capsys,
+                                                             monkeypatch, direction, message):
+    monkeypatch.setattr(cli_mod, "make_preference_pairs",
+                        lambda *a, **k: pytest.fail("make_preference_pairs ran"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["make-prefs", "--out", str(out), "--seed", "2", *_every_input(workdir),
+                "--set", "reward.kind=linear", "--set", f"reward.direction={direction}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not _files_under(out)
+
+
+@pytest.mark.parametrize("cmd", sorted(cli_mod.COMMANDS))
+def test_a_negative_seed_is_a_config_error(workdir, tmp_path, capsys, cmd):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([cmd, "--out", str(out), "--seed", "-1", *_every_input(workdir)]) == 2
+    assert "config error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not _files_under(out)

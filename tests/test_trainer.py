@@ -11,7 +11,7 @@ import inpo
 import inpo.denoiser as denoiser_mod
 import inpo.preference as preference_mod
 import inpo.trainer as trainer_mod
-from inpo.data import PairTable, PreferencePair
+from inpo.data import PairTable, PreferencePair, RewardSpec
 from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
@@ -30,7 +30,7 @@ from inpo.preference import (
     sft_terms,
     sft_value_and_grad,
 )
-from inpo.sampler import Inverter
+from inpo.sampler import Inverter, SamplerConfig
 from inpo.schedule import forward_diffuse, make_schedule
 from inpo.trainer import (
     ALIGN_METHODS,
@@ -735,6 +735,23 @@ def test_sft_ref_init_rejects_bad_step_arguments(s, tiny_pairs, kw):
     args = dict(steps=2, lr=1e-3, seed=1, batch=8) | kw
     with pytest.raises(InvalidArgument, match="required"):
         sft_ref_init(init_denoiser(ARCH, 2), tiny_pairs, s, **args)
+
+
+_BAD_WEIGHTS = {
+    "beta=nan": lambda s: AlignConfig(beta=np.nan),
+    "guidance_w_inv=inf": lambda s: DeltaStrategy("inversion", guidance_w_inv=np.inf),
+    "tol=nan": lambda s: DeltaStrategy("fixed_point", tol=np.nan),
+    "sampler guidance_w=nan": lambda s: SamplerConfig(5, np.nan),
+    "inverter guidance_w=inf": lambda s: Inverter(init_denoiser(ARCH, 0), s, 3, 2, np.inf),
+    "direction=nan,0": lambda s: RewardSpec("linear", direction=np.array([np.nan, 0.0])),
+    "direction 2-D": lambda s: RewardSpec("linear", direction=np.ones((1, 2))),
+}
+
+
+@pytest.mark.parametrize("make", _BAD_WEIGHTS.values(), ids=_BAD_WEIGHTS.keys())
+def test_a_non_finite_weight_is_rejected_where_it_enters(s, make):
+    with pytest.raises(InvalidArgument):
+        make(s)
 
 
 @pytest.mark.parametrize("method", ["dpo", "sft"])
