@@ -8,7 +8,6 @@ Every other public name is reached by its module path, for example
 
 from .data import (
     PairTable,
-    PreferencePair,
     default_reward_spec,
     gen_toy_dataset,
     load_pairs,
@@ -27,7 +26,6 @@ __all__ = [
     "DeltaStrategy",
     "DenoiserArch",
     "PairTable",
-    "PreferencePair",
     "SamplerConfig",
     "align",
     "ddim_invert",

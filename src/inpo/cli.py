@@ -93,9 +93,10 @@ def _sampler_cfg(cfg: dict, schedule) -> SamplerConfig:
 
 def _inversion_grid(cfg: dict, schedule, prefix: str) -> tuple[int, tuple[int, ...]]:
     """``<prefix>.t_target`` and the inversion step counts ``<prefix>.ns``
-    (invert.n_steps if empty), checked with invert.guidance_w before any
-    inversion runs, so that a bad value fails without a partial artifact."""
-    t_key, ns_key = f"{prefix}.t_target", f"{prefix}.ns"
+    (invert.n_steps if empty), checked with ``<prefix>.samples`` and
+    invert.guidance_w before any sampling runs, so that a bad value fails
+    without a partial artifact."""
+    t_key, ns_key, samples_key = f"{prefix}.t_target", f"{prefix}.ns", f"{prefix}.samples"
     t_target = cfg[t_key]
     if not 1 <= t_target <= schedule.T:
         raise ConfigError(f"{t_key}={t_target} is outside [1, T={schedule.T}]")
@@ -105,6 +106,8 @@ def _inversion_grid(cfg: dict, schedule, prefix: str) -> tuple[int, tuple[int, .
     for n in ns:
         if n < 1:
             raise ConfigError(f"{ns_key} has the step count {n}; each must be >= 1")
+    if cfg[samples_key] < 1:
+        raise ConfigError(f"{samples_key}={cfg[samples_key]} must be >= 1")
     if not np.isfinite(cfg["invert.guidance_w"]):
         raise ConfigError(f"invert.guidance_w={cfg['invert.guidance_w']} must be finite")
     return t_target, ns

@@ -6,19 +6,18 @@ empirical statistics against closed forms. Rewards are deterministic scalar
 functions standing in for a human or learned evaluator; higher is preferred.
 
 A pair set is a PairTable, columns from make_preference_pairs through the
-pair file to align; it is also a sequence of PreferencePair, and
-PairTable.of stacks such a sequence into columns. Pair files are
-line-delimited JSON: a header object followed by one record per pair.
-Floats are serialized at full round-trip precision. save_pairs encodes each
-record with json from the columns' Python values and refuses pairs the
-loader would reject; load_pairs decodes and checks one record at a time,
-raising at the first bad line, and builds the columns once at the end.
+pair file to align; save_pairs, align and sft_ref_init take nothing else.
+Pair files are line-delimited JSON: a header object followed by one record
+per pair. Floats are serialized at full round-trip precision. save_pairs
+encodes each record with json from the columns' Python values and refuses
+pairs the loader would reject; load_pairs decodes and checks one record at
+a time, raising at the first bad line, and builds the columns once at the
+end.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,28 +39,14 @@ _RING_R0, _RING_R1 = 0.8, 1.2
 _MOON_STD = 0.1
 
 
-@dataclass(frozen=True)
-class PreferencePair:
-    condition: int
-    winner: np.ndarray
-    loser: np.ndarray
-    reward_w: float
-    reward_l: float
-    seed: int
-    source: str = "model_sampled"
-    tie: bool = False
-
-
 @dataclass(frozen=True, eq=False)
-class PairTable(Sequence):
+class PairTable:
     """A pair set as columns: one row per pair.
 
     ``condition`` (n,) int64, ``winner`` and ``loser`` (n, dim) float64,
     ``reward_w`` and ``reward_l`` (n,) float64, ``seed`` (n,) int64 and
-    ``tie`` (n,) bool, with one ``source`` for every pair. It is a sequence
-    of PreferencePair: an int index gives a pair whose winner and loser are
-    row views, a slice gives a PairTable. Tables are equal when their
-    sources and columns are.
+    ``tie`` (n,) bool, with one ``source`` for every pair. Tables are equal
+    when their sources and columns are.
     """
 
     condition: np.ndarray
@@ -85,52 +70,12 @@ class PairTable(Sequence):
             raise InvalidArgument(f"winners {self.winner.shape} and losers "
                                   f"{self.loser.shape} differ in shape")
 
-    @classmethod
-    def of(cls, pairs) -> "PairTable":
-        """``pairs`` as a table: a PairTable unchanged, a sequence of
-        PreferencePair stacked into columns. Conditions must be integers,
-        winners and losers vectors of one dim, seeds must fit in int64 and
-        the pairs must share one source; samples and rewards are not
-        checked for finiteness."""
-        if isinstance(pairs, PairTable):
-            return pairs
-        pairs = list(pairs)
-        if not pairs:
-            return cls(np.empty(0, np.int64), np.empty((0, 0)), np.empty((0, 0)),
-                       np.empty(0), np.empty(0), np.empty(0, np.int64), np.empty(0, bool))
-        condition = _integer_ids([p.condition for p in pairs]).astype(np.int64)
-        try:
-            winner = np.stack([p.winner for p in pairs], dtype=np.float64)
-            loser = np.stack([p.loser for p in pairs], dtype=np.float64)
-        except ValueError as e:
-            raise InvalidArgument(f"pair samples differ in shape: {e}") from None
-        sources = {p.source for p in pairs}
-        if len(sources) != 1:
-            raise InvalidArgument(f"pairs mix sources {sorted(sources)}")
-        return cls(
-            condition=condition,
-            winner=winner,
-            loser=loser,
-            reward_w=np.array([p.reward_w for p in pairs], dtype=np.float64),
-            reward_l=np.array([p.reward_l for p in pairs], dtype=np.float64),
-            seed=_seed_column([p.seed for p in pairs]),
-            tie=np.array([p.tie for p in pairs], dtype=bool),
-            source=sources.pop(),
-        )
-
     @property
     def dim(self) -> int:
         return self.winner.shape[1]
 
     def __len__(self) -> int:
         return len(self.condition)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PairTable(*(getattr(self, name)[i] for name, _, _ in _COLUMNS), self.source)
-        return PreferencePair(int(self.condition[i]), self.winner[i], self.loser[i],
-                              float(self.reward_w[i]), float(self.reward_l[i]),
-                              int(self.seed[i]), self.source, bool(self.tie[i]))
 
     def __eq__(self, other):
         if not isinstance(other, PairTable):
@@ -151,11 +96,11 @@ _COLUMNS = (
 )
 
 
-def _seed_column(seeds: list) -> np.ndarray:
-    try:
-        return np.array(seeds, dtype=np.int64)
-    except OverflowError:
-        raise InvalidArgument("seeds must fit in int64") from None
+def _table(pairs) -> PairTable:
+    """``pairs`` if it is a PairTable; anything else raises InvalidArgument."""
+    if not isinstance(pairs, PairTable):
+        raise InvalidArgument(f"pairs must be a PairTable, got {type(pairs).__name__}")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -331,10 +276,14 @@ def make_preference_pairs(
     """
     if pairs_per_condition < 1:
         raise InvalidArgument("pairs_per_condition must be >= 1")
+    if not _INT64_MIN <= int(seed) <= _INT64_MAX:
+        raise InvalidArgument("seed must fit in int64")
     conditions = list(conditions)
-    if not conditions:
-        return PairTable.of([])
     dim = model.arch.input_dim
+    if not conditions:
+        empty = np.empty((0, dim))
+        return PairTable(np.empty(0, np.int64), empty, empty, np.empty(0), np.empty(0),
+                         np.empty(0, np.int64), np.empty(0, bool))
     per = 2 * pairs_per_condition
     streams = np.random.SeedSequence([int(seed), 0x9A12]).spawn(len(conditions))
     z = np.concatenate([np.random.default_rng(stream).standard_normal((per, dim))
@@ -352,22 +301,22 @@ def make_preference_pairs(
         loser=np.where(swap[:, None], xa, xb),
         reward_w=reward_w,
         reward_l=reward_l,
-        seed=_seed_column([int(seed)]).repeat(len(swap)),
+        seed=np.full(len(swap), int(seed), dtype=np.int64),
         tie=reward_w == reward_l,
         source="model_sampled",
     )
 
 
-def save_pairs(pairs, path, reward_spec: RewardSpec | None = None) -> None:
+def save_pairs(pairs: PairTable, path, reward_spec: RewardSpec | None = None) -> None:
     """Write a pair file: the header line, then one JSON record per pair,
     formatted by one template from the columns with the bytes json.dumps
     would write.
 
-    Pairs that the loader would reject (non-finite samples or rewards, mixed
-    dims, non-integer conditions) raise InvalidArgument before the file is
-    opened.
+    ``pairs`` must be a PairTable. Pairs that the loader would reject (an
+    empty set, non-finite samples or rewards) raise InvalidArgument before
+    the file is opened.
     """
-    t = PairTable.of(pairs)
+    t = _table(pairs)
     if not len(t):
         raise InvalidArgument("pairs must be nonempty")
     finite = (np.isfinite(t.winner).all(axis=1) & np.isfinite(t.loser).all(axis=1)

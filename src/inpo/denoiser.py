@@ -583,22 +583,19 @@ def value_and_grad(params: DenoiserParams, loss_fn) -> tuple[float, DenoiserPara
 # parameter vector
 
 
+def _header_format(n_hidden: int, kind_len: int) -> str:
+    """The parameter file's header as one struct format: the magic, the
+    version, input_dim, the hidden-layer count, that many hidden widths,
+    num_conditions, time_embed_dim, the schedule kind's length in bytes,
+    the kind and T."""
+    return f"<8s3I{n_hidden}I2IB{kind_len}sI"
+
+
 def _pack_header(params: DenoiserParams, schedule_kind: str, T: int) -> bytes:
-    a = params.arch
-    kind_b = schedule_kind.encode()
-    head = [
-        PARAMS_MAGIC,
-        struct.pack("<I", PARAMS_VERSION),
-        struct.pack("<I", a.input_dim),
-        struct.pack("<I", len(a.hidden_dims)),
-        struct.pack(f"<{len(a.hidden_dims)}I", *a.hidden_dims) if a.hidden_dims else b"",
-        struct.pack("<I", a.num_conditions),
-        struct.pack("<I", a.time_embed_dim),
-        struct.pack("<B", len(kind_b)),
-        kind_b,
-        struct.pack("<I", T),
-    ]
-    return b"".join(head)
+    a, kind = params.arch, schedule_kind.encode()
+    return struct.pack(_header_format(len(a.hidden_dims), len(kind)), PARAMS_MAGIC,
+                       PARAMS_VERSION, a.input_dim, len(a.hidden_dims), *a.hidden_dims,
+                       a.num_conditions, a.time_embed_dim, len(kind), kind, T)
 
 
 def params_to_bytes(params: DenoiserParams, schedule_kind: str, T: int) -> bytes:
@@ -606,51 +603,31 @@ def params_to_bytes(params: DenoiserParams, schedule_kind: str, T: int) -> bytes
     return _pack_header(params, schedule_kind, T) + vec.tobytes()
 
 
-class _Reader:
-    """Little-endian fields read in order from one file's bytes; a short
-    read or bytes left over raise VersionError naming the file kind."""
-
-    def __init__(self, buf: bytes, what: str):
-        self.buf = buf
-        self.what = what
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise VersionError(f"truncated {self.what}")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def f8(self, shape) -> np.ndarray:
-        n = int(np.prod(shape))
-        return np.frombuffer(self.take(n * 8), dtype="<f8").astype(np.float64).reshape(shape)
-
-    def end(self) -> None:
-        if self.pos != len(self.buf):
-            raise VersionError(f"trailing bytes in {self.what}")
+def _unpack(fmt: str, buf: bytes, offset: int = 0) -> tuple:
+    """struct.unpack_from, raising VersionError if ``buf`` ends first."""
+    try:
+        return struct.unpack_from(fmt, buf, offset)
+    except struct.error:
+        raise VersionError("truncated parameter file") from None
 
 
 def params_from_bytes(buf: bytes) -> tuple[DenoiserParams, str, int]:
-    r = _Reader(buf, "parameter file")
-    if r.take(len(PARAMS_MAGIC)) != PARAMS_MAGIC:
-        raise VersionError("not a denoiser parameter file")
-    version = r.u32()
+    """Parse a parameter file. Its fields are checked in file order, so a
+    bad file raises for its first fault: VersionError for a short file,
+    another magic or version, a malformed header, a vector of another
+    length or bytes after it; NumericError for a non-finite vector."""
+    if buf[:8] != PARAMS_MAGIC:
+        raise VersionError("truncated parameter file" if len(buf) < 8
+                           else "not a denoiser parameter file")
+    (version,) = _unpack("<I", buf, 8)
     if version != PARAMS_VERSION:
         raise VersionError(f"unsupported parameter format version {version}")
-    input_dim = r.u32()
-    n_hidden = r.u32()
-    hidden = tuple(r.u32() for _ in range(n_hidden))
-    num_conditions = r.u32()
-    time_embed_dim = r.u32()
-    kind = r.take(r.u8())
-    T = r.u32()
+    # the format's two lengths: the hidden-layer count after input_dim, and
+    # the kind's length, the byte before the kind and T
+    (n_hidden,) = _unpack("<I", buf, 16)
+    (kind_len,) = _unpack("<B", buf, struct.calcsize(_header_format(n_hidden, 0)) - 5)
+    fmt = _header_format(n_hidden, kind_len)
+    _, _, input_dim, _, *hidden, num_conditions, time_embed_dim, _, kind, T = _unpack(fmt, buf)
     try:
         kind = kind.decode()
         arch = DenoiserArch(input_dim, hidden, num_conditions, time_embed_dim)
@@ -658,13 +635,14 @@ def params_from_bytes(buf: bytes) -> tuple[DenoiserParams, str, int]:
         raise VersionError(f"malformed parameter file header: {e}") from None
     if kind not in SCHEDULE_KINDS or T < 2:
         raise VersionError(f"malformed parameter file header: schedule {kind!r} with T={T}")
-
-    vec = r.f8((arch.param_count(),))
-    r.end()
+    head, n = struct.calcsize(fmt), arch.param_count()
+    if len(buf) != head + 8 * n:
+        raise VersionError("truncated parameter file" if len(buf) < head + 8 * n
+                           else "trailing bytes in parameter file")
+    vec = np.frombuffer(buf, dtype="<f8", count=n, offset=head).astype(np.float64)
     if not np.isfinite(vec).all():
         raise NumericError("parameter file contains non-finite values")
-    params = DenoiserParams(arch, vec)
-    return params, kind, T
+    return DenoiserParams(arch, vec), kind, T
 
 
 def save_params(path, params: DenoiserParams, schedule_kind: str, T: int) -> None:

@@ -46,11 +46,11 @@ is the reference the tests hold the heads to.
 pretrain_base and sft_ref_init check their step arguments as AlignConfig
 checks align's, before any work.
 
-align and sft_ref_init take a pair set as a PairTable, or a sequence of
-PreferencePair that PairTable.of stacks once, and keep its non-tie rows. A
-non-finite value raises TrainingError naming the step and, for a pair set,
-the input index of the first drawn pair whose inputs, targets or loss
-argument are non-finite. align averages gradients over batch_pairs *
+align and sft_ref_init take a pair set as a PairTable, and anything else
+raises InvalidArgument; they keep its non-tie rows. A non-finite value
+raises TrainingError naming the step and, for a pair set, the input index
+of the first drawn pair whose inputs, targets or loss argument are
+non-finite. align averages gradients over batch_pairs *
 accum_steps pairs per step.
 """
 from __future__ import annotations
@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import PairTable
+from .data import PairTable, _table
 from .denoiser import (
     DenoiserParams,
     StepWorkspace,
@@ -110,10 +110,8 @@ class AlignConfig:
             raise InvalidArgument("steps >= 0, batch_pairs >= 1, accum_steps >= 1 required")
         if not 0 < self.lr < np.inf or self.warmup_steps < 0 or self.t_min < 1:
             raise InvalidArgument("finite lr > 0, warmup_steps >= 0, t_min >= 1 required")
-        # beta = inf passes: align then fails at step 0 naming the pair behind
-        # the non-finite loss; the CLI rejects it (cli._align_config)
-        if not self.beta >= 0:
-            raise InvalidArgument(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.beta < np.inf:
+            raise InvalidArgument(f"beta must be finite and >= 0, got {self.beta}")
 
     def check_schedule(self, schedule: NoiseSchedule) -> None:
         """Reject a t_min past the schedule's T, before any training."""
@@ -363,10 +361,10 @@ def _step_buffers(arch, n: int, schedule: NoiseSchedule):
     return StepWorkspace(arch, n), table, diffuse
 
 
-def _non_ties(pairs, arch):
-    """``pairs`` as a table, the input indices of its non-tie rows, and
+def _non_ties(pairs: PairTable, arch):
+    """The table ``pairs``, the input indices of its non-tie rows, and
     those rows' winners as _Samples."""
-    table = PairTable.of(pairs)
+    table = _table(pairs)
     usable = ~table.tie
     if not usable.any():
         raise InvalidArgument("no usable (non-tie) pairs")
@@ -404,11 +402,10 @@ def _check_fit_args(steps: int, batch: int, lr: float, cond_drop: float = 0.0) -
                               "required")
 
 
-def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: int,
+def sft_ref_init(base: DenoiserParams, pairs: PairTable, schedule: NoiseSchedule, steps: int,
                  lr: float, seed: int, batch: int = 64) -> DenoiserParams:
-    """Continue denoising training on winner samples only (ties skipped).
-
-    ``pairs`` is a PairTable or a sequence of PreferencePair."""
+    """Continue denoising training on the winners of the table ``pairs``
+    (ties skipped)."""
     _check_fit_args(steps, batch, lr)
     _, pair_ids, data = _non_ties(pairs, base.arch)
     params = base.copy()
@@ -418,10 +415,10 @@ def sft_ref_init(base: DenoiserParams, pairs, schedule: NoiseSchedule, steps: in
     return params
 
 
-def align(base: DenoiserParams, ref: DenoiserParams, pairs, schedule: NoiseSchedule,
+def align(base: DenoiserParams, ref: DenoiserParams, pairs: PairTable, schedule: NoiseSchedule,
           cfg: AlignConfig, log_path=None) -> DenoiserParams:
-    """Run the alignment loop on ``pairs``, a PairTable or a sequence of
-    PreferencePair, and return the final parameters.
+    """Run the alignment loop on the table ``pairs`` and return the final
+    parameters.
 
     ``ref`` is frozen: it is only ever read. When ``log_path`` is given a CSV
     with columns step, lr, loss, sigmoid_arg_mean, wall_ms is written.

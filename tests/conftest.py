@@ -1,6 +1,7 @@
 """Shared fixtures: probe models, closed-form oracles (the single-step
-denoised estimate among them), the per-pair and per-batch loss helpers, the
-RK4 reference integrator, the per-step sampler loops, the per-record
+denoised estimate among them), the per-pair record and its stacking into a
+PairTable, the per-pair and per-batch loss helpers, the RK4 reference
+integrator, the per-step sampler loops, the per-record
 pair-file reader and writer and the csv.writer win-rate table as byte
 oracles, and the slow session-scoped trained models used by the end-to-end
 tests."""
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import inpo.data
 from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
@@ -24,7 +26,7 @@ from inpo.denoiser import (
 import json
 import math
 
-from inpo.data import PAIR_SCHEMA_VERSION, PreferencePair, score
+from inpo.data import PAIR_SCHEMA_VERSION, PairTable, score
 from inpo.errors import InvalidArgument, NumericError, PairParseError, VersionError
 from inpo.preference import DeltaStrategy, make_targets, pair_loss_terms, sft_terms
 from inpo.sampler import InversionResult, ddim_sample
@@ -113,6 +115,44 @@ def sft_loss(model, s, batch, t_draws, eps_draws) -> float:
     rows = _cond_rows(c, model.arch.num_conditions)
     x_t = forward_diffuse(s, x0, t, eps)
     return float(sft_terms(model, s, x_t, t, c, rows, eps))
+
+
+@dataclass(frozen=True)
+class PreferencePair:
+    """One preference pair as a record: the per-pair form the loss helpers
+    take and the oracles build, which pair_table stacks into the PairTable
+    the package takes."""
+
+    condition: int
+    winner: np.ndarray
+    loser: np.ndarray
+    reward_w: float
+    reward_l: float
+    seed: int
+    tie: bool = False
+
+
+# The acceptance criteria, gates kept unedited, import the record from
+# inpo.data, where it was defined before pair sets became tables only.
+inpo.data.PreferencePair = PreferencePair
+
+
+def pair_table(pairs, source="model_sampled") -> PairTable:
+    """The records ``pairs`` stacked into a PairTable, one row each in
+    order; no records give a table of dim 0, as load_pairs returns."""
+    if not pairs:
+        return PairTable(np.empty(0, np.int64), np.empty((0, 0)), np.empty((0, 0)), np.empty(0),
+                         np.empty(0), np.empty(0, np.int64), np.empty(0, bool), source)
+    return PairTable(
+        condition=np.array([p.condition for p in pairs], dtype=np.int64),
+        winner=np.stack([p.winner for p in pairs], dtype=np.float64),
+        loser=np.stack([p.loser for p in pairs], dtype=np.float64),
+        reward_w=np.array([p.reward_w for p in pairs], dtype=np.float64),
+        reward_l=np.array([p.reward_l for p in pairs], dtype=np.float64),
+        seed=np.array([p.seed for p in pairs], dtype=np.int64),
+        tie=np.array([p.tie for p in pairs], dtype=bool),
+        source=source,
+    )
 
 
 @dataclass(frozen=True)
@@ -351,7 +391,8 @@ def oracle_fixed_point(model, s, x0_t, t, c, cfg, rng):
 
 def oracle_make_preference_pairs(model, s, spec, conditions, pairs_per_condition, cfg, seed):
     """make_preference_pairs with one ddim_sample and one score call per
-    condition; byte oracle for its single call over every condition."""
+    condition and one record per pair, stacked into a table; byte oracle
+    for its single call over every condition."""
     streams = np.random.SeedSequence([int(seed), 0x9A12]).spawn(len(conditions))
     pairs = []
     for c, stream in zip(conditions, streams):
@@ -363,9 +404,8 @@ def oracle_make_preference_pairs(model, s, spec, conditions, pairs_per_condition
             (xa, ra), (xb, rb) = (x[k], r[k]), (x[k + 1], r[k + 1])
             if rb > ra:
                 xa, xb, ra, rb = xb, xa, rb, ra
-            pairs.append(PreferencePair(int(c), xa, xb, ra, rb, int(seed), "model_sampled",
-                                        ra == rb))
-    return pairs
+            pairs.append(PreferencePair(int(c), xa, xb, ra, rb, int(seed), ra == rb))
+    return pair_table(pairs)
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
@@ -373,9 +413,9 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 def oracle_load_pairs(path, num_conditions=None, input_dim=None):
     """load_pairs as one loop over the lines, each record decoded, converted
     into a PreferencePair (numpy winner and loser, float rewards) and checked
-    on its own before the next, returning a list of PreferencePair; byte and
-    error oracle for the loader, which keeps Python values per record and
-    builds its columns at the end.
+    on its own before the next, the records stacked into an external table
+    at the end; byte and error oracle for the loader, which keeps Python
+    values per record and builds its columns at the end.
 
     A header without a dim takes the first record's, a header dim must be a
     positive integer, and a condition or seed must fit in int64.
@@ -416,7 +456,6 @@ def oracle_load_pairs(path, num_conditions=None, input_dim=None):
                 reward_w=float(rec["rw"]),
                 reward_l=float(rec["rl"]),
                 seed=int(rec["seed"]),
-                source="external",
                 tie=bool(rec["tie"]),
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
@@ -435,28 +474,28 @@ def oracle_load_pairs(path, num_conditions=None, input_dim=None):
         if not _INT64_MIN <= pair.seed <= _INT64_MAX:
             raise PairParseError(f"seed {pair.seed} does not fit in int64", i)
         pairs.append(pair)
-    return pairs
+    return pair_table(pairs, source="external")
 
 
-def oracle_save_pairs(pairs, path, reward_spec=None):
-    """save_pairs as one json.dumps and one write per pair; byte oracle for
-    the template writer."""
+def oracle_save_pairs(table, path, reward_spec=None):
+    """save_pairs as one json.dumps and one write per row of the table;
+    byte oracle for the template writer."""
     header = {
         "schema_version": PAIR_SCHEMA_VERSION,
         "reward_spec": reward_spec.to_dict() if reward_spec is not None else None,
-        "dim": len(np.asarray(pairs[0].winner)),
+        "dim": table.dim,
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for p in pairs:
+        for i in range(len(table)):
             rec = {
-                "c": int(p.condition),
-                "w": np.asarray(p.winner, dtype=np.float64).tolist(),
-                "l": np.asarray(p.loser, dtype=np.float64).tolist(),
-                "rw": float(p.reward_w),
-                "rl": float(p.reward_l),
-                "seed": int(p.seed),
-                "tie": bool(p.tie),
+                "c": int(table.condition[i]),
+                "w": table.winner[i].tolist(),
+                "l": table.loser[i].tolist(),
+                "rw": float(table.reward_w[i]),
+                "rl": float(table.reward_l[i]),
+                "seed": int(table.seed[i]),
+                "tie": bool(table.tie[i]),
             }
             fh.write(json.dumps(rec) + "\n")
 

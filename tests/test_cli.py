@@ -194,12 +194,15 @@ def test_invert_demo(workdir, tmp_path):
     ("invert-demo", "demo.ns", "5,0", "demo.ns has the step count 0"),
     ("eval", "eval.t_target", "121", "eval.t_target=121 is outside [1, T=120]"),
     ("eval", "eval.ns", "5,0", "eval.ns has the step count 0"),
+    ("invert-demo", "demo.samples", "0", "demo.samples=0 must be >= 1"),
+    ("eval", "eval.samples", "0", "eval.samples=0 must be >= 1"),
 ], ids=["demo.t_target=121", "demo.t_target=0", "demo.ns=5,0", "eval.t_target=121",
-        "eval.ns=5,0"])
+        "eval.ns=5,0", "demo.samples=0", "eval.samples=0"])
 def test_inversion_settings_are_checked_before_any_sampling(workdir, tmp_path, capsys,
                                                             monkeypatch, cmd, key, value,
                                                             message):
-    # a bad t_target or step count must fail before a partial table is written
+    # a bad t_target, step count or sample count must fail before a partial
+    # table is written
     for name in ("ddim_invert", "win_rate"):
         monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
     out = tmp_path / "out"

@@ -174,10 +174,9 @@ def small_pairs():
 
 
 def test_pairs_respect_reward_order(small_pairs):
-    for p in small_pairs:
-        assert p.reward_w >= p.reward_l
-        if not p.tie:
-            assert p.reward_w > p.reward_l
+    t = small_pairs
+    assert (t.reward_w >= t.reward_l).all()
+    assert (t.reward_w[~t.tie] > t.reward_l[~t.tie]).all()
 
 
 def test_pairs_deterministic(small_pairs):
@@ -186,9 +185,8 @@ def test_pairs_deterministic(small_pairs):
     spec = default_reward_spec("eight_gaussians")
     cfg = SamplerConfig(num_steps=8, guidance_w=0.0)
     again = make_preference_pairs(model, s, spec, list(range(8)), 8, cfg, seed=17)
-    for a, b in zip(small_pairs, again):
-        assert a.winner.tobytes() == b.winner.tobytes()
-        assert a.reward_w == b.reward_w
+    assert small_pairs.winner.tobytes() == again.winner.tobytes()
+    assert small_pairs.reward_w.tobytes() == again.reward_w.tobytes()
 
 
 def _pairs_and_oracle(w, pairs_per_condition):
@@ -209,11 +207,10 @@ def test_pairs_match_per_condition_oracle_bytes(w):
     # call over every condition gives each pair the bytes of sampling its
     # condition alone
     got, _, want = _pairs_and_oracle(w, 4)
-    for a, b in zip(got, want, strict=True):
-        assert a.winner.tobytes() == b.winner.tobytes()
-        assert a.loser.tobytes() == b.loser.tobytes()
-        assert (a.condition, a.reward_w, a.reward_l, a.seed, a.source, a.tie) == \
-            (b.condition, b.reward_w, b.reward_l, b.seed, b.source, b.tie)
+    assert got.source == want.source
+    for name in ("condition", "winner", "loser", "reward_w", "reward_l", "seed", "tie"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 @pytest.mark.parametrize("w", [0.0, 1.0, 0.5])
@@ -222,17 +219,17 @@ def test_pairs_of_odd_block_rows_rerun_bitwise_and_match_oracle_closely(w):
     # the condition is sampled alone, so the last bit may differ from the
     # per-condition oracle; reruns stay byte-identical
     got, again, want = _pairs_and_oracle(w, 5)
-    for a, b, o in zip(got, again, want, strict=True):
-        assert a.winner.tobytes() + a.loser.tobytes() == b.winner.tobytes() + b.loser.tobytes()
-        assert (a.condition, a.tie) == (o.condition, o.tie)
-        np.testing.assert_allclose(np.r_[a.winner, a.loser], np.r_[o.winner, o.loser],
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose([a.reward_w, a.reward_l], [o.reward_w, o.reward_l],
+    assert got.winner.tobytes() + got.loser.tobytes() == \
+        again.winner.tobytes() + again.loser.tobytes()
+    assert got.condition.tolist() == want.condition.tolist()
+    assert got.tie.tolist() == want.tie.tolist()
+    for name in ("winner", "loser", "reward_w", "reward_l"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                    rtol=1e-12, atol=1e-12)
 
 
 def test_pairs_positive_margin(small_pairs):
-    margins = [p.reward_w - p.reward_l for p in small_pairs]
+    margins = small_pairs.reward_w - small_pairs.reward_l
     assert np.mean(margins) > 0
 
 
@@ -244,16 +241,22 @@ def test_pair_file_round_trip(tmp_path, small_pairs):
     save_pairs(small_pairs, path, default_reward_spec("eight_gaussians"))
     loaded = load_pairs(path)
     assert len(loaded) == len(small_pairs)
-    for a, b in zip(small_pairs, loaded):
-        assert a.winner.tobytes() == b.winner.tobytes()
-        assert a.loser.tobytes() == b.loser.tobytes()
-        assert a.reward_w == b.reward_w
-        assert a.reward_l == b.reward_l
-        assert a.condition == b.condition
-        assert a.tie == b.tie
+    for name in ("winner", "loser", "reward_w", "reward_l", "condition", "tie"):
+        assert getattr(loaded, name).tobytes() == getattr(small_pairs, name).tobytes(), name
     header = load_pairs_header(path)
     assert header["schema_version"] == 1
     assert header["dim"] == 2
+
+
+@pytest.mark.parametrize("spec", [
+    default_reward_spec("ring"),
+    RewardSpec("ring_radius", radius=1.25),
+    RewardSpec("linear", direction=np.array([0.6, -0.8])),
+], ids=["mode_distance", "ring_radius", "linear"])
+def test_pair_file_header_round_trips_the_reward_spec(tmp_path, small_pairs, spec):
+    path = tmp_path / "pairs.jsonl"
+    save_pairs(small_pairs, path, spec)
+    assert RewardSpec.from_dict(load_pairs_header(path)["reward_spec"]).to_dict() == spec.to_dict()
 
 
 def test_pair_file_truncated_line_error(tmp_path, small_pairs):
@@ -297,7 +300,7 @@ def test_pair_file_condition_range_checked_against_the_model(tmp_path, small_pai
     path.write_text("\n".join(lines) + "\n")
     assert len(load_pairs(path)) == len(small_pairs)  # no model, no range
     if ok:
-        assert load_pairs(path, num_conditions=8)[3].condition == c
+        assert load_pairs(path, num_conditions=8).condition[3] == c
         return
     with pytest.raises(PairParseError, match=r"out of range \[-1, 8\)") as err:
         load_pairs(path, num_conditions=8)
@@ -375,7 +378,7 @@ def test_pair_file_written_by_independent_serializer(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     pairs = load_pairs(path)
     assert len(pairs) == 1
-    assert pairs[0].condition == 3
-    assert pairs[0].winner.tobytes() == w.tobytes()
-    assert pairs[0].loser.tobytes() == l.tobytes()
-    assert pairs[0].reward_w == 0.5 and pairs[0].reward_l == -1.25
+    assert pairs.condition.tolist() == [3]
+    assert pairs.winner[0].tobytes() == w.tobytes()
+    assert pairs.loser[0].tobytes() == l.tobytes()
+    assert (pairs.reward_w[0], pairs.reward_l[0]) == (0.5, -1.25)

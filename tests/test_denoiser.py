@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inpo.denoiser as denoiser_mod
 from inpo.autodiff import Var
@@ -28,7 +30,7 @@ from inpo.denoiser import (
 )
 from inpo.errors import InvalidArgument, NumericError, VersionError
 from inpo.preference import sft_terms
-from inpo.schedule import make_schedule
+from inpo.schedule import SCHEDULE_KINDS, make_schedule
 
 from conftest import finite_diff, make_linear_model, max_rel_err
 
@@ -326,6 +328,61 @@ def test_params_bytes_match_per_array_writer():
     p = init_denoiser(DenoiserArch(2, (8, 4), 3, 6), 9)
     want = _pack_header(p, "linear_beta", 300) + b"".join(a.tobytes() for a in p.flat())
     assert params_to_bytes(p, "linear_beta", 300) == want
+
+
+def test_params_header_bytes_are_pinned():
+    # the version-1 header written out field by field, little-endian
+    p = init_denoiser(DenoiserArch(2, (64, 32), 8, 16), 0)
+    header = bytes.fromhex(
+        "494e504f44454e5a"  # magic b"INPODENZ"
+        "01000000"  # version 1
+        "02000000"  # input_dim 2
+        "02000000"  # 2 hidden layers
+        "40000000" "20000000"  # of widths 64 and 32
+        "08000000"  # 8 conditions
+        "10000000"  # time_embed_dim 16
+        "06" "636f73696e65"  # the 6-byte kind b"cosine"
+        "e8030000"  # T = 1000
+    )
+    buf = params_to_bytes(p, "cosine", 1000)
+    assert buf == header + p.vec.astype("<f8").tobytes()
+    q, kind, T = params_from_bytes(buf)
+    assert (q.arch, kind, T) == (p.arch, "cosine", 1000)
+
+
+@st.composite
+def _mutated_params_files(draw):
+    """A parameter file of a drawn architecture and schedule, cut at any
+    length, with one byte flipped (in the header, or anywhere), or with a
+    tail appended; and which of the three it is."""
+    arch = DenoiserArch(draw(st.integers(1, 3)), draw(st.lists(st.integers(1, 4), max_size=3)),
+                        draw(st.integers(1, 3)), draw(st.sampled_from([2, 4])))
+    buf = params_to_bytes(init_denoiser(arch, draw(st.integers(0, 3))),
+                          draw(st.sampled_from(SCHEDULE_KINDS)), draw(st.integers(2, 70000)))
+    head = len(buf) - 8 * arch.param_count()
+    edit = draw(st.sampled_from(["truncate", "flip", "tail"]))
+    if edit == "truncate":
+        return edit, buf[:draw(st.integers(0, len(buf) - 1))]
+    if edit == "tail":
+        return edit, buf + draw(st.binary(min_size=1, max_size=24))
+    out = bytearray(buf)
+    out[draw(st.one_of(st.integers(0, head - 1), st.integers(0, len(buf) - 1)))] ^= \
+        draw(st.integers(1, 255))
+    return edit, bytes(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_mutated_params_files())
+def test_a_mutated_params_file_raises_only_the_parser_errors(case):
+    # a cut or a tail is always refused; a flipped byte is refused or gives
+    # a file that writes back to the same bytes (a T of another value, say)
+    edit, buf = case
+    try:
+        params, kind, T = params_from_bytes(buf)
+    except (VersionError, NumericError):
+        return
+    assert edit == "flip"
+    assert params_to_bytes(params, kind, T) == buf
 
 
 def test_params_file_rejects_bad_magic():

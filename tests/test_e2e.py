@@ -1,12 +1,12 @@
 """End-to-end properties on the trained toy models (session fixtures)."""
 import numpy as np
 
-from inpo.data import PreferencePair, make_preference_pairs
+from inpo.data import make_preference_pairs
 from inpo.preference import DeltaStrategy, implicit_reward
 from inpo.sampler import ddim_invert, ddim_sample
 from inpo.trainer import sft_ref_init
 
-from conftest import oracle_initial_variable, sft_loss
+from conftest import PreferencePair, oracle_initial_variable, pair_table, sft_loss
 
 
 def test_conditional_sampling_mode_frequencies(toy_setup, base_model, gen_cfg):
@@ -53,12 +53,13 @@ def test_implicit_reward_ranks_heldout_pairs(toy_setup, base_model, aligned_mode
     strat = DeltaStrategy("inversion", n=5)
     t_draws = [200, 400, 600, 800]
     wins = 0
-    usable = [p for p in held if not p.tie]
-    for k, p in enumerate(usable):
+    usable = np.flatnonzero(~held.tie)
+    for k, i in enumerate(usable):
         rng = np.random.default_rng(6000 + k)
-        rw = implicit_reward(aligned_model, base_model, s, p.winner, p.condition,
+        c = int(held.condition[i])
+        rw = implicit_reward(aligned_model, base_model, s, held.winner[i], c,
                              t_draws, strat, 2000.0, rng)
-        rl = implicit_reward(aligned_model, base_model, s, p.loser, p.condition,
+        rl = implicit_reward(aligned_model, base_model, s, held.loser[i], c,
                              t_draws, strat, 2000.0, rng)
         wins += rw > rl
     assert wins / len(usable) > 0.5
@@ -69,10 +70,10 @@ def test_sft_ref_init_control_run(toy_setup, base_model):
     # refresh must not move the held-out denoising loss much
     s = toy_setup["sched"]
     X, cond = toy_setup["X"], toy_setup["cond"]
-    pairs = [
+    pairs = pair_table([
         PreferencePair(int(cond[i]), X[i], X[i + 1], 1.0, 0.0, seed=0)
         for i in range(0, 512, 2)
-    ]
+    ])
     refreshed = sft_ref_init(base_model, pairs, s, steps=150, lr=1e-4, seed=3)
     rng = np.random.default_rng(8)
     idx = rng.integers(0, len(X), 400)
@@ -90,10 +91,10 @@ def test_sft_ref_init_shifts_toward_winner_mode(toy_setup, base_model, gen_cfg):
     rng = np.random.default_rng(9)
     hot = 3
     winners = targets[hot] + 0.05 * rng.standard_normal((256, 2))
-    pairs = [
+    pairs = pair_table([
         PreferencePair(int(c), winners[i], rng.standard_normal(2), 1.0, 0.0, seed=0)
         for i, c in enumerate(rng.integers(0, 8, 256))
-    ]
+    ])
     shifted = sft_ref_init(base_model, pairs, s, steps=400, lr=1e-3, seed=3)
 
     def hot_fraction(model):

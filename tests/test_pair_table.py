@@ -1,7 +1,8 @@
-"""PairTable, the column form of a pair set, and the pair file written and
-read from columns: the table's sequence behavior, the writer's bytes and
-refusals, the loader's parity with the per-record oracle under mutated
-files, and align's parameters from a table equal to those from its pairs."""
+"""PairTable, the one in-memory form of a pair set, and the pair file
+written and read from columns: the table's column checks, the writer's
+bytes and refusals, the loader's parity with the per-record oracle under
+mutated files, align's parameters from a table equal to those from the
+table reloaded from its file, and the refusal of anything but a table."""
 import json
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from inpo.data import (
     PairTable,
-    PreferencePair,
     default_reward_spec,
     load_pairs,
     make_preference_pairs,
@@ -24,7 +24,13 @@ from inpo.sampler import SamplerConfig
 from inpo.schedule import make_schedule
 from inpo.trainer import AlignConfig, align, sft_ref_init
 
-from conftest import make_linear_model, oracle_load_pairs, oracle_save_pairs
+from conftest import (
+    PreferencePair,
+    make_linear_model,
+    oracle_load_pairs,
+    oracle_save_pairs,
+    pair_table,
+)
 
 COLUMNS = ("condition", "winner", "loser", "reward_w", "reward_l", "seed", "tie")
 
@@ -58,63 +64,6 @@ def test_make_preference_pairs_returns_typed_columns(table):
     assert (table.seed == 17).all()
 
 
-def test_an_index_gives_a_pair_over_row_views(table):
-    p = table[5]
-    assert isinstance(p, PreferencePair)
-    assert np.shares_memory(p.winner, table.winner) and np.shares_memory(p.loser, table.loser)
-    assert p.winner.tobytes() == table.winner[5].tobytes()
-    assert (p.condition, p.reward_w, p.reward_l, p.seed, p.source, p.tie) == (
-        int(table.condition[5]), float(table.reward_w[5]), float(table.reward_l[5]), 17,
-        "model_sampled", bool(table.tie[5]))
-    assert type(p.condition) is int and type(p.tie) is bool and type(p.reward_w) is float
-    assert table[-1].winner.tobytes() == table.winner[31].tobytes()
-    with pytest.raises(IndexError):
-        table[32]
-
-
-def test_iteration_and_slices(table):
-    pairs = list(table)
-    assert len(pairs) == len(table)
-    for i, p in enumerate(pairs):
-        q = table[i]
-        assert p.winner.tobytes() == q.winner.tobytes()
-        assert (p.condition, p.reward_w, p.reward_l, p.seed, p.source, p.tie) == \
-            (q.condition, q.reward_w, q.reward_l, q.seed, q.source, q.tie)
-    part = table[3:9:2]
-    assert isinstance(part, PairTable) and len(part) == 3
-    assert part.winner.tobytes() == table.winner[3:9:2].tobytes()
-    assert part == PairTable.of(pairs[3:9:2])
-
-
-def test_of_returns_a_table_unchanged_and_stacks_pairs(table):
-    assert PairTable.of(table) is table
-    again = PairTable.of(list(table))
-    assert again == table
-    for name in COLUMNS:
-        a, b = getattr(again, name), getattr(table, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert PairTable.of(iter(table)) == table
-
-
-def test_of_checks_conditions_dims_and_sources():
-    with pytest.raises(InvalidArgument, match="integers"):
-        PairTable.of([_pair(), _pair(c=1.5)])
-    with pytest.raises(InvalidArgument, match="differ in shape"):
-        PairTable.of([_pair(), _pair(w=(0.0, 1.0, 2.0), l=(0.0, 1.0, 2.0))])
-    with pytest.raises(InvalidArgument, match="differ in shape"):
-        PairTable.of([_pair(l=(1.0, 2.0, 3.0))])
-    with pytest.raises(InvalidArgument, match="column winner must be 2-D"):
-        PairTable.of([_pair(w=1.0, l=2.0)])
-    with pytest.raises(InvalidArgument, match="mix sources"):
-        PairTable.of([_pair(), _pair(source="external")])
-    with pytest.raises(InvalidArgument, match="seeds must fit in int64"):
-        PairTable.of([_pair(seed=1 << 63)])
-    # non-finite values are kept: align names the pair that carries them
-    t = PairTable.of([_pair(w=(np.nan, 0.0), rw=np.inf)])
-    assert np.isnan(t.winner[0, 0]) and t.reward_w[0] == np.inf
-    assert len(PairTable.of([])) == 0
-
-
 def test_columns_are_checked(table):
     cols = {name: getattr(table, name) for name in COLUMNS}
     for name, bad in [("condition", table.condition.astype(np.float64)),
@@ -124,9 +73,14 @@ def test_columns_are_checked(table):
             PairTable(**{**cols, name: bad})
 
 
+def _rows(table, rows):
+    """The table of ``table``'s rows at the index or slice ``rows``."""
+    return PairTable(*(getattr(table, name)[rows] for name in COLUMNS), table.source)
+
+
 def test_tables_compare_by_columns_and_source(table):
-    assert table == table[:]
-    assert table != table[1:]
+    assert table == _rows(table, slice(None))
+    assert table != _rows(table, slice(1, None))
     cols = {name: getattr(table, name) for name in COLUMNS}
     assert table != PairTable(**cols, source="external")
     with pytest.raises(TypeError):
@@ -135,19 +89,17 @@ def test_tables_compare_by_columns_and_source(table):
 
 def test_save_writes_the_per_pair_bytes(tmp_path, table):
     spec = default_reward_spec("eight_gaussians")
-    paths = [tmp_path / name for name in ("table.jsonl", "list.jsonl", "oracle.jsonl")]
+    paths = [tmp_path / name for name in ("table.jsonl", "oracle.jsonl")]
     save_pairs(table, paths[0], spec)
-    save_pairs(list(table), paths[1], spec)
-    oracle_save_pairs(list(table), paths[2], spec)
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    oracle_save_pairs(table, paths[1], spec)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_save_format_is_pinned(tmp_path):
     pairs = [_pair(c=3, w=(0.1, -2.5), l=(1e-300, 5e20), rw=-0.0, rl=-1.25, seed=9),
              _pair(c=-1, w=(1.0, 2.0), l=(1.0, 2.0), rw=0.5, rl=0.5, seed=0, tie=True)]
     path = tmp_path / "pinned.jsonl"
-    save_pairs(pairs, path)
+    save_pairs(pair_table(pairs), path)
     assert path.read_text() == (
         '{"schema_version": 1, "reward_spec": null, "dim": 2}\n'
         '{"c": 3, "w": [0.1, -2.5], "l": [1e-300, 5e+20], "rw": -0.0, "rl": -1.25, '
@@ -179,8 +131,9 @@ def test_save_writes_the_json_dumps_bytes(tmp_path, pairs):
     # the template writer against one json.dumps per record: signed zeros,
     # subnormals, exponent forms, the largest finite floats, condition -1,
     # int64-extreme conditions and seeds, ties either way, dims 1 to 3
-    save_pairs(pairs, tmp_path / "template.jsonl")
-    oracle_save_pairs(pairs, tmp_path / "oracle.jsonl")
+    table = pair_table(pairs)
+    save_pairs(table, tmp_path / "template.jsonl")
+    oracle_save_pairs(table, tmp_path / "oracle.jsonl")
     assert (tmp_path / "template.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
 
 
@@ -189,19 +142,17 @@ def test_save_writes_the_json_dumps_bytes(tmp_path, pairs):
     (_pair(l=(0.0, -np.inf)), "pair 1 has a non-finite sample or reward"),
     (_pair(rw=np.nan), "pair 1 has a non-finite sample or reward"),
     (_pair(rl=np.inf), "pair 1 has a non-finite sample or reward"),
-    (_pair(w=(0.0, 1.0, 2.0), l=(0.0, 1.0, 2.0)), "differ in shape"),
-    (_pair(c=1.5), "integers"),
 ])
 def test_save_refuses_pairs_the_loader_would_reject(tmp_path, bad, match):
     path = tmp_path / "pairs.jsonl"
     with pytest.raises(InvalidArgument, match=match):
-        save_pairs([_pair(), bad], path)
+        save_pairs(pair_table([_pair(), bad]), path)
     assert not path.exists()
 
 
-def test_save_refuses_an_empty_set(tmp_path):
+def test_save_refuses_an_empty_set(tmp_path, table):
     with pytest.raises(InvalidArgument, match="nonempty"):
-        save_pairs(PairTable.of([]), tmp_path / "pairs.jsonl")
+        save_pairs(_rows(table, slice(0)), tmp_path / "pairs.jsonl")
 
 
 # ------------------------------------------------------------- the loader
@@ -221,7 +172,7 @@ def test_load_returns_external_columns(tmp_path, table):
 def test_load_of_a_header_only_file_is_empty(tmp_path):
     path = tmp_path / "pairs.jsonl"
     path.write_text('{"schema_version": 1, "reward_spec": null, "dim": 2}\n\n')
-    assert len(load_pairs(path)) == 0 and oracle_load_pairs(path) == []
+    assert len(load_pairs(path)) == 0 and load_pairs(path) == oracle_load_pairs(path)
 
 
 def _record(rng_vals):
@@ -333,14 +284,12 @@ def test_load_matches_the_per_record_oracle(fuzz_path, case):
     if got[0] == "error":
         assert got[1] == want[1]
         return
-    table, pairs = got[1], want[1]
-    assert isinstance(table, PairTable) and len(table) == len(pairs)
-    if pairs:
-        ref = PairTable.of(pairs)
-        assert table.source == ref.source == "external"
-        for name in COLUMNS:
-            a, b = getattr(table, name), getattr(ref, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    table, ref = got[1], want[1]
+    assert isinstance(table, PairTable) and len(table) == len(ref)
+    assert table.source == ref.source == "external"
+    for name in COLUMNS:
+        a, b = getattr(table, name), getattr(ref, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_named_faults_raise_the_oracle_error_at_their_line(tmp_path):
@@ -418,6 +367,8 @@ def test_every_two_faults_of_a_record_raise_as_the_oracle_does(tmp_path):
 ])
 def test_align_from_a_table_equals_align_from_its_pairs(tmp_path, table, method, delta,
                                                         ref_init):
+    # the pairs reloaded from their file train to the bytes of the table
+    # they were written from
     path = tmp_path / "pairs.jsonl"
     save_pairs(table, path)
     s = make_schedule("cosine", 200)
@@ -425,9 +376,24 @@ def test_align_from_a_table_equals_align_from_its_pairs(tmp_path, table, method,
     cfg = AlignConfig(method=method, delta=delta, steps=4, batch_pairs=8, warmup_steps=2,
                       seed=5, ref_init=ref_init)
     out = []
-    for pairs in (load_pairs(path), list(load_pairs(path))):
+    for pairs in (table, load_pairs(path)):
         ref = base
         if ref_init == "sft_winners":
             ref = sft_ref_init(base, pairs, s, steps=3, lr=1e-3, seed=5, batch=8)
         out.append(params_to_bytes(align(base, ref, pairs, s, cfg), "cosine", 200))
     assert out[0] == out[1]
+
+
+def test_anything_but_a_table_is_rejected(tmp_path):
+    # a pair set is a PairTable only: a list of pair records is refused
+    # before any work, and save_pairs opens no file
+    records = [_pair(c=i % 8) for i in range(8)]
+    s = make_schedule("cosine", 200)
+    base = init_denoiser(DenoiserArch(2, (12,), 8, 8), 7)
+    path = tmp_path / "pairs.jsonl"
+    for run in (lambda: align(base, base, records, s, AlignConfig(steps=2, batch_pairs=4)),
+                lambda: sft_ref_init(base, records, s, steps=2, lr=1e-3, seed=5, batch=4),
+                lambda: save_pairs(records, path)):
+        with pytest.raises(InvalidArgument, match="pairs must be a PairTable, got list"):
+            run()
+    assert not path.exists()

@@ -5,7 +5,6 @@ import pytest
 
 from inpo.autodiff import Var
 from inpo.denoiser import DenoiserArch, TapeParams, init_denoiser, value_and_grad
-from inpo.data import PreferencePair
 import inpo.preference as preference_mod
 from inpo.errors import InvalidArgument, NumericError
 from inpo.preference import (
@@ -20,6 +19,7 @@ from inpo.preference import (
 from inpo.schedule import forward_diffuse, make_schedule
 
 from conftest import (
+    PreferencePair,
     const_model,
     dpo_diffusion_loss,
     inpo_loss,

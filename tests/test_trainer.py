@@ -11,7 +11,7 @@ import inpo
 import inpo.denoiser as denoiser_mod
 import inpo.preference as preference_mod
 import inpo.trainer as trainer_mod
-from inpo.data import PairTable, PreferencePair, RewardSpec
+from inpo.data import RewardSpec
 from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
@@ -43,7 +43,7 @@ from inpo.trainer import (
     warmup_lr,
 )
 
-from conftest import oracle_adam_step, sft_loss
+from conftest import PreferencePair, oracle_adam_step, pair_table, sft_loss
 
 ARCH = DenoiserArch(2, (12,), 4, 8)
 
@@ -54,7 +54,7 @@ def s():
 
 
 @pytest.fixture(scope="module")
-def tiny_pairs():
+def tiny_records():
     rng = np.random.default_rng(0)
     pairs = []
     for i in range(32):
@@ -70,6 +70,11 @@ def tiny_pairs():
             )
         )
     return pairs
+
+
+@pytest.fixture(scope="module")
+def tiny_pairs(tiny_records):
+    return pair_table(tiny_records)
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +139,7 @@ def test_sft_ref_init_fits_winners(s, tiny_pairs):
     base = init_denoiser(ARCH, 2)
     out = sft_ref_init(base, tiny_pairs, s, steps=300, lr=1e-3, seed=1, batch=32)
     rng = np.random.default_rng(3)
-    X = np.stack([p.winner for p in tiny_pairs])
-    cond = np.asarray([p.condition for p in tiny_pairs])
+    X, cond = tiny_pairs.winner, tiny_pairs.condition
     t = rng.integers(1, s.T + 1, size=len(X))
     eps = rng.standard_normal(X.shape)
     assert sft_loss(out, s, (X, cond), t, eps) < sft_loss(base, s, (X, cond), t, eps)
@@ -208,7 +212,7 @@ def test_align_stacked_targets_bytewise_equal_to_separate(s, tiny_pairs, monkeyp
     cfg = small_cfg(method=method, delta=delta, steps=3, batch_pairs=64)
     B = cfg.batch_pairs
     stacked = align(base, base, tiny_pairs, s, cfg)
-    loser_of = {p.winner.tobytes(): p.loser.tobytes() for p in tiny_pairs}
+    loser_of = {w.tobytes(): l.tobytes() for w, l in zip(tiny_pairs.winner, tiny_pairs.loser)}
     made, headed = [], []
     pair_step = trainer_mod._pair_step
 
@@ -285,13 +289,13 @@ def test_window_reference_forward_equals_the_unbound_forward(s, tiny_pairs, monk
     ("dpo", DeltaStrategy("gaussian")),
     ("sft", DeltaStrategy("gaussian")),
 ])
-def test_align_names_the_nonfinite_pair(s, tiny_pairs, method, delta):
-    pairs = list(tiny_pairs[:4])
+def test_align_names_the_nonfinite_pair(s, tiny_records, method, delta):
+    pairs = tiny_records[:4]
     p0 = pairs[0]
     pairs[0] = PreferencePair(p0.condition, np.array([np.nan, 0.0]), p0.loser, 1.0, 0.0, 0)
     base = init_denoiser(ARCH, 7)
     with pytest.raises(TrainingError, match=r"^step 0: .*\(pair 0, t=\d+\)$") as info:
-        align(base, base, pairs, s, small_cfg(method=method, delta=delta, steps=3))
+        align(base, base, pair_table(pairs), s, small_cfg(method=method, delta=delta, steps=3))
     assert info.value.step == 0
 
 
@@ -309,7 +313,7 @@ def test_align_methods_run(s, tiny_pairs):
 def test_align_skips_ties(s):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(2)
-    only_ties = [PreferencePair(0, x, x.copy(), 0.5, 0.5, 0, tie=True)]
+    only_ties = pair_table([PreferencePair(0, x, x.copy(), 0.5, 0.5, 0, tie=True)])
     base = init_denoiser(ARCH, 7)
     with pytest.raises(InvalidArgument):
         align(base, base, only_ties, s, small_cfg())
@@ -364,22 +368,22 @@ def test_back_to_back_calls_leave_no_state(s, tiny_pairs, tiny_data):
     assert again.vec.tobytes() == first_base.vec.tobytes()
 
 
-def test_align_validates_every_pair_condition_up_front(s, tiny_pairs):
+def test_align_validates_every_pair_condition_up_front(s, tiny_records):
     # the pair set's conditions are resolved once, so one no step would draw
     # still fails before the first step
     bad = PreferencePair(4, np.zeros(2), np.ones(2), 1.0, 0.0, 0)
     base = init_denoiser(ARCH, 7)
     for method in ALIGN_METHODS:
         with pytest.raises(InvalidArgument, match=r"condition id out of range \[-1, 4\)"):
-            align(base, base, [*tiny_pairs, bad], s, small_cfg(method=method, steps=0))
+            align(base, base, pair_table([*tiny_records, bad]), s,
+                  small_cfg(method=method, steps=0))
 
 
 def test_loss_trend_and_progress(s, tiny_pairs, tmp_path):
     # winners sit in a tight cluster, losers offset; the preference loss must
     # fall below its end-of-warmup level by the end of training
     base = pretrain_base(
-        (np.stack([p.winner for p in tiny_pairs] + [p.loser for p in tiny_pairs]),
-         np.asarray([p.condition for p in tiny_pairs] * 2)),
+        (np.concatenate([tiny_pairs.winner, tiny_pairs.loser]), np.tile(tiny_pairs.condition, 2)),
         ARCH, s, steps=200, lr=1e-3, seed=2, batch=32,
     )
     log = tmp_path / "trend.csv"
@@ -478,8 +482,8 @@ _PAST_ONE_BATCH = trainer_mod._STREAM_BATCH + 5
 ], ids=["inpo", "dpo", "sft", "inpo-accum1", "fixed_point-accum1", "fixed_point",
         "dpo-accum1", "sft-accum1",
         *(f"{m}-accum{a}-past-one-batch" for m in ("inpo", "dpo", "sft") for a in (1, 3))])
-def test_align_accumulation_matches_per_array_oracle_bytes(s, tiny_pairs, method, delta, accum,
-                                                           steps):
+def test_align_accumulation_matches_per_array_oracle_bytes(s, tiny_records, tiny_pairs, method,
+                                                           delta, accum, steps):
     # align's bound step (pair set resolved once, one workspace, one step-sum
     # vector, streams built a batch ahead) against the unbound public path,
     # byte for byte
@@ -488,7 +492,7 @@ def test_align_accumulation_matches_per_array_oracle_bytes(s, tiny_pairs, method
     cfg = small_cfg(method=method, steps=steps, accum_steps=accum, warmup_steps=4, lr=3e-3,
                     delta=delta)
     out = align(base, ref, tiny_pairs, s, cfg)
-    assert out.vec.tobytes() == _oracle_align(base, ref, tiny_pairs, s, cfg).vec.tobytes()
+    assert out.vec.tobytes() == _oracle_align(base, ref, tiny_records, s, cfg).vec.tobytes()
     assert out.vec.tobytes() != base.vec.tobytes()
 
 
@@ -529,14 +533,13 @@ def test_pretrain_matches_per_array_oracle_bytes(s, tiny_data, cond_drop, steps)
     assert out.vec.tobytes() != init_denoiser(ARCH, 5).vec.tobytes()
 
 
-def test_sft_ref_init_matches_per_array_oracle_bytes(s, tiny_pairs):
+def test_sft_ref_init_matches_per_array_oracle_bytes(s, tiny_records, tiny_pairs):
     # a tie is skipped, so the oracle sees only the other pairs' winners
     tie = PreferencePair(1, np.ones(2), np.ones(2), 0.5, 0.5, 0, tie=True)
-    pairs = [tie, *tiny_pairs]
+    pairs = pair_table([tie, *tiny_records])
     base = init_denoiser(ARCH, 2)
     out = sft_ref_init(base, pairs, s, steps=8, lr=3e-3, seed=4, batch=16)
-    X = np.stack([p.winner for p in tiny_pairs])
-    cond = np.asarray([p.condition for p in tiny_pairs])
+    X, cond = tiny_pairs.winner, tiny_pairs.condition
     want = _oracle_fit(base.copy(), X, cond, s, 8, 3e-3, 4, trainer_mod._SFT_REF_DOMAIN, 16, 0.0)
     assert out.vec.tobytes() == want.vec.tobytes()
     assert out.vec.tobytes() != base.vec.tobytes()
@@ -616,23 +619,24 @@ def test_step_rng_rejects_a_negative_int_as_numpy_does():
 
 
 def test_align_names_the_pair_behind_a_nonfinite_loss(s, tiny_pairs):
-    # beta = inf sends every loss argument to +-inf: the loss is non-finite
-    # while every input and target is finite, so the pair is named from the
-    # loss argument the pair head hands out
+    # beta = 1e308 overflows the loss arguments to +-inf: the loss is
+    # non-finite while every input, target and term is finite, so the pair
+    # is named from the loss argument the pair head hands out
     base = init_denoiser(ARCH, 7)
     with pytest.raises(TrainingError,
-                       match=r"^step 0: loss is non-finite: .*\(pair \d+, t=\d+\)$"):
-        align(base, init_denoiser(ARCH, 8), tiny_pairs, s, small_cfg(beta=np.inf, steps=2))
+                       match=r"^step 0: loss is non-finite: .*\(pair \d+, t=\d+\)$"), \
+            np.errstate(over="ignore"):
+        align(base, init_denoiser(ARCH, 8), tiny_pairs, s, small_cfg(beta=1e308, steps=2))
 
 
-def _nan_winner_after_two_ties(tiny_pairs):
+def _nan_winner_after_two_ties(tiny_records):
     """Two ties, then a pair whose winner is NaN at input index 2, then
     finite pairs: the NaN pair is row 0 of the non-tie rows."""
     x = np.zeros(2)
     ties = [PreferencePair(0, x, x.copy(), 0.5, 0.5, 0, tie=True) for _ in range(2)]
-    p = tiny_pairs[0]
+    p = tiny_records[0]
     bad = PreferencePair(p.condition, np.array([np.nan, 0.0]), p.loser, 1.0, 0.0, 0)
-    return [*ties, bad, *tiny_pairs[1:4]]
+    return pair_table([*ties, bad, *tiny_records[1:4]])
 
 
 @pytest.mark.parametrize("method,delta", [
@@ -640,11 +644,11 @@ def _nan_winner_after_two_ties(tiny_pairs):
     ("inpo", DeltaStrategy("inversion", n=3)),
     ("sft", DeltaStrategy("gaussian")),
 ])
-def test_align_names_the_input_index_of_the_pair_after_ties(s, tiny_pairs, method, delta):
+def test_align_names_the_input_index_of_the_pair_after_ties(s, tiny_records, method, delta):
     # the failing pair is named by its index in the input, ties included
     base = init_denoiser(ARCH, 7)
     with pytest.raises(TrainingError, match=r"^step 0: .*\(pair 2, t=\d+\)$"):
-        align(base, base, _nan_winner_after_two_ties(tiny_pairs), s,
+        align(base, base, _nan_winner_after_two_ties(tiny_records), s,
               small_cfg(method=method, delta=delta, steps=3))
 
 
@@ -658,22 +662,23 @@ def test_pretrain_names_no_pair_for_a_nonfinite_row(s, tiny_data):
     assert info.value.step == 0
 
 
-def test_sft_ref_init_names_the_input_pair_of_a_nonfinite_winner(s, tiny_pairs):
+def test_sft_ref_init_names_the_input_pair_of_a_nonfinite_winner(s, tiny_records):
     base = init_denoiser(ARCH, 2)
     with pytest.raises(TrainingError,
                        match=r"^step 0: loss is non-finite: nan \(pair 2, t=\d+\)$") as info:
-        sft_ref_init(base, _nan_winner_after_two_ties(tiny_pairs), s, steps=3, lr=1e-3,
+        sft_ref_init(base, _nan_winner_after_two_ties(tiny_records), s, steps=3, lr=1e-3,
                      seed=1, batch=16)
     assert info.value.step == 0
 
 
-def test_samples_of_another_dim_are_rejected(s, tiny_data, tiny_pairs):
+def test_samples_of_another_dim_are_rejected(s, tiny_data, tiny_records):
     # the noise is drawn at the model's input dim, so forward_diffuse
     # rejects samples of any other dim before the network runs
     X, cond = tiny_data
     base = init_denoiser(ARCH, 7)
-    wide = [PreferencePair(p.condition, np.append(p.winner, 0.0), np.append(p.loser, 0.0),
-                           1.0, 0.0, 0) for p in tiny_pairs]
+    wide = pair_table([PreferencePair(p.condition, np.append(p.winner, 0.0),
+                                      np.append(p.loser, 0.0), 1.0, 0.0, 0)
+                       for p in tiny_records])
     for run in (lambda: pretrain_base((X[:, :1], cond), ARCH, s, steps=2, lr=1e-3, seed=5,
                                       batch=8),
                 lambda: sft_ref_init(base, wide, s, steps=2, lr=1e-3, seed=1, batch=8),
@@ -739,6 +744,7 @@ def test_sft_ref_init_rejects_bad_step_arguments(s, tiny_pairs, kw):
 
 _BAD_WEIGHTS = {
     "beta=nan": lambda s: AlignConfig(beta=np.nan),
+    "beta=inf": lambda s: AlignConfig(beta=np.inf),
     "guidance_w_inv=inf": lambda s: DeltaStrategy("inversion", guidance_w_inv=np.inf),
     "tol=nan": lambda s: DeltaStrategy("fixed_point", tol=np.nan),
     "sampler guidance_w=nan": lambda s: SamplerConfig(5, np.nan),
@@ -803,8 +809,8 @@ def test_bound_steps_allocate_no_block_of_100_kb():
     rng = np.random.default_rng(0)
     B, n = 512, 1024
     params = init_denoiser(arch, 0)
-    pairs = PairTable.of([PreferencePair(int(c), rng.standard_normal(2), rng.standard_normal(2),
-                                         1.0, 0.0, 0) for c in rng.integers(0, 8, B)])
+    pairs = pair_table([PreferencePair(int(c), rng.standard_normal(2), rng.standard_normal(2),
+                                       1.0, 0.0, 0) for c in rng.integers(0, 8, B)])
     table, pair_ids, data = trainer_mod._non_ties(pairs, arch)
     dpo = trainer_mod._pair_window(params, params, s1000, data, table.loser[pair_ids],
                                    AlignConfig(method="dpo", batch_pairs=B))
