@@ -210,6 +210,8 @@ def cmd_eval(cfg: dict, out: str, seed: int) -> None:
                           f"{a} has {model_a.arch.num_conditions}")
     spec = _reward_for(cfg, model_a)
     sampler_cfg = _sampler_cfg(cfg, schedule)
+    if cfg["eval.n_trials"] < 1:
+        raise ConfigError(f"eval.n_trials={cfg['eval.n_trials']} must be >= 1")
     if cfg["eval.roundtrip"]:
         t_target, ns = _inversion_grid(cfg, schedule, "eval")
     timing = cfg["eval.timing"]
@@ -269,9 +271,12 @@ def cmd_ablate(cfg: dict, out: str, seed: int) -> None:
         for beta, n, w_inv, t_min in itertools.product(
             cfg["ablate.betas"], cfg["ablate.ns"], cfg["ablate.w_invs"], cfg["ablate.t_mins"])
     ]
-    # every cell is checked before the first trains, so a bad one leaves no table
+    # every cell, and the trial count, is checked before the first trains, so
+    # a bad one leaves no table
     for *_, acfg in cells:
         acfg.check_schedule(schedule)
+    if cfg["ablate.trials"] < 1:
+        raise ConfigError(f"ablate.trials={cfg['ablate.trials']} must be >= 1")
     path = os.path.join(out, "ablate.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -18,18 +18,18 @@ an array outside ``vec``; writing through a view in place still changes
 ``vec``, as finite-difference checks do.
 
 One forward routine serves sampling and training, and one backward,
-eps_backward, the gradient. A training window allocates one StepWorkspace and
-hands it to the loss heads' closed-form arithmetic (the cores of
-preference.pair_value_and_grad and sft_value_and_grad): a step embeds its
-timesteps once (StepWorkspace.bind_step), runs the trained forward into the
-kept layer inputs and the frozen reference's forward into a second set of
-buffers, and eps_backward backpropagates the loss's output gradient into
-the workspace's gradient vector, laid out like ``vec``; nothing is
-allocated per step beyond small per-row arrays. On TapeParams eps_forward
-runs the same forward and returns one node over the parameter-vector leaf
-whose VJP is eps_backward, and value_and_grad runs such a chain: the tape
-is the reference the tests hold the closed-form functions to, arithmetic
-for arithmetic.
+eps_backward, the gradient. A training window allocates one StepWorkspace,
+sized to its batch and built for its schedule's T, and hands it to the loss
+heads' closed-form cores (preference._sft_step and _pair_step): a step
+embeds its timesteps once (StepWorkspace.bind_step), runs the trained
+forward into the kept layer inputs and the frozen reference's forward into
+a second set of buffers, and eps_backward backpropagates the loss's output
+gradient into the workspace's gradient vector, laid out like ``vec``;
+nothing is allocated per step beyond small per-row arrays. On TapeParams
+eps_forward runs the same forward and returns one node over the
+parameter-vector leaf whose VJP is eps_backward, and value_and_grad runs
+such a chain: the tape is the reference the tests hold the closed-form
+cores to, arithmetic for arithmetic.
 
 A NoisePredictor is the per-step noise function that sampling, inversion
 and the fixed-point solver call. It owns its workspace, and bind(c, grid)
@@ -209,8 +209,8 @@ def time_embedding(t, dim: int, out=None, table=None) -> np.ndarray:
     (the continuous times of the RK4 oracle) are computed directly. With
     ``out``, a (batch, dim) array, the embedding is written into it and it
     is returned. ``table``, the table for ``dim`` grown to cover ``t`` (see
-    _time_table), skips the look-up and its range check, for a caller whose
-    timesteps are in range by construction.
+    _time_table), skips the look-up and its range check; StepWorkspace
+    passes the one it keeps for its schedule's T.
     """
     t = np.asarray(t)
     table = _time_table(t, dim) if table is None else table
@@ -356,14 +356,21 @@ class StepWorkspace:
     BoundWorkspaces over ``acts`` and ``ref`` that share one one-step grid
     of time embeddings, (1, n, dim), which bind_step fills. A step's forward
     overwrites them, so each step's backward must run before the next
-    step's forward."""
+    step's forward.
 
-    def __init__(self, arch: DenoiserArch, n: int):
+    Given the schedule's ``T``, the workspace keeps time_embedding's table
+    grown to cover [0, T] (none past the table's range), and bind_step
+    gathers from it unchecked, so every timestep it is given must lie in
+    [0, T]; without ``T``, bind_step embeds through time_embedding's
+    checked path."""
+
+    def __init__(self, arch: DenoiserArch, n: int, T: int | None = None):
         self.n = n
         self.acts = forward_workspace(arch, n)
         self.ref = forward_workspace(arch, n)
         self.grad = DenoiserParams(arch, np.empty(arch.param_count()))
         width = arch.time_embed_dim
+        self.table = None if T is None else _time_table(np.array([T]), width)
         self.temb = np.empty((1, n, width))
         self.bound = BoundWorkspace(self.acts, self.temb)
         self.bound_ref = BoundWorkspace(self.ref, self.temb)
@@ -372,11 +379,11 @@ class StepWorkspace:
         self.embed_bins = np.empty((n, width), dtype=np.int64)
         self.embed_grad = np.empty((n, width))
 
-    def bind_step(self, t: np.ndarray, table: np.ndarray | None = None) -> None:
+    def bind_step(self, t: np.ndarray) -> None:
         """Embed the per-row timesteps ``t`` once into the grid that both
         bound workspaces read at step 0, and make their next forwards
-        rewrite every input block. ``table`` is time_embedding's."""
-        time_embedding(t, self.temb.shape[2], out=self.temb[0], table=table)
+        rewrite every input block."""
+        time_embedding(t, self.temb.shape[2], out=self.temb[0], table=self.table)
         self.bound.bind(self.temb)
         self.bound_ref.bind(self.temb)
 

@@ -16,13 +16,12 @@ row sum, with one finiteness check per model that names the offending term
 only on failure. The reference must be plain parameters and never receives
 gradient.
 
-Each head has one closed-form value-and-gradient function,
-pair_value_and_grad on a stacked (2B, dim) batch and sft_value_and_grad for
-the denoising head. Each checks its arguments and then runs its arithmetic
-core (_pair_step, _sft_step), which training windows call directly on
-their own draws, so there is one copy of each loss: it embeds the batch's
-timesteps once into a StepWorkspace (StepWorkspace.bind_step), runs the
-trained forward, and for the pair head the reference forward, in the
+Each head has one closed-form value-and-gradient core, _pair_step on a
+stacked (2B, dim) batch and _sft_step for the denoising head, which the
+training windows call on their own draws, checked once per training call
+rather than per step, so there is one copy of each loss: it embeds the
+batch's timesteps once into a StepWorkspace (StepWorkspace.bind_step), runs
+the trained forward, and for the pair head the reference forward, in the
 workspace's kept buffers, computes the value and the gradient with respect
 to the network's output as plain numpy expressions, and calls
 denoiser.eps_backward, which fills and returns the workspace's gradient.
@@ -30,19 +29,20 @@ The order of operations (d + d, not 2 * d) keeps aligned parameters
 byte-stable. A step's sums and checks call the ufuncs' reductions
 (np.add.reduce, np.logical_and.reduce) directly, not the ndarray methods,
 which first run a Python function in numpy._core._methods; a sum divided by
-its count has the bits of the mean. make_targets likewise checks, then runs
-_targets, which the pair window calls with its inverter and its buffers.
-pair_loss_terms and sft_terms are the same heads on plain numpy values,
-or, on tape parameters, one tape node each whose VJP is the same
+its count has the bits of the mean. make_targets checks its arguments, then
+runs _targets, which the pair window calls with its inverter and its
+buffers. pair_loss_terms and sft_terms are the same heads on plain numpy
+values, or, on tape parameters, one tape node each whose VJP is the same
 output-gradient helper; the tape (denoiser.value_and_grad) is the
-reference the tests hold the closed-form functions to.
+reference the tests hold the closed-form cores to.
 
 Delta strategies decide how the noise estimate paired with a clean sample is
 produced: "inversion" runs the sampler's inversion, "gaussian" draws i.i.d.
 noise (which reduces the loss exactly to the DPO baseline), and
 "fixed_point" solves the self-consistency equation for the noise directly by
 damped iteration. The last two noise the clean sample forward with their
-estimate, as forward_diffuse does, and regress onto the estimate itself.
+estimate (schedule._noise, forward_diffuse's unchecked step) and regress
+onto the estimate itself.
 """
 from __future__ import annotations
 
@@ -63,8 +63,8 @@ from .denoiser import (
     eps_forward,
 )
 from .errors import InvalidArgument, NumericError
-from .sampler import Inverter, ddim_invert
-from .schedule import NoiseSchedule, check_timestep, forward_diffuse
+from .sampler import ddim_invert
+from .schedule import NoiseSchedule, _noise, check_timestep
 
 DELTA_KINDS = ("inversion", "gaussian", "fixed_point")
 
@@ -128,53 +128,19 @@ def _sft_output_grad(g, w, d):
     return geps
 
 
-def _check_batch(model, s: NoiseSchedule, x_t, t, rows, ws: StepWorkspace | None, min_t: int):
-    """Check a closed-form head's batch ``x_t`` of n rows.
-
-    ``ws`` (a new StepWorkspace if None) must have n rows, ``t`` (one or one
-    per row) lie in [min_t, T] and ``rows`` (one or one per row) be integers
-    in [0, num_conditions]. Returns (ws, t, rows), ``t`` and ``rows``
-    broadcast per row.
-    """
-    n = len(x_t)
-    if not isinstance(model, DenoiserParams):
-        raise InvalidArgument(f"model must be DenoiserParams, got {type(model)}")
-    if ws is None:
-        ws = StepWorkspace(model.arch, n)
-    elif ws.n != n:
-        raise InvalidArgument(f"workspace of {ws.n} rows for a batch of {n}")
-    t = _per_row(check_timestep(s, t, min_t=min_t), n, "timesteps")
-    rows = _per_row(rows, n, "condition rows")
-    k = model.arch.num_conditions
-    if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() > k:
-        raise InvalidArgument(f"condition rows must be integers in [0, {k}]")
-    return ws, t, rows
-
-
 def _check_loss(value) -> None:
     if not math.isfinite(value):
         raise NumericError(f"loss is non-finite: {float(value)!r}")
 
 
-def sft_value_and_grad(model: DenoiserParams, s: NoiseSchedule, x_t, t, rows, eps,
-                       ws: StepWorkspace | None = None):
-    """The denoising objective of sft_terms and its gradient, in closed form.
-
-    ``t``, one timestep or one per row, must lie in [0, T]; ``rows``, one or
-    one per row, are the batch's embedding rows. The forward runs in ``ws``,
-    a StepWorkspace of the batch's size (a new one if None), and
-    eps_backward fills its gradient. Returns (value, ws.grad); a non-finite
-    value raises NumericError before the backward.
-    """
-    ws, t, rows = _check_batch(model, s, x_t, t, rows, ws, min_t=0)
-    return _sft_step(model, s, x_t, t, rows, eps, ws)
-
-
-def _sft_step(model, s: NoiseSchedule, x_t, t, rows, eps, ws: StepWorkspace, table=None):
-    """sft_value_and_grad's arithmetic on a checked batch of per-row ``t``
-    and ``rows``, in ``ws``; ``table`` is bind_step's. The denoising window
-    calls it directly on its draws."""
-    ws.bind_step(t, table)
+def _sft_step(model: DenoiserParams, s: NoiseSchedule, x_t, t, rows, eps, ws: StepWorkspace):
+    """The denoising objective of sft_terms and its gradient, in closed form,
+    unchecked: ``t`` and ``rows`` are the batch's per-row timesteps, which
+    ``ws`` (a StepWorkspace of the batch's rows) must be able to embed, and
+    embedding rows in [0, num_conditions]. The denoising window calls it on
+    its draws. Returns (value, ws.grad); a non-finite value raises
+    NumericError before the backward."""
+    ws.bind_step(t)
     d = eps_forward(model, x_t, 0, rows, ws=ws.bound) - eps
     w = s.loss_weight[t]
     value = _sft_value(d, w)
@@ -195,9 +161,8 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
     B = x0a.shape[0]
     tt = np.atleast_1d(check_timestep(s, t, min_t=1))[None]
     eps_fn = NoisePredictor(model, 1.0, B).bind(c, tt)
-    ab = s.alpha_bar[tt.T]
-    sq_1ab = np.sqrt(1.0 - ab)
-    lift0 = np.sqrt(ab) * x0a
+    sq_1ab = s.sqrt_one_minus_alpha_bar[tt.T]
+    lift0 = s.sqrt_alpha_bar[tt.T] * x0a
 
     delta = rng.standard_normal(x0a.shape)
     converged = np.zeros(B, dtype=bool)
@@ -222,36 +187,28 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
     return delta, converged, resid
 
 
-def make_targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng,
-                 inverter: Inverter | None = None):
+def make_targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng):
     """Produce the (latent, regression target) pair for one clean sample batch.
 
-    ``t`` and ``c`` are one value or one per row, whichever the strategy reads.
-    ``inverter``, for the inversion strategy, is an Inverter bound to
-    ``model`` and the strategy's n and guidance weight, sized to the batch
-    (align's pair window binds one per call and hands it to _targets).
-    Without it the inversion is a one-off ddim_invert call.
+    ``t`` and ``c`` are one value or one per row, whichever the strategy
+    reads; the inversion is a one-off ddim_invert call.
     """
     t = check_timestep(s, t, min_t=1)
     x0 = np.asarray(x0, dtype=np.float64)
     n = _as_rows(x0).shape[0]
     _per_row(t, n, "timesteps")
     _per_row(c, n, "condition ids")
-    if strategy.kind == "inversion" and inverter is not None:
-        if (inverter.model is not model or inverter.s is not s or inverter.n != strategy.n
-                or inverter.guidance_w != strategy.guidance_w_inv):
-            raise InvalidArgument("inverter is bound to another model, schedule or strategy")
-        x0 = _as_rows(x0)
-    return _targets(model, s, x0, t, c, strategy, rng, inverter)
+    return _targets(model, s, x0, t, c, strategy, rng)
 
 
 def _targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng, inverter=None,
-             noise=None, diffuse=None):
+             noise=None):
     """make_targets' arithmetic on checked arguments; the pair window calls
-    it directly on its draws, with its Inverter. The gaussian and fixed_point
-    strategies noise x0 with their noise estimate, which is also the target:
-    ``diffuse(x0, t, eps)`` noises (forward_diffuse if None), and for the
-    gaussian strategy ``noise``, a buffer of x0's shape, receives the draws."""
+    it on its draws, with its Inverter, bound to ``model`` and the
+    strategy's n and guidance weight and sized to the batch. The gaussian
+    and fixed_point strategies noise x0 with their noise estimate, which is
+    also the target, and for the gaussian strategy ``noise``, a buffer of
+    x0's shape, receives the draws."""
     if strategy.kind == "inversion":
         res = inverter(x0, t, c) if inverter else ddim_invert(model, s, x0, t, strategy.n, c,
                                                               strategy.guidance_w_inv)
@@ -260,9 +217,7 @@ def _targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng, in
         eps = rng.standard_normal(x0.shape) if noise is None else rng.standard_normal(out=noise)
     else:
         eps, _, _ = solve_delta_fixed_point(model, s, x0, t, c, strategy, rng)
-    if diffuse is None:
-        return forward_diffuse(s, x0, t, eps), eps
-    return diffuse(x0, t, eps), eps
+    return _noise(s, x0, t, eps), eps
 
 
 def _check_ref(theta, ref) -> None:
@@ -320,37 +275,26 @@ def pair_loss_terms(theta, ref, s: NoiseSchedule, x_tw, tau_w, x_tl, tau_l, t, c
     }
 
 
-def pair_value_and_grad(theta: DenoiserParams, ref: DenoiserParams, s: NoiseSchedule, x_t,
-                        tau, t, rows, beta, ws: StepWorkspace | None = None, aux=None):
+def _pair_step(theta: DenoiserParams, ref: DenoiserParams, s: NoiseSchedule, x_t, tau, t, rows,
+               beta, ws: StepWorkspace, aux=None):
     """The mean pairwise loss of pair_loss_terms and its gradient, in closed
-    form, on a stacked (2B, dim) batch of latents ``x_t`` and targets
-    ``tau``, winners first: rows i and B + i are one pair's winner and
-    loser. ``t`` and ``rows`` are the stacked batch's timesteps, in [1, T],
-    and embedding rows; the loss weight is read at the winners' timesteps.
+    form, unchecked, on a stacked (2B, dim) batch of latents ``x_t`` and
+    targets ``tau``, winners first: rows i and B + i are one pair's winner
+    and loser. ``t`` and ``rows`` are the stacked batch's per-row timesteps,
+    in [1, T] and embeddable by ``ws``, and embedding rows in [0,
+    num_conditions]; the loss weight is read at the winners' timesteps.
+    ``ref`` must pass _check_ref. The pair window calls it on its draws.
 
     The time embeddings are gathered once for both models (bind_step), the
     trained forward runs in ``ws.acts`` and the reference's in ``ws.ref``,
-    ``ws`` being a StepWorkspace of 2B rows (a new one if None), and
-    eps_backward fills its gradient. ``aux``, a dict if given, receives the
-    per-pair "sigmoid_arg" before the loss is checked, so a caller can name
-    the pair behind a non-finite loss. Returns (value, ws.grad); a
-    non-finite term or value raises NumericError before the backward.
+    ``ws`` being a StepWorkspace of 2B rows, and eps_backward fills its
+    gradient. ``aux``, a dict if given, receives the per-pair "sigmoid_arg"
+    before the loss is checked, so a caller can name the pair behind a
+    non-finite loss. Returns (value, ws.grad); a non-finite term or value
+    raises NumericError before the backward.
     """
-    _check_ref(theta, ref)
-    n = len(x_t)
-    if n % 2:
-        raise InvalidArgument(f"a stacked pair batch has an even number of rows, got {n}")
-    ws, t, rows = _check_batch(theta, s, x_t, t, rows, ws, min_t=1)
-    return _pair_step(theta, ref, s, x_t, tau, t, rows, beta, ws, aux)
-
-
-def _pair_step(theta, ref, s: NoiseSchedule, x_t, tau, t, rows, beta, ws: StepWorkspace,
-               aux=None, table=None):
-    """pair_value_and_grad's arithmetic on a checked stacked batch of
-    per-row ``t`` and ``rows``, in ``ws``; ``table`` is bind_step's. The
-    pair window calls it directly on its draws."""
     B = len(x_t) // 2
-    ws.bind_step(t, table)
+    ws.bind_step(t)
     out = eps_forward(theta, x_t, 0, rows, ws=ws.bound)
     eps_rf = eps_forward(ref, x_t, 0, rows, ws=ws.bound_ref)
     # -(beta * w(t)) in one ufunc; negation is exact

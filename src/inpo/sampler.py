@@ -20,15 +20,18 @@ returned latent always reconstructs exactly as
 sqrt(ab_t) * x0_t + sqrt(1 - ab_t) * delta_t.
 
 Inversion has one code path, the Inverter: bound to (model, schedule, n,
-rows, guidance weight), it holds its grid, the grid's coefficients, a
-NoisePredictor and the update's buffers, and each call rebinds them to its
-timesteps and conditions. align's pair window builds one per call and
-hands it to the targets of every window (preference._targets);
-ddim_invert is a one-off Inverter call. ddim_sample
-binds a NoisePredictor once per call. Every step checks the forward's
-input and the new state for finiteness with ndarray.all, which runs the
-Python function numpy._core._methods._all before its reduction; at these
-sizes, calling np.logical_and.reduce instead made no measurable difference.
+rows, guidance weight), it holds its grid, the grid's sqrt(ab), sqrt(1 - ab)
+and sigma (gathered from the schedule's tables), a NoisePredictor and the
+update's buffers, and each call rebinds them to its timesteps and
+conditions. align's pair window builds one per call and hands it to the
+targets of every window (preference._targets); ddim_invert is a one-off
+Inverter call. ddim_sample binds a NoisePredictor once per call, so a step
+is its forward(s) and the state update; the fixed-point solver in
+inpo.preference binds one to a grid of one step. Every step checks the
+forward's input and the new state for finiteness with ndarray.all, which
+runs the Python function numpy._core._methods._all before its reduction; at
+these sizes, calling np.logical_and.reduce instead made no measurable
+difference.
 """
 from __future__ import annotations
 
@@ -80,14 +83,14 @@ def ddim_sample(model, s: NoiseSchedule, x_start, cfg: SamplerConfig, c) -> np.n
 
     ``c`` is one condition id or one per row of ``x_start``. A call binds the
     noise predictor to its grid and gathers the grid's sqrt(ab) and
-    sqrt(1 - ab) once, so a step is its forward(s) and the update.
+    sqrt(1 - ab) from the schedule's tables once, so a step is its
+    forward(s) and the update.
     """
     cfg = cfg.resolve(s)
     x = _as_rows(x_start)
     grid = np.rint(np.linspace(cfg.t_start, cfg.t_end, cfg.num_steps + 1)).astype(np.int64)
     eps_fn = NoisePredictor(model, cfg.guidance_w, len(x)).bind(c, grid[:-1, None])
-    ab = s.alpha_bar[grid]
-    sq_ab, sq_1ab = np.sqrt(ab).tolist(), np.sqrt(1.0 - ab).tolist()
+    sq_ab, sq_1ab = s.sqrt_alpha_bar[grid].tolist(), s.sqrt_one_minus_alpha_bar[grid].tolist()
     for i in range(cfg.num_steps):
         eps = eps_fn(x, i)
         x0_hat = (x - sq_1ab[i] * eps) / sq_ab[i]

@@ -6,9 +6,10 @@ A schedule stores three tables over the integer grid t in {0..T}:
     sigma[t]       reparameterized noise level sqrt(1 - alpha_bar) / sqrt(alpha_bar)
     loss_weight[t] per-timestep weight for the denoising objective
 
-and, for forward_diffuse to gather, sqrt_alpha_bar[t] and
-sqrt_one_minus_alpha_bar[t], the square roots of alpha_bar[t] and
-1 - alpha_bar[t].
+and sqrt_alpha_bar[t] and sqrt_one_minus_alpha_bar[t], the square roots of
+alpha_bar[t] and 1 - alpha_bar[t], which noising, sampling and inversion
+gather instead of taking the roots again (IEEE sqrt is correctly rounded,
+so the bits are the same).
 
 The identity sigma[t]^2 + 1 = 1/alpha_bar[t] holds at every grid point, which
 is what lets the deterministic sampler treat the reverse process as an ODE in
@@ -138,14 +139,14 @@ def forward_diffuse(s: NoiseSchedule, x0, t, eps) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise InvalidArgument(f"x0 shape {x0.shape} != eps shape {eps.shape}")
-    t = check_timestep(s, t)
+    return _noise(s, x0, check_timestep(s, t), eps)
+
+
+def _noise(s: NoiseSchedule, x0: np.ndarray, t: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """forward_diffuse's gather and arithmetic, unchecked: ``t``, an integer
+    array of one timestep or one per row of ``x0``, must lie in [0, T], and
+    ``eps`` have x0's shape. A training window calls it on its own draws."""
     a, b = s.sqrt_alpha_bar[t], s.sqrt_one_minus_alpha_bar[t]
     if x0.ndim == 2 and t.ndim == 1:
         a, b = a[:, None], b[:, None]
-    return _diffuse(a, x0, b, eps)
-
-
-def _diffuse(a, x0, b, eps) -> np.ndarray:
-    """forward_diffuse's arithmetic, a * x0 + b * eps, on coefficients
-    already gathered; a training window calls it on its own draws."""
     return a * x0 + b * eps

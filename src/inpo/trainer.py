@@ -27,16 +27,15 @@ a window gathers by index):
                the current trained parameters, and dpo, which runs as inpo
                with the gaussian strategy.
 
-A builder binds what its steps share: a StepWorkspace, the time embedding
-table grown to T, a buffer for the gathered samples and the noise, and for
-the pair window the stacked timesteps, embedding rows and condition ids. It
-checks once what the public heads check on every call: the reference's
-type and architecture, and for align t_min <= T; the workspace and the
-inverter are its own. Drawn indices and timesteps are in range by
-construction, so a step is its stream's draws followed by the heads'
-arithmetic cores (preference._sft_step, _pair_step and _targets), which
-the public sft_value_and_grad, pair_value_and_grad and make_targets call
-after their checks, so each loss has one copy. The pair window gathers
+A builder binds what its steps share: a StepWorkspace built for the
+schedule's T, a buffer for the gathered samples and the noise, and for the
+pair window the stacked timesteps, embedding rows and condition ids. It
+checks its inputs once: the reference's type and architecture, and for
+align t_min <= T; the workspace and the inverter are its own. Drawn
+indices and timesteps are in range by construction, so a step is its
+stream's draws followed by the unchecked noising step (schedule._noise)
+and the heads' closed-form cores (preference._sft_step, _pair_step and
+_targets), so each loss has one copy. The pair window gathers
 its winners, then its losers, into one (2B, dim) buffer and makes their
 targets in one stacked call; an inversion align binds one Inverter of 2B
 rows per call, so inversion costs one network forward per grid step for
@@ -67,14 +66,13 @@ from .denoiser import (
     DenoiserParams,
     StepWorkspace,
     _cond_rows,
-    _time_table,
     init_denoiser,
     value_and_grad,  # noqa: F401  (perfbench's hook tests reach it through this module)
 )
 from .errors import InvalidArgument, TrainingError
 from .preference import DeltaStrategy, _check_ref, _pair_step, _sft_step, _targets
 from .sampler import Inverter
-from .schedule import NoiseSchedule, _diffuse
+from .schedule import NoiseSchedule, _noise
 
 ALIGN_METHODS = ("inpo", "dpo", "sft")
 REF_INITS = ("base", "sft_winners")
@@ -283,7 +281,7 @@ def _denoising_window(params, schedule: NoiseSchedule, data: _Samples, batch: in
     null_row, shape = arch.num_conditions, (batch, arch.input_dim)
     if data.x.shape[1:] != shape[1:]:
         raise InvalidArgument(f"x0 shape {(batch, *data.x.shape[1:])} != eps shape {shape}")
-    ws, table, diffuse = _step_buffers(arch, batch, schedule)
+    ws = StepWorkspace(arch, batch, schedule.T)
     x0, eps = np.empty(shape), np.empty(shape)
     rows = np.empty(batch, dtype=data.rows.dtype)
 
@@ -296,9 +294,9 @@ def _denoising_window(params, schedule: NoiseSchedule, data: _Samples, batch: in
         data.rows.take(idx, out=rows, mode="clip")
         if cond_drop > 0:
             rows[rng.random(batch) < cond_drop] = null_row
-        x_t = diffuse(x0, t, eps)
+        x_t = _noise(schedule, x0, t, eps)
         aux["arrays"].append(x_t)
-        return _sft_step(params, schedule, x_t, t, rows, eps, ws, table)
+        return _sft_step(params, schedule, x_t, t, rows, eps, ws)
 
     return window
 
@@ -320,7 +318,7 @@ def _pair_window(params, ref, schedule: NoiseSchedule, data: _Samples, losers, c
     _check_ref(params, ref)
     B = cfg.batch_pairs
     shape = (2 * B, params.arch.input_dim)
-    ws, table, diffuse = _step_buffers(params.arch, 2 * B, schedule)
+    ws = StepWorkspace(params.arch, 2 * B, schedule.T)
     ws.bound_ref.bind(ws.temb, ref.biases)
     x0, noise = np.empty(shape), np.empty(shape)
     idx2, t2 = np.empty(2 * B, dtype=np.int64), np.empty(2 * B, dtype=np.int64)
@@ -339,26 +337,12 @@ def _pair_window(params, ref, schedule: NoiseSchedule, data: _Samples, losers, c
         np.concatenate([idx, idx], out=idx2)
         np.concatenate([t, t], out=t2)
         data.cond.take(idx2, out=c2, mode="clip")
-        x_t, tau = _targets(params, schedule, x0, t2, c2, delta, rng, inverter, noise, diffuse)
+        x_t, tau = _targets(params, schedule, x0, t2, c2, delta, rng, inverter, noise)
         aux["arrays"] += [x_t, tau]
         data.rows.take(idx2, out=rows2, mode="clip")
-        return _pair_step(params, ref, schedule, x_t, tau, t2, rows2, cfg.beta, ws, aux, table)
+        return _pair_step(params, ref, schedule, x_t, tau, t2, rows2, cfg.beta, ws, aux)
 
     return window
-
-
-def _step_buffers(arch, n: int, schedule: NoiseSchedule):
-    """What a window of n rows binds once: its StepWorkspace, the time
-    embedding table grown to cover [0, T] (None past its range, which makes
-    StepWorkspace.bind_step embed checked), and ``diffuse(x0, t, eps)``,
-    forward_diffuse unchecked, for per-row timesteps drawn in [0, T]."""
-
-    def diffuse(x0, t, eps):
-        return _diffuse(schedule.sqrt_alpha_bar[t][:, None], x0,
-                        schedule.sqrt_one_minus_alpha_bar[t][:, None], eps)
-
-    table = _time_table(np.array([schedule.T]), arch.time_embed_dim)
-    return StepWorkspace(arch, n), table, diffuse
 
 
 def _non_ties(pairs: PairTable, arch):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-import inpo.data
 from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
@@ -130,11 +129,6 @@ class PreferencePair:
     reward_l: float
     seed: int
     tie: bool = False
-
-
-# The acceptance criteria, gates kept unedited, import the record from
-# inpo.data, where it was defined before pair sets became tables only.
-inpo.data.PreferencePair = PreferencePair
 
 
 def pair_table(pairs, source="model_sampled") -> PairTable:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from inpo.data import PreferencePair
+from conftest import PreferencePair
 from inpo.denoiser import DenoiserArch, init_denoiser
 from inpo.evaluation import inversion_roundtrip, win_rate
 from inpo.preference import (

@@ -330,6 +330,30 @@ def test_ablate_checks_every_cell_before_the_first(workdir, tmp_path, capsys, mo
     assert not (out / "ablate.csv").exists()
 
 
+@pytest.mark.parametrize("cmd, key", [("ablate", "ablate.trials"), ("eval", "eval.n_trials")])
+def test_a_trial_count_below_one_is_a_config_error_before_any_work(workdir, tmp_path, capsys,
+                                                                   monkeypatch, cmd, key):
+    # ablate must not train a cell, and eval must not sample, for a count
+    # win_rate would reject only afterwards
+    for name in ("align", "win_rate"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    # after TINY, which sets eval.n_trials
+    assert main([
+        cmd, "--out", str(out), "--seed", "6", *TINY,
+        "--set", f"ablate.base={workdir}/base.params",
+        "--set", f"ablate.pairs={workdir}/pairs.jsonl",
+        "--set", "ablate.betas=100", "--set", "ablate.ns=2", "--set", "ablate.w_invs=0",
+        "--set", "ablate.steps=1",
+        "--set", f"eval.model_a={workdir}/aligned.params",
+        "--set", f"eval.model_b={workdir}/base.params",
+        "--set", f"{key}=0",
+    ]) == 2
+    assert f"config error: {key}=0 must be >= 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("cmd, method", [
     ("align", "inpo"), ("align", "dpo"), ("align", "sft"), ("ablate", "inpo"),
 ])

@@ -12,6 +12,7 @@ import pathlib
 import re
 
 import inpo
+from inpo.config import REGISTRY
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -73,3 +74,10 @@ def test_every_dotted_inpo_name_in_the_readme_resolves():
     assert "inpo.preference.make_targets" in names
     for name in sorted(names):
         resolve(name)
+
+
+def test_the_readme_config_table_lists_every_registry_key():
+    section = README.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    keys = {key for cell in rows for key in re.findall(r"`([\w.]+)`", cell)}
+    assert keys == set(REGISTRY)

@@ -7,7 +7,7 @@ import pytest
 
 from inpo.denoiser import DenoiserArch, init_denoiser
 from inpo.errors import InvalidArgument, NumericError
-from inpo.preference import DeltaStrategy, make_targets
+from inpo.preference import DeltaStrategy, _targets, make_targets
 from inpo.sampler import Inverter, ddim_invert
 from inpo.schedule import make_schedule
 from inpo.trainer import AdamState, adam_step
@@ -125,16 +125,13 @@ def test_inverter_checks_its_inputs(s):
         Inverter(p, s, 0, 4)
 
 
-def test_make_targets_runs_inversion_in_the_given_inverter(s):
+def test_targets_run_inversion_in_the_given_inverter(s):
+    # the pair window's targets, in its bound inverter, are make_targets'
+    # one-off inversion
     p = init_denoiser(ARCH, 5)
     strategy = DeltaStrategy("inversion", n=4, guidance_w_inv=0.5)
     rng = np.random.default_rng(3)
     x0, t, c = _window(rng, 6)
-    inv = Inverter(p, s, 4, 6, 0.5)
-    got = make_targets(p, s, x0, t, c, strategy, None, inverter=inv)
+    got = _targets(p, s, x0, t, c, strategy, None, Inverter(p, s, 4, 6, 0.5))
     want = make_targets(p, s, x0, t, c, strategy, None)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    for other in (Inverter(p.copy(), s, 4, 6, 0.5), Inverter(p, s, 3, 6, 0.5),
-                  Inverter(p, s, 4, 6, 1.0), Inverter(p, make_schedule("cosine", 1000), 4, 6, 0.5)):
-        with pytest.raises(InvalidArgument, match="inverter is bound to another"):
-            make_targets(p, s, x0, t, c, strategy, None, inverter=other)

@@ -16,6 +16,7 @@ from inpo.denoiser import (
     NULL_CONDITION,
     DenoiserArch,
     NoisePredictor,
+    StepWorkspace,
     _cond_rows,
     init_denoiser,
     params_to_bytes,
@@ -24,11 +25,11 @@ from inpo.denoiser import (
 from inpo.errors import InvalidArgument, TrainingError
 from inpo.preference import (
     DeltaStrategy,
+    _pair_step,
+    _sft_step,
     make_targets,
     pair_loss_terms,
-    pair_value_and_grad,
     sft_terms,
-    sft_value_and_grad,
 )
 from inpo.sampler import Inverter, SamplerConfig
 from inpo.schedule import forward_diffuse, make_schedule
@@ -687,18 +688,15 @@ def test_samples_of_another_dim_are_rejected(s, tiny_data, tiny_records):
             run()
 
 
-@pytest.mark.parametrize("method,delta", [("dpo", DeltaStrategy("gaussian")),
-                                          ("inpo", DeltaStrategy("inversion", n=3)),
-                                          ("sft", DeltaStrategy("gaussian"))])
-def test_window_step_is_the_public_head_on_its_draws(s, tiny_pairs, method, delta):
-    # one arithmetic path: a bound window's value and gradient are the bytes
-    # of the public, checked head called on the arrays the window drew, and
-    # a pair window's targets those of make_targets on a replay of its stream
-    cfg = small_cfg(method=method, delta=delta)
+def _window_steps_are_the_cores(s, pairs, cfg):
+    """Three steps of ``cfg``'s window against the head's core in a fresh
+    workspace built without T, on a replay of each step's draws; the pair
+    window's targets against make_targets under ``cfg.delta``, which a dpo
+    ``cfg`` must set to gaussian, on the same replay."""
     B = cfg.batch_pairs
     params, ref = init_denoiser(ARCH, 7), init_denoiser(ARCH, 8)
-    table, pair_ids, data = trainer_mod._non_ties(tiny_pairs, ARCH)
-    if method == "sft":
+    table, pair_ids, data = trainer_mod._non_ties(pairs, ARCH)
+    if cfg.method == "sft":
         window = trainer_mod._denoising_window(params, s, data, B, cfg.t_min)
     else:
         window = trainer_mod._pair_window(params, ref, s, data, table.loser[pair_ids], cfg)
@@ -710,21 +708,43 @@ def test_window_step_is_the_public_head_on_its_draws(s, tiny_pairs, method, delt
         idx = replay.integers(0, len(data.x), size=B)
         t = replay.integers(cfg.t_min, s.T + 1, size=B)
         assert idx.tobytes() == aux["idx"].tobytes() and t.tobytes() == aux["t"].tobytes()
-        if method == "sft":
+        if cfg.method == "sft":
             eps = replay.standard_normal((B, 2))
             x_t = forward_diffuse(s, data.x[idx], t, eps)
             assert x_t.tobytes() == aux["arrays"][1].tobytes()
-            want = sft_value_and_grad(params, s, x_t, t, data.rows[idx], eps)
+            want = _sft_step(params, s, x_t, t, data.rows[idx], eps, StepWorkspace(ARCH, B))
         else:
             idx2, t2 = np.concatenate([idx, idx]), np.concatenate([t, t])
             x0 = np.vstack([data.x[idx], table.loser[pair_ids][idx]])
-            x_t, tau = make_targets(params, s, x0, t2, data.cond[idx2], delta, replay)
+            x_t, tau = make_targets(params, s, x0, t2, data.cond[idx2], cfg.delta, replay)
             assert x_t.tobytes() == aux["arrays"][1].tobytes()
             assert tau.tobytes() == aux["arrays"][2].tobytes()
-            want = pair_value_and_grad(params, ref, s, x_t, tau, t2, data.rows[idx2], cfg.beta)
+            want = _pair_step(params, ref, s, x_t, tau, t2, data.rows[idx2], cfg.beta,
+                              StepWorkspace(ARCH, 2 * B))
         assert value == want[0]
         assert grad.tobytes() == want[1].vec.tobytes()
         params.vec[:] -= 1e-2 * grad  # the next window binds moved parameters
+
+
+@pytest.mark.parametrize("method,delta", [("dpo", DeltaStrategy("gaussian")),
+                                          ("inpo", DeltaStrategy("inversion", n=3)),
+                                          ("sft", DeltaStrategy("gaussian"))])
+def test_window_step_is_the_public_head_on_its_draws(s, tiny_pairs, method, delta):
+    # one arithmetic path: a bound window's value and gradient are the bytes
+    # of the head's core called on the arrays the window drew, whose
+    # workspace embeds its timesteps checked, not from the window's table
+    _window_steps_are_the_cores(s, tiny_pairs, small_cfg(method=method, delta=delta))
+
+
+def test_a_window_past_the_embedding_table_embeds_its_timesteps_directly(tiny_pairs):
+    # at T = 70,000 the window's workspace keeps no table, and every drawn
+    # timestep lies past the table's range, so each step must embed them
+    # as time_embedding's checked path does
+    assert 70_000 > denoiser_mod._TABLE_MAX_T
+    big = make_schedule("cosine", 70_000)
+    assert StepWorkspace(ARCH, 2, big.T).table is None
+    cfg = small_cfg(method="dpo", t_min=denoiser_mod._TABLE_MAX_T + 1)
+    _window_steps_are_the_cores(big, tiny_pairs, cfg)
 
 
 @pytest.mark.parametrize("kw", [dict(lr=-1.0), dict(cond_drop=2.0), dict(steps=-3),
