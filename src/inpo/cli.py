@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .config import load_config, reward_spec_from
+from .config import load_config, reward_spec_from, show
 from .data import (CONDITION_COUNTS, _row_dots, gen_toy_dataset, load_pairs,
                    make_preference_pairs, save_pairs)
 from .denoiser import DenoiserArch, load_params, save_params
@@ -82,35 +82,28 @@ def _reward_for(cfg: dict, params):
     return spec
 
 
+def _check_times(cfg: dict, schedule, *keys: str) -> None:
+    """Each key's time, or every time of a list key, against the model's T;
+    the registry has checked the lower bounds."""
+    for key in keys:
+        value = cfg[key]
+        if any(t > schedule.T for t in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{key}={show(value)} must be <= the model's T={schedule.T}")
+
+
 def _sampler_cfg(cfg: dict, schedule) -> SamplerConfig:
-    t_start = cfg["sample.t_start"]
-    if t_start == 0:
-        t_start = max(1, round(0.95 * schedule.T))
-    return SamplerConfig(
-        num_steps=cfg["sample.n_steps"], guidance_w=cfg["sample.guidance_w"], t_start=t_start
-    )
+    """The sampler settings, resolved against the model's schedule."""
+    _check_times(cfg, schedule, "sample.t_start")
+    t_start = cfg["sample.t_start"] or max(1, round(0.95 * schedule.T))
+    sampler_cfg = SamplerConfig(cfg["sample.n_steps"], cfg["sample.guidance_w"], t_start)
+    return sampler_cfg.resolve(schedule)
 
 
 def _inversion_grid(cfg: dict, schedule, prefix: str) -> tuple[int, tuple[int, ...]]:
-    """``<prefix>.t_target`` and the inversion step counts ``<prefix>.ns``
-    (invert.n_steps if empty), checked with ``<prefix>.samples`` and
-    invert.guidance_w before any sampling runs, so that a bad value fails
-    without a partial artifact."""
-    t_key, ns_key, samples_key = f"{prefix}.t_target", f"{prefix}.ns", f"{prefix}.samples"
-    t_target = cfg[t_key]
-    if not 1 <= t_target <= schedule.T:
-        raise ConfigError(f"{t_key}={t_target} is outside [1, T={schedule.T}]")
-    ns = cfg[ns_key]
-    if not ns:
-        ns_key, ns = "invert.n_steps", (cfg["invert.n_steps"],)
-    for n in ns:
-        if n < 1:
-            raise ConfigError(f"{ns_key} has the step count {n}; each must be >= 1")
-    if cfg[samples_key] < 1:
-        raise ConfigError(f"{samples_key}={cfg[samples_key]} must be >= 1")
-    if not np.isfinite(cfg["invert.guidance_w"]):
-        raise ConfigError(f"invert.guidance_w={cfg['invert.guidance_w']} must be finite")
-    return t_target, ns
+    """``<prefix>.t_target``, checked against the model's T, and the
+    inversion step counts ``<prefix>.ns`` (invert.n_steps if empty)."""
+    _check_times(cfg, schedule, f"{prefix}.t_target")
+    return cfg[f"{prefix}.t_target"], cfg[f"{prefix}.ns"] or (cfg["invert.n_steps"],)
 
 
 def _delta_from(cfg: dict) -> DeltaStrategy:
@@ -127,9 +120,7 @@ def _delta_from(cfg: dict) -> DeltaStrategy:
 def _align_config(cfg: dict, seed: int, **fields) -> AlignConfig:
     """An AlignConfig with the optimizer keys align and ablate share
     (align.batch_pairs, align.accum_steps, align.lr, align.warmup_steps),
-    the run's seed, and ``fields``, whose beta must be finite."""
-    if not np.isfinite(fields["beta"]):
-        raise ConfigError(f"beta={fields['beta']} must be finite")
+    the run's seed, and ``fields``."""
     return AlignConfig(
         batch_pairs=cfg["align.batch_pairs"], accum_steps=cfg["align.accum_steps"],
         lr=cfg["align.lr"], warmup_steps=cfg["align.warmup_steps"], seed=seed, **fields,
@@ -168,14 +159,14 @@ def cmd_make_prefs(cfg: dict, out: str, seed: int) -> None:
 
 def cmd_align(cfg: dict, out: str, seed: int) -> None:
     base, schedule = _load_model(_require(cfg, "align.base"), cfg["schedule.loss_weight"])
+    # before an SFT reference is trained, not after
+    _check_times(cfg, schedule, "align.t_min")
     pairs = load_pairs(_require(cfg, "align.pairs"), base.arch.num_conditions,
                        base.arch.input_dim)
     acfg = _align_config(
         cfg, seed, method=cfg["align.method"], beta=cfg["align.beta"], delta=_delta_from(cfg),
         steps=cfg["align.steps"], ref_init=cfg["align.ref_init"], t_min=cfg["align.t_min"],
     )
-    # before an SFT reference is trained, not after
-    acfg.check_schedule(schedule)
     # the sft method's denoising window reads no reference
     if acfg.ref_init == "sft_winners" and acfg.method != "sft":
         ref = sft_ref_init(base, pairs, schedule, steps=cfg["align.ref_sft_steps"],
@@ -210,8 +201,6 @@ def cmd_eval(cfg: dict, out: str, seed: int) -> None:
                           f"{a} has {model_a.arch.num_conditions}")
     spec = _reward_for(cfg, model_a)
     sampler_cfg = _sampler_cfg(cfg, schedule)
-    if cfg["eval.n_trials"] < 1:
-        raise ConfigError(f"eval.n_trials={cfg['eval.n_trials']} must be >= 1")
     if cfg["eval.roundtrip"]:
         t_target, ns = _inversion_grid(cfg, schedule, "eval")
     timing = cfg["eval.timing"]
@@ -258,6 +247,8 @@ def cmd_invert_demo(cfg: dict, out: str, seed: int) -> None:
 
 def cmd_ablate(cfg: dict, out: str, seed: int) -> None:
     base, schedule = _load_model(_require(cfg, "ablate.base"), cfg["schedule.loss_weight"])
+    # before the first cell trains, so a bad t_min leaves no table
+    _check_times(cfg, schedule, "ablate.t_mins")
     pairs = load_pairs(_require(cfg, "ablate.pairs"), base.arch.num_conditions,
                        base.arch.input_dim)
     spec = _reward_for(cfg, base)
@@ -271,12 +262,6 @@ def cmd_ablate(cfg: dict, out: str, seed: int) -> None:
         for beta, n, w_inv, t_min in itertools.product(
             cfg["ablate.betas"], cfg["ablate.ns"], cfg["ablate.w_invs"], cfg["ablate.t_mins"])
     ]
-    # every cell, and the trial count, is checked before the first trains, so
-    # a bad one leaves no table
-    for *_, acfg in cells:
-        acfg.check_schedule(schedule)
-    if cfg["ablate.trials"] < 1:
-        raise ConfigError(f"ablate.trials={cfg['ablate.trials']} must be >= 1")
     path = os.path.join(out, "ablate.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -346,21 +346,24 @@ def load_pairs(path, num_conditions: int | None = None,
                input_dim: int | None = None) -> PairTable:
     """Read a pair file into a PairTable; loaded pairs are marked external.
 
-    A record whose samples or rewards are not finite numbers, whose winner
-    and loser are not vectors of the header's dim (of the first record's,
-    if the header declares none), whose condition is not an integer, or
-    with ``num_conditions`` given not in [-1, num_conditions), or whose
-    condition or seed does not fit in int64, raises PairParseError naming
-    its line; so does, at line 1, a header dim that is not a positive
-    integer. With ``input_dim`` given, pairs of another dim, declared in the
-    header or not, are rejected too.
+    A record whose samples or rewards are not finite JSON numbers (a
+    boolean is not one), whose winner and loser are not vectors of the
+    header's dim (of the first record's, if the header declares none), whose
+    condition or seed is not a JSON integer, or with ``num_conditions``
+    given a condition not in [-1, num_conditions), whose condition or seed
+    does not fit in int64, or whose tie is not a JSON boolean, raises
+    PairParseError naming its line; so does, at line 1, a header dim that is
+    not a positive integer. A header whose schema_version is not the integer
+    1 raises VersionError. With ``input_dim`` given, pairs of another dim,
+    declared in the header or not, are rejected too.
 
     One loop runs over the non-blank lines: each is decoded on its own and
     its fields are read and checked in a fixed order (samples and rewards
-    finite, condition, seed and tie converted, then dims, the condition's
-    type and range, and the int64 fit), so the error raised is the first bad
-    line's first fault. A good record keeps only Python values; the columns
-    are built from all of them at the end.
+    finite numbers, every field present, then dims, the condition's type,
+    range and int64 fit, the seed's type and int64 fit, and the tie's type),
+    so the error raised is the first bad line's first fault. A good record
+    keeps only Python values; the columns are built from all of them at the
+    end.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -372,10 +375,9 @@ def load_pairs(path, num_conditions: int | None = None,
         raise PairParseError(f"bad header: {e.msg}", 1) from e
     if not isinstance(header, dict):
         raise PairParseError(f"header is not a JSON object: {lines[0][:40]!r}", 1)
-    if header.get("schema_version") != PAIR_SCHEMA_VERSION:
-        raise VersionError(
-            f"unsupported pair schema version {header.get('schema_version')!r}"
-        )
+    version = header.get("schema_version")
+    if type(version) is not int or version != PAIR_SCHEMA_VERSION:
+        raise VersionError(f"unsupported pair schema version {version!r}")
     if "dim" in header and (type(header["dim"]) is not int or header["dim"] < 1):
         raise PairParseError(f"header dim {header['dim']!r} is not a positive integer", 1)
     dim = header.get("dim", input_dim)
@@ -389,13 +391,14 @@ def load_pairs(path, num_conditions: int | None = None,
         try:
             rec = json.loads(line)
             values = [*rec["w"], *rec["l"], rec["rw"], rec["rl"]]
-            if not all(map(math.isfinite, values)):
-                raise ValueError("non-finite sample or reward")
+            # json decodes a number to an int or a float, true and false to bools
+            if not {*map(type, values)} <= {int, float} or not all(map(math.isfinite, values)):
+                raise ValueError("a sample or reward is not a finite number")
             w, l = rec["w"], rec["l"]
             if type(w) is not list or type(l) is not list:
                 # "" and {} pass the finiteness check with no values; np.asarray rejects them
                 np.asarray(w, dtype=np.float64), np.asarray(l, dtype=np.float64)
-            c, seed, tie = int(rec["c"]), int(rec["seed"]), bool(rec["tie"])
+            c, seed, tie = rec["c"], rec["seed"], rec["tie"]
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise PairParseError(str(e), line_no) from e
         if dim is None:
@@ -403,14 +406,18 @@ def load_pairs(path, num_conditions: int | None = None,
         if len(w) != dim or len(l) != dim:
             raise PairParseError(f"dim mismatch: expected {dim}, got {len(w)} and {len(l)}",
                                  line_no)
-        if type(rec["c"]) is not int:
-            raise PairParseError(f"condition {rec['c']!r} is not an integer", line_no)
+        if type(c) is not int:
+            raise PairParseError(f"condition {c!r} is not an integer", line_no)
         if num_conditions is not None and not NULL_CONDITION <= c < num_conditions:
             raise PairParseError(f"condition {c} out of range [-1, {num_conditions})", line_no)
         if not _INT64_MIN <= c <= _INT64_MAX:
             raise PairParseError(f"condition {c} does not fit in int64", line_no)
+        if type(seed) is not int:
+            raise PairParseError(f"seed {seed!r} is not an integer", line_no)
         if not _INT64_MIN <= seed <= _INT64_MAX:
             raise PairParseError(f"seed {seed} does not fit in int64", line_no)
+        if type(tie) is not bool:
+            raise PairParseError(f"tie {tie!r} is not a boolean", line_no)
         rows.append((c, seed, tie, values))
     n = len(rows)
     d = dim if n else 0

@@ -412,7 +412,9 @@ def oracle_load_pairs(path, num_conditions=None, input_dim=None):
     values per record and builds its columns at the end.
 
     A header without a dim takes the first record's, a header dim must be a
-    positive integer, and a condition or seed must fit in int64.
+    positive integer and the schema version the integer 1; samples and
+    rewards must be finite JSON numbers, a condition and a seed JSON
+    integers that fit in int64, and a tie a JSON boolean.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -424,10 +426,9 @@ def oracle_load_pairs(path, num_conditions=None, input_dim=None):
         raise PairParseError(f"bad header: {e.msg}", 1) from e
     if not isinstance(header, dict):
         raise PairParseError(f"header is not a JSON object: {lines[0][:40]!r}", 1)
-    if header.get("schema_version") != PAIR_SCHEMA_VERSION:
-        raise VersionError(
-            f"unsupported pair schema version {header.get('schema_version')!r}"
-        )
+    version = header.get("schema_version")
+    if not (type(version) is int and version == PAIR_SCHEMA_VERSION):
+        raise VersionError(f"unsupported pair schema version {version!r}")
     if "dim" in header and (type(header["dim"]) is not int or header["dim"] < 1):
         raise PairParseError(f"header dim {header['dim']!r} is not a positive integer", 1)
     dim = header.get("dim", input_dim)
@@ -439,19 +440,13 @@ def oracle_load_pairs(path, num_conditions=None, input_dim=None):
             continue
         try:
             rec = json.loads(line)
-            if not all(map(math.isfinite, [*rec["w"], *rec["l"], rec["rw"], rec["rl"]])):
-                raise ValueError("non-finite sample or reward")
+            values = [*rec["w"], *rec["l"], rec["rw"], rec["rl"]]
+            if (any(type(v) not in (int, float) for v in values)
+                    or not all(math.isfinite(v) for v in values)):
+                raise ValueError("a sample or reward is not a finite number")
             winner = np.asarray(rec["w"], dtype=np.float64)
             loser = np.asarray(rec["l"], dtype=np.float64)
-            pair = PreferencePair(
-                condition=int(rec["c"]),
-                winner=winner,
-                loser=loser,
-                reward_w=float(rec["rw"]),
-                reward_l=float(rec["rl"]),
-                seed=int(rec["seed"]),
-                tie=bool(rec["tie"]),
-            )
+            c, seed, tie = rec["c"], rec["seed"], rec["tie"]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
             raise PairParseError(str(e), i) from e
         if dim is None:
@@ -459,15 +454,21 @@ def oracle_load_pairs(path, num_conditions=None, input_dim=None):
         if len(loser) != len(winner) or len(winner) != dim:
             raise PairParseError(f"dim mismatch: expected {dim}, got {len(winner)} and "
                                  f"{len(loser)}", i)
-        if type(rec["c"]) is not int:
-            raise PairParseError(f"condition {rec['c']!r} is not an integer", i)
-        if num_conditions is not None and not -1 <= rec["c"] < num_conditions:
-            raise PairParseError(f"condition {rec['c']} out of range [-1, {num_conditions})", i)
-        if not _INT64_MIN <= pair.condition <= _INT64_MAX:
-            raise PairParseError(f"condition {pair.condition} does not fit in int64", i)
-        if not _INT64_MIN <= pair.seed <= _INT64_MAX:
-            raise PairParseError(f"seed {pair.seed} does not fit in int64", i)
-        pairs.append(pair)
+        if type(c) is not int:
+            raise PairParseError(f"condition {c!r} is not an integer", i)
+        if num_conditions is not None and not -1 <= c < num_conditions:
+            raise PairParseError(f"condition {c} out of range [-1, {num_conditions})", i)
+        if not _INT64_MIN <= c <= _INT64_MAX:
+            raise PairParseError(f"condition {c} does not fit in int64", i)
+        if type(seed) is not int:
+            raise PairParseError(f"seed {seed!r} is not an integer", i)
+        if not _INT64_MIN <= seed <= _INT64_MAX:
+            raise PairParseError(f"seed {seed} does not fit in int64", i)
+        if type(tie) is not bool:
+            raise PairParseError(f"tie {tie!r} is not a boolean", i)
+        pairs.append(PreferencePair(condition=c, winner=winner, loser=loser,
+                                    reward_w=float(rec["rw"]), reward_l=float(rec["rl"]),
+                                    seed=seed, tie=tie))
     return pair_table(pairs, source="external")
 
 

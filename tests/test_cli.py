@@ -189,11 +189,11 @@ def test_invert_demo(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("cmd, key, value, message", [
-    ("invert-demo", "demo.t_target", "121", "demo.t_target=121 is outside [1, T=120]"),
-    ("invert-demo", "demo.t_target", "0", "demo.t_target=0 is outside [1, T=120]"),
-    ("invert-demo", "demo.ns", "5,0", "demo.ns has the step count 0"),
-    ("eval", "eval.t_target", "121", "eval.t_target=121 is outside [1, T=120]"),
-    ("eval", "eval.ns", "5,0", "eval.ns has the step count 0"),
+    ("invert-demo", "demo.t_target", "121", "demo.t_target=121 must be <= the model's T=120"),
+    ("invert-demo", "demo.t_target", "0", "demo.t_target=0 must be >= 1"),
+    ("invert-demo", "demo.ns", "5,0", "demo.ns=5,0 must be all >= 1"),
+    ("eval", "eval.t_target", "121", "eval.t_target=121 must be <= the model's T=120"),
+    ("eval", "eval.ns", "5,0", "eval.ns=5,0 must be all >= 1"),
     ("invert-demo", "demo.samples", "0", "demo.samples=0 must be >= 1"),
     ("eval", "eval.samples", "0", "eval.samples=0 must be >= 1"),
 ], ids=["demo.t_target=121", "demo.t_target=0", "demo.ns=5,0", "eval.t_target=121",
@@ -274,7 +274,7 @@ def test_align_t_min_past_T_is_an_error_before_any_step(workdir, tmp_path, capsy
         "--set", f"align.method={method}", "--set", "align.t_min=121",
         "--set", f"align.ref_init={ref_init}",
     ]) == 2
-    assert "error: t_min=121 exceeds the schedule's T=120" in capsys.readouterr().err
+    assert "config error: align.t_min=121 must be <= the model's T=120" in capsys.readouterr().err
     assert not (out / "train_log.csv").exists()
 
 
@@ -310,7 +310,7 @@ def test_a_non_finite_learning_rate_is_a_config_error(workdir, tmp_path, capsys,
         "--set", f"align.pairs={workdir}/pairs.jsonl",
         "--set", "align.ref_init=sft_winners", "--set", f"{key}={value}",
     ]) == 2
-    assert "finite lr > 0" in capsys.readouterr().err
+    assert f"config error: {key}={value} must be > 0 and finite" in capsys.readouterr().err
     assert not list(out.glob("*.params"))
 
 
@@ -326,7 +326,8 @@ def test_ablate_checks_every_cell_before_the_first(workdir, tmp_path, capsys, mo
         "--set", "ablate.betas=100", "--set", "ablate.ns=2", "--set", "ablate.w_invs=0",
         "--set", "ablate.t_mins=1,121", "--set", "ablate.steps=1", "--set", "ablate.trials=8",
     ]) == 2
-    assert "error: t_min=121 exceeds the schedule's T=120" in capsys.readouterr().err
+    assert ("config error: ablate.t_mins=1,121 must be <= the model's T=120"
+            in capsys.readouterr().err)
     assert not (out / "ablate.csv").exists()
 
 
@@ -351,7 +352,7 @@ def test_a_trial_count_below_one_is_a_config_error_before_any_work(workdir, tmp_
         "--set", f"{key}=0",
     ]) == 2
     assert f"config error: {key}=0 must be >= 1" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd, method", [
@@ -505,14 +506,16 @@ def _files_under(out):
 
 
 _NON_FINITE_WEIGHTS = [
-    ("align", "align.beta", "nan", "config error: beta=nan must be finite"),
-    ("align", "align.beta", "inf", "config error: beta=inf must be finite"),
-    ("ablate", "ablate.betas", "100,inf", "config error: beta=inf must be finite"),
-    ("align", "align.delta.w_inv", "nan", "error: guidance_w_inv must be finite"),
-    ("ablate", "ablate.w_invs", "0,nan", "error: guidance_w_inv must be finite"),
-    ("align", "align.delta.tol", "nan", "error: tol must be positive"),
-    ("make-prefs", "sample.guidance_w", "nan", "error: guidance_w must be finite"),
-    ("eval", "sample.guidance_w", "inf", "error: guidance_w must be finite"),
+    ("align", "align.beta", "nan", "config error: align.beta=nan must be >= 0 and finite"),
+    ("align", "align.beta", "inf", "config error: align.beta=inf must be >= 0 and finite"),
+    ("ablate", "ablate.betas", "100,inf",
+     "config error: ablate.betas=100.0,inf must be all >= 0 and finite"),
+    ("align", "align.delta.w_inv", "nan", "config error: align.delta.w_inv=nan must be finite"),
+    ("ablate", "ablate.w_invs", "0,nan", "config error: ablate.w_invs=0.0,nan must be all finite"),
+    ("align", "align.delta.tol", "nan", "config error: align.delta.tol=nan must be > 0"),
+    ("make-prefs", "sample.guidance_w", "nan",
+     "config error: sample.guidance_w=nan must be finite"),
+    ("eval", "sample.guidance_w", "inf", "config error: sample.guidance_w=inf must be finite"),
     ("eval", "invert.guidance_w", "nan", "config error: invert.guidance_w=nan must be finite"),
     ("invert-demo", "invert.guidance_w", "inf",
      "config error: invert.guidance_w=inf must be finite"),
@@ -535,7 +538,7 @@ def test_a_non_finite_weight_is_an_error_before_any_work(workdir, tmp_path, caps
 
 
 @pytest.mark.parametrize("direction, message", [
-    ("nan,0", "error: linear needs a finite 1-D direction vector"),
+    ("nan,0", "config error: reward.direction=nan,0.0 must be all finite"),
     ("1,2,3", "config error: reward.direction has 3 entries but the model's samples have 2"),
 ], ids=["nan,0", "1,2,3"])
 def test_a_bad_linear_reward_direction_fails_before_sampling(workdir, tmp_path, capsys,
@@ -556,4 +559,24 @@ def test_a_negative_seed_is_a_config_error(workdir, tmp_path, capsys, cmd):
     capsys.readouterr()
     assert run([cmd, "--out", str(out), "--seed", "-1", *_every_input(workdir)]) == 2
     assert "config error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not _files_under(out)
+
+
+@pytest.mark.parametrize("cmd", ["make-prefs", "eval", "ablate"])
+@pytest.mark.parametrize("key, value, message", [
+    ("sample.t_start", "121", "sample.t_start=121 must be <= the model's T=120"),
+    ("sample.n_steps", "0", "sample.n_steps=0 must be >= 1"),
+], ids=["t_start=121", "n_steps=0"])
+def test_a_bad_sampler_key_exits_before_any_sampling_or_training(workdir, tmp_path, capsys,
+                                                                 monkeypatch, cmd, key, value,
+                                                                 message):
+    # ablate once trained its first cell, then left a header-only ablate.csv
+    for name in ("make_preference_pairs", "win_rate", "align", "ddim_invert"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    # after TINY, which sets sample.n_steps
+    assert main([cmd, "--out", str(out), "--seed", "3", *TINY, *_every_input(workdir),
+                 "--set", f"{key}={value}"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not _files_under(out)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,41 @@ def test_pair_file_rejects_bad_records(tmp_path, key, value):
     with pytest.raises(PairParseError) as err:
         load_pairs(path)
     assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tie", '"false"', "tie 'false' is not a boolean"),
+    ("seed", "2.7", "seed 2.7 is not an integer"),
+    ("seed", '"7"', "seed '7' is not an integer"),
+    ("w", "[true, 0.5]", "a sample or reward is not a finite number"),
+    ("l", "[-0.5, false]", "a sample or reward is not a finite number"),
+    ("rw", "true", "a sample or reward is not a finite number"),
+    ("rl", "false", "a sample or reward is not a finite number"),
+], ids=["tie-string", "seed-float", "seed-string", "w-bool", "l-bool", "rw-bool", "rl-bool"])
+def test_pair_file_rejects_fields_of_another_json_type(tmp_path, key, value, message):
+    # each once loaded coerced: "false" as a tie, 2.7 as seed 2, "7" as 7, booleans as 1.0/0.0
+    good = {"c": "3", "w": "[0.25, 0.5]", "l": "[-0.5, 1.0]", "rw": "0.5", "rl": "-1.25",
+            "seed": "9", "tie": "false"}
+    lines = ['{"schema_version": 1, "reward_spec": null, "dim": 2}']
+    for rec in (good, {**good, key: value}):
+        lines.append("{%s}" % ", ".join(f'"{k}": {v}' for k, v in rec.items()))
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PairParseError, match=re.escape(f"line 3: {message}")):
+        load_pairs(path)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "1.0", "string"])
+def test_pair_file_schema_version_must_be_the_integer_1(tmp_path, small_pairs, version):
+    path = tmp_path / "pairs.jsonl"
+    save_pairs(small_pairs, path)
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    head["schema_version"] = version
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(VersionError, match="unsupported pair schema version"):
+        load_pairs(path)
 
 
 @pytest.mark.parametrize("c, ok", [(-1, True), (7, True), (8, False), (99, False), (-2, False)])

@@ -81,3 +81,24 @@ def test_the_readme_config_table_lists_every_registry_key():
     rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
     keys = {key for cell in rows for key in re.findall(r"`([\w.]+)`", cell)}
     assert keys == set(REGISTRY)
+
+
+def test_the_readme_config_table_shows_every_key_bound():
+    # a row's cells list its keys' values in order, split by " / " or ", "; a
+    # time's "and ≤ T" is checked against the model, not by the registry
+    section = README.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    shown = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        keys_cell, _, bound_cell = (cell.strip() for cell in line.split("|")[1:4])
+        keys = re.findall(r"`([\w.]+)`", keys_cell)
+        if len(keys) == 1 or not bound_cell:
+            bounds = [bound_cell] * len(keys)
+        else:
+            bounds = bound_cell.split(" / " if " / " in bound_cell else ", ")
+        assert len(bounds) == len(keys), line
+        for key, bound in zip(keys, bounds):
+            text = bound.replace("≥", ">=").removesuffix(" and ≤ T")
+            shown[key] = None if text in ("", "—") else text
+    assert shown == {key: bound for key, (_, _, bound) in REGISTRY.items()}

@@ -299,7 +299,10 @@ def test_named_faults_raise_the_oracle_error_at_their_line(tmp_path):
         good.replace('"seed": 3', f'"seed": {2**63}'): "seed 9223372036854775808 does not fit",
         good.replace('"c": 1', '"c": 1.5'): "condition 1.5 is not an integer",
         good.replace('"c": 1', '"c": true'): "condition True is not an integer",
-        good.replace('"w": [0.5, 1.0]', '"w": [NaN, 1.0]'): "non-finite sample or reward",
+        good.replace('"w": [0.5, 1.0]', '"w": [NaN, 1.0]'): "a sample or reward is not a finite",
+        good.replace('"rl": 0.25', '"rl": true'): "a sample or reward is not a finite",
+        good.replace('"seed": 3', '"seed": 3.0'): "seed 3.0 is not an integer",
+        good.replace('"tie": false', '"tie": 0'): "tie 0 is not a boolean",
         good.replace('"w": [0.5, 1.0]', '"w": ""'): "could not convert string to float",
         good.replace('"w": [0.5, 1.0]', '"w": 3.5'): "must be an iterable",
         good.replace(', "tie": false', ""): "'tie'",

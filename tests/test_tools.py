@@ -1,6 +1,6 @@
 """Smoke tests of the scripts under tools/: the code-line counter counts a
-fixed snippet exactly, and the artifact-hash chain runs and prints one
-digest per artifact."""
+fixed snippet exactly, the artifact-hash chain runs and prints one digest
+per artifact, and a tree compared against itself shows no difference."""
 import importlib.util
 import pathlib
 import re
@@ -47,3 +47,10 @@ def test_artifact_hashes_prints_every_artifact():
     digest = {path: h for h, path in (line.split("  ") for line in lines)}
     # dpo is inpo with the gaussian strategy, byte for byte
     assert digest["align/dpo/aligned.params"] == digest["align/gaussian/aligned.params"]
+
+
+def test_artifact_hashes_against_its_own_tree_prints_nothing():
+    run = subprocess.run([sys.executable, str(TOOLS / "artifact_hashes.py"),
+                          "--against", str(ROOT / "src")], cwd=ROOT, capture_output=True,
+                         text=True, timeout=240)
+    assert (run.returncode, run.stdout) == (0, ""), run.stderr

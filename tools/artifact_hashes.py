@@ -7,14 +7,17 @@ with align.delta.w_inv=2.5 and with schedule.loss_weight=snr; eval with
 round trips, invert-demo, and ablate over eight cells. Every run is small
 (about a second in all on a 2-vCPU VM). Columns that hold wall times (``wall_ms``,
 ``seconds``) are blanked before hashing, so the output depends only on
-the code, the numpy build and the BLAS kernel. Two trees are compared by
-diffing their outputs:
+the code, the numpy build and the BLAS kernel. ``--against`` compares two
+packages: it runs the chain once under SRC_DIR's and once under
+OTHER_SRC's, each in a process of its own, prints only the artifacts whose
+hashes differ (the path, then its hash under SRC_DIR and under OTHER_SRC,
+``-`` where one does not write it) and exits 1 if any do, or 2 if the
+chain fails under either:
 
-    python tools/artifact_hashes.py > a.txt
-    python tools/artifact_hashes.py --src OTHER_TREE/src > b.txt
-    diff a.txt b.txt
+    python tools/artifact_hashes.py --against OTHER_TREE/src
 
-Usage: python tools/artifact_hashes.py [--src SRC_DIR]   (default: this tree's src)
+Usage: python tools/artifact_hashes.py [--src SRC_DIR] [--against OTHER_SRC]
+(SRC_DIR defaults to this tree's src)
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import argparse
 import csv
 import hashlib
 import io
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -89,11 +93,31 @@ def artifact_bytes(path: Path) -> bytes:
     return buf.getvalue().encode()
 
 
+def hashes(src: str) -> dict[str, str]:
+    """Each artifact's hash, by path, from the chain run under the package
+    in ``src`` in a process of its own."""
+    run = subprocess.run([sys.executable, __file__, "--src", src], capture_output=True,
+                         text=True)
+    if run.returncode:
+        sys.stderr.write(f"the chain failed under {src}:\n{run.stderr}")
+        raise SystemExit(2)
+    return {path: digest for digest, path in (line.split("  ") for line in run.stdout.splitlines())}
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="directory holding the inpo package to run")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="print only the artifacts whose hashes differ under OTHER_SRC's "
+                             "package, and exit 1 if any do")
     args = parser.parse_args(argv)
+    if args.against:
+        ours, theirs = hashes(args.src), hashes(args.against)
+        differ = sorted(p for p in ours.keys() | theirs.keys() if ours.get(p) != theirs.get(p))
+        for path in differ:
+            print(f"{path}  {ours.get(path, '-')}  {theirs.get(path, '-')}")
+        return 1 if differ else 0
     sys.path.insert(0, args.src)
     from inpo.cli import main as inpo_main
 
