@@ -117,14 +117,25 @@ def _delta_from(cfg: dict) -> DeltaStrategy:
     )
 
 
-def _align_config(cfg: dict, seed: int, **fields) -> AlignConfig:
-    """An AlignConfig with the optimizer keys align and ablate share
-    (align.batch_pairs, align.accum_steps, align.lr, align.warmup_steps),
-    the run's seed, and ``fields``."""
+def _align_config(cfg: dict, seed: int) -> AlignConfig:
+    """The AlignConfig of every align.* key the trainer reads, and the run's seed."""
     return AlignConfig(
-        batch_pairs=cfg["align.batch_pairs"], accum_steps=cfg["align.accum_steps"],
-        lr=cfg["align.lr"], warmup_steps=cfg["align.warmup_steps"], seed=seed, **fields,
+        method=cfg["align.method"], beta=cfg["align.beta"], delta=_delta_from(cfg),
+        steps=cfg["align.steps"], batch_pairs=cfg["align.batch_pairs"],
+        accum_steps=cfg["align.accum_steps"], lr=cfg["align.lr"],
+        warmup_steps=cfg["align.warmup_steps"], seed=seed, ref_init=cfg["align.ref_init"],
+        t_min=cfg["align.t_min"],
     )
+
+
+def _reference(cfg: dict, base, pairs, schedule, seed: int):
+    """The frozen reference align trains against: ``base``, or for
+    align.ref_init=sft_winners an SFT of it on the winners; the sft
+    method's denoising window reads no reference, so it trains none."""
+    if cfg["align.ref_init"] == "sft_winners" and cfg["align.method"] != "sft":
+        return sft_ref_init(base, pairs, schedule, steps=cfg["align.ref_sft_steps"],
+                            lr=cfg["align.ref_sft_lr"], seed=seed)
+    return base
 
 
 def cmd_pretrain(cfg: dict, out: str, seed: int) -> None:
@@ -163,16 +174,8 @@ def cmd_align(cfg: dict, out: str, seed: int) -> None:
     _check_times(cfg, schedule, "align.t_min")
     pairs = load_pairs(_require(cfg, "align.pairs"), base.arch.num_conditions,
                        base.arch.input_dim)
-    acfg = _align_config(
-        cfg, seed, method=cfg["align.method"], beta=cfg["align.beta"], delta=_delta_from(cfg),
-        steps=cfg["align.steps"], ref_init=cfg["align.ref_init"], t_min=cfg["align.t_min"],
-    )
-    # the sft method's denoising window reads no reference
-    if acfg.ref_init == "sft_winners" and acfg.method != "sft":
-        ref = sft_ref_init(base, pairs, schedule, steps=cfg["align.ref_sft_steps"],
-                           lr=cfg["align.ref_sft_lr"], seed=seed)
-    else:
-        ref = base
+    acfg = _align_config(cfg, seed)
+    ref = _reference(cfg, base, pairs, schedule, seed)
     log_path = os.path.join(out, "train_log.csv")
     params = align(base, ref, pairs, schedule, acfg, log_path=log_path)
     path = os.path.join(out, "aligned.params")
@@ -253,22 +256,22 @@ def cmd_ablate(cfg: dict, out: str, seed: int) -> None:
                        base.arch.input_dim)
     spec = _reward_for(cfg, base)
     sampler_cfg = _sampler_cfg(cfg, schedule)
+    # each cell is align's config with the four axis keys set, trained for ablate.steps
     cells = [
         (beta, n, w_inv, t_min, _align_config(
-            cfg, seed, method="inpo", beta=float(beta),
-            delta=DeltaStrategy("inversion", n=int(n), guidance_w_inv=float(w_inv)),
-            steps=cfg["ablate.steps"], t_min=int(t_min),
-        ))
+            {**cfg, "align.beta": beta, "align.delta.n": n, "align.delta.w_inv": w_inv,
+             "align.t_min": t_min, "align.steps": cfg["ablate.steps"]}, seed))
         for beta, n, w_inv, t_min in itertools.product(
             cfg["ablate.betas"], cfg["ablate.ns"], cfg["ablate.w_invs"], cfg["ablate.t_mins"])
     ]
+    ref = _reference(cfg, base, pairs, schedule, seed)
     path = os.path.join(out, "ablate.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["beta", "n", "w_inv", "t_min", "win_rate", "seconds"])
         for beta, n, w_inv, t_min, acfg in cells:
             tick = time.perf_counter()
-            tuned = align(base, base, pairs, schedule, acfg)
+            tuned = align(base, ref, pairs, schedule, acfg)
             rep = win_rate(
                 tuned, base, schedule, spec, conditions=range(base.arch.num_conditions),
                 n_trials=cfg["ablate.trials"], sampler_cfg=sampler_cfg, seed=seed,

@@ -38,30 +38,30 @@ inverter rebinds one per window, ddim_sample and the solver bind a new one
 per call, and predict_noise is a one-off call of one on a grid of one
 step.
 
-A plain forward may run in a workspace: one preallocated (n, width) buffer
-for the concatenated input [x | time embedding | condition embedding] and
-one per hidden layer, which eps_forward overwrites on every call. x, the
-time embedding (time_embedding writing into its block) and the condition
-rows are written into the input's three column blocks; a forward with no
-workspace allocates its input buffer first and takes the same path. A bind
-sets up once what its grid steps share: the condition rows, one input
-buffer per guidance branch (the hidden buffers are shared) and the time
-embeddings of the whole grid, gathered from time_embedding's table (by one
-time_embedding call when the grid's shape is new, into the last bind's
+Every forward, plain or taped, runs one way: in a BoundWorkspace, n rows'
+preallocated buffers for the concatenated input [x | time embedding |
+condition embedding] and one per hidden layer, bound to the time
+embeddings of a timestep grid, and BoundWorkspace.load is the one place
+the input is written. A NoisePredictor binds its workspace to the grid of
+a sampler call or an inverter window, StepWorkspace.bind_step binds a
+training step's two workspaces (and the tape's) to a grid of one step, and
+a one-off eps_forward binds a workspace of its own to a grid of one step,
+as predict_noise does. A bind sets up once what its grid steps share: the
+time embeddings of the whole grid, gathered from time_embedding's table (by
+one time_embedding call when the grid's shape is new, into the last bind's
 buffer otherwise). A BoundWorkspace records which rows' condition block and
 which step's embedding its input holds, so a step's forward copies x, and
-the step's embedding when the step changes, then runs the layers; a bind
-makes it forget both, since the model may have changed in place. A
-NoisePredictor's bind also copies each bias into an (n, width) row tile,
-one set for both guidance branches, so a layer adds its bias with a
-same-shape add instead of a broadcast one, which numpy buffers (twice
-the cost or more at these sizes); the sum is the same IEEE addition, bit
-for bit. A training step's forward of the trained model keeps the bias
-vectors: Adam changes them every step, so re-tiling would cost what the
-add saves. The frozen reference's biases are tiled once per pair window
-(the window binds StepWorkspace.bound_ref with them, and bind_step's
-rebinds keep the tiles). The returned noise prediction is always a fresh
-array.
+the condition rows and the step's embedding when they change, then runs
+the layers; a bind makes it forget both, since the model may have changed
+in place. A NoisePredictor's bind also copies each bias into an (n, width)
+row tile, so a layer adds its bias with a same-shape add instead of a
+broadcast one, which numpy buffers (twice the cost or more at these
+sizes); the sum is the same IEEE addition, bit for bit. A training step's
+forward of the trained model keeps the bias vectors: Adam changes them
+every step, so re-tiling would cost what the add saves. The frozen
+reference's biases are tiled once per pair window (the window binds
+StepWorkspace.bound_ref with them, and bind_step's rebinds keep the
+tiles). The returned noise prediction is always a fresh array.
 """
 from __future__ import annotations
 
@@ -267,39 +267,36 @@ def _cond_rows(c, num_conditions: int) -> np.ndarray:
     return np.where(c == NULL_CONDITION, num_conditions, c)
 
 
-def forward_workspace(arch: DenoiserArch, n: int) -> list[np.ndarray]:
-    """Buffers for plain forwards on n rows: the concatenated input, then
-    one per hidden layer."""
-    return [np.empty((n, fan_in)) for fan_in, _ in arch.layer_dims()]
-
-
 class BoundWorkspace:
-    """forward_workspace buffers bound to the time embeddings ``temb`` of a
-    timestep grid, (steps, 1 or n, dim); eps_forward then takes a step index
-    for t. ``rows`` and ``step`` record what the input buffer's condition and
-    time blocks hold. It serves one model, unchanged while bound; bind
-    rebinds it to a new grid and forgets both blocks, so a model changed in
-    place since has its condition block rewritten. The condition rows are
-    gathered into a contiguous (n, dim) buffer of its own, then copied into
-    their block: numpy's take would buffer a copy for a strided ``out``.
+    """The buffers of forwards on n rows, bound to the time embeddings
+    ``temb`` of a timestep grid, (steps, 1 or n, dim): ``bufs``, the
+    concatenated input [x | time embedding | condition embedding] and then
+    one per hidden layer, which every forward overwrites. eps_forward takes
+    a step index of the grid for t; ``rows`` and ``step`` record what the
+    input's condition and time blocks hold, so a forward rewrites only the
+    blocks that differ, and x. It serves one model, unchanged while bound;
+    bind rebinds it to a new grid and forgets both blocks, so a model
+    changed in place since has its condition block rewritten. The
+    condition rows are gathered into a contiguous (n, dim) buffer of its
+    own, then copied into their block: numpy's take would buffer a copy for
+    a strided ``out``.
 
-    ``tiles``, when set, are the layers' biases as (n, width) row tiles,
-    which the forward adds in place of the model's bias vectors; a bind
-    given ``biases`` copies them into the tiles (allocated at the first
-    such bind), and one without leaves the tiles as they are, so two
-    workspaces built over one list share what either's bind copies."""
+    ``tiles`` are None until a bind is given ``biases``, then the layers'
+    biases as (n, width) row tiles, which the forward adds in place of the
+    model's bias vectors; a bind given ``biases`` copies them into the
+    tiles, and one without leaves the tiles as they are."""
 
-    def __init__(self, bufs: list[np.ndarray], temb: np.ndarray, tiles=None):
-        self.bufs = bufs
-        self.cond = None
-        self.tiles = tiles
+    def __init__(self, arch: DenoiserArch, n: int, temb: np.ndarray | None = None):
+        self.bufs = [np.empty((n, fan_in)) for fan_in, _ in arch.layer_dims()]
+        self.cond = np.empty((n, arch.time_embed_dim))
+        self.tiles = None
         self.bind(temb)
 
     def bind(self, temb: np.ndarray, biases=None) -> None:
         self.temb, self.rows, self.step = temb, None, None
         if biases is not None:
             if self.tiles is None:
-                self.tiles = [np.empty((len(self.bufs[0]), len(b))) for b in biases]
+                self.tiles = [np.empty((len(self.cond), len(b))) for b in biases]
             for tile, b in zip(self.tiles, biases):
                 np.copyto(tile, b)
 
@@ -307,9 +304,8 @@ class BoundWorkspace:
         h = self.bufs[0]
         d, width = x.shape[1], cond_embed.shape[1]
         if rows is not self.rows:
-            if self.cond is None:
-                self.cond = np.empty((len(h), width))
-            # every caller passes validated rows, so mode="clip" never
+            # rows arrive range-checked (by NoisePredictor.bind, the
+            # trainer's data checks or eps_forward), so mode="clip" never
             # clips; unlike the default mode it writes straight into ``out``
             h[:, d + width:] = cond_embed.take(rows, axis=0, out=self.cond, mode="clip")
             self.rows = rows
@@ -320,22 +316,13 @@ class BoundWorkspace:
         return h
 
 
-def _forward(weights, biases, cond_embed, x, t, rows, bufs):
-    """The network on plain arrays, writing the input of every layer into
-    ``bufs`` (entries may be None, to allocate) or a BoundWorkspace, whose
-    bias tiles, if it has them, stand in for ``biases``. Without a
-    BoundWorkspace, x, the time embedding and the condition rows are
-    written into the input buffer's three column blocks."""
-    if isinstance(bufs, BoundWorkspace):
-        if bufs.tiles is not None:
-            biases = bufs.tiles
-        h, bufs = bufs.load(x, t, rows, cond_embed), bufs.bufs
-    else:
-        d, width = x.shape[1], cond_embed.shape[1]
-        h = bufs[0] if bufs[0] is not None else np.empty((len(x), d + 2 * width))
-        h[:, :d] = x
-        time_embedding(t, width, out=h[:, d:d + width])
-        cond_embed.take(rows, axis=0, out=h[:, d + width:])
+def _forward(p: DenoiserParams, x, step, rows, ws: BoundWorkspace):
+    """The network on plain arrays at step ``step`` of ``ws``'s grid: the
+    input is written by ws.load, each hidden layer's input into ws.bufs,
+    and ws's bias tiles, once bound, stand in for the biases."""
+    h = ws.load(x, step, rows, p.cond_embed)
+    biases = p.biases if ws.tiles is None else ws.tiles
+    weights, bufs = p.weights, ws.bufs
     last = len(weights) - 1
     for i in range(last):
         h = np.matmul(h, weights[i], out=bufs[i + 1])
@@ -348,15 +335,15 @@ def _forward(weights, biases, cond_embed, x, t, rows, bufs):
 
 class StepWorkspace:
     """Buffers one training loop reuses on every step for a differentiated
-    forward on n rows: the layer inputs it keeps (``acts``), the gradient
-    (``grad``, DenoiserParams over one vector) and the embedding scatter's
-    scratch, and a forward_workspace (``ref``) for a plain forward of n
-    rows, such as the frozen reference's, into which the backward writes its
-    input gradients (see eps_backward). ``bound`` and ``bound_ref`` are
-    BoundWorkspaces over ``acts`` and ``ref`` that share one one-step grid
-    of time embeddings, (1, n, dim), which bind_step fills. A step's forward
-    overwrites them, so each step's backward must run before the next
-    step's forward.
+    forward on n rows: two BoundWorkspaces of n rows that share one one-step
+    grid of time embeddings, (1, n, dim), which bind_step fills, ``bound``
+    for the trained forward, whose layer inputs the backward reads
+    (``acts``, its buffers), and ``bound_ref`` for a plain forward such as
+    the frozen reference's, into whose buffers (``ref``) the backward
+    writes its input gradients (see eps_backward); the gradient (``grad``,
+    DenoiserParams over one vector) and the embedding scatter's scratch. A
+    step's forward overwrites them, so each step's backward must run before
+    the next step's forward.
 
     Given the schedule's ``T``, the workspace keeps time_embedding's table
     grown to cover [0, T] (none past the table's range), and bind_step
@@ -366,14 +353,13 @@ class StepWorkspace:
 
     def __init__(self, arch: DenoiserArch, n: int, T: int | None = None):
         self.n = n
-        self.acts = forward_workspace(arch, n)
-        self.ref = forward_workspace(arch, n)
         self.grad = DenoiserParams(arch, np.empty(arch.param_count()))
         width = arch.time_embed_dim
         self.table = None if T is None else _time_table(np.array([T]), width)
         self.temb = np.empty((1, n, width))
-        self.bound = BoundWorkspace(self.acts, self.temb)
-        self.bound_ref = BoundWorkspace(self.ref, self.temb)
+        self.bound = BoundWorkspace(arch, n, self.temb)
+        self.bound_ref = BoundWorkspace(arch, n, self.temb)
+        self.acts, self.ref = self.bound.bufs, self.bound_ref.bufs
         # every row's column indices, so the scatter's bins need no broadcast
         self.embed_cols = np.tile(np.arange(width), (n, 1))
         self.embed_bins = np.empty((n, width), dtype=np.int64)
@@ -429,42 +415,55 @@ def eps_backward(params: DenoiserParams, g, rows, ws: StepWorkspace) -> Denoiser
 def _taped_forward(tape: TapeParams, x, t, rows, ws: StepWorkspace | None) -> Var:
     """The plain forward as one tape node over the parameter leaf.
 
-    The node keeps the layer inputs in the workspace's ``acts`` and
-    backpropagates through eps_backward into the views of the workspace's
-    gradient vector. Without ``ws`` the call gets a workspace, and so a
-    gradient vector, of its own.
+    The forward embeds ``t`` by ws.bind_step and runs in ws.bound, as the
+    training cores' do, so the node keeps the layer inputs in ``ws.acts``;
+    it backpropagates through eps_backward into the views of the
+    workspace's gradient vector. Without ``ws`` the call gets a workspace,
+    and so a gradient vector, of its own.
     """
     p = tape.params
-    rows = np.asarray(rows)
+    rows = _table_rows(rows, tape.arch)
     if ws is None:
         ws = StepWorkspace(tape.arch, len(x))
     elif ws.n != len(x):
         raise InvalidArgument(f"workspace of {ws.n} rows for a batch of {len(x)}")
-    out = _forward(p.weights, p.biases, p.cond_embed, x, t, rows, ws.acts)
+    ws.bind_step(t)
+    out = _forward(p, x, 0, rows, ws.bound)
     return Var(out, tape.leaf, lambda g: eps_backward(p, g, rows, ws).vec)
 
 
-def eps_forward(model, x, t, rows, ws=None):
+def _table_rows(rows, arch: DenoiserArch) -> np.ndarray:
+    """``rows`` as an array of embedding-table rows, checked to lie in
+    [0, num_conditions]: BoundWorkspace.load gathers them unchecked."""
+    rows = _integer_ids(rows)
+    if rows.size and (rows.min() < 0 or rows.max() > arch.num_conditions):
+        raise InvalidArgument(f"embedding row out of range [0, {arch.num_conditions}]")
+    return rows
+
+
+def eps_forward(model, x, t, rows, ws: BoundWorkspace | None = None):
     """Single forward pass at explicit embedding rows.
 
-    ``model`` is DenoiserParams or TapeParams; ``x`` is (batch, dim), ``t`` a
-    (batch,) array, ``rows`` a (batch,) array of embedding-table rows. On
-    TapeParams the result is one Var over its leaf (see _taped_forward), with
-    the same forward arithmetic, run in ``ws``, a StepWorkspace of the
-    batch's size, or in a workspace of its own.
-    ``ws``, for plain DenoiserParams, is a forward_workspace of the
-    batch's size: the input and the hidden activations are written into it
-    instead of fresh arrays, so it must not be shared with a forward still in
-    use. With a BoundWorkspace, ``t`` is a step of its grid, and only the
-    input blocks that differ from what it holds are written.
-    NoisePredictor.bind and StepWorkspace.bind_step bind them; one-off
-    callers pass none.
-    The result is a fresh array either way.
+    ``model`` is DenoiserParams or TapeParams; ``x`` is (batch, dim) and
+    ``rows`` a (batch,) array of embedding-table rows. Every forward runs
+    in a BoundWorkspace of the batch's size. With one, ``ws``, ``t`` is a
+    step of its grid, and only the input blocks that differ from what it
+    holds are written; NoisePredictor.bind and StepWorkspace.bind_step bind
+    them, and the workspace must not be shared with a forward still in use.
+    Without one, ``t`` is one timestep or a (batch,) array and the call
+    binds a workspace of its own to a grid of that one step, as
+    predict_noise does. On TapeParams the result is one Var over its leaf
+    (see _taped_forward), with the same forward arithmetic; ``t`` is then a
+    (batch,) array, and ``ws`` a StepWorkspace of the batch's size, if
+    given. The result is a fresh array either way.
     """
     if isinstance(model, TapeParams):
         return _taped_forward(model, x, t, rows, ws)
-    bufs = ws if ws is not None else [None] * len(model.weights)
-    return _forward(model.weights, model.biases, model.cond_embed, x, t, rows, bufs)
+    if ws is None:
+        rows = _table_rows(rows, model.arch)
+        ws = BoundWorkspace(model.arch, len(x), time_embedding(t, model.arch.time_embed_dim)[None])
+        t = 0
+    return _forward(model, x, t, rows, ws)
 
 
 class NoisePredictor:
@@ -474,14 +473,15 @@ class NoisePredictor:
     bind(c, grid) binds the batch's conditions and the timesteps of every
     step to be evaluated, ``grid`` of (steps, 1) or (steps, n) for one per
     row; the predictor is then eps(x, i) for (n, input_dim) samples x at grid
-    step i. The workspace of n rows (one input buffer per guidance branch,
-    the hidden buffers and bias tiles shared) and the time-embedding buffer
-    outlive binds; a bind resolves the conditions, gathers the grid's time
-    embeddings (see _embed), copies the model's biases into the row tiles
-    and makes the next forward rewrite every input block, so the condition
-    block and the biases are the model's as they are at the bind. Every eps
-    call checks the sample's shape and finiteness and returns a fresh
-    array.
+    step i. The one BoundWorkspace of n rows, its bias tiles and the
+    time-embedding buffer outlive binds; a bind resolves the conditions,
+    gathers the grid's time embeddings (see _embed), copies the model's
+    biases into the row tiles and makes the next forward rewrite every input
+    block, so the condition block and the biases are the model's as they
+    are at the bind. A guided call runs both branches in the workspace, the
+    null rows' forward then the condition rows', so each rewrites the
+    condition block the other left. Every eps call checks the sample's
+    shape and finiteness and returns a fresh array.
     """
 
     def __init__(self, model, guidance_w: float, n: int):
@@ -491,8 +491,7 @@ class NoisePredictor:
         self.model, self.guidance_w, self.n = model, guidance_w, n
         self.shape = (n, arch.input_dim)
         self.null_rows = np.full(n, arch.num_conditions)
-        self.ws = BoundWorkspace(forward_workspace(arch, n), None)
-        self.ws_c = None
+        self.ws = BoundWorkspace(arch, n)
         self.rows = self.null_rows
         self.guided = False
 
@@ -504,20 +503,12 @@ class NoisePredictor:
                 f"per-row timesteps of length {grid.shape[-1]} for a batch of {n} rows")
         cv = _per_row(c, n, "condition ids")
         rows = _cond_rows(cv, arch.num_conditions)
-        temb = self._embed(grid)
-        self.ws.bind(temb, self.model.biases)
+        self.ws.bind(self._embed(grid), self.model.biases)
         w = self.guidance_w
         if w == 0.0 or (cv == NULL_CONDITION).all():
             self.rows, self.guided = self.null_rows, False
-        elif w == 1.0:
-            self.rows, self.guided = rows, False
         else:
-            self.rows, self.guided = rows, True
-            if self.ws_c is None:
-                bufs = self.ws.bufs
-                self.ws_c = BoundWorkspace([np.empty_like(bufs[0]), *bufs[1:]], None,
-                                           self.ws.tiles)
-            self.ws_c.bind(temb)
+            self.rows, self.guided = rows, w != 1.0
         return self
 
     def _embed(self, grid: np.ndarray) -> np.ndarray:
@@ -541,7 +532,7 @@ class NoisePredictor:
         if not self.guided:
             return eps_forward(self.model, x, i, self.rows, ws=self.ws)
         eps_u = eps_forward(self.model, x, i, self.null_rows, ws=self.ws)
-        eps_c = eps_forward(self.model, x, i, self.rows, ws=self.ws_c)
+        eps_c = eps_forward(self.model, x, i, self.rows, ws=self.ws)
         # uncond + w * (cond - uncond), in place in the fresh eps_c
         eps_c -= eps_u
         eps_c *= self.guidance_w

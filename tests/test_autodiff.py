@@ -3,12 +3,13 @@ import pytest
 
 from inpo.autodiff import Var
 from inpo.denoiser import (
+    BoundWorkspace,
     DenoiserArch,
     DenoiserParams,
     eps_forward,
-    forward_workspace,
     TapeParams,
     init_denoiser,
+    time_embedding,
     value_and_grad,
 )
 from inpo.preference import pair_loss_terms, sft_terms
@@ -149,8 +150,9 @@ def test_getitem_slice_grad():
 
 def test_dispatch_matches_numpy_bitwise():
     # eps_forward on tape parameters runs the plain forward into a workspace
-    # of its own; its value has the bytes of the plain forward, with and
-    # without a workspace
+    # of its own; its value has the bytes of the plain forward, one-off and
+    # in a BoundWorkspace bound to the batch's timesteps, and of the network
+    # written as numpy expressions on a concatenated input
     arch = DenoiserArch(2, (64, 64), 8, 16)
     p = init_denoiser(arch, 4)
     rng = np.random.default_rng(4)
@@ -160,8 +162,12 @@ def test_dispatch_matches_numpy_bitwise():
     taped = eps_forward(TapeParams(p), x, t, rows)
     assert isinstance(taped, Var)
     assert taped.data.tobytes() == eps_forward(p, x, t, rows).tobytes()
-    ws = forward_workspace(arch, 300)
-    assert taped.data.tobytes() == eps_forward(p, x, t, rows, ws=ws).tobytes()
+    ws = BoundWorkspace(arch, 300, time_embedding(t, arch.time_embed_dim)[None])
+    assert taped.data.tobytes() == eps_forward(p, x, 0, rows, ws=ws).tobytes()
+    h = np.concatenate([x, time_embedding(t, 16), p.cond_embed[rows]], axis=1)
+    for w, b in zip(p.weights[:-1], p.biases[:-1]):
+        h = np.tanh(h @ w + b)
+    assert taped.data.tobytes() == (h @ p.weights[-1] + p.biases[-1]).tobytes()
 
 
 def test_take_rows_scatter():

@@ -236,6 +236,41 @@ def test_ablate_row_count(workdir, tmp_path):
     assert len(rows) == 2 * 2 * 1 * 1
 
 
+def test_ablate_cells_are_align_runs_with_their_keys(workdir, tmp_path):
+    # every align.* key reaches each cell, the reference included: a cell's
+    # win rate is that of align then eval run with the cell's four keys,
+    # align.steps=ablate.steps and the same seed
+    keys = ["--set", "align.ref_init=sft_winners", "--set", "align.ref_sft_steps=20"]
+    assert run([
+        "ablate", "--out", str(tmp_path / "ablate"), "--seed", "6", *keys,
+        "--set", f"ablate.base={workdir}/base.params",
+        "--set", f"ablate.pairs={workdir}/pairs.jsonl",
+        "--set", "ablate.betas=100,1000", "--set", "ablate.ns=2", "--set", "ablate.w_invs=0,1.5",
+        "--set", "ablate.t_mins=1", "--set", "ablate.steps=4", "--set", "ablate.trials=16",
+    ]) == 0
+    with open(tmp_path / "ablate" / "ablate.csv") as fh:
+        cells = list(csv.DictReader(fh))
+    assert len(cells) == 4
+    for i, cell in enumerate(cells):
+        out = tmp_path / str(i)
+        # after TINY, whose align.steps, align.delta.n and eval.n_trials they override
+        assert main([
+            "align", "--out", str(out), "--seed", "6", *keys, *TINY,
+            "--set", f"align.base={workdir}/base.params",
+            "--set", f"align.pairs={workdir}/pairs.jsonl",
+            "--set", f"align.beta={cell['beta']}", "--set", f"align.delta.n={cell['n']}",
+            "--set", f"align.delta.w_inv={cell['w_inv']}", "--set", f"align.t_min={cell['t_min']}",
+            "--set", "align.steps=4",
+        ]) == 0
+        assert main([
+            "eval", "--out", str(out), "--seed", "6", *TINY, "--set", "eval.n_trials=16",
+            "--set", f"eval.model_a={out}/aligned.params",
+            "--set", f"eval.model_b={workdir}/base.params",
+        ]) == 0
+        with open(out / "report.json") as fh:
+            assert float(cell["win_rate"]) == json.load(fh)["win_rate"]
+
+
 @pytest.mark.parametrize("cmd", ["align", "ablate"])
 def test_out_of_range_pair_condition_fails_before_any_step(workdir, tmp_path, capsys, cmd):
     lines = (workdir / "pairs.jsonl").read_text().splitlines()

@@ -1,11 +1,22 @@
 """The config registry's bounds: every numeric key declares one its default
 meets, and a value just outside any of them stops the command line with
-exit 2, naming the key, before a subcommand runs or ``--out`` is made."""
+exit 2, naming the key, before a subcommand runs or ``--out`` is made. Each
+bound is also held to the library code that reads its key: that reader
+accepts a value exactly when the bound does."""
+import numpy as np
 import pytest
 
 import inpo.cli as cli_mod
 from inpo.cli import main
 from inpo.config import BOUNDS, REGISTRY, load_config, show, within
+from inpo.data import RewardSpec, default_reward_spec, gen_toy_dataset, make_preference_pairs
+from inpo.denoiser import NULL_CONDITION, DenoiserArch, init_denoiser
+from inpo.errors import InvalidArgument
+from inpo.evaluation import roundtrip_errors, win_rate
+from inpo.preference import DeltaStrategy
+from inpo.sampler import Inverter, SamplerConfig, ddim_invert
+from inpo.schedule import make_schedule
+from inpo.trainer import AlignConfig, pretrain_base, sft_ref_init
 
 # values just outside each bound; a list key's case puts one after a good entry
 OUTSIDE = {
@@ -27,8 +38,137 @@ CASES = [
 ]
 
 
+# each bound's edge values, just inside it
+SMALLEST = 5e-324
+EDGES = {
+    ">= 0": ["0"],
+    ">= 1": ["1"],
+    ">= 2": ["2"],
+    "even and >= 2": ["2"],
+    "> 0": [str(SMALLEST)],
+    "> 0 and finite": [str(SMALLEST), "1e308"],
+    ">= 0 and finite": ["0", "1e308"],
+    "finite": ["-1e308", "1e308"],
+    "in [0, 1]": ["0", "1"],
+    "in (0, 1]": [str(SMALLEST), "1"],
+}
+
+
 def test_every_bound_has_values_outside_it():
-    assert set(OUTSIDE) == set(BOUNDS)
+    assert set(OUTSIDE) == set(BOUNDS) == set(EDGES)
+    for bound in BOUNDS:
+        assert all(BOUNDS[bound](float(v)) for v in EDGES[bound]), bound
+        assert not any(BOUNDS[bound](float(v)) for v in OUTSIDE[bound]), bound
+
+
+# keys no library function reads: inpo.cli resolves sample.t_start=0 to
+# round(0.95 T) before SamplerConfig sees it
+CLI_ONLY = {"sample.t_start"}
+
+
+@pytest.fixture(scope="module")
+def readers():
+    """The library call each numeric key's value (a list key's element)
+    goes to, as a function of that value; InvalidArgument is a rejection."""
+    s = make_schedule("cosine", 20)
+    arch = DenoiserArch(2, (4,), 8, 2)
+    p = init_denoiser(arch, 0)
+    data = gen_toy_dataset("eight_gaussians", 16, 0)
+    spec = default_reward_spec("eight_gaussians")
+    sampler = SamplerConfig(2).resolve(s)
+    pairs = make_preference_pairs(p, s, spec, [0, 1], 2, sampler, 0)
+    x0 = np.zeros((1, 2))
+
+    def pretrain(steps=0, lr=1e-3, batch=1, cond_drop=0.0):
+        return pretrain_base(data, arch, s, steps, lr, 0, batch, cond_drop)
+
+    def sft_ref(steps=0, lr=1e-3):
+        return sft_ref_init(p, pairs, s, steps, lr, 0)
+
+    def trials(n):
+        return win_rate(p, p, s, spec, [0], n, sampler, 0)
+
+    def t_target(t):
+        return ddim_invert(p, s, x0, t, 1, NULL_CONDITION)
+
+    return {
+        "schedule.T": lambda v: make_schedule("cosine", v),
+        "model.hidden": lambda v: DenoiserArch(2, (v,), 1, 2),
+        "model.time_embed_dim": lambda v: DenoiserArch(2, (), 1, v),
+        "data.n": lambda v: gen_toy_dataset("eight_gaussians", v, 0),
+        "pretrain.steps": lambda v: pretrain(steps=v),
+        "pretrain.lr": lambda v: pretrain(lr=v),
+        "pretrain.batch": lambda v: pretrain(batch=v),
+        "pretrain.cond_drop": lambda v: pretrain(cond_drop=v),
+        "reward.radius": lambda v: RewardSpec("ring_radius", radius=v),
+        "reward.direction": lambda v: RewardSpec("linear", direction=np.array([1.0, v])),
+        "prefs.pairs_per_condition": lambda v: make_preference_pairs(p, s, spec, [0], v,
+                                                                     sampler, 0),
+        "sample.n_steps": lambda v: SamplerConfig(v).resolve(s),
+        "sample.guidance_w": lambda v: SamplerConfig(1, v),
+        "invert.n_steps": lambda v: Inverter(p, s, v, 1),
+        "invert.guidance_w": lambda v: Inverter(p, s, 1, 1, v),
+        "align.beta": lambda v: AlignConfig(beta=v),
+        "align.delta.n": lambda v: DeltaStrategy("inversion", n=v),
+        "align.delta.w_inv": lambda v: DeltaStrategy("inversion", guidance_w_inv=v),
+        "align.delta.max_iters": lambda v: DeltaStrategy("fixed_point", max_iters=v),
+        "align.delta.tol": lambda v: DeltaStrategy("fixed_point", tol=v),
+        "align.delta.damping": lambda v: DeltaStrategy("fixed_point", damping=v),
+        "align.steps": lambda v: AlignConfig(steps=v),
+        "align.batch_pairs": lambda v: AlignConfig(batch_pairs=v),
+        "align.accum_steps": lambda v: AlignConfig(accum_steps=v),
+        "align.lr": lambda v: AlignConfig(lr=v),
+        "align.warmup_steps": lambda v: AlignConfig(warmup_steps=v),
+        "align.t_min": lambda v: AlignConfig(t_min=v),
+        "align.ref_sft_steps": lambda v: sft_ref(steps=v),
+        "align.ref_sft_lr": lambda v: sft_ref(lr=v),
+        "eval.n_trials": trials,
+        "eval.t_target": t_target,
+        "eval.ns": lambda v: roundtrip_errors(p, s, x0, 2, v),
+        "eval.samples": lambda v: gen_toy_dataset("eight_gaussians", v, 0),
+        "demo.t_target": t_target,
+        "demo.ns": lambda v: ddim_invert(p, s, x0, 2, v, NULL_CONDITION),
+        "demo.samples": lambda v: gen_toy_dataset("eight_gaussians", v, 0),
+        "ablate.betas": lambda v: AlignConfig(beta=v),
+        "ablate.ns": lambda v: DeltaStrategy("inversion", n=v),
+        "ablate.w_invs": lambda v: DeltaStrategy("inversion", guidance_w_inv=v),
+        "ablate.t_mins": lambda v: AlignConfig(t_min=v),
+        "ablate.steps": lambda v: AlignConfig(steps=v),
+        "ablate.trials": trials,
+    }
+
+
+def test_every_numeric_key_has_a_library_reader_or_is_named_cli_only(readers):
+    numeric = {key for key, (_, _, bound) in REGISTRY.items() if bound}
+    assert not set(readers) & CLI_ONLY
+    assert set(readers) | CLI_ONLY == numeric
+
+
+PROBES = sorted({v for values in (*EDGES.values(), *OUTSIDE.values(), ["3"]) for v in values})
+
+
+@pytest.mark.parametrize("key", sorted(k for k, (_, _, b) in REGISTRY.items() if b and
+                                       k not in CLI_ONLY))
+def test_a_keys_reader_accepts_exactly_what_its_bound_does(readers, key):
+    # every bound's edge and outside values, parsed as the key's values are:
+    # the reader takes an edge of the key's own bound and rejects a value
+    # just outside it, and a weaker bound (odd widths for
+    # model.time_embed_dim, say) fails on another bound's values
+    parser, default, bound = REGISTRY[key]
+    parse = (float if isinstance(default[0], float) else int) if isinstance(default, tuple) \
+        else parser
+    inside = BOUNDS[bound.removeprefix("all ")]
+    for raw in PROBES:
+        try:
+            value = parse(raw)
+        except ValueError:  # a float probe for an integer key
+            continue
+        try:
+            readers[key](value)
+            accepted = True
+        except InvalidArgument:
+            accepted = False
+        assert accepted == inside(value), f"{key}={raw}: reader {accepted}, bound {bound}"
 
 
 @pytest.mark.parametrize("i, key, bound, value", [(i, *case) for i, case in enumerate(CASES)],

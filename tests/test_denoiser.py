@@ -14,9 +14,9 @@ from inpo.denoiser import (
     _cond_rows,
     _pack_header,
     DenoiserParams,
+    BoundWorkspace,
     NoisePredictor,
     eps_forward,
-    forward_workspace,
     init_denoiser,
     load_params,
     params_from_bytes,
@@ -221,6 +221,17 @@ def test_value_and_grad_fills_the_workspace_gradient():
         _, filled = value_and_grad(p, lambda tape: loss(tape, ws))
         assert filled.vec is ws.grad.vec
         assert filled.vec.tobytes() == fresh.vec.tobytes()
+
+
+@pytest.mark.parametrize("bad_row", [-1, 5])
+@pytest.mark.parametrize("taped", [False, True])
+def test_eps_forward_rejects_rows_outside_the_table(bad_row, taped):
+    # the workspace gathers rows unchecked, so a one-off or taped forward
+    # checks them first: -1 is no alias of the null row (4), and 5 is past it
+    p = init_denoiser(ARCH, 5)
+    model = TapeParams(p) if taped else p
+    with pytest.raises(InvalidArgument, match=r"embedding row out of range \[0, 4\]"):
+        eps_forward(model, np.ones((3, 2)), np.array([4, 9, 30]), np.array([0, bad_row, 4]))
 
 
 def test_step_workspace_must_match_the_batch():
@@ -507,11 +518,11 @@ def test_workspace_forward_is_byte_identical(n, per_row_t):
     x = rng.standard_normal((n, 2))
     t = rng.integers(1, 1000, size=n) if per_row_t else np.full(n, 420)
     rows = rng.integers(0, 9, size=n)
-    ws = forward_workspace(BENCH_ARCH, n)
-    assert [b.shape for b in ws] == [(n, 34), (n, 64), (n, 64)]
+    ws = BoundWorkspace(BENCH_ARCH, n, time_embedding(t, 16)[None])
+    assert [b.shape for b in ws.bufs] == [(n, 34), (n, 64), (n, 64)]
     fresh = eps_forward(p, x, t, rows)
     for _ in range(2):  # a reused workspace gives the same bytes again
-        assert eps_forward(p, x, t, rows, ws=ws).tobytes() == fresh.tobytes()
+        assert eps_forward(p, x, 0, rows, ws=ws).tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("w", [0.0, 1.0, 2.5])

@@ -13,7 +13,6 @@ from inpo.denoiser import (
     DenoiserArch,
     NoisePredictor,
     eps_forward,
-    forward_workspace,
     init_denoiser,
     predict_noise,
     time_embedding,
@@ -113,7 +112,7 @@ def test_bound_workspace_rewrites_the_blocks_that_change(p):
     # bytes of an unbound forward at those rows and timesteps
     rng = np.random.default_rng(6)
     grid = rng.integers(1, 1000, size=(3, 5))
-    ws = BoundWorkspace(forward_workspace(ARCH, 5),
+    ws = BoundWorkspace(ARCH, 5,
                         time_embedding(grid.ravel(), ARCH.time_embed_dim).reshape(3, 5, -1))
     rows_a, rows_b = rng.integers(0, 5, size=5), rng.integers(0, 5, size=5)
     for i, rows in [(0, rows_a), (0, rows_b), (2, rows_b), (2, rows_a), (1, rows_a), (1, rows_a)]:
@@ -127,18 +126,22 @@ def test_bound_workspace_rewrites_the_blocks_that_change(p):
 def test_a_rebind_retiles_biases_changed_in_place(p, w):
     # a bind copies the biases into row tiles that both guidance branches
     # read; biases changed in place since the last bind are re-tiled, so
-    # each call has the bytes of unbound forwards on the changed model
-    q = p.copy()
-    x, c, _ = _batch((7, 2), 8)
+    # each call has the bytes of unbound forwards on the changed model. A
+    # guided call runs the null rows then the condition rows in the one
+    # workspace, each forward rewriting the condition block the other left
     rng = np.random.default_rng(8)
-    eps = NoisePredictor(q, w, 7)
-    for _ in range(3):
-        for b in q.biases:
-            b += rng.standard_normal(b.shape)
-        eps.bind(c, [[640], [17]])
-        for i, t in enumerate((640, 17)):
-            assert eps(x, i).tobytes() == oracle_noise_fn(q, c, w, 7)(x, t).tobytes()
-    assert eps.ws_c is None or eps.ws_c.tiles is eps.ws.tiles
+    for n in (7, 64, 1024):
+        q = p.copy()
+        x = rng.standard_normal((n, 2))
+        c = np.resize(_batch((7, 2), 8)[1], n)
+        eps = NoisePredictor(q, w, n)
+        for _ in range(3):
+            for b in q.biases:
+                b += rng.standard_normal(b.shape)
+            eps.bind(c, [[640], [17]])
+            for i, t in enumerate((640, 17)):
+                assert eps(x, i).tobytes() == oracle_noise_fn(q, c, w, n)(x, t).tobytes()
+                assert eps.ws.rows is eps.rows
 
 
 @pytest.mark.parametrize("w,c", [(0.0, 1), (1.0, 1), (3.5, 1), (3.5, NULL_CONDITION)])

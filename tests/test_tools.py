@@ -1,7 +1,9 @@
 """Smoke tests of the scripts under tools/: the code-line counter counts a
-fixed snippet exactly, the artifact-hash chain runs and prints one digest
-per artifact, and a tree compared against itself shows no difference."""
+fixed snippet exactly, the artifact-hash chain runs and prints the BLAS
+core and then one digest per artifact, and a tree compared against itself
+shows no difference."""
 import importlib.util
+import os
 import pathlib
 import re
 import subprocess
@@ -41,7 +43,8 @@ def test_artifact_hashes_prints_every_artifact():
     run = subprocess.run([sys.executable, str(TOOLS / "artifact_hashes.py")], cwd=ROOT,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
+    core, *lines = run.stdout.splitlines()
+    assert core == f"# blas core: {load_tool('artifact_hashes').blas_core()}"
     assert len(lines) == 26
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
     digest = {path: h for h, path in (line.split("  ") for line in lines)}
@@ -54,3 +57,17 @@ def test_artifact_hashes_against_its_own_tree_prints_nothing():
                           "--against", str(ROOT / "src")], cwd=ROOT, capture_output=True,
                          text=True, timeout=240)
     assert (run.returncode, run.stdout) == (0, ""), run.stderr
+
+
+def test_blas_core_names_the_kernel_openblas_was_told_to_run():
+    # OPENBLAS_CORETYPE picks the kernel when numpy loads the library; the
+    # tool reports the name that library gives, and "unknown" for any BLAS
+    # that is not numpy's bundled scipy-openblas
+    here = load_tool("artifact_hashes").blas_core()
+    assert here
+    code = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import artifact_hashes as a; " \
+           "print(a.blas_core())"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"}, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == ("unknown" if here == "unknown" else "Haswell")

@@ -1,5 +1,6 @@
 """Run a tiny command-line chain in a temporary directory and print the
-sha256 of every artifact it writes.
+sha256 of every artifact it writes, after a first line naming the BLAS
+kernel the hashes hold for.
 
 The chain is pretrain and make-prefs; align under inversion, gaussian,
 dpo, sft and fixed_point, with ref_init=sft_winners, with accum_steps=2,
@@ -7,7 +8,10 @@ with align.delta.w_inv=2.5 and with schedule.loss_weight=snr; eval with
 round trips, invert-demo, and ablate over eight cells. Every run is small
 (about a second in all on a 2-vCPU VM). Columns that hold wall times (``wall_ms``,
 ``seconds``) are blanked before hashing, so the output depends only on
-the code, the numpy build and the BLAS kernel. ``--against`` compares two
+the code, the numpy build and the BLAS kernel. The first line, ``# blas
+core: NAME``, is the OpenBLAS core numpy's bundled library runs (the same
+(config, seed) can hash differently under another), or ``unknown`` for any
+other BLAS. ``--against`` compares two
 packages: it runs the chain once under SRC_DIR's and once under
 OTHER_SRC's, each in a process of its own, prints only the artifacts whose
 hashes differ (the path, then its hash under SRC_DIR and under OTHER_SRC,
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import io
 import subprocess
@@ -93,6 +98,25 @@ def artifact_bytes(path: Path) -> bytes:
     return buf.getvalue().encode()
 
 
+def blas_core() -> str:
+    """The OpenBLAS core the scipy-openblas library bundled with numpy runs,
+    by its scipy_openblas_get_corename64_; ``unknown`` for any other BLAS.
+    The library numpy loaded is the one opened here, so the name is that of
+    the kernel numpy's matmuls run."""
+    import numpy
+
+    pkg = Path(numpy.__file__).parent
+    bundled = [*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")]
+    for path in sorted(bundled):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def hashes(src: str) -> dict[str, str]:
     """Each artifact's hash, by path, from the chain run under the package
     in ``src`` in a process of its own."""
@@ -101,7 +125,8 @@ def hashes(src: str) -> dict[str, str]:
     if run.returncode:
         sys.stderr.write(f"the chain failed under {src}:\n{run.stderr}")
         raise SystemExit(2)
-    return {path: digest for digest, path in (line.split("  ") for line in run.stdout.splitlines())}
+    lines = run.stdout.splitlines()[1:]  # after the BLAS core's line
+    return {path: digest for digest, path in (line.split("  ") for line in lines)}
 
 
 def main(argv: list[str]) -> int:
@@ -124,6 +149,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         chain(inpo_main, work)
+        print(f"# blas core: {blas_core()}")
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             digest = hashlib.sha256(artifact_bytes(path)).hexdigest()
             print(f"{digest}  {path.relative_to(work)}")
