@@ -99,13 +99,6 @@ def _sampler_cfg(cfg: dict, schedule) -> SamplerConfig:
     return sampler_cfg.resolve(schedule)
 
 
-def _inversion_grid(cfg: dict, schedule, prefix: str) -> tuple[int, tuple[int, ...]]:
-    """``<prefix>.t_target``, checked against the model's T, and the
-    inversion step counts ``<prefix>.ns`` (invert.n_steps if empty)."""
-    _check_times(cfg, schedule, f"{prefix}.t_target")
-    return cfg[f"{prefix}.t_target"], cfg[f"{prefix}.ns"] or (cfg["invert.n_steps"],)
-
-
 def _delta_from(cfg: dict) -> DeltaStrategy:
     return DeltaStrategy(
         kind=cfg["align.delta"],
@@ -123,8 +116,7 @@ def _align_config(cfg: dict, seed: int) -> AlignConfig:
         method=cfg["align.method"], beta=cfg["align.beta"], delta=_delta_from(cfg),
         steps=cfg["align.steps"], batch_pairs=cfg["align.batch_pairs"],
         accum_steps=cfg["align.accum_steps"], lr=cfg["align.lr"],
-        warmup_steps=cfg["align.warmup_steps"], seed=seed, ref_init=cfg["align.ref_init"],
-        t_min=cfg["align.t_min"],
+        warmup_steps=cfg["align.warmup_steps"], seed=seed, t_min=cfg["align.t_min"],
     )
 
 
@@ -205,7 +197,7 @@ def cmd_eval(cfg: dict, out: str, seed: int) -> None:
     spec = _reward_for(cfg, model_a)
     sampler_cfg = _sampler_cfg(cfg, schedule)
     if cfg["eval.roundtrip"]:
-        t_target, ns = _inversion_grid(cfg, schedule, "eval")
+        _check_times(cfg, schedule, "eval.t_target")
     timing = cfg["eval.timing"]
     tick = time.perf_counter()
     report = win_rate(
@@ -217,9 +209,9 @@ def cmd_eval(cfg: dict, out: str, seed: int) -> None:
         report.wall_times["win_rate"] = time.perf_counter() - tick
     if cfg["eval.roundtrip"]:
         X, cond = gen_toy_dataset(cfg["data.kind"], cfg["eval.samples"], seed)
-        for n in ns:
+        for n in cfg["eval.ns"]:
             tick = time.perf_counter()
-            errs = roundtrip_errors(model_a, schedule, X, t_target, n,
+            errs = roundtrip_errors(model_a, schedule, X, cfg["eval.t_target"], n,
                                     cond, cfg["invert.guidance_w"])
             report.roundtrip_errors[n] = float(errs.mean())
             report.roundtrip_std[n] = _std_err(errs)
@@ -231,12 +223,13 @@ def cmd_eval(cfg: dict, out: str, seed: int) -> None:
 
 def cmd_invert_demo(cfg: dict, out: str, seed: int) -> None:
     params, schedule = _load_model(_require(cfg, "demo.model"))
-    t_target, ns = _inversion_grid(cfg, schedule, "demo")
+    _check_times(cfg, schedule, "demo.t_target")
+    t_target = cfg["demo.t_target"]
     X, cond = gen_toy_dataset(cfg["data.kind"], cfg["demo.samples"], seed)
     # each row's norm, with the bits of np.linalg.norm on that row alone
     norm_x0 = np.sqrt(_row_dots(X, X)).tolist()
     rows = []
-    for n in ns:
+    for n in cfg["demo.ns"]:
         res = ddim_invert(params, schedule, X, t_target, n, cond, cfg["invert.guidance_w"])
         norms = (np.sqrt(_row_dots(a, a)).tolist() for a in (res.x0_t, res.delta_t, res.tau_t))
         rows += [[i, n, t_target, *map(repr, r)] for i, r in enumerate(zip(norm_x0, *norms))]
@@ -248,7 +241,26 @@ def cmd_invert_demo(cfg: dict, out: str, seed: int) -> None:
     log.info("wrote %s", path)
 
 
+# each ablate axis and the align key its cells set
+_AXES = {"ablate.betas": "align.beta", "ablate.ns": "align.delta.n",
+         "ablate.w_invs": "align.delta.w_inv", "ablate.t_mins": "align.t_min"}
+
+
+def _check_axes(cfg: dict) -> None:
+    """Reject an axis of more than one value whose align key the configured
+    run does not read, since its cells would all train one model: only
+    inpo's inversion reads align.delta.n and .w_inv, and sft reads no beta."""
+    method, delta = cfg["align.method"], cfg["align.delta"]
+    unread = set() if (method, delta) == ("inpo", "inversion") else {"ablate.ns", "ablate.w_invs"}
+    unread |= {"ablate.betas"} if method == "sft" else set()
+    for axis in sorted(unread):
+        if len(cfg[axis]) > 1:
+            raise ConfigError(f"{axis}={show(cfg[axis])} varies {_AXES[axis]}, which "
+                              f"align.method={method} with align.delta={delta} does not read")
+
+
 def cmd_ablate(cfg: dict, out: str, seed: int) -> None:
+    _check_axes(cfg)  # before the model loads, so before any cell or SFT reference
     base, schedule = _load_model(_require(cfg, "ablate.base"), cfg["schedule.loss_weight"])
     # before the first cell trains, so a bad t_min leaves no table
     _check_times(cfg, schedule, "ablate.t_mins")
@@ -257,19 +269,15 @@ def cmd_ablate(cfg: dict, out: str, seed: int) -> None:
     spec = _reward_for(cfg, base)
     sampler_cfg = _sampler_cfg(cfg, schedule)
     # each cell is align's config with the four axis keys set, trained for ablate.steps
-    cells = [
-        (beta, n, w_inv, t_min, _align_config(
-            {**cfg, "align.beta": beta, "align.delta.n": n, "align.delta.w_inv": w_inv,
-             "align.t_min": t_min, "align.steps": cfg["ablate.steps"]}, seed))
-        for beta, n, w_inv, t_min in itertools.product(
-            cfg["ablate.betas"], cfg["ablate.ns"], cfg["ablate.w_invs"], cfg["ablate.t_mins"])
-    ]
+    cells = [(values, _align_config({**cfg, **dict(zip(_AXES.values(), values)),
+                                     "align.steps": cfg["ablate.steps"]}, seed))
+             for values in itertools.product(*(cfg[axis] for axis in _AXES))]
     ref = _reference(cfg, base, pairs, schedule, seed)
     path = os.path.join(out, "ablate.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["beta", "n", "w_inv", "t_min", "win_rate", "seconds"])
-        for beta, n, w_inv, t_min, acfg in cells:
+        for values, acfg in cells:
             tick = time.perf_counter()
             tuned = align(base, ref, pairs, schedule, acfg)
             rep = win_rate(
@@ -277,9 +285,8 @@ def cmd_ablate(cfg: dict, out: str, seed: int) -> None:
                 n_trials=cfg["ablate.trials"], sampler_cfg=sampler_cfg, seed=seed,
             )
             secs = time.perf_counter() - tick
-            w.writerow([beta, n, w_inv, t_min, repr(rep.win_rate), f"{secs:.3f}"])
-            log.info("ablate beta=%s n=%s w_inv=%s t_min=%s -> %.4f",
-                     beta, n, w_inv, t_min, rep.win_rate)
+            w.writerow([*values, repr(rep.win_rate), f"{secs:.3f}"])
+            log.info("ablate beta=%s n=%s w_inv=%s t_min=%s -> %.4f", *values, rep.win_rate)
     log.info("wrote %s", path)
 
 

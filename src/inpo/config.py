@@ -8,13 +8,14 @@ Each registry entry is (parser, default, bound). A key with a fixed set of
 values takes its choices from the module that checks them (``DATASET_KINDS``
 from ``inpo.data``, ``DELTA_KINDS`` from ``inpo.preference``, ...) in its
 parser. A numeric key's bound names one of ``BOUNDS``, or ``all <bound>`` for
-a list key's every element, and is exactly what the code that reads the key
-accepts; ``load_config`` rejects a value outside it, naming the key, once
-the file and the overrides are applied, so the command line exits before any
-subcommand runs, whether or not that subcommand reads the key. What a bound
-cannot say without the loaded model (a time against the model's T, a reward
-against its conditions) ``inpo.cli`` checks once per command, after loading
-the model and before any sampling or training. The dataclasses and library
+a list key's every element, after ``non-empty and`` for a list that must hold
+one, and is exactly what the code that reads the key accepts; ``load_config``
+rejects a value outside it, naming the key, once the file and the overrides
+are applied, so the command line exits before any subcommand runs, whether
+or not that subcommand reads the key. What a bound cannot say without the
+loaded model (a time against the model's T, a reward against its
+conditions) ``inpo.cli`` checks once per command, after loading the model
+and before any sampling or training. The dataclasses and library
 functions keep their own checks for callers that never load a config.
 """
 from __future__ import annotations
@@ -56,6 +57,8 @@ def _choice(*options):
     return parse
 
 
+# the prefix of a list key's bound that rejects an empty list
+NON_EMPTY = "non-empty and "
 # bound -> whether a value is within it
 BOUNDS = {
     ">= 0": lambda v: v >= 0,
@@ -73,7 +76,9 @@ BOUNDS = {
 
 def within(bound: str, value) -> bool:
     """Whether ``value`` lies within ``bound``: every element of a list
-    value for an ``all <bound>``."""
+    value for an ``all <bound>``, and at least one after ``non-empty and``."""
+    if bound.startswith(NON_EMPTY):
+        return len(value) > 0 and within(bound.removeprefix(NON_EMPTY), value)
     if bound.startswith("all "):
         return all(map(BOUNDS[bound[4:]], value))
     return BOUNDS[bound](value)
@@ -105,7 +110,6 @@ REGISTRY: dict[str, tuple] = {
     "sample.n_steps": (int, 40, ">= 1"),
     "sample.guidance_w": (float, 1.0, "finite"),
     "sample.t_start": (int, 0, ">= 0"),  # 0 = auto: round(0.95 T), clear of the high-sigma tail
-    "invert.n_steps": (int, 10, ">= 1"),
     "invert.guidance_w": (float, 0.0, "finite"),
     "align.method": (_choice(*ALIGN_METHODS), "inpo", None),
     "align.beta": (float, 2000.0, ">= 0 and finite"),
@@ -132,18 +136,18 @@ REGISTRY: dict[str, tuple] = {
     "eval.roundtrip": (_parse_bool, False, None),
     "eval.timing": (_parse_bool, False, None),
     "eval.t_target": (int, 800, ">= 1"),
-    "eval.ns": (_parse_intlist, (5, 10, 25, 50), "all >= 1"),
+    "eval.ns": (_parse_intlist, (5, 10, 25, 50), "non-empty and all >= 1"),
     "eval.samples": (int, 64, ">= 1"),
     "demo.model": (str, "", None),
     "demo.t_target": (int, 800, ">= 1"),
-    "demo.ns": (_parse_intlist, (5, 10, 25, 50), "all >= 1"),
+    "demo.ns": (_parse_intlist, (5, 10, 25, 50), "non-empty and all >= 1"),
     "demo.samples": (int, 16, ">= 1"),
     "ablate.base": (str, "", None),
     "ablate.pairs": (str, "", None),
-    "ablate.betas": (_parse_floatlist, (2000.0, 3000.0, 4000.0, 5000.0), "all >= 0 and finite"),
-    "ablate.ns": (_parse_intlist, (3, 5, 10, 30), "all >= 1"),
-    "ablate.w_invs": (_parse_floatlist, (0.0, 1.0, 5.0, 7.5), "all finite"),
-    "ablate.t_mins": (_parse_intlist, (1,), "all >= 1"),
+    "ablate.betas": (_parse_floatlist, (2e3, 3e3, 4e3, 5e3), "non-empty and all >= 0 and finite"),
+    "ablate.ns": (_parse_intlist, (3, 5, 10, 30), "non-empty and all >= 1"),
+    "ablate.w_invs": (_parse_floatlist, (0.0, 1.0, 5.0, 7.5), "non-empty and all finite"),
+    "ablate.t_mins": (_parse_intlist, (1,), "non-empty and all >= 1"),
     "ablate.steps": (int, 50, ">= 0"),
     "ablate.trials": (int, 128, ">= 1"),
 }

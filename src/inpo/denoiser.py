@@ -184,7 +184,6 @@ def init_denoiser(arch: DenoiserArch, seed: int) -> DenoiserParams:
     return DenoiserParams.from_arrays(arch, weights, biases, cond_embed)
 
 
-_FREQ_CACHE: dict[int, np.ndarray] = {}
 _TABLE_CACHE: dict[int, np.ndarray] = {}
 # Timesteps above this are embedded directly, so an outsized t cannot grow
 # the table without bound (2**16 rows are 8 MB at dim 16).
@@ -192,11 +191,7 @@ _TABLE_MAX_T = 1 << 16
 
 
 def _sincos(t: np.ndarray, dim: int) -> np.ndarray:
-    freqs = _FREQ_CACHE.get(dim)
-    if freqs is None:
-        half = dim // 2
-        freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
-        _FREQ_CACHE[dim] = freqs
+    freqs = np.exp(-np.log(10000.0) * np.arange(dim // 2) / (dim // 2))
     ang = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
@@ -652,9 +647,8 @@ def save_params(path, params: DenoiserParams, schedule_kind: str, T: int) -> Non
         fh.write(params_to_bytes(params, schedule_kind, T))
 
 
-def load_params(path, expect_arch: DenoiserArch | None = None):
+def load_params(path) -> tuple[DenoiserParams, str, int]:
+    """The parameters, schedule kind and T of the file at ``path``
+    (params_from_bytes)."""
     with open(path, "rb") as fh:
-        params, kind, T = params_from_bytes(fh.read())
-    if expect_arch is not None and params.arch != expect_arch:
-        raise VersionError(f"architecture mismatch: {params.arch} != {expect_arch}")
-    return params, kind, T
+        return params_from_bytes(fh.read())

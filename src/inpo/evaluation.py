@@ -78,7 +78,7 @@ def roundtrip_errors(model, s: NoiseSchedule, samples, t_target: int, n: int,
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     c = NULL_CONDITION if conditions is None else conditions
     res = ddim_invert(model, s, samples, t_target, n, c, guidance_w)
-    cfg = SamplerConfig(num_steps=n, guidance_w=guidance_w, t_start=t_target, t_end=0)
+    cfg = SamplerConfig(num_steps=n, guidance_w=guidance_w, t_start=t_target)
     back = ddim_sample(model, s, res.x_t, cfg, c)
     return np.linalg.norm(back - samples, axis=1)
 

@@ -1,7 +1,8 @@
 """Deterministic DDIM sampling and inversion in clean-sample space.
 
 Sampling integrates the reverse-process ODE on a uniform timestep sub-grid
-with the standard update
+from t_start down to 0 (every grid ends at the clean sample) with the
+standard update
 
     x_next = sqrt(ab_next) * x0_hat + sqrt(1 - ab_next) * eps_hat
 
@@ -51,7 +52,6 @@ class SamplerConfig:
     num_steps: int
     guidance_w: float = 0.0
     t_start: int | None = None  # None means the schedule's T
-    t_end: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.guidance_w):
@@ -61,11 +61,9 @@ class SamplerConfig:
         t_start = s.T if self.t_start is None else self.t_start
         if self.num_steps < 1:
             raise InvalidArgument("num_steps must be >= 1")
-        if not (0 <= self.t_end < t_start <= s.T):
-            raise InvalidArgument(
-                f"need 0 <= t_end < t_start <= T, got ({self.t_end}, {t_start}, {s.T})"
-            )
-        return SamplerConfig(self.num_steps, self.guidance_w, t_start, self.t_end)
+        if not 0 < t_start <= s.T:
+            raise InvalidArgument(f"need 0 < t_start <= T, got t_start={t_start}, T={s.T}")
+        return SamplerConfig(self.num_steps, self.guidance_w, t_start)
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class InversionResult:
 
 
 def ddim_sample(model, s: NoiseSchedule, x_start, cfg: SamplerConfig, c) -> np.ndarray:
-    """Integrate from t_start down to t_end on a uniform sub-grid. Deterministic.
+    """Integrate from t_start down to 0 on a uniform sub-grid. Deterministic.
 
     ``c`` is one condition id or one per row of ``x_start``. A call binds the
     noise predictor to its grid and gathers the grid's sqrt(ab) and
@@ -88,7 +86,7 @@ def ddim_sample(model, s: NoiseSchedule, x_start, cfg: SamplerConfig, c) -> np.n
     """
     cfg = cfg.resolve(s)
     x = _as_rows(x_start)
-    grid = np.rint(np.linspace(cfg.t_start, cfg.t_end, cfg.num_steps + 1)).astype(np.int64)
+    grid = np.rint(np.linspace(cfg.t_start, 0, cfg.num_steps + 1)).astype(np.int64)
     eps_fn = NoisePredictor(model, cfg.guidance_w, len(x)).bind(c, grid[:-1, None])
     sq_ab, sq_1ab = s.sqrt_alpha_bar[grid].tolist(), s.sqrt_one_minus_alpha_bar[grid].tolist()
     for i in range(cfg.num_steps):

@@ -10,11 +10,11 @@ one pass ahead of its steps, which costs less than building each between
 two steps' arithmetic. Per step it runs accum_steps windows on the step's
 stream and checks each window's gradient for finiteness once; with one
 window its gradient goes to Adam as it is, with more they are summed into
-one step-sum vector and averaged. Adam steps in place on the whole
-parameter vector (DenoiserParams.vec) at the warmup learning rate. A step's
-log row keeps its values; align formats the rows once, when it writes
-train_log.csv. A window comes from one
-of two builders, each bound once per training call to its samples
+one step-sum vector and averaged. Adam starts from zero moments in every
+call and steps in place on the whole parameter vector (DenoiserParams.vec)
+at the warmup learning rate. A step's log row keeps its values; align
+formats the rows once, when it writes train_log.csv. A window comes from
+one of two builders, each bound once per training call to its samples
 (_Samples: their conditions validated and resolved to embedding rows, which
 a window gathers by index):
 
@@ -46,10 +46,12 @@ pretrain_base and sft_ref_init check their step arguments as AlignConfig
 checks align's, before any work.
 
 align and sft_ref_init take a pair set as a PairTable, and anything else
-raises InvalidArgument; they keep its non-tie rows. A non-finite value
-raises TrainingError naming the step and, for a pair set, the input index
-of the first drawn pair whose inputs, targets or loss argument are
-non-finite. align averages gradients over batch_pairs *
+raises InvalidArgument; they keep its non-tie rows. align takes its frozen
+reference as an argument and never builds one: inpo.cli passes the base,
+or for align.ref_init=sft_winners sft_ref_init's fit of it to the winners.
+A non-finite value raises TrainingError naming the step and, for a pair
+set, the input index of the first drawn pair whose inputs, targets or loss
+argument are non-finite. align averages gradients over batch_pairs *
 accum_steps pairs per step.
 """
 from __future__ import annotations
@@ -75,7 +77,6 @@ from .sampler import Inverter
 from .schedule import NoiseSchedule, _noise
 
 ALIGN_METHODS = ("inpo", "dpo", "sft")
-REF_INITS = ("base", "sft_winners")
 
 # dpo draws its latents from the forward process: inpo with gaussian deltas.
 _DPO_DELTA = DeltaStrategy("gaussian")
@@ -96,25 +97,17 @@ class AlignConfig:
     lr: float = 1e-3
     warmup_steps: int = 50
     seed: int = 0
-    ref_init: str = "base"
     t_min: int = 1
 
     def __post_init__(self):
         if self.method not in ALIGN_METHODS:
             raise InvalidArgument(f"unknown align method {self.method!r}")
-        if self.ref_init not in REF_INITS:
-            raise InvalidArgument(f"unknown ref_init {self.ref_init!r}")
         if self.steps < 0 or self.batch_pairs < 1 or self.accum_steps < 1:
             raise InvalidArgument("steps >= 0, batch_pairs >= 1, accum_steps >= 1 required")
         if not 0 < self.lr < np.inf or self.warmup_steps < 0 or self.t_min < 1:
             raise InvalidArgument("finite lr > 0, warmup_steps >= 0, t_min >= 1 required")
         if not 0 <= self.beta < np.inf:
             raise InvalidArgument(f"beta must be finite and >= 0, got {self.beta}")
-
-    def check_schedule(self, schedule: NoiseSchedule) -> None:
-        """Reject a t_min past the schedule's T, before any training."""
-        if self.t_min > schedule.T:
-            raise InvalidArgument(f"t_min={self.t_min} exceeds the schedule's T={schedule.T}")
 
 
 @dataclass
@@ -187,10 +180,11 @@ class _Samples(NamedTuple):
     rows: np.ndarray
 
 
-def _train(params: DenoiserParams, adam: AdamState, window, *, seed: int, domain: int,
-           steps: int, lr: float, warmup_steps: int = 0, accum_steps: int = 1,
-           log: list | None = None, pair_ids=None) -> None:
-    """Steps 0..steps-1 of a training run, updating ``params`` in place.
+def _train(params: DenoiserParams, window, *, seed: int, domain: int, steps: int, lr: float,
+           warmup_steps: int = 0, accum_steps: int = 1, log: list | None = None,
+           pair_ids=None) -> None:
+    """Steps 0..steps-1 of a training run, updating ``params`` in place
+    with Adam from zero moments.
 
     Step k draws from _step_rng(seed, domain, k) and runs ``accum_steps``
     windows on that one stream. The streams are built _STREAM_BATCH steps
@@ -208,6 +202,7 @@ def _train(params: DenoiserParams, adam: AdamState, window, *, seed: int, domain
     unformatted: step, lr, mean loss, mean sigmoid argument (0 for the
     denoising head) and wall ms.
     """
+    adam = AdamState.zeros_like(params.vec)
     gsum = np.empty_like(params.vec) if accum_steps > 1 else None
     work = (np.empty_like(params.vec), np.empty_like(params.vec))
     finite = np.empty(params.vec.shape, dtype=bool)
@@ -372,8 +367,7 @@ def pretrain_base(dataset, arch, schedule: NoiseSchedule, steps: int, lr: float,
     cond = np.asarray(cond)
     data = _Samples(X, cond, _cond_rows(cond, arch.num_conditions))
     params = init_denoiser(arch, seed)
-    _train(params, AdamState.zeros_like(params.vec),
-           _denoising_window(params, schedule, data, batch, 1, cond_drop),
+    _train(params, _denoising_window(params, schedule, data, batch, 1, cond_drop),
            seed=seed, domain=_PRETRAIN_DOMAIN, steps=steps, lr=lr)
     return params
 
@@ -386,6 +380,11 @@ def _check_fit_args(steps: int, batch: int, lr: float, cond_drop: float = 0.0) -
                               "required")
 
 
+# align.ref_init's choices: align against the base itself, or against
+# sft_ref_init's fit of it to the winners (inpo.cli picks the reference)
+REF_INITS = ("base", "sft_winners")
+
+
 def sft_ref_init(base: DenoiserParams, pairs: PairTable, schedule: NoiseSchedule, steps: int,
                  lr: float, seed: int, batch: int = 64) -> DenoiserParams:
     """Continue denoising training on the winners of the table ``pairs``
@@ -393,9 +392,8 @@ def sft_ref_init(base: DenoiserParams, pairs: PairTable, schedule: NoiseSchedule
     _check_fit_args(steps, batch, lr)
     _, pair_ids, data = _non_ties(pairs, base.arch)
     params = base.copy()
-    _train(params, AdamState.zeros_like(params.vec),
-           _denoising_window(params, schedule, data, batch, 1),
-           seed=seed, domain=_SFT_REF_DOMAIN, steps=steps, lr=lr, pair_ids=pair_ids)
+    _train(params, _denoising_window(params, schedule, data, batch, 1), seed=seed,
+           domain=_SFT_REF_DOMAIN, steps=steps, lr=lr, pair_ids=pair_ids)
     return params
 
 
@@ -404,13 +402,17 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs: PairTable, schedule:
     """Run the alignment loop on the table ``pairs`` and return the final
     parameters.
 
-    ``ref`` is frozen: it is only ever read. When ``log_path`` is given a CSV
-    with columns step, lr, loss, sigmoid_arg_mean, wall_ms is written.
+    ``ref`` is the frozen reference the pair loss compares against, taken
+    as given (``base`` itself, or for instance sft_ref_init's fit of it to
+    the winners): it is only ever read, and the sft method reads none.
+    When ``log_path`` is given a CSV with columns step, lr, loss,
+    sigmoid_arg_mean, wall_ms is written.
 
     Every pair's condition, and t_min against the schedule's T, is
     validated once, before the first step.
     """
-    cfg.check_schedule(schedule)
+    if cfg.t_min > schedule.T:
+        raise InvalidArgument(f"t_min={cfg.t_min} exceeds the schedule's T={schedule.T}")
     table, pair_ids, data = _non_ties(pairs, base.arch)
     params = base.copy()
     if cfg.method == "sft":
@@ -418,9 +420,9 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs: PairTable, schedule:
     else:
         window = _pair_window(params, ref, schedule, data, table.loser[pair_ids], cfg)
     log = [] if log_path is not None else None
-    _train(params, AdamState.zeros_like(params.vec), window, seed=cfg.seed, domain=_ALIGN_DOMAIN,
-           steps=cfg.steps, lr=cfg.lr, warmup_steps=cfg.warmup_steps,
-           accum_steps=cfg.accum_steps, log=log, pair_ids=pair_ids)
+    _train(params, window, seed=cfg.seed, domain=_ALIGN_DOMAIN, steps=cfg.steps, lr=cfg.lr,
+           warmup_steps=cfg.warmup_steps, accum_steps=cfg.accum_steps, log=log,
+           pair_ids=pair_ids)
     if log is not None:
         with open(log_path, "w", newline="") as fh:
             w = csv.writer(fh)

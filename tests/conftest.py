@@ -301,7 +301,7 @@ def oracle_ddim_sample(model, s, x_start, cfg, c):
     oracle for the bound sampler."""
     cfg = cfg.resolve(s)
     x, squeeze = _oracle_rows(x_start)
-    grid = np.rint(np.linspace(cfg.t_start, cfg.t_end, cfg.num_steps + 1)).astype(np.int64)
+    grid = np.rint(np.linspace(cfg.t_start, 0, cfg.num_steps + 1)).astype(np.int64)
     eps_fn = oracle_noise_fn(model, c, cfg.guidance_w, x.shape[0])
     for i in range(cfg.num_steps):
         t_cur, t_next = grid[i], grid[i + 1]

@@ -191,9 +191,9 @@ def test_invert_demo(workdir, tmp_path):
 @pytest.mark.parametrize("cmd, key, value, message", [
     ("invert-demo", "demo.t_target", "121", "demo.t_target=121 must be <= the model's T=120"),
     ("invert-demo", "demo.t_target", "0", "demo.t_target=0 must be >= 1"),
-    ("invert-demo", "demo.ns", "5,0", "demo.ns=5,0 must be all >= 1"),
+    ("invert-demo", "demo.ns", "5,0", "demo.ns=5,0 must be non-empty and all >= 1"),
     ("eval", "eval.t_target", "121", "eval.t_target=121 must be <= the model's T=120"),
-    ("eval", "eval.ns", "5,0", "eval.ns=5,0 must be all >= 1"),
+    ("eval", "eval.ns", "5,0", "eval.ns=5,0 must be non-empty and all >= 1"),
     ("invert-demo", "demo.samples", "0", "demo.samples=0 must be >= 1"),
     ("eval", "eval.samples", "0", "eval.samples=0 must be >= 1"),
 ], ids=["demo.t_target=121", "demo.t_target=0", "demo.ns=5,0", "eval.t_target=121",
@@ -364,6 +364,62 @@ def test_ablate_checks_every_cell_before_the_first(workdir, tmp_path, capsys, mo
     assert ("config error: ablate.t_mins=1,121 must be <= the model's T=120"
             in capsys.readouterr().err)
     assert not (out / "ablate.csv").exists()
+
+
+_UNREAD_AXES = [
+    ("inpo", "gaussian", "ablate.ns", "2,3", "align.delta.n"),
+    ("inpo", "fixed_point", "ablate.w_invs", "0.0,1.5", "align.delta.w_inv"),
+    ("dpo", "inversion", "ablate.ns", "2,3", "align.delta.n"),
+    ("sft", "inversion", "ablate.betas", "100.0,1000.0", "align.beta"),
+]
+
+
+@pytest.mark.parametrize("method, delta, axis, values, key", _UNREAD_AXES,
+                         ids=[f"{m}-{d}:{a}" for m, d, a, _, _ in _UNREAD_AXES])
+def test_an_ablate_axis_the_run_does_not_read_exits_before_any_work(
+        workdir, tmp_path, capsys, monkeypatch, method, delta, axis, values, key):
+    # its cells would train one model again and again
+    for name in ("align", "sft_ref_init", "win_rate"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["ablate", "--out", str(out), "--seed", "6", *_every_input(workdir),
+                "--set", "align.ref_init=sft_winners", "--set", f"align.method={method}",
+                "--set", f"align.delta={delta}", "--set", f"{axis}={values}"]) == 2
+    assert (f"config error: {axis}={values} varies {key}, which align.method={method} with "
+            f"align.delta={delta} does not read") in capsys.readouterr().err
+    assert not _files_under(out)
+
+
+def test_an_ablate_axis_the_run_reads_still_sweeps(workdir, tmp_path):
+    # gaussian deltas read beta and t_min, so those axes make cells
+    out = tmp_path / "out"
+    assert run(["ablate", "--out", str(out), "--seed", "6", *_every_input(workdir),
+                "--set", "align.delta=gaussian", "--set", "ablate.betas=100,1000",
+                "--set", "ablate.t_mins=1,60", "--set", "ablate.steps=1"]) == 0
+    with open(out / "ablate.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["beta"], r["t_min"]) for r in rows] == [
+        ("100.0", "1"), ("100.0", "60"), ("1000.0", "1"), ("1000.0", "60")]
+
+
+_EMPTY_LISTS = [("eval", "eval.ns"), ("invert-demo", "demo.ns"), ("ablate", "ablate.betas"),
+                ("ablate", "ablate.ns"), ("ablate", "ablate.w_invs"), ("ablate", "ablate.t_mins")]
+
+
+@pytest.mark.parametrize("cmd, key", _EMPTY_LISTS, ids=[key for _, key in _EMPTY_LISTS])
+def test_an_empty_list_key_exits_before_any_work(workdir, tmp_path, capsys, monkeypatch, cmd,
+                                                 key):
+    # an empty ns once meant invert.n_steps, and an empty ablate axis wrote a
+    # header-only table after training an sft_winners reference for no cell
+    for name in ("align", "sft_ref_init", "win_rate", "roundtrip_errors", "ddim_invert"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([cmd, "--out", str(out), "--seed", "6", *_every_input(workdir),
+                "--set", "align.ref_init=sft_winners", "--set", f"{key}="]) == 2
+    assert f"config error: {key}= must be non-empty and all " in capsys.readouterr().err
+    assert not _files_under(out)
 
 
 @pytest.mark.parametrize("cmd, key", [("ablate", "ablate.trials"), ("eval", "eval.n_trials")])
@@ -544,9 +600,10 @@ _NON_FINITE_WEIGHTS = [
     ("align", "align.beta", "nan", "config error: align.beta=nan must be >= 0 and finite"),
     ("align", "align.beta", "inf", "config error: align.beta=inf must be >= 0 and finite"),
     ("ablate", "ablate.betas", "100,inf",
-     "config error: ablate.betas=100.0,inf must be all >= 0 and finite"),
+     "config error: ablate.betas=100.0,inf must be non-empty and all >= 0 and finite"),
     ("align", "align.delta.w_inv", "nan", "config error: align.delta.w_inv=nan must be finite"),
-    ("ablate", "ablate.w_invs", "0,nan", "config error: ablate.w_invs=0.0,nan must be all finite"),
+    ("ablate", "ablate.w_invs", "0,nan",
+     "config error: ablate.w_invs=0.0,nan must be non-empty and all finite"),
     ("align", "align.delta.tol", "nan", "config error: align.delta.tol=nan must be > 0"),
     ("make-prefs", "sample.guidance_w", "nan",
      "config error: sample.guidance_w=nan must be finite"),

@@ -8,7 +8,7 @@ import pytest
 
 import inpo.cli as cli_mod
 from inpo.cli import main
-from inpo.config import BOUNDS, REGISTRY, load_config, show, within
+from inpo.config import BOUNDS, NON_EMPTY, REGISTRY, load_config, show, within
 from inpo.data import RewardSpec, default_reward_spec, gen_toy_dataset, make_preference_pairs
 from inpo.denoiser import NULL_CONDITION, DenoiserArch, init_denoiser
 from inpo.errors import InvalidArgument
@@ -18,7 +18,7 @@ from inpo.sampler import Inverter, SamplerConfig, ddim_invert
 from inpo.schedule import make_schedule
 from inpo.trainer import AlignConfig, pretrain_base, sft_ref_init
 
-# values just outside each bound; a list key's case puts one after a good entry
+# values just outside each bound, and for a list's length the empty list
 OUTSIDE = {
     ">= 0": ["-1"],
     ">= 1": ["0"],
@@ -30,11 +30,29 @@ OUTSIDE = {
     "finite": ["nan", "inf", "-inf"],
     "in [0, 1]": ["-0.1", "1.1", "nan"],
     "in (0, 1]": ["0", "1.1", "nan"],
+    "non-empty": [""],
 }
+
+
+def element_bound(bound: str) -> str:
+    """The bound on a value, or on each element of a list value."""
+    return bound.removeprefix(NON_EMPTY).removeprefix("all ")
+
+
+def outside(bound: str) -> list[str]:
+    """Values just outside ``bound``: a list key's puts each after a good
+    entry, and a non-empty list key's adds the empty list."""
+    values = OUTSIDE[element_bound(bound)]
+    if bound == element_bound(bound):
+        return values
+    return [f"5,{v}" for v in values] + (OUTSIDE["non-empty"] if bound.startswith(NON_EMPTY)
+                                         else [])
+
+
 CASES = [
-    (key, bound, f"5,{value}" if bound.startswith("all ") else value)
+    (key, bound, value)
     for key, (_, _, bound) in REGISTRY.items() if bound
-    for value in OUTSIDE[bound.removeprefix("all ")]
+    for value in outside(bound)
 ]
 
 
@@ -51,14 +69,19 @@ EDGES = {
     "finite": ["-1e308", "1e308"],
     "in [0, 1]": ["0", "1"],
     "in (0, 1]": [str(SMALLEST), "1"],
+    "non-empty": ["5"],
 }
 
 
 def test_every_bound_has_values_outside_it():
-    assert set(OUTSIDE) == set(BOUNDS) == set(EDGES)
+    assert set(OUTSIDE) == set(EDGES) == {*BOUNDS, "non-empty"}
     for bound in BOUNDS:
         assert all(BOUNDS[bound](float(v)) for v in EDGES[bound]), bound
         assert not any(BOUNDS[bound](float(v)) for v in OUTSIDE[bound]), bound
+    # a list's length: one element is inside, the empty list outside
+    parse, _, bound = REGISTRY["eval.ns"]
+    assert all(within(bound, parse(v)) for v in EDGES["non-empty"])
+    assert not any(within(bound, parse(v)) for v in OUTSIDE["non-empty"])
 
 
 # keys no library function reads: inpo.cli resolves sample.t_start=0 to
@@ -106,7 +129,6 @@ def readers():
                                                                      sampler, 0),
         "sample.n_steps": lambda v: SamplerConfig(v).resolve(s),
         "sample.guidance_w": lambda v: SamplerConfig(1, v),
-        "invert.n_steps": lambda v: Inverter(p, s, v, 1),
         "invert.guidance_w": lambda v: Inverter(p, s, 1, 1, v),
         "align.beta": lambda v: AlignConfig(beta=v),
         "align.delta.n": lambda v: DeltaStrategy("inversion", n=v),
@@ -157,7 +179,7 @@ def test_a_keys_reader_accepts_exactly_what_its_bound_does(readers, key):
     parser, default, bound = REGISTRY[key]
     parse = (float if isinstance(default[0], float) else int) if isinstance(default, tuple) \
         else parser
-    inside = BOUNDS[bound.removeprefix("all ")]
+    inside = BOUNDS[element_bound(bound)]
     for raw in PROBES:
         try:
             value = parse(raw)
@@ -196,8 +218,8 @@ def test_every_numeric_key_declares_a_bound_its_default_meets():
         numeric = all(type(x) in (int, float) for x in elements)
         assert (bound is not None) == numeric, key
         if bound:
-            assert bound.removeprefix("all ") in BOUNDS, key
-            assert bound.startswith("all ") == isinstance(value, tuple), key
+            assert element_bound(bound) in BOUNDS, key
+            assert bound.startswith(("all ", NON_EMPTY)) == isinstance(value, tuple), key
             assert within(bound, default), key
 
 

@@ -431,14 +431,6 @@ def test_params_file_rejects_malformed_header(kind, T, edit):
         params_from_bytes(edit(buf) if edit else buf)
 
 
-def test_params_file_rejects_arch_mismatch(tmp_path):
-    p = init_denoiser(ARCH, 0)
-    path = tmp_path / "m.params"
-    save_params(path, p, "cosine", 100)
-    with pytest.raises(VersionError):
-        load_params(path, expect_arch=DenoiserArch(2, (16,), 5, 8))
-
-
 def test_params_file_rejects_bad_version():
     p = init_denoiser(ARCH, 0)
     buf = bytearray(params_to_bytes(p, "cosine", 100))

@@ -377,7 +377,7 @@ def test_align_from_a_table_equals_align_from_its_pairs(tmp_path, table, method,
     s = make_schedule("cosine", 200)
     base = init_denoiser(DenoiserArch(2, (12,), 8, 8), 7)
     cfg = AlignConfig(method=method, delta=delta, steps=4, batch_pairs=8, warmup_steps=2,
-                      seed=5, ref_init=ref_init)
+                      seed=5)
     out = []
     for pairs in (table, load_pairs(path)):
         ref = base

@@ -1,7 +1,7 @@
 """Smoke tests of the scripts under tools/: the code-line counter counts a
 fixed snippet exactly, the artifact-hash chain runs and prints the BLAS
 core and then one digest per artifact, and a tree compared against itself
-shows no difference."""
+shows no difference under either tool."""
 import importlib.util
 import os
 import pathlib
@@ -37,6 +37,20 @@ def load_tool(name: str):
 def test_code_lines_counts_only_code():
     # x = 1, both lines of y's continued expression, def f() and its return
     assert load_tool("code_lines").code_lines(SNIPPET) == 5
+
+
+def test_code_lines_against_its_own_tree_changes_nothing():
+    # one row per module and one for the total: count there, count here, change
+    run = subprocess.run([sys.executable, str(TOOLS / "code_lines.py"), "--against",
+                          str(ROOT / "src")], cwd=ROOT, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    rows = [line.split(None, 3) for line in run.stdout.splitlines()]
+    modules = sorted(str(p.relative_to(ROOT / "src" / "inpo"))
+                     for p in (ROOT / "src" / "inpo").rglob("*.py"))
+    assert [r[3] for r in rows] == [*modules, "src/inpo (total)"]
+    assert all(was == now and change == "+0" for was, now, change, _ in rows), rows
+    assert int(rows[-1][1]) == sum(int(r[1]) for r in rows[:-1])
 
 
 def test_artifact_hashes_prints_every_artifact():

@@ -566,8 +566,8 @@ def test_streams_are_built_a_batch_ahead_of_their_steps(monkeypatch):
     monkeypatch.setattr(trainer_mod, "_step_rng", spy)
     n = trainer_mod._STREAM_BATCH
     steps = 2 * n + 5
-    trainer_mod._train(params, AdamState.zeros_like(params.vec), window, seed=9,
-                       domain=trainer_mod._ALIGN_DOMAIN, steps=steps, lr=1e-3)
+    trainer_mod._train(params, window, seed=9, domain=trainer_mod._ALIGN_DOMAIN, steps=steps,
+                       lr=1e-3)
     assert sorted(e[1] for e in events if e[0] == "build") == list(range(steps))
     at = [i for i, e in enumerate(events) if e[0] == "window"]
     assert len(at) == steps
@@ -584,11 +584,10 @@ def test_train_holds_one_batch_of_streams_at_a_time():
     # front would peak near 1 MB
     params = init_denoiser(ARCH, 0)
     grad = SimpleNamespace(vec=np.zeros_like(params.vec))
-    adam = AdamState.zeros_like(params.vec)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        trainer_mod._train(params, adam, lambda rng, aux: (0.0, grad), seed=1,
+        trainer_mod._train(params, lambda rng, aux: (0.0, grad), seed=1,
                            domain=trainer_mod._PRETRAIN_DOMAIN, steps=1000, lr=1e-3)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
