@@ -198,15 +198,13 @@ def cmd_eval(cfg: dict, out: str, seed: int) -> None:
     sampler_cfg = _sampler_cfg(cfg, schedule)
     if cfg["eval.roundtrip"]:
         _check_times(cfg, schedule, "eval.t_target")
-    timing = cfg["eval.timing"]
     tick = time.perf_counter()
     report = win_rate(
         model_a, model_b, schedule, spec,
         conditions=range(model_a.arch.num_conditions),
         n_trials=cfg["eval.n_trials"], sampler_cfg=sampler_cfg, seed=seed,
     )
-    if timing:
-        report.wall_times["win_rate"] = time.perf_counter() - tick
+    report.wall_times["win_rate"] = time.perf_counter() - tick
     if cfg["eval.roundtrip"]:
         X, cond = gen_toy_dataset(cfg["data.kind"], cfg["eval.samples"], seed)
         for n in cfg["eval.ns"]:
@@ -215,8 +213,7 @@ def cmd_eval(cfg: dict, out: str, seed: int) -> None:
                                     cond, cfg["invert.guidance_w"])
             report.roundtrip_errors[n] = float(errs.mean())
             report.roundtrip_std[n] = _std_err(errs)
-            if timing:
-                report.wall_times[f"roundtrip_n{n}"] = time.perf_counter() - tick
+            report.wall_times[f"roundtrip_n{n}"] = time.perf_counter() - tick
     emit_report(report, out)
     log.info("wrote report to %s (win_rate=%.4f)", out, report.win_rate)
 

@@ -134,7 +134,6 @@ REGISTRY: dict[str, tuple] = {
     "eval.model_b": (str, "", None),
     "eval.n_trials": (int, 512, ">= 1"),
     "eval.roundtrip": (_parse_bool, False, None),
-    "eval.timing": (_parse_bool, False, None),
     "eval.t_target": (int, 800, ">= 1"),
     "eval.ns": (_parse_intlist, (5, 10, 25, 50), "non-empty and all >= 1"),
     "eval.samples": (int, 64, ">= 1"),

@@ -272,18 +272,17 @@ def make_preference_pairs(
     the last bit. Either way a run is a pure function of its inputs.
 
     Consecutive samples (2k, 2k+1) form pair k; the higher-scored one is the
-    winner, the first on a tie.
+    winner, the first on a tie. No conditions raise InvalidArgument, as
+    pairs_per_condition < 1 does: save_pairs and align reject an empty table.
     """
     if pairs_per_condition < 1:
         raise InvalidArgument("pairs_per_condition must be >= 1")
     if not _INT64_MIN <= int(seed) <= _INT64_MAX:
         raise InvalidArgument("seed must fit in int64")
     conditions = list(conditions)
-    dim = model.arch.input_dim
     if not conditions:
-        empty = np.empty((0, dim))
-        return PairTable(np.empty(0, np.int64), empty, empty, np.empty(0), np.empty(0),
-                         np.empty(0, np.int64), np.empty(0, bool))
+        raise InvalidArgument("conditions must be nonempty")
+    dim = model.arch.input_dim
     per = 2 * pairs_per_condition
     streams = np.random.SeedSequence([int(seed), 0x9A12]).spawn(len(conditions))
     z = np.concatenate([np.random.default_rng(stream).standard_normal((per, dim))

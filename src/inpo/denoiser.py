@@ -200,17 +200,20 @@ def time_embedding(t, dim: int, out=None, table=None) -> np.ndarray:
     """Sinusoidal embedding of a (batch,) array of timesteps, (batch, dim).
 
     Integer timesteps in [0, 2**16] are gathered from a per-dim table of the
-    same sin/cos values, grown to the largest timestep seen; other timesteps
-    (the continuous times of the RK4 oracle) are computed directly. With
-    ``out``, a (batch, dim) array, the embedding is written into it and it
-    is returned. ``table``, the table for ``dim`` grown to cover ``t`` (see
-    _time_table), skips the look-up and its range check; StepWorkspace
-    passes the one it keeps for its schedule's T.
+    same sin/cos values, grown to the largest timestep seen; other
+    nonnegative timesteps (the continuous times of the RK4 oracle, or past
+    the table) are computed directly, and a negative or non-finite one
+    raises InvalidArgument. With ``out``, a (batch, dim) array, the embedding is
+    written into it and it is returned. ``table``, the table for ``dim``
+    grown to cover ``t`` (see _time_table), skips the look-up and its range
+    check; StepWorkspace passes the one it keeps for its schedule's T.
     """
     t = np.asarray(t)
     table = _time_table(t, dim) if table is None else table
     if table is not None:
         return table.take(t, axis=0, out=out, mode="clip")
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise InvalidArgument(f"timesteps must be finite and >= 0, got {t.min()}")
     emb = _sincos(t.astype(np.float64), dim)
     if out is None:
         return emb

@@ -31,7 +31,7 @@ class EvalReport:
     median_reward_b: float = 0.0
     roundtrip_errors: dict = field(default_factory=dict)  # n -> mean error
     roundtrip_std: dict = field(default_factory=dict)  # n -> std error of mean
-    wall_times: dict = field(default_factory=dict)  # config id -> seconds
+    wall_times: dict = field(default_factory=dict)  # config id -> seconds, timing.csv only
     seeds: dict = field(default_factory=dict)
     trials: list = field(default_factory=list)  # (trial, condition, r_a, r_b, outcome)
 
@@ -97,7 +97,10 @@ def inversion_roundtrip(model, s: NoiseSchedule, samples, t_target: int, n_grid,
 
 
 def emit_report(report: EvalReport, dir_path) -> None:
-    """Write report.json plus flat CSVs (win_rate.csv, roundtrip.csv, timing.csv)."""
+    """Write report.json plus flat CSVs (win_rate.csv, roundtrip.csv, timing.csv).
+
+    The wall times go to timing.csv alone, so report.json is a pure function
+    of the run's inputs."""
     os.makedirs(dir_path, exist_ok=True)
     payload = {
         "win_rate": report.win_rate,
@@ -108,7 +111,6 @@ def emit_report(report: EvalReport, dir_path) -> None:
         "median_reward_b": report.median_reward_b,
         "roundtrip_errors": {str(k): v for k, v in report.roundtrip_errors.items()},
         "roundtrip_std": {str(k): v for k, v in report.roundtrip_std.items()},
-        "wall_times": {str(k): v for k, v in report.wall_times.items()},
         "seeds": report.seeds,
     }
     with open(os.path.join(dir_path, "report.json"), "w") as fh:

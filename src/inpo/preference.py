@@ -30,9 +30,9 @@ byte-stable. A step's sums and checks call the ufuncs' reductions
 (np.add.reduce, np.logical_and.reduce) directly, not the ndarray methods,
 which first run a Python function in numpy._core._methods; a sum divided by
 its count has the bits of the mean. make_targets checks its arguments, then
-runs _targets, which the pair window calls with its inverter and its
-buffers. pair_loss_terms and sft_terms are the same heads on plain numpy
-values, or, on tape parameters, one tape node each whose VJP is the same
+runs _targets, which the pair window calls with its inverter.
+pair_loss_terms and sft_terms are the same heads on plain numpy values, or,
+on tape parameters, one tape node each whose VJP is the same
 output-gradient helper; the tape (denoiser.value_and_grad) is the
 reference the tests hold the closed-form cores to.
 
@@ -201,20 +201,19 @@ def make_targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng
     return _targets(model, s, x0, t, c, strategy, rng)
 
 
-def _targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng, inverter=None,
-             noise=None):
+def _targets(model, s: NoiseSchedule, x0, t, c, strategy: DeltaStrategy, rng, inverter=None):
     """make_targets' arithmetic on checked arguments; the pair window calls
     it on its draws, with its Inverter, bound to ``model`` and the
     strategy's n and guidance weight and sized to the batch. The gaussian
     and fixed_point strategies noise x0 with their noise estimate, which is
-    also the target, and for the gaussian strategy ``noise``, a buffer of
-    x0's shape, receives the draws."""
+    also the target; the gaussian one draws it as rng.standard_normal of
+    x0's shape."""
     if strategy.kind == "inversion":
         res = inverter(x0, t, c) if inverter else ddim_invert(model, s, x0, t, strategy.n, c,
                                                               strategy.guidance_w_inv)
         return res.x_t, res.tau_t
     if strategy.kind == "gaussian":
-        eps = rng.standard_normal(x0.shape) if noise is None else rng.standard_normal(out=noise)
+        eps = rng.standard_normal(x0.shape)
     else:
         eps, _, _ = solve_delta_fixed_point(model, s, x0, t, c, strategy, rng)
     return _noise(s, x0, t, eps), eps

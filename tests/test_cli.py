@@ -173,6 +173,28 @@ def test_eval_roundtrip_reports_std_err(workdir, tmp_path):
     assert rep["roundtrip_std"] == {r["n"]: float(r["std_err"]) for r in rows}
 
 
+def test_eval_times_every_phase_in_timing_csv_and_none_in_the_report(workdir, tmp_path):
+    # wall times go to timing.csv alone, so a rerun's report.json is identical
+    outs = []
+    for tag in ("t1", "t2"):
+        out = tmp_path / tag
+        assert run([
+            "eval", "--out", str(out), "--seed", "4",
+            "--set", f"eval.model_a={workdir}/aligned.params",
+            "--set", f"eval.model_b={workdir}/base.params",
+            "--set", "eval.roundtrip=true", "--set", "eval.samples=8",
+            "--set", "eval.ns=2,4", "--set", "eval.t_target=96",
+        ]) == 0
+        with open(out / "timing.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["config_id"] for r in rows] == ["roundtrip_n2", "roundtrip_n4", "win_rate"]
+        assert all(float(r["seconds"]) > 0 for r in rows)
+        with open(out / "report.json") as fh:
+            assert "wall_times" not in json.load(fh)
+        outs.append(out / "report.json")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_invert_demo(workdir, tmp_path):
     out = tmp_path / "demo"
     assert run([

@@ -3,10 +3,14 @@ meets, and a value just outside any of them stops the command line with
 exit 2, naming the key, before a subcommand runs or ``--out`` is made. Each
 bound is also held to the library code that reads its key: that reader
 accepts a value exactly when the bound does."""
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 import inpo.cli as cli_mod
+import inpo.config as config_mod
 from inpo.cli import main
 from inpo.config import BOUNDS, NON_EMPTY, REGISTRY, load_config, show, within
 from inpo.data import RewardSpec, default_reward_spec, gen_toy_dataset, make_preference_pairs
@@ -228,3 +232,16 @@ def test_a_value_is_checked_once_the_overrides_are_applied(tmp_path):
     cfile = tmp_path / "run.cfg"
     cfile.write_text("align.steps = -1\n")
     assert load_config(str(cfile), ["align.steps=3"])["align.steps"] == 3
+
+
+def _literals(obj) -> set[str]:
+    """The string literals in ``obj``'s source: cfg["key"], _require(cfg,
+    "key"), the ablate axes' table and the like."""
+    return {node.value for node in ast.walk(ast.parse(inspect.getsource(obj)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_registry_key_is_read_by_the_command_line_or_the_reward():
+    # a key nothing reads would parse, check its bound and change nothing
+    unread = set(REGISTRY) - _literals(cli_mod) - _literals(config_mod.reward_spec_from)
+    assert not unread, f"keys no command reads: {sorted(unread)}"

@@ -234,6 +234,16 @@ def test_pairs_positive_margin(small_pairs):
     assert np.mean(margins) > 0
 
 
+@pytest.mark.parametrize("conditions", [[], range(0)])
+def test_pairs_of_no_condition_are_rejected(conditions):
+    # an empty table would only be rejected later, by save_pairs or align
+    model = make_linear_model(0.2 * np.eye(2), num_conditions=8)
+    with pytest.raises(InvalidArgument, match="conditions must be nonempty"):
+        make_preference_pairs(model, make_schedule("cosine", 200),
+                              default_reward_spec("eight_gaussians"), conditions, 8,
+                              SamplerConfig(num_steps=8), seed=17)
+
+
 # --------------------------------------------------------------- pair files
 
 

@@ -465,8 +465,9 @@ def test_time_embedding_float_negative_and_huge_t_use_sincos(monkeypatch):
     monkeypatch.setattr(denoiser_mod, "_TABLE_CACHE", {})
     t = np.array([0.5, 17.25, 999.75])
     assert np.array_equal(time_embedding(t, 8), _sincos_reference(t, 8))
-    neg = np.array([-3, 4])
-    assert np.array_equal(time_embedding(neg, 8), _sincos_reference(neg, 8))
+    for neg in (np.array([-3, 4]), np.array([2.5, -0.5])):
+        with pytest.raises(InvalidArgument, match="timesteps must be finite and >= 0"):
+            time_embedding(neg, 8)
     huge = np.array([5, 10**9])
     assert np.array_equal(time_embedding(huge, 8), _sincos_reference(huge, 8))
     assert denoiser_mod._TABLE_CACHE == {}
@@ -552,3 +553,10 @@ def test_noise_predictor_result_survives_the_next_call(w):
     second = eps(rng.standard_normal((64, 2)), 1)
     assert first.tobytes() == kept.tobytes()
     assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("t", [-5, -0.5, np.nan, np.inf])
+def test_predict_noise_rejects_a_negative_or_non_finite_timestep(t):
+    p = init_denoiser(ARCH, 0)
+    with pytest.raises(InvalidArgument, match=rf"timesteps must be finite and >= 0, got {t}"):
+        predict_noise(p, np.zeros((1, 2)), t, 0)

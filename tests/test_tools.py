@@ -1,7 +1,8 @@
 """Smoke tests of the scripts under tools/: the code-line counter counts a
 fixed snippet exactly, the artifact-hash chain runs and prints the BLAS
-core and then one digest per artifact, and a tree compared against itself
-shows no difference under either tool."""
+core and then one digest per artifact, a tree compared against itself
+shows no difference under either tool, and the step A/B runs a tree
+against itself at tiny sizes."""
 import importlib.util
 import os
 import pathlib
@@ -85,3 +86,23 @@ def test_blas_core_names_the_kernel_openblas_was_told_to_run():
                          env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"}, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == ("unknown" if here == "unknown" else "Haswell")
+
+
+def test_step_ab_against_its_own_tree_prints_one_row_per_method():
+    # tiny sizes: the run checks both trees' bases, pair sets and aligned
+    # bytes, then prints each method's per-step medians and paired ratio
+    run = subprocess.run([sys.executable, str(TOOLS / "step_ab.py"), "--against",
+                          str(ROOT / "src"), "--batch", "4", "--reps", "3", "--steps", "2",
+                          "--pretrain-steps", "5", "--pairs-per-condition", "2"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    header, columns, *rows = run.stdout.splitlines()
+    assert header.startswith("# batch 4, 2 steps x 3 reps, one BLAS thread")
+    assert columns.split() == ["method", "this_ms", "other_ms", "ratio", "q1", "q3",
+                               "this_faster"]
+    assert [r.split()[0] for r in rows] == ["inversion_n10", "dpo", "sft"]
+    for row in rows:
+        _, this, other, ratio, q1, q3, faster = row.split()
+        assert float(this) > 0 and float(other) > 0
+        assert float(q1) <= float(ratio) <= float(q3)
+        assert re.fullmatch(r"[0-3]/3", faster)

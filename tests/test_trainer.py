@@ -672,19 +672,34 @@ def test_sft_ref_init_names_the_input_pair_of_a_nonfinite_winner(s, tiny_records
 
 
 def test_samples_of_another_dim_are_rejected(s, tiny_data, tiny_records):
-    # the noise is drawn at the model's input dim, so forward_diffuse
-    # rejects samples of any other dim before the network runs
+    # the samples are checked against the model's input_dim where the call
+    # binds them, before the network runs
     X, cond = tiny_data
     base = init_denoiser(ARCH, 7)
     wide = pair_table([PreferencePair(p.condition, np.append(p.winner, 0.0),
                                       np.append(p.loser, 0.0), 1.0, 0.0, 0)
                        for p in tiny_records])
-    for run in (lambda: pretrain_base((X[:, :1], cond), ARCH, s, steps=2, lr=1e-3, seed=5,
-                                      batch=8),
-                lambda: sft_ref_init(base, wide, s, steps=2, lr=1e-3, seed=1, batch=8),
-                lambda: align(base, base, wide, s, small_cfg(method="sft", steps=2))):
-        with pytest.raises(InvalidArgument, match=r"x0 shape \(8, [13]\) != eps shape \(8, 2\)"):
+    runs = [lambda: pretrain_base((X[:, :1], cond), ARCH, s, steps=2, lr=1e-3, seed=5, batch=8),
+            lambda: sft_ref_init(base, wide, s, steps=2, lr=1e-3, seed=1, batch=8)]
+    # every align method and delta strategy
+    runs += [lambda kw=kw: align(base, base, wide, s, small_cfg(steps=2, **kw))
+             for kw in ({"method": "sft"}, {"method": "dpo"}, {},
+                        {"delta": DeltaStrategy("inversion", n=2)})]
+    for run in runs:
+        with pytest.raises(InvalidArgument,
+                           match=r"^(samples|pairs) of shape \(\d+, [13]\) do not match "
+                                 r"the model's input_dim 2$"):
             run()
+
+
+@pytest.mark.parametrize("n_cond", [50, 200])
+def test_pretrain_rejects_a_condition_count_other_than_the_samples(s, tiny_data, n_cond):
+    # one condition id per sample: fewer or more is an error naming both lengths
+    X, cond = tiny_data
+    cond = np.resize(cond, n_cond)
+    with pytest.raises(InvalidArgument,
+                       match=rf"^100 samples but condition ids of shape \({n_cond},\)$"):
+        pretrain_base((X[:100], cond), ARCH, s, steps=2, lr=1e-3, seed=5, batch=8)
 
 
 def _window_steps_are_the_cores(s, pairs, cfg):
