@@ -212,8 +212,9 @@ def time_embedding(t, dim: int, out=None, table=None) -> np.ndarray:
     table = _time_table(t, dim) if table is None else table
     if table is not None:
         return table.take(t, axis=0, out=out, mode="clip")
-    if not np.all(np.isfinite(t) & (t >= 0)):
-        raise InvalidArgument(f"timesteps must be finite and >= 0, got {t.min()}")
+    ok = np.isfinite(t) & (t >= 0)
+    if not ok.all():
+        raise InvalidArgument(f"timesteps must be finite and >= 0, got {t[~ok].flat[0]}")
     emb = _sincos(t.astype(np.float64), dim)
     if out is None:
         return emb

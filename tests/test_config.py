@@ -234,14 +234,38 @@ def test_a_value_is_checked_once_the_overrides_are_applied(tmp_path):
     assert load_config(str(cfile), ["align.steps=3"])["align.steps"] == 3
 
 
-def _literals(obj) -> set[str]:
-    """The string literals in ``obj``'s source: cfg["key"], _require(cfg,
-    "key"), the ablate axes' table and the like."""
-    return {node.value for node in ast.walk(ast.parse(inspect.getsource(obj)))
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+def _reads(source: str) -> set[str]:
+    """The keys ``source`` reads from a config: the string subscripts of
+    cfg[...] and the string arguments of _require and _check_times. A key
+    named only in a docstring, a log line or a message is no read."""
+    keys = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg"):
+            args = [node.slice]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("_require", "_check_times")):
+            args = node.args
+        else:
+            continue
+        keys |= {a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)}
+    return keys
 
 
 def test_every_registry_key_is_read_by_the_command_line_or_the_reward():
-    # a key nothing reads would parse, check its bound and change nothing
-    unread = set(REGISTRY) - _literals(cli_mod) - _literals(config_mod.reward_spec_from)
+    # a key nothing reads would parse, check its bound and change nothing;
+    # ablate reads its axes as cfg[axis] for each axis of cli._AXES
+    read = (_reads(inspect.getsource(cli_mod)) | set(cli_mod._AXES)
+            | _reads(inspect.getsource(config_mod.reward_spec_from)))
+    unread = set(REGISTRY) - read
     assert not unread, f"keys no command reads: {sorted(unread)}"
+
+
+def test_a_key_named_only_in_text_is_not_read():
+    source = '''
+def f(cfg):
+    """Reads cfg["doc.key"]."""
+    log.info("eval.timing is gone")
+    return cfg["a.b"], _require(cfg, "c.d"), _check_times(cfg, s, "e.f", "g.h"), x["i.j"]
+'''
+    assert _reads(source) == {"a.b", "c.d", "e.f", "g.h"}

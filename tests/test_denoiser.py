@@ -555,8 +555,11 @@ def test_noise_predictor_result_survives_the_next_call(w):
     assert not np.shares_memory(first, second)
 
 
-@pytest.mark.parametrize("t", [-5, -0.5, np.nan, np.inf])
-def test_predict_noise_rejects_a_negative_or_non_finite_timestep(t):
+@pytest.mark.parametrize("t, bad", [(-5, -5), (-0.5, -0.5), (np.nan, np.nan), (np.inf, np.inf),
+                                    ([5, np.inf], np.inf), ([5.5, -1.0, np.nan], -1.0)])
+def test_predict_noise_rejects_a_negative_or_non_finite_timestep(t, bad):
+    # the message names the first timestep out of bounds, not the batch's least
     p = init_denoiser(ARCH, 0)
-    with pytest.raises(InvalidArgument, match=rf"timesteps must be finite and >= 0, got {t}"):
-        predict_noise(p, np.zeros((1, 2)), t, 0)
+    t = np.asarray(t)
+    with pytest.raises(InvalidArgument, match=rf"timesteps must be finite and >= 0, got {bad}$"):
+        predict_noise(p, np.zeros((t.size, 2)), t, 0)

@@ -92,8 +92,7 @@ def test_step_ab_against_its_own_tree_prints_one_row_per_method():
     # tiny sizes: the run checks both trees' bases, pair sets and aligned
     # bytes, then prints each method's per-step medians and paired ratio
     run = subprocess.run([sys.executable, str(TOOLS / "step_ab.py"), "--against",
-                          str(ROOT / "src"), "--batch", "4", "--reps", "3", "--steps", "2",
-                          "--pretrain-steps", "5", "--pairs-per-condition", "2"],
+                          str(ROOT / "src"), "--batch", "4", "--reps", "3", "--tiny"],
                          cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     header, columns, *rows = run.stdout.splitlines()

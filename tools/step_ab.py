@@ -19,9 +19,9 @@ shows the spread to expect from the harness alone.
 
     python tools/step_ab.py --against OTHER_TREE/src --batch 64
 
-Usage: python tools/step_ab.py --against OTHER_SRC [--src SRC_DIR] [--batch B]
-[--reps R] [--steps S] [--pretrain-steps N] [--pairs-per-condition P]
-(SRC_DIR defaults to this tree's src)
+Usage: python tools/step_ab.py --against OTHER_SRC [--batch B] [--reps R] [--tiny]
+(--tiny shrinks the pretraining, the pair set and each call's steps so that
+the tool's own test runs in seconds; its ratios mean little)
 """
 from __future__ import annotations
 
@@ -33,6 +33,9 @@ import time
 from pathlib import Path
 
 PAIR_COLUMNS = ("condition", "winner", "loser", "reward_w", "reward_l", "seed", "tie")
+THIS_SRC = Path(__file__).resolve().parents[1] / "src"
+# pretraining steps, pairs per condition and align steps per call
+FULL, TINY = (300, 64, 40), (5, 2, 2)
 
 
 def load(src: Path, name: str):
@@ -85,32 +88,29 @@ def check_same(a: bytes, b: bytes, what: str) -> None:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=Path(__file__).resolve().parents[1] / "src", type=Path,
-                        help="directory holding this side's inpo package")
     parser.add_argument("--against", required=True, type=Path, metavar="OTHER_SRC",
                         help="directory holding the other side's inpo package")
     parser.add_argument("--batch", type=int, default=64, help="align.batch_pairs")
     parser.add_argument("--reps", type=int, default=15, help="paired repetitions per method")
-    parser.add_argument("--steps", type=int, default=40, help="align steps per call")
-    parser.add_argument("--pretrain-steps", type=int, default=300)
-    parser.add_argument("--pairs-per-condition", type=int, default=64)
+    parser.add_argument("--tiny", action="store_true",
+                        help="tiny sizes, for the tool's own test")
     args = parser.parse_args(argv)
-    for src in (args.src, args.against):
-        if not (src / "inpo" / "__init__.py").is_file():
-            parser.error(f"no inpo package under {src}")
+    if not (args.against / "inpo" / "__init__.py").is_file():
+        parser.error(f"no inpo package under {args.against}")
+    pretrain_steps, pairs_per_condition, steps = TINY if args.tiny else FULL
     # one BLAS thread: numpy reads these when it loads its BLAS library,
     # which the first tree's import does
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     import numpy as np
 
-    trees = [load(args.src, "inpo_this"), load(args.against, "inpo_other")]
-    runs = [inputs(inpo, args.pretrain_steps, args.pairs_per_condition) for inpo in trees]
+    trees = [load(THIS_SRC, "inpo_this"), load(args.against, "inpo_other")]
+    runs = [inputs(inpo, pretrain_steps, pairs_per_condition) for inpo in trees]
     (_, base_a, pairs_a), (_, base_b, pairs_b) = runs
     check_same(base_a.vec.tobytes(), base_b.vec.tobytes(), "bases")
     for c in PAIR_COLUMNS:
         check_same(getattr(pairs_a, c).tobytes(), getattr(pairs_b, c).tobytes(), f"pairs' {c}")
-    cfgs = [configs(inpo, args.batch, args.steps) for inpo in trees]
+    cfgs = [configs(inpo, args.batch, steps) for inpo in trees]
     cpu = {method: ([], []) for method in cfgs[0]}
     for rep in range(-1, args.reps):  # rep -1 warms both trees up, untimed
         for method, times in cpu.items():
@@ -121,14 +121,14 @@ def main(argv: list[str]) -> int:
             if rep >= 0:
                 for side in (0, 1):
                     times[side].append(got[side][1])
-    print(f"# batch {args.batch}, {args.steps} steps x {args.reps} reps, one BLAS thread; "
-          f"ratio = {args.src} / {args.against}")
+    print(f"# batch {args.batch}, {steps} steps x {args.reps} reps, one BLAS thread; "
+          f"ratio = {THIS_SRC} / {args.against}")
     print(f"{'method':14s} {'this_ms':>8s} {'other_ms':>8s} {'ratio':>6s} "
           f"{'q1':>6s} {'q3':>6s}  this_faster")
     for method, (this, other) in cpu.items():
         this, other = np.array(this), np.array(other)
         q1, med, q3 = np.percentile(this / other, [25, 50, 75])
-        per_step = 1e3 / args.steps
+        per_step = 1e3 / steps
         print(f"{method:14s} {np.median(this) * per_step:8.3f} {np.median(other) * per_step:8.3f} "
               f"{med:6.3f} {q1:6.3f} {q3:6.3f}  {int((this < other).sum())}/{args.reps}")
     return 0
