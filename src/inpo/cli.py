@@ -104,9 +104,6 @@ def _delta_from(cfg: dict) -> DeltaStrategy:
         kind=cfg["align.delta"],
         n=cfg["align.delta.n"],
         guidance_w_inv=cfg["align.delta.w_inv"],
-        max_iters=cfg["align.delta.max_iters"],
-        tol=cfg["align.delta.tol"],
-        damping=cfg["align.delta.damping"],
     )
 
 

@@ -65,12 +65,10 @@ BOUNDS = {
     ">= 1": lambda v: v >= 1,
     ">= 2": lambda v: v >= 2,
     "even and >= 2": lambda v: v >= 2 and v % 2 == 0,
-    "> 0": lambda v: v > 0,
     "> 0 and finite": lambda v: 0 < v < math.inf,
     ">= 0 and finite": lambda v: 0 <= v < math.inf,
     "finite": math.isfinite,
     "in [0, 1]": lambda v: 0 <= v <= 1,
-    "in (0, 1]": lambda v: 0 < v <= 1,
 }
 
 
@@ -116,9 +114,6 @@ REGISTRY: dict[str, tuple] = {
     "align.delta": (_choice(*DELTA_KINDS), "inversion", None),
     "align.delta.n": (int, 10, ">= 1"),
     "align.delta.w_inv": (float, 0.0, "finite"),
-    "align.delta.max_iters": (int, 50, ">= 1"),
-    "align.delta.tol": (float, 1e-8, "> 0"),
-    "align.delta.damping": (float, 1.0, "in (0, 1]"),
     "align.steps": (int, 500, ">= 0"),
     "align.batch_pairs": (int, 64, ">= 1"),
     "align.accum_steps": (int, 1, ">= 1"),

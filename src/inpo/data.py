@@ -45,8 +45,7 @@ class PairTable:
 
     ``condition`` (n,) int64, ``winner`` and ``loser`` (n, dim) float64,
     ``reward_w`` and ``reward_l`` (n,) float64, ``seed`` (n,) int64 and
-    ``tie`` (n,) bool, with one ``source`` for every pair. Tables are equal
-    when their sources and columns are.
+    ``tie`` (n,) bool. Tables are equal when their columns are.
     """
 
     condition: np.ndarray
@@ -56,7 +55,6 @@ class PairTable:
     reward_l: np.ndarray
     seed: np.ndarray
     tie: np.ndarray
-    source: str = "model_sampled"
 
     def __post_init__(self):
         n = len(self.condition)
@@ -80,7 +78,7 @@ class PairTable:
     def __eq__(self, other):
         if not isinstance(other, PairTable):
             return NotImplemented
-        return self.source == other.source and all(
+        return all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name, _, _ in _COLUMNS)
 
 
@@ -302,7 +300,6 @@ def make_preference_pairs(
         reward_l=reward_l,
         seed=np.full(len(swap), int(seed), dtype=np.int64),
         tie=reward_w == reward_l,
-        source="model_sampled",
     )
 
 
@@ -431,7 +428,6 @@ def load_pairs(path, num_conditions: int | None = None,
         reward_l=cols[:, 2 * d + 1].copy(),
         seed=np.array(seeds, dtype=np.int64),
         tie=np.array(ties, dtype=bool),
-        source="external",
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .data import RewardSpec, score
 from .denoiser import NULL_CONDITION
 from .errors import InvalidArgument
-from .sampler import SamplerConfig, ddim_invert, ddim_sample
+from .sampler import Inverter, SamplerConfig, _sample_on, ddim_sample
 from .schedule import NoiseSchedule
 
 
@@ -74,12 +74,15 @@ def win_rate(model_a, model_b, s: NoiseSchedule, spec: RewardSpec, conditions,
 
 def roundtrip_errors(model, s: NoiseSchedule, samples, t_target: int, n: int,
                      conditions=None, guidance_w: float = 0.0) -> np.ndarray:
-    """Per-sample ||sample_back(invert(x0)) - x0|| at one inversion step count."""
+    """Per-sample ||sample_back(invert(x0)) - x0|| at one inversion step
+    count, sampling back down the inversion's own grid."""
+    if np.ndim(t_target) != 0:
+        raise InvalidArgument(f"t_target must be one timestep, got shape {np.shape(t_target)}")
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     c = NULL_CONDITION if conditions is None else conditions
-    res = ddim_invert(model, s, samples, t_target, n, c, guidance_w)
-    cfg = SamplerConfig(num_steps=n, guidance_w=guidance_w, t_start=t_target)
-    back = ddim_sample(model, s, res.x_t, cfg, c)
+    inverter = Inverter(model, s, n, len(samples), guidance_w)
+    x_t = inverter(samples, t_target, c).x_t
+    back = _sample_on(model, s, x_t, inverter.grid[::-1, 0], guidance_w, c)
     return np.linalg.norm(back - samples, axis=1)
 
 

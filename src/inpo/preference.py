@@ -40,9 +40,21 @@ Delta strategies decide how the noise estimate paired with a clean sample is
 produced: "inversion" runs the sampler's inversion, "gaussian" draws i.i.d.
 noise (which reduces the loss exactly to the DPO baseline), and
 "fixed_point" solves the self-consistency equation for the noise directly by
-damped iteration. The last two noise the clean sample forward with their
-estimate (schedule._noise, forward_diffuse's unchecked step) and regress
-onto the estimate itself.
+iteration. The last two noise the clean sample forward with their estimate
+(schedule._noise, forward_diffuse's unchecked step) and regress onto the
+estimate itself.
+
+Every strategy's latent is x_t = sqrt(ab_t) * x0_t + sqrt(1 - ab_t) * delta_t
+and its target tau = (x0_t - x0) / sigma_t + delta_t (x0_t = x0 for the
+noising strategies), so for any noise prediction eps at x_t, with
+x0_hat = (x_t - sqrt(1 - ab_t) * eps) / sqrt(ab_t) its denoised estimate,
+
+    tau - eps = (x0_hat - x0) / sigma_t.
+
+A pair loss's squared errors therefore rank how far each model's denoised
+estimate at the latent lands from the clean sample: under inversion, the
+drift of the inversion round trip. An exact fixed point makes the trained
+model's side zero, so only the solver's residual is left to train on.
 """
 from __future__ import annotations
 
@@ -76,7 +88,6 @@ class DeltaStrategy:
     guidance_w_inv: float = 0.0
     max_iters: int = 50
     tol: float = 1e-8
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.kind not in DELTA_KINDS:
@@ -89,8 +100,6 @@ class DeltaStrategy:
             raise InvalidArgument(f"guidance_w_inv must be finite, got {self.guidance_w_inv}")
         if not self.tol > 0:
             raise InvalidArgument(f"tol must be positive, got {self.tol}")
-        if not (0 < self.damping <= 1):
-            raise InvalidArgument("damping must be in (0, 1]")
 
 
 def sft_terms(model, s: NoiseSchedule, x_t, t, c, rows, eps, ws=None):
@@ -149,11 +158,11 @@ def _sft_step(model: DenoiserParams, s: NoiseSchedule, x_t, t, rows, eps, ws: St
 
 
 def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrategy, rng):
-    """Damped iteration for the noise consistent with a denoised estimate.
+    """Iteration for the noise consistent with a denoised estimate.
 
-    Iterates delta <- (1 - damping) * delta + damping * eps_hat(lift(delta))
-    from a standard-normal start, per row, freezing rows whose residual
-    ||delta - eps_hat|| drops to tol. Returns (delta, converged, residual).
+    Iterates delta <- eps_hat(lift(delta)) from a standard-normal start, per
+    row, freezing rows whose residual ||delta - eps_hat|| drops to tol.
+    Returns (delta, converged, residual).
     Every iteration evaluates at the same timesteps, so the noise predictor
     is bound to a grid of one step and sqrt(ab_t) * x0_t is computed once.
     """
@@ -174,8 +183,7 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
         converged |= r <= cfg.tol
         if converged.all():
             break
-        upd = (1.0 - cfg.damping) * delta + cfg.damping * eps
-        delta = np.where(converged[:, None], delta, upd)
+        delta = np.where(converged[:, None], delta, eps)
         if not np.isfinite(delta).all():
             raise NumericError(f"non-finite fixed-point iterate at iteration {k}")
     if not converged.all():

@@ -27,12 +27,13 @@ update's buffers, and each call rebinds them to its timesteps and
 conditions. align's pair window builds one per call and hands it to the
 targets of every window (preference._targets); ddim_invert is a one-off
 Inverter call. ddim_sample binds a NoisePredictor once per call, so a step
-is its forward(s) and the state update; the fixed-point solver in
-inpo.preference binds one to a grid of one step. Every step checks the
-forward's input and the new state for finiteness with ndarray.all, which
-runs the Python function numpy._core._methods._all before its reduction; at
-these sizes, calling np.logical_and.reduce instead made no measurable
-difference.
+is its forward(s) and the state update; its loop (_sample_on) takes any
+descending grid, and eval's round trip runs it down its Inverter's grid,
+reversed. The fixed-point solver in inpo.preference binds one to a grid of
+one step. Every step checks the forward's input and the new state for
+finiteness with ndarray.all, which runs the Python function
+numpy._core._methods._all before its reduction; at these sizes, calling
+np.logical_and.reduce instead made no measurable difference.
 """
 from __future__ import annotations
 
@@ -85,17 +86,23 @@ def ddim_sample(model, s: NoiseSchedule, x_start, cfg: SamplerConfig, c) -> np.n
     forward(s) and the update.
     """
     cfg = cfg.resolve(s)
-    x = _as_rows(x_start)
     grid = np.rint(np.linspace(cfg.t_start, 0, cfg.num_steps + 1)).astype(np.int64)
-    eps_fn = NoisePredictor(model, cfg.guidance_w, len(x)).bind(c, grid[:-1, None])
+    x = _sample_on(model, s, _as_rows(x_start), grid, cfg.guidance_w, c)
+    return x[0] if np.ndim(x_start) == 1 else x
+
+
+def _sample_on(model, s: NoiseSchedule, x, grid, guidance_w: float, c) -> np.ndarray:
+    """ddim_sample's integration of the (rows, dim) batch ``x`` down the
+    descending int64 timestep ``grid``, from grid[0] to grid[-1]."""
+    eps_fn = NoisePredictor(model, guidance_w, len(x)).bind(c, grid[:-1, None])
     sq_ab, sq_1ab = s.sqrt_alpha_bar[grid].tolist(), s.sqrt_one_minus_alpha_bar[grid].tolist()
-    for i in range(cfg.num_steps):
+    for i in range(len(grid) - 1):
         eps = eps_fn(x, i)
         x0_hat = (x - sq_1ab[i] * eps) / sq_ab[i]
         x = sq_ab[i + 1] * x0_hat + sq_1ab[i + 1] * eps
         if not np.isfinite(x).all():
             raise NumericError(f"non-finite sample at step {i} (t={grid[i]} -> {grid[i + 1]})")
-    return x[0] if np.ndim(x_start) == 1 else x
+    return x
 
 
 class Inverter:

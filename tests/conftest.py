@@ -131,12 +131,12 @@ class PreferencePair:
     tie: bool = False
 
 
-def pair_table(pairs, source="model_sampled") -> PairTable:
+def pair_table(pairs) -> PairTable:
     """The records ``pairs`` stacked into a PairTable, one row each in
     order; no records give a table of dim 0, as load_pairs returns."""
     if not pairs:
         return PairTable(np.empty(0, np.int64), np.empty((0, 0)), np.empty((0, 0)), np.empty(0),
-                         np.empty(0), np.empty(0, np.int64), np.empty(0, bool), source)
+                         np.empty(0), np.empty(0, np.int64), np.empty(0, bool))
     return PairTable(
         condition=np.array([p.condition for p in pairs], dtype=np.int64),
         winner=np.stack([p.winner for p in pairs], dtype=np.float64),
@@ -145,7 +145,6 @@ def pair_table(pairs, source="model_sampled") -> PairTable:
         reward_l=np.array([p.reward_l for p in pairs], dtype=np.float64),
         seed=np.array([p.seed for p in pairs], dtype=np.int64),
         tie=np.array([p.tie for p in pairs], dtype=bool),
-        source=source,
     )
 
 
@@ -302,15 +301,21 @@ def oracle_ddim_sample(model, s, x_start, cfg, c):
     cfg = cfg.resolve(s)
     x, squeeze = _oracle_rows(x_start)
     grid = np.rint(np.linspace(cfg.t_start, 0, cfg.num_steps + 1)).astype(np.int64)
-    eps_fn = oracle_noise_fn(model, c, cfg.guidance_w, x.shape[0])
-    for i in range(cfg.num_steps):
-        t_cur, t_next = grid[i], grid[i + 1]
+    x = oracle_sample_on(model, s, x, grid, cfg.guidance_w, c)
+    return x[0] if squeeze else x
+
+
+def oracle_sample_on(model, s, x, grid, guidance_w, c):
+    """The DDIM update of the (rows, dim) batch ``x`` down the descending
+    timestep ``grid``, with every coefficient looked up per step."""
+    eps_fn = oracle_noise_fn(model, c, guidance_w, x.shape[0])
+    for t_cur, t_next in zip(grid[:-1], grid[1:]):
         eps = eps_fn(x, t_cur)
         ab_c = s.alpha_bar[t_cur]
         ab_n = s.alpha_bar[t_next]
         x0_hat = (x - np.sqrt(1.0 - ab_c) * eps) / np.sqrt(ab_c)
         x = np.sqrt(ab_n) * x0_hat + np.sqrt(1.0 - ab_n) * eps
-    return x[0] if squeeze else x
+    return x
 
 
 def oracle_ddim_invert(model, s, x0, t_target, n, c, guidance_w_inv=0.0):
@@ -371,8 +376,7 @@ def oracle_fixed_point(model, s, x0_t, t, c, cfg, rng):
         converged |= r <= cfg.tol
         if converged.all():
             break
-        upd = (1.0 - cfg.damping) * delta + cfg.damping * eps
-        delta = np.where(converged[:, None], delta, upd)
+        delta = np.where(converged[:, None], delta, eps)
     if not converged.all():
         eps = eps_fn(sq_ab * x0a + sq_1ab * delta, tt)
         r = np.linalg.norm(delta - eps, axis=1)
@@ -469,7 +473,7 @@ def oracle_load_pairs(path, num_conditions=None, input_dim=None):
         pairs.append(PreferencePair(condition=c, winner=winner, loser=loser,
                                     reward_w=float(rec["rw"]), reward_l=float(rec["rl"]),
                                     seed=seed, tie=tie))
-    return pair_table(pairs, source="external")
+    return pair_table(pairs)
 
 
 def oracle_save_pairs(table, path, reward_spec=None):

@@ -626,7 +626,6 @@ _NON_FINITE_WEIGHTS = [
     ("align", "align.delta.w_inv", "nan", "config error: align.delta.w_inv=nan must be finite"),
     ("ablate", "ablate.w_invs", "0,nan",
      "config error: ablate.w_invs=0.0,nan must be non-empty and all finite"),
-    ("align", "align.delta.tol", "nan", "config error: align.delta.tol=nan must be > 0"),
     ("make-prefs", "sample.guidance_w", "nan",
      "config error: sample.guidance_w=nan must be finite"),
     ("eval", "sample.guidance_w", "inf", "config error: sample.guidance_w=inf must be finite"),
@@ -640,13 +639,12 @@ _NON_FINITE_WEIGHTS = [
                          ids=[f"{c}:{k}={v}" for c, k, v, _ in _NON_FINITE_WEIGHTS])
 def test_a_non_finite_weight_is_an_error_before_any_work(workdir, tmp_path, capsys, cmd, key,
                                                          value, message):
-    # a NaN tol never satisfies the solver's r <= tol, so every solve would
-    # run to max_iters; the other weights would fail at step 0 or at the
-    # first sample, after the work before them, as a numeric error
+    # the weights would fail at step 0 or at the first sample, after the
+    # work before them, as a numeric error
     out = tmp_path / "out"
     capsys.readouterr()
     assert run([cmd, "--out", str(out), "--seed", "3", *_every_input(workdir),
-                "--set", "align.delta=fixed_point", "--set", f"{key}={value}"]) == 2
+                "--set", f"{key}={value}"]) == 2
     assert message in capsys.readouterr().err
     assert not _files_under(out)
 

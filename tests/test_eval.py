@@ -13,6 +13,7 @@ from inpo.evaluation import (
     EvalReport,
     emit_report,
     inversion_roundtrip,
+    roundtrip_errors,
     win_rate,
 )
 from inpo.sampler import SamplerConfig, ddim_invert, ddim_sample
@@ -22,7 +23,9 @@ from conftest import (
     linear_ode_solution,
     make_linear_model,
     make_tanh_model,
+    oracle_ddim_invert,
     oracle_ode_integrate,
+    oracle_sample_on,
     oracle_win_rate_csv,
     zero_model,
 )
@@ -107,6 +110,30 @@ def test_roundtrip_zero_net_is_exact(s):
 def test_roundtrip_empty_samples_rejected(s):
     with pytest.raises(InvalidArgument):
         inversion_roundtrip(zero_model(2), s, np.zeros((0, 2)), 800, [5])
+
+
+def test_roundtrip_takes_one_target_time(s):
+    # a per-row t would give each row its own inversion grid, and the
+    # round trip samples back down one
+    with pytest.raises(InvalidArgument, match="one timestep"):
+        roundtrip_errors(zero_model(2), s, np.zeros((2, 2)), np.array([10, 20]), 2)
+
+
+@pytest.mark.parametrize("t_target, n", [(15, 10), (950, 40)])
+@pytest.mark.parametrize("w", [0.0, 2.0])
+def test_roundtrip_samples_back_down_the_inversion_grid(s, t_target, n, w):
+    # at these (t, n) the inversion's grid rint(linspace(0, 1, n + 1) * t)
+    # and the sampler's rint(linspace(t, 0, n + 1)) differ, so a round trip
+    # must undo the inversion's own steps
+    p = init_denoiser(DenoiserArch(2, (16, 16), 8, 8), 5)
+    rng = np.random.default_rng(6)
+    x, c = rng.standard_normal((9, 2)), rng.integers(0, 8, size=9)
+    up = np.rint(np.linspace(0.0, 1.0, n + 1) * t_target).astype(np.int64)
+    assert up.tolist() != np.rint(np.linspace(t_target, 0, n + 1))[::-1].tolist()
+    x_t = oracle_ddim_invert(p, s, x, t_target, n, c, w).x_t
+    want = np.linalg.norm(oracle_sample_on(p, s, x_t, up[::-1], w, c) - x, axis=1)
+    got = roundtrip_errors(p, s, x, t_target, n, c, w)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_oracle_zero_net_exact_scaling(s):

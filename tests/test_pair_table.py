@@ -53,7 +53,7 @@ def _pair(c=0, w=(0.5, -0.25), l=(1.0, 2.0), rw=0.5, rl=-1.0, seed=3, **kw):
 
 def test_make_preference_pairs_returns_typed_columns(table):
     assert isinstance(table, PairTable)
-    assert len(table) == 32 and table.dim == 2 and table.source == "model_sampled"
+    assert len(table) == 32 and table.dim == 2
     for name, dtype, shape in [("condition", np.int64, (32,)), ("winner", np.float64, (32, 2)),
                                ("loser", np.float64, (32, 2)), ("reward_w", np.float64, (32,)),
                                ("reward_l", np.float64, (32,)), ("seed", np.int64, (32,)),
@@ -75,14 +75,12 @@ def test_columns_are_checked(table):
 
 def _rows(table, rows):
     """The table of ``table``'s rows at the index or slice ``rows``."""
-    return PairTable(*(getattr(table, name)[rows] for name in COLUMNS), table.source)
+    return PairTable(*(getattr(table, name)[rows] for name in COLUMNS))
 
 
-def test_tables_compare_by_columns_and_source(table):
+def test_tables_compare_by_columns(table):
     assert table == _rows(table, slice(None))
     assert table != _rows(table, slice(1, None))
-    cols = {name: getattr(table, name) for name in COLUMNS}
-    assert table != PairTable(**cols, source="external")
     with pytest.raises(TypeError):
         hash(table)
 
@@ -162,7 +160,7 @@ def test_load_returns_external_columns(tmp_path, table):
     path = tmp_path / "pairs.jsonl"
     save_pairs(table, path)
     loaded = load_pairs(path, num_conditions=8, input_dim=2)
-    assert isinstance(loaded, PairTable) and loaded.source == "external"
+    assert isinstance(loaded, PairTable)
     for name in COLUMNS:
         a, b = getattr(loaded, name), getattr(table, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -286,7 +284,6 @@ def test_load_matches_the_per_record_oracle(fuzz_path, case):
         return
     table, ref = got[1], want[1]
     assert isinstance(table, PairTable) and len(table) == len(ref)
-    assert table.source == ref.source == "external"
     for name in COLUMNS:
         a, b = getattr(table, name), getattr(ref, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from inpo.autodiff import Var
-from inpo.denoiser import DenoiserArch, TapeParams, init_denoiser, value_and_grad
+from inpo.denoiser import DenoiserArch, TapeParams, eps_forward, init_denoiser, value_and_grad
 import inpo.preference as preference_mod
 from inpo.errors import InvalidArgument, NumericError
 from inpo.preference import (
@@ -102,7 +102,7 @@ def test_sft_empty_batch_rejected(s):
 
 def test_fixed_point_constant_probe(s):
     v = np.array([0.3, -1.2])
-    cfg = DeltaStrategy("fixed_point", max_iters=5, tol=1e-12, damping=1.0)
+    cfg = DeltaStrategy("fixed_point", max_iters=5, tol=1e-12)
     rng = np.random.default_rng(3)
     delta, converged, resid = solve_delta_fixed_point(const_model(v), s, np.zeros(2), 500, 0, cfg, rng)
     assert converged
@@ -115,7 +115,7 @@ def test_fixed_point_contractive_linear_closed_form(s):
     p = make_linear_model(0.1 * np.eye(2))
     x0 = np.array([1.5, -2.5])
     t = 700
-    cfg = DeltaStrategy("fixed_point", max_iters=200, tol=1e-12, damping=1.0)
+    cfg = DeltaStrategy("fixed_point", max_iters=200, tol=1e-12)
     rng = np.random.default_rng(4)
     delta, converged, _ = solve_delta_fixed_point(p, s, x0, t, 0, cfg, rng)
     ab = s.alpha_bar[t]
@@ -126,7 +126,7 @@ def test_fixed_point_contractive_linear_closed_form(s):
 
 def test_fixed_point_iteration_budget(s):
     p = make_linear_model(0.5 * np.eye(2))
-    cfg = DeltaStrategy("fixed_point", max_iters=1, tol=1e-12, damping=0.5)
+    cfg = DeltaStrategy("fixed_point", max_iters=1, tol=1e-12)
     rng = np.random.default_rng(5)
     _, converged, resid = solve_delta_fixed_point(p, s, np.ones(2), 500, 0, cfg, rng)
     assert not converged
@@ -142,8 +142,6 @@ def test_delta_strategy_validation():
         DeltaStrategy("fixed_point", max_iters=0)
     with pytest.raises(InvalidArgument):
         DeltaStrategy("fixed_point", tol=0.0)
-    with pytest.raises(InvalidArgument):
-        DeltaStrategy("fixed_point", damping=0.0)
 
 
 # ------------------------------------------------------------ make_targets
@@ -190,6 +188,28 @@ def test_targets_fixed_point_latent_is_the_forward_noising_of_delta(s, per_row):
     ab = s.alpha_bar[t][:, None] if per_row else s.alpha_bar[t]
     assert tau.tobytes() == delta.tobytes()
     assert x_t.tobytes() == (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * delta).tobytes()
+
+
+@pytest.mark.parametrize("strategy", [DeltaStrategy("inversion", n=4, guidance_w_inv=2.0),
+                                      DeltaStrategy("gaussian"), DeltaStrategy("fixed_point")],
+                         ids=DELTA_KINDS)
+def test_target_error_is_the_denoised_estimates_drift(s, strategy):
+    # tau - eps(x_t) = (x0_hat(x_t) - x0) / sigma_t, with x0_hat(x_t) the
+    # model's single-step denoised estimate at the latent
+    p = init_denoiser(DenoiserArch(2, (8,), 3, 4), 2)
+    x0 = np.random.default_rng(7).standard_normal((5, 2))
+    t, c = np.array([1, 40, 400, 800, 1000]), np.array([0, 1, 2, 0, 1])
+    x_t, tau = make_targets(p, s, x0, t, c, strategy, np.random.default_rng(3))
+    eps = eps_forward(p, x_t, t, c)
+    ab = s.alpha_bar[t][:, None]
+    x0_hat = (x_t - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
+    drift = (x0_hat - x0) / s.sigma[t][:, None]
+    gap = np.linalg.norm(tau - eps - drift, axis=1)
+    if strategy.kind == "fixed_point":
+        # both sides are the solver's residual, near 0
+        assert gap.max() < 1e-12
+    else:
+        assert (gap / np.linalg.norm(tau - eps, axis=1)).max() < 1e-12
 
 
 # ------------------------------------------------------------------ losses

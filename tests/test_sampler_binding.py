@@ -89,7 +89,7 @@ def test_ddim_invert_matches_per_step_oracle_bytes(s, p, w, shape, n, per_row_t)
 def test_fixed_point_matches_per_step_oracle_bytes(s, p, shape, per_row_t, tol):
     x, c, t_rows = _batch(shape, 3)
     t = t_rows if per_row_t and np.ndim(x) == 2 else 640
-    cfg = DeltaStrategy("fixed_point", max_iters=6, tol=tol, damping=0.7)
+    cfg = DeltaStrategy("fixed_point", max_iters=6, tol=tol)
     got = solve_delta_fixed_point(p, s, x, t, c, cfg, np.random.default_rng(5))
     want = oracle_fixed_point(p, s, x, t, c, cfg, np.random.default_rng(5))
     assert got[0].tobytes() == want[0].tobytes()
