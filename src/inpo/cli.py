@@ -76,6 +76,9 @@ def _reward_for(cfg: dict, params):
     if spec.targets is not None and len(spec.targets) != k:
         raise ConfigError(f"reward has {len(spec.targets)} targets but the model has "
                           f"{k} conditions; set data.kind to the model's data")
+    if spec.targets is not None and spec.targets.shape[1] != dim:
+        raise ConfigError(f"reward targets have {spec.targets.shape[1]} entries but the model's "
+                          f"samples have {dim}; set data.kind to the model's data")
     if spec.direction is not None and len(spec.direction) != dim:
         raise ConfigError(f"reward.direction has {len(spec.direction)} entries but the model's "
                           f"samples have {dim}")
@@ -191,6 +194,9 @@ def cmd_eval(cfg: dict, out: str, seed: int) -> None:
     if model_b.arch.num_conditions != model_a.arch.num_conditions:
         raise ConfigError(f"{b} has {model_b.arch.num_conditions} conditions but "
                           f"{a} has {model_a.arch.num_conditions}")
+    if model_b.arch.input_dim != model_a.arch.input_dim:
+        raise ConfigError(f"{b} has input_dim {model_b.arch.input_dim} but "
+                          f"{a} has {model_a.arch.input_dim}")
     spec = _reward_for(cfg, model_a)
     sampler_cfg = _sampler_cfg(cfg, schedule)
     if cfg["eval.roundtrip"]:

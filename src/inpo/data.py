@@ -36,6 +36,8 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _EG_RADIUS = 2.0
 _EG_STD = 0.25
 _RING_R0, _RING_R1 = 0.8, 1.2
+# per-coordinate second moment of the annulus with uniform radius: E[r^2] / 2
+_RING_SCALE = math.sqrt((_RING_R0**2 + _RING_R0 * _RING_R1 + _RING_R1**2) / 3 / 2)
 _MOON_STD = 0.1
 
 
@@ -190,9 +192,8 @@ def gen_toy_dataset(kind: str, n: int, seed: int):
     u = rng.random(n)
     r = _RING_R0 + (_RING_R1 - _RING_R0) * rng.random(n)
     ang = (cond + u) * (2 * np.pi / k)
-    scale = np.sqrt((_RING_R0**2 + _RING_R0 * _RING_R1 + _RING_R1**2) / 3 / 2)
     x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
-    return x / scale, cond
+    return x / _RING_SCALE, cond
 
 
 def default_reward_spec(data_kind: str) -> RewardSpec:
@@ -204,8 +205,7 @@ def default_reward_spec(data_kind: str) -> RewardSpec:
         mean, moon_means, scale = _moon_means()
         return RewardSpec(kind="mode_distance", targets=(moon_means - mean) / scale)
     if data_kind == "ring":
-        scale = np.sqrt((_RING_R0**2 + _RING_R0 * _RING_R1 + _RING_R1**2) / 3 / 2)
-        mid_r = (_RING_R0 + _RING_R1) / 2 / scale
+        mid_r = (_RING_R0 + _RING_R1) / 2 / _RING_SCALE
         ang = (np.arange(8) + 0.5) * (2 * np.pi / 8)
         targets = mid_r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return RewardSpec(kind="mode_distance", targets=targets)
@@ -223,7 +223,8 @@ def score(spec: RewardSpec, x0, c):
 
     ``x0`` is one sample, scored to a float, or (n, dim) rows with one
     integer condition or one per row, scored to an (n,) array. A row's score
-    does not depend on the rows scored with it.
+    does not depend on the rows scored with it. Samples of another width
+    than the reward's targets or direction raise InvalidArgument.
     """
     x = np.asarray(x0, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -235,6 +236,9 @@ def score(spec: RewardSpec, x0, c):
     c = np.broadcast_to(c, rows.shape[:1])
     if spec.kind == "mode_distance":
         targets = np.asarray(spec.targets, dtype=np.float64)
+        if targets.shape[1:] != rows.shape[1:]:
+            raise InvalidArgument(f"samples of width {rows.shape[1]} for reward targets of "
+                                  f"shape {targets.shape}")
         bad = (c < 0) | (c >= len(targets))
         if bad.any():
             raise InvalidArgument(f"condition {c[bad][0]} has no reward target")
@@ -244,6 +248,9 @@ def score(spec: RewardSpec, x0, c):
         out = -np.abs(np.sqrt(_row_dots(rows, rows)) - spec.radius)
     else:
         direction = np.asarray(spec.direction, dtype=np.float64)
+        if len(direction) != rows.shape[1]:
+            raise InvalidArgument(f"samples of width {rows.shape[1]} for a reward direction "
+                                  f"of {len(direction)} entries")
         out = (rows[:, None, :] @ direction[:, None])[:, 0, 0]
     return float(out[0]) if x.ndim == 1 else out
 
@@ -363,20 +370,7 @@ def load_pairs(path, num_conditions: int | None = None,
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise PairParseError("empty pair file", 1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise PairParseError(f"bad header: {e.msg}", 1) from e
-    if not isinstance(header, dict):
-        raise PairParseError(f"header is not a JSON object: {lines[0][:40]!r}", 1)
-    version = header.get("schema_version")
-    if type(version) is not int or version != PAIR_SCHEMA_VERSION:
-        raise VersionError(f"unsupported pair schema version {version!r}")
-    if "dim" in header and (type(header["dim"]) is not int or header["dim"] < 1):
-        raise PairParseError(f"header dim {header['dim']!r} is not a positive integer", 1)
-    dim = header.get("dim", input_dim)
+    dim = _pair_header(lines).get("dim", input_dim)
     if input_dim is not None and dim != input_dim:
         raise PairParseError(f"pairs have dim {dim!r} but the model's input_dim is {input_dim}", 1)
 
@@ -431,10 +425,29 @@ def load_pairs(path, num_conditions: int | None = None,
     )
 
 
-def load_pairs_header(path) -> dict:
-    with open(path) as fh:
-        first = fh.readline()
+def _pair_header(lines: list[str]) -> dict:
+    """The header of a pair file split into ``lines``, checked: an empty
+    file or a first line that is not a JSON object raises PairParseError,
+    as does a dim that is not a positive integer; a schema_version that is
+    not the integer 1 raises VersionError."""
+    if not lines:
+        raise PairParseError("empty pair file", 1)
     try:
-        return json.loads(first)
+        header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise PairParseError(f"bad header: {e.msg}", 1) from e
+    if not isinstance(header, dict):
+        raise PairParseError(f"header is not a JSON object: {lines[0][:40]!r}", 1)
+    version = header.get("schema_version")
+    if type(version) is not int or version != PAIR_SCHEMA_VERSION:
+        raise VersionError(f"unsupported pair schema version {version!r}")
+    if "dim" in header and (type(header["dim"]) is not int or header["dim"] < 1):
+        raise PairParseError(f"header dim {header['dim']!r} is not a positive integer", 1)
+    return header
+
+
+def load_pairs_header(path) -> dict:
+    """The header of the pair file at ``path``, checked as load_pairs
+    checks it."""
+    with open(path) as fh:
+        return _pair_header(fh.readline().splitlines())

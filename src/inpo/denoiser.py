@@ -47,21 +47,21 @@ a sampler call or an inverter window, StepWorkspace.bind_step binds a
 training step's two workspaces (and the tape's) to a grid of one step, and
 a one-off eps_forward binds a workspace of its own to a grid of one step,
 as predict_noise does. A bind sets up once what its grid steps share: the
-time embeddings of the whole grid, gathered from time_embedding's table (by
-one time_embedding call when the grid's shape is new, into the last bind's
-buffer otherwise). A BoundWorkspace records which rows' condition block and
-which step's embedding its input holds, so a step's forward copies x, and
-the condition rows and the step's embedding when they change, then runs
-the layers; a bind makes it forget both, since the model may have changed
-in place. A NoisePredictor's bind also copies each bias into an (n, width)
-row tile, so a layer adds its bias with a same-shape add instead of a
-broadcast one, which numpy buffers (twice the cost or more at these
-sizes); the sum is the same IEEE addition, bit for bit. A training step's
-forward of the trained model keeps the bias vectors: Adam changes them
-every step, so re-tiling would cost what the add saves. The frozen
-reference's biases are tiled once per pair window (the window binds
-StepWorkspace.bound_ref with them, and bind_step's rebinds keep the
-tiles). The returned noise prediction is always a fresh array.
+time embeddings of the whole grid, by one time_embedding call (into the
+last bind's buffer when the grid's shape is the same). A BoundWorkspace
+records which rows' condition block and which step's embedding its input
+holds, so a step's forward copies x, and the condition rows and the step's
+embedding when they change, then runs the layers; a bind makes it forget
+both, since the model may have changed in place. A NoisePredictor's bind
+also copies each bias into an (n, width) row tile, so a layer adds its
+bias with a same-shape add instead of a broadcast one, which numpy buffers
+(twice the cost or more at these sizes); the sum is the same IEEE
+addition, bit for bit. A training step's forward of the trained model
+keeps the bias vectors: Adam changes them every step, so re-tiling would
+cost what the add saves. The frozen reference's biases are tiled once per
+pair window (the window binds StepWorkspace.bound_ref with them, and
+bind_step's rebinds keep the tiles). The returned noise prediction is
+always a fresh array.
 """
 from __future__ import annotations
 
@@ -192,18 +192,18 @@ _TABLE_MAX_T = 1 << 16
 
 def _sincos(t: np.ndarray, dim: int) -> np.ndarray:
     freqs = np.exp(-np.log(10000.0) * np.arange(dim // 2) / (dim // 2))
-    ang = t[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    ang = t[..., None] * freqs
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
 def time_embedding(t, dim: int, out=None, table=None) -> np.ndarray:
-    """Sinusoidal embedding of a (batch,) array of timesteps, (batch, dim).
+    """Sinusoidal embedding of an array of timesteps of any shape, (*shape, dim).
 
     Integer timesteps in [0, 2**16] are gathered from a per-dim table of the
     same sin/cos values, grown to the largest timestep seen; other
     nonnegative timesteps (the continuous times of the RK4 oracle, or past
     the table) are computed directly, and a negative or non-finite one
-    raises InvalidArgument. With ``out``, a (batch, dim) array, the embedding is
+    raises InvalidArgument. With ``out``, a (*shape, dim) array, the embedding is
     written into it and it is returned. ``table``, the table for ``dim``
     grown to cover ``t`` (see _time_table), skips the look-up and its range
     check; StepWorkspace passes the one it keeps for its schedule's T.
@@ -474,13 +474,14 @@ class NoisePredictor:
     row; the predictor is then eps(x, i) for (n, input_dim) samples x at grid
     step i. The one BoundWorkspace of n rows, its bias tiles and the
     time-embedding buffer outlive binds; a bind resolves the conditions,
-    gathers the grid's time embeddings (see _embed), copies the model's
-    biases into the row tiles and makes the next forward rewrite every input
-    block, so the condition block and the biases are the model's as they
-    are at the bind. A guided call runs both branches in the workspace, the
-    null rows' forward then the condition rows', so each rewrites the
-    condition block the other left. Every eps call checks the sample's
-    shape and finiteness and returns a fresh array.
+    embeds the grid by one time_embedding call (into the last bind's buffer
+    when the grid's shape is the same), copies the model's biases into the
+    row tiles and makes the next forward rewrite every input block, so the
+    condition block and the biases are the model's as they are at the
+    bind. A guided call runs both branches in the workspace, the null rows'
+    forward then the condition rows', so each rewrites the condition block
+    the other left. Every eps call checks the sample's shape and finiteness
+    and returns a fresh array.
     """
 
     def __init__(self, model, guidance_w: float, n: int):
@@ -502,26 +503,15 @@ class NoisePredictor:
                 f"per-row timesteps of length {grid.shape[-1]} for a batch of {n} rows")
         cv = _per_row(c, n, "condition ids")
         rows = _cond_rows(cv, arch.num_conditions)
-        self.ws.bind(self._embed(grid), self.model.biases)
+        temb = self.ws.temb
+        out = temb if temb is not None and temb.shape[:2] == grid.shape else None
+        self.ws.bind(time_embedding(grid, arch.time_embed_dim, out=out), self.model.biases)
         w = self.guidance_w
         if w == 0.0 or (cv == NULL_CONDITION).all():
             self.rows, self.guided = self.null_rows, False
         else:
             self.rows, self.guided = rows, w != 1.0
         return self
-
-    def _embed(self, grid: np.ndarray) -> np.ndarray:
-        """The grid's time embeddings, (steps, 1 or n, dim). A grid of the
-        last bind's shape is gathered from time_embedding's table into the
-        last bind's buffer; any other is embedded by one time_embedding call
-        into a new one."""
-        dim = self.model.arch.time_embed_dim
-        temb = self.ws.temb
-        if temb is not None and temb.shape[:2] == grid.shape:
-            table = _time_table(grid, dim)
-            if table is not None:
-                return table.take(grid, axis=0, out=temb, mode="clip")
-        return time_embedding(grid.ravel(), dim).reshape(*grid.shape, -1)
 
     def __call__(self, x, i):
         if x.shape != self.shape:

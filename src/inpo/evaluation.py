@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import RewardSpec, score
-from .denoiser import NULL_CONDITION
+from .denoiser import NULL_CONDITION, _as_rows
 from .errors import InvalidArgument
 from .sampler import Inverter, SamplerConfig, _sample_on, ddim_sample
 from .schedule import NoiseSchedule
@@ -78,7 +78,7 @@ def roundtrip_errors(model, s: NoiseSchedule, samples, t_target: int, n: int,
     count, sampling back down the inversion's own grid."""
     if np.ndim(t_target) != 0:
         raise InvalidArgument(f"t_target must be one timestep, got shape {np.shape(t_target)}")
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    samples = _as_rows(samples)
     c = NULL_CONDITION if conditions is None else conditions
     inverter = Inverter(model, s, n, len(samples), guidance_w)
     x_t = inverter(samples, t_target, c).x_t
@@ -89,7 +89,7 @@ def roundtrip_errors(model, s: NoiseSchedule, samples, t_target: int, n: int,
 def inversion_roundtrip(model, s: NoiseSchedule, samples, t_target: int, n_grid,
                         conditions=None, guidance_w: float = 0.0) -> dict[int, float]:
     """Mean round-trip error for each inversion step count in ``n_grid``."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    samples = _as_rows(samples)
     if samples.shape[0] == 0:
         raise InvalidArgument("samples must be nonempty")
     return {

@@ -126,7 +126,7 @@ class Inverter:
             raise InvalidArgument("inversion step count must be >= 1")
         if not np.isfinite(guidance_w):
             raise InvalidArgument(f"inversion guidance_w must be finite, got {guidance_w}")
-        self.model, self.s, self.n, self.rows, self.guidance_w = model, s, n, rows, guidance_w
+        self.s, self.n, self.rows = s, n, rows
         self.eps_fn = NoisePredictor(model, guidance_w, rows)
         self.frac = np.linspace(0.0, 1.0, n + 1).tolist()
         self.tt = np.empty(rows)

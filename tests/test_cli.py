@@ -6,6 +6,7 @@ import pytest
 
 import inpo.cli as cli_mod
 from inpo.cli import main
+from inpo.denoiser import DenoiserArch, init_denoiser, save_params
 
 TINY = [
     "--set", "schedule.T=120",
@@ -598,6 +599,37 @@ def test_eval_rejects_models_with_different_condition_counts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"eval.model_b={b} has 2 conditions but eval.model_a={a} has 8" in err
     assert not (out / "report.json").exists()
+
+
+@pytest.fixture
+def wide_model(tmp_path):
+    """A model of 3-D samples, 8 conditions and the chain's schedule."""
+    path = tmp_path / "wide.params"
+    save_params(path, init_denoiser(DenoiserArch(3, (16,), 8, 8), 0), "cosine", 120)
+    return path
+
+
+@pytest.mark.parametrize("cmd, sets, message", [
+    ("make-prefs", ["prefs.model={wide}"],
+     "reward targets have 2 entries but the model's samples have 3"),
+    ("eval", ["eval.model_a={wide}", "eval.model_b={wide}"],
+     "reward targets have 2 entries but the model's samples have 3"),
+    ("eval", ["eval.model_a={base}", "eval.model_b={wide}"],
+     "eval.model_b={wide} has input_dim 3 but eval.model_a={base} has 2"),
+], ids=["make-prefs", "eval", "eval-model_b"])
+def test_a_model_of_another_sample_width_fails_before_sampling(workdir, wide_model, tmp_path,
+                                                               capsys, monkeypatch, cmd, sets,
+                                                               message):
+    # a sample width the reward cannot score stops the command before any sampling
+    for name in ("make_preference_pairs", "win_rate", "roundtrip_errors"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    paths = {"wide": wide_model, "base": workdir / "base.params"}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([cmd, "--out", str(out), "--set", "eval.roundtrip=true",
+                *(arg for s in sets for arg in ("--set", s.format(**paths)))]) == 2
+    assert f"config error: {message.format(**paths)}" in capsys.readouterr().err
+    assert not _files_under(out)
 
 
 def _every_input(workdir):

@@ -151,6 +151,19 @@ def test_score_batch_shape_errors():
         score(spec, np.zeros((3, 2)), np.array([0, 9, 1]))
 
 
+@pytest.mark.parametrize("spec", [
+    default_reward_spec("eight_gaussians"),
+    RewardSpec("linear", direction=np.array([0.6, -1.7])),
+], ids=["mode_distance", "linear"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_score_rejects_samples_of_another_width(spec, width):
+    # (n, 1) rows would broadcast against 2-D targets into a wrong score
+    with pytest.raises(InvalidArgument, match=f"samples of width {width}"):
+        score(spec, np.zeros((4, width)), 0)
+    with pytest.raises(InvalidArgument, match=f"samples of width {width}"):
+        score(spec, np.zeros(width), 0)
+
+
 def test_score_transitivity_random_triples():
     spec = default_reward_spec("eight_gaussians")
     rng = np.random.default_rng(1)
@@ -319,6 +332,23 @@ def test_pair_file_rejects_fields_of_another_json_type(tmp_path, key, value, mes
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(PairParseError, match=re.escape(f"line 3: {message}")):
         load_pairs(path)
+
+
+@pytest.mark.parametrize("head, error", [
+    ('{"schema_version": 2, "dim": 0}', VersionError),
+    ("[1, 2]", PairParseError),
+    ('{"schema_version": 1, "dim": 0}', PairParseError),
+    ("", PairParseError),
+], ids=["schema_version=2", "list", "dim=0", "empty"])
+def test_load_pairs_header_rejects_what_load_pairs_rejects(tmp_path, head, error):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(head + "\n" if head else "")
+    messages = []
+    for load in (load_pairs, load_pairs_header):
+        with pytest.raises(error) as err:
+            load(path)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "1.0", "string"])

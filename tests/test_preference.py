@@ -212,6 +212,24 @@ def test_target_error_is_the_denoised_estimates_drift(s, strategy):
         assert (gap / np.linalg.norm(tau - eps, axis=1)).max() < 1e-12
 
 
+@pytest.mark.parametrize("strategy", [
+    *(DeltaStrategy("inversion", n=n, guidance_w_inv=w) for n in (2, 10, 30) for w in (0.0, 1.0)),
+    DeltaStrategy("gaussian"),
+], ids=[*(f"inversion-n{n}-w{w}" for n in (2, 10, 30) for w in (0, 1)), "gaussian"])
+def test_target_is_the_noise_its_latent_implies(s, strategy):
+    # tau = (x_t - sqrt(ab_t) x0) / sqrt(1 - ab_t): the noise that forward
+    # noising x0 to the latent would take, so the pair loss is
+    # Diffusion-DPO's at the strategy's x_t
+    p = init_denoiser(DenoiserArch(2, (8,), 3, 4), 2)
+    x0 = np.random.default_rng(7).standard_normal((5, 2))
+    t, c = np.array([1, 40, 400, 800, 1000]), np.array([0, 1, 2, 0, 1])
+    x_t, tau = make_targets(p, s, x0, t, c, strategy, np.random.default_rng(3))
+    ab = s.alpha_bar[t][:, None]
+    implied = (x_t - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab)
+    gap = np.linalg.norm(tau - implied, axis=1)
+    assert (gap / np.linalg.norm(tau, axis=1)).max() < 1e-12
+
+
 # ------------------------------------------------------------------ losses
 
 

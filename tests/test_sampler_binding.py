@@ -195,9 +195,9 @@ def test_a_sampler_call_embeds_its_grid_once(s, p, monkeypatch):
     calls = []
     real = denoiser_mod.time_embedding
 
-    def counted(t, dim):
+    def counted(t, dim, out=None):
         calls.append(np.shape(t))
-        return real(t, dim)
+        return real(t, dim, out=out)
 
     monkeypatch.setattr(denoiser_mod, "time_embedding", counted)
     ddim_sample(p, s, np.zeros((5, 2)), SamplerConfig(6, 3.5), 2)
@@ -205,7 +205,7 @@ def test_a_sampler_call_embeds_its_grid_once(s, p, monkeypatch):
     ddim_invert(p, s, np.zeros((5, 2)), 300, 4, 2)
     solve_delta_fixed_point(p, s, np.zeros((5, 2)), 300, 2,
                             DeltaStrategy("fixed_point", max_iters=3), np.random.default_rng(0))
-    assert calls == [(6,), (20,), (4,), (1,)]
+    assert calls == [(6, 1), (4, 5), (4, 1), (1, 1)]
 
 
 # ------------------------------------------------------------ input checks

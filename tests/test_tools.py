@@ -89,8 +89,9 @@ def test_blas_core_names_the_kernel_openblas_was_told_to_run():
 
 
 def test_step_ab_against_its_own_tree_prints_one_row_per_method():
-    # tiny sizes: the run checks both trees' bases, pair sets and aligned
-    # bytes, then prints each method's per-step medians and paired ratio
+    # tiny sizes: the run checks both trees' bases, pair sets and each
+    # method's output bytes, then prints each method's per-step medians and
+    # paired ratio
     run = subprocess.run([sys.executable, str(TOOLS / "step_ab.py"), "--against",
                           str(ROOT / "src"), "--batch", "4", "--reps", "3", "--tiny"],
                          cwd=ROOT, capture_output=True, text=True, timeout=120)
@@ -99,7 +100,8 @@ def test_step_ab_against_its_own_tree_prints_one_row_per_method():
     assert header.startswith("# batch 4, 2 steps x 3 reps, one BLAS thread")
     assert columns.split() == ["method", "this_ms", "other_ms", "ratio", "q1", "q3",
                                "this_faster"]
-    assert [r.split()[0] for r in rows] == ["inversion_n10", "dpo", "sft"]
+    assert [r.split()[0] for r in rows] == ["inversion_n10", "dpo", "sft", "ddim_sample",
+                                            "roundtrip_n10"]
     for row in rows:
         _, this, other, ratio, q1, q3, faster = row.split()
         assert float(this) > 0 and float(other) > 0
