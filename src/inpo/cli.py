@@ -85,6 +85,21 @@ def _reward_for(cfg: dict, params):
     return spec
 
 
+def _data_for(cfg: dict, params, n: int, seed: int):
+    """``n`` samples of data.kind and their conditions, which must fit the
+    model's conditions and samples."""
+    kind = cfg["data.kind"]
+    X, cond = gen_toy_dataset(kind, n, seed)
+    k, dim = params.arch.num_conditions, params.arch.input_dim
+    if CONDITION_COUNTS[kind] != k:
+        raise ConfigError(f"data.kind={kind} has {CONDITION_COUNTS[kind]} conditions but the "
+                          f"model has {k}; set data.kind to the model's data")
+    if X.shape[1] != dim:
+        raise ConfigError(f"data.kind={kind} samples have {X.shape[1]} entries but the "
+                          f"model's samples have {dim}; set data.kind to the model's data")
+    return X, cond
+
+
 def _check_times(cfg: dict, schedule, *keys: str) -> None:
     """Each key's time, or every time of a list key, against the model's T;
     the registry has checked the lower bounds."""
@@ -201,6 +216,7 @@ def cmd_eval(cfg: dict, out: str, seed: int) -> None:
     sampler_cfg = _sampler_cfg(cfg, schedule)
     if cfg["eval.roundtrip"]:
         _check_times(cfg, schedule, "eval.t_target")
+        X, cond = _data_for(cfg, model_a, cfg["eval.samples"], seed)
     tick = time.perf_counter()
     report = win_rate(
         model_a, model_b, schedule, spec,
@@ -209,7 +225,6 @@ def cmd_eval(cfg: dict, out: str, seed: int) -> None:
     )
     report.wall_times["win_rate"] = time.perf_counter() - tick
     if cfg["eval.roundtrip"]:
-        X, cond = gen_toy_dataset(cfg["data.kind"], cfg["eval.samples"], seed)
         for n in cfg["eval.ns"]:
             tick = time.perf_counter()
             errs = roundtrip_errors(model_a, schedule, X, cfg["eval.t_target"], n,
@@ -225,7 +240,7 @@ def cmd_invert_demo(cfg: dict, out: str, seed: int) -> None:
     params, schedule = _load_model(_require(cfg, "demo.model"))
     _check_times(cfg, schedule, "demo.t_target")
     t_target = cfg["demo.t_target"]
-    X, cond = gen_toy_dataset(cfg["data.kind"], cfg["demo.samples"], seed)
+    X, cond = _data_for(cfg, params, cfg["demo.samples"], seed)
     # each row's norm, with the bits of np.linalg.norm on that row alone
     norm_x0 = np.sqrt(_row_dots(X, X)).tolist()
     rows = []

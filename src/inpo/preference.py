@@ -162,7 +162,8 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
 
     Iterates delta <- eps_hat(lift(delta)) from a standard-normal start, per
     row, freezing rows whose residual ||delta - eps_hat|| drops to tol.
-    Returns (delta, converged, residual).
+    Returns (delta, converged, residual). After max_iters updates a last
+    pass only measures the residual of the final iterate.
     Every iteration evaluates at the same timesteps, so the noise predictor
     is bound to a grid of one step and sqrt(ab_t) * x0_t is computed once.
     """
@@ -176,20 +177,18 @@ def solve_delta_fixed_point(model, s: NoiseSchedule, x0_t, t, c, cfg: DeltaStrat
     delta = rng.standard_normal(x0a.shape)
     converged = np.zeros(B, dtype=bool)
     resid = np.full(B, np.inf)
-    for k in range(cfg.max_iters):
+    for k in range(cfg.max_iters + 1):
         eps = eps_fn(lift0 + sq_1ab * delta, 0)
         r = np.linalg.norm(delta - eps, axis=1)
         resid = np.where(converged, resid, r)
+        if k == cfg.max_iters:
+            break
         converged |= r <= cfg.tol
         if converged.all():
             break
         delta = np.where(converged[:, None], delta, eps)
         if not np.isfinite(delta).all():
             raise NumericError(f"non-finite fixed-point iterate at iteration {k}")
-    if not converged.all():
-        eps = eps_fn(lift0 + sq_1ab * delta, 0)
-        r = np.linalg.norm(delta - eps, axis=1)
-        resid = np.where(converged, resid, r)
     if squeeze:
         return delta[0], bool(converged[0]), float(resid[0])
     return delta, converged, resid

@@ -21,19 +21,20 @@ returned latent always reconstructs exactly as
 sqrt(ab_t) * x0_t + sqrt(1 - ab_t) * delta_t.
 
 Inversion has one code path, the Inverter: bound to (model, schedule, n,
-rows, guidance weight), it holds its grid, the grid's sqrt(ab), sqrt(1 - ab)
-and sigma (gathered from the schedule's tables), a NoisePredictor and the
-update's buffers, and each call rebinds them to its timesteps and
-conditions. align's pair window builds one per call and hands it to the
-targets of every window (preference._targets); ddim_invert is a one-off
-Inverter call. ddim_sample binds a NoisePredictor once per call, so a step
-is its forward(s) and the state update; its loop (_sample_on) takes any
-descending grid, and eval's round trip runs it down its Inverter's grid,
-reversed. The fixed-point solver in inpo.preference binds one to a grid of
-one step. Every step checks the forward's input and the new state for
-finiteness with ndarray.all, which runs the Python function
-numpy._core._methods._all before its reduction; at these sizes, calling
-np.logical_and.reduce instead made no measurable difference.
+rows, guidance weight), it holds the grid fractions and a NoisePredictor.
+Each call builds its grid and gathers the grid's sqrt(ab), sqrt(1 - ab) and
+sigma from the schedule's tables, rebinds the predictor to its timesteps and
+conditions, and runs the update as plain expressions like _sample_on's, so
+every array an Inverter returns is fresh. align's pair window builds one
+per call and hands it to the targets of every window (preference._targets);
+ddim_invert is a one-off Inverter call. ddim_sample binds a NoisePredictor
+once per call, so a step is its forward(s) and the state update; its loop
+(_sample_on) takes any descending grid, and eval's round trip runs it down
+its Inverter's grid, reversed. The fixed-point solver in inpo.preference
+binds one to a grid of one step. Every step checks the forward's input and
+the new state for finiteness with ndarray.all, which runs the Python
+function numpy._core._methods._all before its reduction; at these sizes,
+calling np.logical_and.reduce instead made no measurable difference.
 """
 from __future__ import annotations
 
@@ -108,17 +109,16 @@ def _sample_on(model, s: NoiseSchedule, x, grid, guidance_w: float, c) -> np.nda
 class Inverter:
     """DDIM inversion bound to (model, schedule, n, rows, guidance weight).
 
-    It holds what its calls share: the grid fractions linspace(0, 1, n + 1),
-    a float row for the timesteps,
-    the (n + 1, rows) grid, its sqrt(ab), sqrt(1 - ab) and sigma (gathered
-    from the schedule's tables, the same bits as the square roots of the
-    gathered alpha_bar), a NoisePredictor of ``rows`` rows, and the running
-    estimate, lift and update buffers, which each step writes in place. A
-    call binds the grid of its ``t`` and its conditions, so only buffers and
-    shapes outlive a call; the model may change in place between calls, as
-    Adam changes it between an align call's windows. Each step still checks
-    the forward's input and the state's finiteness, and ``t`` is
-    range-checked once per call.
+    Its calls share only the grid fractions linspace(0, 1, n + 1) and a
+    NoisePredictor of ``rows`` rows. A call builds the (n + 1, k) grid of its
+    ``t`` (k = 1, or one column per row), keeps it as ``grid``, gathers the
+    grid's sqrt(ab), sqrt(1 - ab) and sigma from the schedule's tables (the
+    same bits as the square roots of the gathered alpha_bar), binds the
+    predictor to the grid and its conditions, and runs the update as plain
+    expressions, as _sample_on does; every array it returns is fresh. The
+    model may change in place between calls, as Adam changes it between an
+    align call's windows. Each step still checks the forward's input and the
+    state's finiteness, and ``t`` is range-checked once per call.
     """
 
     def __init__(self, model, s: NoiseSchedule, n: int, rows: int, guidance_w: float = 0.0):
@@ -126,63 +126,47 @@ class Inverter:
             raise InvalidArgument("inversion step count must be >= 1")
         if not np.isfinite(guidance_w):
             raise InvalidArgument(f"inversion guidance_w must be finite, got {guidance_w}")
-        self.s, self.n, self.rows = s, n, rows
+        self.s, self.n = s, n
         self.eps_fn = NoisePredictor(model, guidance_w, rows)
         self.frac = np.linspace(0.0, 1.0, n + 1).tolist()
-        self.tt = np.empty(rows)
-        self.tgrid = np.empty((n + 1, rows))
-        self.grid = np.empty((n + 1, rows), dtype=np.int64)
-        self.sq_ab, self.sq_1ab, self.sg = (np.empty((n + 1, rows)) for _ in range(3))
-        shape = self.eps_fn.shape
-        self.x0_cur, self.lift, self.upd = (np.empty(shape) for _ in range(3))
 
     def __call__(self, x0: np.ndarray, t, c) -> InversionResult:
         """Invert the (rows, dim) batch ``x0`` up to ``t``, one timestep or
-        one per row, at conditions ``c``. Only x_t and tau_t are fresh
-        arrays; x0_t is the inverter's buffer until its next call."""
-        if x0.shape != self.x0_cur.shape:
-            raise InvalidArgument(f"sample batch shape {x0.shape} != {self.x0_cur.shape}")
+        one per row, at conditions ``c``."""
+        if x0.shape != self.eps_fn.shape:
+            raise InvalidArgument(f"sample batch shape {x0.shape} != {self.eps_fn.shape}")
         s, n = self.s, self.n
         tt = check_timestep(s, t, min_t=1)
-        if tt.ndim > 1 or tt.size not in (1, self.rows):
+        if tt.ndim > 1 or tt.size not in (1, len(x0)):
             raise InvalidArgument(f"per-row timesteps of length {tt.shape[-1]} "
-                                  f"for a batch of {self.rows} rows")
-        k = tt.size  # one grid column per target: 1 or per row
-        tgrid, grid, tf = self.tgrid[:, :k], self.grid[:, :k], self.tt[:k]
-        # frac * t, one grid row at a time: a broadcast product would buffer
-        # its operands, and an int64 operand a cast copy too
-        np.copyto(tf, tt)
-        for f, row in zip(self.frac, tgrid):
+                                  f"for a batch of {len(x0)} rows")
+        tf = tt.reshape(-1).astype(np.float64)
+        grid = np.empty((n + 1, tf.size))
+        # frac * t, one grid row at a time: the broadcast frac[:, None] * tf
+        # allocated 222 KB in one line at 1,024 rows, past the 100 KB that
+        # test_bound_steps_allocate_no_block_of_100_kb allows
+        for f, row in zip(self.frac, grid):
             np.multiply(tf, f, out=row)
-        np.rint(tgrid, out=tgrid)
-        np.copyto(grid, tgrid, casting="unsafe")
+        np.rint(grid, out=grid)
+        self.grid = grid = grid.astype(np.int64)
         eps_fn = self.eps_fn.bind(c, grid[1:])
-        # the grid lies in [0, T], so mode="clip" never clips; unlike the
-        # default mode it writes straight into ``out``
-        sq_ab, sq_1ab, sg = (
-            table.take(grid, out=buf[:, :k], mode="clip")[..., None]
-            for table, buf in ((s.sqrt_alpha_bar, self.sq_ab),
-                               (s.sqrt_one_minus_alpha_bar, self.sq_1ab), (s.sigma, self.sg)))
-        x0_cur, lift, upd = self.x0_cur, self.lift, self.upd
+        sq_ab, sq_1ab, sg = (table[grid][..., None] for table in
+                             (s.sqrt_alpha_bar, s.sqrt_one_minus_alpha_bar, s.sigma))
 
-        delta = eps_fn(np.multiply(x0, sq_ab[1], out=lift), 0)
-        np.copyto(x0_cur, x0)
+        delta = eps_fn(x0 * sq_ab[1], 0)
+        x0_t = x0.copy()
         for i in range(2, n + 1):
-            np.multiply(x0_cur, sq_ab[i], out=lift)
-            lift += np.multiply(delta, sq_1ab[i], out=upd)
-            e = eps_fn(lift, i - 1)
-            np.subtract(e, delta, out=upd)
-            upd *= sg[i]
-            x0_cur -= upd
+            e = eps_fn(x0_t * sq_ab[i] + delta * sq_1ab[i], i - 1)
+            x0_t = x0_t - (e - delta) * sg[i]
             delta = e
-            if not np.isfinite(x0_cur).all():
+            if not np.isfinite(x0_t).all():
                 raise NumericError(f"non-finite inversion state at step {i} of {n}")
 
         # grid[n] is t: the latent sqrt(ab_t) * x0_t + sqrt(1 - ab_t) * delta_t
         # and the target (x0_t - x0) / sigma_t + delta_t
-        x_t = sq_ab[n] * x0_cur + sq_1ab[n] * delta
-        tau = (x0_cur - x0) / sg[n] + delta
-        return InversionResult(x0_t=x0_cur, delta_t=delta, x_t=x_t, tau_t=tau)
+        x_t = sq_ab[n] * x0_t + sq_1ab[n] * delta
+        tau = (x0_t - x0) / sg[n] + delta
+        return InversionResult(x0_t=x0_t, delta_t=delta, x_t=x_t, tau_t=tau)
 
 
 def ddim_invert(

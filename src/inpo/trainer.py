@@ -211,9 +211,11 @@ def _train(params: DenoiserParams, window, *, seed: int, domain: int, steps: int
     and only one is held at a time. ``window(rng, aux)`` draws one window,
     runs its head and returns the loss and the gradient, a buffer it
     overwrites on its next call; it records its drawn indices and arrays in
-    ``aux`` as it goes. Each window's gradient is checked for finiteness
-    once and, with more than one window, summed into one vector and
-    averaged; Adam steps on it at the warmup learning rate. A failure
+    ``aux`` as it goes. With more than one window the gradients are summed
+    into one vector and averaged; Adam steps on it at the warmup learning
+    rate, and its second moment is then checked for finiteness once: a
+    non-finite gradient makes it non-finite, and so does a finite one whose
+    square overflows, which would otherwise zero every update. A failure
     raises TrainingError naming the step and, when ``pair_ids`` maps drawn
     indices to input pairs, the first drawn pair with a non-finite input,
     target or loss argument. ``log``, if given, receives one row per step,
@@ -238,8 +240,6 @@ def _train(params: DenoiserParams, window, *, seed: int, domain: int, steps: int
                 val, grad = window(rng, aux)
             except ArithmeticError as e:
                 raise TrainingError(f"{e}{_bad_pair(aux, pair_ids)}", step) from e
-            if not np.logical_and.reduce(np.isfinite(grad.vec)):
-                raise TrainingError("non-finite gradient", step)
             if k:
                 gsum += grad.vec
             elif gsum is not None:
@@ -253,6 +253,9 @@ def _train(params: DenoiserParams, window, *, seed: int, domain: int, steps: int
         lr_t = warmup_lr(lr, step, warmup_steps)
         # one window's gradient goes to Adam as it is, a buffer of the window's
         adam_step(params.vec, grad.vec if gsum is None else gsum, adam, lr_t, work)
+        if not np.logical_and.reduce(np.isfinite(adam.v)):
+            raise TrainingError("non-finite Adam second moment (a non-finite gradient, "
+                                "or one whose square overflows)", step)
         if log is not None:
             log.append((step, lr_t, loss_sum / accum_steps, arg_sum / accum_steps,
                         (time.perf_counter() - tick) * 1e3))

@@ -632,6 +632,28 @@ def test_a_model_of_another_sample_width_fails_before_sampling(workdir, wide_mod
     assert not _files_under(out)
 
 
+@pytest.mark.parametrize("cmd, sets", [
+    ("eval", ["eval.model_a={moons}", "eval.model_b={moons}", "eval.roundtrip=true",
+              "reward.kind=ring_radius"]),
+    ("invert-demo", ["demo.model={moons}"]),
+], ids=["eval-roundtrip", "invert-demo"])
+def test_a_data_kind_that_does_not_fit_the_model_fails_before_sampling(tmp_path, capsys,
+                                                                      monkeypatch, cmd, sets):
+    # eight_gaussians' 8 conditions cannot condition a model of 2: the
+    # command names data.kind before it samples or inverts anything
+    for name in ("win_rate", "roundtrip_errors", "ddim_invert"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    moons = tmp_path / "moons.params"
+    save_params(moons, init_denoiser(DenoiserArch(2, (16,), 2, 8), 0), "cosine", 120)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([cmd, "--out", str(out), "--set", "eval.t_target=96", "--set", "demo.t_target=96",
+                *(arg for s in sets for arg in ("--set", s.format(moons=moons)))]) == 2
+    assert ("config error: data.kind=eight_gaussians has 8 conditions but the model has 2"
+            in capsys.readouterr().err)
+    assert not _files_under(out)
+
+
 def _every_input(workdir):
     """Every subcommand's input keys, set to the chain's artifacts, at
     settings small enough to run."""

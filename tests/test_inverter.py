@@ -135,3 +135,22 @@ def test_targets_run_inversion_in_the_given_inverter(s):
     got = _targets(p, s, x0, t, c, strategy, None, Inverter(p, s, 4, 6, 0.5))
     want = make_targets(p, s, x0, t, c, strategy, None)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_inverter_results_are_fresh_arrays(s):
+    # a second call, on other samples, leaves every array of the first
+    # call's result as it was
+    p = init_denoiser(ARCH, 6)
+    inv = Inverter(p, s, 4, 8, 0.5)
+    rng = np.random.default_rng(4)
+    first = inv(*_window(rng, 8))
+    kept = [getattr(first, field).tobytes() for field in FIELDS]
+    inv(*_window(rng, 8))
+    assert [getattr(first, field).tobytes() for field in FIELDS] == kept
+
+
+def test_one_step_inversion_returns_a_copy_of_the_samples(s):
+    p = init_denoiser(ARCH, 6)
+    x0, t, c = _window(np.random.default_rng(7), 5)
+    res = Inverter(p, s, 1, 5)(x0, t, c)
+    assert res.x0_t.tobytes() == x0.tobytes() and not np.shares_memory(res.x0_t, x0)

@@ -100,8 +100,8 @@ def test_step_ab_against_its_own_tree_prints_one_row_per_method():
     assert header.startswith("# batch 4, 2 steps x 3 reps, one BLAS thread")
     assert columns.split() == ["method", "this_ms", "other_ms", "ratio", "q1", "q3",
                                "this_faster"]
-    assert [r.split()[0] for r in rows] == ["inversion_n10", "dpo", "sft", "ddim_sample",
-                                            "roundtrip_n10"]
+    assert [r.split()[0] for r in rows] == ["inversion_n10", "fixed_point", "dpo", "sft",
+                                            "ddim_sample", "roundtrip_n10"]
     for row in rows:
         _, this, other, ratio, q1, q3, faster = row.split()
         assert float(this) > 0 and float(other) > 0

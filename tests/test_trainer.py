@@ -629,6 +629,17 @@ def test_align_names_the_pair_behind_a_nonfinite_loss(s, tiny_pairs):
         align(base, init_denoiser(ARCH, 8), tiny_pairs, s, small_cfg(beta=1e308, steps=2))
 
 
+def test_align_fails_at_the_step_whose_gradient_squares_past_the_float_range(s, tiny_pairs):
+    # at beta = 1e160 every gradient is finite (about 1e160) but its square
+    # is not: Adam's second moment overflows to inf and every update would
+    # be 0, so align would return the base unchanged without a word
+    base = init_denoiser(ARCH, 7)
+    with pytest.raises(TrainingError, match=r"^step 0: non-finite Adam second moment "), \
+            np.errstate(over="ignore"):
+        align(base, init_denoiser(ARCH, 8), tiny_pairs, s,
+              small_cfg(method="dpo", beta=1e160, steps=3))
+
+
 def _nan_winner_after_two_ties(tiny_records):
     """Two ties, then a pair whose winner is NaN at input index 2, then
     finite pairs: the NaN pair is row 0 of the non-tie rows."""

@@ -8,14 +8,14 @@ its own). From fixed seeds it builds one base and one pair set per tree and
 checks that the two trees' bytes agree. Then, per repetition, it runs each
 method once under each tree, alternating which tree goes first, and checks
 that the two outputs agree byte for byte. The methods are one ``align``
-call each of inpo with inversion (n=10), dpo and sft; one ``ddim_sample``
-call at make-prefs size (1,024 rows, 40 steps from t = 950, guidance 1);
-and one ``evaluation.roundtrip_errors`` call as eval makes it (64 samples,
-t = 800, n = 10, so 10 inversion and 10 sampling steps). Per method it
-prints each tree's median CPU ms per step (the call's process time, set-up
-included, over its align or sampler steps) and the paired ratio
-this/other: its median, its interquartile range and the number of
-repetitions in which this tree was faster.
+call each of inpo with inversion (n=10), inpo with the fixed-point solver,
+dpo and sft; one ``ddim_sample`` call at make-prefs size (1,024 rows, 40
+steps from t = 950, guidance 1); and one ``evaluation.roundtrip_errors``
+call as eval makes it (64 samples, t = 800, n = 10, so 10 inversion and 10
+sampling steps). Per method it prints each tree's median CPU ms per step
+(the call's process time, set-up included, over its align or sampler
+steps) and the paired ratio this/other: its median, its interquartile
+range and the number of repetitions in which this tree was faster.
 
 It is evidence for a change inside a layer, not a gate; the end-to-end
 bounds stay with perfbench. A run of the tree against itself (an A/A run)
@@ -80,6 +80,8 @@ def methods(inpo, run, batch: int, align_steps: int, sample_rows: int,
     aligns = {
         "inversion_n10": inpo.AlignConfig(
             method="inpo", delta=inpo.DeltaStrategy("inversion", n=10), **common),
+        "fixed_point": inpo.AlignConfig(
+            method="inpo", delta=inpo.DeltaStrategy("fixed_point"), **common),
         "dpo": inpo.AlignConfig(method="dpo", **common),
         "sft": inpo.AlignConfig(method="sft", **common),
     }
