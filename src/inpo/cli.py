@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 config error, 3 numeric/training error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import logging
 import os
@@ -26,7 +25,7 @@ import numpy as np
 from .config import load_config, reward_spec_from, show
 from .data import (CONDITION_COUNTS, _row_dots, gen_toy_dataset, load_pairs,
                    make_preference_pairs, save_pairs)
-from .denoiser import DenoiserArch, load_params, save_params
+from .denoiser import DenoiserArch, _csv_rows, _write_file, load_params, save_params
 from .errors import ConfigError, InpoError, NumericError, PairParseError, VersionError
 from .evaluation import emit_report, roundtrip_errors, win_rate
 from .preference import DeltaStrategy
@@ -247,12 +246,10 @@ def cmd_invert_demo(cfg: dict, out: str, seed: int) -> None:
     for n in cfg["demo.ns"]:
         res = ddim_invert(params, schedule, X, t_target, n, cond, cfg["invert.guidance_w"])
         norms = (np.sqrt(_row_dots(a, a)).tolist() for a in (res.x0_t, res.delta_t, res.tau_t))
-        rows += [[i, n, t_target, *map(repr, r)] for i, r in enumerate(zip(norm_x0, *norms))]
+        rows += [(i, n, t_target, *r) for i, r in enumerate(zip(norm_x0, *norms))]
     path = os.path.join(out, "invert_demo.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample", "n", "t_target", "norm_x0", "norm_x0_t", "norm_delta_t", "norm_tau_t"])
-        w.writerows(rows)
+    _write_file(path, _csv_rows([("sample", "n", "t_target", "norm_x0", "norm_x0_t",
+                                  "norm_delta_t", "norm_tau_t"), *rows]))
     log.info("wrote %s", path)
 
 
@@ -288,20 +285,19 @@ def cmd_ablate(cfg: dict, out: str, seed: int) -> None:
                                      "align.steps": cfg["ablate.steps"]}, seed))
              for values in itertools.product(*(cfg[axis] for axis in _AXES))]
     ref = _reference(cfg, base, pairs, schedule, seed)
+    # the table is written once the sweep ends, so a failing cell leaves none
+    rows = [("beta", "n", "w_inv", "t_min", "win_rate", "seconds")]
+    for values, acfg in cells:
+        tick = time.perf_counter()
+        tuned = align(base, ref, pairs, schedule, acfg)
+        rep = win_rate(
+            tuned, base, schedule, spec, conditions=range(base.arch.num_conditions),
+            n_trials=cfg["ablate.trials"], sampler_cfg=sampler_cfg, seed=seed,
+        )
+        rows.append((*values, rep.win_rate, f"{time.perf_counter() - tick:.3f}"))
+        log.info("ablate beta=%s n=%s w_inv=%s t_min=%s -> %.4f", *values, rep.win_rate)
     path = os.path.join(out, "ablate.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["beta", "n", "w_inv", "t_min", "win_rate", "seconds"])
-        for values, acfg in cells:
-            tick = time.perf_counter()
-            tuned = align(base, ref, pairs, schedule, acfg)
-            rep = win_rate(
-                tuned, base, schedule, spec, conditions=range(base.arch.num_conditions),
-                n_trials=cfg["ablate.trials"], sampler_cfg=sampler_cfg, seed=seed,
-            )
-            secs = time.perf_counter() - tick
-            w.writerow([*values, repr(rep.win_rate), f"{secs:.3f}"])
-            log.info("ablate beta=%s n=%s w_inv=%s t_min=%s -> %.4f", *values, rep.win_rate)
+    _write_file(path, _csv_rows(rows))
     log.info("wrote %s", path)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import NULL_CONDITION, _integer_ids
+from .denoiser import NULL_CONDITION, _integer_ids, _write_file
 from .errors import InvalidArgument, PairParseError, VersionError
 from .sampler import SamplerConfig, ddim_sample
 
@@ -341,8 +341,7 @@ def save_pairs(pairs: PairTable, path, reward_spec: RewardSpec | None = None) ->
     lines = [json.dumps(header)]
     lines += [record % fields for fields in zip(*columns)]
     lines.append("")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+    _write_file(path, "\n".join(lines))
 
 
 def load_pairs(path, num_conditions: int | None = None,

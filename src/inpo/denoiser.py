@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -633,12 +634,37 @@ def params_from_bytes(buf: bytes) -> tuple[DenoiserParams, str, int]:
 
 
 def save_params(path, params: DenoiserParams, schedule_kind: str, T: int) -> None:
-    """Write the parameter file; a vector that params_from_bytes would
-    reject as non-finite raises NumericError before the file is opened."""
+    """Write the parameter file (_write_file); a vector that
+    params_from_bytes would reject as non-finite raises NumericError
+    before any file is opened."""
     if not np.isfinite(params.vec).all():
         raise NumericError("refusing to write non-finite parameters")
-    with open(path, "wb") as fh:
-        fh.write(params_to_bytes(params, schedule_kind, T))
+    _write_file(path, params_to_bytes(params, schedule_kind, T))
+
+
+def _write_file(path, data) -> None:
+    """Write ``data``, bytes or text (encoded as UTF-8, newlines as given),
+    to ``path`` whole: into ``<path>.tmp`` in the same directory, then
+    renamed over ``path``, so the path holds its old bytes or the new ones,
+    never a part. If anything raises, the temporary file is removed. Every
+    artifact the package writes goes through here."""
+    tmp = os.fspath(path) + ".tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _csv_rows(rows) -> str:
+    """``rows`` as CSV text with csv.writer's bytes: each field's str
+    joined by commas, each row ended by CRLF, nothing quoted. Every field
+    the package writes is an int, a float (whose str is its repr) or a
+    fixed name, so none needs quoting."""
+    return "".join([",".join(map(str, row)) + "\r\n" for row in rows])
 
 
 def load_params(path) -> tuple[DenoiserParams, str, int]:

@@ -7,7 +7,6 @@ identical models score exactly 0.5.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import RewardSpec, score
-from .denoiser import NULL_CONDITION, _as_rows
+from .denoiser import NULL_CONDITION, _as_rows, _csv_rows, _write_file
 from .errors import InvalidArgument
 from .sampler import Inverter, SamplerConfig, _sample_on, ddim_sample
 from .schedule import NoiseSchedule
@@ -116,21 +115,12 @@ def emit_report(report: EvalReport, dir_path) -> None:
         "roundtrip_std": {str(k): v for k, v in report.roundtrip_std.items()},
         "seeds": report.seeds,
     }
-    with open(os.path.join(dir_path, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    # csv.writer's bytes: no field needs quoting; the rewards print as their repr
-    with open(os.path.join(dir_path, "win_rate.csv"), "w", newline="") as fh:
-        fh.write("trial,condition,reward_a,reward_b,outcome\r\n")
-        fh.write("".join(["%d,%d,%r,%r,%s\r\n" % row for row in report.trials]))
-    with open(os.path.join(dir_path, "roundtrip.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "mean_err", "std_err"])
-        for n in sorted(report.roundtrip_errors):
-            w.writerow([n, repr(report.roundtrip_errors[n]),
-                        repr(report.roundtrip_std.get(n, 0.0))])
-    with open(os.path.join(dir_path, "timing.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["config_id", "seconds"])
-        for k in sorted(report.wall_times):
-            w.writerow([k, repr(report.wall_times[k])])
+    _write_file(os.path.join(dir_path, "report.json"),
+                json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_file(os.path.join(dir_path, "win_rate.csv"), _csv_rows(
+        [("trial", "condition", "reward_a", "reward_b", "outcome"), *report.trials]))
+    _write_file(os.path.join(dir_path, "roundtrip.csv"), _csv_rows(
+        [("n", "mean_err", "std_err"), *((n, err, report.roundtrip_std.get(n, 0.0))
+                                         for n, err in sorted(report.roundtrip_errors.items()))]))
+    _write_file(os.path.join(dir_path, "timing.csv"), _csv_rows(
+        [("config_id", "seconds"), *sorted(report.wall_times.items())]))

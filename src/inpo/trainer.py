@@ -58,7 +58,6 @@ accum_steps pairs per step.
 """
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -70,6 +69,8 @@ from .denoiser import (
     DenoiserParams,
     StepWorkspace,
     _cond_rows,
+    _csv_rows,
+    _write_file,
     init_denoiser,
     value_and_grad,  # noqa: F401  (perfbench's hook tests reach it through this module)
 )
@@ -425,9 +426,7 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs: PairTable, schedule:
            warmup_steps=cfg.warmup_steps, accum_steps=cfg.accum_steps, log=log,
            pair_ids=pair_ids)
     if log is not None:
-        with open(log_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "lr", "loss", "sigmoid_arg_mean", "wall_ms"])
-            w.writerows([step, repr(lr_t), repr(loss), repr(arg), f"{ms:.3f}"]
-                        for step, lr_t, loss, arg, ms in log)
+        rows = [(step, lr_t, loss, arg, f"{ms:.3f}") for step, lr_t, loss, arg, ms in log]
+        _write_file(log_path, _csv_rows([("step", "lr", "loss", "sigmoid_arg_mean", "wall_ms"),
+                                         *rows]))
     return params
