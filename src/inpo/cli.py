@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from .config import load_config, reward_spec_from, show
-from .data import (CONDITION_COUNTS, _row_dots, gen_toy_dataset, load_pairs,
+from .data import (CONDITION_COUNTS, _row_dots, gen_toy_dataset, load_pairs, load_pairs_header,
                    make_preference_pairs, save_pairs)
 from .denoiser import DenoiserArch, _csv_rows, _write_file, load_params, save_params
 from .errors import ConfigError, InpoError, NumericError, PairParseError, VersionError
@@ -276,9 +276,15 @@ def cmd_ablate(cfg: dict, out: str, seed: int) -> None:
     base, schedule = _load_model(_require(cfg, "ablate.base"), cfg["schedule.loss_weight"])
     # before the first cell trains, so a bad t_min leaves no table
     _check_times(cfg, schedule, "ablate.t_mins")
-    pairs = load_pairs(_require(cfg, "ablate.pairs"), base.arch.num_conditions,
-                       base.arch.input_dim)
+    pairs_path = _require(cfg, "ablate.pairs")
+    pairs = load_pairs(pairs_path, base.arch.num_conditions, base.arch.input_dim)
     spec = _reward_for(cfg, base)
+    # the cells are scored by the reward the pairs were ranked by, if their header records one
+    made = load_pairs_header(pairs_path).get("reward_spec")
+    if made is not None and made != spec.to_dict():
+        raise ConfigError(f"ablate.pairs={pairs_path} was ranked by another reward than "
+                          f"reward.kind={cfg['reward.kind']} with data.kind={cfg['data.kind']}; "
+                          f"set the reward.* and data.kind keys the pairs were made with")
     sampler_cfg = _sampler_cfg(cfg, schedule)
     # each cell is align's config with the four axis keys set, trained for ablate.steps
     cells = [(values, _align_config({**cfg, **dict(zip(_AXES.values(), values)),

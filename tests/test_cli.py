@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import inpo.cli as cli_mod
 from inpo.cli import main
 from inpo.denoiser import DenoiserArch, init_denoiser, save_params
+from inpo.errors import TrainingError
 
 TINY = [
     "--set", "schedule.T=120",
@@ -616,12 +618,15 @@ def wide_model(tmp_path):
      "reward targets have 2 entries but the model's samples have 3"),
     ("eval", ["eval.model_a={base}", "eval.model_b={wide}"],
      "eval.model_b={wide} has input_dim 3 but eval.model_a={base} has 2"),
-], ids=["make-prefs", "eval", "eval-model_b"])
+    ("invert-demo", ["demo.model={wide}", "demo.t_target=96"],
+     "data.kind=eight_gaussians samples have 2 entries but the model's samples have 3"),
+], ids=["make-prefs", "eval", "eval-model_b", "invert-demo"])
 def test_a_model_of_another_sample_width_fails_before_sampling(workdir, wide_model, tmp_path,
                                                                capsys, monkeypatch, cmd, sets,
                                                                message):
-    # a sample width the reward cannot score stops the command before any sampling
-    for name in ("make_preference_pairs", "win_rate", "roundtrip_errors"):
+    # a sample width the reward or the data cannot fit stops the command
+    # before any sampling or inversion
+    for name in ("make_preference_pairs", "win_rate", "roundtrip_errors", "ddim_invert"):
         monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
     paths = {"wide": wide_model, "base": workdir / "base.params"}
     out = tmp_path / "out"
@@ -746,3 +751,98 @@ def test_a_bad_sampler_key_exits_before_any_sampling_or_training(workdir, tmp_pa
                  "--set", f"{key}={value}"]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not _files_under(out)
+
+
+def test_a_numeric_failure_exits_3(workdir, tmp_path, capsys):
+    # every gradient is finite but its square overflows Adam's second moment
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        assert run(["align", "--out", str(out), "--seed", "3", *_every_input(workdir),
+                    "--set", "align.beta=1e160"]) == 3
+    assert "numeric error: step 0: non-finite Adam second moment" in capsys.readouterr().err
+    assert not _files_under(out)
+
+
+def test_a_pair_file_of_ties_alone_exits_2(workdir, tmp_path, capsys):
+    # a package error that is neither a config, numeric nor I/O error
+    lines = (workdir / "pairs.jsonl").read_text().splitlines()
+    ties = tmp_path / "ties.jsonl"
+    records = [json.dumps({**json.loads(line), "tie": True}) for line in lines[1:]]
+    ties.write_text("\n".join([lines[0], *records]) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["align", "--out", str(out), "--seed", "3", *_every_input(workdir),
+                "--set", f"align.pairs={ties}"]) == 2
+    assert "error: no usable (non-tie) pairs" in capsys.readouterr().err
+    assert not _files_under(out)
+
+
+@pytest.mark.parametrize("cmd", sorted(cli_mod.COMMANDS))
+def test_a_write_that_fails_leaves_the_previous_artifacts(workdir, tmp_path, capsys, monkeypatch,
+                                                          cmd):
+    # each artifact is written whole beside its path and renamed into
+    # place, so a failing rename leaves the last run's bytes and no
+    # temporary file
+    out = tmp_path / "out"
+    args = [cmd, "--out", str(out), "--seed", "3", *_every_input(workdir)]
+    assert run(args) == 0
+    before = {p: p.read_bytes() for p in _files_under(out)}
+
+    def fail(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", fail)
+    capsys.readouterr()
+    assert run(args) == 4
+    assert "io error: cannot rename " in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in _files_under(out)} == before
+
+
+def test_an_ablate_cell_that_fails_leaves_no_table(workdir, tmp_path, capsys, monkeypatch):
+    # the table is written once the sweep ends, not row by row
+    real, calls = cli_mod.align, []
+
+    def second_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise TrainingError("loss is non-finite: nan", 0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "align", second_fails)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["ablate", "--out", str(out), "--seed", "6", *_every_input(workdir),
+                "--set", "ablate.betas=100,200"]) == 3
+    assert "numeric error: step 0: loss is non-finite: nan" in capsys.readouterr().err
+    assert len(calls) == 2 and not _files_under(out)
+
+
+def test_ablate_rejects_pairs_ranked_by_another_reward(workdir, tmp_path, capsys, monkeypatch):
+    # ring and eight_gaussians both have 8 conditions, so only the pair
+    # file's header tells the rewards apart
+    ring = tmp_path / "ring"
+    assert run(["make-prefs", "--out", str(ring), "--seed", "2", *_every_input(workdir),
+                "--set", "data.kind=ring"]) == 0
+    for name in ("align", "sft_ref_init", "win_rate"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["ablate", "--out", str(out), "--seed", "6", *_every_input(workdir),
+                "--set", "align.ref_init=sft_winners",
+                "--set", f"ablate.pairs={ring}/pairs.jsonl"]) == 2
+    assert (f"config error: ablate.pairs={ring}/pairs.jsonl was ranked by another reward than "
+            f"reward.kind=mode_distance with data.kind=eight_gaussians"
+            in capsys.readouterr().err)
+    assert not _files_under(out)
+
+
+def test_ablate_sweeps_pairs_whose_header_records_no_reward(workdir, tmp_path):
+    lines = (workdir / "pairs.jsonl").read_text().splitlines()
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text("\n".join([json.dumps({**json.loads(lines[0]), "reward_spec": None}),
+                               *lines[1:]]) + "\n")
+    out = tmp_path / "out"
+    assert run(["ablate", "--out", str(out), "--seed", "6", *_every_input(workdir),
+                "--set", f"ablate.pairs={bare}", "--set", "data.kind=ring"]) == 0
+    assert (out / "ablate.csv").exists()

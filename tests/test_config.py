@@ -13,7 +13,8 @@ import inpo.cli as cli_mod
 import inpo.config as config_mod
 from inpo.cli import main
 from inpo.config import BOUNDS, NON_EMPTY, REGISTRY, load_config, show, within
-from inpo.data import RewardSpec, default_reward_spec, gen_toy_dataset, make_preference_pairs
+from inpo.data import (DATASET_KINDS, RewardSpec, default_reward_spec, gen_toy_dataset,
+                       make_preference_pairs)
 from inpo.denoiser import NULL_CONDITION, DenoiserArch, init_denoiser
 from inpo.errors import InvalidArgument
 from inpo.evaluation import roundtrip_errors, win_rate
@@ -204,6 +205,33 @@ def test_a_value_outside_its_bound_exits_before_any_work(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}=") and f" must be {bound}" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--set", "eval.roundtrip=maybe"], "bad value for 'eval.roundtrip': not a boolean: 'maybe'"),
+    (["--set", "data.kind=spiral"],
+     f"bad value for 'data.kind': must be one of {DATASET_KINDS}, got 'spiral'"),
+    (["--set", "schedule.T"], "override must be KEY=VALUE, got 'schedule.T'"),
+    (["--config", "{missing}"], "cannot read config file: "),
+    (["--config", "{run}"], "{run}:2: expected key=value, got 'schedule.T 50'"),
+], ids=["non-boolean", "unknown-data-kind", "override-without-=", "unreadable-config",
+        "line-without-="])
+def test_a_malformed_setting_exits_before_any_work(tmp_path, capsys, monkeypatch, args, message):
+    for name in cli_mod.COMMANDS:
+        monkeypatch.setitem(cli_mod.COMMANDS, name,
+                            lambda *a, name=name: pytest.fail(f"{name} ran"))
+    paths = {"missing": tmp_path / "missing.cfg", "run": tmp_path / "run.cfg"}
+    paths["run"].write_text("# a comment line\nschedule.T 50\n")
+    out = tmp_path / "out"
+    assert main(["pretrain", "--out", str(out), *(a.format(**paths) for a in args)]) == 2
+    assert f"config error: {message.format(**paths)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_file_skips_blank_and_comment_only_lines(tmp_path):
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text("# a comment line\n\n    # an indented one\nschedule.T = 50  # trailing\n")
+    assert load_config(str(cfile))["schedule.T"] == 50
 
 
 def test_every_numeric_key_declares_a_bound_its_default_meets():

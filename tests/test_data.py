@@ -457,3 +457,20 @@ def test_pair_file_written_by_independent_serializer(tmp_path):
     assert pairs.winner[0].tobytes() == w.tobytes()
     assert pairs.loser[0].tobytes() == l.tobytes()
     assert (pairs.reward_w[0], pairs.reward_l[0]) == (0.5, -1.25)
+
+
+@pytest.mark.parametrize("seed", [1 << 63, -(1 << 63) - 1], ids=["2**63", "-2**63-1"])
+def test_a_seed_past_int64_is_rejected_before_sampling(seed):
+    model = make_linear_model(0.2 * np.eye(2), num_conditions=8)
+    with pytest.raises(InvalidArgument, match="^seed must fit in int64$"):
+        make_preference_pairs(model, make_schedule("cosine", 200),
+                              default_reward_spec("eight_gaussians"), [0], 1,
+                              SamplerConfig(num_steps=8, guidance_w=0.0), seed=seed)
+
+
+def test_a_pair_file_whose_first_line_is_not_json_fails_at_line_1(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text('not json\n{"c": 0}\n')
+    for load in (load_pairs, load_pairs_header):
+        with pytest.raises(PairParseError, match="^line 1: bad header: Expecting value$"):
+            load(path)

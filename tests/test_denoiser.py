@@ -563,3 +563,13 @@ def test_predict_noise_rejects_a_negative_or_non_finite_timestep(t, bad):
     t = np.asarray(t)
     with pytest.raises(InvalidArgument, match=rf"timesteps must be finite and >= 0, got {bad}$"):
         predict_noise(p, np.zeros((t.size, 2)), t, 0)
+
+
+def test_a_parameter_file_holding_a_nan_is_a_numeric_error(tmp_path):
+    # save_params refuses such a vector, so the file is written by hand
+    params = init_denoiser(DenoiserArch(2, (4,), 2, 4), 0)
+    params.vec[3] = np.nan
+    path = tmp_path / "nan.params"
+    path.write_bytes(params_to_bytes(params, "cosine", 100))
+    with pytest.raises(NumericError, match="^parameter file contains non-finite values$"):
+        load_params(path)

@@ -285,3 +285,22 @@ def test_tau_rejects_t0(s):
         with pytest.raises(InvalidArgument, match=r"timestep out of range \[1, 1000\]"):
             make_targets(zero_model(2), s, np.zeros(2), 0, 0, DeltaStrategy(kind),
                          np.random.default_rng(0))
+
+
+def test_a_sample_that_overflows_names_its_step(s):
+    # the start is finite, so the input check passes; the first update
+    # divides 1e308 by sqrt(ab) < 1 and overflows
+    p = init_denoiser(DenoiserArch(2, (8,), 4, 8), 0)
+    cfg = SamplerConfig(num_steps=4, guidance_w=1.0, t_start=1000)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match=r"^non-finite sample at step 0 \(t=1000 -> 750\)$"):
+        ddim_sample(p, s, np.full((3, 2), 1e308), cfg, 1)
+
+
+def test_a_fixed_point_iterate_that_overflows_names_its_iteration(s):
+    # eps(x) = 1e300 x: the first iterate is finite, the second is not
+    m = make_linear_model(1e300 * np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="^non-finite fixed-point iterate at iteration 1$"):
+        solve_delta_fixed_point(m, s, np.ones((3, 2)), 300, 0, DeltaStrategy("fixed_point"),
+                                np.random.default_rng(0))

@@ -171,3 +171,14 @@ def test_invariants_hold_for_any_size(kind, T):
     assert np.all(np.diff(s.sigma) > 0)
     assert np.max(np.abs(s.sigma**2 + 1 - 1 / s.alpha_bar) * s.alpha_bar) < 1e-12
     assert isinstance(s, NoiseSchedule)
+
+
+def test_float_timesteps_are_cast_when_whole_and_rejected_otherwise():
+    s = make_schedule("cosine", 100)
+    x0, eps = np.ones((2, 2)), np.full((2, 2), 0.5)
+    for whole, ints in ((5.0, 5), (np.array([5.0, 7.0]), np.array([5, 7]))):
+        assert (forward_diffuse(s, x0, whole, eps).tobytes()
+                == forward_diffuse(s, x0, ints, eps).tobytes())
+    for fractional in (5.5, np.array([5.0, 7.25])):
+        with pytest.raises(InvalidArgument, match="^timestep must be an integer$"):
+            forward_diffuse(s, x0, fractional, eps)

@@ -889,3 +889,13 @@ def test_warm_noise_predictor_call_allocates_no_block_of_32_kb(w):
     x = rng.standard_normal((n, 2))
     eps(x, 0)
     assert _largest_line_allocation(lambda: eps(x, 1)) < 32 * 1024
+
+
+def test_align_names_no_pair_when_every_drawn_input_is_finite(s, tiny_pairs):
+    # the sft loss overflows on a base whose output is 1e200 while every
+    # drawn winner and latent is finite, so the error names no pair
+    base = init_denoiser(ARCH, 7)
+    base.biases[-1][:] = 1e200
+    with pytest.raises(TrainingError) as info, np.errstate(over="ignore"):
+        align(base, base, tiny_pairs, s, small_cfg(method="sft", steps=2))
+    assert str(info.value) == "step 0: loss is non-finite: inf"
