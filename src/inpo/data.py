@@ -9,8 +9,9 @@ A pair set is a PairTable, columns from make_preference_pairs through the
 pair file to align; save_pairs, align and sft_ref_init take nothing else.
 Pair files are line-delimited JSON: a header object followed by one record
 per pair. Floats are serialized at full round-trip precision. save_pairs
-encodes each record with json from the columns' Python values and refuses
-pairs the loader would reject; load_pairs decodes and checks one record at
+encodes each record with json from the columns' Python values, refuses
+pairs the loader would reject, and writes the file whole through
+denoiser._write_file; load_pairs decodes and checks one record at
 a time, raising at the first bad line, and builds the columns once at the
 end.
 """
@@ -317,7 +318,7 @@ def save_pairs(pairs: PairTable, path, reward_spec: RewardSpec | None = None) ->
 
     ``pairs`` must be a PairTable. Pairs that the loader would reject (an
     empty set, non-finite samples or rewards) raise InvalidArgument before
-    the file is opened.
+    any file is opened. The file is written whole (denoiser._write_file).
     """
     t = _table(pairs)
     if not len(t):

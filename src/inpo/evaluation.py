@@ -3,7 +3,9 @@ emission.
 
 Win rates feed both compared models the same initial latent per trial, which
 keeps the comparison semantics while cutting variance; ties count one half so
-identical models score exactly 0.5.
+identical models score exactly 0.5. emit_report writes each of its four
+files whole through denoiser._write_file, the CSV tables formatted by
+denoiser._csv_rows.
 """
 from __future__ import annotations
 
@@ -99,7 +101,8 @@ def inversion_roundtrip(model, s: NoiseSchedule, samples, t_target: int, n_grid,
 
 
 def emit_report(report: EvalReport, dir_path) -> None:
-    """Write report.json plus flat CSVs (win_rate.csv, roundtrip.csv, timing.csv).
+    """Write report.json plus flat CSVs (win_rate.csv, roundtrip.csv,
+    timing.csv), each whole (denoiser._write_file).
 
     The wall times go to timing.csv alone, so report.json is a pure function
     of the run's inputs."""

@@ -408,7 +408,7 @@ def align(base: DenoiserParams, ref: DenoiserParams, pairs: PairTable, schedule:
     as given (``base`` itself, or for instance sft_ref_init's fit of it to
     the winners): it is only ever read, and the sft method reads none.
     When ``log_path`` is given a CSV with columns step, lr, loss,
-    sigmoid_arg_mean, wall_ms is written.
+    sigmoid_arg_mean, wall_ms is written whole once the last step ends.
 
     Every pair's condition, and t_min against the schedule's T, is
     validated once, before the first step.

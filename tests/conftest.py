@@ -501,7 +501,7 @@ def oracle_save_pairs(table, path, reward_spec=None):
 
 def oracle_win_rate_csv(trials) -> bytes:
     """win_rate.csv as csv.writer writes it, one row per trial; byte oracle
-    for emit_report's template."""
+    for emit_report's row formatter."""
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["trial", "condition", "reward_a", "reward_b", "outcome"])

@@ -13,7 +13,6 @@ import io
 import os
 import pathlib
 
-import numpy as np
 import pytest
 
 from inpo.denoiser import DenoiserArch, _csv_rows, _write_file, init_denoiser, save_params
@@ -135,7 +134,7 @@ def test_save_params_whose_rename_fails_leaves_the_previous_file(tmp_path, monke
 def test_csv_rows_have_csv_writers_bytes():
     rows = [("step", "lr", "loss", "config_id"), (0, 1e-3, -0.1, "roundtrip_n5"),
             (12, 5e-324, 1.7976931348623157e308, "win_rate"), (-3, 0.1 + 0.2, float("inf"), "x"),
-            (7, float(np.float64(2.5)), 1.0, "sft")]
+            (7, 2.5, 1.0, "sft")]
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(rows)
     assert _csv_rows(rows) == buf.getvalue()
