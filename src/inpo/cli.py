@@ -331,8 +331,9 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         cfg = load_config(args.config, args.overrides)
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if not 0 <= args.seed < 2**63:  # the pair file's seed column is int64
+            bound = ">= 0" if args.seed < 0 else "< 2**63"
+            raise ConfigError(f"--seed must be {bound}, got {args.seed}")
         os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.subcommand](cfg, args.out, args.seed)
     except ConfigError as e:

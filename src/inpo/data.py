@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import NULL_CONDITION, _integer_ids, _write_file
+from .denoiser import NULL_CONDITION, _integer_ids, _stream, _write_file
 from .errors import InvalidArgument, PairParseError, VersionError
 from .sampler import SamplerConfig, ddim_sample
 
@@ -132,15 +132,6 @@ class RewardSpec:
             out["direction"] = np.asarray(self.direction).tolist()
         return out
 
-    @staticmethod
-    def from_dict(d: dict) -> "RewardSpec":
-        return RewardSpec(
-            kind=d["kind"],
-            targets=np.asarray(d["targets"], dtype=np.float64) if "targets" in d else None,
-            radius=d.get("radius"),
-            direction=np.asarray(d["direction"], dtype=np.float64) if "direction" in d else None,
-        )
-
 
 def _eg_centers() -> tuple[np.ndarray, float]:
     ang = 2 * np.pi * np.arange(8) / 8
@@ -172,7 +163,7 @@ def gen_toy_dataset(kind: str, n: int, seed: int):
         raise InvalidArgument(f"unknown dataset kind {kind!r}")
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
+    rng = _stream(seed, 0xDA7A)
     k = CONDITION_COUNTS[kind]
     cond = np.arange(n, dtype=np.int64) % k
     if kind == "eight_gaussians":
@@ -290,9 +281,8 @@ def make_preference_pairs(
         raise InvalidArgument("conditions must be nonempty")
     dim = model.arch.input_dim
     per = 2 * pairs_per_condition
-    streams = np.random.SeedSequence([int(seed), 0x9A12]).spawn(len(conditions))
-    z = np.concatenate([np.random.default_rng(stream).standard_normal((per, dim))
-                        for stream in streams])
+    z = np.concatenate([_stream(seed, 0x9A12, spawn_key=(i,)).standard_normal((per, dim))
+                        for i in range(len(conditions))])
     conditions = np.asarray(conditions)
     cond = np.repeat(conditions, per)
     x = ddim_sample(model, s, z, sampler_cfg, cond)

@@ -176,7 +176,7 @@ class TapeParams:
 def init_denoiser(arch: DenoiserArch, seed: int) -> DenoiserParams:
     """Deterministic fan-in scaled initialization; same (arch, seed) gives
     bit-identical parameters."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9E37]))
+    rng = _stream(seed, 0x9E37)
     weights, biases = [], []
     for fan_in, fan_out in arch.layer_dims():
         weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
@@ -657,6 +657,16 @@ def _write_file(path, data) -> None:
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def _stream(seed, *key, spawn_key=()) -> np.random.Generator:
+    """The random stream of SeedSequence([seed, *key]); given ``spawn_key=(i,)``,
+    that of the sequence's i-th child, as SeedSequence.spawn makes it (numpy
+    1.24 has no Generator.spawn). Ints of numpy's types count as the ints
+    they hold, and numpy rejects a negative one with ValueError. Every
+    random draw the package makes comes from a stream made here."""
+    ints = [int(v) for v in (seed, *key)]
+    return np.random.default_rng(np.random.SeedSequence(ints, spawn_key=spawn_key))
 
 
 def _csv_rows(rows) -> str:

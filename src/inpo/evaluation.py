@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import RewardSpec, score
-from .denoiser import NULL_CONDITION, _as_rows, _csv_rows, _write_file
+from .denoiser import NULL_CONDITION, _as_rows, _csv_rows, _stream, _write_file
 from .errors import InvalidArgument
 from .sampler import Inverter, SamplerConfig, _sample_on, ddim_sample
 from .schedule import NoiseSchedule
@@ -49,7 +49,7 @@ def win_rate(model_a, model_b, s: NoiseSchedule, spec: RewardSpec, conditions,
         raise InvalidArgument("n_trials must be >= 1")
     conditions = np.asarray(list(conditions))
     dim = model_a.arch.input_dim
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xE7A1]))
+    rng = _stream(seed, 0xE7A1)
     cond_idx = rng.integers(0, len(conditions), size=n_trials)
     cond = conditions[cond_idx]
     latents = rng.standard_normal((n_trials, dim))

@@ -1,8 +1,9 @@
 """Training loops: pretraining, reference initialization, and alignment.
 
-Every step draws its randomness from a stream derived from (seed, domain,
-step index), so a run is a pure function of (config, seed), and a step's
-draws and state do not depend on how many steps the run has.
+Every step draws its randomness from the stream denoiser._stream derives
+from (seed, domain, step index), so a run is a pure function of (config,
+seed), and a step's draws and state do not depend on how many steps the run
+has.
 
 pretrain_base, sft_ref_init and align run one loop, _train. It builds the
 steps' streams in batches of _STREAM_BATCH steps of the call, each batch in
@@ -70,6 +71,7 @@ from .denoiser import (
     StepWorkspace,
     _cond_rows,
     _csv_rows,
+    _stream,
     _write_file,
     init_denoiser,
     value_and_grad,  # noqa: F401  (perfbench's hook tests reach it through this module)
@@ -167,12 +169,6 @@ def warmup_lr(lr: float, step: int, warmup_steps: int) -> float:
 _STREAM_BATCH = 64
 
 
-def _step_rng(seed: int, domain: int, step: int) -> np.random.Generator:
-    """The stream of SeedSequence([seed, domain, step]); numpy rejects a
-    negative int with ValueError."""
-    return np.random.default_rng([int(seed), domain, int(step)])
-
-
 class _Samples(NamedTuple):
     """A training call's samples, (n, dim), and their condition ids,
     validated and resolved to embedding rows once (see _samples); a window
@@ -205,7 +201,7 @@ def _train(params: DenoiserParams, window, *, seed: int, domain: int, steps: int
     """Steps 0..steps-1 of a training run, updating ``params`` in place
     with Adam from zero moments.
 
-    Step k draws from _step_rng(seed, domain, k) and runs ``accum_steps``
+    Step k draws from _stream(seed, domain, k) and runs ``accum_steps``
     windows on that one stream. The streams are built _STREAM_BATCH steps
     at a time, in one pass before the first step of each batch, which counts
     the build in its wall time; a batch never reaches past the last step,
@@ -232,7 +228,7 @@ def _train(params: DenoiserParams, window, *, seed: int, domain: int, steps: int
         if not streams:
             # the next batch's streams, last step first, so each step pops its own
             last = min(steps, step + _STREAM_BATCH) - 1
-            streams = [_step_rng(seed, domain, k) for k in range(last, step - 1, -1)]
+            streams = [_stream(seed, domain, k) for k in range(last, step - 1, -1)]
         rng = streams.pop()
         loss_sum = arg_sum = 0.0
         for k in range(accum_steps):

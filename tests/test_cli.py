@@ -733,6 +733,17 @@ def test_a_negative_seed_is_a_config_error(workdir, tmp_path, capsys, cmd):
     assert not _files_under(out)
 
 
+@pytest.mark.parametrize("cmd", sorted(cli_mod.COMMANDS))
+def test_a_seed_past_int64_is_a_config_error(workdir, tmp_path, capsys, cmd):
+    # only make-prefs writes the seed, to the pair file's int64 column, but
+    # every command takes the same range
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([cmd, "--out", str(out), "--seed", str(2**63), *_every_input(workdir)]) == 2
+    assert f"config error: --seed must be < 2**63, got {2**63}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["make-prefs", "eval", "ablate"])
 @pytest.mark.parametrize("key, value, message", [
     ("sample.t_start", "121", "sample.t_start=121 must be <= the model's T=120"),

@@ -279,7 +279,8 @@ def test_pair_file_round_trip(tmp_path, small_pairs):
 def test_pair_file_header_round_trips_the_reward_spec(tmp_path, small_pairs, spec):
     path = tmp_path / "pairs.jsonl"
     save_pairs(small_pairs, path, spec)
-    assert RewardSpec.from_dict(load_pairs_header(path)["reward_spec"]).to_dict() == spec.to_dict()
+    # the equality ablate checks a pair file's reward with
+    assert load_pairs_header(path)["reward_spec"] == spec.to_dict()
 
 
 def test_pair_file_truncated_line_error(tmp_path, small_pairs):

@@ -441,7 +441,7 @@ def _oracle_align(base, ref, pairs, s, cfg):
     arrays = params.flat()
     state = _list_state(arrays)
     for step in range(cfg.steps):
-        rng = trainer_mod._step_rng(cfg.seed, trainer_mod._ALIGN_DOMAIN, step)
+        rng = denoiser_mod._stream(cfg.seed, trainer_mod._ALIGN_DOMAIN, step)
         gsum = None
         for _ in range(cfg.accum_steps):
             idx = rng.integers(0, len(winners), size=B)
@@ -550,7 +550,7 @@ def test_streams_are_built_a_batch_ahead_of_their_steps(monkeypatch):
     # every stream of a batch is built before the batch's first window, and
     # each window gets a fresh stream of its own step
     events = []
-    real = trainer_mod._step_rng
+    real = trainer_mod._stream
 
     def spy(seed, domain, step):
         events.append(("build", step))
@@ -563,7 +563,7 @@ def test_streams_are_built_a_batch_ahead_of_their_steps(monkeypatch):
         events.append(("window", rng.bit_generator.state))
         return 0.0, grad
 
-    monkeypatch.setattr(trainer_mod, "_step_rng", spy)
+    monkeypatch.setattr(trainer_mod, "_stream", spy)
     n = trainer_mod._STREAM_BATCH
     steps = 2 * n + 5
     trainer_mod._train(params, window, seed=9, domain=trainer_mod._ALIGN_DOMAIN, steps=steps,
@@ -601,11 +601,11 @@ def test_step_rng_is_the_stream_of_the_seed_list(seed):
     for domain in (trainer_mod._PRETRAIN_DOMAIN, trainer_mod._ALIGN_DOMAIN, 0):
         for step in (0, 1, 499, 2**32 - 1, 2**32, 2**33):
             want = np.random.default_rng(np.random.SeedSequence([seed, domain, step]))
-            got = trainer_mod._step_rng(seed, domain, step)
+            got = denoiser_mod._stream(seed, domain, step)
             assert got.bit_generator.state == want.bit_generator.state
             assert got.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
     # numpy ints are taken as the ints they hold
-    got = trainer_mod._step_rng(np.int64(min(seed, 2**63 - 1)), 202, np.int64(3))
+    got = denoiser_mod._stream(np.int64(min(seed, 2**63 - 1)), 202, np.int64(3))
     want = np.random.default_rng(np.random.SeedSequence([min(seed, 2**63 - 1), 202, 3]))
     assert got.bit_generator.state == want.bit_generator.state
 
@@ -615,7 +615,7 @@ def test_step_rng_rejects_a_negative_int_as_numpy_does():
         with pytest.raises(ValueError, match="expected non-negative integer"):
             np.random.SeedSequence(list(ints))
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            trainer_mod._step_rng(*ints)
+            denoiser_mod._stream(*ints)
 
 
 def test_align_names_the_pair_behind_a_nonfinite_loss(s, tiny_pairs):
@@ -727,9 +727,9 @@ def _window_steps_are_the_cores(s, pairs, cfg):
         window = trainer_mod._pair_window(params, ref, s, data, table.loser[pair_ids], cfg)
     for step in range(3):
         aux = {}
-        value, grad = window(trainer_mod._step_rng(cfg.seed, trainer_mod._ALIGN_DOMAIN, step), aux)
+        value, grad = window(denoiser_mod._stream(cfg.seed, trainer_mod._ALIGN_DOMAIN, step), aux)
         grad = grad.vec.copy()
-        replay = trainer_mod._step_rng(cfg.seed, trainer_mod._ALIGN_DOMAIN, step)
+        replay = denoiser_mod._stream(cfg.seed, trainer_mod._ALIGN_DOMAIN, step)
         idx = replay.integers(0, len(data.x), size=B)
         t = replay.integers(cfg.t_min, s.T + 1, size=B)
         assert idx.tobytes() == aux["idx"].tobytes() and t.tobytes() == aux["t"].tobytes()
